@@ -197,53 +197,20 @@ def voltage_decode_latency(
     attention: str = "gathered",
     stats_itemsize: int = 4,
 ) -> LatencyBreakdown:
-    """Mirror of :func:`repro.systems.decode.run_decode`'s timeline.
+    """The timeline :func:`repro.systems.decode.run_decode` reports, weight-free.
 
-    Prices greedy generation with a position-sharded KV cache through the
-    same per-step pricer ``run_decode`` uses
-    (:func:`repro.systems.decode.decode_step_pricing`, driven by the
-    ``core.complexity`` decode cost table), so the two timelines share one
-    formula source.  ``attention`` selects the mode: ``"gathered"`` pays a
-    replicated compute makespan plus two lossless K/V shard all-gathers
-    per layer; ``"distributed"`` pays per-rank local-shard attention plus
-    one packed-stats all-gather per layer (``stats_itemsize=2`` for a
-    float16 wire).  Spans are fixed over the request's full capacity, so
-    each step's chunk sizes are the spans clipped to the filled prefix.
-    Phase names, kinds and step structure match ``run_decode`` exactly —
-    the verify harness compares the two phase-by-phase.
+    Not a mirror but the same object: both return
+    :func:`repro.systems.decode.decode_timeline` — here over ``scheme``'s
+    spans drawn on the request's full capacity (one static scheme for every
+    layer), there over the system's per-layer spans.
     """
-    from repro.systems.decode import decode_step_pricing, decode_step_totals
+    from repro.systems.decode import decode_timeline
 
-    sim = ClusterSim(cluster)
-    k = cluster.num_devices
-    scheme = scheme if scheme is not None else PartitionScheme.even(k)
+    scheme = scheme if scheme is not None else PartitionScheme.even(cluster.num_devices)
     capacity = min(prompt_len + max_new_tokens, config.max_positions)
     layer_parts = [scheme.positions(capacity)] * config.num_layers
-    post_flops = config.hidden_size * config.vocab_size  # tied LM head
-    comm_phase = (
-        "kv shard all-gather" if attention == "gathered" else "combine stats all-gather"
+    latency, _, _ = decode_timeline(
+        config, layer_parts, ClusterSim(cluster), prompt_len, max_new_tokens,
+        attention=attention, stats_itemsize=stats_itemsize,
     )
-
-    latency = LatencyBreakdown()
-    latency.add("broadcast prompt", "comm", sim.broadcast(8 * prompt_len))
-
-    totals = decode_step_totals(prompt_len, max_new_tokens, config.max_positions)
-    for step_index, total in enumerate(totals):
-        added = prompt_len if step_index == 0 else 1
-        per_rank_flops, layer_collectives, _ = decode_step_pricing(
-            config, layer_parts, added, total,
-            attention=attention, stats_itemsize=stats_itemsize,
-        )
-        compute_s = sim.compute_makespan([flops + post_flops for flops in per_rank_flops])
-        comm_s = 0.0
-        for collectives in layer_collectives:
-            for chunk_bytes in collectives:
-                comm_s += sim.all_gather(chunk_bytes)
-        latency.add("decode step compute", "compute", compute_s, layer=step_index)
-        latency.add(comm_phase, "comm", comm_s, layer=step_index)
-
-    final_len = prompt_len if prompt_len >= config.max_positions else min(
-        prompt_len + max_new_tokens, config.max_positions
-    )
-    latency.add("gather output to terminal", "comm", sim.point_to_point(8 * final_len))
     return latency

@@ -80,10 +80,15 @@ def _run_headline(json_dir: Path | None) -> None:
 
 
 def _run_profile(num_layers: int, n_words: int) -> None:
-    """Profile a real BERT forward pass and reconcile with the cost model."""
+    """Profile a real BERT forward pass and reconcile with the cost model.
+
+    Spans ``preprocess`` / ``layer[i]`` / ``postprocess`` — the latency
+    simulator's decomposition, so measured shares compare against modelled
+    ones — land on the ``--trace`` tracer if installed, else a private one.
+    """
     import numpy as np
 
-    from repro.bench.profiler import profile_model_forward
+    from repro import obs
     from repro.bench.workloads import random_text
     from repro.cluster.device import calibrate_matmul_gflops
     from repro.core.layer import PartitionedLayerExecutor
@@ -93,14 +98,22 @@ def _run_profile(num_layers: int, n_words: int) -> None:
     print(f"profiling BERT-Large[:{num_layers} layers] on this host ...")
     model = BertModel(config, num_classes=2, rng=np.random.default_rng(0))
     ids = model.encode_text(random_text(n_words))
-    profile_model_forward(model, ids)  # warm-up
-    _, profiler = profile_model_forward(model, ids)
-    print(profiler.table())
+    model(ids)  # warm-up
+    active = obs.current_tracer()
+    tracer = active if active.enabled else obs.Tracer()
+    stages = [("preprocess", model.preprocess)]
+    stages += [(f"layer[{index}]", layer) for index, layer in enumerate(model.layers)]
+    stages += [("postprocess", lambda hidden: model.postprocess(model.final_norm(hidden)))]
+    x = ids
+    for name, stage in stages:
+        with tracer.span(name, cat="profile", kind="compute"):
+            x = stage(x)
+    print(obs.summary_table(tracer))
 
     host_gflops = calibrate_matmul_gflops()
     layer_flops = PartitionedLayerExecutor(model.layers[0]).full_flops(len(ids))
     modelled = layer_flops / (host_gflops * 1e9)
-    measured = profiler.spans["layer[0]"].mean_seconds
+    measured = tracer.filter(cat="profile", name="layer[0]")[-1].duration_s
     print(
         f"\ncost-model check: layer[0] measured {measured * 1e3:.2f} ms vs "
         f"modelled {modelled * 1e3:.2f} ms at the calibrated "

@@ -572,10 +572,9 @@ DECODE_ATTENTION_MODES = ("gathered", "distributed")
 class DecodeModeCost:
     """One row of the decode cost table: per-step formulas for one mode.
 
-    ``run_decode``'s accounting and ``bench.analytic.voltage_decode_latency``
-    both price steps through this object, so the two timelines agree by
-    construction rather than by duplicated formulas (they are cross-checked
-    to ``ANALYTIC_REL_TOL`` anyway).
+    ``systems.decode.decode_timeline`` — the one timeline ``run_decode`` and
+    ``bench.analytic.voltage_decode_latency`` both return — prices steps
+    through this object.
     """
 
     mode: str

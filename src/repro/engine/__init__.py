@@ -11,8 +11,13 @@ models under live request streams.  The pieces:
 - :mod:`repro.engine.scheduler` — bounded admission queue with FIFO /
   priority / EDF ordering and explicit load shedding;
 - :mod:`repro.engine.sequencer` — per-request execution state machines:
-  KV-cached GPT-2 greedy decode (bit-identical to the offline
-  ``generate_cached``) and the threaded distributed Voltage forward;
+  *one* greedy decode machine (prefill, then commit → draft → verify →
+  accept → roll back per step) whose forwards run against slot-owned
+  caches (:class:`GPT2CachedSequencer`, bit-identical to the offline
+  ``generate_cached``) or on ``K`` resident ranks
+  (:class:`VoltageDecodeSequencer`), plus the one-shot threaded Voltage
+  forward; :mod:`repro.engine.speculative` adds the proposers that switch
+  drafting on in that machine (:class:`SpeculativeSequencer`);
 - :mod:`repro.engine.engine` — the worker loop tying them together, fully
   instrumented through :mod:`repro.obs`.
 
@@ -39,7 +44,6 @@ from repro.engine.engine import (
 from repro.engine.prefix_cache import PrefixCacheStats, PrefixEntry, RadixPrefixCache
 from repro.engine.scheduler import POLICIES, Scheduler, ShedRequest
 from repro.engine.sequencer import (
-    DecodeSession,
     GPT2CachedSequencer,
     VoltageDecodeSequencer,
     VoltageForwardSequencer,
@@ -51,6 +55,7 @@ from repro.engine.speculative import (
     SpeculativeSequencer,
     SpeculativeStats,
 )
+from repro.systems.decode import DecodeSession
 
 __all__ = [
     "CompletedRequest",

@@ -234,7 +234,7 @@ class InferenceEngine:
         )
         retained = 0
         if self.config.prefix_cache:
-            if not getattr(sequencer, "supports_prefix_cache", False):
+            if not sequencer.supports_prefix_cache:
                 raise ValueError(
                     f"{type(sequencer).__name__} does not support the prefix cache "
                     "(it keeps no engine-side KV rows to retain)"
@@ -407,8 +407,7 @@ class InferenceEngine:
         so at least ``min_prefill_suffix`` prompt positions re-prefill as a
         multi-row GEMM (the bit-identity condition, INTERNALS §16)."""
         cache = self.prefix_cache
-        suffix = getattr(self.sequencer, "min_prefill_suffix", 2)
-        hit = cache.match(prompt, limit=len(prompt) - suffix)
+        hit = cache.match(prompt, limit=len(prompt) - self.sequencer.min_prefill_suffix)
         if hit is None:
             return 0
         entry, length = hit

@@ -9,23 +9,36 @@ contract is a tiny state machine:
   ``(done, virtual_cost)`` — ``virtual_cost`` is the simulated seconds to
   charge a :class:`~repro.engine.clock.VirtualClock` (None means "charge
   measured wall time", the right default under a wall clock);
-- ``result(state)`` is the finished request's output.
+- ``result(state)`` is the finished request's output;
 
-Two implementations:
+plus the protocol attributes the engine builds its pool and prefix cache
+from (:class:`_Sequencer`).
 
-- :class:`GPT2CachedSequencer` — greedy KV-cached decoding, *bit-identical*
-  to :meth:`repro.models.gpt2.GPT2Model.generate_cached` for the same
-  prompt: every forward it runs is literally the same op sequence
-  (embedding add, ``layer_forward_cached`` per layer, final-norm LM head),
-  against the slot's caches instead of a private one.  Buffer capacity is
-  the only difference, and capacity never changes values.  This is what
-  makes the engine's soak guarantee provable: interleaving, preemption and
-  restart permute *which* step runs next, never what a step computes.
-- :class:`VoltageForwardSequencer` — the paper's serving workload: one
-  distributed forward pass per request on real threaded workers
-  (:meth:`VoltageSystem.execute_threaded`), done in a single step.  The
-  slot carries no KV state (``num_layers == 0``); the pool purely bounds
-  how many distributed forwards may be in flight.
+Greedy decoding is **one** state machine, :class:`_GreedySequencer` —
+prefill, then per step *commit pending → draft ≤ budget → verify → accept →
+roll back* — over a small backend that says where a forward runs:
+
+- :class:`_SlotCacheBackend` — on the host, against the engine slot's own
+  caches.  Every forward is literally the op sequence of
+  :meth:`repro.models.gpt2.GPT2Model.generate_cached`'s inner step
+  (embedding add, ``layer_forward_cached`` per layer, final-norm LM head);
+  buffer capacity is the only difference, and capacity never changes values.
+- :class:`_SessionBackend` — on ``K`` resident ranks through a
+  :class:`~repro.systems.decode.DecodeSession`; KV shards live rank-side.
+
+:class:`GPT2CachedSequencer` (slot caches, no proposer: every draft is
+empty, so a step is ``generate_cached``'s single-position GEMV forward
+op-for-op), ``speculative.SpeculativeSequencer`` (slot caches + a proposer)
+and :class:`VoltageDecodeSequencer` (session) only construct it.  That is
+what makes the engine's soak guarantee provable for all of them at once:
+interleaving, preemption and restart permute *which* step runs next, never
+what a step computes.
+
+:class:`VoltageForwardSequencer` is the paper's serving workload: one
+distributed forward pass per request on real threaded workers
+(:meth:`VoltageSystem.execute_threaded`), done in a single step.  The slot
+carries no KV state (``num_layers == 0``); the pool purely bounds how many
+distributed forwards may be in flight.
 
 A preempted request is simply re-``begin``-ed later: greedy decoding is
 deterministic, so recomputing from the prompt reproduces the discarded
@@ -35,8 +48,6 @@ redone work (counted by the engine as ``preemptions``).
 
 from __future__ import annotations
 
-import queue
-import threading
 import zlib
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -46,57 +57,79 @@ import numpy as np
 from repro.obs.metrics import get_registry
 from repro.serving.arrivals import Request
 from repro.engine.slots import KVSlot
+from repro.systems.decode import DecodeSession, decode_capacity
 
-__all__ = ["DecodeSession", "GPT2CachedSequencer", "VoltageDecodeSequencer", "VoltageForwardSequencer"]
+__all__ = [
+    "GPT2CachedSequencer",
+    "VoltageDecodeSequencer",
+    "VoltageForwardSequencer",
+]
 
 #: Namespaces the per-tenant shared-prefix RNG stream apart from the
 #: per-request suffix stream (which is seeded ``[prompt_seed, request.id]``).
 _TENANT_PREFIX_NS = 0x5E9F
 
 
-def _clipped_prompt_len(
-    request: Request, max_positions: int, truncated: dict[int, tuple[int, int]]
-) -> int:
-    """Clip ``request.n`` to the model's position budget — and *record* it:
-    a request asking for more context than the model has is a serving
-    misconfiguration worth surfacing, not something to silently absorb.
-    ``truncated`` maps request id -> (requested, used); recording is
-    idempotent so preemption re-``begin``s don't double-count."""
-    n = min(request.n, max_positions)
-    if n < request.n and request.id not in truncated:
-        truncated[request.id] = (request.n, n)
-        get_registry().counter("engine.prompt_truncated_total").inc()
-    return n
+class _Sequencer:
+    """What every sequencer declares to the engine, plus the synthetic-prompt
+    plumbing they share."""
 
+    #: Per-slot KV layers the engine's pool allocates; 0 for sequencers that
+    #: keep no engine-side KV state (the pool then only bounds concurrency).
+    num_layers = 0
+    #: Whether the engine's prefix cache may hand this sequencer pre-seeded
+    #: prompt rows (``begin(..., cached_prefix=k)``).
+    supports_prefix_cache = False
+    #: A cached-prefix match leaves at least this many prompt positions to
+    #: re-prefill, keeping the suffix forward a multi-row batched GEMM —
+    #: batch rows are bit-stable across batch shapes, single GEMV rows are
+    #: not (INTERNALS §16), and bit-identity to ``generate_cached`` rides
+    #: on exactly that.
+    min_prefill_suffix = 2
+    #: ``> 0`` opens every tenant-tagged request's prompt with that many
+    #: tenant-keyed common tokens (the prefix-cache workload shape).
+    shared_prefix_tokens = 0
 
-def _synthetic_prompt(
-    request: Request,
-    max_positions: int,
-    vocab_size: int,
-    prompt_seed: int,
-    truncated: dict[int, tuple[int, int]],
-    shared_prefix_tokens: int = 0,
-    min_suffix: int = 2,
-) -> np.ndarray:
-    """The deterministic synthetic prompt every sequencer derives from
-    ``(prompt_seed, request.id)`` — optionally with a tenant-keyed shared
-    prefix, so requests from the same tenant open with the same
-    ``shared_prefix_tokens`` ids (seeded by ``(prompt_seed, tenant)``, so
-    it does not depend on which replica builds it).  At least ``min_suffix``
-    tokens stay request-unique, matching the prefix cache's match cap."""
-    n = _clipped_prompt_len(request, max_positions, truncated)
-    rng = np.random.default_rng([prompt_seed, request.id])
-    suffix = rng.integers(0, vocab_size, size=n, dtype=np.int64)
-    if shared_prefix_tokens <= 0 or request.tenant is None:
-        return suffix
-    prefix_len = min(shared_prefix_tokens, max(n - min_suffix, 0))
-    if prefix_len == 0:
-        return suffix
-    prefix_rng = np.random.default_rng(
-        [prompt_seed, _TENANT_PREFIX_NS, zlib.crc32(request.tenant.encode())]
-    )
-    prefix = prefix_rng.integers(0, vocab_size, size=prefix_len, dtype=np.int64)
-    return np.concatenate([prefix, suffix[prefix_len:]])
+    def __init__(self, model, prompt_seed: int):
+        self.model = model
+        self.prompt_seed = prompt_seed
+        self.slot_capacity = model.config.max_positions
+        #: request id -> (requested n, clipped n) for prompts that exceeded
+        #: the model's position budget (also counted on
+        #: ``engine.prompt_truncated_total``).
+        self.truncated_prompts: dict[int, tuple[int, int]] = {}
+
+    def prompt_for(self, request: Request) -> np.ndarray:
+        """Deterministic synthetic prompt: ``request.n`` tokens seeded by
+        ``(prompt_seed, request.id)`` — the soak tests and the serve bench
+        replay the same prompts offline to check bit-identity.
+
+        ``request.n`` is clipped to the model's position budget — and the
+        clip *recorded* in :attr:`truncated_prompts`: a request asking for
+        more context than the model has is a serving misconfiguration worth
+        surfacing, not something to silently absorb (recording is idempotent
+        so preemption re-``begin``s don't double-count).  Tenant-tagged
+        requests open with the same ``shared_prefix_tokens`` ids, seeded by
+        ``(prompt_seed, tenant)`` so they do not depend on which replica
+        builds them; at least ``min_prefill_suffix`` tokens stay
+        request-unique, matching the prefix cache's match cap."""
+        config = self.model.config
+        n = min(request.n, config.max_positions)
+        if n < request.n and request.id not in self.truncated_prompts:
+            self.truncated_prompts[request.id] = (request.n, n)
+            get_registry().counter("engine.prompt_truncated_total").inc()
+        rng = np.random.default_rng([self.prompt_seed, request.id])
+        suffix = rng.integers(0, config.vocab_size, size=n, dtype=np.int64)
+        if request.tenant is None:
+            return suffix
+        prefix_len = min(self.shared_prefix_tokens, max(n - self.min_prefill_suffix, 0))
+        if prefix_len <= 0:
+            return suffix
+        prefix_rng = np.random.default_rng(
+            [self.prompt_seed, _TENANT_PREFIX_NS, zlib.crc32(request.tenant.encode())]
+        )
+        prefix = prefix_rng.integers(0, config.vocab_size, size=prefix_len, dtype=np.int64)
+        return np.concatenate([prefix, suffix[prefix_len:]])
 
 
 @dataclass
@@ -112,82 +145,116 @@ class _DecodeState:
     prefilled: bool = False
     done: bool = False
     cached_prefix: int = 0  # prompt rows seeded from the prefix cache
+    draft: object = None  # proposer-owned per-request state
 
 
-class GPT2CachedSequencer:
-    """Token-step greedy decoding over slot-owned KV caches."""
+class _SlotCacheBackend:
+    """Forwards run on the host against the engine slot's own KV caches."""
 
-    #: The engine's prefix cache may hand this sequencer pre-seeded prompt
-    #: rows (``begin(..., cached_prefix=k)``); Voltage sequencers keep KV
-    #: state rank-side and opt out.
-    supports_prefix_cache = True
-    #: A cached-prefix match leaves at least this many prompt positions to
-    #: re-prefill, keeping the suffix forward a multi-row batched GEMM —
-    #: batch rows are bit-stable across batch shapes, single GEMV rows are
-    #: not (INTERNALS §16), and bit-identity to ``generate_cached`` rides
-    #: on exactly that.
-    min_prefill_suffix = 2
+    supports_verify = True
+
+    def __init__(self, model):
+        self.model = model
+
+    def begin(self, slot: KVSlot, capacity: int) -> None:
+        pass  # the slot already owns preallocated caches
+
+    def forward(self, slot: KVSlot, new_ids: list[int], offset: int) -> int:
+        """Greedy token after ``new_ids`` — the exact op sequence of
+        ``generate_cached``'s inner ``step`` (last-position GEMV head)."""
+        logits = self.model.logits_cached(
+            new_ids, offset, slot.caches, workspace=slot.workspace
+        )
+        return int(np.argmax(logits))
+
+    def verify(self, slot: KVSlot, new_ids: list[int], offset: int) -> np.ndarray:
+        """The target's greedy token at *every* new position, from one
+        batched forward (``all_positions`` logits)."""
+        logits = self.model.logits_cached(
+            new_ids, offset, slot.caches, workspace=slot.workspace, all_positions=True
+        )
+        return np.argmax(logits, axis=-1)
+
+    def rollback(self, slot: KVSlot, length: int) -> None:
+        slot.truncate(length)
+
+    def release(self, slot: KVSlot) -> None:
+        pass  # the engine recycles the slot
+
+
+class _SessionBackend:
+    """Forwards run on ``K`` resident ranks through a :class:`DecodeSession`.
+
+    Slots carry no host-side KV state: the shard caches live rank-side,
+    keyed by slot index, and a re-``begin`` on a slot replaces them
+    (preemption restart).  The session has no multi-position verify or
+    rollback command, so the state machine refuses it a proposer.
+    """
+
+    supports_verify = False
+
+    def __init__(self, session: DecodeSession):
+        self.session = session
+
+    def begin(self, slot: KVSlot, capacity: int) -> None:
+        self.session.begin(slot.index, capacity)
+
+    def forward(self, slot: KVSlot, new_ids: list[int], offset: int) -> int:
+        return self.session.forward(slot.index, new_ids, offset)
+
+    def release(self, slot: KVSlot) -> None:
+        self.session.release(slot.index)
+
+
+class _GreedySequencer(_Sequencer):
+    """The greedy decode state machine, over a forward backend.
+
+    Prefill is one forward over the (un-cached part of the) prompt.  Every
+    later step is one draft–verify round: (a) commit the pending token —
+    one iteration of ``generate_cached``'s loop; (b) ask the proposer for
+    up to ``lookahead`` guesses; (c) verify pending+guesses in one batched
+    forward; (d) commit the longest argmax-matching guess prefix and roll
+    the rejected rows back.  Without a proposer every draft is empty and
+    (c) is the backend's single-position forward, (d) a no-op — the plain
+    token-step decode.  The step returns one ``(done, cost)`` either way;
+    it just may commit several tokens.
+    """
+
+    #: Drafting is off until :meth:`_speculate` switches it on.
+    proposer = None
+    lookahead = 0
+    stats = None
 
     def __init__(
         self,
         model,
-        max_new_tokens: int = 8,
-        step_cost: Callable[[int, int], float] | None = None,
-        prompt_seed: int = 0,
-        shared_prefix_tokens: int = 0,
+        backend,
+        max_new_tokens: int,
+        step_cost: Callable[[int, int], float] | None,
+        prompt_seed: int,
     ):
-        """``step_cost(new_positions, cache_len_before)`` supplies the
-        deterministic virtual-time cost of one forward; leave None to charge
-        measured wall time (wall-clock serving).  ``prompt_seed`` namespaces
-        the synthetic prompts :meth:`prompt_for` derives from request ids;
-        ``shared_prefix_tokens > 0`` opens every tenant-tagged request's
-        prompt with that many tenant-keyed common tokens (the prefix-cache
-        workload shape).
-        """
         if max_new_tokens < 0:
             raise ValueError(f"max_new_tokens must be >= 0, got {max_new_tokens}")
-        if shared_prefix_tokens < 0:
-            raise ValueError(
-                f"shared_prefix_tokens must be >= 0, got {shared_prefix_tokens}"
-            )
-        self.model = model
+        super().__init__(model, prompt_seed)
+        self.backend = backend
         self.max_new_tokens = max_new_tokens
         self.step_cost = step_cost
-        self.prompt_seed = prompt_seed
-        self.shared_prefix_tokens = shared_prefix_tokens
-        #: request id -> (requested n, clipped n) for prompts that exceeded
-        #: the model's position budget (also counted on
-        #: ``engine.prompt_truncated_total``).
-        self.truncated_prompts: dict[int, tuple[int, int]] = {}
+        # the single cost hook: virtual seconds of one forward over
+        # (new_positions, cache_len_before), or None to charge measured wall
+        self._cost = step_cost if step_cost is not None else lambda new, cache_len: None
 
-    # -- slot geometry the engine builds its pool from -------------------------
-
-    @property
-    def num_layers(self) -> int:
-        return self.model.num_layers
-
-    @property
-    def slot_capacity(self) -> int:
-        return self.model.config.max_positions
-
-    # -- prompts ---------------------------------------------------------------
-
-    def prompt_for(self, request: Request) -> np.ndarray:
-        """Deterministic synthetic prompt: ``request.n`` tokens seeded by
-        ``(prompt_seed, request.id)`` — the soak tests and the serve bench
-        replay the same prompts offline to check bit-identity.  Tenant-tagged
-        requests share a ``shared_prefix_tokens``-long opening keyed by the
-        tenant; prompts clipped to ``max_positions`` are recorded in
-        :attr:`truncated_prompts`."""
-        return _synthetic_prompt(
-            request,
-            self.model.config.max_positions,
-            self.model.config.vocab_size,
-            self.prompt_seed,
-            self.truncated_prompts,
-            shared_prefix_tokens=self.shared_prefix_tokens,
-            min_suffix=self.min_prefill_suffix,
-        )
+    def _speculate(self, proposer, lookahead: int, stats) -> None:
+        """Switch drafting on (``speculative.SpeculativeSequencer``'s whole
+        job): ``proposer`` guesses up to ``lookahead`` tokens per round and
+        ``stats`` counts what the verify forwards accept."""
+        if lookahead < 1:
+            raise ValueError(f"lookahead must be >= 1, got {lookahead}")
+        if not self.backend.supports_verify:
+            raise ValueError(
+                f"{type(self.backend).__name__} has no multi-position verify forward "
+                "or rollback to check a proposer's drafts with"
+            )
+        self.proposer, self.lookahead, self.stats = proposer, lookahead, stats
 
     def offline_reference(self, request: Request, prompt: np.ndarray | None = None) -> np.ndarray:
         """The ground-truth output: a fresh offline ``generate_cached`` run."""
@@ -227,13 +294,17 @@ class GPT2CachedSequencer:
                 f"cached_prefix {cached_prefix} must leave >= {self.min_prefill_suffix} "
                 f"prompt positions of a {prompt.size}-token prompt to prefill"
             )
-        return _DecodeState(
+        self.backend.begin(slot, decode_capacity(self.model, prompt.size, self.max_new_tokens))
+        state = _DecodeState(
             request=request,
             slot=slot,
             ids=[int(t) for t in prompt],
             prompt_len=prompt.size,
             cached_prefix=cached_prefix,
         )
+        if self.proposer is not None:
+            state.draft = self.proposer.begin(state.ids)
+        return state
 
     def cache_key(self, state: _DecodeState) -> tuple[int, ...] | None:
         """The token ids whose slot rows are safe to retain for the prefix
@@ -245,55 +316,156 @@ class GPT2CachedSequencer:
             return None
         return tuple(state.ids[:length])
 
-    def _forward(
-        self, state: _DecodeState, new_ids: list[int], offset: int, all_positions: bool = False
-    ) -> np.ndarray:
-        """One model forward over the new positions — the exact op sequence of
-        ``generate_cached``'s inner ``step``, against the slot's caches —
-        returning LM-head logits (all positions' when ``all_positions``,
-        for speculative verify; the last position's otherwise)."""
-        return self.model.logits_cached(
-            new_ids,
-            offset,
-            state.slot.caches,
-            workspace=state.slot.workspace,
-            all_positions=all_positions,
-        )
-
     def step(self, state: _DecodeState) -> tuple[bool, float | None]:
         if state.done:
             raise ValueError(f"request {state.request.id} already finished")
         max_positions = self.model.config.max_positions
+        backend, stats, ids = self.backend, self.stats, state.ids
         if not state.prefilled:
-            new = state.ids[state.cached_prefix:]
+            new = ids[state.cached_prefix:]
             cost = self._cost(len(new), state.cached_prefix)
-            state.next_id = int(np.argmax(self._forward(state, new, state.cached_prefix)))
+            state.next_id = backend.forward(state.slot, new, state.cached_prefix)
             state.prefilled = True
-            if self.max_new_tokens == 0 or len(state.ids) >= max_positions:
-                state.done = True
+            if self.max_new_tokens == 0 or len(ids) >= max_positions:
+                self._finish(state)
             return state.done, cost
-        # one iteration of generate_cached's greedy loop: append the pending
-        # token, then (unless finished) project it through the cache
-        state.ids.append(state.next_id)
+        # commit the pending token — one iteration of generate_cached's loop
+        ids.append(state.next_id)
         state.emitted += 1
-        if state.emitted >= self.max_new_tokens or len(state.ids) >= max_positions:
-            state.done = True
+        if stats is not None:
+            stats.emitted += 1
+        if state.emitted >= self.max_new_tokens or len(ids) >= max_positions:
+            self._finish(state)
             return True, 0.0 if self.step_cost is not None else None
-        cost = self._cost(1, len(state.ids) - 1)
-        state.next_id = int(
-            np.argmax(self._forward(state, [state.ids[-1]], len(state.ids) - 1))
-        )
-        return False, cost
+        draft = self._draft(state)
+        cache_len = len(ids) - 1  # rows the backend holds entering the round
+        cost = self._cost(1 + len(draft), cache_len)
+        if draft:
+            guesses = backend.verify(state.slot, [ids[-1]] + draft, cache_len)
+        else:
+            # no guesses: the exact one-position forward (same GEMV head) of
+            # generate_cached — op-identical to non-speculative decode
+            guesses = [backend.forward(state.slot, [ids[-1]], cache_len)]
+        accepted = 0
+        while accepted < len(draft) and int(guesses[accepted]) == draft[accepted]:
+            accepted += 1
+        if draft:
+            ids.extend(draft[:accepted])
+            state.emitted += accepted
+            # roll back the rejected rows; rows for accepted tokens stay
+            backend.rollback(state.slot, len(ids))
+        state.next_id = int(guesses[accepted])
+        if stats is not None:
+            stats.record_round(len(draft), accepted)
+        if len(ids) >= max_positions:
+            # generate_cached breaks before committing the next pending token
+            self._finish(state)
+        return state.done, cost
 
-    def _cost(self, new_positions: int, cache_len: int) -> float | None:
-        if self.step_cost is None:
-            return None
-        return self.step_cost(new_positions, cache_len)
+    def _draft(self, state: _DecodeState) -> list[int]:
+        """Up to ``lookahead`` proposed tokens (none while drafting is off:
+        ``lookahead == 0``).  Budget: never draft past max_new (the final
+        pending token is always committed without a forward, exactly like
+        ``generate_cached``'s loop) or past the model's position budget."""
+        budget = min(
+            self.lookahead,
+            self.max_new_tokens - state.emitted - 1,
+            self.model.config.max_positions - len(state.ids),
+        )
+        if budget <= 0:
+            return []
+        return [int(t) for t in self.proposer.propose(state.draft, state.ids, budget)][:budget]
+
+    def _finish(self, state: _DecodeState) -> None:
+        state.done = True
+        self.backend.release(state.slot)
 
     def result(self, state: _DecodeState) -> np.ndarray:
         if not state.done:
             raise ValueError(f"request {state.request.id} is still decoding")
         return np.asarray(state.ids, dtype=np.int64)
+
+
+class GPT2CachedSequencer(_GreedySequencer):
+    """Token-step greedy decoding over slot-owned KV caches — *bit-identical*
+    to :meth:`repro.models.gpt2.GPT2Model.generate_cached` for the same prompt."""
+
+    #: Slot rows are host-side K/V the prefix cache can retain and re-seed;
+    #: Voltage sequencers keep KV state rank-side and opt out.
+    supports_prefix_cache = True
+
+    def __init__(
+        self,
+        model,
+        max_new_tokens: int = 8,
+        step_cost: Callable[[int, int], float] | None = None,
+        prompt_seed: int = 0,
+        shared_prefix_tokens: int = 0,
+    ):
+        """``step_cost(new_positions, cache_len_before)`` supplies the
+        deterministic virtual-time cost of one forward; leave None to charge
+        measured wall time (wall-clock serving).  ``prompt_seed`` namespaces
+        the synthetic prompts :meth:`prompt_for` derives from request ids;
+        ``shared_prefix_tokens > 0`` opens every tenant-tagged request's
+        prompt with that many tenant-keyed common tokens (the prefix-cache
+        workload shape).
+        """
+        if shared_prefix_tokens < 0:
+            raise ValueError(
+                f"shared_prefix_tokens must be >= 0, got {shared_prefix_tokens}"
+            )
+        super().__init__(model, _SlotCacheBackend(model), max_new_tokens, step_cost, prompt_seed)
+        self.num_layers = model.num_layers
+        self.shared_prefix_tokens = shared_prefix_tokens
+
+
+class VoltageDecodeSequencer(_GreedySequencer):
+    """Distributed greedy decoding with a position-sharded KV cache.
+
+    The same state machine, prompts and offline reference as
+    :class:`GPT2CachedSequencer`, but every forward runs on ``K`` resident
+    ranks (:class:`_SessionBackend`): each rank holds only its span of each
+    layer's K/V and reassembles the full cache with lossless all-gathers,
+    so the emitted tokens are bit-identical to single-device
+    ``generate_cached``.  Use as a context manager or call :meth:`close`
+    to shut the session down.
+    """
+
+    def __init__(
+        self,
+        system,
+        max_new_tokens: int = 8,
+        step_cost: Callable[[int, int], float] | None = None,
+        prompt_seed: int = 0,
+        runtime=None,
+        session_timeout: float = 60.0,
+        attention: str = "gathered",
+    ):
+        """``attention`` selects the decode mode the resident ranks run:
+        ``"gathered"`` (lossless per-step K/V all-gather, bit-identical to
+        ``generate_cached``) or ``"distributed"`` (local-shard attention
+        with the log-sum-exp combine — exact up to float tolerance, per-step
+        wire volume flat in the sequence length)."""
+        session = DecodeSession(
+            system, runtime=runtime, timeout=session_timeout, attention=attention
+        )
+        super().__init__(
+            system.model, _SessionBackend(session), max_new_tokens, step_cost, prompt_seed
+        )
+        self.system = system
+
+    def session(self) -> DecodeSession:
+        """The resident rank pool (its ranks start on the first command)."""
+        return self.backend.session
+
+    def close(self) -> None:
+        self.backend.session.close()
+
+    def __enter__(self) -> "VoltageDecodeSequencer":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 @dataclass
@@ -308,10 +480,8 @@ class _ForwardState:
     comm_stats: list = field(default_factory=list)
 
 
-class VoltageForwardSequencer:
+class VoltageForwardSequencer(_Sequencer):
     """One distributed forward per request via the threaded Voltage runtime."""
-
-    num_layers = 0  # slots carry no KV state; the pool only bounds concurrency
 
     def __init__(
         self,
@@ -322,23 +492,9 @@ class VoltageForwardSequencer:
         """``system`` is a :class:`~repro.systems.voltage.VoltageSystem`;
         ``service_time(n)`` supplies the virtual-time cost of one request
         (e.g. the analytic Voltage latency), None charges measured wall."""
+        super().__init__(system.model, prompt_seed)
         self.system = system
         self.service_time = service_time
-        self.prompt_seed = prompt_seed
-        self.truncated_prompts: dict[int, tuple[int, int]] = {}
-
-    @property
-    def slot_capacity(self) -> int:
-        return self.system.model.config.max_positions
-
-    def prompt_for(self, request: Request) -> np.ndarray:
-        return _synthetic_prompt(
-            request,
-            self.system.model.config.max_positions,
-            self.system.model.config.vocab_size,
-            self.prompt_seed,
-            self.truncated_prompts,
-        )
 
     def offline_reference(self, request: Request, prompt: np.ndarray | None = None) -> np.ndarray:
         prompt = prompt if prompt is not None else self.prompt_for(request)
@@ -360,324 +516,3 @@ class VoltageForwardSequencer:
         if not state.done:
             raise ValueError(f"request {state.request.id} has not run")
         return state.output
-
-
-class DecodeSession:
-    """A resident K-rank decode service driven by per-step commands.
-
-    The engine interleaves token steps of many requests, so a one-shot
-    SPMD launch per request would pay runtime startup per token.  Instead
-    the session keeps all ``K`` ranks alive inside one long-lived
-    ``runtime.run`` call (on a background thread) and feeds them commands
-    over per-rank queues:
-
-    - ``("begin", slot, capacity)`` — allocate this rank's KV shards for
-      the slot, spans fixed over ``capacity`` (re-beginning a slot simply
-      replaces its shards, which is how preemption restarts work);
-    - ``("forward", slot, new_ids, offset)`` — run one position-sharded
-      decode step (``systems.decode.sharded_decode_step``) and reply with
-      the next token id;
-    - ``("release", slot)`` / ``("shutdown",)`` — drop state / exit.
-
-    Every rank executes every command, so collectives inside a forward
-    line up; the host asserts all ranks replied the same token — a
-    per-step distributed consistency check.  Queues are created before
-    the runtime starts, which makes them usable under ``ProcessRuntime``:
-    it forks, so pre-existing ``multiprocessing.Queue`` ends survive into
-    the children.
-    """
-
-    def __init__(self, system, runtime=None, timeout: float = 60.0, attention: str = "gathered"):
-        from repro.cluster.process_runtime import ProcessRuntime, resolve_runtime
-        from repro.core.complexity import DECODE_ATTENTION_MODES
-
-        if attention not in DECODE_ATTENTION_MODES:
-            raise ValueError(
-                f"attention must be one of {DECODE_ATTENTION_MODES}, got {attention!r}"
-            )
-        self.system = system
-        self.k = system.k
-        self.timeout = timeout
-        self.attention = attention
-        # A resident session returns worker results only at shutdown, so the
-        # process runtime's no-progress watchdog needs the session-lifetime
-        # timeout, not the per-recv default.
-        self._runtime = resolve_runtime(runtime, self.k, timeout=timeout)
-        if isinstance(self._runtime, ProcessRuntime):
-            import multiprocessing as mp
-
-            self._commands = [mp.Queue() for _ in range(self.k)]
-            self._replies = [mp.Queue() for _ in range(self.k)]
-        else:
-            self._commands = [queue.Queue() for _ in range(self.k)]
-            self._replies = [queue.Queue() for _ in range(self.k)]
-        self._thread: threading.Thread | None = None
-        self._error: BaseException | None = None
-        self._closed = False
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def _serve(self) -> None:
-        from repro.systems.decode import (
-            decode_layer_spans,
-            decode_stats_wire,
-            fresh_shards,
-            sharded_decode_step,
-        )
-        from repro.tensor.workspace import Workspace
-
-        system = self.system
-        attention = self.attention
-        stats_dtype, _ = decode_stats_wire(system.wire_dtype)
-        commands, replies = self._commands, self._replies
-
-        def worker(ctx):
-            sessions: dict[int, tuple] = {}
-
-            def gather_kv(k_shard, v_shard):
-                return ctx.all_gather(k_shard, axis=1), ctx.all_gather(v_shard, axis=1)
-
-            def gather_stats(packed):
-                wire = packed.astype(stats_dtype, copy=False)
-                return ctx.all_gather(wire[None], axis=0).astype(np.float32)
-
-            while True:
-                command = commands[ctx.rank].get()
-                op = command[0]
-                try:
-                    if op == "begin":
-                        _, slot, capacity = command
-                        layer_parts = decode_layer_spans(system, capacity)
-                        sessions[slot] = (
-                            layer_parts,
-                            fresh_shards(layer_parts, ctx.rank),
-                            Workspace(),
-                        )
-                        reply = ("ok", None)
-                    elif op == "forward":
-                        _, slot, new_ids, offset = command
-                        layer_parts, shards, workspace = sessions[slot]
-                        next_id = sharded_decode_step(
-                            system.model, layer_parts, shards, ctx.rank,
-                            new_ids, offset, gather_kv, workspace=workspace,
-                            attention=attention, gather_stats=gather_stats,
-                        )
-                        reply = ("ok", next_id)
-                    elif op == "release":
-                        sessions.pop(command[1], None)
-                        reply = ("ok", None)
-                    elif op == "shutdown":
-                        replies[ctx.rank].put(("ok", None))
-                        return None
-                    else:
-                        raise ValueError(f"unknown session command {op!r}")
-                except Exception as exc:  # reply first so the host fails loudly
-                    replies[ctx.rank].put(("error", f"{type(exc).__name__}: {exc}"))
-                    raise
-                replies[ctx.rank].put(reply)
-
-        try:
-            self._runtime.run(worker)
-        except BaseException as exc:
-            self._error = exc
-
-    def _ensure_started(self) -> None:
-        if self._closed:
-            raise RuntimeError("decode session is closed")
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._serve, name="decode-session", daemon=True
-            )
-            self._thread.start()
-
-    def _command(self, payload: tuple):
-        """Send one command to every rank and collect every reply."""
-        self._ensure_started()
-        for rank in range(self.k):
-            self._commands[rank].put(payload)
-        values = []
-        for rank in range(self.k):
-            try:
-                status, value = self._replies[rank].get(timeout=self.timeout)
-            except queue.Empty:
-                detail = f": {self._error!r}" if self._error else ""
-                raise RuntimeError(
-                    f"decode session rank {rank} did not reply to {payload[0]!r} "
-                    f"within {self.timeout}s{detail}"
-                ) from self._error
-            if status != "ok":
-                raise RuntimeError(f"decode session rank {rank} failed: {value}")
-            values.append(value)
-        return values
-
-    # -- the command surface ---------------------------------------------------
-
-    def begin(self, slot: int, capacity: int) -> None:
-        self._command(("begin", slot, capacity))
-
-    def forward(self, slot: int, new_ids: list[int], offset: int) -> int:
-        values = self._command(("forward", slot, [int(t) for t in new_ids], int(offset)))
-        first = values[0]
-        for rank, value in enumerate(values):
-            if value != first:
-                raise AssertionError(
-                    f"rank {rank} decoded token {value} where rank 0 decoded {first}"
-                )
-        return first
-
-    def release(self, slot: int) -> None:
-        self._command(("release", slot))
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if self._thread is not None:
-            for rank in range(self.k):
-                self._commands[rank].put(("shutdown",))
-            self._thread.join(timeout=self.timeout)
-
-    def __enter__(self) -> "DecodeSession":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class VoltageDecodeSequencer:
-    """Distributed greedy decoding with a position-sharded KV cache.
-
-    The engine-facing contract matches :class:`GPT2CachedSequencer` (same
-    state machine, same prompts, same offline reference), but every
-    forward runs on ``K`` resident ranks through a :class:`DecodeSession`:
-    each rank holds only its span of each layer's K/V and reassembles the
-    full cache with lossless all-gathers, so the emitted tokens are
-    bit-identical to single-device ``generate_cached`` — interleaving and
-    preemption permute which step runs next, never what a step computes.
-
-    Slots carry no host-side KV state (``num_layers == 0``): the shard
-    caches live rank-side, keyed by slot index, and a re-``begin`` on a
-    slot replaces them (preemption restart).  Use as a context manager or
-    call :meth:`close` to shut the session down.
-    """
-
-    num_layers = 0  # KV shards live rank-side in the session, not in engine slots
-
-    def __init__(
-        self,
-        system,
-        max_new_tokens: int = 8,
-        step_cost: Callable[[int, int], float] | None = None,
-        prompt_seed: int = 0,
-        runtime=None,
-        session_timeout: float = 60.0,
-        attention: str = "gathered",
-    ):
-        """``attention`` selects the decode mode the resident ranks run:
-        ``"gathered"`` (lossless per-step K/V all-gather, bit-identical to
-        ``generate_cached``) or ``"distributed"`` (local-shard attention
-        with the log-sum-exp combine — exact up to float tolerance, per-step
-        wire volume flat in the sequence length)."""
-        if max_new_tokens < 0:
-            raise ValueError(f"max_new_tokens must be >= 0, got {max_new_tokens}")
-        self.system = system
-        self.model = system.model
-        self.max_new_tokens = max_new_tokens
-        self.step_cost = step_cost
-        self.prompt_seed = prompt_seed
-        self.runtime = runtime
-        self.session_timeout = session_timeout
-        self.attention = attention
-        self.truncated_prompts: dict[int, tuple[int, int]] = {}
-        self._session: DecodeSession | None = None
-
-    @property
-    def slot_capacity(self) -> int:
-        return self.model.config.max_positions
-
-    def session(self) -> DecodeSession:
-        """The resident rank pool, started on first use."""
-        if self._session is None:
-            self._session = DecodeSession(
-                self.system, runtime=self.runtime, timeout=self.session_timeout,
-                attention=self.attention,
-            )
-        return self._session
-
-    def close(self) -> None:
-        if self._session is not None:
-            self._session.close()
-            self._session = None
-
-    def __enter__(self) -> "VoltageDecodeSequencer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- prompts (same derivation as GPT2CachedSequencer) ----------------------
-
-    def prompt_for(self, request: Request) -> np.ndarray:
-        return _synthetic_prompt(
-            request,
-            self.model.config.max_positions,
-            self.model.config.vocab_size,
-            self.prompt_seed,
-            self.truncated_prompts,
-        )
-
-    def offline_reference(self, request: Request, prompt: np.ndarray | None = None) -> np.ndarray:
-        prompt = prompt if prompt is not None else self.prompt_for(request)
-        return self.model.generate_cached(prompt, max_new_tokens=self.max_new_tokens)
-
-    # -- the state machine -----------------------------------------------------
-
-    def begin(self, request: Request, prompt: np.ndarray, slot: KVSlot) -> _DecodeState:
-        from repro.systems.decode import decode_capacity
-
-        prompt = np.asarray(prompt)
-        if prompt.ndim != 1 or prompt.size < 1:
-            raise ValueError(f"prompt must be a non-empty 1-D id array, got {prompt.shape}")
-        if prompt.size > self.model.config.max_positions:
-            raise ValueError(
-                f"prompt of {prompt.size} tokens exceeds max_positions "
-                f"{self.model.config.max_positions}"
-            )
-        capacity = decode_capacity(self.model, prompt.size, self.max_new_tokens)
-        self.session().begin(slot.index, capacity)
-        return _DecodeState(
-            request=request, slot=slot, ids=[int(t) for t in prompt], prompt_len=prompt.size
-        )
-
-    def step(self, state: _DecodeState) -> tuple[bool, float | None]:
-        if state.done:
-            raise ValueError(f"request {state.request.id} already finished")
-        max_positions = self.model.config.max_positions
-        session = self.session()
-        if not state.prefilled:
-            cost = self._cost(len(state.ids), 0)
-            state.next_id = session.forward(state.slot.index, state.ids, 0)
-            state.prefilled = True
-            if self.max_new_tokens == 0 or len(state.ids) >= max_positions:
-                state.done = True
-                session.release(state.slot.index)
-            return state.done, cost
-        state.ids.append(state.next_id)
-        state.emitted += 1
-        if state.emitted >= self.max_new_tokens or len(state.ids) >= max_positions:
-            state.done = True
-            session.release(state.slot.index)
-            return True, 0.0 if self.step_cost is not None else None
-        cost = self._cost(1, len(state.ids) - 1)
-        state.next_id = session.forward(state.slot.index, [state.ids[-1]], len(state.ids) - 1)
-        return False, cost
-
-    def _cost(self, new_positions: int, cache_len: int) -> float | None:
-        if self.step_cost is None:
-            return None
-        return self.step_cost(new_positions, cache_len)
-
-    def result(self, state: _DecodeState) -> np.ndarray:
-        if not state.done:
-            raise ValueError(f"request {state.request.id} is still decoding")
-        return np.asarray(state.ids, dtype=np.int64)

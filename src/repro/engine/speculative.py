@@ -19,8 +19,10 @@ is computed from a batched forward rather than ``k`` sequential ones, which
 permutes BLAS reduction shapes but in practice never flips an argmax (the
 soak tests assert equality token-for-token against offline
 ``generate_cached`` across interleaving, preemption and both proposers).
-A round that drafts nothing degenerates to the base sequencer's single
-one-position forward — op-for-op identical.
+A round that drafts nothing degenerates to the plain sequencer's single
+one-position forward — op-for-op identical, because it *is* the same
+``step`` body (``sequencer._GreedySequencer``): this module only supplies
+the proposers, the counters and the construction that switches drafting on.
 
 Two proposers ship:
 
@@ -44,14 +46,12 @@ accounting trick.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from repro.engine.sequencer import GPT2CachedSequencer, _DecodeState
+from repro.engine.sequencer import GPT2CachedSequencer
 from repro.obs.metrics import get_registry
-from repro.serving.arrivals import Request
-from repro.engine.slots import KVSlot
 
 __all__ = [
     "DraftModelProposer",
@@ -79,25 +79,31 @@ class SpeculativeStats:
     def tokens_per_forward(self) -> float:
         return self.emitted / self.forwards if self.forwards else 0.0
 
+    def record_round(self, drafted: int, accepted: int) -> None:
+        """One decode forward verified ``drafted`` guesses and kept ``accepted``
+        (the state machine counts the pending token's commit itself)."""
+        self.forwards += 1
+        self.drafted += drafted
+        self.accepted += accepted
+        self.emitted += accepted
+        registry = get_registry()
+        if drafted:
+            self.rounds += 1
+            registry.counter("engine.speculative.drafted_total").inc(drafted)
+            registry.counter("engine.speculative.accepted_total").inc(accepted)
+        registry.counter("engine.speculative.forwards_total").inc()
+
     def snapshot(self) -> "SpeculativeStats":
         return replace(self)
 
     def delta(self, since: "SpeculativeStats") -> "SpeculativeStats":
         return SpeculativeStats(
-            forwards=self.forwards - since.forwards,
-            rounds=self.rounds - since.rounds,
-            drafted=self.drafted - since.drafted,
-            accepted=self.accepted - since.accepted,
-            emitted=self.emitted - since.emitted,
+            **{name: value - getattr(since, name) for name, value in asdict(self).items()}
         )
 
     def as_dict(self) -> dict:
         return {
-            "forwards": self.forwards,
-            "rounds": self.rounds,
-            "drafted": self.drafted,
-            "accepted": self.accepted,
-            "emitted": self.emitted,
+            **asdict(self),
             "acceptance_rate": self.acceptance_rate,
             "tokens_per_forward": self.tokens_per_forward,
         }
@@ -206,100 +212,17 @@ class DraftModelProposer:
         return drafts
 
 
-@dataclass
-class _SpecDecodeState(_DecodeState):
-    draft: object = None  # proposer-owned per-request state
-
-
 class SpeculativeSequencer(GPT2CachedSequencer):
     """Greedy decoding where each engine step is one draft–verify round.
 
     Drop-in for :class:`GPT2CachedSequencer` (same prompts, same offline
-    reference, same prefix-cache support): prefill is inherited unchanged,
-    and every decode step (a) commits the pending token, (b) asks the
-    proposer for up to ``lookahead`` guesses, (c) verifies pending+guesses
-    in one batched forward, (d) commits the longest argmax-matching guess
-    prefix and truncates the rejected rows.  The step still returns one
-    ``(done, cost)`` — it just may commit several tokens.
+    reference, same prefix-cache support, same state machine): it only hands
+    the machine a proposer, a ``lookahead`` budget and the counters, so
+    every decode step may commit several tokens.
     """
 
     def __init__(self, model, proposer=None, lookahead: int = 4, **kwargs):
         super().__init__(model, **kwargs)
-        if lookahead < 1:
-            raise ValueError(f"lookahead must be >= 1, got {lookahead}")
-        self.proposer = proposer if proposer is not None else NgramProposer()
-        self.lookahead = lookahead
-        self.stats = SpeculativeStats()
-
-    def begin(
-        self,
-        request: Request,
-        prompt: np.ndarray,
-        slot: KVSlot,
-        cached_prefix: int = 0,
-    ) -> _SpecDecodeState:
-        base = super().begin(request, prompt, slot, cached_prefix=cached_prefix)
-        state = _SpecDecodeState(**base.__dict__)
-        state.draft = self.proposer.begin(state.ids)
-        return state
-
-    def step(self, state: _SpecDecodeState) -> tuple[bool, float | None]:
-        if not state.prefilled or state.done:
-            return super().step(state)  # prefill (or the finished-state error)
-        max_positions = self.model.config.max_positions
-        stats = self.stats
-        ids = state.ids
-        # commit the pending token — one iteration of generate_cached's loop
-        ids.append(state.next_id)
-        state.emitted += 1
-        stats.emitted += 1
-        if state.emitted >= self.max_new_tokens or len(ids) >= max_positions:
-            state.done = True
-            return True, 0.0 if self.step_cost is not None else None
-        # budget: never draft past max_new (the final pending token is always
-        # committed without a forward, exactly like the base loop) or past
-        # the model's position budget
-        budget = min(
-            self.lookahead,
-            self.max_new_tokens - state.emitted - 1,
-            max_positions - len(ids),
+        self._speculate(
+            proposer if proposer is not None else NgramProposer(), lookahead, SpeculativeStats()
         )
-        draft = (
-            [int(t) for t in self.proposer.propose(state.draft, ids, budget)][:budget]
-            if budget > 0
-            else []
-        )
-        cache_len = len(ids) - 1  # rows the slot holds entering the round
-        cost = self._cost(1 + len(draft), cache_len)
-        if draft:
-            logits = self._forward(state, [ids[-1]] + draft, cache_len, all_positions=True)
-            guesses = np.argmax(logits, axis=-1)
-        else:
-            # no guesses: run the base sequencer's exact one-position forward
-            # (same GEMV head), op-identical to non-speculative decode
-            guesses = np.array(
-                [int(np.argmax(self._forward(state, [ids[-1]], cache_len)))]
-            )
-        accepted = 0
-        while accepted < len(draft) and int(guesses[accepted]) == draft[accepted]:
-            accepted += 1
-        ids.extend(draft[:accepted])
-        state.emitted += accepted
-        # roll back the rejected rows; rows for accepted tokens stay
-        state.slot.truncate(len(ids))
-        state.next_id = int(guesses[accepted])
-        stats.forwards += 1
-        stats.drafted += len(draft)
-        stats.accepted += accepted
-        stats.emitted += accepted
-        if draft:
-            stats.rounds += 1
-            registry = get_registry()
-            registry.counter("engine.speculative.drafted_total").inc(len(draft))
-            registry.counter("engine.speculative.accepted_total").inc(accepted)
-        get_registry().counter("engine.speculative.forwards_total").inc()
-        if len(ids) >= max_positions:
-            # generate_cached breaks before committing the next pending token
-            state.done = True
-            return True, cost
-        return False, cost

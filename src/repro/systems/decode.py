@@ -41,25 +41,37 @@ in the same order — so only the comparison against the single device
 moves to the verify harness's regime-2 closeness tolerance, and per-rank
 score/context FLOPs drop to O(t/K).  See INTERNALS §14.
 
-Two execution surfaces share the step kernel:
+One rank-side step kernel, two exchanges.  :func:`sharded_decode_step` is
+the only "embed → sharded layers → LM head" body: it appends the new K/V
+rows to every shard its caller *owns*, takes each owned shard's local
+contribution (K/V views, or packed softmax stats) and all-gathers them into
+the rank-ordered whole.  Only the all-gather differs between surfaces:
 
-* :func:`generate_distributed` — one-shot SPMD run over a real runtime
-  (``ThreadedRuntime`` or ``ProcessRuntime``): every rank decodes the full
-  sequence, gathering shards with ``ctx.all_gather``; the host asserts all
-  ranks emitted identical tokens.
-* :func:`run_decode` — host-side emulation of the same shard/merge
-  protocol plus a simulated per-token latency timeline built from the
-  decode-phase Γ model (``core.complexity.decode_step_flops``), mirrored
-  analytically by ``bench.analytic.voltage_decode_latency``.
+* a real collective (``ctx.all_gather``) when the caller owns one rank's
+  shards — :func:`generate_distributed` (one-shot SPMD run over a
+  ``ThreadedRuntime`` or ``ProcessRuntime``; the host asserts all ranks
+  emitted identical tokens) and :class:`DecodeSession` (resident ranks fed
+  per-step commands — the engine's ``VoltageDecodeSequencer`` backend);
+* a host-side merge (``np.concatenate``) when the caller owns all ``K``
+  shards — :func:`run_decode`, which pairs the emulated tokens with
+  :func:`decode_timeline`, the one shapes-only per-token latency timeline
+  (decode-phase Γ model, ``core.complexity.decode_step_flops``) that
+  ``bench.analytic.voltage_decode_latency`` also returns.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import queue
+import threading
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.cluster.process_runtime import ProcessRuntime, resolve_runtime
 from repro.cluster.runtime import WorkerContext
+from repro.cluster.simulator import ClusterSim
 from repro.cluster.timeline import LatencyBreakdown
 from repro.core.combine import (
     combine_softmax_stats,
@@ -70,7 +82,6 @@ from repro.core.combine import (
 )
 from repro.core.complexity import (
     DECODE_ATTENTION_MODES,
-    decode_comm_elements,
     decode_mode_cost,
     select_decode_order,
     select_order,
@@ -80,18 +91,19 @@ from repro.models.cache import (
     LayerKVCache,
     layer_forward_cached_attention,
     layer_forward_cached_kv,
-    merge_kv_shards,
     shard_kv_views,
 )
 from repro.tensor.workspace import Workspace
 from repro.systems.base import InferenceResult
 
 __all__ = [
+    "DecodeSession",
     "decode_capacity",
     "decode_layer_spans",
     "decode_stats_wire",
     "decode_step_pricing",
     "decode_step_totals",
+    "decode_timeline",
     "generate_distributed",
     "run_decode",
     "sharded_decode_step",
@@ -103,6 +115,22 @@ __all__ = [
 # rounding would compound across the whole generation.
 _ID_ITEMSIZE = 8
 _KV_ITEMSIZE = 4
+
+#: One layer's shards a caller owns, each paired with the span it covers.
+Owned = Sequence[tuple[Partition, LayerKVCache]]
+#: ``all_gather(chunks, axis)``: the owned ranks' chunks in, every rank's
+#: chunks concatenated along ``axis`` in rank order out.  A collective when
+#: the caller owns one rank (:func:`_rank_stepper`), ``np.concatenate`` when
+#: it owns them all (:func:`run_decode`) — the whole difference between a
+#: real rank and the host emulation.
+AllGather = Callable[[list[np.ndarray], int], np.ndarray]
+
+
+def _check_attention(attention: str) -> None:
+    if attention not in DECODE_ATTENTION_MODES:
+        raise ValueError(
+            f"attention must be one of {DECODE_ATTENTION_MODES}, got {attention!r}"
+        )
 
 
 def decode_capacity(model, prompt_len: int, max_new_tokens: int) -> int:
@@ -127,36 +155,6 @@ def decode_layer_spans(system, capacity: int) -> list[list[Partition]]:
     ]
 
 
-def _shard_extend(
-    part: Partition,
-    shard: LayerKVCache,
-    offset: int,
-    heads: int,
-    head_dim: int,
-    gather_kv: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-):
-    """Build the ``extend_kv`` hook for one rank's shard of one layer.
-
-    Appends the slice of the new rows that falls inside this rank's span
-    (possibly none), then gathers every rank's shard view and returns the
-    rank-order concatenation — value-identical to a full single-device
-    cache append followed by a read.
-    """
-
-    def extend(k_new: np.ndarray, v_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        added = k_new.shape[1]
-        lo = max(part.start, offset)
-        hi = min(part.stop, offset + added)
-        if hi > lo:
-            shard.append(
-                k_new[:, lo - offset : hi - offset], v_new[:, lo - offset : hi - offset]
-            )
-        k_shard, v_shard = shard_kv_views(shard, heads, head_dim, k_new.dtype)
-        return gather_kv(k_shard, v_shard)
-
-    return extend
-
-
 def decode_stats_wire(wire_dtype: str) -> tuple[np.dtype, int]:
     """``(numpy dtype, itemsize)`` the combine stats cross the wire in.
 
@@ -172,107 +170,120 @@ def decode_stats_wire(wire_dtype: str) -> tuple[np.dtype, int]:
     return np.dtype(np.float32), 4
 
 
-def _local_stats_packed(
-    q: np.ndarray, part: Partition, shard: LayerKVCache, offset: int,
-    heads: int, head_dim: int,
-) -> np.ndarray:
-    """One rank's packed ``(o, m, l)`` combine stats for its shard.
-
-    A shard with no populated rows yet (trailing span before the sequence
-    reaches it, or K > capacity) contributes the combine's neutral element.
-    """
-    k_shard, v_shard = shard_kv_views(shard, heads, head_dim, q.dtype)
-    if k_shard.shape[1]:
-        o, m, length = local_softmax_stats(
-            q, k_shard, v_shard, shard_start=part.start, query_offset=offset
-        )
-    else:
-        o, m, length = neutral_softmax_stats(
-            q.shape[0], q.shape[1], q.shape[2], dtype=q.dtype
-        )
-    return pack_softmax_stats(o, m, length)
-
-
-def _shard_attend(
-    part: Partition,
-    shard: LayerKVCache,
-    offset: int,
-    heads: int,
-    head_dim: int,
-    gather_stats: Callable[[np.ndarray], np.ndarray],
-):
-    """Build the ``attend`` hook for one rank's shard of one layer.
-
-    Appends the slice of the new K/V rows falling inside this rank's span,
-    computes partial attention over the *local* shard only, and exchanges
-    the packed ``(o, m, l)`` stats — ``gather_stats(packed) -> (K, H, P,
-    F_H+2)`` in rank order — before the deterministic rank-ordered
-    log-sum-exp combine.  Every rank combines the same gathered stats in
-    the same order, so all ranks produce the bit-identical layer output;
-    only the comparison against a *single-device* decode needs a tolerance.
-    """
-
-    def attend(q: np.ndarray, k_new: np.ndarray, v_new: np.ndarray) -> np.ndarray:
-        added = k_new.shape[1]
+def _append_owned(owned: Owned, k_new: np.ndarray, v_new: np.ndarray, offset: int) -> None:
+    """Append to each owned shard the slice of the new rows that falls
+    inside its span (possibly none)."""
+    added = k_new.shape[1]
+    for part, shard in owned:
         lo = max(part.start, offset)
         hi = min(part.stop, offset + added)
         if hi > lo:
             shard.append(
                 k_new[:, lo - offset : hi - offset], v_new[:, lo - offset : hi - offset]
             )
-        packed = _local_stats_packed(q, part, shard, offset, heads, head_dim)
-        gathered = gather_stats(packed)
-        return combine_softmax_stats([unpack_softmax_stats(chunk) for chunk in gathered])
 
-    return attend
+
+def _extend_sharded(
+    owned: Owned, offset: int, all_gather: AllGather, k_new: np.ndarray, v_new: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``extend_kv`` hook over one layer's owned shards.
+
+    Appends the new rows to their owners, then gathers every rank's shard
+    view and returns the rank-order concatenation — value-identical to a
+    full single-device cache append followed by a read (concatenation is a
+    pure row copy).
+    """
+    _append_owned(owned, k_new, v_new, offset)
+    heads, _, head_dim = k_new.shape
+    views = [shard_kv_views(shard, heads, head_dim, k_new.dtype) for _, shard in owned]
+    return all_gather([k for k, _ in views], 1), all_gather([v for _, v in views], 1)
+
+
+def _local_stats_packed(
+    q: np.ndarray, part: Partition, shard: LayerKVCache, offset: int
+) -> np.ndarray:
+    """One rank's packed ``(o, m, l)`` combine stats for its shard.
+
+    A shard with no populated rows yet (trailing span before the sequence
+    reaches it, or K > capacity) contributes the combine's neutral element.
+    """
+    heads, new, head_dim = q.shape
+    k_shard, v_shard = shard_kv_views(shard, heads, head_dim, q.dtype)
+    if k_shard.shape[1]:
+        o, m, length = local_softmax_stats(
+            q, k_shard, v_shard, shard_start=part.start, query_offset=offset
+        )
+    else:
+        o, m, length = neutral_softmax_stats(heads, new, head_dim, dtype=q.dtype)
+    return pack_softmax_stats(o, m, length)
+
+
+def _attend_sharded(
+    owned: Owned, offset: int, all_gather: AllGather, stats_dtype: np.dtype,
+    q: np.ndarray, k_new: np.ndarray, v_new: np.ndarray,
+) -> np.ndarray:
+    """The ``attend`` hook over one layer's owned shards.
+
+    Appends the new K/V rows to their owners, computes partial attention
+    over each owned shard's *local* rows only, and gathers the packed
+    ``(o, m, l)`` stats — ``(K, H, P, F_H+2)`` in rank order — before the
+    deterministic rank-ordered log-sum-exp combine.  Every rank combines
+    the same gathered stats in the same order, so all ranks (and the host
+    emulation) produce the bit-identical layer output; only the comparison
+    against a *single-device* decode needs a tolerance.
+    """
+    _append_owned(owned, k_new, v_new, offset)
+    # stats may round to float16 on the wire; they are *not* re-read on
+    # later steps (unlike cache rows), so the error cannot compound — it is
+    # a one-shot rounding covered by the closeness tolerance.  The float32
+    # upcast happens after the gather so the combine arithmetic is identical
+    # on every rank.
+    wire = [
+        _local_stats_packed(q, part, shard, offset).astype(stats_dtype, copy=False)[None]
+        for part, shard in owned
+    ]
+    gathered = all_gather(wire, 0).astype(np.float32)
+    return combine_softmax_stats([unpack_softmax_stats(chunk) for chunk in gathered])
 
 
 def sharded_decode_step(
     model,
     layer_parts: Sequence[Sequence[Partition]],
-    shards: Sequence[LayerKVCache],
-    rank: int,
+    shards: Sequence[Sequence[LayerKVCache]],
+    ranks: Sequence[int],
     new_ids: Sequence[int],
     offset: int,
-    gather_kv: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None,
+    all_gather: AllGather,
+    stats_dtype: np.dtype,
     workspace: Workspace | None = None,
     attention: str = "gathered",
-    gather_stats: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> int:
-    """One rank's view of one decode step.
+) -> np.ndarray:
+    """One decode step as seen by the owner of ``ranks``' shards; returns the
+    last new position's LM-head logits (the greedy token is their argmax).
 
-    ``shards[i]`` is this rank's KV shard for layer ``i``.  With
+    ``shards[i]`` holds layer ``i``'s KV shard for each of ``ranks`` — one
+    rank under a runtime, all ``K`` in host emulation.  With
     ``attention="gathered"`` the step is op-for-op ``generate_cached``'s:
-    ``gather_kv`` assembles the full K/V from every rank's shard (a
-    collective under a runtime, a host-side merge in emulation) and the
+    ``all_gather`` assembles the full K/V from every rank's shard and the
     outputs are bit-identical to the single device.  With
-    ``attention="distributed"`` the rank attends only against its local
-    shard and ``gather_stats`` exchanges the packed log-sum-exp combine
-    stats — exact up to float re-association (INTERNALS §14).
+    ``attention="distributed"`` each shard is attended locally and
+    ``all_gather`` exchanges the packed log-sum-exp combine stats (in
+    ``stats_dtype`` on the wire) — exact up to float re-association
+    (INTERNALS §14).
     """
-    if attention not in DECODE_ATTENTION_MODES:
-        raise ValueError(
-            f"attention must be one of {DECODE_ATTENTION_MODES}, got {attention!r}"
-        )
-    if attention == "gathered" and gather_kv is None:
-        raise ValueError("gathered attention requires a gather_kv collective")
-    if attention == "distributed" and gather_stats is None:
-        raise ValueError("distributed attention requires a gather_stats collective")
+    _check_attention(attention)
     positions = np.arange(offset, offset + len(new_ids))
     x = model.embeddings.word(np.asarray(new_ids, dtype=np.int64))
     x = x + model.embeddings.position(positions)
-    heads = model.config.num_heads
-    head_dim = model.config.head_dim
     for index, layer in enumerate(model.layers):
-        part = layer_parts[index][rank]
+        owned = [(layer_parts[index][rank], shard) for rank, shard in zip(ranks, shards[index])]
         if attention == "gathered":
-            extend = _shard_extend(part, shards[index], offset, heads, head_dim, gather_kv)
+            extend = partial(_extend_sharded, owned, offset, all_gather)
             x = layer_forward_cached_kv(layer, x, extend, offset, workspace=workspace)
         else:
-            attend = _shard_attend(part, shards[index], offset, heads, head_dim, gather_stats)
+            attend = partial(_attend_sharded, owned, offset, all_gather, stats_dtype)
             x = layer_forward_cached_attention(layer, x, attend, workspace=workspace)
-    logits = model.ln_f(x[-1]) @ model.embeddings.word.weight.data.T
-    return int(np.argmax(logits))
+    return model.ln_f(x[-1]) @ model.embeddings.word.weight.data.T
 
 
 def greedy_loop(
@@ -291,9 +302,34 @@ def greedy_loop(
     return ids
 
 
-def fresh_shards(layer_parts: Sequence[Sequence[Partition]], rank: int) -> list[LayerKVCache]:
-    """One empty KV shard per layer, sized to this rank's span."""
-    return [LayerKVCache(capacity=parts[rank].length or None) for parts in layer_parts]
+def _sharded_stepper(system, layer_parts, ranks: Sequence[int], all_gather: AllGather, attention):
+    """One request's decode over ``ranks``' shards — one fresh KV shard per
+    owned span (sized to it), a workspace, the stats wire dtype — bound to
+    the step kernel as ``step(new_ids, offset) -> logits``: the one builder
+    every surface (SPMD run, resident session, host emulation) shares."""
+    shards = [
+        [LayerKVCache(capacity=parts[rank].length or None) for rank in ranks]
+        for parts in layer_parts
+    ]
+    return partial(
+        sharded_decode_step, system.model, layer_parts, shards, ranks,
+        all_gather=all_gather, stats_dtype=decode_stats_wire(system.wire_dtype)[0],
+        workspace=Workspace(), attention=attention,
+    )
+
+
+def _rank_stepper(system, ctx: WorkerContext, capacity: int, attention: str):
+    """Rank ``ctx.rank``'s side of one request — spans fixed over
+    ``capacity``, the all-gather a real collective — as
+    ``step(new_ids, offset) -> next token id``."""
+
+    def all_gather(chunks, axis):
+        (mine,) = chunks  # a rank owns exactly its own shard
+        return ctx.all_gather(mine, axis=axis)
+
+    layer_parts = decode_layer_spans(system, capacity)
+    logits = _sharded_stepper(system, layer_parts, [ctx.rank], all_gather, attention)
+    return lambda new_ids, offset: int(np.argmax(logits(new_ids, offset)))
 
 
 def generate_distributed(
@@ -314,40 +350,13 @@ def generate_distributed(
     bit-identical across ranks (the combine is a deterministic rank-ordered
     reduction), which is asserted before returning ``(ids, stats)``.
     """
-    from repro.cluster.process_runtime import resolve_runtime
-
-    if attention not in DECODE_ATTENTION_MODES:
-        raise ValueError(
-            f"attention must be one of {DECODE_ATTENTION_MODES}, got {attention!r}"
-        )
+    _check_attention(attention)
     model = system.model
     ids0 = [int(token) for token in np.asarray(prompt_ids)]
     capacity = decode_capacity(model, len(ids0), max_new_tokens)
-    layer_parts = decode_layer_spans(system, capacity)
-    stats_dtype, _ = decode_stats_wire(system.wire_dtype)
 
     def worker(ctx: WorkerContext) -> np.ndarray:
-        shards = fresh_shards(layer_parts, ctx.rank)
-        workspace = Workspace()
-
-        def gather_kv(k_shard, v_shard):
-            return ctx.all_gather(k_shard, axis=1), ctx.all_gather(v_shard, axis=1)
-
-        def gather_stats(packed):
-            # stats may round to float16 on the wire; they are *not* re-read
-            # on later steps (unlike cache rows), so the error cannot
-            # compound — it is a one-shot rounding covered by the closeness
-            # tolerance.  The float32 upcast happens after the gather so the
-            # combine arithmetic is identical on every rank.
-            wire = packed.astype(stats_dtype, copy=False)
-            return ctx.all_gather(wire[None], axis=0).astype(np.float32)
-
-        def step(new_ids, offset):
-            return sharded_decode_step(
-                model, layer_parts, shards, ctx.rank, new_ids, offset, gather_kv,
-                workspace=workspace, attention=attention, gather_stats=gather_stats,
-            )
-
+        step = _rank_stepper(system, ctx, capacity, attention)
         ids = greedy_loop(model, step, list(ids0), max_new_tokens)
         return np.asarray(ids, dtype=np.int64)
 
@@ -368,12 +377,9 @@ def decode_step_pricing(
     attention: str = "gathered",
     stats_itemsize: int = 4,
 ):
-    """Price one decode step — the single cost source shared by
-    :func:`run_decode` and ``bench.analytic.voltage_decode_latency``.
-
-    Driven by the per-mode cost table (``core.complexity.DECODE_MODE_COSTS``)
-    so neither caller duplicates the formulas.  Returns ``(per_rank_flops,
-    layer_collectives, per_device_bytes)``:
+    """Price one decode step — the cost source of :func:`decode_timeline`,
+    driven by the per-mode cost table (``core.complexity.DECODE_MODE_COSTS``).
+    Returns ``(per_rank_flops, layer_collectives, per_device_bytes)``:
 
     - ``per_rank_flops[r]`` — rank ``r``'s whole-stack matmul FLOPs for the
       step (terminal LM head excluded; callers add it).  Gathered attention
@@ -413,74 +419,98 @@ def decode_step_pricing(
     return per_rank_flops, layer_collectives, per_device_bytes
 
 
-def run_decode(
-    system, prompt_ids, max_new_tokens: int = 8, attention: str = "gathered"
-) -> InferenceResult:
-    """Host-emulated sharded decode with a simulated per-token timeline.
+def decode_timeline(
+    config,
+    layer_parts: Sequence[Sequence[Partition]],
+    sim: ClusterSim,
+    prompt_len: int,
+    max_new_tokens: int,
+    attention: str = "gathered",
+    stats_itemsize: int = 4,
+) -> tuple[LatencyBreakdown, list[float], list[int]]:
+    """The per-token latency timeline of one sharded decode — shapes only.
 
-    Runs the identical shard/append protocol as
-    :func:`generate_distributed` (one ``LayerKVCache`` shard per rank per
-    layer; rank-order K/V concatenation when gathered, per-shard local
-    stats plus the rank-ordered log-sum-exp combine when distributed —
-    including the wire-dtype round trip, so the emulated tokens are
-    bit-identical to the runtime's) in a single process, pricing each step
-    through :func:`decode_step_pricing`.  The phase sequence is mirrored
-    exactly by ``bench.analytic.voltage_decode_latency``.
+    The single source of the decode phase sequence: :func:`run_decode`
+    attaches it to the emulated tokens, ``bench.analytic`` returns it
+    weight-free.  Replays the greedy loop over lengths
+    (:func:`decode_step_totals`) and prices every step through
+    :func:`decode_step_pricing`; spans are fixed over the request's full
+    capacity, so each step's chunk sizes are the spans clipped to the filled
+    prefix.  Returns the phase breakdown, each step's compute + comm
+    seconds, and the wire bytes one device receives per step.
     """
-    if attention not in DECODE_ATTENTION_MODES:
-        raise ValueError(
-            f"attention must be one of {DECODE_ATTENTION_MODES}, got {attention!r}"
-        )
-    model = system.model
-    config = model.config
-    sim = system.sim
-    k = system.k
-    heads, head_dim = config.num_heads, config.head_dim
-    ids0 = [int(token) for token in np.asarray(prompt_ids)]
-    capacity = decode_capacity(model, len(ids0), max_new_tokens)
-    layer_parts = decode_layer_spans(system, capacity)
-    rank_shards = [
-        [LayerKVCache(capacity=part.length or None) for part in parts]
-        for parts in layer_parts
-    ]
-    workspace = Workspace()
-    stats_dtype, stats_itemsize = decode_stats_wire(system.wire_dtype)
     comm_phase = (
         "kv shard all-gather" if attention == "gathered" else "combine stats all-gather"
     )
-
+    post_flops = config.hidden_size * config.vocab_size  # tied LM head, last position
     latency = LatencyBreakdown()
-    latency.add("broadcast prompt", "comm", sim.broadcast(_ID_ITEMSIZE * len(ids0)))
-
-    per_token_seconds: list[float] = []
-    uncached_orders: list[str] = []
-    per_step_comm_bytes: list[int] = []
-    kv_gather_bytes = 0
-    combine_bytes = 0
-    final_logits: np.ndarray | None = None
-    final_logits_prefix = 0
-
-    def account_step(added: int, total: int) -> None:
-        nonlocal kv_gather_bytes, combine_bytes
+    latency.add("broadcast prompt", "comm", sim.broadcast(_ID_ITEMSIZE * prompt_len))
+    per_step_seconds: list[float] = []
+    per_step_bytes: list[int] = []
+    totals = decode_step_totals(prompt_len, max_new_tokens, config.max_positions)
+    for step_index, total in enumerate(totals):
+        added = prompt_len if step_index == 0 else 1
         per_rank_flops, layer_collectives, step_bytes = decode_step_pricing(
             config, layer_parts, added, total,
             attention=attention, stats_itemsize=stats_itemsize,
         )
-        post_flops = model.postprocess_flops(total)
         compute_s = sim.compute_makespan([flops + post_flops for flops in per_rank_flops])
         comm_s = 0.0
         for collectives in layer_collectives:
             for chunk_bytes in collectives:
                 comm_s += sim.all_gather(chunk_bytes)
-        if attention == "gathered":
-            kv_gather_bytes += step_bytes
-        else:
-            combine_bytes += step_bytes
-        per_step_comm_bytes.append(step_bytes)
-        step_index = len(per_token_seconds)
         latency.add("decode step compute", "compute", compute_s, layer=step_index)
         latency.add(comm_phase, "comm", comm_s, layer=step_index)
-        per_token_seconds.append(compute_s + comm_s)
+        per_step_seconds.append(compute_s + comm_s)
+        per_step_bytes.append(step_bytes)
+    final_len = max(prompt_len, min(prompt_len + max_new_tokens, config.max_positions))
+    latency.add(
+        "gather output to terminal", "comm", sim.point_to_point(_ID_ITEMSIZE * final_len)
+    )
+    return latency, per_step_seconds, per_step_bytes
+
+
+def run_decode(
+    system, prompt_ids, max_new_tokens: int = 8, attention: str = "gathered"
+) -> InferenceResult:
+    """Host-emulated sharded decode with a simulated per-token timeline.
+
+    Runs the step kernel :func:`generate_distributed` runs
+    (:func:`sharded_decode_step`) in a single process: the host owns all
+    ``K`` ranks' shards and ``np.concatenate`` stands in for the all-gather
+    collective (wire-dtype round trip of the stats included), so the
+    emulated tokens are bit-identical to the runtime's.  The latency is
+    :func:`decode_timeline` over the request's shapes.
+    """
+    model = system.model
+    config = model.config
+    k = system.k
+    ids0 = [int(token) for token in np.asarray(prompt_ids)]
+    capacity = decode_capacity(model, len(ids0), max_new_tokens)
+    layer_parts = decode_layer_spans(system, capacity)
+    # owning every shard, the host's all-gather is plain concatenation
+    logits = _sharded_stepper(system, layer_parts, range(k), np.concatenate, attention)
+
+    final_logits: np.ndarray | None = None
+    final_logits_prefix = 0
+
+    def step(new_ids, offset):
+        nonlocal final_logits, final_logits_prefix
+        final_logits = logits(new_ids, offset)
+        final_logits_prefix = offset + len(new_ids)
+        return int(np.argmax(final_logits))
+
+    ids = greedy_loop(model, step, list(ids0), max_new_tokens)
+    output = np.asarray(ids, dtype=np.int64)
+
+    latency, per_token_seconds, per_step_comm_bytes = decode_timeline(
+        config, layer_parts, system.sim, len(ids0), max_new_tokens,
+        attention=attention, stats_itemsize=decode_stats_wire(system.wire_dtype)[1],
+    )
+    totals = decode_step_totals(len(ids0), max_new_tokens, config.max_positions)
+    addeds = [len(ids0)] + [1] * (len(totals) - 1)
+    uncached_orders = []
+    for added, total in zip(addeds, totals):
         if added == total:
             order = select_order(total, added, config.hidden_size, config.head_dim)
         else:
@@ -488,88 +518,7 @@ def run_decode(
                 total, config.hidden_size, config.head_dim, cached=False
             )
         uncached_orders.append("eq8" if order.is_reordered else "eq3")
-
-    def step(new_ids, offset):
-        nonlocal final_logits, final_logits_prefix
-        added = len(new_ids)
-        total = offset + added
-        positions = np.arange(offset, offset + added)
-        x = model.embeddings.word(np.asarray(new_ids, dtype=np.int64))
-        x = x + model.embeddings.position(positions)
-        for index, layer in enumerate(model.layers):
-            parts = layer_parts[index]
-            shards = rank_shards[index]
-
-            # The emulation appends to the owning rank's shard for each
-            # layer, then merges every shard in rank order — the same
-            # values every rank would assemble from a real all-gather.
-            def extend(k_new, v_new, parts=parts, shards=shards):
-                rows = k_new.shape[1]
-                for part, shard in zip(parts, shards):
-                    lo = max(part.start, offset)
-                    hi = min(part.stop, offset + rows)
-                    if hi > lo:
-                        shard.append(
-                            k_new[:, lo - offset : hi - offset],
-                            v_new[:, lo - offset : hi - offset],
-                        )
-                return merge_kv_shards(shards)
-
-            # Distributed attention: append as above, then compute every
-            # rank's local stats, round-trip them through the wire dtype
-            # (exactly as the runtime's stats all-gather does) and run the
-            # rank-ordered combine every rank runs.
-            def attend(q, k_new, v_new, parts=parts, shards=shards):
-                rows = k_new.shape[1]
-                for part, shard in zip(parts, shards):
-                    lo = max(part.start, offset)
-                    hi = min(part.stop, offset + rows)
-                    if hi > lo:
-                        shard.append(
-                            k_new[:, lo - offset : hi - offset],
-                            v_new[:, lo - offset : hi - offset],
-                        )
-                gathered = [
-                    _local_stats_packed(q, part, shard, offset, heads, head_dim)
-                    .astype(stats_dtype, copy=False)
-                    .astype(np.float32)
-                    for part, shard in zip(parts, shards)
-                ]
-                return combine_softmax_stats(
-                    [unpack_softmax_stats(chunk) for chunk in gathered]
-                )
-
-            if attention == "gathered":
-                x = layer_forward_cached_kv(layer, x, extend, offset, workspace=workspace)
-            else:
-                x = layer_forward_cached_attention(layer, x, attend, workspace=workspace)
-        logits = model.ln_f(x[-1]) @ model.embeddings.word.weight.data.T
-        final_logits, final_logits_prefix = logits, total
-        account_step(added, total)
-        return int(np.argmax(logits))
-
-    ids = greedy_loop(model, step, list(ids0), max_new_tokens)
-    output = np.asarray(ids, dtype=np.int64)
-    latency.add(
-        "gather output to terminal", "comm", sim.point_to_point(_ID_ITEMSIZE * len(ids))
-    )
-
-    totals = decode_step_totals(len(ids0), max_new_tokens, config.max_positions)
-    addeds = [len(ids0)] + [1] * (len(totals) - 1)
-    if attention == "gathered":
-        kv_elements = model.num_layers * sum(
-            decode_comm_elements("gathered", total, heads, head_dim, k)
-            for total in totals
-        )
-        combine_elements = 0
-    else:
-        kv_elements = 0
-        combine_elements = model.num_layers * sum(
-            decode_comm_elements(
-                "distributed", total, heads, head_dim, k, new_positions=added
-            )
-            for total, added in zip(totals, addeds)
-        )
+    gathered = attention == "gathered"
     meta = {
         "system": "voltage-decode",
         "devices": k,
@@ -579,11 +528,9 @@ def run_decode(
         "capacity": capacity,
         "steps": len(per_token_seconds),
         "per_token_seconds": per_token_seconds,
-        "kv_gather_bytes_per_device": int(kv_gather_bytes),
-        "combine_bytes_per_device": int(combine_bytes),
+        "kv_gather_bytes_per_device": sum(per_step_comm_bytes) if gathered else 0,
+        "combine_bytes_per_device": 0 if gathered else sum(per_step_comm_bytes),
         "per_step_comm_bytes_per_device": per_step_comm_bytes,
-        "kv_gather_elements_analytic": kv_elements,
-        "combine_elements_analytic": combine_elements,
         "cached_order": "eq3",
         "uncached_orders": uncached_orders,
         "shard_spans": [[part.start, part.stop] for part in layer_parts[0]],
@@ -611,3 +558,159 @@ def decode_step_totals(prompt_len: int, max_new_tokens: int, max_positions: int)
             break
         totals.append(length)
     return totals
+
+
+class DecodeSession:
+    """A resident K-rank decode service driven by per-step commands.
+
+    The engine interleaves token steps of many requests, so a one-shot
+    SPMD launch per request would pay runtime startup per token.  Instead
+    the session keeps all ``K`` ranks alive inside one long-lived
+    ``runtime.run`` call (on a background thread) and feeds them commands
+    over per-rank queues:
+
+    - ``("begin", slot, capacity)`` — allocate this rank's KV shards for
+      the slot, spans fixed over ``capacity`` (re-beginning a slot simply
+      replaces its shards, which is how preemption restarts work);
+    - ``("forward", slot, new_ids, offset)`` — run one position-sharded
+      decode step (:func:`sharded_decode_step` over ``ctx.all_gather``)
+      and reply with the next token id;
+    - ``("release", slot)`` / ``("shutdown", None)`` — drop state / exit.
+
+    Every rank executes every command, so collectives inside a forward
+    line up; the host asserts all ranks replied the same token — a
+    per-step distributed consistency check.  Queues are created before
+    the runtime starts, which makes them usable under ``ProcessRuntime``:
+    it forks, so pre-existing ``multiprocessing.Queue`` ends survive into
+    the children.
+
+    A failed or timed-out command breaks the session for good — the failing
+    rank is gone and its peers' replies were never read, so a later command
+    could only block for ``timeout`` or pair a stale reply with a new
+    request.  The first failure therefore shuts the ranks down and every
+    later command raises immediately, chained to the original error.
+    """
+
+    def __init__(self, system, runtime=None, timeout: float = 60.0, attention: str = "gathered"):
+        _check_attention(attention)
+        self.system = system
+        self.k = system.k
+        self.timeout = timeout
+        self.attention = attention
+        # A resident session returns worker results only at shutdown, so the
+        # process runtime's no-progress watchdog needs the session-lifetime
+        # timeout, not the per-recv default.
+        self._runtime = resolve_runtime(runtime, self.k, timeout=timeout)
+        make_queue = (
+            multiprocessing.Queue if isinstance(self._runtime, ProcessRuntime) else queue.Queue
+        )
+        self._commands = [make_queue() for _ in range(self.k)]
+        self._replies = [make_queue() for _ in range(self.k)]
+        self._thread: threading.Thread | None = None
+        self._error: BaseException | None = None  # what ended runtime.run, if anything
+        self._failure: BaseException | None = None  # the first failed command
+        self._closed = False
+
+    # -- lifecycle -------------------------------------------------------------
+
+    def _serve(self) -> None:
+        system, attention = self.system, self.attention
+        commands, replies = self._commands, self._replies
+
+        def worker(ctx):
+            steppers: dict[int, Callable[[list[int], int], int]] = {}
+            while True:
+                op, slot, *args = commands[ctx.rank].get()
+                value = None
+                try:
+                    if op == "begin":
+                        steppers[slot] = _rank_stepper(system, ctx, *args, attention)
+                    elif op == "forward":
+                        value = steppers[slot](*args)
+                    elif op == "release":
+                        steppers.pop(slot, None)
+                    elif op != "shutdown":
+                        raise ValueError(f"unknown session command {op!r}")
+                except Exception as exc:  # reply first so the host fails loudly
+                    replies[ctx.rank].put(("error", f"{type(exc).__name__}: {exc}"))
+                    raise
+                replies[ctx.rank].put(("ok", value))
+                if op == "shutdown":
+                    return None
+
+        try:
+            self._runtime.run(worker)
+        except BaseException as exc:
+            self._error = exc
+
+    def _ensure_started(self) -> None:
+        if self._failure is not None:
+            raise RuntimeError(
+                f"decode session is broken by an earlier failure: {self._failure}"
+            ) from self._failure
+        if self._closed:
+            raise RuntimeError("decode session is closed")
+        if self._thread is None:
+            self._thread = threading.Thread(
+                target=self._serve, name="decode-session", daemon=True
+            )
+            self._thread.start()
+
+    def _command(self, payload: tuple):
+        """Send one command to every rank and collect every reply; the first
+        failure shuts the session down (see the class docstring)."""
+        self._ensure_started()
+        for rank in range(self.k):
+            self._commands[rank].put(payload)
+        try:
+            values = []
+            for rank in range(self.k):
+                try:
+                    status, value = self._replies[rank].get(timeout=self.timeout)
+                except queue.Empty:
+                    detail = f": {self._error!r}" if self._error else ""
+                    raise RuntimeError(
+                        f"decode session rank {rank} did not reply to {payload[0]!r} "
+                        f"within {self.timeout}s{detail}"
+                    ) from self._error
+                if status != "ok":
+                    raise RuntimeError(f"decode session rank {rank} failed: {value}")
+                values.append(value)
+            return values
+        except RuntimeError as exc:
+            self._failure = exc
+            self.close()
+            raise
+
+    # -- the command surface ---------------------------------------------------
+
+    def begin(self, slot: int, capacity: int) -> None:
+        self._command(("begin", slot, capacity))
+
+    def forward(self, slot: int, new_ids: list[int], offset: int) -> int:
+        values = self._command(("forward", slot, [int(t) for t in new_ids], int(offset)))
+        first = values[0]
+        for rank, value in enumerate(values):
+            if value != first:
+                raise AssertionError(
+                    f"rank {rank} decoded token {value} where rank 0 decoded {first}"
+                )
+        return first
+
+    def release(self, slot: int) -> None:
+        self._command(("release", slot))
+
+    def close(self) -> None:
+        if self._closed:
+            return
+        self._closed = True
+        if self._thread is not None:
+            for rank in range(self.k):
+                self._commands[rank].put(("shutdown", None))
+            self._thread.join(timeout=self.timeout)
+
+    def __enter__(self) -> "DecodeSession":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()

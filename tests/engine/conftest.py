@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.engine import GPT2CachedSequencer
+from repro.engine import EngineConfig, GPT2CachedSequencer, InferenceEngine
 from repro.models import GPT2Model, tiny_config
 
 
@@ -21,3 +21,28 @@ def constant_step_cost(new_positions, cache_len):
 @pytest.fixture
 def sequencer(gpt2):
     return GPT2CachedSequencer(gpt2, max_new_tokens=6, step_cost=constant_step_cost)
+
+
+def check_bit_identity(report, sequencer, requests):
+    """Every completed output must equal a fresh offline decode."""
+    outputs = report.outputs()
+    shed_ids = {s.request.id for s in report.shed}
+    for request in requests:
+        if request.id in shed_ids:
+            continue
+        np.testing.assert_array_equal(
+            outputs[request.id], sequencer.offline_reference(request),
+            err_msg=f"request {request.id} diverged from the offline decode",
+        )
+
+
+def chaos_soak(sequencer, requests, **config):
+    """The soak contract of every decode construction: run ``requests``
+    through an engine (``config`` carries the slot count and the seeded
+    chaos-preemption knobs); nothing may be shed or lost and every output
+    must be bit-identical to ``sequencer.offline_reference``."""
+    report = InferenceEngine(sequencer, EngineConfig(**config)).run(requests)
+    assert len(report.completed) == len(requests)
+    assert report.shed == []
+    check_bit_identity(report, sequencer, requests)
+    return report

@@ -8,6 +8,8 @@ deliberately smaller (every rank is a forked OS process) but exercises the
 same session protocol over real sockets.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -16,30 +18,20 @@ from repro.engine import (
     DecodeSession,
     EngineConfig,
     InferenceEngine,
+    NgramProposer,
+    SpeculativeStats,
     VoltageDecodeSequencer,
 )
 from repro.serving.arrivals import Request, bursty_arrivals
 from repro.systems.voltage import VoltageSystem
 
-from .conftest import constant_step_cost
+from .conftest import chaos_soak, constant_step_cost
 
 
 @pytest.fixture
 def system(gpt2):
     cluster = ClusterSpec.heterogeneous([5.0, 3.0], bandwidth_mbps=100.0)
     return VoltageSystem(gpt2, cluster)
-
-
-def check_bit_identity(report, sequencer, requests):
-    outputs = report.outputs()
-    shed_ids = {s.request.id for s in report.shed}
-    for request in requests:
-        if request.id in shed_ids:
-            continue
-        np.testing.assert_array_equal(
-            outputs[request.id], sequencer.offline_reference(request),
-            err_msg=f"request {request.id} diverged from the offline decode",
-        )
 
 
 class TestDecodeSoak:
@@ -49,20 +41,17 @@ class TestDecodeSoak:
         with VoltageDecodeSequencer(
             system, max_new_tokens=5, step_cost=constant_step_cost
         ) as sequencer:
-            config = EngineConfig(
-                num_slots=3, chaos_preempt_period=5, chaos_max_preemptions=2, chaos_seed=7
-            )
-            engine = InferenceEngine(sequencer, config)
             requests = [
                 r.with_slo(slo=60.0)
                 for r in bursty_arrivals(
                     bursts=2, burst_size=8, burst_gap=0.005, n_tokens=(3, 9)
                 )
             ]
-            report = engine.run(requests)
-            assert len(report.completed) == len(requests) == 16
-            assert report.shed == []
-            check_bit_identity(report, sequencer, requests)
+            assert len(requests) == 16
+            chaos_soak(
+                sequencer, requests,
+                num_slots=3, chaos_preempt_period=5, chaos_max_preemptions=2, chaos_seed=7,
+            )
 
     def test_process_soak_bit_identical(self, system):
         """Same guarantee with every rank a forked OS process: the session's
@@ -70,20 +59,16 @@ class TestDecodeSoak:
         with VoltageDecodeSequencer(
             system, max_new_tokens=3, step_cost=constant_step_cost, runtime="process"
         ) as sequencer:
-            config = EngineConfig(
-                num_slots=2, chaos_preempt_period=4, chaos_max_preemptions=1, chaos_seed=3
-            )
-            engine = InferenceEngine(sequencer, config)
             requests = [
                 r.with_slo(slo=60.0)
                 for r in bursty_arrivals(
                     bursts=1, burst_size=6, burst_gap=0.005, n_tokens=(3, 7)
                 )
             ]
-            report = engine.run(requests)
-            assert len(report.completed) == len(requests) == 6
-            assert report.shed == []
-            check_bit_identity(report, sequencer, requests)
+            chaos_soak(
+                sequencer, requests,
+                num_slots=2, chaos_preempt_period=4, chaos_max_preemptions=1, chaos_seed=3,
+            )
 
 
 class TestDistributedAttentionSequencer:
@@ -95,19 +80,16 @@ class TestDistributedAttentionSequencer:
             system, max_new_tokens=4, step_cost=constant_step_cost,
             attention="distributed",
         ) as sequencer:
-            config = EngineConfig(
-                num_slots=2, chaos_preempt_period=5, chaos_max_preemptions=1, chaos_seed=11
-            )
-            engine = InferenceEngine(sequencer, config)
             requests = [
                 r.with_slo(slo=60.0)
                 for r in bursty_arrivals(
                     bursts=1, burst_size=6, burst_gap=0.005, n_tokens=(3, 8)
                 )
             ]
-            report = engine.run(requests)
-            assert len(report.completed) == len(requests) == 6
-            check_bit_identity(report, sequencer, requests)
+            chaos_soak(
+                sequencer, requests,
+                num_slots=2, chaos_preempt_period=5, chaos_max_preemptions=1, chaos_seed=11,
+            )
 
     def test_process_single_request(self, system):
         with VoltageDecodeSequencer(
@@ -178,3 +160,33 @@ class TestDecodeSequencerContract:
         session.close()
         with pytest.raises(RuntimeError, match="closed"):
             session.begin(1, capacity=4)
+
+    @pytest.mark.parametrize("runtime", ["threaded", "process"])
+    def test_session_fails_fast_after_a_rank_failure(self, system, runtime):
+        """A rank-side exception breaks the session for good: the first
+        failing command reports it, every later command raises immediately
+        (chained to the original error) instead of waiting out ``timeout``
+        on dead ranks, and ``close`` stays idempotent."""
+        session = DecodeSession(system, runtime=runtime, timeout=5.0)
+        session.begin(0, capacity=4)
+        with pytest.raises(RuntimeError, match="KeyError") as first:
+            session.forward(7, [1, 2], 0)  # slot 7 was never begun
+        for command in (
+            lambda: session.forward(0, [1, 2], 0),
+            lambda: session.begin(1, capacity=4),
+            lambda: session.release(0),
+        ):
+            began = time.perf_counter()
+            with pytest.raises(RuntimeError, match="broken") as later:
+                command()
+            assert time.perf_counter() - began < 1.0
+            assert later.value.__cause__ is first.value
+        session.close()
+        session.close()
+
+    def test_session_backend_rejects_a_proposer(self, system):
+        """The session has no verify/rollback command, so speculative
+        decoding over resident ranks is refused, not silently mis-run."""
+        with VoltageDecodeSequencer(system, max_new_tokens=2) as sequencer:
+            with pytest.raises(ValueError, match="verify"):
+                sequencer._speculate(NgramProposer(), 4, SpeculativeStats())

@@ -22,20 +22,7 @@ from repro.engine import (
 )
 from repro.serving.arrivals import Request, bursty_arrivals, uniform_arrivals
 
-from .conftest import constant_step_cost
-
-
-def check_bit_identity(report, sequencer, requests):
-    """Every completed output must equal a fresh offline decode."""
-    outputs = report.outputs()
-    shed_ids = {s.request.id for s in report.shed}
-    for request in requests:
-        if request.id in shed_ids:
-            continue
-        np.testing.assert_array_equal(
-            outputs[request.id], sequencer.offline_reference(request),
-            err_msg=f"request {request.id} diverged from the offline decode",
-        )
+from .conftest import chaos_soak, check_bit_identity, constant_step_cost
 
 
 class TestSoak:
@@ -44,19 +31,16 @@ class TestSoak:
         with chaos preemptions firing — every output bit-identical to the
         offline decode, every request accounted for."""
         sequencer = GPT2CachedSequencer(gpt2, max_new_tokens=6, step_cost=constant_step_cost)
-        config = EngineConfig(
-            num_slots=4, chaos_preempt_period=5, chaos_max_preemptions=2, chaos_seed=7
-        )
-        engine = InferenceEngine(sequencer, config)
         requests = [
             r.with_slo(slo=60.0)
             for r in bursty_arrivals(bursts=2, burst_size=12, burst_gap=0.005, n_tokens=(3, 9))
         ]
-        report = engine.run(requests)
-
-        # nothing shed, nothing lost, nothing deadlocked
-        assert len(report.completed) == len(requests) == 24
-        assert report.shed == []
+        # nothing shed, nothing lost, nothing deadlocked, every output exact
+        report = chaos_soak(
+            sequencer, requests,
+            num_slots=4, chaos_preempt_period=5, chaos_max_preemptions=2, chaos_seed=7,
+        )
+        assert len(requests) == 24
         # the stream really was concurrent: every request had arrived
         # before the first one finished (24 in the system at once)
         first_finish = min(c.finish for c in report.completed)
@@ -67,7 +51,6 @@ class TestSoak:
             min(sequencer.max_new_tokens, 1) + sequencer.max_new_tokens for _ in requests
         )
         assert report.steps_total > minimal_steps  # includes redone forwards
-        check_bit_identity(report, sequencer, requests)
 
     def test_soak_is_deterministic(self, gpt2):
         def run():

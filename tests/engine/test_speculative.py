@@ -23,8 +23,7 @@ from repro.engine import (
 )
 from repro.serving.arrivals import Request, bursty_arrivals, uniform_arrivals
 
-from .conftest import constant_step_cost
-from .test_engine import check_bit_identity
+from .conftest import chaos_soak, check_bit_identity, constant_step_cost
 
 
 def spec_sequencer(gpt2, proposer=None, **kwargs):
@@ -164,14 +163,11 @@ class TestSpeculativeSoak:
             else DraftModelProposer(gpt2.truncated_draft(1))
         )
         sequencer = spec_sequencer(gpt2, proposer=proposer)
-        config = EngineConfig(
-            num_slots=3, chaos_preempt_period=5, chaos_max_preemptions=2, chaos_seed=7
+        report = chaos_soak(
+            sequencer, self.requests(),
+            num_slots=3, chaos_preempt_period=5, chaos_max_preemptions=2, chaos_seed=7,
         )
-        requests = self.requests()
-        report = InferenceEngine(sequencer, config).run(requests)
-        assert len(report.completed) == len(requests)
         assert report.preemptions_total > 0  # chaos actually fired
-        check_bit_identity(report, sequencer, requests)
         assert sequencer.stats.accepted > 0  # speculation actually happened
 
     def test_soak_with_prefix_cache_bit_identical(self, gpt2):

@@ -14,6 +14,7 @@ import pytest
 
 from repro.cluster.spec import ClusterSpec
 from repro.bench.analytic import voltage_decode_latency
+from repro.systems import decode as decode_module
 from repro.models.config import tiny_config
 from repro.models.gpt2 import GPT2Model
 from repro.systems.decode import (
@@ -44,6 +45,32 @@ def _system(gpt2, k, wire_dtype="float32"):
     speeds = [5.0, 3.0, 2.0, 1.0][:k]
     cluster = ClusterSpec.heterogeneous(speeds, bandwidth_mbps=100.0)
     return VoltageSystem(gpt2, cluster, wire_dtype=wire_dtype)
+
+
+def assert_one_timeline(monkeypatch, gpt2, prompt, attention):
+    """``run_decode`` and the analytic model do not mirror each other — both
+    hand back what the one ``decode_timeline`` returned, given the same
+    shapes (only the ``ClusterSim`` instance wrapping the cluster differs)."""
+    calls = []
+    real = decode_module.decode_timeline
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs, real(*args, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(decode_module, "decode_timeline", spy)
+    system = _system(gpt2, 3)
+    result = run_decode(system, prompt, max_new_tokens=4, attention=attention)
+    modelled = voltage_decode_latency(
+        gpt2.config, len(prompt), 4, system.cluster, attention=attention
+    )
+    (run_args, run_kwargs, run_out), (model_args, model_kwargs, model_out) = calls
+    assert result.latency is run_out[0] and modelled is model_out[0]
+    assert run_args[:2] == model_args[:2]  # config, per-layer spans
+    assert run_args[2].cluster is model_args[2].cluster is system.cluster
+    assert (run_args[3:], run_kwargs) == (model_args[3:], model_kwargs)
+    assert result.latency.phases == modelled.phases
+    return modelled
 
 
 class TestBitIdentityMatrix:
@@ -77,16 +104,8 @@ class TestBitIdentityMatrix:
 
 
 class TestRunDecodeAccounting:
-    def test_analytic_mirror_matches_phase_by_phase(self, gpt2, prompt):
-        system = _system(gpt2, 3)
-        result = run_decode(system, prompt, max_new_tokens=4)
-        modelled = voltage_decode_latency(
-            gpt2.config, len(prompt), 4, system.cluster
-        )
-        assert len(result.latency.phases) == len(modelled.phases)
-        for ours, theirs in zip(result.latency.phases, modelled.phases):
-            assert (ours.name, ours.kind) == (theirs.name, theirs.kind)
-            assert ours.seconds == pytest.approx(theirs.seconds, rel=1e-9)
+    def test_analytic_mirror_matches_phase_by_phase(self, gpt2, prompt, monkeypatch):
+        assert_one_timeline(monkeypatch, gpt2, prompt, "gathered")
 
     def test_meta_structure(self, gpt2, prompt):
         system = _system(gpt2, 2)
@@ -249,16 +268,8 @@ class TestDistributedAttentionAccounting:
         assert result.meta["combine_bytes_per_device"] == expected
         assert result.meta["decode_attention"] == "distributed"
 
-    def test_analytic_mirror_matches_phase_by_phase(self, gpt2, prompt):
-        system = _system(gpt2, 3)
-        result = run_decode(system, prompt, max_new_tokens=4, attention="distributed")
-        modelled = voltage_decode_latency(
-            gpt2.config, len(prompt), 4, system.cluster, attention="distributed"
-        )
-        assert len(result.latency.phases) == len(modelled.phases)
-        for ours, theirs in zip(result.latency.phases, modelled.phases):
-            assert (ours.name, ours.kind) == (theirs.name, theirs.kind)
-            assert ours.seconds == pytest.approx(theirs.seconds, rel=1e-9)
+    def test_analytic_mirror_matches_phase_by_phase(self, gpt2, prompt, monkeypatch):
+        modelled = assert_one_timeline(monkeypatch, gpt2, prompt, "distributed")
         assert any(p.name == "combine stats all-gather" for p in modelled.phases)
 
     def test_single_device_has_no_combine_traffic(self, gpt2, prompt):

@@ -1,10 +1,12 @@
-"""Lint gate: run ruff over the codebase when it is available.
+"""Lint gates: ruff over the codebase when it is available, and the package
+layering rule.
 
-The check is configured by ``[tool.ruff]`` in pyproject.toml and skipped
-in environments where ruff is not installed, so the test suite itself
-carries no extra dependency.
+The ruff check is configured by ``[tool.ruff]`` in pyproject.toml and
+skipped in environments where ruff is not installed, so the test suite
+itself carries no extra dependency.
 """
 
+import ast
 import shutil
 import subprocess
 from pathlib import Path
@@ -23,3 +25,31 @@ def test_ruff_check_src_and_tests():
         text=True,
     )
     assert proc.returncode == 0, f"ruff violations:\n{proc.stdout}{proc.stderr}"
+
+
+#: Lower layers: what models, partitions, runs and prices a deployment.
+LOWER_PACKAGES = ("systems", "core", "cluster", "models")
+#: Upper layers that drive them — serving, multi-replica routing, reporting.
+UPPER_PACKAGES = ("repro.engine", "repro.fleet", "repro.bench")
+
+
+def test_lower_layers_do_not_import_engine_fleet_or_bench():
+    """``DecodeSession`` and ``decode_timeline`` live in ``repro.systems`` so
+    the engine and the analytic bench can both build on them; the arrow must
+    never point back (function-level imports count too)."""
+    offenders = []
+    for package in LOWER_PACKAGES:
+        for path in sorted((REPO_ROOT / "src" / "repro" / package).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+                else:
+                    continue
+                offenders += [
+                    f"{path.relative_to(REPO_ROOT)}:{node.lineno} imports {module}"
+                    for module in modules
+                    if module.startswith(UPPER_PACKAGES)
+                ]
+    assert not offenders, "layering violations:\n" + "\n".join(offenders)
