@@ -10,6 +10,10 @@ contract is a tiny state machine:
   charge a :class:`~repro.engine.clock.VirtualClock` (None means "charge
   measured wall time", the right default under a wall clock);
 - ``result(state)`` is the finished request's output;
+- ``stage(states)`` announces, once per engine iteration and before any of
+  them is stepped, the states about to take a step — a sequencer that can
+  share one forward across them (cohort decode, below) uses it, the rest
+  inherit a no-op;
 
 plus the protocol attributes the engine builds its pool and prefix cache
 from (:class:`_Sequencer`).
@@ -34,6 +38,17 @@ what makes the engine's soak guarantee provable for all of them at once:
 interleaving, preemption and restart permute *which* step runs next, never
 what a step computes.
 
+**Cohort decode** (INTERNALS §10).  On the slot-cache backend the
+single-position forward is computed for a whole *cohort* at once: the first
+``step`` of an iteration that needs one also runs it — in lockstep, one pass
+over the weights (:meth:`GPT2Model.logits_cached_rows`) — for every staged
+state whose own step will need one too (prefilled, not finishing on its
+commit, empty draft), and stashes their tokens; each of those steps then
+commits, charges its own cost and consumes its token without touching the
+model.  Each row is the op sequence it would run alone, so outputs are
+unchanged, and a cohort of one *is* the plain step — there is no other
+single-position path.  ``step`` stays the only call that runs model compute.
+
 :class:`VoltageForwardSequencer` is the paper's serving workload: one
 distributed forward pass per request on real threaded workers
 (:meth:`VoltageSystem.execute_threaded`), done in a single step.  The slot
@@ -49,12 +64,14 @@ redone work (counted by the engine as ``preemptions``).
 from __future__ import annotations
 
 import zlib
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.obs.metrics import get_registry
+from repro.obs.tracer import current_tracer
 from repro.serving.arrivals import Request
 from repro.engine.slots import KVSlot
 from repro.systems.decode import DecodeSession, decode_capacity
@@ -98,6 +115,11 @@ class _Sequencer:
         #: the model's position budget (also counted on
         #: ``engine.prompt_truncated_total``).
         self.truncated_prompts: dict[int, tuple[int, int]] = {}
+
+    def stage(self, states: Sequence, labels: dict[str, str] | None = None) -> None:
+        """The engine's once-per-iteration announcement of the states it is
+        about to ``step`` (``labels``: the engine's metric labels).  Nothing
+        to do for a sequencer whose steps share no compute."""
 
     def prompt_for(self, request: Request) -> np.ndarray:
         """Deterministic synthetic prompt: ``request.n`` tokens seeded by
@@ -148,10 +170,21 @@ class _DecodeState:
     draft: object = None  # proposer-owned per-request state
 
 
+class _Staged(NamedTuple):
+    """What a cohort forward already settled about a staged state's next
+    step: the draft it will verify and — when that draft is empty, making it
+    a cohort member — the greedy token its single-position forward produced
+    (its KV row is already appended)."""
+
+    draft: list[int]
+    token: int | None
+
+
 class _SlotCacheBackend:
     """Forwards run on the host against the engine slot's own KV caches."""
 
     supports_verify = True
+    supports_rows = True
 
     def __init__(self, model):
         self.model = model
@@ -161,11 +194,18 @@ class _SlotCacheBackend:
 
     def forward(self, slot: KVSlot, new_ids: list[int], offset: int) -> int:
         """Greedy token after ``new_ids`` — the exact op sequence of
-        ``generate_cached``'s inner ``step`` (last-position GEMV head)."""
-        logits = self.model.logits_cached(
-            new_ids, offset, slot.caches, workspace=slot.workspace
+        ``generate_cached``'s inner ``step`` (last-position GEMV head): the
+        cohort of one."""
+        return self.forward_rows([(slot, new_ids, offset)])[0]
+
+    def forward_rows(self, rows: list[tuple[KVSlot, list[int], int]]) -> list[int]:
+        """Greedy token after each ``(slot, new_ids, offset)`` row: one
+        lockstep pass over the weights for the whole cohort, each row the
+        op sequence it would run alone."""
+        logits = self.model.logits_cached_rows(
+            [(new_ids, offset, slot.caches, slot.workspace) for slot, new_ids, offset in rows]
         )
-        return int(np.argmax(logits))
+        return [int(token) for token in np.argmax(logits, axis=-1)]
 
     def verify(self, slot: KVSlot, new_ids: list[int], offset: int) -> np.ndarray:
         """The target's greedy token at *every* new position, from one
@@ -188,10 +228,13 @@ class _SessionBackend:
     Slots carry no host-side KV state: the shard caches live rank-side,
     keyed by slot index, and a re-``begin`` on a slot replaces them
     (preemption restart).  The session has no multi-position verify or
-    rollback command, so the state machine refuses it a proposer.
+    rollback command, so the state machine refuses it a proposer; nor a
+    multi-slot forward command, so its single-position forwards stay one per
+    flight.
     """
 
     supports_verify = False
+    supports_rows = False
 
     def __init__(self, session: DecodeSession):
         self.session = session
@@ -218,6 +261,10 @@ class _GreedySequencer(_Sequencer):
     (c) is the backend's single-position forward, (d) a no-op — the plain
     token-step decode.  The step returns one ``(done, cost)`` either way;
     it just may commit several tokens.
+
+    On a backend with ``supports_rows`` the single-position forward of (c)
+    is shared: :meth:`_cohort_forward` runs it once for every
+    :meth:`stage`-d state that will need one this iteration.
     """
 
     #: Drafting is off until :meth:`_speculate` switches it on.
@@ -242,6 +289,11 @@ class _GreedySequencer(_Sequencer):
         # the single cost hook: virtual seconds of one forward over
         # (new_positions, cache_len_before), or None to charge measured wall
         self._cost = step_cost if step_cost is not None else lambda new, cache_len: None
+        # this iteration's staged states not yet stepped, and what a cohort
+        # forward already settled for some of them — both keyed by request id
+        self._staged: dict[int, _DecodeState] = {}
+        self._stash: dict[int, _Staged] = {}
+        self._labels: dict[str, str] = {}
 
     def _speculate(self, proposer, lookahead: int, stats) -> None:
         """Switch drafting on (``speculative.SpeculativeSequencer``'s whole
@@ -262,6 +314,20 @@ class _GreedySequencer(_Sequencer):
         return self.model.generate_cached(prompt, max_new_tokens=self.max_new_tokens)
 
     # -- the state machine -----------------------------------------------------
+
+    def stage(self, states: Sequence, labels: dict[str, str] | None = None) -> None:
+        """Remember the iteration's states so the first step that needs a
+        single-position forward can run it for all that do.  A stash entry
+        is only valid for the iteration that computed it: one left over
+        means a staged state's step was skipped after its KV row was
+        appended, and decoding on would read a corrupt cache."""
+        if self._stash:
+            raise RuntimeError(
+                f"request(s) {sorted(self._stash)} were staged for a cohort forward "
+                "but never stepped; their slots hold a KV row no step committed"
+            )
+        self._staged = {state.request.id: state for state in states}
+        self._labels = labels if labels is not None else {}
 
     def begin(
         self,
@@ -321,6 +387,8 @@ class _GreedySequencer(_Sequencer):
             raise ValueError(f"request {state.request.id} already finished")
         max_positions = self.model.config.max_positions
         backend, stats, ids = self.backend, self.stats, state.ids
+        self._staged.pop(state.request.id, None)
+        staged = self._stash.pop(state.request.id, None)
         if not state.prefilled:
             new = ids[state.cached_prefix:]
             cost = self._cost(len(new), state.cached_prefix)
@@ -337,7 +405,7 @@ class _GreedySequencer(_Sequencer):
         if state.emitted >= self.max_new_tokens or len(ids) >= max_positions:
             self._finish(state)
             return True, 0.0 if self.step_cost is not None else None
-        draft = self._draft(state)
+        draft = staged.draft if staged is not None else self._draft(state, ids, state.emitted)
         cache_len = len(ids) - 1  # rows the backend holds entering the round
         cost = self._cost(1 + len(draft), cache_len)
         if draft:
@@ -345,7 +413,7 @@ class _GreedySequencer(_Sequencer):
         else:
             # no guesses: the exact one-position forward (same GEMV head) of
             # generate_cached — op-identical to non-speculative decode
-            guesses = [backend.forward(state.slot, [ids[-1]], cache_len)]
+            guesses = [self._single_forward(state, staged)]
         accepted = 0
         while accepted < len(draft) and int(guesses[accepted]) == draft[accepted]:
             accepted += 1
@@ -362,19 +430,84 @@ class _GreedySequencer(_Sequencer):
             self._finish(state)
         return state.done, cost
 
-    def _draft(self, state: _DecodeState) -> list[int]:
-        """Up to ``lookahead`` proposed tokens (none while drafting is off:
-        ``lookahead == 0``).  Budget: never draft past max_new (the final
-        pending token is always committed without a forward, exactly like
-        ``generate_cached``'s loop) or past the model's position budget."""
+    def _draft(self, state: _DecodeState, ids: list[int], emitted: int) -> list[int]:
+        """Up to ``lookahead`` proposed tokens after the committed ``ids``
+        (none while drafting is off: ``lookahead == 0``).  Budget: never
+        draft past max_new (the final pending token is always committed
+        without a forward, exactly like ``generate_cached``'s loop) or past
+        the model's position budget."""
         budget = min(
             self.lookahead,
-            self.max_new_tokens - state.emitted - 1,
-            self.model.config.max_positions - len(state.ids),
+            self.max_new_tokens - emitted - 1,
+            self.model.config.max_positions - len(ids),
         )
         if budget <= 0:
             return []
-        return [int(t) for t in self.proposer.propose(state.draft, state.ids, budget)][:budget]
+        return [int(t) for t in self.proposer.propose(state.draft, ids, budget)][:budget]
+
+    def _next_draft(self, state: _DecodeState) -> list[int] | None:
+        """The draft ``state``'s coming step will verify — proposed from the
+        ids it will hold once its pending token is committed — or None if
+        that step runs no decode forward (a prefill, or a commit that
+        finishes the request)."""
+        if not state.prefilled or (
+            state.emitted + 1 >= self.max_new_tokens
+            or len(state.ids) + 1 >= self.model.config.max_positions
+        ):
+            return None
+        return self._draft(state, state.ids + [state.next_id], state.emitted + 1)
+
+    def _single_forward(self, state: _DecodeState, staged: _Staged | None) -> int:
+        """The greedy token after ``state``'s last committed id."""
+        ids = state.ids
+        if staged is not None:  # an earlier step's cohort forward already ran it
+            if state.slot.length != len(ids):
+                raise RuntimeError(
+                    f"request {state.request.id}: its staged token was computed into a "
+                    f"{len(ids)}-row cache but slot {state.slot.index} holds "
+                    f"{state.slot.length} rows"
+                )
+            return staged.token
+        if self.backend.supports_rows:
+            return self._cohort_forward(state)
+        return self.backend.forward(state.slot, [ids[-1]], len(ids) - 1)
+
+    def _cohort_forward(self, state: _DecodeState) -> int:
+        """The greedy token after ``state``'s last committed id — computed
+        together with the single-position forward of every staged state
+        still to step this iteration that will need one.
+
+        Members are decided from what is observed now: prefilled, not
+        finishing on its commit, empty draft (a non-empty draft is kept in
+        the stash for that state's own verify, so each proposer is still
+        asked exactly once per round).  A member has not committed its
+        pending token yet, so its row forwards ``next_id`` at ``len(ids)`` —
+        the same ``(token, offset)`` its own step would forward after
+        committing.  With nothing staged this is the plain single step.
+        """
+        drafts = {
+            request_id: draft
+            for request_id, other in self._staged.items()
+            if (draft := self._next_draft(other)) is not None
+        }
+        members = [self._staged[request_id] for request_id, draft in drafts.items() if not draft]
+        self._staged.clear()  # all settled: no later step this iteration re-plans them
+        rows = [(state.slot, [state.ids[-1]], len(state.ids) - 1)]
+        rows += [(other.slot, [other.next_id], len(other.ids)) for other in members]
+        registry = get_registry()
+        registry.counter("engine.cohort_forwards_total", **self._labels).inc()
+        registry.histogram("engine.decode_cohort_rows", **self._labels).observe(len(rows))
+        with current_tracer().span(
+            "engine.decode_cohort", cat="engine", kind="compute", track="engine-wall",
+            rows=len(rows),
+        ):
+            token, *others = self.backend.forward_rows(rows)
+        tokens = {other.request.id: other_token for other, other_token in zip(members, others)}
+        self._stash.update(
+            (request_id, _Staged(draft, tokens.get(request_id)))
+            for request_id, draft in drafts.items()
+        )
+        return token
 
     def _finish(self, state: _DecodeState) -> None:
         state.done = True

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -35,6 +36,9 @@ from repro.tensor.workspace import Workspace
 __all__ = [
     "LayerKVCache",
     "KVCache",
+    "layer_steps_cached",
+    "lockstep",
+    "run_steps",
     "layer_forward_cached",
     "layer_forward_cached_kv",
     "layer_forward_cached_attention",
@@ -197,15 +201,17 @@ def _project_qkv(
     return q, k_new, v_new
 
 
-def _cached_attention(
+def _attend_cached(
     attention,
-    attn_input: np.ndarray,
     extend_kv,
     offset: int,
     causal: bool,
     workspace: Workspace | None,
+    q: np.ndarray,
+    k_new: np.ndarray,
+    v_new: np.ndarray,
 ) -> np.ndarray:
-    """Core cached attention: project QKV fused, extend the KV state, attend.
+    """Core cached attention: extend the KV state, then attend ``q`` to it.
 
     ``extend_kv(k_new, v_new) -> (k_all, v_all)`` supplies how the new
     positions join the cached history — ``LayerKVCache.append`` for the
@@ -216,16 +222,13 @@ def _cached_attention(
     bit-identical attention output (buffer identity/strides never change
     matmul results).
 
-    Returns the merged ``(t, H·F_H)`` attended tensor (before the output
-    projection).  All large intermediates (fused QKV, score matrix, per-head
-    attended tensor) live in the workspace when one is supplied; the return
-    value is a fresh array either way (``merge_heads`` copies), so it may
-    safely outlive the next workspace request.
+    Returns the per-head ``(H, t, F_H)`` attended tensor (before the head
+    merge and output projection).  The score matrix and the attended tensor
+    live in the workspace when one is supplied, so the result is valid until
+    the workspace's next ``attended`` request.
     """
-    t = attn_input.shape[0]
-    heads = attention.num_heads
-    dt = np.result_type(attn_input.dtype, attention.query.weight.data.dtype)
-    q, k_new, v_new = _project_qkv(attention, attn_input, workspace)
+    heads, t, head_dim = q.shape
+    dt = q.dtype
     k_all, v_all = extend_kv(k_new, v_new)
     total = k_all.shape[1]
 
@@ -244,12 +247,85 @@ def _cached_attention(
         scores[:, F.causal_mask(t, total, offset=offset)] = -1e30
     F.softmax(scores, axis=-1, out=scores)
     if workspace is not None:
-        attended = np.matmul(
-            scores, v_all, out=workspace.take("attended", (heads, t, attention.head_dim), dt)
+        return np.matmul(
+            scores, v_all, out=workspace.take("attended", (heads, t, head_dim), dt)
         )
-    else:
-        attended = scores @ v_all
-    return merge_heads(attended)
+    return scores @ v_all
+
+
+def _layer_steps(layer: TransformerLayer, x_new: np.ndarray, attend, workspace=None):
+    """The cached causal layer, spelled once — as a generator that pauses
+    (bare ``yield``) before each of the layer's four weight matrices: fused
+    QKV, W_O, FC1, FC2.  Its return value is the layer output ``(t, F)``.
+
+    ``attend(q, k_new, v_new) -> (H, t, F_H)`` receives the new positions'
+    per-head projections and must return the *normalised* attended context
+    for those positions — it owns cache extension, score scaling, causal
+    masking and the softmax (no weights, so it runs in the QKV segment).
+
+    Two drivers run this one body.  :func:`run_steps` exhausts a single
+    generator — the straight-through forward of a prefill, a speculative
+    verify or a sharded decode step.  :func:`lockstep` advances ``B`` of
+    them round-robin, so every row of a decode cohort visits one weight
+    matrix before any row moves to the next (the matrix is streamed from
+    memory once per cohort, not once per row).  Either way each row issues
+    the same NumPy/BLAS calls with the same shapes against its own cache
+    and workspace, so pausing changes *when* an op runs, never its result;
+    no workspace view is live across a pause.
+    """
+    if not layer.config.is_causal:
+        raise ValueError("KV caching requires a causal layer")
+    attention, ffn = layer.attention, layer.ffn
+    post = layer.config.norm_style == "post"
+
+    attn_input = x_new if post else layer.ln1(x_new)
+    yield  # fused QKV
+    q, k_new, v_new = _project_qkv(attention, attn_input, workspace)
+    attended = merge_heads(attend(q, k_new, v_new))
+    yield  # W_O
+    projected = attention.output(attended)
+    y = layer.ln1(projected + x_new) if post else x_new + projected
+    ffn_input = y if post else layer.ln2(y)
+    yield  # FC1
+    expanded = ffn.expand(ffn_input)
+    yield  # FC2
+    out = y + ffn.fc2(expanded)
+    return layer.ln2(out) if post else out
+
+
+def lockstep(rows) -> list:
+    """Drive step generators round-robin — each advances one pause per turn —
+    and return their return values in order."""
+    results = {}
+    live = dict(enumerate(rows))
+    while live:
+        for index, steps in list(live.items()):
+            try:
+                next(steps)
+            except StopIteration as stop:
+                results[index] = stop.value
+                del live[index]
+    return [results[index] for index in sorted(results)]
+
+
+def run_steps(steps):
+    """Drive one step generator straight through: the lockstep of one row."""
+    (result,) = lockstep([steps])
+    return result
+
+
+def layer_steps_cached(
+    layer: TransformerLayer,
+    x_new: np.ndarray,
+    cache: LayerKVCache,
+    workspace: Workspace | None = None,
+):
+    """:func:`_layer_steps` over one :class:`LayerKVCache` — the
+    single-device layer, appending the new rows to ``cache``."""
+    attend = partial(
+        _attend_cached, layer.attention, cache.append, cache.length, True, workspace
+    )
+    return _layer_steps(layer, x_new, attend, workspace)
 
 
 def layer_forward_cached(
@@ -270,9 +346,7 @@ def layer_forward_cached(
     the large per-step intermediates so a steady-state step allocates only
     its small ``(t, F)`` outputs.
     """
-    return layer_forward_cached_kv(
-        layer, x_new, cache.append, cache.length, workspace=workspace
-    )
+    return run_steps(layer_steps_cached(layer, x_new, cache, workspace))
 
 
 def layer_forward_cached_kv(
@@ -287,18 +361,12 @@ def layer_forward_cached_kv(
     ``extend_kv(k_new, v_new) -> (k_all, v_all)`` replaces the cache append;
     ``offset`` is the number of positions already cached (globally — for a
     position-sharded cache this is the *total* across ranks, not the local
-    shard length).  The op sequence is byte-for-byte the one
-    :func:`layer_forward_cached` runs, so any strategy whose ``(k_all,
-    v_all)`` values match the single cache's reconstructs its output
-    bit-exactly.
+    shard length).  The op sequence is the one :func:`layer_forward_cached`
+    runs (the same generator), so any strategy whose ``(k_all, v_all)``
+    values match the single cache's reconstructs its output bit-exactly.
     """
-    if not layer.config.is_causal:
-        raise ValueError("KV caching requires a causal layer")
-    attention = layer.attention
-
-    attn_input = x_new if layer.config.norm_style == "post" else layer.ln1(x_new)
-    attended = _cached_attention(attention, attn_input, extend_kv, offset, True, workspace)
-    return _layer_epilogue(layer, x_new, attended)
+    attend = partial(_attend_cached, layer.attention, extend_kv, offset, True, workspace)
+    return run_steps(_layer_steps(layer, x_new, attend, workspace))
 
 
 def layer_forward_cached_attention(
@@ -307,40 +375,20 @@ def layer_forward_cached_attention(
     attend,
     workspace: Workspace | None = None,
 ) -> np.ndarray:
-    """:func:`layer_forward_cached_kv` with a fully pluggable attention kernel.
+    """:func:`layer_forward_cached_kv` with a fully pluggable attention kernel
+    (the ``attend`` hook of :func:`_layer_steps`).
 
-    ``attend(q, k_new, v_new) -> (H, t, F_H)`` receives the new positions'
-    per-head projections (each ``(H, t, F_H)``) and must return the
-    *normalised* attended context for those positions — it owns cache
-    extension, score scaling, causal masking and the softmax.  Used by the
-    distributed-attention decode, where each rank attends only against its
-    local K/V shard and reconstructs the exact output with a log-sum-exp
-    combine (:mod:`repro.core.combine`); unlike the ``extend_kv`` hook, the
-    kernel's float re-association makes the result *close to* — not
-    bit-identical with — the single-device layer output.
+    Used by the distributed-attention decode, where each rank attends only
+    against its local K/V shard and reconstructs the exact output with a
+    log-sum-exp combine (:mod:`repro.core.combine`); unlike the
+    ``extend_kv`` hook, the kernel's float re-association makes the result
+    *close to* — not bit-identical with — the single-device layer output.
 
     The projection prologue and residual/FFN epilogue are the same code
-    paths :func:`layer_forward_cached_kv` runs, so any output difference is
+    :func:`layer_forward_cached_kv` runs, so any output difference is
     attributable to the attention kernel alone.
     """
-    if not layer.config.is_causal:
-        raise ValueError("KV caching requires a causal layer")
-    attention = layer.attention
-
-    attn_input = x_new if layer.config.norm_style == "post" else layer.ln1(x_new)
-    q, k_new, v_new = _project_qkv(attention, attn_input, workspace)
-    attended = merge_heads(attend(q, k_new, v_new))
-    return _layer_epilogue(layer, x_new, attended)
-
-
-def _layer_epilogue(layer: TransformerLayer, x_new: np.ndarray, attended: np.ndarray) -> np.ndarray:
-    """Output projection, residuals, norms and FFN — shared by both hooks."""
-    projected = layer.attention.output(attended)
-    if layer.config.norm_style == "post":
-        y = layer.ln1(projected + x_new)
-        return layer.ln2(y + layer.ffn(y))
-    y = x_new + projected
-    return y + layer.ffn(layer.ln2(y))
+    return run_steps(_layer_steps(layer, x_new, attend, workspace))
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +494,11 @@ def decoder_layer_forward_cached(
     cross_attn = layer.cross_attention
     offset = cache.self_cache.length
 
-    attended = _cached_attention(
-        self_attn, x_new, cache.self_cache.append, offset, True, workspace
+    attended = merge_heads(
+        _attend_cached(
+            self_attn, cache.self_cache.append, offset, True, workspace,
+            *_project_qkv(self_attn, x_new, workspace),
+        )
     )
     y1 = layer.ln1(self_attn.output(attended) + x_new)
 

@@ -5,12 +5,18 @@ from __future__ import annotations
 import numpy as np
 
 from repro.models.base import TransformerModel
+from repro.models.cache import layer_steps_cached, lockstep, run_steps
 from repro.models.config import TransformerConfig, gpt2_config
 from repro.models.embeddings import TextEmbeddings
 from repro.models.tokenizer import SimpleTokenizer
 from repro.tensor.layers import LayerNorm
 
 __all__ = ["GPT2Model"]
+
+#: Embedding-table bytes one LM-head block covers: ≈ 1 MiB, small enough to
+#: stay cache resident while every cohort row is multiplied against it
+#: (measured flat from 128 to 512 rows at F=768; 1024 rows loses a third).
+_LM_HEAD_BLOCK_BYTES = 1 << 20
 
 
 class GPT2Model(TransformerModel):
@@ -59,7 +65,43 @@ class GPT2Model(TransformerModel):
         terminal device computes one ``F × vocab`` product rather than N.
         Use :meth:`lm_logits` for the full ``(N, vocab)`` matrix.
         """
-        return hidden[-1] @ self.embeddings.word.weight.data.T
+        return self.lm_head([hidden[-1]])[0]
+
+    def lm_head(self, rows) -> np.ndarray:
+        """Tied LM head over ``B`` last-position hidden rows (each ``(F,)``)
+        → logits ``(B, vocab)`` — the one last-position head in the repo.
+
+        Cache-blocked, rows innermost: the ``(vocab, F)`` embedding table is
+        walked once in contiguous row blocks of ≈ ``_LM_HEAD_BLOCK_BYTES``
+        and every hidden row is multiplied against a block while it is cache
+        resident, so a cohort of ``B`` rows streams the table from memory
+        once instead of ``B`` times.  A lone row has nobody to share a block
+        with and takes the table as one block (the loop runs once — which
+        also keeps ``K`` rank threads from trading the GIL 150 times per
+        head).  Blocks are views of the table — no re-laid-out copy is kept
+        (that would double the model's largest tensor).
+
+        Each output element is one GEMV dot product over ``F`` whatever the
+        block; the block length is a multiple of 64 rows so the BLAS
+        kernel's unrolled row groups fall where the whole-table product
+        puts them, which keeps every row bit-equal to ``row @ table.T`` on
+        single-threaded BLAS (asserted by the tests; INTERNALS §9).
+        """
+        table = self.embeddings.word.weight.data
+        vocab, width = table.shape
+        block = (
+            vocab
+            if len(rows) == 1
+            else max(64, _LM_HEAD_BLOCK_BYTES // (width * table.itemsize) // 64 * 64)
+        )
+        logits = np.empty(
+            (len(rows), vocab), dtype=np.result_type(table.dtype, *(row.dtype for row in rows))
+        )
+        for lo in range(0, vocab, block):
+            panel = table[lo : lo + block].T
+            for row, out in zip(rows, logits):
+                np.matmul(row, panel, out=out[lo : lo + block])
+        return logits
 
     def lm_logits(self, hidden: np.ndarray) -> np.ndarray:
         """Full-sequence language-model logits ``(N, vocab)``."""
@@ -74,6 +116,18 @@ class GPT2Model(TransformerModel):
         """Tied LM head on the last position: F × vocab."""
         return self.config.hidden_size * self.config.vocab_size
 
+    def _row_steps(self, new_ids, offset: int, caches, workspace):
+        """One KV-cached forward over ``new_ids`` at ``offset`` as a step
+        generator (pausing at every weight boundary of every layer, see
+        :func:`repro.models.cache.layer_steps_cached`); returns the new
+        positions' hidden states before the final norm."""
+        positions = np.arange(offset, offset + len(new_ids))
+        x = self.embeddings.word(np.asarray(new_ids, dtype=np.int64))
+        x = x + self.embeddings.position(positions)
+        for layer, layer_cache in zip(self.layers, caches):
+            x = yield from layer_steps_cached(layer, x, layer_cache, workspace)
+        return x
+
     def logits_cached(
         self,
         new_ids,
@@ -83,26 +137,37 @@ class GPT2Model(TransformerModel):
         all_positions: bool = False,
     ) -> np.ndarray:
         """One KV-cached forward over ``new_ids`` at ``offset``, returning
-        LM-head logits — the exact op sequence of :meth:`generate_cached`'s
-        inner step, against caller-owned per-layer caches (``caches`` is a
-        sequence of :class:`~repro.models.cache.LayerKVCache`, e.g. an
-        engine slot's).
+        LM-head logits — :meth:`generate_cached`'s inner step, against
+        caller-owned per-layer caches (``caches`` is a sequence of
+        :class:`~repro.models.cache.LayerKVCache`, e.g. an engine slot's).
 
         By default only the last position's logits come back (``(vocab,)``,
-        the greedy-decode head).  ``all_positions=True`` returns the full
+        the greedy-decode head): the cohort of one of
+        :meth:`logits_cached_rows`.  ``all_positions=True`` returns the full
         ``(t, vocab)`` matrix — the multi-position *verify* forward of
         speculative decoding, which needs the target's argmax at every
         drafted position from one batched pass.
         """
-        from repro.models.cache import layer_forward_cached
+        if not all_positions:
+            return self.logits_cached_rows([(new_ids, offset, caches, workspace)])[0]
+        hidden = run_steps(self._row_steps(new_ids, offset, caches, workspace))
+        return self.lm_logits(self.ln_f(hidden))
 
-        positions = np.arange(offset, offset + len(new_ids))
-        x = self.embeddings.word(np.asarray(new_ids, dtype=np.int64))
-        x = x + self.embeddings.position(positions)
-        for layer, layer_cache in zip(self.layers, caches):
-            x = layer_forward_cached(layer, x, layer_cache, workspace=workspace)
-        hidden = self.ln_f(x) if all_positions else self.ln_f(x[-1])
-        return hidden @ self.embeddings.word.weight.data.T
+    def logits_cached_rows(self, rows) -> np.ndarray:
+        """Last-position logits ``(B, vocab)`` of ``B`` independent cached
+        forwards, ``rows[i] = (new_ids, offset, caches, workspace)`` — one
+        pass over the weights for the whole cohort.
+
+        The rows advance in lockstep, weight-major: every row multiplies
+        against one weight matrix (and attends against its own caches)
+        before any row moves to the next, then the shared blocked
+        :meth:`lm_head` serves them all.  Each row runs exactly the ops
+        (shapes, operands, scratch) it would run alone, so row ``i`` is
+        ``np.array_equal`` to a lone ``logits_cached(*rows[i])`` and its
+        caches end up byte-identical; ``B = 1`` is that lone forward.
+        """
+        hidden = lockstep(self._row_steps(*row) for row in rows)
+        return self.lm_head([self.ln_f(x[-1]) for x in hidden])
 
     def truncated_draft(self, num_layers: int = 1) -> "GPT2Model":
         """A shallower draft model for speculative decoding: shares this

@@ -42,8 +42,13 @@ class FeedForward(Module):
         self.activation = activation
         self._act = F.ACTIVATIONS[activation]
 
+    def expand(self, x: np.ndarray) -> np.ndarray:
+        """The first half, ``Act(x W_1 + b_1)`` — split out so a caller can
+        pause between the two weight matrices (cohort decode, INTERNALS §10)."""
+        return self._act(self.fc1(x))
+
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.fc2(self._act(self.fc1(x)))
+        return self.fc2(self.expand(x))
 
     def flops(self, n_rows: int) -> int:
         return self.fc1.flops(n_rows) + self.fc2.flops(n_rows)

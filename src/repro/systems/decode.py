@@ -283,7 +283,7 @@ def sharded_decode_step(
         else:
             attend = partial(_attend_sharded, owned, offset, all_gather, stats_dtype)
             x = layer_forward_cached_attention(layer, x, attend, workspace=workspace)
-    return model.ln_f(x[-1]) @ model.embeddings.word.weight.data.T
+    return model.lm_head([model.ln_f(x[-1])])[0]
 
 
 def greedy_loop(

@@ -32,6 +32,26 @@ def _prompt(model, length, seed=11):
 
 
 class TestGenerateVsCachedEdges:
+    @pytest.mark.parametrize(
+        "length,max_new,emitted",
+        [
+            (5, 0, []),
+            (5, 1, [59]),
+            (1, 4, [13, 13, 13, 13]),
+            (4, 4, [49, 49, 49, 49]),
+            (62, 8, [46, 46]),  # stops at max_positions == 64
+            (64, 4, []),
+        ],
+    )
+    def test_cached_tokens_pinned(self, gpt2, length, max_new, emitted):
+        """The edge-case prompts below, pinned to what ``generate_cached``
+        emitted before its single-position forward became the cohort of one
+        and its LM head the blocked routine (recorded at PR 12)."""
+        prompt = _prompt(gpt2, length)
+        out = gpt2.generate_cached(prompt, max_new_tokens=max_new)
+        np.testing.assert_array_equal(out[:length], prompt)
+        assert out[length:].tolist() == emitted
+
     @pytest.mark.parametrize("max_new", [0, 1])
     def test_zero_and_one_new_token(self, gpt2, max_new):
         prompt = _prompt(gpt2, 5)
