@@ -1,8 +1,8 @@
 """Benchmark harness: regenerates every table and figure of the evaluation.
 
 - :mod:`repro.bench.workloads` — the paper's workloads (models + inputs);
-- :mod:`repro.bench.analytic` — weight-free latency models mirroring the
-  systems' cost accounting (verified equal by the test-suite);
+- :mod:`repro.bench.analytic` — weight-free latency models: adapters over
+  the systems' own timeline functions;
 - :mod:`repro.bench.figures` — one runner per figure/table + ablations;
 - :mod:`repro.bench.harness` — series containers, timing, table printing;
 - :mod:`repro.bench.cli` — the ``voltage-bench`` command / ``python -m

@@ -1,14 +1,16 @@
-"""Config-driven latency models — the systems' cost accounting, weight-free.
+"""Config-driven latency models — the systems' timelines, weight-free.
 
 The inference systems in :mod:`repro.systems` compute real outputs, which
 requires instantiating full model weights (1.3 GB for BERT-Large).  The
 figure sweeps only need *latency*, which depends on shapes, the cluster and
-the protocol — not on weight values.  This module re-derives each system's
-exact :class:`LatencyBreakdown` from a :class:`TransformerConfig` alone.
-
-Consistency is enforced by tests: for a small model, every function here
-must produce the same phase-by-phase breakdown as the corresponding
-system's ``run()``.
+the protocol — not on weight values.  Each protocol's phase sequence is
+spelled once, as a shapes-only timeline function beside its system
+(``voltage_timeline``, ``single_device_timeline``, ...); ``System.run()``
+attaches that timeline to its emulated output over the live layers'
+geometry, and every function here returns *the same function's* result over
+the geometry a :class:`TransformerConfig` declares (the forward models also
+accept per-layer geometries in its place).  Nothing is mirrored, so there is
+nothing to keep in sync.
 """
 
 from __future__ import annotations
@@ -16,13 +18,11 @@ from __future__ import annotations
 from repro.cluster.simulator import ClusterSim
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.timeline import LatencyBreakdown
-from repro.core import complexity
-from repro.core.complexity import EQ3
-from repro.core.layer import OrderPolicy
-from repro.core.partition import PartitionScheme, split_evenly
-from repro.core.planner import device_layer_flops
+from repro.core.layer import LayerGeometry, OrderPolicy
+from repro.core.partition import Partition, PartitionScheme
+from repro.core.schedule import LayerSchedule
 from repro.models.config import TransformerConfig
-from repro.systems.base import activation_bytes
+from repro.systems import decode, pipeline_parallel, single_device, tensor_parallel, voltage
 
 __all__ = [
     "single_device_latency",
@@ -33,16 +33,23 @@ __all__ = [
 ]
 
 
-def _full_layer_flops(config: TransformerConfig, n: int) -> int:
-    return complexity.layer_flops(
-        n, n, config.hidden_size, config.head_dim, config.num_heads, config.ffn_dim, order=EQ3
-    )
+def _geometries(config) -> list[LayerGeometry]:
+    """The per-layer geometry ``config`` declares — or, handed per-layer
+    geometries already (a system's ``geometries``: head-pruned layers), those."""
+    if isinstance(config, TransformerConfig):
+        return [LayerGeometry.of_config(config)] * config.num_layers
+    return list(config)
 
 
-def _terminal_phases(
-    sim: ClusterSim, latency: LatencyBreakdown, flops: int, name: str
-) -> None:
-    latency.add(name, "compute", sim.terminal_compute(flops))
+def _layer_parts(
+    scheme: PartitionScheme | LayerSchedule | None, num_layers: int, cluster: ClusterSpec, n: int
+) -> list[list[Partition]]:
+    """Per-layer partitions of ``n`` positions: one static scheme for every
+    layer (even 1/K when None), or a :class:`LayerSchedule`'s per-layer ones."""
+    if scheme is None:
+        scheme = PartitionScheme.even(cluster.num_devices)
+    schedule = scheme if isinstance(scheme, LayerSchedule) else LayerSchedule(scheme)
+    return [schedule.scheme_for_layer(i).positions(n) for i in range(num_layers)]
 
 
 def single_device_latency(
@@ -52,80 +59,35 @@ def single_device_latency(
     pre_flops: int = 0,
     post_flops: int = 0,
 ) -> LatencyBreakdown:
-    """Mirror of :class:`repro.systems.single_device.SingleDeviceSystem.run`."""
-    sim = ClusterSim(cluster)
-    latency = LatencyBreakdown()
-    _terminal_phases(sim, latency, pre_flops, "preprocess (terminal)")
-    wire = activation_bytes(n, config.hidden_size)
-    latency.add("ship input to device", "comm", sim.point_to_point(wire))
-    device = cluster.devices[0]
-    layer_flops = _full_layer_flops(config, n)
-    for index in range(config.num_layers):
-        latency.add("layer compute", "compute", device.compute_seconds(layer_flops), layer=index)
-    latency.add("return hidden to terminal", "comm", sim.point_to_point(wire))
-    _terminal_phases(sim, latency, post_flops, "postprocess (terminal)")
-    return latency
+    """What :class:`repro.systems.single_device.SingleDeviceSystem.run` reports."""
+    return single_device.single_device_timeline(
+        _geometries(config), n, ClusterSim(cluster), pre_flops=pre_flops, post_flops=post_flops
+    )
 
 
 def voltage_latency(
     config: TransformerConfig,
     n: int,
     cluster: ClusterSpec,
-    scheme: PartitionScheme | None = None,
+    scheme: PartitionScheme | LayerSchedule | None = None,
     policy: OrderPolicy | None = None,
     pre_flops: int = 0,
     post_flops: int = 0,
     wire_itemsize: int = 4,
     overlap: bool = False,
 ) -> LatencyBreakdown:
-    """Mirror of :class:`repro.systems.voltage.VoltageSystem.run` (Algorithm 2).
+    """What :class:`repro.systems.voltage.VoltageSystem.run` reports (Algorithm 2).
 
     ``wire_itemsize`` models compressed activation exchange (4 = float32,
-    2 = float16, 1 = int8) — the input broadcast stays float32, matching
-    the system.  ``overlap`` mirrors the system's overlapped mode: each
-    inner All-Gather is charged only its *exposed* time
-    ``max(0, comm - hideable)``, where the hideable compute is the minimum
-    over devices of the next layer's own-partition Q projection.
+    2 = float16, 1 = int8); ``overlap`` charges each inner All-Gather only
+    its exposed time — see :func:`~repro.systems.voltage.voltage_timeline`.
     """
-    sim = ClusterSim(cluster)
-    policy = policy if policy is not None else OrderPolicy()
-    scheme = scheme if scheme is not None else PartitionScheme.even(cluster.num_devices)
-    parts = scheme.positions(n)
-    f = config.hidden_size
-
-    latency = LatencyBreakdown()
-    _terminal_phases(sim, latency, pre_flops, "preprocess (terminal)")
-    latency.add("broadcast input", "comm", sim.broadcast(activation_bytes(n, f)))
-    for index in range(config.num_layers):
-        flops = [
-            device_layer_flops(config, n, part.length, policy=policy) for part in parts
-        ]
-        latency.add("partition compute", "compute", sim.compute_makespan(flops), layer=index)
-        chunk_bytes = [
-            activation_bytes(part.length, f, itemsize=wire_itemsize) for part in parts
-        ]
-        if index + 1 < config.num_layers:
-            if overlap:
-                # same scheme every layer here, so the next layer's own
-                # partitions are this layer's — matching VoltageSystem.run
-                hideable = min(
-                    device.compute_seconds(
-                        complexity.prologue_flops(
-                            part.length, f, config.num_heads, config.head_dim
-                        )
-                    )
-                    for device, part in zip(cluster.devices, parts)
-                )
-                exposed, full = sim.all_gather_overlapped(chunk_bytes, hideable)
-                latency.add(
-                    "all-gather (overlapped)", "comm", exposed,
-                    layer=index, hidden_s=full - exposed,
-                )
-            else:
-                latency.add("all-gather", "comm", sim.all_gather(chunk_bytes), layer=index)
-        else:
-            latency.add("gather to terminal", "comm", sim.gather(chunk_bytes), layer=index)
-    _terminal_phases(sim, latency, post_flops, "postprocess (terminal)")
+    geometries = _geometries(config)
+    latency, _ = voltage.voltage_timeline(
+        geometries, _layer_parts(scheme, len(geometries), cluster, n), ClusterSim(cluster),
+        policy=policy, wire_itemsize=wire_itemsize, overlap=overlap,
+        pre_flops=pre_flops, post_flops=post_flops,
+    )
     return latency
 
 
@@ -136,27 +98,10 @@ def tensor_parallel_latency(
     pre_flops: int = 0,
     post_flops: int = 0,
 ) -> LatencyBreakdown:
-    """Mirror of :class:`repro.systems.tensor_parallel.TensorParallelSystem.run`."""
-    sim = ClusterSim(cluster)
-    k = cluster.num_devices
-    f, fh = config.hidden_size, config.head_dim
-    per_head = complexity.gamma_eq3(n, n, f, fh).matmul
-    head_counts = split_evenly(config.num_heads, k)
-    ffn_counts = split_evenly(config.ffn_dim, k)
-    device_flops = [
-        heads * per_head + n * heads * fh * f + 2 * n * f * ffn
-        for heads, ffn in zip(head_counts, ffn_counts)
-    ]
-    wire = activation_bytes(n, f)
-
-    latency = LatencyBreakdown()
-    _terminal_phases(sim, latency, pre_flops, "preprocess (terminal)")
-    latency.add("broadcast input", "comm", sim.broadcast(wire))
-    for index in range(config.num_layers):
-        latency.add("shard compute", "compute", sim.compute_makespan(device_flops), layer=index)
-        latency.add("2x all-reduce", "comm", 2 * sim.all_reduce(wire), layer=index)
-    latency.add("return hidden to terminal", "comm", sim.point_to_point(wire))
-    _terminal_phases(sim, latency, post_flops, "postprocess (terminal)")
+    """What :class:`repro.systems.tensor_parallel.TensorParallelSystem.run` reports."""
+    latency, _ = tensor_parallel.tensor_parallel_timeline(
+        _geometries(config), n, ClusterSim(cluster), pre_flops=pre_flops, post_flops=post_flops
+    )
     return latency
 
 
@@ -167,24 +112,10 @@ def pipeline_latency(
     pre_flops: int = 0,
     post_flops: int = 0,
 ) -> LatencyBreakdown:
-    """Mirror of :class:`repro.systems.pipeline_parallel.PipelineParallelSystem.run`."""
-    sim = ClusterSim(cluster)
-    k = cluster.num_devices
-    layer_flops = _full_layer_flops(config, n)
-    wire = activation_bytes(n, config.hidden_size)
-    stage_sizes = split_evenly(config.num_layers, k)
-
-    latency = LatencyBreakdown()
-    _terminal_phases(sim, latency, pre_flops, "preprocess (terminal)")
-    latency.add("ship input to stage 0", "comm", sim.point_to_point(wire))
-    for rank, size in enumerate(stage_sizes):
-        device = cluster.devices[rank]
-        latency.add(
-            f"stage {rank} compute", "compute", device.compute_seconds(size * layer_flops)
-        )
-        hop = "return hidden to terminal" if rank == k - 1 else f"stage {rank}->{rank + 1}"
-        latency.add(hop, "comm", sim.point_to_point(wire))
-    _terminal_phases(sim, latency, post_flops, "postprocess (terminal)")
+    """What :class:`repro.systems.pipeline_parallel.PipelineParallelSystem.run` reports."""
+    latency, _, _ = pipeline_parallel.pipeline_timeline(
+        _geometries(config), n, ClusterSim(cluster), pre_flops=pre_flops, post_flops=post_flops
+    )
     return latency
 
 
@@ -193,24 +124,16 @@ def voltage_decode_latency(
     prompt_len: int,
     max_new_tokens: int,
     cluster: ClusterSpec,
-    scheme: PartitionScheme | None = None,
+    scheme: PartitionScheme | LayerSchedule | None = None,
     attention: str = "gathered",
     stats_itemsize: int = 4,
 ) -> LatencyBreakdown:
-    """The timeline :func:`repro.systems.decode.run_decode` reports, weight-free.
-
-    Not a mirror but the same object: both return
-    :func:`repro.systems.decode.decode_timeline` — here over ``scheme``'s
-    spans drawn on the request's full capacity (one static scheme for every
-    layer), there over the system's per-layer spans.
-    """
-    from repro.systems.decode import decode_timeline
-
-    scheme = scheme if scheme is not None else PartitionScheme.even(cluster.num_devices)
+    """What :func:`repro.systems.decode.run_decode` reports, weight-free:
+    :func:`repro.systems.decode.decode_timeline` over ``scheme``'s spans
+    drawn on the request's full capacity."""
     capacity = min(prompt_len + max_new_tokens, config.max_positions)
-    layer_parts = [scheme.positions(capacity)] * config.num_layers
-    latency, _, _ = decode_timeline(
-        config, layer_parts, ClusterSim(cluster), prompt_len, max_new_tokens,
-        attention=attention, stats_itemsize=stats_itemsize,
+    latency, _, _ = decode.decode_timeline(
+        config, _layer_parts(scheme, config.num_layers, cluster, capacity), ClusterSim(cluster),
+        prompt_len, max_new_tokens, attention=attention, stats_itemsize=stats_itemsize,
     )
     return latency

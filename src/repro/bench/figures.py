@@ -22,6 +22,7 @@ from repro.bench import analytic
 from repro.bench.harness import FigureResult, Series, time_callable
 from repro.bench.workloads import Workload, paper_workloads
 from repro.cluster.spec import ClusterSpec, paper_cluster
+from repro.cluster.timeline import LatencyBreakdown
 from repro.core import complexity
 from repro.core.complexity import EQ3
 from repro.core.layer import OrderPolicy
@@ -51,34 +52,25 @@ __all__ = [
 _SUBFIG = {"bert": "a", "vit": "b", "gpt2": "c"}
 
 
+def _breakdown(model, workload: Workload, cluster: ClusterSpec, **settings) -> LatencyBreakdown:
+    """One ``analytic.*_latency`` model over a paper workload's shapes."""
+    return model(
+        workload.config, workload.n, cluster,
+        pre_flops=workload.pre_flops, post_flops=workload.post_flops, **settings,
+    )
+
+
 def _single_latency(workload: Workload, cluster: ClusterSpec) -> float:
-    return analytic.single_device_latency(
-        workload.config,
-        workload.n,
-        cluster.with_num_devices(1),
-        pre_flops=workload.pre_flops,
-        post_flops=workload.post_flops,
-    ).total_seconds
+    single = cluster.with_num_devices(1)
+    return _breakdown(analytic.single_device_latency, workload, single).total_seconds
 
 
-def _voltage_latency(workload: Workload, cluster: ClusterSpec) -> float:
-    return analytic.voltage_latency(
-        workload.config,
-        workload.n,
-        cluster,
-        pre_flops=workload.pre_flops,
-        post_flops=workload.post_flops,
-    ).total_seconds
+def _voltage_latency(workload: Workload, cluster: ClusterSpec, **settings) -> float:
+    return _breakdown(analytic.voltage_latency, workload, cluster, **settings).total_seconds
 
 
 def _tp_latency(workload: Workload, cluster: ClusterSpec) -> float:
-    return analytic.tensor_parallel_latency(
-        workload.config,
-        workload.n,
-        cluster,
-        pre_flops=workload.pre_flops,
-        post_flops=workload.post_flops,
-    ).total_seconds
+    return _breakdown(analytic.tensor_parallel_latency, workload, cluster).total_seconds
 
 
 def figure4(
@@ -454,14 +446,7 @@ def ablation_comm_precision(
         curve = Series(label)
         for bandwidth in bandwidths:
             cluster = paper_cluster(num_devices, bandwidth)
-            curve.add(
-                bandwidth,
-                analytic.voltage_latency(
-                    workload.config, workload.n, cluster,
-                    pre_flops=workload.pre_flops, post_flops=workload.post_flops,
-                    wire_itemsize=itemsize,
-                ).total_seconds,
-            )
+            curve.add(bandwidth, _voltage_latency(workload, cluster, wire_itemsize=itemsize))
         fig.series.append(curve)
     single = Series("Single Device")
     for bandwidth in bandwidths:
@@ -493,26 +478,13 @@ def ablation_overlap(
         curve = Series(label)
         for bandwidth in bandwidths:
             cluster = paper_cluster(num_devices, bandwidth)
-            curve.add(
-                bandwidth,
-                analytic.voltage_latency(
-                    workload.config, workload.n, cluster,
-                    pre_flops=workload.pre_flops, post_flops=workload.post_flops,
-                    overlap=overlap,
-                ).total_seconds,
-            )
+            curve.add(bandwidth, _voltage_latency(workload, cluster, overlap=overlap))
         fig.series.append(curve)
     hidden = Series("hidden comm (s)")
     for bandwidth in bandwidths:
         cluster = paper_cluster(num_devices, bandwidth)
-        hidden.add(
-            bandwidth,
-            analytic.voltage_latency(
-                workload.config, workload.n, cluster,
-                pre_flops=workload.pre_flops, post_flops=workload.post_flops,
-                overlap=True,
-            ).hidden_comm_seconds,
-        )
+        overlapped = _breakdown(analytic.voltage_latency, workload, cluster, overlap=True)
+        hidden.add(bandwidth, overlapped.hidden_comm_seconds)
     fig.series.append(hidden)
     fig.notes.append("overlapped latency <= blocking on every layer by construction")
     return fig

@@ -24,7 +24,7 @@ from repro.cluster import collectives
 from repro.cluster.spec import ClusterSpec
 from repro.obs.tracer import current_tracer
 
-__all__ = ["ClusterSim", "Resource", "EventEngine"]
+__all__ = ["ClusterSim", "Resource", "StagePipeline", "EventEngine"]
 
 
 class ClusterSim:
@@ -141,6 +141,28 @@ class Resource:
         end = begin + duration
         self.available_at = end
         return begin, end
+
+
+class StagePipeline:
+    """``num_stages`` FIFO stage resources daisy-chained by FIFO links
+    (terminal->0, 0->1, ..., last->terminal) — a layer-stage pipeline as a
+    request stream sees it."""
+
+    def __init__(self, num_stages: int):
+        self.stages = [Resource(f"stage-{i}") for i in range(num_stages)]
+        self.links = [Resource(f"link-{i}") for i in range(num_stages + 1)]
+
+    def push(
+        self, arrival: float, stage_seconds: Sequence[float], hop_seconds: float
+    ) -> tuple[float, float]:
+        """Send one request through; returns ``(first stage begin, finish)``."""
+        _, t = self.links[0].reserve(arrival, hop_seconds)
+        start = None
+        for stage, seconds, link in zip(self.stages, stage_seconds, self.links[1:]):
+            begin, t = stage.reserve(t, seconds)
+            start = begin if start is None else start
+            _, t = link.reserve(t, hop_seconds)
+        return start, t
 
 
 class EventEngine:

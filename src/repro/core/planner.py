@@ -98,14 +98,13 @@ def device_layer_flops(
     p: int,
     policy: OrderPolicy | None = None,
 ) -> int:
-    """FLOPs one device spends on one layer given its partition length ``p``."""
-    if p == 0:
-        return 0
-    policy = policy if policy is not None else OrderPolicy()
-    order = policy.order_for(n, p, config.hidden_size, config.head_dim)
-    return complexity.layer_flops(
-        n, p, config.hidden_size, config.head_dim, config.num_heads, config.ffn_dim, order=order
-    )
+    """FLOPs one device spends on one layer given its partition length ``p``.
+
+    Here and below ``config`` may be a ``TransformerConfig`` or one layer's
+    :class:`~repro.core.layer.LayerGeometry` (a head-pruned layer plans by
+    its real head count).
+    """
+    return (policy if policy is not None else OrderPolicy()).layer_flops(config, n, p)
 
 
 def estimate_makespan(

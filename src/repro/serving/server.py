@@ -14,15 +14,17 @@ Three server shapes, matching how each parallelism occupies the cluster:
   better than single-device plus hops.
 
 Service-time models are injected as callables ``n -> seconds`` (built from
-:mod:`repro.bench.analytic` by :func:`service_models`), keeping the queueing
-logic independent of the latency calibration.
+the systems' timeline functions by :func:`service_models`), keeping the
+queueing logic independent of the latency calibration.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 
-from repro.cluster.simulator import Resource
+from repro.cluster.simulator import ClusterSim, Resource, StagePipeline
+from repro.core.layer import LayerGeometry
+from repro.core.partition import PartitionScheme
 from repro.serving.arrivals import Request
 from repro.serving.stats import ServedRequest, ServingStats, record_serving_metrics
 
@@ -98,21 +100,14 @@ class PipelineServer:
     def serve(self, requests: Sequence[Request]) -> list[ServedRequest]:
         requests = _validate(requests)
         num_stages = len(self.stage_times(requests[0].n))
-        stages = [Resource(f"stage-{i}") for i in range(num_stages)]
-        links = [Resource(f"link-{i}") for i in range(num_stages + 1)]
+        pipeline = StagePipeline(num_stages)
         served = []
         for request in requests:
             times = self.stage_times(request.n)
             if len(times) != num_stages:
                 raise ValueError("stage count must not vary across requests")
-            hop = self.hop_time(request.n)
-            _, t = links[0].reserve(request.arrival, hop)
-            start = None
-            for stage, resource in enumerate(stages):
-                begin, t = resource.reserve(t, times[stage])
-                start = begin if start is None else start
-                _, t = links[stage + 1].reserve(t, hop)
-            served.append(ServedRequest(request=request, start=start, finish=t))
+            start, finish = pipeline.push(request.arrival, times, self.hop_time(request.n))
+            served.append(ServedRequest(request=request, start=start, finish=finish))
         record_serving_metrics(self.shape, served)
         return served
 
@@ -121,54 +116,41 @@ class PipelineServer:
 
 
 def service_models(config, cluster, pre_flops: int = 0, post_flops: int = 0) -> dict:
-    """Build the three servers' timing callables from the analytic models.
+    """Build the three servers' timing callables from the systems' timelines.
 
     Returns ``{"voltage": MonolithicServer, "tensor-parallel":
     MonolithicServer, "single-device": ..., "data-parallel": PerDeviceServer,
     "pipeline": PipelineServer}`` all calibrated for (config, cluster).
     """
-    from repro.bench import analytic
-    from repro.core.partition import split_evenly
-    from repro.systems.base import activation_bytes
+    from repro.systems.pipeline_parallel import pipeline_timeline
+    from repro.systems.single_device import single_device_timeline
+    from repro.systems.tensor_parallel import tensor_parallel_timeline
+    from repro.systems.voltage import voltage_timeline
+
+    geometries = [LayerGeometry.of_config(config)] * config.num_layers
+    sim, single_sim = ClusterSim(cluster), ClusterSim(cluster.with_num_devices(1))
+    terminal = {"pre_flops": pre_flops, "post_flops": post_flops}
+    even = PartitionScheme.even(cluster.num_devices)
 
     def voltage_time(n: int) -> float:
-        return analytic.voltage_latency(
-            config, n, cluster, pre_flops=pre_flops, post_flops=post_flops
-        ).total_seconds
+        layer_parts = [even.positions(n)] * config.num_layers
+        return voltage_timeline(geometries, layer_parts, sim, **terminal)[0].total_seconds
 
     def tensor_time(n: int) -> float:
-        return analytic.tensor_parallel_latency(
-            config, n, cluster, pre_flops=pre_flops, post_flops=post_flops
-        ).total_seconds
+        return tensor_parallel_timeline(geometries, n, sim, **terminal)[0].total_seconds
 
     def single_time(n: int) -> float:
-        return analytic.single_device_latency(
-            config, n, cluster.with_num_devices(1),
-            pre_flops=pre_flops, post_flops=post_flops,
-        ).total_seconds
+        return single_device_timeline(geometries, n, single_sim, **terminal).total_seconds
 
-    from repro.core import complexity
-    from repro.core.complexity import EQ3
-
-    layer_flops = lambda n: complexity.layer_flops(  # noqa: E731
-        n, n, config.hidden_size, config.head_dim, config.num_heads,
-        config.ffn_dim, order=EQ3,
-    )
-
-    def stage_times(n: int) -> list[float]:
-        sizes = split_evenly(config.num_layers, cluster.num_devices)
-        return [
-            device.compute_seconds(size * layer_flops(n))
-            for device, size in zip(cluster.devices, sizes)
-        ]
-
-    def hop_time(n: int) -> float:
-        return cluster.network.transfer_seconds(activation_bytes(n, config.hidden_size))
+    def pipeline_times(n: int) -> tuple[list[float], float]:
+        return pipeline_timeline(geometries, n, sim)[1:]
 
     return {
         "voltage": MonolithicServer(voltage_time),
         "tensor-parallel": MonolithicServer(tensor_time),
         "single-device": MonolithicServer(single_time),
         "data-parallel": PerDeviceServer(single_time, cluster.num_devices),
-        "pipeline": PipelineServer(stage_times, hop_time),
+        "pipeline": PipelineServer(
+            lambda n: pipeline_times(n)[0], lambda n: pipeline_times(n)[1]
+        ),
     }

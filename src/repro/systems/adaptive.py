@@ -20,7 +20,6 @@ extra data movement — only the partition boundaries change.
 
 from __future__ import annotations
 
-from repro.cluster.collectives import all_gather_arrays
 from repro.cluster.dynamics import SpeedTrace, constant_trace
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.timeline import LatencyBreakdown
@@ -29,7 +28,9 @@ from repro.core.partition import PartitionScheme
 from repro.core.planner import makespan_optimal_scheme
 from repro.core.schedule import DynamicPlanner
 from repro.models.base import TransformerModel
-from repro.systems.base import InferenceResult, InferenceSystem, activation_bytes
+from repro.systems.base import (
+    InferenceResult, InferenceSystem, activation_bytes, emulate_partitioned_layers, terminal_phase,
+)
 
 __all__ = ["AdaptiveVoltageSystem"]
 
@@ -91,9 +92,10 @@ class AdaptiveVoltageSystem(InferenceSystem):
         return planner.plan(n)
 
     def run(self, raw) -> InferenceResult:
-        latency = LatencyBreakdown()
-        x = self._terminal_preprocess(raw, latency)
+        x, terminal = self._preprocess(raw)
         n, f = x.shape
+        latency = LatencyBreakdown()
+        terminal_phase(latency, self.sim, "preprocess", terminal["pre_flops"])
 
         latency.add("broadcast input", "comm", self.sim.broadcast(activation_bytes(n, f)))
 
@@ -108,16 +110,17 @@ class AdaptiveVoltageSystem(InferenceSystem):
             else None
         )
 
+        # priced here, not through ``voltage_timeline``: compute runs at the
+        # trace's speeds and each layer's scheme depends on the previous
+        # layer's observed times
         schemes_used: list[tuple[float, ...]] = []
+        layer_parts = []
         for index, executor in enumerate(self.executors):
             scheme = self._scheme_for_layer(index, n, planner)
             schemes_used.append(scheme.ratios)
             parts = scheme.positions(n)
-            outputs = [executor.forward_partition(x, part) for part in parts]
-            flops = [
-                executor.partition_flops(n, part.length) if part.length else 0
-                for part in parts
-            ]
+            layer_parts.append(parts)
+            flops = [executor.partition_flops(n, part.length) for part in parts]
             seconds = self._device_seconds(index, flops)
             latency.add("partition compute", "compute", max(seconds), layer=index)
             if planner is not None:
@@ -130,18 +133,12 @@ class AdaptiveVoltageSystem(InferenceSystem):
                 latency.add(
                     "gather to terminal", "comm", self.sim.gather(chunk_bytes), layer=index
                 )
-            x = all_gather_arrays(outputs)
 
-        output = self._terminal_postprocess(x, latency)
-        return InferenceResult(
-            output=output,
-            latency=latency,
-            meta={
-                "system": self.name,
-                "mode": self.mode,
-                "n": n,
-                "devices": self.k,
-                "schemes": schemes_used,
-                "speed_estimates": planner.estimator.estimates if planner else None,
-            },
+        x = emulate_partitioned_layers(
+            x, lambda i, x, part: self.executors[i].forward_partition(x, part), layer_parts
+        )
+        terminal_phase(latency, self.sim, "postprocess", terminal["post_flops"])
+        return self._result(
+            x, latency, mode=self.mode, schemes=schemes_used,
+            speed_estimates=planner.estimator.estimates if planner else None,
         )

@@ -19,19 +19,39 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.cluster.collectives import all_gather_arrays
 from repro.cluster.simulator import ClusterSim
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.timeline import LatencyBreakdown
+from repro.core.layer import LayerGeometry
 from repro.models.base import TransformerModel
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import current_tracer
 
-__all__ = ["InferenceResult", "InferenceSystem", "activation_bytes"]
+__all__ = ["InferenceResult", "InferenceSystem", "activation_bytes",
+           "emulate_partitioned_layers", "terminal_phase"]
 
 
 def activation_bytes(n: int, f: int, itemsize: int = 4) -> float:
     """Size of an ``(N, F)`` float32 activation on the wire."""
     return float(n) * f * itemsize
+
+
+def terminal_phase(latency: LatencyBreakdown, sim: ClusterSim, stage: str, flops: int) -> None:
+    """Charge the terminal's ``"preprocess"`` / ``"postprocess"`` stage."""
+    latency.add(f"{stage} (terminal)", "compute", sim.terminal_compute(flops))
+
+
+def emulate_partitioned_layers(x: np.ndarray, forward, layer_parts, encode=None) -> np.ndarray:
+    """Host-emulate Algorithm 2's layer loop: every device's partition of
+    every layer really is computed (``forward(layer, x, part)``), optionally
+    wire-encoded, and All-Gathered into the next layer's full input."""
+    for index, parts in enumerate(layer_parts):
+        outputs = [forward(index, x, part) for part in parts]
+        if encode is not None:
+            outputs = [encode(output) for output in outputs]
+        x = all_gather_arrays(outputs)
+    return x
 
 
 @dataclass
@@ -88,20 +108,24 @@ class InferenceSystem:
 
     # -- shared terminal-side stages -----------------------------------------
 
-    def _terminal_preprocess(self, raw, latency: LatencyBreakdown) -> np.ndarray:
-        x = self.model.preprocess(raw)
-        flops = self.model.preprocess_flops(x.shape[0])
-        latency.add("preprocess (terminal)", "compute", self.sim.terminal_compute(flops))
-        return x
+    @property
+    def geometries(self) -> list[LayerGeometry]:
+        """Per-layer shapes read off the live layers — what a timeline prices."""
+        return [LayerGeometry.of_layer(layer) for layer in self.model.layers]
 
-    def _terminal_postprocess(
-        self, hidden: np.ndarray, latency: LatencyBreakdown
-    ) -> np.ndarray:
-        hidden = self.model.final_norm(hidden)
-        output = self.model.postprocess(hidden)
-        flops = self.model.postprocess_flops(hidden.shape[0])
-        latency.add("postprocess (terminal)", "compute", self.sim.terminal_compute(flops))
-        return output
+    def _preprocess(self, raw) -> tuple[np.ndarray, dict]:
+        """The embedded request and the terminal FLOPs its timeline charges."""
+        x = self.model.preprocess(raw)
+        n = x.shape[0]
+        flops = {"pre_flops": self.model.preprocess_flops(n),
+                 "post_flops": self.model.postprocess_flops(n)}
+        return x, flops
+
+    def _result(self, hidden: np.ndarray, latency: LatencyBreakdown, **meta) -> InferenceResult:
+        """Post-process the final hidden states into the request's result."""
+        output = self.model.postprocess(self.model.final_norm(hidden))
+        meta = {"system": self.name, "n": hidden.shape[0], "devices": self.k, **meta}
+        return InferenceResult(output=output, latency=latency, meta=meta)
 
     def __repr__(self) -> str:
         return (

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cluster.timeline import LatencyBreakdown
-from repro.core.layer import PartitionedLayerExecutor
+from repro.core.layer import full_layer_flops
 from repro.core.partition import split_evenly
 from repro.systems.base import InferenceResult, InferenceSystem, activation_bytes
 
@@ -41,9 +41,7 @@ class DataParallelSystem(InferenceSystem):
     name = "data-parallel"
 
     def _request_flops(self, n: int) -> float:
-        return sum(
-            PartitionedLayerExecutor(layer).full_flops(n) for layer in self.model.layers
-        )
+        return sum(full_layer_flops(geometry, n) for geometry in self.geometries)
 
     def run_batch(self, raws: list) -> BatchResult:
         """Serve a batch: requests are assigned round-robin-contiguously.
@@ -86,8 +84,7 @@ class DataParallelSystem(InferenceSystem):
         outputs = []
         post_flops = 0
         for x in inputs:
-            hidden = self.model.final_norm(self.model_encode(x))
-            outputs.append(self.model.postprocess(hidden))
+            outputs.append(self.model.postprocess(self.model.encode(x)))
             post_flops += self.model.postprocess_flops(x.shape[0])
         latency.add("postprocess batch (terminal)", "compute", self.sim.terminal_compute(post_flops))
 
@@ -101,12 +98,6 @@ class DataParallelSystem(InferenceSystem):
                 "requests_per_device": counts,
             },
         )
-
-    def model_encode(self, x: np.ndarray) -> np.ndarray:
-        """Plain full-model layer stack (replica execution)."""
-        for layer in self.model.layers:
-            x = layer(x)
-        return x
 
     def run(self, raw) -> InferenceResult:
         """Single request — exercises the paper's batch-size-1 argument."""

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cluster.collectives import all_gather_arrays
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.timeline import LatencyBreakdown
 from repro.core.layer import OrderPolicy, PartitionedLayerExecutor
 from repro.core.partition import PartitionScheme
 from repro.models.base import TransformerModel
-from repro.systems.base import InferenceResult, InferenceSystem, activation_bytes
+from repro.systems.base import (
+    InferenceResult, InferenceSystem, activation_bytes, emulate_partitioned_layers, terminal_phase,
+)
 
 __all__ = ["AllDevicesFailedError", "FailureSchedule", "FaultTolerantVoltageSystem"]
 
@@ -108,13 +109,17 @@ class FaultTolerantVoltageSystem(InferenceSystem):
         ]
 
     def run(self, raw) -> InferenceResult:
-        latency = LatencyBreakdown()
-        x = self._terminal_preprocess(raw, latency)
+        x, terminal = self._preprocess(raw)
         n, f = x.shape
+        latency = LatencyBreakdown()
+        terminal_phase(latency, self.sim, "preprocess", terminal["pre_flops"])
 
         latency.add("broadcast input", "comm", self.sim.broadcast(activation_bytes(n, f)))
 
+        # priced here, not through ``voltage_timeline``: collectives run over
+        # the live devices only and detection timeouts interleave the layers
         events = []
+        layer_parts = []
         for index, executor in enumerate(self.executors):
             dying = self.failures.dying_at(index)
             dead = self.failures.dead_before(index) | dying
@@ -135,18 +140,13 @@ class FaultTolerantVoltageSystem(InferenceSystem):
                     f"(failures: {self.failures.failures})"
                 )
 
-            scheme = _survivor_scheme(alive, self.k)
-            parts = scheme.positions(n)
-            outputs = [executor.forward_partition(x, part) for part in parts]
+            parts = _survivor_scheme(alive, self.k).positions(n)
+            layer_parts.append(parts)
             seconds = [
-                (
-                    self.cluster.devices[d].compute_seconds(
-                        executor.partition_flops(n, parts[d].length)
-                    )
-                    if parts[d].length
-                    else 0.0
-                )
-                for d in range(self.k)
+                device.compute_seconds(executor.partition_flops(n, part.length))
+                if part.length
+                else 0.0
+                for device, part in zip(self.cluster.devices, parts)
             ]
             latency.add("partition compute", "compute", max(seconds), layer=index)
 
@@ -156,19 +156,11 @@ class FaultTolerantVoltageSystem(InferenceSystem):
                 latency.add("all-gather", "comm", self.sim.all_gather(live_chunks), layer=index)
             else:
                 latency.add("gather to terminal", "comm", self.sim.gather(live_chunks), layer=index)
-            x = all_gather_arrays(outputs)
 
-        output = self._terminal_postprocess(x, latency)
+        x = emulate_partitioned_layers(
+            x, lambda i, x, part: self.executors[i].forward_partition(x, part), layer_parts
+        )
+        terminal_phase(latency, self.sim, "postprocess", terminal["post_flops"])
         survivors = [d for d in range(self.k)
                      if d not in self.failures.dead_before(len(self.executors))]
-        return InferenceResult(
-            output=output,
-            latency=latency,
-            meta={
-                "system": self.name,
-                "n": n,
-                "devices": self.k,
-                "failure_events": events,
-                "survivors": survivors,
-            },
-        )
+        return self._result(x, latency, failure_events=events, survivors=survivors)

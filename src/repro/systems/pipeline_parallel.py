@@ -14,17 +14,18 @@ tool for sporadic edge traffic.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.cluster.simulator import Resource
-from repro.core.partition import split_evenly
+from repro.cluster.simulator import ClusterSim, StagePipeline
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.timeline import LatencyBreakdown
-from repro.core.layer import PartitionedLayerExecutor
+from repro.core.layer import LayerGeometry, full_layer_flops
+from repro.core.partition import split_evenly
 from repro.models.base import TransformerModel
-from repro.systems.base import InferenceResult, InferenceSystem, activation_bytes
+from repro.systems.base import InferenceResult, InferenceSystem, activation_bytes, terminal_phase
 
-__all__ = ["PipelineParallelSystem", "StreamReport"]
+__all__ = ["PipelineParallelSystem", "StreamReport", "pipeline_timeline"]
 
 
 def _stage_splits(num_layers: int, k: int) -> list[range]:
@@ -33,6 +34,34 @@ def _stage_splits(num_layers: int, k: int) -> list[range]:
         ranges.append(range(start, start + width))
         start += width
     return ranges
+
+
+def pipeline_timeline(
+    geometries: Sequence[LayerGeometry],
+    n: int,
+    sim: ClusterSim,
+    pre_flops: int = 0,
+    post_flops: int = 0,
+) -> tuple[LatencyBreakdown, list[float], float]:
+    """The latency timeline of one request through the layer stages — shapes
+    only; what :meth:`PipelineParallelSystem.run` and ``bench.analytic`` both
+    return.  Also hands back each stage's compute seconds and the per-hop
+    transfer seconds, which is all a request *stream* needs."""
+    wire = activation_bytes(n, geometries[0].hidden_size)
+    stage_seconds: list[float] = []
+    latency = LatencyBreakdown()
+    terminal_phase(latency, sim, "preprocess", pre_flops)
+    hop_seconds = sim.point_to_point(wire)
+    latency.add("ship input to stage 0", "comm", hop_seconds)
+    for rank, stage in enumerate(_stage_splits(len(geometries), sim.k)):
+        flops = sum(full_layer_flops(geometries[index], n) for index in stage)
+        seconds = sim.cluster.devices[rank].compute_seconds(flops)
+        stage_seconds.append(seconds)
+        latency.add(f"stage {rank} compute", "compute", seconds)
+        hop = "return hidden to terminal" if rank == sim.k - 1 else f"stage {rank}->{rank + 1}"
+        latency.add(hop, "comm", sim.point_to_point(wire))
+    terminal_phase(latency, sim, "postprocess", post_flops)
+    return latency, stage_seconds, hop_seconds
 
 
 @dataclass(frozen=True)
@@ -60,34 +89,12 @@ class PipelineParallelSystem(InferenceSystem):
         super().__init__(model, cluster)
         self.stages = _stage_splits(model.num_layers, self.k)
 
-    def _stage_flops(self, stage: range, n: int) -> float:
-        return sum(
-            PartitionedLayerExecutor(self.model.layers[i]).full_flops(n) for i in stage
-        )
-
     def run(self, raw) -> InferenceResult:
-        latency = LatencyBreakdown()
-        x = self._terminal_preprocess(raw, latency)
-        n, f = x.shape
-        wire = activation_bytes(n, f)
-
-        latency.add("ship input to stage 0", "comm", self.sim.point_to_point(wire))
-        for rank, stage in enumerate(self.stages):
-            device = self.cluster.devices[rank]
-            flops = self._stage_flops(stage, n)
-            latency.add(f"stage {rank} compute", "compute", device.compute_seconds(flops))
-            for index in stage:
-                x = self.model.layers[index](x)
-            hop = "return hidden to terminal" if rank == self.k - 1 else f"stage {rank}->{rank + 1}"
-            latency.add(hop, "comm", self.sim.point_to_point(wire))
-
-        output = self._terminal_postprocess(x, latency)
-        return InferenceResult(
-            output=output,
-            latency=latency,
-            meta={"system": self.name, "n": n, "devices": self.k,
-                  "stage_layers": [len(s) for s in self.stages]},
-        )
+        x, terminal = self._preprocess(raw)
+        latency, _, _ = pipeline_timeline(self.geometries, x.shape[0], self.sim, **terminal)
+        for layer in self.model.layers:  # the stages, back to back
+            x = layer(x)
+        return self._result(x, latency, stage_layers=[len(s) for s in self.stages])
 
     def serve_stream(self, n: int, num_requests: int, arrival_interval: float = 0.0) -> StreamReport:
         """Simulate ``num_requests`` length-``n`` requests through the pipeline.
@@ -100,24 +107,11 @@ class PipelineParallelSystem(InferenceSystem):
         """
         if num_requests < 1:
             raise ValueError(f"need at least one request, got {num_requests}")
-        f = self.model.config.hidden_size
-        wire = activation_bytes(n, f)
-        devices = [Resource(f"stage-{i}") for i in range(self.k)]
-        links = [Resource(f"link-{i}") for i in range(self.k + 1)]  # terminal->0 ... k-1->terminal
-        hop_time = self.sim.point_to_point(wire)
-        stage_times = [
-            self.cluster.devices[i].compute_seconds(self._stage_flops(stage, n))
-            for i, stage in enumerate(self.stages)
-        ]
-
-        latencies = []
-        finish_last = 0.0
-        for request in range(num_requests):
-            t = request * arrival_interval
-            _, t = links[0].reserve(t, hop_time)
-            for rank in range(self.k):
-                _, t = devices[rank].reserve(t, stage_times[rank])
-                _, t = links[rank + 1].reserve(t, hop_time)
-            latencies.append(t - request * arrival_interval)
-            finish_last = max(finish_last, t)
-        return StreamReport(request_latencies=latencies, makespan_seconds=finish_last)
+        _, stage_seconds, hop_seconds = pipeline_timeline(self.geometries, n, self.sim)
+        pipeline = StagePipeline(self.k)
+        arrivals = [request * arrival_interval for request in range(num_requests)]
+        finishes = [pipeline.push(t, stage_seconds, hop_seconds)[1] for t in arrivals]
+        return StreamReport(
+            request_latencies=[finish - t for t, finish in zip(arrivals, finishes)],
+            makespan_seconds=max(finishes),
+        )

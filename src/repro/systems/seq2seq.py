@@ -21,16 +21,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.collectives import all_gather_arrays
 from repro.cluster.simulator import ClusterSim
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.timeline import LatencyBreakdown
-from repro.core import complexity
-from repro.core.complexity import EQ3
 from repro.core.layer import PartitionedLayerExecutor
 from repro.core.partition import PartitionScheme
 from repro.models.seq2seq import PartitionedDecoderLayerExecutor, Seq2SeqTransformer
-from repro.systems.base import InferenceResult, activation_bytes
+from repro.systems.base import InferenceResult, activation_bytes, emulate_partitioned_layers
 
 __all__ = ["Seq2SeqVoltageSystem"]
 
@@ -74,17 +71,17 @@ class Seq2SeqVoltageSystem:
         num_layers: int,
         final_gather_rows: int | None = None,
     ) -> np.ndarray:
-        """Shared partition/compute/All-Gather loop for either stack."""
+        """Price either stack's partition/compute/All-Gather loop (stage-
+        prefixed phases; the decoder's last hop ships only the needed rows),
+        then host-emulate it."""
         n, f = x.shape
         parts = self.scheme.positions(n)
+        chunk_bytes = [activation_bytes(part.length, f) for part in parts]
         for index in range(num_layers):
-            outputs = [forward_fn(index, x, part) for part in parts]
             flops = [flops_fn(index, n, part.length) if part.length else 0 for part in parts]
             latency.add(f"{stage} partition compute", "compute",
                         self.sim.compute_makespan(flops), layer=index)
-            chunk_bytes = [activation_bytes(part.length, f) for part in parts]
-            last = index + 1 == num_layers
-            if last and final_gather_rows is not None:
+            if index + 1 == num_layers and final_gather_rows is not None:
                 # only the needed rows travel to the terminal
                 latency.add(f"{stage} send rows to terminal", "comm",
                             self.sim.point_to_point(activation_bytes(final_gather_rows, f)),
@@ -92,8 +89,7 @@ class Seq2SeqVoltageSystem:
             else:
                 latency.add(f"{stage} all-gather", "comm",
                             self.sim.all_gather(chunk_bytes), layer=index)
-            x = all_gather_arrays(outputs)
-        return x
+        return emulate_partitioned_layers(x, forward_fn, [parts] * num_layers)
 
     def run(self, raw) -> InferenceResult:
         """``(src_ids, tgt_ids)`` → next-token logits + latency breakdown."""
@@ -147,11 +143,8 @@ class Seq2SeqVoltageSystem:
     def single_device_latency(self, n_src: int, n_tgt: int) -> float:
         """Reference: the whole model on the first device (for speed-up)."""
         cfg = self.model.config
-        attention = self.model.encoder[0].attention
-        f, fh, h = cfg.hidden_size, attention.head_dim, attention.num_heads
-        encoder = cfg.num_layers * complexity.layer_flops(
-            n_src, n_src, f, fh, h, cfg.ffn_dim, order=EQ3
-        )
+        f = cfg.hidden_size
+        encoder = cfg.num_layers * self.encoder_executors[0].full_flops(n_src)
         decoder = sum(
             executor.partition_flops(n_tgt, n_src, n_tgt)
             for executor in self.decoder_executors

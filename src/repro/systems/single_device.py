@@ -7,11 +7,36 @@ final hidden states for post-processing (the dashed orange line of Fig. 5).
 
 from __future__ import annotations
 
-from repro.cluster.timeline import LatencyBreakdown
-from repro.core.layer import PartitionedLayerExecutor
-from repro.systems.base import InferenceResult, InferenceSystem, activation_bytes
+from collections.abc import Sequence
 
-__all__ = ["SingleDeviceSystem"]
+from repro.cluster.simulator import ClusterSim
+from repro.cluster.timeline import LatencyBreakdown
+from repro.core.layer import LayerGeometry, full_layer_flops
+from repro.systems.base import InferenceResult, InferenceSystem, activation_bytes, terminal_phase
+
+__all__ = ["SingleDeviceSystem", "single_device_timeline"]
+
+
+def single_device_timeline(
+    geometries: Sequence[LayerGeometry],
+    n: int,
+    sim: ClusterSim,
+    pre_flops: int = 0,
+    post_flops: int = 0,
+) -> LatencyBreakdown:
+    """The latency timeline of one single-device request — shapes only; what
+    :meth:`SingleDeviceSystem.run` and ``bench.analytic`` both return."""
+    wire = activation_bytes(n, geometries[0].hidden_size)
+    device = sim.cluster.devices[0]
+    latency = LatencyBreakdown()
+    terminal_phase(latency, sim, "preprocess", pre_flops)
+    latency.add("ship input to device", "comm", sim.point_to_point(wire))
+    for index, geometry in enumerate(geometries):
+        seconds = device.compute_seconds(full_layer_flops(geometry, n))
+        latency.add("layer compute", "compute", seconds, layer=index)
+    latency.add("return hidden to terminal", "comm", sim.point_to_point(wire))
+    terminal_phase(latency, sim, "postprocess", post_flops)
+    return latency
 
 
 class SingleDeviceSystem(InferenceSystem):
@@ -20,23 +45,8 @@ class SingleDeviceSystem(InferenceSystem):
     name = "single-device"
 
     def run(self, raw) -> InferenceResult:
-        latency = LatencyBreakdown()
-        x = self._terminal_preprocess(raw, latency)
-        n, f = x.shape
-        wire = activation_bytes(n, f)
-
-        latency.add("ship input to device", "comm", self.sim.point_to_point(wire))
-
-        device = self.cluster.devices[0]
-        for index, layer in enumerate(self.model.layers):
-            flops = PartitionedLayerExecutor(layer).full_flops(n)
-            latency.add("layer compute", "compute", device.compute_seconds(flops), layer=index)
+        x, terminal = self._preprocess(raw)
+        latency = single_device_timeline(self.geometries, x.shape[0], self.sim, **terminal)
+        for layer in self.model.layers:
             x = layer(x)
-
-        latency.add("return hidden to terminal", "comm", self.sim.point_to_point(wire))
-        output = self._terminal_postprocess(x, latency)
-        return InferenceResult(
-            output=output,
-            latency=latency,
-            meta={"system": self.name, "n": n, "devices": 1},
-        )
+        return self._result(x, latency, devices=1)

@@ -14,22 +14,64 @@ partials (this is what lets the K=5 point of Fig. 4 exist for H=16 models).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.cluster.process_runtime import resolve_runtime
 from repro.cluster.runtime import CommStats
+from repro.cluster.simulator import ClusterSim
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.timeline import LatencyBreakdown
 from repro.core import complexity
+from repro.core.layer import LayerGeometry
 from repro.core.orders import AttentionParams, attention_full
 from repro.core.partition import split_evenly
 from repro.models.base import TransformerModel
 from repro.models.layer import TransformerLayer
-from repro.systems.base import InferenceResult, InferenceSystem, activation_bytes
+from repro.systems.base import InferenceResult, InferenceSystem, activation_bytes, terminal_phase
 
-__all__ = ["TensorParallelSystem"]
+__all__ = ["TensorParallelSystem", "tensor_parallel_timeline"]
+
+
+def tensor_parallel_timeline(
+    geometries: Sequence[LayerGeometry],
+    n: int,
+    sim: ClusterSim,
+    pre_flops: int = 0,
+    post_flops: int = 0,
+) -> tuple[LatencyBreakdown, dict]:
+    """The latency timeline of one tensor-parallel request — shapes only;
+    what :meth:`TensorParallelSystem.run` and ``bench.analytic`` both return,
+    with the All-Reduce bytes one device moves as meta.
+
+    Device ``d`` holds ``split_evenly`` shares of every layer's heads and
+    FFN columns (exactly :func:`shard_layer`'s split): full-N attention for
+    its heads, its rows of W_O, its slice of both FFN matmuls.
+    """
+    k = sim.k
+    wire = activation_bytes(n, geometries[0].hidden_size)
+    allreduce_bytes = 0.0
+    latency = LatencyBreakdown()
+    terminal_phase(latency, sim, "preprocess", pre_flops)
+    latency.add("broadcast input", "comm", sim.broadcast(wire))
+    for index, geometry in enumerate(geometries):
+        f, fh = geometry.hidden_size, geometry.head_dim
+        per_head = complexity.gamma_eq3(n, n, f, fh).matmul  # full-N attention head
+        flops = [
+            heads * per_head + n * (heads * fh) * f + 2 * n * f * ffn
+            for heads, ffn in zip(
+                split_evenly(geometry.num_heads, k), split_evenly(geometry.ffn_dim, k)
+            )
+        ]
+        latency.add("shard compute", "compute", sim.compute_makespan(flops), layer=index)
+        # two All-Reduces per layer (Fig. 2)
+        latency.add("2x all-reduce", "comm", 2 * sim.all_reduce(wire), layer=index)
+        allreduce_bytes += 2 * (2 * (k - 1) * wire / k)
+    latency.add("return hidden to terminal", "comm", sim.point_to_point(wire))
+    terminal_phase(latency, sim, "postprocess", post_flops)
+    return latency, {"allreduce_bytes_per_device": allreduce_bytes}
 
 
 @dataclass
@@ -145,42 +187,17 @@ class TensorParallelSystem(InferenceSystem):
             shard_layer(layer, self.k) for layer in model.layers
         ]
 
-    # -- cost accounting -------------------------------------------------------
-
-    def _device_layer_flops(self, shard: _LayerShard, n: int) -> int:
-        cfg = self.model.config
-        attention = self.model.layers[0].attention
-        f, fh = cfg.hidden_size, attention.head_dim
-        per_head = complexity.gamma_eq3(n, n, f, fh).matmul  # full-N attention head
-        attn = shard.num_heads * per_head + n * (shard.num_heads * fh) * f
-        ffn = 2 * n * f * shard.local_ffn
-        return attn + ffn
-
     # -- host-emulated execution with simulated latency -------------------------
 
     def run(self, raw) -> InferenceResult:
-        latency = LatencyBreakdown()
-        x = self._terminal_preprocess(raw, latency)
-        n, f = x.shape
-        wire = activation_bytes(n, f)
+        x, terminal = self._preprocess(raw)
+        latency, comm_meta = tensor_parallel_timeline(
+            self.geometries, x.shape[0], self.sim, **terminal
+        )
         causal = self.model.config.is_causal
         act = self.model.layers[0].ffn._act
         norm_style = self.model.config.norm_style
-
-        latency.add("broadcast input", "comm", self.sim.broadcast(wire))
-
-        allreduce_bytes_per_device = 0.0
-        for index, layer in enumerate(self.model.layers):
-            shards = self.shards[index]
-            flops = [self._device_layer_flops(shard, n) for shard in shards]
-            latency.add(
-                "shard compute", "compute", self.sim.compute_makespan(flops), layer=index
-            )
-            # two All-Reduces per layer (Fig. 2)
-            comm = 2 * self.sim.all_reduce(wire)
-            latency.add("2x all-reduce", "comm", comm, layer=index)
-            allreduce_bytes_per_device += 2 * (2 * (self.k - 1) * wire / self.k)
-
+        for layer, shards in zip(self.model.layers, self.shards):
             attn_input = x if norm_style == "post" else layer.ln1(x)
             attn_sum = sum(_attention_partial(shard, attn_input, causal) for shard in shards)
             if norm_style == "post":
@@ -192,19 +209,7 @@ class TensorParallelSystem(InferenceSystem):
                 ffn_input = layer.ln2(y)
                 ffn_sum = sum(_ffn_partial(shard, ffn_input, act) for shard in shards)
                 x = y + ffn_sum
-
-        latency.add("return hidden to terminal", "comm", self.sim.point_to_point(wire))
-        output = self._terminal_postprocess(x, latency)
-        return InferenceResult(
-            output=output,
-            latency=latency,
-            meta={
-                "system": self.name,
-                "n": n,
-                "devices": self.k,
-                "allreduce_bytes_per_device": allreduce_bytes_per_device,
-            },
-        )
+        return self._result(x, latency, **comm_meta)
 
     # -- real distributed execution (threads or processes) -----------------------
 

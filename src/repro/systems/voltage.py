@@ -10,36 +10,117 @@ Per request (Fig. 3):
    post-processes and answers the user.
 
 ``run`` host-emulates the protocol exactly (the partition outputs really are
-computed with the partitioned executors and reassembled), while the latency
-is simulated with the calibrated device/network models.  The
-``execute_threaded`` method additionally runs the same protocol on real
-concurrent workers with byte accounting — used by the integration tests to
-reconcile the analytic communication volumes.
+computed with the partitioned executors and reassembled) and attaches
+:func:`voltage_timeline` — the one shapes-only spelling of the phase sequence
+above, priced with the calibrated device/network models, which
+``bench.analytic.voltage_latency`` also returns.  The ``execute_threaded``
+method additionally runs the same protocol on real concurrent workers with
+byte accounting — used by the integration tests to reconcile the analytic
+communication volumes.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro import obs
-from repro.cluster.collectives import all_gather_arrays
 from repro.cluster.process_runtime import resolve_runtime
 from repro.cluster.runtime import CommStats
+from repro.cluster.simulator import ClusterSim
 from repro.cluster.timeline import LatencyBreakdown
 from repro.core.complexity import prologue_flops
-from repro.core.layer import OrderPolicy, PartitionedLayerExecutor
-from repro.core.partition import PartitionScheme
+from repro.core.layer import LayerGeometry, OrderPolicy, PartitionedLayerExecutor
+from repro.core.partition import Partition, PartitionScheme
 from repro.core.planner import makespan_optimal_scheme
 from repro.core.schedule import LayerSchedule
 from repro.models.base import TransformerModel
 from repro.cluster.spec import ClusterSpec
-from repro.systems.base import InferenceResult, InferenceSystem, activation_bytes
+from repro.systems.base import (
+    InferenceResult, InferenceSystem, activation_bytes, emulate_partitioned_layers, terminal_phase,
+)
 
-__all__ = ["VoltageSystem"]
+__all__ = ["VoltageSystem", "voltage_timeline"]
 
 
 #: Supported activation wire encodings: name -> (bytes per element).
 WIRE_DTYPES = {"float32": 4, "float16": 2, "int8": 1}
+
+
+def voltage_timeline(
+    geometries: Sequence[LayerGeometry],
+    layer_parts: Sequence[Sequence[Partition]],
+    sim: ClusterSim,
+    policy: OrderPolicy | None = None,
+    wire_itemsize: int = 4,
+    overlap: bool = False,
+    pre_flops: int = 0,
+    post_flops: int = 0,
+) -> tuple[LatencyBreakdown, dict]:
+    """The latency timeline of one Algorithm 2 request — shapes only.
+
+    The single source of the Voltage phase sequence: :meth:`VoltageSystem.run`
+    attaches it to the emulated output, ``bench.analytic.voltage_latency``
+    returns it weight-free.  ``layer_parts[i]`` holds layer ``i``'s per-device
+    partitions; ``wire_itemsize`` prices compressed activation exchange (the
+    input broadcast stays float32).  With ``overlap`` each inner All-Gather
+    is charged only its *exposed* time ``max(0, comm - hideable)``, where the
+    hideable compute is the next layer's own-partition Q projection (it
+    needs only rows a device already holds) — the *minimum* over devices, a
+    conservative bound: a device with an empty next partition hides nothing.
+
+    Returns the breakdown plus the meta ``run()`` reports alongside it.
+    """
+    policy = policy if policy is not None else OrderPolicy()
+    n = sum(part.length for part in layer_parts[0])
+    f = geometries[0].hidden_size
+    orders: list[str] = []
+    exposed_comm_per_layer: list[float] = []
+    allgather_bytes = hidden_comm_s = 0.0
+
+    latency = LatencyBreakdown()
+    terminal_phase(latency, sim, "preprocess", pre_flops)
+    latency.add("broadcast input", "comm", sim.broadcast(activation_bytes(n, f)))
+    for index, (geometry, parts) in enumerate(zip(geometries, layer_parts)):
+        first = next((part for part in parts if part.length), parts[0])
+        order = policy.order_for(n, max(first.length, 1), f, geometry.head_dim)
+        orders.append("eq8" if order.is_reordered else "eq3")
+        flops = [policy.layer_flops(geometry, n, part.length) for part in parts]
+        latency.add("partition compute", "compute", sim.compute_makespan(flops), layer=index)
+        chunk_bytes = [activation_bytes(part.length, f, itemsize=wire_itemsize) for part in parts]
+        if index + 1 == len(geometries):
+            # Algorithm 2 line 8: final partitions go to the terminal only
+            latency.add("gather to terminal", "comm", sim.gather(chunk_bytes), layer=index)
+            break
+        # Algorithm 2 line 10: synchronise partitions across devices
+        if overlap:
+            ahead = geometries[index + 1]
+            hideable = min(
+                device.compute_seconds(
+                    prologue_flops(part.length, f, ahead.num_heads, ahead.head_dim)
+                )
+                for device, part in zip(sim.cluster.devices, layer_parts[index + 1])
+            )
+            exposed, full = sim.all_gather_overlapped(chunk_bytes, hideable)
+            latency.add(
+                "all-gather (overlapped)", "comm", exposed, layer=index, hidden_s=full - exposed
+            )
+            hidden_comm_s += full - exposed
+        else:
+            exposed = sim.all_gather(chunk_bytes)
+            latency.add("all-gather", "comm", exposed, layer=index)
+        exposed_comm_per_layer.append(exposed)
+        # the wire volume is unchanged by overlapping — only *when* the bytes
+        # move relative to compute changes
+        allgather_bytes += sum(chunk_bytes) - max(chunk_bytes)
+    terminal_phase(latency, sim, "postprocess", post_flops)
+    return latency, {
+        "orders": orders,
+        "allgather_bytes_per_device": allgather_bytes,
+        "exposed_comm_per_layer": exposed_comm_per_layer,
+        "hidden_comm_s": hidden_comm_s,
+    }
 
 
 class VoltageSystem(InferenceSystem):
@@ -120,12 +201,22 @@ class VoltageSystem(InferenceSystem):
         if isinstance(self._scheme, PartitionScheme):
             return self._scheme
         if self._scheme == "auto":
+            # plan with the geometry run() prices (a pruned layer's real heads)
             return makespan_optimal_scheme(
-                self.model.config, n, self.cluster.device_gflops, policy=self.policy
+                self.executors[layer].geometry, n, self.cluster.device_gflops,
+                policy=self.policy,
             )
         if self._scheme is None:
             return PartitionScheme.even(self.k)
         raise ValueError(f"unsupported scheme specifier {self._scheme!r}")
+
+    def layer_schemes(self, n: int) -> list[PartitionScheme]:
+        """The scheme each layer runs a length-``n`` request under."""
+        return [self.scheme_for(n, layer=index) for index in range(len(self.executors))]
+
+    def layer_parts(self, n: int) -> list[list[Partition]]:
+        """Every layer's per-device partitions of a length-``n`` request."""
+        return [scheme.positions(n) for scheme in self.layer_schemes(n)]
 
     # -- distributed autoregressive decode (position-sharded KV cache) ---------
 
@@ -157,107 +248,31 @@ class VoltageSystem(InferenceSystem):
 
     # -- host-emulated execution with simulated latency ------------------------
 
-    def _hideable_seconds(self, n: int, f: int, next_executor, next_parts) -> float:
-        """Seconds of next-layer compute every device can run mid-ring.
-
-        The own-partition Q projection depends only on rows a device already
-        holds, so it can run while the All-Gather circulates.  Taking the
-        *minimum* over devices keeps the modeled exposure a conservative
-        upper bound on the true overlapped critical path (a device with an
-        empty next partition can hide nothing, pinning the bound at zero).
-        """
-        attention = next_executor.layer.attention
-        return min(
-            device.compute_seconds(
-                prologue_flops(part.length, f, attention.num_heads, attention.head_dim)
-            )
-            for device, part in zip(self.cluster.devices, next_parts)
-        )
-
     def run(self, raw) -> InferenceResult:
-        latency = LatencyBreakdown()
-        x = self._terminal_preprocess(raw, latency)
-        n, f = x.shape
-        layer_schemes = [
-            self.scheme_for(n, layer=index) for index in range(len(self.executors))
-        ]
-
-        latency.add("broadcast input", "comm", self.sim.broadcast(activation_bytes(n, f)))
-
-        comm_bytes_per_device = 0.0
-        orders_used: list[str] = []
-        exposed_comm_per_layer: list[float] = []
-        hidden_comm_s = 0.0
-        for index, executor in enumerate(self.executors):
-            parts = layer_schemes[index].positions(n)
-            outputs = [
-                self._encode_for_wire(executor.forward_partition(x, part))
-                for part in parts
-            ]
-            flops = [
-                executor.partition_flops(n, part.length) if part.length else 0
-                for part in parts
-            ]
-            latency.add(
-                "partition compute", "compute", self.sim.compute_makespan(flops), layer=index
-            )
-            chunk_bytes = [
-                activation_bytes(part.length, f, itemsize=self.wire_itemsize)
-                for part in parts
-            ]
-            if index + 1 < len(self.executors):
-                # Algorithm 2 line 10: synchronise partitions across devices
-                if self.overlap:
-                    hideable = self._hideable_seconds(
-                        n, f, self.executors[index + 1],
-                        layer_schemes[index + 1].positions(n),
-                    )
-                    exposed, full = self.sim.all_gather_overlapped(chunk_bytes, hideable)
-                    latency.add(
-                        "all-gather (overlapped)", "comm", exposed,
-                        layer=index, hidden_s=full - exposed,
-                    )
-                    exposed_comm_per_layer.append(exposed)
-                    hidden_comm_s += full - exposed
-                else:
-                    comm = self.sim.all_gather(chunk_bytes)
-                    latency.add("all-gather", "comm", comm, layer=index)
-                    exposed_comm_per_layer.append(comm)
-                # the wire volume is unchanged by overlapping — only *when*
-                # the bytes move relative to compute changes
-                comm_bytes_per_device += sum(chunk_bytes) - max(chunk_bytes)
-            else:
-                # Algorithm 2 line 8: final partitions go to the terminal only
-                comm = self.sim.gather(chunk_bytes)
-                latency.add("gather to terminal", "comm", comm, layer=index)
-            x = all_gather_arrays(outputs)
-            first = next((p for p in parts if p.length), parts[0])
-            orders_used.append(
-                "eq8" if executor.select_order(n, max(first.length, 1)).is_reordered else "eq3"
-            )
-
-        output = self._terminal_postprocess(x, latency)
+        x, terminal = self._preprocess(raw)
+        n = x.shape[0]
+        schemes = self.layer_schemes(n)
+        layer_parts = [scheme.positions(n) for scheme in schemes]
+        latency, comm_meta = voltage_timeline(
+            self.geometries, layer_parts, self.sim, policy=self.policy,
+            wire_itemsize=self.wire_itemsize, overlap=self.overlap, **terminal,
+        )
+        hidden = emulate_partitioned_layers(
+            x, lambda index, x, part: self.executors[index].forward_partition(x, part),
+            layer_parts, encode=self._encode_for_wire,
+        )
         # a LayerSchedule may change the scheme per layer (Section V-B); the
         # meta must describe what actually ran, not just layer 0's ratios
-        ratios_per_layer = [s.ratios for s in layer_schemes]
+        ratios_per_layer = [scheme.ratios for scheme in schemes]
         uniform = all(r == ratios_per_layer[0] for r in ratios_per_layer)
-        return InferenceResult(
-            output=output,
-            latency=latency,
-            meta={
-                "system": self.name,
-                "n": n,
-                "devices": self.k,
-                "scheme": ratios_per_layer[0] if uniform else ratios_per_layer,
-                "scheme_uniform": uniform,
-                "scheme_per_layer": ratios_per_layer,
-                "orders": orders_used,
-                "wire_dtype": self.wire_dtype,
-                "allgather_bytes_per_device": comm_bytes_per_device,
-                "overlap": self.overlap,
-                "exposed_comm_per_layer": exposed_comm_per_layer,
-                "hidden_comm_s": hidden_comm_s,
-            },
+        return self._result(
+            hidden, latency,
+            scheme=ratios_per_layer[0] if uniform else ratios_per_layer,
+            scheme_uniform=uniform,
+            scheme_per_layer=ratios_per_layer,
+            wire_dtype=self.wire_dtype,
+            overlap=self.overlap,
+            **comm_meta,
         )
 
     # -- real distributed execution (threads or processes) ----------------------
@@ -308,10 +323,7 @@ class VoltageSystem(InferenceSystem):
         x0 = self.model.preprocess(raw)
         n, feat = x0.shape
         executors = self.executors
-        layer_parts = [
-            self.scheme_for(n, layer=index).positions(n)
-            for index in range(len(executors))
-        ]
+        layer_parts = self.layer_parts(n)
         tracer = obs.current_tracer()
 
         def stream_next_layer(ctx, handle, parts, index):

@@ -8,8 +8,10 @@ The differential contract, per scenario:
   within the dtype-aware bound of :mod:`repro.verify.tolerances`;
 - ``execute_threaded()`` must match the corresponding ``run()`` output
   bit-for-bit (both sides exchange identically-encoded activations);
-- the analytic latency model must reproduce the system's simulated
-  :class:`LatencyBreakdown` phase-by-phase within ``ANALYTIC_REL_TOL``;
+- the analytic latency model, handed the system's own settings, must
+  reproduce the system's simulated :class:`LatencyBreakdown` phase-by-phase
+  within ``ANALYTIC_REL_TOL`` (both return the one timeline function, so this
+  guards that ``run()`` plumbs its scheme/policy/wire/overlap into it);
 - the All-Gather byte meta must equal the volume implied by the partition
   scheme and wire itemsize exactly;
 - with failure injection, the fault-tolerant system must still match the
@@ -30,7 +32,7 @@ import numpy as np
 from repro.bench import analytic
 from repro.cluster.timeline import LatencyBreakdown
 from repro.core.layer import OrderPolicy
-from repro.core.partition import PartitionScheme
+from repro.core.schedule import LayerSchedule
 from repro.systems import (
     FailureSchedule,
     FaultTolerantVoltageSystem,
@@ -133,8 +135,7 @@ def _expected_allgather_bytes(system: VoltageSystem, n: int) -> float:
     """Per-device All-Gather traffic the scheme + wire encoding imply."""
     f = system.model.config.hidden_size
     total = 0.0
-    for index in range(len(system.executors) - 1):
-        parts = system.scheme_for(n, layer=index).positions(n)
+    for parts in system.layer_parts(n)[:-1]:
         chunk_bytes = [
             activation_bytes(part.length, f, itemsize=system.wire_itemsize)
             for part in parts
@@ -163,6 +164,14 @@ def run_scenario(
     """
     result = ScenarioResult(config=config)
     checks = result.checks
+
+    def identical(name: str, got, want, detail: str) -> None:
+        checks.append(Check(name, passed=bool(np.array_equal(got, want)), detail=detail))
+
+    def close(name: str, output, reference, wire_dtype: str) -> None:
+        passed = outputs_close(output, reference, wire_dtype)
+        checks.append(Check(name, passed, detail=_closeness_detail(output, reference, wire_dtype)))
+
     try:
         model = build_model(config)
         cluster = build_cluster(config)
@@ -172,45 +181,28 @@ def run_scenario(
 
         # 1. single-device path is the bit-exact reference implementation
         single = SingleDeviceSystem(model, cluster).run(raw)
-        checks.append(
-            Check(
-                "single_device_exact",
-                passed=bool(np.array_equal(single.output, reference)),
-                detail="SingleDeviceSystem.run vs model.forward",
-            )
+        identical(
+            "single_device_exact", single.output, reference,
+            "SingleDeviceSystem.run vs model.forward",
         )
 
         # 2. Voltage: simulated run vs reference, threaded vs simulated
         voltage = voltage_factory(model, cluster, config)
         vrun = voltage.run(raw)
-        checks.append(
-            Check(
-                "voltage_run_vs_single",
-                passed=outputs_close(vrun.output, reference, config.wire_dtype),
-                detail=_closeness_detail(vrun.output, reference, config.wire_dtype),
-            )
-        )
+        close("voltage_run_vs_single", vrun.output, reference, config.wire_dtype)
         threaded, _stats = voltage.execute_threaded(raw)
-        checks.append(
-            Check(
-                "voltage_threaded_vs_run",
-                passed=bool(np.array_equal(threaded, vrun.output)),
-                detail=f"max|diff|={max_abs_diff(threaded, vrun.output):.3e} (must be bit-identical)",
-            )
+        identical(
+            "voltage_threaded_vs_run", threaded, vrun.output,
+            f"max|diff|={max_abs_diff(threaded, vrun.output):.3e} (must be bit-identical)",
         )
         if config.runtime == "process":
             # the socket-backed process runtime must not perturb a single bit
             # relative to the thread backend (same worker body, same order)
             process_out, _ = voltage.execute_distributed(raw, runtime="process")
-            checks.append(
-                Check(
-                    "voltage_process_vs_threaded",
-                    passed=bool(np.array_equal(process_out, threaded)),
-                    detail=(
-                        f"max|diff|={max_abs_diff(process_out, threaded):.3e} "
-                        "(ProcessRuntime vs ThreadedRuntime, must be bit-identical)"
-                    ),
-                )
+            identical(
+                "voltage_process_vs_threaded", process_out, threaded,
+                f"max|diff|={max_abs_diff(process_out, threaded):.3e} "
+                "(ProcessRuntime vs ThreadedRuntime, must be bit-identical)",
             )
         # keyed on the *system's* overlap setting (not the config's) so
         # factory-substituted subclasses without the overlap machinery are
@@ -220,76 +212,54 @@ def run_scenario(
             # the overlapped ring-streamed execution must not perturb a single
             # bit relative to the blocking slot collectives
             blocking, _ = voltage.execute_threaded(raw, overlap=False)
-            checks.append(
-                Check(
-                    "voltage_overlap_vs_blocking_threaded",
-                    passed=bool(np.array_equal(threaded, blocking)),
-                    detail=(
-                        f"max|diff|={max_abs_diff(threaded, blocking):.3e} "
-                        "(overlap=True vs overlap=False, must be bit-identical)"
-                    ),
-                )
+            identical(
+                "voltage_overlap_vs_blocking_threaded", threaded, blocking,
+                f"max|diff|={max_abs_diff(threaded, blocking):.3e} "
+                "(overlap=True vs overlap=False, must be bit-identical)",
             )
 
         # 3. analytic latency model vs the simulated timeline
-        static_scheme = _static_scheme(voltage, config, n)
-        if static_scheme is None:
+        voltage_settings = dict(
+            scheme=LayerSchedule(voltage.layer_schemes(n)),
+            policy=voltage.policy,
+            pre_flops=model.preprocess_flops(n),
+            post_flops=model.postprocess_flops(n),
+            wire_itemsize=voltage.wire_itemsize,
+        )
+        modelled = analytic.voltage_latency(
+            model.config, n, cluster, overlap=voltage_overlap, **voltage_settings
+        )
+        agree, detail = _timelines_agree(modelled, vrun.latency)
+        checks.append(Check("voltage_analytic_vs_sim", passed=agree, detail=detail))
+        if voltage_overlap:
+            # overlapping may only remove gather time from the critical
+            # path: exposed <= blocking comm per layer, and the hidden
+            # remainder must reconstruct the blocking figure exactly
+            unoverlapped = analytic.voltage_latency(
+                model.config, n, cluster, overlap=False, **voltage_settings
+            )
+            blocking_comm = [
+                p.seconds for p in unoverlapped.phases if p.name == "all-gather"
+            ]
+            overlapped_comm = [
+                (p.seconds, p.hidden_s)
+                for p in modelled.phases if p.name == "all-gather (overlapped)"
+            ]
+            ok = len(blocking_comm) == len(overlapped_comm) and all(
+                exposed <= full + 1e-15
+                and math.isclose(exposed + hidden, full, rel_tol=1e-12, abs_tol=1e-15)
+                for (exposed, hidden), full in zip(overlapped_comm, blocking_comm)
+            )
             checks.append(
                 Check(
-                    "voltage_analytic_vs_sim",
-                    passed=True,
-                    skipped=True,
-                    detail="per-layer LayerSchedule has no analytic mirror",
+                    "voltage_overlap_modeled_not_worse",
+                    passed=ok,
+                    detail=(
+                        f"exposed+hidden per layer {overlapped_comm} vs "
+                        f"blocking {blocking_comm}"
+                    ),
                 )
             )
-        else:
-            modelled = analytic.voltage_latency(
-                model.config,
-                n,
-                cluster,
-                scheme=static_scheme,
-                policy=voltage.policy,
-                pre_flops=model.preprocess_flops(n),
-                post_flops=model.postprocess_flops(n),
-                wire_itemsize=voltage.wire_itemsize,
-                overlap=voltage_overlap,
-            )
-            agree, detail = _timelines_agree(modelled, vrun.latency)
-            checks.append(Check("voltage_analytic_vs_sim", passed=agree, detail=detail))
-            if voltage_overlap:
-                # overlapping may only remove gather time from the critical
-                # path: exposed <= blocking comm per layer, and the hidden
-                # remainder must reconstruct the blocking figure exactly
-                unoverlapped = analytic.voltage_latency(
-                    model.config, n, cluster,
-                    scheme=static_scheme, policy=voltage.policy,
-                    pre_flops=model.preprocess_flops(n),
-                    post_flops=model.postprocess_flops(n),
-                    wire_itemsize=voltage.wire_itemsize,
-                    overlap=False,
-                )
-                blocking_comm = [
-                    p.seconds for p in unoverlapped.phases if p.name == "all-gather"
-                ]
-                overlapped_comm = [
-                    (p.seconds, p.hidden_s)
-                    for p in modelled.phases if p.name == "all-gather (overlapped)"
-                ]
-                ok = len(blocking_comm) == len(overlapped_comm) and all(
-                    exposed <= full + 1e-15
-                    and math.isclose(exposed + hidden, full, rel_tol=1e-12, abs_tol=1e-15)
-                    for (exposed, hidden), full in zip(overlapped_comm, blocking_comm)
-                )
-                checks.append(
-                    Check(
-                        "voltage_overlap_modeled_not_worse",
-                        passed=ok,
-                        detail=(
-                            f"exposed+hidden per layer {overlapped_comm} vs "
-                            f"blocking {blocking_comm}"
-                        ),
-                    )
-                )
 
         # 4. communication-volume meta vs the scheme-implied bytes
         expected_bytes = _expected_allgather_bytes(voltage, n)
@@ -308,53 +278,34 @@ def run_scenario(
         if config.decode_steps:
             decode_ref = model.generate_cached(raw, max_new_tokens=config.decode_steps)
             drun = voltage.run_decode(raw, max_new_tokens=config.decode_steps)
-            checks.append(
-                Check(
-                    "decode_run_vs_generate_cached",
-                    passed=bool(np.array_equal(drun.output, decode_ref)),
-                    detail="host-emulated sharded decode vs generate_cached (must be bit-identical)",
-                )
+            identical(
+                "decode_run_vs_generate_cached", drun.output, decode_ref,
+                "host-emulated sharded decode vs generate_cached (must be bit-identical)",
             )
             dist_ids, _ = voltage.generate_distributed(
                 raw, max_new_tokens=config.decode_steps
             )
-            checks.append(
-                Check(
-                    "decode_distributed_vs_generate_cached",
-                    passed=bool(np.array_equal(dist_ids, decode_ref)),
-                    detail="threaded sharded decode vs generate_cached (must be bit-identical)",
-                )
+            identical(
+                "decode_distributed_vs_generate_cached", dist_ids, decode_ref,
+                "threaded sharded decode vs generate_cached (must be bit-identical)",
             )
             if config.runtime == "process":
                 proc_ids, _ = voltage.generate_distributed(
                     raw, max_new_tokens=config.decode_steps, runtime="process"
                 )
-                checks.append(
-                    Check(
-                        "decode_process_vs_threaded",
-                        passed=bool(np.array_equal(proc_ids, dist_ids)),
-                        detail="ProcessRuntime vs ThreadedRuntime decode (must be bit-identical)",
-                    )
+                identical(
+                    "decode_process_vs_threaded", proc_ids, dist_ids,
+                    "ProcessRuntime vs ThreadedRuntime decode (must be bit-identical)",
                 )
             capacity = min(
                 n + config.decode_steps, model.config.max_positions
             )
-            decode_scheme = _static_scheme(voltage, config, capacity)
-            if decode_scheme is None:
-                checks.append(
-                    Check(
-                        "decode_analytic_vs_sim",
-                        passed=True,
-                        skipped=True,
-                        detail="per-layer LayerSchedule has no analytic mirror",
-                    )
-                )
-            else:
-                decode_modelled = analytic.voltage_decode_latency(
-                    model.config, n, config.decode_steps, cluster, scheme=decode_scheme
-                )
-                agree, detail = _timelines_agree(decode_modelled, drun.latency)
-                checks.append(Check("decode_analytic_vs_sim", passed=agree, detail=detail))
+            decode_scheme = LayerSchedule(voltage.layer_schemes(capacity))
+            decode_modelled = analytic.voltage_decode_latency(
+                model.config, n, config.decode_steps, cluster, scheme=decode_scheme
+            )
+            agree, detail = _timelines_agree(decode_modelled, drun.latency)
+            checks.append(Check("decode_analytic_vs_sim", passed=agree, detail=detail))
             expected_kv_bytes = _expected_decode_gather_bytes(
                 voltage, n, config.decode_steps
             )
@@ -410,44 +361,33 @@ def run_scenario(
                 dist_attn_ids, _ = voltage.generate_distributed(
                     raw, max_new_tokens=config.decode_steps, attention="distributed"
                 )
-                checks.append(
-                    Check(
-                        "decode_distributed_attn_threaded_vs_emulated",
-                        passed=bool(np.array_equal(dist_attn_ids, drun_dist.output)),
-                        detail=(
-                            "threaded distributed-attention decode vs host emulation "
-                            "(same rank-ordered combine: must be bit-identical)"
-                        ),
-                    )
+                identical(
+                    "decode_distributed_attn_threaded_vs_emulated", dist_attn_ids, drun_dist.output,
+                    "threaded distributed-attention decode vs host emulation "
+                    "(same rank-ordered combine: must be bit-identical)",
                 )
                 if config.runtime == "process":
                     proc_attn_ids, _ = voltage.generate_distributed(
                         raw, max_new_tokens=config.decode_steps,
                         runtime="process", attention="distributed",
                     )
-                    checks.append(
-                        Check(
-                            "decode_distributed_attn_process_vs_threaded",
-                            passed=bool(np.array_equal(proc_attn_ids, dist_attn_ids)),
-                            detail=(
-                                "ProcessRuntime vs ThreadedRuntime distributed-"
-                                "attention decode (must be bit-identical)"
-                            ),
-                        )
+                    identical(
+                        "decode_distributed_attn_process_vs_threaded", proc_attn_ids, dist_attn_ids,
+                        "ProcessRuntime vs ThreadedRuntime distributed-"
+                        "attention decode (must be bit-identical)",
                     )
-                if decode_scheme is not None:
-                    dist_modelled = analytic.voltage_decode_latency(
-                        model.config, n, config.decode_steps, cluster,
-                        scheme=decode_scheme, attention="distributed",
-                        stats_itemsize=decode_stats_wire(voltage.wire_dtype)[1],
+                dist_modelled = analytic.voltage_decode_latency(
+                    model.config, n, config.decode_steps, cluster,
+                    scheme=decode_scheme, attention="distributed",
+                    stats_itemsize=decode_stats_wire(voltage.wire_dtype)[1],
+                )
+                agree, detail = _timelines_agree(dist_modelled, drun_dist.latency)
+                checks.append(
+                    Check(
+                        "decode_distributed_attn_analytic_vs_sim",
+                        passed=agree, detail=detail,
                     )
-                    agree, detail = _timelines_agree(dist_modelled, drun_dist.latency)
-                    checks.append(
-                        Check(
-                            "decode_distributed_attn_analytic_vs_sim",
-                            passed=agree, detail=detail,
-                        )
-                    )
+                )
                 expected_combine = _expected_decode_combine_bytes(
                     voltage, n, config.decode_steps
                 )
@@ -468,42 +408,25 @@ def run_scenario(
         # 6. tensor parallelism: run + threaded (always float32 wire)
         tp = TensorParallelSystem(model, cluster)
         tp_run = tp.run(raw)
-        checks.append(
-            Check(
-                "tensor_parallel_run_vs_single",
-                passed=outputs_close(tp_run.output, reference, "float32"),
-                detail=_closeness_detail(tp_run.output, reference, "float32"),
-            )
-        )
+        close("tensor_parallel_run_vs_single", tp_run.output, reference, "float32")
         tp_threaded, _ = tp.execute_threaded(raw)
-        checks.append(
-            Check(
-                "tensor_parallel_threaded_vs_run",
-                passed=bool(np.array_equal(tp_threaded, tp_run.output)),
-                detail=f"max|diff|={max_abs_diff(tp_threaded, tp_run.output):.3e}",
-            )
+        identical(
+            "tensor_parallel_threaded_vs_run", tp_threaded, tp_run.output,
+            f"max|diff|={max_abs_diff(tp_threaded, tp_run.output):.3e}",
         )
         if config.runtime == "process":
             tp_process, _ = tp.execute_distributed(raw, runtime="process")
-            checks.append(
-                Check(
-                    "tensor_parallel_process_vs_threaded",
-                    passed=bool(np.array_equal(tp_process, tp_threaded)),
-                    detail=(
-                        f"max|diff|={max_abs_diff(tp_process, tp_threaded):.3e} "
-                        "(ProcessRuntime vs ThreadedRuntime, must be bit-identical)"
-                    ),
-                )
+            identical(
+                "tensor_parallel_process_vs_threaded", tp_process, tp_threaded,
+                f"max|diff|={max_abs_diff(tp_process, tp_threaded):.3e} "
+                "(ProcessRuntime vs ThreadedRuntime, must be bit-identical)",
             )
 
         # 7. pipeline parallelism applies the same layers sequentially
         pipeline = PipelineParallelSystem(model, cluster).run(raw)
-        checks.append(
-            Check(
-                "pipeline_run_vs_single",
-                passed=bool(np.array_equal(pipeline.output, reference)),
-                detail="stage-chained layers must be bit-identical to the reference",
-            )
+        identical(
+            "pipeline_run_vs_single", pipeline.output, reference,
+            "stage-chained layers must be bit-identical to the reference",
         )
 
         # 8. failure injection: survivors must still produce the answer
@@ -511,13 +434,7 @@ def run_scenario(
             schedule = FailureSchedule(dict(config.failures))
             ft = FaultTolerantVoltageSystem(model, cluster, failures=schedule)
             ft_run = ft.run(raw)
-            checks.append(
-                Check(
-                    "fault_tolerant_run_vs_single",
-                    passed=outputs_close(ft_run.output, reference, "float32"),
-                    detail=_closeness_detail(ft_run.output, reference, "float32"),
-                )
-            )
+            close("fault_tolerant_run_vs_single", ft_run.output, reference, "float32")
             expected_survivors = [
                 d for d in range(config.devices)
                 if all(d != dev for dev, _ in config.failures)
@@ -616,14 +533,3 @@ def _decode_tokens_match(
         f"diverged at position {d}: output {output[d]!r} vs reference "
         f"{reference[d]!r}, and the reference top-2 gap exceeds the tie band"
     )
-
-
-def _static_scheme(
-    voltage: VoltageSystem, config: ScenarioConfig, n: int
-) -> PartitionScheme | None:
-    """The single scheme all layers use, or None under a true LayerSchedule."""
-    if config.scheme_kind == "schedule":
-        ratios = {tuple(r) for r in config.schedule_ratios}
-        if len(ratios) > 1:
-            return None
-    return voltage.scheme_for(n, layer=0)

@@ -14,9 +14,10 @@ Three distinct comparison regimes, in decreasing strictness:
    bounds reflect the quantisation step compounded across layers.
 
 3. **analytic-vs-simulated timing** — the config-driven latency model and
-   the system's :class:`LatencyBreakdown` compute the same formulas through
-   different code paths; they must agree to relative ``1e-9`` (pure float
-   accumulation slack, no modelling slack).
+   the system's :class:`LatencyBreakdown` are the same timeline function
+   over the same shapes, so they must agree to relative ``1e-9`` (no
+   modelling slack); a difference means ``run()`` priced other settings
+   than its own.
 
 The closeness bounds are *scale-aware*: the absolute term is multiplied by
 ``max(1, max|reference|)`` so that a GPT-2 logit vector with entries in the

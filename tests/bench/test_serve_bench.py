@@ -1,6 +1,6 @@
 """Components of the online-serving bench (``repro.bench serve``).
 
-The full sweep runs in CI's engine-soak lane; these tests cover the pieces
+The quick sweep runs in CI's gates lane; these tests cover the pieces
 fast — the analytic cost model's agreement with the sequencer, the report
 schema/merge, the regression gate, and the committed baseline's invariants
 (monotone sweep, overload bound demonstrated).

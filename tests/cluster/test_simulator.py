@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.simulator import ClusterSim, EventEngine, Resource
+from repro.cluster.simulator import ClusterSim, EventEngine, Resource, StagePipeline
 from repro.cluster.spec import ClusterSpec
 
 
@@ -76,6 +76,18 @@ class TestResource:
     def test_negative_duration(self):
         with pytest.raises(ValueError):
             Resource("cpu").reserve(0.0, -1.0)
+
+
+class TestStagePipeline:
+    def test_lone_request_pays_every_stage_and_hop(self):
+        start, finish = StagePipeline(2).push(1.0, [0.5, 0.25], 0.125)
+        assert (start, finish) == (1.125, 1.0 + 3 * 0.125 + 0.75)
+
+    def test_back_to_back_requests_overlap_across_stages(self):
+        pipeline = StagePipeline(2)
+        _, first = pipeline.push(0.0, [1.0, 1.0], 0.0)
+        start, second = pipeline.push(0.0, [1.0, 1.0], 0.0)
+        assert (first, start, second) == (2.0, 1.0, 3.0)  # one stage apart, not two
 
 
 class TestEventEngine:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.cluster.spec import ClusterSpec
+from repro.compress import prune_model_heads_
 from repro.core.partition import PartitionScheme
+from repro.models import BertModel, tiny_config
 from repro.systems import SingleDeviceSystem, VoltageSystem
 
 
@@ -112,6 +114,33 @@ class TestSchemes:
         assert lengths[0] < lengths[2]
         result = system.run(token_ids)
         np.testing.assert_allclose(result.output, bert(token_ids), atol=1e-4)
+
+    @pytest.mark.parametrize("keep_fraction", [0.25, 1.0], ids=["pruned", "unpruned"])
+    @pytest.mark.parametrize("n", [48, 96, 200])
+    def test_auto_scheme_is_makespan_optimal_for_the_layers_real_geometry(
+        self, keep_fraction, n
+    ):
+        """Regression: ``"auto"`` planned with ``model.config``'s head count
+        while ``run()`` priced the layers' real (pruned) geometry, landing
+        3-7% above the optimum.  It must stay within one position of the
+        brute-force best over every 3-way split, priced as ``run()`` prices."""
+        config = tiny_config(hidden_size=64, num_heads=8, num_layers=2)
+        model = BertModel(config, num_classes=3, rng=np.random.default_rng(0))
+        prune_model_heads_(model, keep_fraction=keep_fraction)
+        cluster = ClusterSpec.heterogeneous([1.0, 2.0, 4.0])
+        system = VoltageSystem(model, cluster, scheme="auto")
+        executor = system.executors[0]
+
+        def makespan(lengths, extra=0):
+            return max(
+                executor.partition_flops(n, min(p + extra, n)) / gflops if p + extra else 0.0
+                for p, gflops in zip(lengths, cluster.device_gflops)
+            )
+
+        splits = [(a, b, n - a - b) for a in range(n + 1) for b in range(n + 1 - a)]
+        auto = makespan([part.length for part in system.scheme_for(n).positions(n)])
+        assert auto <= min(makespan(split, extra=1) for split in splits)
+        assert auto >= min(makespan(split) for split in splits)
 
     def test_unknown_scheme_string(self, bert, cluster4, token_ids):
         system = VoltageSystem(bert, cluster4, scheme="magic")

@@ -33,12 +33,11 @@ LOWER_PACKAGES = ("systems", "core", "cluster", "models")
 UPPER_PACKAGES = ("repro.engine", "repro.fleet", "repro.bench")
 
 
-def test_lower_layers_do_not_import_engine_fleet_or_bench():
-    """``DecodeSession`` and ``decode_timeline`` live in ``repro.systems`` so
-    the engine and the analytic bench can both build on them; the arrow must
-    never point back (function-level imports count too)."""
+def _imports_of(packages, forbidden) -> list[str]:
+    """``path:line imports module`` for every import under ``packages`` (of
+    ``src/repro``) whose module starts with one of ``forbidden``."""
     offenders = []
-    for package in LOWER_PACKAGES:
+    for package in packages:
         for path in sorted((REPO_ROOT / "src" / "repro" / package).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Import):
@@ -50,6 +49,21 @@ def test_lower_layers_do_not_import_engine_fleet_or_bench():
                 offenders += [
                     f"{path.relative_to(REPO_ROOT)}:{node.lineno} imports {module}"
                     for module in modules
-                    if module.startswith(UPPER_PACKAGES)
+                    if module.startswith(forbidden)
                 ]
+    return offenders
+
+
+def test_lower_layers_do_not_import_engine_fleet_or_bench():
+    """``DecodeSession`` and the timeline functions live in ``repro.systems``
+    so the engine and the analytic bench can both build on them; the arrow
+    must never point back (function-level imports count too)."""
+    offenders = _imports_of(LOWER_PACKAGES, UPPER_PACKAGES)
+    assert not offenders, "layering violations:\n" + "\n".join(offenders)
+
+
+def test_serving_does_not_import_bench():
+    """``service_models`` prices its servers from the systems' timelines
+    directly — the queueing layer sits below the reporting layer."""
+    offenders = _imports_of(("serving",), ("repro.bench",))
     assert not offenders, "layering violations:\n" + "\n".join(offenders)
