@@ -132,7 +132,7 @@ def voltage_decode_latency(
     :func:`repro.systems.decode.decode_timeline` over ``scheme``'s spans
     drawn on the request's full capacity."""
     capacity = min(prompt_len + max_new_tokens, config.max_positions)
-    latency, _, _ = decode.decode_timeline(
+    latency, *_ = decode.decode_timeline(
         config, _layer_parts(scheme, config.num_layers, cluster, capacity), ClusterSim(cluster),
         prompt_len, max_new_tokens, attention=attention, stats_itemsize=stats_itemsize,
     )

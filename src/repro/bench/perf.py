@@ -378,7 +378,9 @@ def _bench_voltage_decode(quick: bool) -> tuple[dict, dict, dict]:
     footprint); the deterministic figure the regression gate checks is
     ``voltage_decode_kv_gather_bytes`` — the per-device shard all-gather
     traffic of the whole generation, an exact integer fixed by the shard
-    geometry and the greedy loop.
+    geometry and the greedy loop — and, as its own exact term,
+    ``voltage_decode_head_bytes``: the sharded head's per-step pair exchange
+    plus the last-row gather of each span-partitioned step.
     """
     from repro.cluster.spec import ClusterSpec
     from repro.models import GPT2Model
@@ -420,12 +422,11 @@ def _bench_voltage_decode(quick: bool) -> tuple[dict, dict, dict]:
         _tracemalloc_peak(distributed), **meta, devices=devices,
         kv_storage="position-sharded",
     )
-    gather_bytes = run_decode(system, prompt, max_new_tokens=new_tokens).meta[
-        "kv_gather_bytes_per_device"
-    ]
+    decode_meta = run_decode(system, prompt, max_new_tokens=new_tokens).meta
     derived = {
         "voltage_decode_wall_ratio": dst["median_s"] / sgl["median_s"],
-        "voltage_decode_kv_gather_bytes": int(gather_bytes),
+        "voltage_decode_kv_gather_bytes": int(decode_meta["kv_gather_bytes_per_device"]),
+        "voltage_decode_head_bytes": int(decode_meta["head_bytes_per_device"]),
     }
     return sgl, dst, derived
 
@@ -614,6 +615,16 @@ def check_regression(
         errors.append(
             f"decode KV all-gather bytes changed: {now_kv} now vs "
             f"{base_kv} baseline (shard geometry or loop change?)"
+        )
+    # the sharded head's exchange rides beside it as its own exact count: one
+    # (max logit, index) pair per peer per step, plus the last-row gather of
+    # each span-partitioned step — presence-guarded as above
+    now_head = derived.get("voltage_decode_head_bytes")
+    base_head = base.get("derived", {}).get("voltage_decode_head_bytes")
+    if now_head is not None and base_head is not None and now_head != base_head:
+        errors.append(
+            f"decode head exchange bytes changed: {now_head} now vs "
+            f"{base_head} baseline (head sharding or step-shape change?)"
         )
     # distributed-attention decode: the combine stats volume is fixed by the
     # packing (one (F_H + 2)-row per head per new position per layer), so

@@ -461,11 +461,14 @@ def decode_step_flops(
     ffn_dim: int,
     new_positions: int = 1,
 ) -> int:
-    """Whole-stack matmul FLOPs of one cached decode step (replicated compute).
+    """Whole-stack matmul FLOPs of one cached decode step over
+    ``new_positions`` rows, LM head excluded.
 
-    Distributed decode replicates the per-token compute on every rank (the
-    bit-identity requirement forbids splitting the P=1 reductions), so this
-    is both the single-device and the per-rank figure.
+    The single-device figure, and a sharded-decode rank's for the rows it
+    runs: all of them on a single-token step (a 1-row product cannot be
+    split bit-identically), only its span's slice on a span-partitioned
+    multi-row step (``systems.decode.decode_step_pricing`` passes the
+    rank's own row count and adds its vocab shard of the head).
     """
     return num_layers * decode_layer_flops(
         t, f, fh, num_heads, ffn_dim, new_positions=new_positions
@@ -491,8 +494,8 @@ def decode_gamma_local(
 ) -> OrderCost:
     """Per-head cost of one *distributed-attention* decode step on one rank.
 
-    The rank projects the ``P`` new rows (fused QKV, replicated — splitting
-    one token's GEMMs would change operand shapes) but scores them only
+    The rank projects all ``P`` new rows (fused QKV — every rank needs every
+    new row's query against its own shard) but scores them only
     against the ``t_local`` K/V rows its own shard holds: ``2·P·t_local·F_H``
     for the local score and partial-context products, vs the gathered path's
     ``2·P·t·F_H`` against the full history.  Summed over ranks the score
@@ -573,8 +576,10 @@ class DecodeModeCost:
     """One row of the decode cost table: per-step formulas for one mode.
 
     ``systems.decode.decode_timeline`` — the one timeline ``run_decode`` and
-    ``bench.analytic.voltage_decode_latency`` both return — prices steps
-    through this object.
+    ``bench.analytic.voltage_decode_latency`` both return — prices the
+    layer stack of each rank's rows through this object (the rank's vocab
+    shard of the LM head and the head exchange are priced beside it, in
+    ``systems.decode.decode_step_pricing``).
     """
 
     mode: str
@@ -592,9 +597,11 @@ class DecodeModeCost:
     ) -> int:
         """Whole-stack matmul FLOPs of one step on one rank.
 
-        ``local_rows`` is the rank's populated shard rows (post-append) and
-        is required for ``distributed`` — per-rank cost depends on the shard
-        fill; ``gathered`` replicates the full-history step on every rank.
+        ``new_positions`` is the rows the rank itself runs (its span's slice
+        on a span-partitioned step).  ``local_rows`` is the rank's populated
+        shard rows (post-append) and is required for ``distributed`` —
+        per-rank cost depends on the shard fill; ``gathered`` attends every
+        row it runs against the full gathered history.
         """
         p = new_positions
         if self.mode == "gathered":

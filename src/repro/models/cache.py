@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from types import GeneratorType
 
 import numpy as np
 
@@ -36,12 +37,12 @@ from repro.tensor.workspace import Workspace
 __all__ = [
     "LayerKVCache",
     "KVCache",
+    "attend_cached",
+    "layer_steps",
     "layer_steps_cached",
     "lockstep",
     "run_steps",
     "layer_forward_cached",
-    "layer_forward_cached_kv",
-    "layer_forward_cached_attention",
     "shard_kv_cache",
     "merge_kv_shards",
     "shard_kv_views",
@@ -201,7 +202,7 @@ def _project_qkv(
     return q, k_new, v_new
 
 
-def _attend_cached(
+def attend_cached(
     attention,
     extend_kv,
     offset: int,
@@ -253,7 +254,7 @@ def _attend_cached(
     return scores @ v_all
 
 
-def _layer_steps(layer: TransformerLayer, x_new: np.ndarray, attend, workspace=None):
+def layer_steps(layer: TransformerLayer, x_new: np.ndarray, attend, workspace=None):
     """The cached causal layer, spelled once — as a generator that pauses
     (bare ``yield``) before each of the layer's four weight matrices: fused
     QKV, W_O, FC1, FC2.  Its return value is the layer output ``(t, F)``.
@@ -262,6 +263,10 @@ def _layer_steps(layer: TransformerLayer, x_new: np.ndarray, attend, workspace=N
     per-head projections and must return the *normalised* attended context
     for those positions — it owns cache extension, score scaling, causal
     masking and the softmax (no weights, so it runs in the QKV segment).
+    ``attend`` may itself be a generator that pauses before it reads rows
+    its peers append (a span-partitioned sharded step, whose owner drives
+    every rank it owns in :func:`lockstep`): its pauses become this
+    layer's, its return value the attended context.
 
     Two drivers run this one body.  :func:`run_steps` exhausts a single
     generator — the straight-through forward of a prefill, a speculative
@@ -271,7 +276,9 @@ def _layer_steps(layer: TransformerLayer, x_new: np.ndarray, attend, workspace=N
     memory once per cohort, not once per row).  Either way each row issues
     the same NumPy/BLAS calls with the same shapes against its own cache
     and workspace, so pausing changes *when* an op runs, never its result;
-    no workspace view is live across a pause.
+    no workspace view is live across a weight pause (a pausing ``attend``
+    holds ``q`` across its own, so its driver gives each generator its own
+    workspace).
     """
     if not layer.config.is_causal:
         raise ValueError("KV caching requires a causal layer")
@@ -281,7 +288,10 @@ def _layer_steps(layer: TransformerLayer, x_new: np.ndarray, attend, workspace=N
     attn_input = x_new if post else layer.ln1(x_new)
     yield  # fused QKV
     q, k_new, v_new = _project_qkv(attention, attn_input, workspace)
-    attended = merge_heads(attend(q, k_new, v_new))
+    attended = attend(q, k_new, v_new)
+    if isinstance(attended, GeneratorType):
+        attended = yield from attended
+    attended = merge_heads(attended)
     yield  # W_O
     projected = attention.output(attended)
     y = layer.ln1(projected + x_new) if post else x_new + projected
@@ -320,12 +330,12 @@ def layer_steps_cached(
     cache: LayerKVCache,
     workspace: Workspace | None = None,
 ):
-    """:func:`_layer_steps` over one :class:`LayerKVCache` — the
+    """:func:`layer_steps` over one :class:`LayerKVCache` — the
     single-device layer, appending the new rows to ``cache``."""
     attend = partial(
-        _attend_cached, layer.attention, cache.append, cache.length, True, workspace
+        attend_cached, layer.attention, cache.append, cache.length, True, workspace
     )
-    return _layer_steps(layer, x_new, attend, workspace)
+    return layer_steps(layer, x_new, attend, workspace)
 
 
 def layer_forward_cached(
@@ -347,48 +357,6 @@ def layer_forward_cached(
     its small ``(t, F)`` outputs.
     """
     return run_steps(layer_steps_cached(layer, x_new, cache, workspace))
-
-
-def layer_forward_cached_kv(
-    layer: TransformerLayer,
-    x_new: np.ndarray,
-    extend_kv,
-    offset: int,
-    workspace: Workspace | None = None,
-) -> np.ndarray:
-    """:func:`layer_forward_cached` with a pluggable KV-extension strategy.
-
-    ``extend_kv(k_new, v_new) -> (k_all, v_all)`` replaces the cache append;
-    ``offset`` is the number of positions already cached (globally — for a
-    position-sharded cache this is the *total* across ranks, not the local
-    shard length).  The op sequence is the one :func:`layer_forward_cached`
-    runs (the same generator), so any strategy whose ``(k_all, v_all)``
-    values match the single cache's reconstructs its output bit-exactly.
-    """
-    attend = partial(_attend_cached, layer.attention, extend_kv, offset, True, workspace)
-    return run_steps(_layer_steps(layer, x_new, attend, workspace))
-
-
-def layer_forward_cached_attention(
-    layer: TransformerLayer,
-    x_new: np.ndarray,
-    attend,
-    workspace: Workspace | None = None,
-) -> np.ndarray:
-    """:func:`layer_forward_cached_kv` with a fully pluggable attention kernel
-    (the ``attend`` hook of :func:`_layer_steps`).
-
-    Used by the distributed-attention decode, where each rank attends only
-    against its local K/V shard and reconstructs the exact output with a
-    log-sum-exp combine (:mod:`repro.core.combine`); unlike the
-    ``extend_kv`` hook, the kernel's float re-association makes the result
-    *close to* — not bit-identical with — the single-device layer output.
-
-    The projection prologue and residual/FFN epilogue are the same code
-    :func:`layer_forward_cached_kv` runs, so any output difference is
-    attributable to the attention kernel alone.
-    """
-    return run_steps(_layer_steps(layer, x_new, attend, workspace))
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +463,7 @@ def decoder_layer_forward_cached(
     offset = cache.self_cache.length
 
     attended = merge_heads(
-        _attend_cached(
+        attend_cached(
             self_attn, cache.self_cache.append, offset, True, workspace,
             *_project_qkv(self_attn, x_new, workspace),
         )

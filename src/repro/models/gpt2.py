@@ -67,40 +67,47 @@ class GPT2Model(TransformerModel):
         """
         return self.lm_head([hidden[-1]])[0]
 
-    def lm_head(self, rows) -> np.ndarray:
+    def lm_head(self, rows, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Tied LM head over ``B`` last-position hidden rows (each ``(F,)``)
-        → logits ``(B, vocab)`` — the one last-position head in the repo.
+        → logits ``(B, hi - lo)`` against vocab rows ``[lo, hi)`` of the
+        embedding table (the whole vocabulary by default) — the one
+        last-position head in the repo.  A rank of a sharded decode passes
+        its own range (:func:`repro.systems.decode.decode_head_parts`).
 
-        Cache-blocked, rows innermost: the ``(vocab, F)`` embedding table is
-        walked once in contiguous row blocks of ≈ ``_LM_HEAD_BLOCK_BYTES``
-        and every hidden row is multiplied against a block while it is cache
-        resident, so a cohort of ``B`` rows streams the table from memory
-        once instead of ``B`` times.  A lone row has nobody to share a block
-        with and takes the table as one block (the loop runs once — which
-        also keeps ``K`` rank threads from trading the GIL 150 times per
-        head).  Blocks are views of the table — no re-laid-out copy is kept
-        (that would double the model's largest tensor).
+        Cache-blocked, rows innermost: the range is walked once in
+        contiguous row blocks of ≈ ``_LM_HEAD_BLOCK_BYTES`` and every hidden
+        row is multiplied against a block while it is cache resident, so a
+        cohort of ``B`` rows streams the table from memory once instead of
+        ``B`` times.  A lone row has nobody to share a block with and takes
+        its range as one block (the loop runs once — which also keeps ``K``
+        rank threads from trading the GIL 150 times per head).  Blocks are
+        views of the table — no re-laid-out copy is kept (that would double
+        the model's largest tensor).
 
         Each output element is one GEMV dot product over ``F`` whatever the
-        block; the block length is a multiple of 64 rows so the BLAS
-        kernel's unrolled row groups fall where the whole-table product
-        puts them, which keeps every row bit-equal to ``row @ table.T`` on
-        single-threaded BLAS (asserted by the tests; INTERNALS §9).
+        block; a block starts on a multiple of 64 rows (``lo`` must, for
+        that) so the BLAS kernel's unrolled row groups fall where the
+        whole-table product puts them, which keeps every row bit-equal to
+        ``(row @ table.T)[lo:hi]`` on single-threaded BLAS (asserted by the
+        tests; INTERNALS §9).
         """
         table = self.embeddings.word.weight.data
         vocab, width = table.shape
+        hi = vocab if hi is None else hi
         block = (
-            vocab
+            max(hi - lo, 1)
             if len(rows) == 1
             else max(64, _LM_HEAD_BLOCK_BYTES // (width * table.itemsize) // 64 * 64)
         )
         logits = np.empty(
-            (len(rows), vocab), dtype=np.result_type(table.dtype, *(row.dtype for row in rows))
+            (len(rows), max(hi - lo, 0)),
+            dtype=np.result_type(table.dtype, *(row.dtype for row in rows)),
         )
-        for lo in range(0, vocab, block):
-            panel = table[lo : lo + block].T
+        for start in range(lo, hi, block):
+            stop = min(start + block, hi)
+            panel = table[start:stop].T
             for row, out in zip(rows, logits):
-                np.matmul(row, panel, out=out[lo : lo + block])
+                np.matmul(row, panel, out=out[start - lo : stop - lo])
         return logits
 
     def lm_logits(self, hidden: np.ndarray) -> np.ndarray:

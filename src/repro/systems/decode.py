@@ -3,14 +3,32 @@
 Extends Voltage's position-partitioned execution (paper Algorithm 2) from a
 single forward pass to greedy generation.  The protocol keeps the paper's
 data layout — every device owns a contiguous span of sequence positions —
-but flips what is *partitioned*:
+and shards both the storage and the two largest costs of a step:
 
-* **Compute is replicated.** Every rank runs the identical per-token step
-  (embeddings, fused QKV, attention, FFN, LM head).  A single new token is
-  one row of GEMM work; splitting it would change operand shapes and break
-  the bitwise-conformance argument that lets ``repro.verify`` compare
-  distributed decode against ``GPT2Model.generate_cached`` with
-  ``np.array_equal`` rather than a tolerance.
+* **The LM head is sharded by vocab rows.**  Decode at the edge is
+  memory-bound, and the tied embedding table is the largest thing a step
+  streams; ``K`` ranks each streaming all of it over one memory bus is why
+  replicated decode lost to one device.  Rank ``r`` multiplies the final
+  hidden row against only its contiguous row range of the table
+  (:func:`decode_head_parts`: the ranks' span shares, boundaries on
+  multiples of 64 rows, views of the one table), and the ranks exchange one
+  packed ``(max logit, index)`` pair each — ``O(K)`` wire bytes, not
+  ``O(vocab)`` — taking the first maximum in rank order, ``np.argmax``'s
+  lowest-index rule exactly.  A shard's GEMV is bit-equal to the same rows
+  of ``row @ table.T`` (INTERNALS §13).
+* **Multi-row steps are partitioned by span.**  On a prefill or chunked
+  forward under ``attention="gathered"`` each rank pushes only the new rows
+  inside its KV span through the layers (:func:`decode_step_slices`) and
+  appends exactly those K/V rows; the per-layer K/V all-gather — the one the
+  protocol already pays — gives it the history they attend to, and one
+  ``(1, F)`` gather hands the last row's hidden state to the sharded head.
+  Row-sliced GEMMs are bit-equal to the same rows of the all-rows GEMM as
+  long as BLAS serves both with one kernel, which the step's shapes decide
+  (``_same_gemm_kernels``); a step where they would not — every
+  single-token step among them, a 1-row product being a GEMV — runs all
+  its rows on every rank, as a single device would.  What is still
+  replicated: the layers of a single-token step, and any multi-row step
+  under ``attention="distributed"``.
 * **KV storage is sharded.** Each rank's ``LayerKVCache`` holds only the
   rows of K/V whose positions fall inside its span, so per-rank cache
   memory drops to O(L·T/K).  Spans are fixed per request from
@@ -28,13 +46,13 @@ but flips what is *partitioned*:
   step and the error would compound, so the decode path never applies the
   forward pass's lossy wire encoding (INTERNALS §13).
 
-That bullet describes ``attention="gathered"`` (PR 7, the lossless
-baseline): bit-identical to ``generate_cached`` but replicating all
-attention compute and moving ``2(K-1)tHF_H/K`` elements per layer per
-step, growing with the sequence.  ``attention="distributed"`` instead
-scores the new token only against the local shard and exchanges packed
-per-head log-sum-exp stats (``K·H·(F_H+2)`` elements per layer, flat in
-t); a deterministic rank-ordered combine (:mod:`repro.core.combine`)
+The last two bullets describe ``attention="gathered"`` (PR 7, the lossless
+baseline): bit-identical to ``generate_cached`` but attending every new row
+against the full history on its rank and moving ``2(K-1)tHF_H/K`` elements
+per layer per step, growing with the sequence.  ``attention="distributed"``
+instead scores the new token only against the local shard and exchanges
+packed per-head log-sum-exp stats (``K·H·(F_H+2)`` elements per layer, flat
+in t); a deterministic rank-ordered combine (:mod:`repro.core.combine`)
 reconstructs exact attention up to float re-association.  Cross-rank
 outputs stay bit-identical — every rank combines the same gathered stats
 in the same order — so only the comparison against the single device
@@ -42,10 +60,12 @@ moves to the verify harness's regime-2 closeness tolerance, and per-rank
 score/context FLOPs drop to O(t/K).  See INTERNALS §14.
 
 One rank-side step kernel, two exchanges.  :func:`sharded_decode_step` is
-the only "embed → sharded layers → LM head" body: it appends the new K/V
-rows to every shard its caller *owns*, takes each owned shard's local
-contribution (K/V views, or packed softmax stats) and all-gathers them into
-the rank-ordered whole.  Only the all-gather differs between surfaces:
+the only "embed → sharded layers → sharded LM head" body: it appends the
+new K/V rows to the shards its caller *owns*, takes each owned shard's
+local contribution (K/V views, or packed softmax stats; then head
+candidates) and all-gathers them into the rank-ordered whole.  Only the
+all-gather differs between surfaces — K = 1 and the host emulation are the
+same code with one or all shards owned:
 
 * a real collective (``ctx.all_gather``) when the caller owns one rank's
   shards — :func:`generate_distributed` (one-shot SPMD run over a
@@ -89,19 +109,23 @@ from repro.core.complexity import (
 from repro.core.partition import Partition
 from repro.models.cache import (
     LayerKVCache,
-    layer_forward_cached_attention,
-    layer_forward_cached_kv,
+    attend_cached,
+    layer_steps,
+    lockstep,
     shard_kv_views,
 )
+from repro.obs.tracer import current_tracer
 from repro.tensor.workspace import Workspace
 from repro.systems.base import InferenceResult
 
 __all__ = [
     "DecodeSession",
     "decode_capacity",
+    "decode_head_parts",
     "decode_layer_spans",
     "decode_stats_wire",
     "decode_step_pricing",
+    "decode_step_slices",
     "decode_step_totals",
     "decode_timeline",
     "generate_distributed",
@@ -115,6 +139,17 @@ __all__ = [
 # rounding would compound across the whole generation.
 _ID_ITEMSIZE = 8
 _KV_ITEMSIZE = 4
+# One rank's head candidate on the wire: (max logit, vocab index) as float64.
+_PAIR_BYTES = 16
+# Vocab-shard boundaries sit on multiples of this many table rows, where the
+# BLAS GEMV's unrolled row groups fall in the whole-table product too.
+_HEAD_ROW_ALIGN = 64
+# OpenBLAS's small-matrix SGEMM cutoffs (sgemm_small_kernel_permit, SkylakeX):
+# M·N·K multiply-adds; for a transposed operand also M·N output cells and a
+# minimum depth K.  See _same_gemm_kernels.
+_SMALL_GEMM_FLOPS = 100 * 100 * 100
+_SMALL_GEMM_CELLS = 1200
+_SMALL_GEMM_MIN_DEPTH = 32
 
 #: One layer's shards a caller owns, each paired with the span it covers.
 Owned = Sequence[tuple[Partition, LayerKVCache]]
@@ -170,6 +205,83 @@ def decode_stats_wire(wire_dtype: str) -> tuple[np.dtype, int]:
     return np.dtype(np.float32), 4
 
 
+def decode_head_parts(parts: Sequence[Partition], vocab_size: int) -> list[Partition]:
+    """Each rank's contiguous vocab-row range of the tied LM head.
+
+    The ranges follow the ranks' KV spans ``parts`` (so the system's
+    partition ratios) with every boundary on a multiple of
+    ``_HEAD_ROW_ALIGN`` rows — what keeps a shard's GEMV bit-equal to the
+    same rows of the whole-table product (``GPT2Model.lm_head``).  They
+    cover ``[0, vocab_size)`` in rank order; a rank whose span is empty, or
+    any rank once ``64·K`` outgrows the vocabulary, may own no rows.
+    """
+    units = -(-vocab_size // _HEAD_ROW_ALIGN)
+    capacity = parts[-1].stop
+    edges = [0] + [
+        min(vocab_size, _HEAD_ROW_ALIGN * ((units * part.stop + capacity // 2) // capacity))
+        for part in parts
+    ]
+    return [Partition(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def _same_gemm_kernels(config, rows: int, all_rows: int, total: int) -> bool:
+    """Whether BLAS serves a ``rows``-row slice of a layer step's GEMMs with
+    the kernels — so the summation order — it serves all ``all_rows`` with,
+    which is what makes the slice bit-equal to those rows of the whole.
+
+    Measured on this repo's OpenBLAS and asserted by the tests (INTERNALS
+    §13); the cutoffs are its ``sgemm_small_kernel_permit``'s.  A 1-row
+    product is forwarded to GEMV.  A product of at most
+    ``_SMALL_GEMM_FLOPS`` multiply-adds takes a small-matrix kernel, which
+    agrees with the blocked kernel only for some shapes — so slice and whole
+    must fall on the same side of it for each of the layer's weight and
+    context products.  The transposed-operand ``Q·Kᵀ`` scores take it only
+    up to ``_SMALL_GEMM_CELLS`` output cells (and from ``F_H >= 32``), and
+    there even a slice of a small product differs — the slice must not.
+    """
+    if rows == all_rows:
+        return True  # the very call the single device makes
+    if rows < 2 or (config.head_dim >= _SMALL_GEMM_MIN_DEPTH and rows * total <= _SMALL_GEMM_CELLS):
+        return False
+    f, ffn = config.hidden_size, config.ffn_dim
+    return all(
+        (rows * cells <= _SMALL_GEMM_FLOPS) == (all_rows * cells <= _SMALL_GEMM_FLOPS)
+        for cells in (3 * f * f, config.head_dim * total, f * f, f * ffn)
+    )
+
+
+def decode_step_slices(
+    config, layer_parts: Sequence[Sequence[Partition]], offset: int, added: int, attention: str
+) -> list[Partition] | None:
+    """Rank by rank, the new rows ``[offset, offset + added)`` that fall in
+    its KV span — when the step is *span-partitioned*; ``None`` when every
+    rank runs all the rows.  Decided from shapes alone, so the kernel, its
+    pricing and the wire-byte oracles agree by construction.
+
+    A rank of a partitioned step pushes only its own rows through the
+    layers.  That needs rows to split (``added >= 2``); one span layout
+    shared by every layer (a rank's rows must stay its own from layer to
+    layer); every rank's slice empty or bit-equal to the same rows of the
+    all-rows step (:func:`_same_gemm_kernels` — which rules out every
+    single-token step); and ``attention="gathered"``, whose K/V all-gather
+    hands a rank the history its rows attend to (a distributed-attention
+    rank scores every new row against its local shard, so it needs them
+    all).
+    """
+    parts = layer_parts[0]
+    if attention != "gathered" or added < 2 or any(other != parts for other in layer_parts):
+        return None
+    total = offset + added
+    slices = []
+    for part in parts:
+        lo = max(part.start, offset)
+        hi = max(lo, min(part.stop, total))
+        if hi > lo and not _same_gemm_kernels(config, hi - lo, added, total):
+            return None
+        slices.append(Partition(lo, hi))
+    return slices
+
+
 def _append_owned(owned: Owned, k_new: np.ndarray, v_new: np.ndarray, offset: int) -> None:
     """Append to each owned shard the slice of the new rows that falls
     inside its span (possibly none)."""
@@ -183,20 +295,31 @@ def _append_owned(owned: Owned, k_new: np.ndarray, v_new: np.ndarray, offset: in
             )
 
 
-def _extend_sharded(
-    owned: Owned, offset: int, all_gather: AllGather, k_new: np.ndarray, v_new: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ``extend_kv`` hook over one layer's owned shards.
+def _attend_gathered(
+    attention, mine: Owned, owned: Owned, first_row: int, all_gather: AllGather,
+    workspace: Workspace, q: np.ndarray, k_new: np.ndarray, v_new: np.ndarray,
+):
+    """The gathered ``attend`` hook (a generator, see ``layer_steps``) of
+    the rows starting at ``first_row``: append them to their owners among
+    ``mine``, pause, then all-gather every rank's shard view and attend.
 
-    Appends the new rows to their owners, then gathers every rank's shard
-    view and returns the rank-order concatenation — value-identical to a
-    full single-device cache append followed by a read (concatenation is a
-    pure row copy).
+    The pause is what lets one caller own several ranks: it drives them in
+    lockstep, so every owned shard holds its new rows before any rank
+    gathers (a rank under a runtime has the collective's barrier for that,
+    and its pause is a no-op).  The rank-order concatenation is
+    value-identical to a full single-device cache append followed by a read
+    (a pure row copy), and everything after it is ``attend_cached`` — the
+    single-device op sequence.
     """
-    _append_owned(owned, k_new, v_new, offset)
+    _append_owned(mine, k_new, v_new, first_row)
+    yield
     heads, _, head_dim = k_new.shape
-    views = [shard_kv_views(shard, heads, head_dim, k_new.dtype) for _, shard in owned]
-    return all_gather([k for k, _ in views], 1), all_gather([v for _, v in views], 1)
+
+    def gathered(*_new_rows):
+        views = [shard_kv_views(shard, heads, head_dim, k_new.dtype) for _, shard in owned]
+        return all_gather([k for k, _ in views], 1), all_gather([v for _, v in views], 1)
+
+    return attend_cached(attention, gathered, first_row, True, workspace, q, k_new, v_new)
 
 
 def _local_stats_packed(
@@ -222,7 +345,7 @@ def _attend_sharded(
     owned: Owned, offset: int, all_gather: AllGather, stats_dtype: np.dtype,
     q: np.ndarray, k_new: np.ndarray, v_new: np.ndarray,
 ) -> np.ndarray:
-    """The ``attend`` hook over one layer's owned shards.
+    """The distributed ``attend`` hook over one layer's owned shards.
 
     Appends the new K/V rows to their owners, computes partial attention
     over each owned shard's *local* rows only, and gathers the packed
@@ -246,6 +369,24 @@ def _attend_sharded(
     return combine_softmax_stats([unpack_softmax_stats(chunk) for chunk in gathered])
 
 
+def _best_pair(logits: np.ndarray, first_row: int) -> np.ndarray:
+    """A shard's packed ``(max logit, vocab index)`` pair, ``(1, 2)`` float64
+    (exact for float32 logits and any vocab index); index -1 = no rows."""
+    if not logits.size:
+        return np.array([[-np.inf, -1.0]])
+    best = int(np.argmax(logits))
+    return np.array([[logits[best], first_row + best]], dtype=np.float64)
+
+
+def _first_max(pairs: np.ndarray) -> int:
+    """The vocab index of the first maximum, in rank order, among the ranks'
+    ``(K, 2)`` :func:`_best_pair` rows — ``np.argmax``'s lowest-index rule
+    over the whole logits row: within a shard ``np.argmax`` already kept its
+    lowest index, and shards are contiguous ascending ranges."""
+    pairs = pairs[pairs[:, 1] >= 0]  # a shard without rows has no candidate
+    return int(pairs[np.argmax(pairs[:, 0]), 1])
+
+
 def sharded_decode_step(
     model,
     layer_parts: Sequence[Sequence[Partition]],
@@ -255,35 +396,84 @@ def sharded_decode_step(
     offset: int,
     all_gather: AllGather,
     stats_dtype: np.dtype,
-    workspace: Workspace | None = None,
+    workspaces: Sequence[Workspace],
     attention: str = "gathered",
-) -> np.ndarray:
+) -> tuple[int, list[np.ndarray]]:
     """One decode step as seen by the owner of ``ranks``' shards; returns the
-    last new position's LM-head logits (the greedy token is their argmax).
+    greedy token and, per owned rank, its vocab shard of the last new
+    position's LM-head logits (:func:`decode_head_parts`; concatenated in
+    rank order they are the full logits row).
 
-    ``shards[i]`` holds layer ``i``'s KV shard for each of ``ranks`` — one
-    rank under a runtime, all ``K`` in host emulation.  With
-    ``attention="gathered"`` the step is op-for-op ``generate_cached``'s:
-    ``all_gather`` assembles the full K/V from every rank's shard and the
-    outputs are bit-identical to the single device.  With
+    ``shards[i]`` holds layer ``i``'s KV shard for each of ``ranks`` and
+    ``workspaces`` one scratch workspace per owned rank — one rank under a
+    runtime, all ``K`` in host emulation.
+
+    *Layers.*  On a span-partitioned step (:func:`decode_step_slices`) each
+    owned rank runs only the new rows inside its span, the ranks in
+    lockstep; otherwise all the rows run once, appended to every owned
+    shard.  With ``attention="gathered"`` ``all_gather`` assembles the full
+    K/V from every rank's shard and either shape is op-for-op
+    ``generate_cached``'s rows — bit-identical to the single device.  With
     ``attention="distributed"`` each shard is attended locally and
     ``all_gather`` exchanges the packed log-sum-exp combine stats (in
     ``stats_dtype`` on the wire) — exact up to float re-association
     (INTERNALS §14).
+
+    *Head.*  After a partitioned step only the last row's owner holds its
+    hidden state, so one ``(1, F)`` gather hands it to everyone.  Each rank
+    then multiplies it against its own vocab rows only, and the ranks
+    exchange one packed ``(max logit, index)`` pair each — ``O(K)`` wire
+    bytes, not ``O(vocab)``; the first maximum in rank order is
+    ``np.argmax``'s lowest-index rule exactly.
     """
     _check_attention(attention)
-    positions = np.arange(offset, offset + len(new_ids))
-    x = model.embeddings.word(np.asarray(new_ids, dtype=np.int64))
-    x = x + model.embeddings.position(positions)
+    ids = np.asarray(new_ids, dtype=np.int64)
+    total = offset + len(ids)
+    slices = decode_step_slices(model.config, layer_parts, offset, len(ids), attention)
+    # the rows each compute group runs: everything once, or one slice per owned rank
+    groups = [Partition(offset, total)] if slices is None else [slices[rank] for rank in ranks]
+    xs = [
+        model.embeddings.word(ids[rows.start - offset : rows.stop - offset])
+        + model.embeddings.position(np.arange(rows.start, rows.stop))
+        for rows in groups
+    ]
     for index, layer in enumerate(model.layers):
         owned = [(layer_parts[index][rank], shard) for rank, shard in zip(ranks, shards[index])]
-        if attention == "gathered":
-            extend = partial(_extend_sharded, owned, offset, all_gather)
-            x = layer_forward_cached_kv(layer, x, extend, offset, workspace=workspace)
-        else:
-            attend = partial(_attend_sharded, owned, offset, all_gather, stats_dtype)
-            x = layer_forward_cached_attention(layer, x, attend, workspace=workspace)
-    return model.lm_head([model.ln_f(x[-1])])[0]
+        steps = []
+        for group, (rows, x, workspace) in enumerate(zip(groups, xs, workspaces)):
+            if attention == "gathered":
+                # all the rows land in every owned shard; a slice only in its rank's
+                mine = owned if slices is None else owned[group : group + 1]
+                attend = partial(
+                    _attend_gathered, layer.attention, mine, owned, rows.start, all_gather,
+                    workspace,
+                )
+            else:
+                attend = partial(_attend_sharded, owned, offset, all_gather, stats_dtype)
+            steps.append(layer_steps(layer, x, attend, workspace))
+        xs = lockstep(steps)
+
+    if slices is None:
+        last = xs[0][-1]
+    else:  # zero rows from everyone but the owner of the last new position
+        last = all_gather(
+            [x[-1:] if rows.stop == total else x[:0] for rows, x in zip(groups, xs)], 0
+        )[0]
+    hidden = model.ln_f(last)
+    head_parts = decode_head_parts(layer_parts[-1], model.config.vocab_size)
+    pair_bytes = (len(head_parts) - 1) * _PAIR_BYTES
+    logits = []
+    for rank in ranks:
+        part = head_parts[rank]
+        with current_tracer().span(
+            "decode.head", cat="systems", kind="compute", track=f"rank {rank}", device=rank,
+            vocab_rows=part.length, pair_bytes=pair_bytes,
+        ):
+            logits.append(model.lm_head([hidden], part.start, part.stop)[0])
+    pairs = all_gather(
+        [_best_pair(shard, head_parts[rank].start) for rank, shard in zip(ranks, logits)], 0
+    )
+    return _first_max(pairs), logits
 
 
 def greedy_loop(
@@ -304,9 +494,10 @@ def greedy_loop(
 
 def _sharded_stepper(system, layer_parts, ranks: Sequence[int], all_gather: AllGather, attention):
     """One request's decode over ``ranks``' shards — one fresh KV shard per
-    owned span (sized to it), a workspace, the stats wire dtype — bound to
-    the step kernel as ``step(new_ids, offset) -> logits``: the one builder
-    every surface (SPMD run, resident session, host emulation) shares."""
+    owned span (sized to it) and a workspace per owned rank, the stats wire
+    dtype — bound to the step kernel as ``step(new_ids, offset) -> (token,
+    owned shard logits)``: the one builder every surface (SPMD run,
+    resident session, host emulation) shares."""
     shards = [
         [LayerKVCache(capacity=parts[rank].length or None) for rank in ranks]
         for parts in layer_parts
@@ -314,7 +505,7 @@ def _sharded_stepper(system, layer_parts, ranks: Sequence[int], all_gather: AllG
     return partial(
         sharded_decode_step, system.model, layer_parts, shards, ranks,
         all_gather=all_gather, stats_dtype=decode_stats_wire(system.wire_dtype)[0],
-        workspace=Workspace(), attention=attention,
+        workspaces=[Workspace() for _ in ranks], attention=attention,
     )
 
 
@@ -328,8 +519,8 @@ def _rank_stepper(system, ctx: WorkerContext, capacity: int, attention: str):
         return ctx.all_gather(mine, axis=axis)
 
     layer_parts = decode_layer_spans(system, capacity)
-    logits = _sharded_stepper(system, layer_parts, [ctx.rank], all_gather, attention)
-    return lambda new_ids, offset: int(np.argmax(logits(new_ids, offset)))
+    step = _sharded_stepper(system, layer_parts, [ctx.rank], all_gather, attention)
+    return lambda new_ids, offset: step(new_ids, offset)[0]
 
 
 def generate_distributed(
@@ -338,10 +529,10 @@ def generate_distributed(
 ):
     """Greedy decode on ``K`` ranks with position-sharded KV storage.
 
-    Every rank runs the replicated token loop, holding only its span of
-    each layer's K/V.  With ``attention="gathered"`` each step reassembles
-    the full cache with two lossless ``all_gather`` calls per layer and the
-    returned ``ids`` are bit-identical to
+    Every rank runs the token loop, holding only its span of each layer's
+    K/V and its vocab rows of the LM head.  With ``attention="gathered"``
+    each step reassembles the full cache with two lossless ``all_gather``
+    calls per layer and the returned ``ids`` are bit-identical to
     ``model.generate_cached(prompt_ids, max_new_tokens)``.  With
     ``attention="distributed"`` each rank attends only against its local
     shard and the ranks exchange one packed stats all-gather per layer —
@@ -378,45 +569,55 @@ def decode_step_pricing(
     stats_itemsize: int = 4,
 ):
     """Price one decode step — the cost source of :func:`decode_timeline`,
-    driven by the per-mode cost table (``core.complexity.DECODE_MODE_COSTS``).
-    Returns ``(per_rank_flops, layer_collectives, per_device_bytes)``:
+    driven by the per-mode cost table (``core.complexity.DECODE_MODE_COSTS``)
+    and the step's shape (:func:`decode_step_slices`).
+    Returns ``(per_rank_flops, layer_collectives, head_collectives)``:
 
-    - ``per_rank_flops[r]`` — rank ``r``'s whole-stack matmul FLOPs for the
-      step (terminal LM head excluded; callers add it).  Gathered attention
-      replicates the full-history step on every rank; distributed attention
-      scores only the rank's local shard rows, so heterogeneous spans yield
-      heterogeneous per-rank FLOPs.
+    - ``per_rank_flops[r]`` — rank ``r``'s matmul FLOPs for the step: the
+      layer stack over the rows it runs (its span's slice on a partitioned
+      step, all ``added`` otherwise) plus ``F·V_r`` for its vocab shard of
+      the LM head.  Gathered attention scores a row against the full
+      history; distributed attention only against the rank's local shard
+      rows, so heterogeneous spans yield heterogeneous per-rank FLOPs.
     - ``layer_collectives[i]`` — the ordered all-gather chunk-byte lists
       layer ``i`` issues: two lossless K/V row gathers when gathered, one
       packed-stats gather when distributed.
-    - ``per_device_bytes`` — wire bytes one device receives across all
-      layers this step (``sum(chunks) - max(chunks)`` per collective).
+    - ``head_collectives`` — the head's: the ``(1, F)`` last-row gather of a
+      partitioned step (one non-empty chunk, its owner's), then the
+      ``K``-pair ``(max logit, index)`` exchange.
     """
     mode = decode_mode_cost(attention)
     k = len(layer_parts[0])
     heads, fh = config.num_heads, config.head_dim
-    per_rank_flops = [0] * k
+    slices = decode_step_slices(config, layer_parts, total - added, added, attention)
+    rank_rows = [added] * k if slices is None else [rows.length for rows in slices]
+    per_rank_flops = [
+        config.hidden_size * part.length
+        for part in decode_head_parts(layer_parts[-1], config.vocab_size)
+    ]
     layer_collectives: list[list[list[int]]] = []
-    per_device_bytes = 0
     for parts in layer_parts:
         local_rows = [
             max(0, min(part.stop, total) - max(part.start, 0)) for part in parts
         ]
         for rank in range(k):
-            per_rank_flops[rank] += mode.rank_flops(
-                total, 1, config.hidden_size, fh, heads, config.ffn_dim,
-                new_positions=added, local_rows=local_rows[rank],
-            )
+            if rank_rows[rank]:
+                per_rank_flops[rank] += mode.rank_flops(
+                    total, 1, config.hidden_size, fh, heads, config.ffn_dim,
+                    new_positions=rank_rows[rank], local_rows=local_rows[rank],
+                )
         if attention == "gathered":
             chunk_bytes = [heads * rows * fh * _KV_ITEMSIZE for rows in local_rows]
             layer_collectives.append([chunk_bytes, chunk_bytes])  # K rows, V rows
-            per_device_bytes += 2 * (sum(chunk_bytes) - max(chunk_bytes))
         else:
-            chunk = heads * added * (fh + 2) * stats_itemsize
-            chunk_bytes = [chunk] * k
-            layer_collectives.append([chunk_bytes])
-            per_device_bytes += sum(chunk_bytes) - max(chunk_bytes)
-    return per_rank_flops, layer_collectives, per_device_bytes
+            layer_collectives.append([[heads * added * (fh + 2) * stats_itemsize] * k])
+    head_collectives = [[_PAIR_BYTES] * k]
+    if slices is not None:
+        row_bytes = config.hidden_size * _KV_ITEMSIZE
+        head_collectives.insert(
+            0, [row_bytes if 0 < rows.length and rows.stop == total else 0 for rows in slices]
+        )
+    return per_rank_flops, layer_collectives, head_collectives
 
 
 def decode_timeline(
@@ -427,7 +628,7 @@ def decode_timeline(
     max_new_tokens: int,
     attention: str = "gathered",
     stats_itemsize: int = 4,
-) -> tuple[LatencyBreakdown, list[float], list[int]]:
+) -> tuple[LatencyBreakdown, list[float], list[int], list[int]]:
     """The per-token latency timeline of one sharded decode — shapes only.
 
     The single source of the decode phase sequence: :func:`run_decode`
@@ -437,37 +638,42 @@ def decode_timeline(
     :func:`decode_step_pricing`; spans are fixed over the request's full
     capacity, so each step's chunk sizes are the spans clipped to the filled
     prefix.  Returns the phase breakdown, each step's compute + comm
-    seconds, and the wire bytes one device receives per step.
+    seconds, and per step the wire bytes one device receives in the layers
+    (``sum(chunks) - max(chunks)`` per collective: the K/V gathers or the
+    stats gathers) and, as its own term, in the head exchange
+    (``sum(chunks) - min(chunks)``: what a rank other than the last row's
+    owner receives).
     """
     comm_phase = (
         "kv shard all-gather" if attention == "gathered" else "combine stats all-gather"
     )
-    post_flops = config.hidden_size * config.vocab_size  # tied LM head, last position
     latency = LatencyBreakdown()
     latency.add("broadcast prompt", "comm", sim.broadcast(_ID_ITEMSIZE * prompt_len))
     per_step_seconds: list[float] = []
     per_step_bytes: list[int] = []
+    per_step_head_bytes: list[int] = []
     totals = decode_step_totals(prompt_len, max_new_tokens, config.max_positions)
     for step_index, total in enumerate(totals):
         added = prompt_len if step_index == 0 else 1
-        per_rank_flops, layer_collectives, step_bytes = decode_step_pricing(
+        per_rank_flops, layer_collectives, head_collectives = decode_step_pricing(
             config, layer_parts, added, total,
             attention=attention, stats_itemsize=stats_itemsize,
         )
-        compute_s = sim.compute_makespan([flops + post_flops for flops in per_rank_flops])
-        comm_s = 0.0
-        for collectives in layer_collectives:
-            for chunk_bytes in collectives:
-                comm_s += sim.all_gather(chunk_bytes)
+        layer_chunks = [chunks for collectives in layer_collectives for chunks in collectives]
+        compute_s = sim.compute_makespan(per_rank_flops)
+        comm_s = sum(sim.all_gather(chunks) for chunks in layer_chunks)
+        head_s = sum(sim.all_gather(chunks) for chunks in head_collectives)
         latency.add("decode step compute", "compute", compute_s, layer=step_index)
         latency.add(comm_phase, "comm", comm_s, layer=step_index)
-        per_step_seconds.append(compute_s + comm_s)
-        per_step_bytes.append(step_bytes)
+        latency.add("head exchange", "comm", head_s, layer=step_index)
+        per_step_seconds.append(compute_s + comm_s + head_s)
+        per_step_bytes.append(sum(sum(chunks) - max(chunks) for chunks in layer_chunks))
+        per_step_head_bytes.append(sum(sum(c) - min(c) for c in head_collectives))
     final_len = max(prompt_len, min(prompt_len + max_new_tokens, config.max_positions))
     latency.add(
         "gather output to terminal", "comm", sim.point_to_point(_ID_ITEMSIZE * final_len)
     )
-    return latency, per_step_seconds, per_step_bytes
+    return latency, per_step_seconds, per_step_bytes, per_step_head_bytes
 
 
 def run_decode(
@@ -489,21 +695,22 @@ def run_decode(
     capacity = decode_capacity(model, len(ids0), max_new_tokens)
     layer_parts = decode_layer_spans(system, capacity)
     # owning every shard, the host's all-gather is plain concatenation
-    logits = _sharded_stepper(system, layer_parts, range(k), np.concatenate, attention)
+    sharded = _sharded_stepper(system, layer_parts, range(k), np.concatenate, attention)
 
     final_logits: np.ndarray | None = None
     final_logits_prefix = 0
 
     def step(new_ids, offset):
         nonlocal final_logits, final_logits_prefix
-        final_logits = logits(new_ids, offset)
+        token, shard_logits = sharded(new_ids, offset)
+        final_logits = np.concatenate(shard_logits)
         final_logits_prefix = offset + len(new_ids)
-        return int(np.argmax(final_logits))
+        return token
 
     ids = greedy_loop(model, step, list(ids0), max_new_tokens)
     output = np.asarray(ids, dtype=np.int64)
 
-    latency, per_token_seconds, per_step_comm_bytes = decode_timeline(
+    latency, per_token_seconds, per_step_comm_bytes, per_step_head_bytes = decode_timeline(
         config, layer_parts, system.sim, len(ids0), max_new_tokens,
         attention=attention, stats_itemsize=decode_stats_wire(system.wire_dtype)[1],
     )
@@ -531,6 +738,7 @@ def run_decode(
         "kv_gather_bytes_per_device": sum(per_step_comm_bytes) if gathered else 0,
         "combine_bytes_per_device": 0 if gathered else sum(per_step_comm_bytes),
         "per_step_comm_bytes_per_device": per_step_comm_bytes,
+        "head_bytes_per_device": sum(per_step_head_bytes),
         "cached_order": "eq3",
         "uncached_orders": uncached_orders,
         "shard_spans": [[part.start, part.stop] for part in layer_parts[0]],

@@ -282,7 +282,7 @@ def run_scenario(
                 "decode_run_vs_generate_cached", drun.output, decode_ref,
                 "host-emulated sharded decode vs generate_cached (must be bit-identical)",
             )
-            dist_ids, _ = voltage.generate_distributed(
+            dist_ids, dist_stats = voltage.generate_distributed(
                 raw, max_new_tokens=config.decode_steps
             )
             identical(
@@ -317,6 +317,11 @@ def run_scenario(
                         reported_kv, expected_kv_bytes, rel_tol=1e-12, abs_tol=1e-9
                     ),
                     detail=f"meta {reported_kv!r} vs span-implied {expected_kv_bytes!r}",
+                )
+            )
+            checks.extend(
+                _decode_head_checks(
+                    "decode", voltage, n, config.decode_steps, "gathered", drun, dist_stats
                 )
             )
 
@@ -358,7 +363,7 @@ def run_scenario(
                         ),
                     )
                 )
-                dist_attn_ids, _ = voltage.generate_distributed(
+                dist_attn_ids, dist_attn_stats = voltage.generate_distributed(
                     raw, max_new_tokens=config.decode_steps, attention="distributed"
                 )
                 identical(
@@ -402,6 +407,12 @@ def run_scenario(
                             f"meta {reported_combine!r} vs span-implied "
                             f"{expected_combine!r} (deterministic framing: exact)"
                         ),
+                    )
+                )
+                checks.extend(
+                    _decode_head_checks(
+                        "decode_distributed_attn", voltage, n, config.decode_steps,
+                        "distributed", drun_dist, dist_attn_stats,
                     )
                 )
 
@@ -499,6 +510,80 @@ def _expected_decode_combine_bytes(
         chunk = config.num_heads * added * (config.head_dim + 2) * itemsize
         total += config.num_layers * (k - 1) * chunk
     return total
+
+
+def _expected_decode_head_bytes(
+    voltage: VoltageSystem, prompt_len: int, max_new_tokens: int, attention: str
+) -> tuple[int, int]:
+    """Head-exchange traffic the decode shapes imply, as its own term beside
+    the layers' K/V or stats gathers: ``(per device, sent by all ranks)``.
+
+    Every step each rank hands every peer one packed ``(max logit, index)``
+    pair (16 bytes); a span-partitioned step first hands the last new row's
+    hidden state (``F`` float32) from its owner to the ``K - 1`` ranks that
+    did not compute it.  Per device is what such a rank receives.
+    """
+    from repro.systems.decode import decode_layer_spans, decode_step_slices, decode_step_totals
+
+    config = voltage.model.config
+    k = voltage.cluster.num_devices
+    capacity = min(prompt_len + max_new_tokens, config.max_positions)
+    spans = decode_layer_spans(voltage, capacity)
+    totals = decode_step_totals(prompt_len, max_new_tokens, config.max_positions)
+    partitioned = sum(
+        k > 1
+        and decode_step_slices(
+            config, spans, 0 if step == 0 else filled - 1, prompt_len if step == 0 else 1, attention
+        )
+        is not None
+        for step, filled in enumerate(totals)
+    )
+    pair, row = (k - 1) * 16, config.hidden_size * 4
+    return (
+        len(totals) * pair + partitioned * row,
+        len(totals) * k * pair + partitioned * (k - 1) * row,
+    )
+
+
+def _decode_head_checks(
+    prefix: str, voltage: VoltageSystem, prompt_len: int, max_new_tokens: int,
+    attention: str, drun, stats,
+) -> list[Check]:
+    """The head exchange against its oracle, twice: the emulation's
+    ``head_bytes_per_device`` meta, and the threaded runtime's ``CommStats``
+    — every byte the ranks sent must be a layer gather's or the head's
+    (ring accounting: a rank sends the gathered whole minus its own chunk,
+    so ``K`` ranks send ``K - 1`` times the whole)."""
+    from repro.systems.decode import decode_step_totals
+
+    config = voltage.model.config
+    k = voltage.cluster.num_devices
+    per_device, head_sent = _expected_decode_head_bytes(
+        voltage, prompt_len, max_new_tokens, attention
+    )
+    if attention == "gathered":  # K and V: every filled row of every layer, every step
+        filled = sum(decode_step_totals(prompt_len, max_new_tokens, config.max_positions))
+        row_bytes = config.num_heads * config.head_dim * 4
+        layer_sent = (k - 1) * 2 * config.num_layers * filled * row_bytes
+    else:  # K equal stats chunks; the oracle counts the K - 1 one device receives
+        layer_sent = k * _expected_decode_combine_bytes(voltage, prompt_len, max_new_tokens)
+    reported = drun.meta.get("head_bytes_per_device", float("nan"))
+    sent = sum(s.bytes_sent for s in stats)
+    return [
+        Check(
+            f"{prefix}_head_volume",
+            passed=reported == per_device,
+            detail=f"meta {reported!r} vs shape-implied {per_device!r} (exact)",
+        ),
+        Check(
+            f"{prefix}_bytes_sent",
+            passed=sent == layer_sent + head_sent,
+            detail=(
+                f"CommStats {sent!r} vs layer gathers {layer_sent!r} + head exchange "
+                f"{head_sent!r} (exact)"
+            ),
+        ),
+    ]
 
 
 def _decode_tokens_match(

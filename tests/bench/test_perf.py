@@ -192,6 +192,21 @@ class TestDecodeAttentionGate:
         errors = perf.check_regression(self.payload(1001), "quick", baseline)
         assert errors and "combine bytes" in errors[0]
 
+    def test_changed_head_exchange_bytes_fail_exactly(self, tmp_path):
+        """The sharded head's exchange is its own exact count beside the
+        K/V-gather and combine-stats ones (absent from old baselines)."""
+        path = tmp_path / "baseline.json"
+        base = self.payload()
+        base["derived"]["voltage_decode_head_bytes"] = 3344
+        path.write_text(json.dumps({"schema": perf.SCHEMA, "modes": {"quick": base}}))
+        now = self.payload()
+        assert perf.check_regression(now, "quick", path) == []
+        now["derived"]["voltage_decode_head_bytes"] = 3344
+        assert perf.check_regression(now, "quick", path) == []
+        now["derived"]["voltage_decode_head_bytes"] = 3360
+        errors = perf.check_regression(now, "quick", path)
+        assert errors and "head exchange bytes" in errors[0]
+
     def test_flat_combine_profile_passes(self, tmp_path):
         baseline = self.write_baseline(tmp_path)
         payload = self.payload(
