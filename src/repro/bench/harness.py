@@ -11,7 +11,9 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
+
+from repro.obs.table import format_aligned
 
 __all__ = ["Series", "FigureResult", "time_callable", "format_aligned"]
 
@@ -95,20 +97,6 @@ class FigureResult:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
-
-
-def format_aligned(rows: Sequence[Sequence[str]]) -> str:
-    """Left-align the first column, right-align the rest, pad to width."""
-    if not rows:
-        return ""
-    widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
-    lines = []
-    for row in rows:
-        cells = [row[0].ljust(widths[0])] + [
-            cell.rjust(width) for cell, width in zip(row[1:], widths[1:])
-        ]
-        lines.append("  ".join(cells))
-    return "\n".join(lines)
 
 
 def time_callable(

@@ -16,9 +16,9 @@ requests through four repeating phases, all at *token-step* granularity:
    (prefill counts as one step), which is continuous batching at iteration
    granularity: a finishing decode frees its slot for a queued request at
    the very next iteration, no batch barrier.  The iteration's flights are
-   announced to the sequencer first (``stage``), so the single-position
-   forwards they share run as one cohort inside the first step that needs
-   one; every flight is still stepped and charged on its own.
+   announced to the sequencer first (``stage``), so the forwards they need
+   run as one pass inside the first step that needs one; every flight is
+   still stepped and charged on its own.
 
 Time comes from a pluggable clock: deterministic accelerated virtual time
 (the default — soak tests and the ``serve`` bench) or dilated wall time.
@@ -563,9 +563,9 @@ class InferenceEngine:
                         preempt(eligible[int(s.chaos_rng.integers(len(eligible)))])
                 # announce the iteration's flights — after every preemption, so
                 # each staged state is stepped below — then step them one by
-                # one: a sequencer may run forwards they share inside the first
-                # step that needs one (cohort decode), but cost, clock and step
-                # accounting stay per flight
+                # one: a sequencer may run all their forwards inside the first
+                # step that needs one (the iteration forward), but cost, clock
+                # and step accounting stay per flight
                 self.sequencer.stage([flight.state for flight in active], labels)
                 for flight in list(active):
                     in_use = pool.in_use

@@ -12,8 +12,8 @@ contract is a tiny state machine:
 - ``result(state)`` is the finished request's output;
 - ``stage(states)`` announces, once per engine iteration and before any of
   them is stepped, the states about to take a step — a sequencer that can
-  share one forward across them (cohort decode, below) uses it, the rest
-  inherit a no-op;
+  share one forward across them (the iteration forward, below) uses it,
+  the rest inherit a no-op;
 
 plus the protocol attributes the engine builds its pool and prefix cache
 from (:class:`_Sequencer`).
@@ -25,10 +25,12 @@ roll back* — over a small backend that says where a forward runs:
 - :class:`_SlotCacheBackend` — on the host, against the engine slot's own
   caches.  Every forward is literally the op sequence of
   :meth:`repro.models.gpt2.GPT2Model.generate_cached`'s inner step
-  (embedding add, ``layer_forward_cached`` per layer, final-norm LM head);
-  buffer capacity is the only difference, and capacity never changes values.
+  (embedding add, the cached layer per layer, final-norm LM head); buffer
+  capacity is the only difference, and capacity never changes values.
 - :class:`_SessionBackend` — on ``K`` resident ranks through a
   :class:`~repro.systems.decode.DecodeSession`; KV shards live rank-side.
+
+Both expose one forward entry point, ``forward_rows``.
 
 :class:`GPT2CachedSequencer` (slot caches, no proposer: every draft is
 empty, so a step is ``generate_cached``'s single-position GEMV forward
@@ -38,16 +40,18 @@ what makes the engine's soak guarantee provable for all of them at once:
 interleaving, preemption and restart permute *which* step runs next, never
 what a step computes.
 
-**Cohort decode** (INTERNALS §10).  On the slot-cache backend the
-single-position forward is computed for a whole *cohort* at once: the first
-``step`` of an iteration that needs one also runs it — in lockstep, one pass
-over the weights (:meth:`GPT2Model.logits_cached_rows`) — for every staged
-state whose own step will need one too (prefilled, not finishing on its
-commit, empty draft), and stashes their tokens; each of those steps then
-commits, charges its own cost and consumes its token without touching the
-model.  Each row is the op sequence it would run alone, so outputs are
-unchanged, and a cohort of one *is* the plain step — there is no other
-single-position path.  ``step`` stays the only call that runs model compute.
+**One forward per engine iteration** (INTERNALS §10).  On the slot-cache
+backend the first ``step`` of an iteration that needs model compute — a
+prefill, a single-position decode or a verify round — runs one
+``forward_rows`` for itself *and* every staged state whose own step will
+need a forward too, and stashes their tokens; each of those steps then
+commits, charges its own cost and consumes its tokens without touching the
+model.  Inside, :meth:`GPT2Model.logits_cached_rows` makes it one pass over
+the weights: multi-row flights packed into shared GEMMs, single positions
+as GEMV rows in the same lockstep, one blocked LM head.  Each flight's rows
+go through the kernels they would alone, so outputs are unchanged, and a
+pass of one flight *is* the plain step — there is no other forward path.
+``step`` stays the only call that runs model compute.
 
 :class:`VoltageForwardSequencer` is the paper's serving workload: one
 distributed forward pass per request on real threaded workers
@@ -66,10 +70,12 @@ from __future__ import annotations
 import zlib
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
+from repro.models.cache import packed_flights
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import current_tracer
 from repro.serving.arrivals import Request
@@ -170,14 +176,23 @@ class _DecodeState:
     draft: object = None  # proposer-owned per-request state
 
 
-class _Staged(NamedTuple):
-    """What a cohort forward already settled about a staged state's next
-    step: the draft it will verify and — when that draft is empty, making it
-    a cohort member — the greedy token its single-position forward produced
-    (its KV row is already appended)."""
+class _Forward(NamedTuple):
+    """The forward a state's coming step runs — ``new_ids`` at ``offset``:
+    its un-cached prompt rows, or its pending token plus the ``draft`` it
+    verifies — and, once an iteration forward has run it, the greedy
+    ``tokens`` that came out (one per new position for a draft, else the
+    last position's alone; the rows are already appended to the slot)."""
 
+    new_ids: list[int]
+    offset: int
     draft: list[int]
-    token: int | None
+    tokens: list[int] | None = None
+
+
+#: What a backend's ``forward_rows`` takes per flight: ``(slot, new_ids,
+#: offset, all_positions)`` — greedy tokens for every new position (a
+#: verify) or only the last.
+_Row = tuple[KVSlot, list[int], int, bool]
 
 
 class _SlotCacheBackend:
@@ -192,28 +207,21 @@ class _SlotCacheBackend:
     def begin(self, slot: KVSlot, capacity: int) -> None:
         pass  # the slot already owns preallocated caches
 
-    def forward(self, slot: KVSlot, new_ids: list[int], offset: int) -> int:
-        """Greedy token after ``new_ids`` — the exact op sequence of
-        ``generate_cached``'s inner ``step`` (last-position GEMV head): the
-        cohort of one."""
-        return self.forward_rows([(slot, new_ids, offset)])[0]
-
-    def forward_rows(self, rows: list[tuple[KVSlot, list[int], int]]) -> list[int]:
-        """Greedy token after each ``(slot, new_ids, offset)`` row: one
-        lockstep pass over the weights for the whole cohort, each row the
-        op sequence it would run alone."""
-        logits = self.model.logits_cached_rows(
-            [(new_ids, offset, slot.caches, slot.workspace) for slot, new_ids, offset in rows]
-        )
-        return [int(token) for token in np.argmax(logits, axis=-1)]
-
-    def verify(self, slot: KVSlot, new_ids: list[int], offset: int) -> np.ndarray:
-        """The target's greedy token at *every* new position, from one
-        batched forward (``all_positions`` logits)."""
-        logits = self.model.logits_cached(
-            new_ids, offset, slot.caches, workspace=slot.workspace, all_positions=True
-        )
-        return np.argmax(logits, axis=-1)
+    def forward_rows(self, rows: Sequence[_Row]) -> list[list[int]]:
+        """The greedy tokens of every row from one pass over the weights
+        (:meth:`GPT2Model.logits_cached_rows`: multi-row flights packed into
+        shared GEMMs, single positions as GEMV rows, one blocked LM head) —
+        each flight the op sequence of ``generate_cached``'s inner ``step``
+        it would run alone."""
+        logits = self.model.logits_cached_rows([
+            (new_ids, offset, slot.caches, slot.workspace, all_positions)
+            for slot, new_ids, offset, all_positions in rows
+        ])
+        tokens = iter(np.argmax(logits, axis=-1).tolist())
+        return [
+            list(islice(tokens, len(new_ids) if all_positions else 1))
+            for _, new_ids, _, all_positions in rows
+        ]
 
     def rollback(self, slot: KVSlot, length: int) -> None:
         slot.truncate(length)
@@ -229,8 +237,8 @@ class _SessionBackend:
     keyed by slot index, and a re-``begin`` on a slot replaces them
     (preemption restart).  The session has no multi-position verify or
     rollback command, so the state machine refuses it a proposer; nor a
-    multi-slot forward command, so its single-position forwards stay one per
-    flight.
+    multi-slot forward command, so it declines other flights' rows and
+    every forward stays one per flight.
     """
 
     supports_verify = False
@@ -242,8 +250,11 @@ class _SessionBackend:
     def begin(self, slot: KVSlot, capacity: int) -> None:
         self.session.begin(slot.index, capacity)
 
-    def forward(self, slot: KVSlot, new_ids: list[int], offset: int) -> int:
-        return self.session.forward(slot.index, new_ids, offset)
+    def forward_rows(self, rows: Sequence[_Row]) -> list[list[int]]:
+        return [
+            [self.session.forward(slot.index, new_ids, offset)]
+            for slot, new_ids, offset, _ in rows
+        ]
 
     def release(self, slot: KVSlot) -> None:
         self.session.release(slot.index)
@@ -258,13 +269,14 @@ class _GreedySequencer(_Sequencer):
     up to ``lookahead`` guesses; (c) verify pending+guesses in one batched
     forward; (d) commit the longest argmax-matching guess prefix and roll
     the rejected rows back.  Without a proposer every draft is empty and
-    (c) is the backend's single-position forward, (d) a no-op — the plain
-    token-step decode.  The step returns one ``(done, cost)`` either way;
-    it just may commit several tokens.
+    (c) is a single-position forward, (d) a no-op — the plain token-step
+    decode.  The step returns one ``(done, cost)`` either way; it just may
+    commit several tokens.
 
-    On a backend with ``supports_rows`` the single-position forward of (c)
-    is shared: :meth:`_cohort_forward` runs it once for every
-    :meth:`stage`-d state that will need one this iteration.
+    Every forward — prefill, single position or verify — goes through
+    :meth:`_iteration_forward`, which on a backend with ``supports_rows``
+    runs it together with the forward of every :meth:`stage`-d state still
+    to step this iteration.
     """
 
     #: Drafting is off until :meth:`_speculate` switches it on.
@@ -289,10 +301,11 @@ class _GreedySequencer(_Sequencer):
         # the single cost hook: virtual seconds of one forward over
         # (new_positions, cache_len_before), or None to charge measured wall
         self._cost = step_cost if step_cost is not None else lambda new, cache_len: None
-        # this iteration's staged states not yet stepped, and what a cohort
-        # forward already settled for some of them — both keyed by request id
+        # this iteration's staged states not yet stepped, and the forwards an
+        # iteration forward already ran for some of them — both keyed by
+        # request id
         self._staged: dict[int, _DecodeState] = {}
-        self._stash: dict[int, _Staged] = {}
+        self._stash: dict[int, _Forward] = {}
         self._labels: dict[str, str] = {}
 
     def _speculate(self, proposer, lookahead: int, stats) -> None:
@@ -317,14 +330,14 @@ class _GreedySequencer(_Sequencer):
 
     def stage(self, states: Sequence, labels: dict[str, str] | None = None) -> None:
         """Remember the iteration's states so the first step that needs a
-        single-position forward can run it for all that do.  A stash entry
-        is only valid for the iteration that computed it: one left over
-        means a staged state's step was skipped after its KV row was
-        appended, and decoding on would read a corrupt cache."""
+        forward can run it for all that do.  A stash entry is only valid for
+        the iteration that computed it: one left over means a staged state's
+        step was skipped after its KV rows were appended, and decoding on
+        would read a corrupt cache."""
         if self._stash:
             raise RuntimeError(
-                f"request(s) {sorted(self._stash)} were staged for a cohort forward "
-                "but never stepped; their slots hold a KV row no step committed"
+                f"request(s) {sorted(self._stash)} were staged for an iteration forward "
+                "but never stepped; their slots hold KV rows no step committed"
             )
         self._staged = {state.request.id: state for state in states}
         self._labels = labels if labels is not None else {}
@@ -386,13 +399,23 @@ class _GreedySequencer(_Sequencer):
         if state.done:
             raise ValueError(f"request {state.request.id} already finished")
         max_positions = self.model.config.max_positions
-        backend, stats, ids = self.backend, self.stats, state.ids
+        stats, ids = self.stats, state.ids
         self._staged.pop(state.request.id, None)
-        staged = self._stash.pop(state.request.id, None)
+        # what an earlier step's iteration forward already ran for this one,
+        # else what this step runs itself
+        forward = self._stash.pop(state.request.id, None) or self._plan(state)
+        if forward is not None:
+            if forward.tokens is None:
+                forward = self._iteration_forward(state, forward)
+            elif state.slot.length != forward.offset + len(forward.new_ids):
+                raise RuntimeError(
+                    f"request {state.request.id}: its staged token was computed into a "
+                    f"{forward.offset + len(forward.new_ids)}-row cache but slot "
+                    f"{state.slot.index} holds {state.slot.length} rows"
+                )
+            cost = self._cost(len(forward.new_ids), forward.offset)
         if not state.prefilled:
-            new = ids[state.cached_prefix:]
-            cost = self._cost(len(new), state.cached_prefix)
-            state.next_id = backend.forward(state.slot, new, state.cached_prefix)
+            state.next_id = forward.tokens[-1]
             state.prefilled = True
             if self.max_new_tokens == 0 or len(ids) >= max_positions:
                 self._finish(state)
@@ -402,27 +425,21 @@ class _GreedySequencer(_Sequencer):
         state.emitted += 1
         if stats is not None:
             stats.emitted += 1
-        if state.emitted >= self.max_new_tokens or len(ids) >= max_positions:
+        if forward is None:
             self._finish(state)
             return True, 0.0 if self.step_cost is not None else None
-        draft = staged.draft if staged is not None else self._draft(state, ids, state.emitted)
-        cache_len = len(ids) - 1  # rows the backend holds entering the round
-        cost = self._cost(1 + len(draft), cache_len)
-        if draft:
-            guesses = backend.verify(state.slot, [ids[-1]] + draft, cache_len)
-        else:
-            # no guesses: the exact one-position forward (same GEMV head) of
-            # generate_cached — op-identical to non-speculative decode
-            guesses = [self._single_forward(state, staged)]
+        # with no guesses this was the exact one-position forward (same GEMV
+        # head) of generate_cached — op-identical to non-speculative decode
+        draft, guesses = forward.draft, forward.tokens
         accepted = 0
-        while accepted < len(draft) and int(guesses[accepted]) == draft[accepted]:
+        while accepted < len(draft) and guesses[accepted] == draft[accepted]:
             accepted += 1
         if draft:
             ids.extend(draft[:accepted])
             state.emitted += accepted
             # roll back the rejected rows; rows for accepted tokens stay
-            backend.rollback(state.slot, len(ids))
-        state.next_id = int(guesses[accepted])
+            self.backend.rollback(state.slot, len(ids))
+        state.next_id = guesses[accepted]
         if stats is not None:
             stats.record_round(len(draft), accepted)
         if len(ids) >= max_positions:
@@ -445,69 +462,58 @@ class _GreedySequencer(_Sequencer):
             return []
         return [int(t) for t in self.proposer.propose(state.draft, ids, budget)][:budget]
 
-    def _next_draft(self, state: _DecodeState) -> list[int] | None:
-        """The draft ``state``'s coming step will verify — proposed from the
-        ids it will hold once its pending token is committed — or None if
-        that step runs no decode forward (a prefill, or a commit that
-        finishes the request)."""
-        if not state.prefilled or (
+    def _plan(self, state: _DecodeState) -> _Forward | None:
+        """The forward ``state``'s coming step runs, decided from what is
+        observed before it: the prefill of its un-cached prompt rows; else
+        its pending token plus a draft proposed from the ids it will hold
+        once that token is committed — the ``(token, offset)`` the step
+        would forward after committing — or None when the commit finishes
+        the request and no forward runs.  Asks the proposer, so once per
+        round."""
+        ids = state.ids
+        if not state.prefilled:
+            return _Forward(ids[state.cached_prefix:], state.cached_prefix, [])
+        if (
             state.emitted + 1 >= self.max_new_tokens
-            or len(state.ids) + 1 >= self.model.config.max_positions
+            or len(ids) + 1 >= self.model.config.max_positions
         ):
             return None
-        return self._draft(state, state.ids + [state.next_id], state.emitted + 1)
+        draft = self._draft(state, ids + [state.next_id], state.emitted + 1)
+        return _Forward([state.next_id] + draft, len(ids), draft)
 
-    def _single_forward(self, state: _DecodeState, staged: _Staged | None) -> int:
-        """The greedy token after ``state``'s last committed id."""
-        ids = state.ids
-        if staged is not None:  # an earlier step's cohort forward already ran it
-            if state.slot.length != len(ids):
-                raise RuntimeError(
-                    f"request {state.request.id}: its staged token was computed into a "
-                    f"{len(ids)}-row cache but slot {state.slot.index} holds "
-                    f"{state.slot.length} rows"
-                )
-            return staged.token
+    def _iteration_forward(self, state: _DecodeState, forward: _Forward) -> _Forward:
+        """Run ``state``'s forward — together, on a backend that takes rows,
+        with the forward of every staged state still to step this iteration
+        (prefill, single position or verify round alike: one pass over the
+        weights) — and stash the others' results for their own steps.  With
+        nothing staged this is the plain single step."""
+        forwards = {state.request.id: (state, forward)}
         if self.backend.supports_rows:
-            return self._cohort_forward(state)
-        return self.backend.forward(state.slot, [ids[-1]], len(ids) - 1)
-
-    def _cohort_forward(self, state: _DecodeState) -> int:
-        """The greedy token after ``state``'s last committed id — computed
-        together with the single-position forward of every staged state
-        still to step this iteration that will need one.
-
-        Members are decided from what is observed now: prefilled, not
-        finishing on its commit, empty draft (a non-empty draft is kept in
-        the stash for that state's own verify, so each proposer is still
-        asked exactly once per round).  A member has not committed its
-        pending token yet, so its row forwards ``next_id`` at ``len(ids)`` —
-        the same ``(token, offset)`` its own step would forward after
-        committing.  With nothing staged this is the plain single step.
-        """
-        drafts = {
-            request_id: draft
-            for request_id, other in self._staged.items()
-            if (draft := self._next_draft(other)) is not None
-        }
-        members = [self._staged[request_id] for request_id, draft in drafts.items() if not draft]
+            forwards.update(
+                (request_id, (other, plan))
+                for request_id, other in self._staged.items()
+                if (plan := self._plan(other)) is not None
+            )
         self._staged.clear()  # all settled: no later step this iteration re-plans them
-        rows = [(state.slot, [state.ids[-1]], len(state.ids) - 1)]
-        rows += [(other.slot, [other.next_id], len(other.ids)) for other in members]
+        rows = [
+            (other.slot, plan.new_ids, plan.offset, bool(plan.draft))
+            for other, plan in forwards.values()
+        ]
+        lengths = [len(plan.new_ids) for _, plan in forwards.values()]
         registry = get_registry()
         registry.counter("engine.cohort_forwards_total", **self._labels).inc()
         registry.histogram("engine.decode_cohort_rows", **self._labels).observe(len(rows))
         with current_tracer().span(
             "engine.decode_cohort", cat="engine", kind="compute", track="engine-wall",
-            rows=len(rows),
+            rows=len(rows), positions=sum(lengths),
+            packed=len(packed_flights(self.model.config, lengths)),
         ):
-            token, *others = self.backend.forward_rows(rows)
-        tokens = {other.request.id: other_token for other, other_token in zip(members, others)}
+            tokens = self.backend.forward_rows(rows)
         self._stash.update(
-            (request_id, _Staged(draft, tokens.get(request_id)))
-            for request_id, draft in drafts.items()
+            (request_id, plan._replace(tokens=row_tokens))
+            for (request_id, (_, plan)), row_tokens in zip(forwards.items(), tokens)
         )
-        return token
+        return self._stash.pop(state.request.id)
 
     def _finish(self, state: _DecodeState) -> None:
         state.done = True

@@ -5,10 +5,11 @@ The engine's base decode emits one token per forward, so serving throughput
 is bounded by sequential small-GEMM latency — the regime edge devices live
 in.  Speculative decoding breaks the sequential chain: a cheap *proposer*
 guesses the next ``k`` tokens, the target model scores the pending token
-plus all ``k`` guesses in **one** batched cached forward
-(:meth:`~repro.models.gpt2.GPT2Model.logits_cached` with
-``all_positions=True``), and the longest prefix of guesses that matches the
-target's own greedy argmaxes is accepted.  Rejected positions are rolled
+plus all ``k`` guesses in **one** batched cached forward (an
+``all_positions`` flight of
+:meth:`~repro.models.gpt2.GPT2Model.logits_cached_rows` — the residents'
+rounds of one engine iteration share the pass), and the longest prefix of
+guesses that matches the target's own greedy argmaxes is accepted.  Rejected positions are rolled
 back with ``LayerKVCache.truncate`` — the same shrink-only rollback
 preemption already uses.
 

@@ -23,6 +23,7 @@ Works for both normalisation placements; only causal layers may use a cache
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from types import GeneratorType
@@ -38,10 +39,14 @@ __all__ = [
     "LayerKVCache",
     "KVCache",
     "attend_cached",
+    "attend_segments",
     "layer_steps",
     "layer_steps_cached",
     "lockstep",
     "run_steps",
+    "SMALL_GEMM_FLOPS",
+    "same_weight_kernels",
+    "packed_flights",
     "layer_forward_cached",
     "shard_kv_cache",
     "merge_kv_shards",
@@ -254,6 +259,30 @@ def attend_cached(
     return scores @ v_all
 
 
+def attend_segments(attends, lengths, q: np.ndarray, k_new: np.ndarray, v_new: np.ndarray):
+    """The ``attend`` hook of a *packed* row set: the new rows of several
+    flights stacked along the position axis, ``lengths[i]`` of them
+    belonging to flight ``i``.  Attention never crosses flights, so segment
+    ``i`` of ``q`` / ``k_new`` / ``v_new`` goes to ``attends[i]`` — that
+    flight's own hook over its own cache and offset, issuing the calls and
+    shapes it would issue alone (a segment is a basic slice of the stacked
+    projection, with the row stride the lone projection has) — and the
+    attended contexts are stacked back in order.
+    """
+    heads, _, head_dim = q.shape
+    attended = np.empty((heads, sum(lengths), head_dim), dtype=q.dtype)
+    start = 0
+    for attend, length in zip(attends, lengths):
+        stop = start + length
+        # copied out at once: the hook's result may be scratch the next
+        # segment's hook reuses
+        attended[:, start:stop] = attend(
+            q[:, start:stop], k_new[:, start:stop], v_new[:, start:stop]
+        )
+        start = stop
+    return attended
+
+
 def layer_steps(layer: TransformerLayer, x_new: np.ndarray, attend, workspace=None):
     """The cached causal layer, spelled once — as a generator that pauses
     (bare ``yield``) before each of the layer's four weight matrices: fused
@@ -268,17 +297,23 @@ def layer_steps(layer: TransformerLayer, x_new: np.ndarray, attend, workspace=No
     every rank it owns in :func:`lockstep`): its pauses become this
     layer's, its return value the attended context.
 
+    ``x_new`` may stack the new rows of several flights (a *packed* row
+    set, :func:`packed_flights`): the weight products and everything
+    position-wise run once over all of them, and ``attend`` keeps the
+    flights apart (:func:`attend_segments`).
+
     Two drivers run this one body.  :func:`run_steps` exhausts a single
-    generator — the straight-through forward of a prefill, a speculative
-    verify or a sharded decode step.  :func:`lockstep` advances ``B`` of
-    them round-robin, so every row of a decode cohort visits one weight
-    matrix before any row moves to the next (the matrix is streamed from
-    memory once per cohort, not once per row).  Either way each row issues
-    the same NumPy/BLAS calls with the same shapes against its own cache
-    and workspace, so pausing changes *when* an op runs, never its result;
-    no workspace view is live across a weight pause (a pausing ``attend``
-    holds ``q`` across its own, so its driver gives each generator its own
-    workspace).
+    generator — the straight-through forward of a lone flight or a sharded
+    decode step.  :func:`lockstep` advances several round-robin, so every
+    row set of a pass — the packed multi-row set, each single-position
+    decode — visits one weight matrix before any moves to the next (the
+    matrix is streamed from memory once per pass, not once per flight).
+    Either way each flight issues the same NumPy/BLAS calls against its own
+    cache and workspace — with the same shapes, or for a packed member with
+    more rows through the same kernel — so pausing changes *when* an op
+    runs, never its result; no workspace view is live across a weight pause
+    (a pausing ``attend`` holds ``q`` across its own, so its driver gives
+    each generator its own workspace).
     """
     if not layer.config.is_causal:
         raise ValueError("KV caching requires a causal layer")
@@ -324,17 +359,77 @@ def run_steps(steps):
     return result
 
 
-def layer_steps_cached(
-    layer: TransformerLayer,
-    x_new: np.ndarray,
-    cache: LayerKVCache,
-    workspace: Workspace | None = None,
-):
-    """:func:`layer_steps` over one :class:`LayerKVCache` — the
-    single-device layer, appending the new rows to ``cache``."""
-    attend = partial(
-        attend_cached, layer.attention, cache.append, cache.length, True, workspace
+#: OpenBLAS's small-matrix SGEMM cutoff (``sgemm_small_kernel_permit``,
+#: SkylakeX): a product of at most this many ``M·N·K`` multiply-adds takes a
+#: small-matrix kernel instead of the blocked one.
+SMALL_GEMM_FLOPS = 100 * 100 * 100
+
+
+def same_weight_kernels(config, rows: int, all_rows: int) -> bool:
+    """Whether BLAS multiplies ``rows`` rows against a layer's weight
+    matrices with the kernels — so the summation order — it uses for
+    ``all_rows`` rows, which is what makes a row's products bit-equal
+    whether it is multiplied among the ``rows`` or among the ``all_rows``:
+    a flight alone or stacked in a packed row set (:func:`packed_flights`),
+    a rank's span of a partitioned step or the whole step
+    (:mod:`repro.systems.decode`, which adds the attention products' half
+    of the rule).
+
+    Measured on this repo's OpenBLAS and asserted by the tests (INTERNALS
+    §10/§13).  A 1-row product is forwarded to GEMV.  A product of at most
+    :data:`SMALL_GEMM_FLOPS` multiply-adds takes a small-matrix kernel,
+    which agrees with the blocked kernel only for some shapes — so both row
+    counts must fall on the same side of it for each of fused QKV, W_O and
+    the FFN's two matrices (FC1 and FC2 are one ``M·N·K``).
+    """
+    if rows == all_rows:
+        return True  # the very same call
+    if rows < 2:
+        return False
+    f, ffn = config.hidden_size, config.ffn_dim
+    return all(
+        (rows * cells <= SMALL_GEMM_FLOPS) == (all_rows * cells <= SMALL_GEMM_FLOPS)
+        for cells in (3 * f * f, f * f, f * ffn)
     )
+
+
+def packed_flights(config, lengths: Sequence[int]) -> list[int]:
+    """Which of the flights of one pass — flight ``i`` bringing
+    ``lengths[i]`` new rows — run *packed*: their rows stacked into one
+    ``(Σt, F)`` row set, so each weight matrix is one GEMM for all of them
+    (their indices, in order; fewer than two means nobody shares).  Decided
+    from shapes alone.
+
+    Stacking must not change a bit of any member, so a member's rows must
+    multiply with the kernels the stacked total gets
+    (:func:`same_weight_kernels` — which excludes single rows, whose
+    products are GEMVs).  Members that would not are dropped — they run as
+    their own row sets — and the smaller total is tried again.  At GPT-2
+    width every ``t >= 2`` product is on the blocked side, so every
+    multi-row flight packs.
+    """
+    members = [index for index, rows in enumerate(lengths) if rows >= 2]
+    while True:
+        total = sum(lengths[index] for index in members)
+        kept = [i for i in members if same_weight_kernels(config, lengths[i], total)]
+        if kept == members:
+            return members
+        members = kept
+
+
+def layer_steps_cached(layer: TransformerLayer, x_new: np.ndarray, segments, workspace=None):
+    """:func:`layer_steps` over single-device caches — of one *row set*:
+    ``x_new`` stacks the new rows of one or more flights and
+    ``segments[i] = (rows, cache, workspace)`` says whose they are.  The
+    layer's weight products run once over all the stacked rows
+    (``workspace`` backs the stacked QKV projection); each flight's rows are
+    appended to and attended against its own :class:`LayerKVCache` with its
+    own scratch (:func:`attend_segments`)."""
+    attends = [
+        partial(attend_cached, layer.attention, cache.append, cache.length, True, scratch)
+        for _, cache, scratch in segments
+    ]
+    attend = partial(attend_segments, attends, [rows for rows, _, _ in segments])
     return layer_steps(layer, x_new, attend, workspace)
 
 
@@ -356,7 +451,8 @@ def layer_forward_cached(
     the large per-step intermediates so a steady-state step allocates only
     its small ``(t, F)`` outputs.
     """
-    return run_steps(layer_steps_cached(layer, x_new, cache, workspace))
+    segments = [(x_new.shape[0], cache, workspace)]
+    return run_steps(layer_steps_cached(layer, x_new, segments, workspace))
 
 
 # ---------------------------------------------------------------------------

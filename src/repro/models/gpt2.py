@@ -2,21 +2,39 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from itertools import accumulate, chain
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.models.base import TransformerModel
-from repro.models.cache import layer_steps_cached, lockstep, run_steps
+from repro.models.cache import LayerKVCache, layer_steps_cached, lockstep, packed_flights
 from repro.models.config import TransformerConfig, gpt2_config
 from repro.models.embeddings import TextEmbeddings
 from repro.models.tokenizer import SimpleTokenizer
 from repro.tensor.layers import LayerNorm
+from repro.tensor.module import Module, ModuleList
+from repro.tensor.workspace import Workspace
 
-__all__ = ["GPT2Model"]
+__all__ = ["CachedForward", "GPT2Model"]
 
 #: Embedding-table bytes one LM-head block covers: ≈ 1 MiB, small enough to
 #: stay cache resident while every cohort row is multiplied against it
 #: (measured flat from 128 to 512 rows at F=768; 1024 rows loses a third).
 _LM_HEAD_BLOCK_BYTES = 1 << 20
+
+
+class CachedForward(NamedTuple):
+    """One flight of :meth:`GPT2Model.logits_cached_rows`: a KV-cached
+    forward over ``new_ids`` at ``offset`` against caller-owned per-layer
+    ``caches``, wanting logits for its last new position or for all of them."""
+
+    new_ids: Sequence[int]
+    offset: int
+    caches: Sequence[LayerKVCache]
+    workspace: Workspace | None = None
+    all_positions: bool = False
 
 
 class GPT2Model(TransformerModel):
@@ -68,11 +86,13 @@ class GPT2Model(TransformerModel):
         return self.lm_head([hidden[-1]])[0]
 
     def lm_head(self, rows, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Tied LM head over ``B`` last-position hidden rows (each ``(F,)``)
+        """Tied LM head over ``B`` final-normed hidden rows (each ``(F,)``)
         → logits ``(B, hi - lo)`` against vocab rows ``[lo, hi)`` of the
-        embedding table (the whole vocabulary by default) — the one
-        last-position head in the repo.  A rank of a sharded decode passes
-        its own range (:func:`repro.systems.decode.decode_head_parts`).
+        embedding table (the whole vocabulary by default) — the one cached
+        head in the repo: last positions of prefills and decodes, and every
+        position of a verify round, of all the flights of a pass.  A rank of
+        a sharded decode passes its own range
+        (:func:`repro.systems.decode.decode_head_parts`).
 
         Cache-blocked, rows innermost: the range is walked once in
         contiguous row blocks of ≈ ``_LM_HEAD_BLOCK_BYTES`` and every hidden
@@ -123,17 +143,28 @@ class GPT2Model(TransformerModel):
         """Tied LM head on the last position: F × vocab."""
         return self.config.hidden_size * self.config.vocab_size
 
-    def _row_steps(self, new_ids, offset: int, caches, workspace):
-        """One KV-cached forward over ``new_ids`` at ``offset`` as a step
-        generator (pausing at every weight boundary of every layer, see
-        :func:`repro.models.cache.layer_steps_cached`); returns the new
-        positions' hidden states before the final norm."""
-        positions = np.arange(offset, offset + len(new_ids))
-        x = self.embeddings.word(np.asarray(new_ids, dtype=np.int64))
-        x = x + self.embeddings.position(positions)
-        for layer, layer_cache in zip(self.layers, caches):
-            x = yield from layer_steps_cached(layer, x, layer_cache, workspace)
-        return x
+    def _row_steps(self, flights: Sequence[CachedForward]):
+        """The KV-cached forward of one *row set* — the new rows of
+        ``flights`` stacked into one ``(Σt, F)`` activation, so each weight
+        matrix is one product for all of them while every flight attends
+        against its own caches — as a step generator (pausing at every
+        weight boundary of every layer, see
+        :func:`repro.models.cache.layer_steps_cached`); returns each
+        flight's hidden states before the final norm.  Scratch for the
+        stacked projection is the first flight's: a set of one flight is
+        exactly that flight's lone forward."""
+        lengths = [len(f.new_ids) for f in flights]
+        ids = np.concatenate([np.asarray(f.new_ids, dtype=np.int64) for f in flights])
+        positions = np.concatenate(
+            [np.arange(f.offset, f.offset + rows) for f, rows in zip(flights, lengths)]
+        )
+        x = self.embeddings.word(ids) + self.embeddings.position(positions)
+        workspace = flights[0].workspace
+        for index, layer in enumerate(self.layers):
+            segments = [(rows, f.caches[index], f.workspace) for f, rows in zip(flights, lengths)]
+            x = yield from layer_steps_cached(layer, x, segments, workspace)
+        bounds = [0, *accumulate(lengths)]
+        return [x[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     def logits_cached(
         self,
@@ -146,54 +177,72 @@ class GPT2Model(TransformerModel):
         """One KV-cached forward over ``new_ids`` at ``offset``, returning
         LM-head logits — :meth:`generate_cached`'s inner step, against
         caller-owned per-layer caches (``caches`` is a sequence of
-        :class:`~repro.models.cache.LayerKVCache`, e.g. an engine slot's).
+        :class:`~repro.models.cache.LayerKVCache`, e.g. an engine slot's):
+        the pass of one flight of :meth:`logits_cached_rows`.
 
         By default only the last position's logits come back (``(vocab,)``,
-        the greedy-decode head): the cohort of one of
-        :meth:`logits_cached_rows`.  ``all_positions=True`` returns the full
+        the greedy-decode head).  ``all_positions=True`` returns the full
         ``(t, vocab)`` matrix — the multi-position *verify* forward of
         speculative decoding, which needs the target's argmax at every
         drafted position from one batched pass.
         """
-        if not all_positions:
-            return self.logits_cached_rows([(new_ids, offset, caches, workspace)])[0]
-        hidden = run_steps(self._row_steps(new_ids, offset, caches, workspace))
-        return self.lm_logits(self.ln_f(hidden))
+        logits = self.logits_cached_rows([(new_ids, offset, caches, workspace, all_positions)])
+        return logits if all_positions else logits[0]
 
     def logits_cached_rows(self, rows) -> np.ndarray:
-        """Last-position logits ``(B, vocab)`` of ``B`` independent cached
-        forwards, ``rows[i] = (new_ids, offset, caches, workspace)`` — one
-        pass over the weights for the whole cohort.
+        """The logits of independent cached forwards — flights,
+        ``rows[i] = (new_ids, offset, caches, workspace[, all_positions])``
+        (:class:`CachedForward`) — from one pass over the weights: the
+        wanted positions' logits ``(Σ wanted, vocab)``, flight by flight
+        (a flight's last new position, or all of them).
 
-        The rows advance in lockstep, weight-major: every row multiplies
-        against one weight matrix (and attends against its own caches)
-        before any row moves to the next, then the shared blocked
-        :meth:`lm_head` serves them all.  Each row runs exactly the ops
-        (shapes, operands, scratch) it would run alone, so row ``i`` is
-        ``np.array_equal`` to a lone ``logits_cached(*rows[i])`` and its
-        caches end up byte-identical; ``B = 1`` is that lone forward.
+        Flights are grouped into row sets.  Those :func:`packed_flights`
+        admits — multi-row flights: prefills, verify rounds — stack into
+        one set whose weight products are one GEMM per matrix for all of
+        them; every other flight (each single-position decode, whose
+        products must stay GEMVs) is a set of its own.  The sets advance in
+        lockstep, weight-major: every set multiplies against one weight
+        matrix (and each flight attends against its own caches) before any
+        moves to the next, then the shared blocked :meth:`lm_head` serves
+        every wanted row.  Each flight's rows go through exactly the
+        kernels they would alone, so its logits are ``np.array_equal`` to a
+        lone ``logits_cached(*rows[i])`` and its caches end up
+        byte-identical; one flight is that lone forward.
         """
-        hidden = lockstep(self._row_steps(*row) for row in rows)
-        return self.lm_head([self.ln_f(x[-1]) for x in hidden])
+        flights = [CachedForward(*row) for row in rows]
+        packed = packed_flights(self.config, [len(flight.new_ids) for flight in flights])
+        row_sets = [packed] * bool(packed) + [
+            [index] for index in range(len(flights)) if index not in packed
+        ]
+        per_set = lockstep(
+            self._row_steps([flights[index] for index in row_set]) for row_set in row_sets
+        )
+        hidden = dict(zip(chain.from_iterable(row_sets), chain.from_iterable(per_set)))
+        return self.lm_head([
+            self.ln_f(row)
+            for index, flight in enumerate(flights)
+            for row in (hidden[index] if flight.all_positions else hidden[index][-1:])
+        ])
 
     def truncated_draft(self, num_layers: int = 1) -> "GPT2Model":
         """A shallower draft model for speculative decoding: shares this
         model's embeddings, first ``num_layers`` transformer layers and
-        final norm *by reference* — no extra weights, same tokenizer and
-        vocab, so its greedy proposals track the full model closely while
-        each draft forward runs ``num_layers / L`` of the layer stack."""
-        from repro.tensor.module import ModuleList
-
+        final norm *by reference* — no extra weights (none are even drawn:
+        the draft is assembled from the shared modules, in the
+        constructor's registration order), same tokenizer and vocab, so its
+        greedy proposals track the full model closely while each draft
+        forward runs ``num_layers / L`` of the layer stack."""
         if not 1 <= num_layers < self.num_layers:
             raise ValueError(
                 f"draft depth must be in [1, {self.num_layers - 1}], got {num_layers}"
             )
-        config = self.config.scaled(
+        draft = GPT2Model.__new__(GPT2Model)
+        Module.__init__(draft)
+        draft.config = self.config.scaled(
             num_layers=num_layers, name=f"{self.config.name}-draft{num_layers}"
         )
-        draft = GPT2Model(config, rng=np.random.default_rng(0))
-        draft.embeddings = self.embeddings
         draft.layers = ModuleList(list(self.layers)[:num_layers])
+        draft.embeddings = self.embeddings
         draft.ln_f = self.ln_f
         draft.tokenizer = self.tokenizer
         return draft
@@ -205,7 +254,6 @@ class GPT2Model(TransformerModel):
         tests) while projecting each position only once per layer.
         """
         from repro.models.cache import KVCache
-        from repro.tensor.workspace import Workspace
 
         ids = list(np.asarray(prompt_ids))
         # Final sequence length is known up front → size every layer's cache

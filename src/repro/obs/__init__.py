@@ -30,6 +30,7 @@ from repro.obs.metrics import (
     get_registry,
     use_registry,
 )
+from repro.obs.table import format_aligned
 from repro.obs.tracer import (
     NULL_TRACER,
     NullTracer,
@@ -58,4 +59,5 @@ __all__ = [
     "to_chrome_trace",
     "write_chrome_trace",
     "summary_table",
+    "format_aligned",
 ]

@@ -13,6 +13,7 @@ import json
 from collections import defaultdict
 from pathlib import Path
 
+from repro.obs.table import format_aligned
 from repro.obs.tracer import Span, Tracer
 
 __all__ = [
@@ -89,8 +90,6 @@ def write_chrome_trace(tracer: Tracer, path: str | Path) -> Path:
 
 def summary_table(tracer: Tracer) -> str:
     """Aggregate spans by (category, name): count, total/mean time, bytes."""
-    from repro.bench.harness import format_aligned
-
     groups: dict[tuple[str, str, str], list[Span]] = defaultdict(list)
     for span in tracer.spans:
         groups[(span.cat, span.kind, span.name)].append(span)

@@ -19,6 +19,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from repro.obs.table import format_aligned
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -188,8 +190,6 @@ class MetricsRegistry:
 
     def summary(self) -> str:
         """Aligned text table of everything recorded so far."""
-        from repro.bench.harness import format_aligned
-
         rows = [["metric", "type", "count", "value/mean", "p50", "p95", "p99"]]
         for rendered, entry in self.snapshot().items():
             if entry["type"] == "histogram":

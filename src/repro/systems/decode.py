@@ -108,10 +108,12 @@ from repro.core.complexity import (
 )
 from repro.core.partition import Partition
 from repro.models.cache import (
+    SMALL_GEMM_FLOPS,
     LayerKVCache,
     attend_cached,
     layer_steps,
     lockstep,
+    same_weight_kernels,
     shard_kv_views,
 )
 from repro.obs.tracer import current_tracer
@@ -144,10 +146,10 @@ _PAIR_BYTES = 16
 # Vocab-shard boundaries sit on multiples of this many table rows, where the
 # BLAS GEMV's unrolled row groups fall in the whole-table product too.
 _HEAD_ROW_ALIGN = 64
-# OpenBLAS's small-matrix SGEMM cutoffs (sgemm_small_kernel_permit, SkylakeX):
-# M·N·K multiply-adds; for a transposed operand also M·N output cells and a
-# minimum depth K.  See _same_gemm_kernels.
-_SMALL_GEMM_FLOPS = 100 * 100 * 100
+# OpenBLAS's small-matrix SGEMM cutoffs (sgemm_small_kernel_permit, SkylakeX)
+# beyond models.cache.SMALL_GEMM_FLOPS: a transposed operand takes the small
+# kernel only up to M·N output cells and from a minimum depth K.  See
+# _same_gemm_kernels.
 _SMALL_GEMM_CELLS = 1200
 _SMALL_GEMM_MIN_DEPTH = 32
 
@@ -230,23 +232,23 @@ def _same_gemm_kernels(config, rows: int, all_rows: int, total: int) -> bool:
     which is what makes the slice bit-equal to those rows of the whole.
 
     Measured on this repo's OpenBLAS and asserted by the tests (INTERNALS
-    §13); the cutoffs are its ``sgemm_small_kernel_permit``'s.  A 1-row
-    product is forwarded to GEMV.  A product of at most
-    ``_SMALL_GEMM_FLOPS`` multiply-adds takes a small-matrix kernel, which
-    agrees with the blocked kernel only for some shapes — so slice and whole
-    must fall on the same side of it for each of the layer's weight and
-    context products.  The transposed-operand ``Q·Kᵀ`` scores take it only
-    up to ``_SMALL_GEMM_CELLS`` output cells (and from ``F_H >= 32``), and
-    there even a slice of a small product differs — the slice must not.
+    §13).  The weight products' half of the rule — no 1-row slice (a GEMV),
+    slice and whole on the same side of the small-matrix cutoff — is
+    :func:`repro.models.cache.same_weight_kernels`, shared with the packed
+    row sets of a single device; a slice also shortens the attention
+    products, which a packed row set leaves whole.  The context product
+    ``P·V`` must keep its side of the cutoff too.  The transposed-operand
+    ``Q·Kᵀ`` scores take the small kernel only up to ``_SMALL_GEMM_CELLS``
+    output cells (and from ``F_H >= 32``), and there even a slice of a
+    small product differs — the slice must not.
     """
     if rows == all_rows:
         return True  # the very call the single device makes
-    if rows < 2 or (config.head_dim >= _SMALL_GEMM_MIN_DEPTH and rows * total <= _SMALL_GEMM_CELLS):
+    if config.head_dim >= _SMALL_GEMM_MIN_DEPTH and rows * total <= _SMALL_GEMM_CELLS:
         return False
-    f, ffn = config.hidden_size, config.ffn_dim
-    return all(
-        (rows * cells <= _SMALL_GEMM_FLOPS) == (all_rows * cells <= _SMALL_GEMM_FLOPS)
-        for cells in (3 * f * f, config.head_dim * total, f * f, f * ffn)
+    context = config.head_dim * total
+    return same_weight_kernels(config, rows, all_rows) and (
+        (rows * context <= SMALL_GEMM_FLOPS) == (all_rows * context <= SMALL_GEMM_FLOPS)
     )
 
 

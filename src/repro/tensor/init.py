@@ -16,6 +16,24 @@ import numpy as np
 __all__ = ["normal", "uniform", "xavier_uniform", "kaiming_uniform", "zeros", "ones"]
 
 
+#: Elements one seeded draw materialises at a time (1 MiB of float64).
+_CHUNK = 1 << 17
+
+
+def _filled(draw, shape: tuple[int, ...], dtype: str) -> np.ndarray:
+    """A ``shape``/``dtype`` array of seeded draws, ``draw(size)`` producing
+    the Generator's native float64 — filled in fixed chunks, so the float64
+    transient is one chunk rather than a second, twice-as-wide copy of the
+    whole tensor (308 MB for GPT-2's embedding table).  A Generator's stream
+    is sequential: the values are those of one whole-shape draw."""
+    out = np.empty(shape, dtype=dtype)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, _CHUNK):
+        stop = min(start + _CHUNK, flat.size)
+        flat[start:stop] = draw(stop - start)
+    return out
+
+
 def zeros(shape: tuple[int, ...], dtype: str = "float32") -> np.ndarray:
     return np.zeros(shape, dtype=dtype)
 
@@ -31,7 +49,7 @@ def normal(
     dtype: str = "float32",
 ) -> np.ndarray:
     """BERT/GPT-2 style truncated-ish normal init (std 0.02)."""
-    return rng.normal(0.0, std, size=shape).astype(dtype)
+    return _filled(lambda size: rng.normal(0.0, std, size=size), shape, dtype)
 
 
 def uniform(
@@ -41,7 +59,7 @@ def uniform(
     high: float,
     dtype: str = "float32",
 ) -> np.ndarray:
-    return rng.uniform(low, high, size=shape).astype(dtype)
+    return _filled(lambda size: rng.uniform(low, high, size=size), shape, dtype)
 
 
 def xavier_uniform(

@@ -1,12 +1,13 @@
-"""Cohort decode through the engine (INTERNALS §10).
+"""The iteration forward through the engine (INTERNALS §10).
 
 The engine stages each iteration's flights, and the first ``step`` that
-needs a single-position forward runs it for every staged state that will
-need one.  What must *not* change: every output, and every number the
-engine derives per flight — the ``(done, cost)`` each ``step`` returns, the
-virtual-time start / finish of every request, the step counts.  What the
-wall-clock benchmark relies on: ``step`` is still called once per flight
-per iteration and is still where the model runs.
+needs a forward — a prefill, a single position or a verify round — runs it
+for every staged state that will need one.  What must *not* change: every
+output, and every number the engine derives per flight — the ``(done,
+cost)`` each ``step`` returns, the virtual-time start / finish of every
+request, the step counts.  What the wall-clock benchmark relies on:
+``step`` is still called once per flight per iteration and is still where
+the model runs.
 """
 
 import numpy as np
@@ -73,10 +74,31 @@ def run_logged(sequencer, requests, **config):
 
 
 def per_flight(sequencer):
-    """The parent's behaviour: a backend that declines rows runs every
-    single-position forward in its own flight's step."""
+    """The reference behaviour: a backend that declines rows runs every
+    forward in its own flight's step."""
     sequencer.backend.supports_rows = False
     return sequencer
+
+
+class Always(NgramProposer):
+    """Drafts on every round, so every decode forward is a verify."""
+
+    def propose(self, dstate, ids, k):
+        return [ids[-1]] * k
+
+
+class CountingProposer:
+    """Forwards to ``inner``, counting how often it is asked."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+
+    def begin(self, ids):
+        return self.inner.begin(ids)
+
+    def propose(self, dstate, ids, k):
+        self.calls += 1
+        return self.inner.propose(dstate, ids, k)
 
 
 def lifecycle(report):
@@ -98,13 +120,10 @@ def iterations(log):
     return out
 
 
-def cohort_sizes(log):
-    """Decode forwards per iteration of a plain (never-drafting) run: the
-    steps that neither prefilled nor finished."""
-    prefilled, sizes = set(), []
-    for staged, steps in iterations(log):
-        sizes.append(sum(1 for i, done, _ in steps if i in prefilled and not done))
-        prefilled.update(staged)
+def forward_sizes(log):
+    """Forwards per iteration of a run without preemption: every step but
+    the commits that finish a request."""
+    sizes = [sum(1 for _, done, _ in steps if not done) for _, steps in iterations(log)]
     return [size for size in sizes if size]
 
 
@@ -145,6 +164,61 @@ class TestAccountingUnchanged:
         assert runs[0] == runs[1]  # every (done, cost), in order, and every timestamp
         assert any(len(staged) > 1 for staged, _ in iterations(runs[0][0]))
 
+    @staticmethod
+    def _scenario(gpt2, name):
+        """(sequencer, requests, engine config) of one traffic shape."""
+        costs = dict(max_new_tokens=6, step_cost=position_cost)
+        if name == "co-arriving prefills":
+            requests = [Request(arrival=0.0, n=3 + (5 * i) % 7, id=i) for i in range(9)]
+            return StagingSequencer(gpt2, **costs), requests, {}
+        if name == "prefix-cache hits":
+            requests = [
+                Request(arrival=0.003 * i, n=9 + i % 4, id=i, tenant="ab"[i % 2])
+                for i in range(9)
+            ]
+            sequencer = StagingSequencer(gpt2, shared_prefix_tokens=5, **costs)
+            return sequencer, requests, dict(prefix_cache=True)
+        proposer = CountingProposer(NgramProposer() if name == "n-gram drafts" else Always())
+        costs["max_new_tokens"] = 10
+        sequencer = SpeculativeSequencer(gpt2, proposer, lookahead=3, **costs)
+        return sequencer, staggered(9), {}
+
+    @pytest.mark.parametrize("chaos", [None, 5])
+    @pytest.mark.parametrize(
+        "name",
+        ["co-arriving prefills", "prefix-cache hits", "n-gram drafts", "always drafting"],
+    )
+    def test_every_forward_kind_equals_per_flight_forwards(self, gpt2, name, chaos):
+        """Prefills, prefix-cache suffixes and verify rounds joined the
+        shared pass (the test above is the staggered prefill + decode mix);
+        the ``(done, cost)`` log, finish order, outputs, the proposer's call
+        count and the speculative counters are those of a backend that runs
+        every forward in its own flight's step."""
+        runs = []
+        for decline in (False, True):
+            sequencer, requests, extra = self._scenario(gpt2, name)
+            config = dict(num_slots=4, chaos_preempt_period=chaos, chaos_seed=3, **extra)
+            registry = obs.MetricsRegistry()
+            with obs.use_registry(registry):
+                report, log = run_logged(
+                    per_flight(sequencer) if decline else sequencer, requests, **config
+                )
+            check_bit_identity(report, sequencer, requests)
+            proposer, stats = sequencer.proposer, sequencer.stats
+            runs.append((
+                [entry for entry in log if entry[0] == "step"],
+                [c.request.id for c in report.completed], lifecycle(report),
+                report.steps_total, report.slot_seconds, report.prefix_cache,
+                proposer and proposer.calls, stats and stats.as_dict(),
+            ))
+            shared = registry.histogram("engine.decode_cohort_rows").max
+            assert shared == 1 if decline else shared > 1
+        assert runs[0] == runs[1]
+        if name == "prefix-cache hits":
+            assert runs[0][5]["hits"] > 0
+        if name == "always drafting":
+            assert runs[0][7]["rounds"] > 0
+
 
 class TestMixedIterations:
     def test_prefills_decodes_and_finishes_share_iterations(self, gpt2):
@@ -158,16 +232,13 @@ class TestMixedIterations:
             report, log = run_logged(sequencer, requests, num_slots=4)
         check_bit_identity(report, sequencer, requests)
         rows = registry.histogram("engine.decode_cohort_rows")
-        sizes = cohort_sizes(log)
+        sizes = forward_sizes(log)
         peak = sizes.index(4)
         assert sizes[peak:] == sorted(sizes[peak:], reverse=True) and sizes[-1] == 1  # 4 -> 1
+        # one shared pass per iteration that ran any forward, and forwards
+        # are conserved: one row per step that ran one, prefills included
         assert (rows.count, rows.total, rows.max) == (len(sizes), sum(sizes), 4)
         assert registry.counter("engine.cohort_forwards_total").value == rows.count
-        # decode forwards are conserved: one row per decode step that ran one
-        decode_forwards = sum(
-            1 for entry in log if entry[0] == "step" and not entry[2]
-        ) - len(requests)  # minus the prefills
-        assert rows.total == decode_forwards
         # some iteration stepped a prefill next to a multi-row cohort
         prefilled = set()
         mixed = False
@@ -188,26 +259,26 @@ class TestMixedIterations:
             sequencer.result(state), gpt2.generate_cached(prompt, max_new_tokens=4)
         )
 
-    def test_non_empty_drafts_stay_per_flight(self, gpt2):
-        """A proposer that always drafts: every decode is a verify round, so
-        no cohort forward ever runs — and nothing changes."""
-
-        class Always(NgramProposer):
-            def propose(self, dstate, ids, k):
-                return [ids[-1]] * k
-
+    def test_non_empty_drafts_share_the_iteration_forward(self, gpt2):
+        """A proposer that always drafts: every decode is a verify round,
+        and the residents' rounds are rows of one pass."""
         registry = obs.MetricsRegistry()
+        tracer = obs.Tracer()
         sequencer = SpeculativeSequencer(
             gpt2, Always(), lookahead=2, max_new_tokens=8, step_cost=position_cost
         )
         requests = staggered(6)
-        with obs.use_registry(registry):
+        with obs.use_registry(registry), obs.use_tracer(tracer):
             report = InferenceEngine(sequencer, EngineConfig(num_slots=3)).run(requests)
         check_bit_identity(report, sequencer, requests)
         # only a final budget-less round (lookahead clipped to 0) drafts nothing
-        assert sequencer.stats.rounds > 0
+        stats = sequencer.stats
+        assert 0 < stats.rounds < stats.forwards
         rows = registry.histogram("engine.decode_cohort_rows")
-        assert sequencer.stats.forwards - sequencer.stats.rounds == rows.total == rows.count
+        assert rows.total == stats.forwards + len(requests)  # verifies + prefills
+        assert rows.max == 3 and rows.count < rows.total
+        spans = [span for span in tracer.spans if span.name == "engine.decode_cohort"]
+        assert max(span.args["packed"] for span in spans) == 3  # three verify rounds stacked
 
     def test_a_proposer_that_never_proposes_joins_the_cohort(self, gpt2):
         class Never(NgramProposer):
@@ -237,8 +308,8 @@ class TestMixedIterations:
 
     def test_mixed_drafts_in_one_iteration(self, gpt2):
         """The real n-gram proposer drafts for some residents and not for
-        others in the same iteration; drafted ones verify per flight, the
-        rest share the cohort, outputs stay exact under chaos."""
+        others in the same iteration; verify rounds and single positions
+        share the pass, outputs stay exact under chaos."""
         sequencer = SpeculativeSequencer(gpt2, max_new_tokens=10, step_cost=position_cost)
         requests = staggered(10)
         report = InferenceEngine(
@@ -260,7 +331,8 @@ class TestMixedIterations:
             with obs.use_registry(registry):
                 report = InferenceEngine(sequencer, EngineConfig(num_slots=2)).run(requests)
             check_bit_identity(report, sequencer, requests)
-        assert registry.counter("engine.cohort_forwards_total").value == 0
+        rows = registry.histogram("engine.decode_cohort_rows")
+        assert rows.count == report.steps_total - len(requests) and rows.max == 1  # all alone
 
 
 class TestStepProtocol:
@@ -336,6 +408,39 @@ class TestStashGuards:
         with pytest.raises(RuntimeError, match="request 1: its staged token"):
             sequencer.step(second)
 
+    @pytest.mark.parametrize("kind", ["prefill", "verify"])
+    def test_staged_multi_row_forward_never_stepped_or_changed(self, gpt2, kind):
+        """The same two guards for the forwards that joined the shared pass:
+        a staged prefill's prompt rows, a staged verify round's ``1 + k``."""
+
+        def staged_pair():
+            sequencer = SpeculativeSequencer(gpt2, Always(), lookahead=2, max_new_tokens=6)
+            states = [
+                sequencer.begin(
+                    Request(arrival=0.0, n=3, id=index),
+                    np.array([index + 1, 7, 3], dtype=np.int64),
+                    KVSlot(index, 2, 64),
+                )
+                for index in range(2)
+            ]
+            sequencer.stage(states)
+            if kind == "verify":
+                for state in states:  # prefill
+                    sequencer.step(state)
+                sequencer.stage(states)
+            before = states[1].slot.length
+            sequencer.step(states[0])  # runs the pass: the other's rows are appended
+            assert states[1].slot.length == before + 3  # the prompt, or pending + 2 guesses
+            return sequencer, states
+
+        sequencer, (first, skipped) = staged_pair()
+        with pytest.raises(RuntimeError, match=r"request\(s\) \[1\] were staged"):
+            sequencer.stage([first])
+        sequencer, (first, second) = staged_pair()
+        second.slot.truncate(second.slot.length - 1)
+        with pytest.raises(RuntimeError, match="request 1: its staged token"):
+            sequencer.step(second)
+
     def test_every_iteration_leaves_the_stash_empty(self, gpt2):
         sequencer, states = self._two_decoding(gpt2)
         while not all(state.done for state in states):
@@ -352,6 +457,17 @@ class TestStashGuards:
 
 
 class TestObservability:
+    def test_co_arriving_prefills_are_one_packed_span(self, gpt2):
+        requests = [Request(arrival=0.0, n=n, id=i) for i, n in enumerate((3, 8, 5))]
+        tracer = obs.Tracer()
+        sequencer = GPT2CachedSequencer(gpt2, max_new_tokens=3, step_cost=constant_step_cost)
+        with obs.use_tracer(tracer):
+            InferenceEngine(sequencer, EngineConfig(num_slots=4)).run(requests)
+        spans = [span for span in tracer.spans if span.name == "engine.decode_cohort"]
+        assert [(s.args["rows"], s.args["positions"], s.args["packed"]) for s in spans] == [
+            (3, 16, 3), (3, 3, 0), (3, 3, 0),  # the prefill wave, then two decode rounds
+        ]
+
     def test_cohort_metrics_carry_the_engine_labels(self, gpt2):
         registry = obs.MetricsRegistry()
         sequencer = GPT2CachedSequencer(gpt2, max_new_tokens=4, step_cost=constant_step_cost)
@@ -380,6 +496,11 @@ class TestObservability:
         assert sum(span.args["rows"] for span in spans) == rows.total
         assert max(span.args["rows"] for span in spans) == rows.max == 2
         assert all(span.domain == "wall" and span.kind == "compute" for span in spans)
+        # positions: every new row the pass forwards; packed: the flights
+        # stacked into shared GEMMs (a lone multi-row flight is a set of one)
+        assert all(span.args["positions"] >= span.args["rows"] for span in spans)
+        assert all(0 <= span.args["packed"] <= span.args["rows"] for span in spans)
+        assert spans[0].args["positions"] == staggered(1)[0].n and spans[0].args["packed"] == 1
         assert obs.current_tracer().enabled is False
         run()  # NULL_TRACER: nothing to record into, nothing raised
         assert len(obs.current_tracer()) == 0

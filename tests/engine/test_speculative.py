@@ -100,6 +100,12 @@ class TestDraftModelProposer:
         assert draft.embeddings is gpt2.embeddings
         assert draft.layers[0] is gpt2.layers[0]
         assert draft.ln_f is gpt2.ln_f
+        assert draft.tokenizer is gpt2.tokenizer
+        # assembled from the shared modules, registered as the constructor would
+        built = type(gpt2)(draft.config)
+        assert draft.config.name == f"{gpt2.config.name}-draft1"
+        assert [n for n, _ in draft.named_parameters()] == [n for n, _ in built.named_parameters()]
+        assert draft.num_bytes() == built.num_bytes()
         with pytest.raises(ValueError, match="draft depth"):
             gpt2.truncated_draft(gpt2.num_layers)
         with pytest.raises(ValueError, match="draft depth"):

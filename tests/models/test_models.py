@@ -1,7 +1,14 @@
 """Tests for the three end-to-end model implementations."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.models import (
     BertModel,
@@ -149,6 +156,37 @@ class TestGPT2:
         x = rng.normal(size=(4, 32)).astype(np.float32)
         hidden = gpt2.encode(x)
         np.testing.assert_allclose(hidden.mean(axis=-1), np.zeros(4), atol=1e-4)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_building_gpt2_peaks_near_its_parameter_bytes():
+    """Seeded init fills float32 weights chunk by chunk: no float64 copy of
+    a whole tensor is ever resident (the embedding table's alone would be
+    308 MB), so a fresh process that builds the benchmark's 4-layer GPT-2
+    peaks under parameters + 25 % — interpreter and NumPy included.  The
+    peak is ``VmHWM``, the resident high-water mark ``ru_maxrss`` reports
+    too — except that ``ru_maxrss`` starts from the *spawning* process's
+    peak, which under a long pytest run is whatever earlier tests built."""
+    script = textwrap.dedent("""
+        import re, sys
+        sys.path.insert(0, sys.argv[1])
+        import numpy as np
+        from repro.models.config import gpt2_config
+        from repro.models.gpt2 import GPT2Model
+        model = GPT2Model(gpt2_config().scaled(num_layers=4, max_positions=256),
+                          rng=np.random.default_rng(0))
+        draft = model.truncated_draft(1)  # shares, draws nothing
+        peak_kib = re.search(r"VmHWM:\\s+(\\d+) kB", open("/proc/self/status").read()).group(1)
+        print(model.num_bytes(), int(peak_kib) * 1024)
+    """)
+    done = subprocess.run(
+        [sys.executable, "-c", script, os.path.dirname(os.path.dirname(repro.__file__))],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    parameters, peak = map(int, done.stdout.split())
+    assert parameters > 250e6
+    assert peak < 1.25 * parameters, f"peak RSS {peak / 1e6:.0f} MB for {parameters / 1e6:.0f} MB"
 
 
 class TestViT:

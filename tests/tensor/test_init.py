@@ -51,3 +51,24 @@ def test_kaiming_uniform_bound():
 def test_dtype_override():
     rng = np.random.default_rng(0)
     assert init.normal(rng, (2, 2), dtype="float64").dtype == np.float64
+
+
+def test_chunked_fill_equals_the_whole_shape_draw():
+    """The initialisers fill the target array a chunk at a time; a Generator's
+    stream is sequential, so the values are those of one whole-shape draw
+    cast afterwards — for shapes that are not chunk multiples, and for
+    consecutive draws from one rng."""
+    chunk = init._CHUNK
+    for shape in [(chunk + 7,), (3, chunk // 2 + 1), (5, 7), (2 * chunk,), (0, 4), ()]:
+        ours, reference = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(2):
+            assert np.array_equal(
+                init.normal(ours, shape, std=0.3),
+                reference.normal(0.0, 0.3, size=shape).astype("float32"),
+            )
+            assert np.array_equal(
+                init.uniform(ours, shape, -0.2, 0.9),
+                reference.uniform(-0.2, 0.9, size=shape).astype("float32"),
+            )
+    wide = init.normal(np.random.default_rng(3), (chunk + 1,), dtype="float64")
+    assert np.array_equal(wide, np.random.default_rng(3).normal(0.0, 0.02, size=chunk + 1))

@@ -67,3 +67,12 @@ def test_serving_does_not_import_bench():
     directly — the queueing layer sits below the reporting layer."""
     offenders = _imports_of(("serving",), ("repro.bench",))
     assert not offenders, "layering violations:\n" + "\n".join(offenders)
+
+
+def test_obs_imports_nothing_above_it():
+    """Everything records into ``repro.obs``, so it sits below every layer
+    that reports: the table helper its summaries share lives in
+    ``repro.obs.table`` (``repro.bench`` re-imports it), not the other way
+    round."""
+    offenders = _imports_of(("obs",), UPPER_PACKAGES)
+    assert not offenders, "layering violations:\n" + "\n".join(offenders)
