@@ -207,21 +207,28 @@ class _SlotCacheBackend:
     def begin(self, slot: KVSlot, capacity: int) -> None:
         pass  # the slot already owns preallocated caches
 
-    def forward_rows(self, rows: Sequence[_Row]) -> list[list[int]]:
+    def forward_rows(
+        self, rows: Sequence[_Row], labels: dict[str, str]
+    ) -> tuple[list[list[int]], int]:
         """The greedy tokens of every row from one pass over the weights
-        (:meth:`GPT2Model.logits_cached_rows`: multi-row flights packed into
-        shared GEMMs, single positions as GEMV rows, one blocked LM head) —
-        each flight the op sequence of ``generate_cached``'s inner ``step``
-        it would run alone."""
-        logits = self.model.logits_cached_rows([
-            (new_ids, offset, slot.caches, slot.workspace, all_positions)
-            for slot, new_ids, offset, all_positions in rows
-        ])
-        tokens = iter(np.argmax(logits, axis=-1).tolist())
+        (:meth:`GPT2Model.argmax_cached_rows`: multi-row flights packed into
+        shared GEMMs, single positions as GEMV rows, one argmax-only LM
+        head) — each flight's layers the op sequence of ``generate_cached``'s
+        inner ``step`` it would run alone, each token the argmax of the
+        logits that step would compute (certified by the head's screen, or
+        those very logits) — and how many rows fell back to the logits."""
+        tokens, fallbacks = self.model.argmax_cached_rows(
+            [
+                (new_ids, offset, slot.caches, slot.workspace, all_positions)
+                for slot, new_ids, offset, all_positions in rows
+            ],
+            labels,
+        )
+        tokens = iter(tokens.tolist())
         return [
             list(islice(tokens, len(new_ids) if all_positions else 1))
             for _, new_ids, _, all_positions in rows
-        ]
+        ], fallbacks
 
     def rollback(self, slot: KVSlot, length: int) -> None:
         slot.truncate(length)
@@ -250,11 +257,13 @@ class _SessionBackend:
     def begin(self, slot: KVSlot, capacity: int) -> None:
         self.session.begin(slot.index, capacity)
 
-    def forward_rows(self, rows: Sequence[_Row]) -> list[list[int]]:
+    def forward_rows(
+        self, rows: Sequence[_Row], labels: dict[str, str]
+    ) -> tuple[list[list[int]], int]:
         return [
             [self.session.forward(slot.index, new_ids, offset)]
             for slot, new_ids, offset, _ in rows
-        ]
+        ], 0  # the ranks' sharded head computes its logits
 
     def release(self, slot: KVSlot) -> None:
         self.session.release(slot.index)
@@ -507,8 +516,9 @@ class _GreedySequencer(_Sequencer):
             "engine.decode_cohort", cat="engine", kind="compute", track="engine-wall",
             rows=len(rows), positions=sum(lengths),
             packed=len(packed_flights(self.model.config, lengths)),
-        ):
-            tokens = self.backend.forward_rows(rows)
+        ) as span:
+            tokens, fallbacks = self.backend.forward_rows(rows, self._labels)
+            span.set(fallbacks=fallbacks)
         self._stash.update(
             (request_id, plan._replace(tokens=row_tokens))
             for (request_id, (_, plan)), row_tokens in zip(forwards.items(), tokens)

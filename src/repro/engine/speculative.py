@@ -7,11 +7,12 @@ in.  Speculative decoding breaks the sequential chain: a cheap *proposer*
 guesses the next ``k`` tokens, the target model scores the pending token
 plus all ``k`` guesses in **one** batched cached forward (an
 ``all_positions`` flight of
-:meth:`~repro.models.gpt2.GPT2Model.logits_cached_rows` — the residents'
-rounds of one engine iteration share the pass), and the longest prefix of
-guesses that matches the target's own greedy argmaxes is accepted.  Rejected positions are rolled
-back with ``LayerKVCache.truncate`` — the same shrink-only rollback
-preemption already uses.
+:meth:`~repro.models.gpt2.GPT2Model.argmax_cached_rows` — the residents'
+rounds of one engine iteration share the pass and its argmax-only head),
+and the longest prefix of guesses that matches the target's own greedy
+argmaxes is accepted.  Rejected positions are rolled back with
+``LayerKVCache.truncate`` — the same shrink-only rollback preemption
+already uses.
 
 Why outputs stay bit-identical to ``generate_cached`` (proof sketch in
 INTERNALS §16): acceptance is *exact argmax match*, so every emitted token
@@ -48,8 +49,6 @@ accounting trick.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-
-import numpy as np
 
 from repro.engine.sequencer import GPT2CachedSequencer
 from repro.obs.metrics import get_registry
@@ -203,11 +202,11 @@ class DraftModelProposer:
         drafts: list[int] = []
         new = ids[common:]
         while len(drafts) < k:
-            logits = model.logits_cached(
-                new, len(dstate.ids), dstate.cache.layers, workspace=dstate.workspace
+            tokens, _ = model.argmax_cached_rows(
+                [(new, len(dstate.ids), dstate.cache.layers, dstate.workspace)]
             )
+            guess = int(tokens[0])
             dstate.ids.extend(new)
-            guess = int(np.argmax(logits))
             drafts.append(guess)
             new = [guess]
         return drafts

@@ -108,7 +108,9 @@ from repro.core.complexity import (
 )
 from repro.core.partition import Partition
 from repro.models.cache import (
+    SMALL_GEMM_CELLS,
     SMALL_GEMM_FLOPS,
+    SMALL_GEMM_MIN_DEPTH,
     LayerKVCache,
     attend_cached,
     layer_steps,
@@ -146,12 +148,6 @@ _PAIR_BYTES = 16
 # Vocab-shard boundaries sit on multiples of this many table rows, where the
 # BLAS GEMV's unrolled row groups fall in the whole-table product too.
 _HEAD_ROW_ALIGN = 64
-# OpenBLAS's small-matrix SGEMM cutoffs (sgemm_small_kernel_permit, SkylakeX)
-# beyond models.cache.SMALL_GEMM_FLOPS: a transposed operand takes the small
-# kernel only up to M·N output cells and from a minimum depth K.  See
-# _same_gemm_kernels.
-_SMALL_GEMM_CELLS = 1200
-_SMALL_GEMM_MIN_DEPTH = 32
 
 #: One layer's shards a caller owns, each paired with the span it covers.
 Owned = Sequence[tuple[Partition, LayerKVCache]]
@@ -238,13 +234,13 @@ def _same_gemm_kernels(config, rows: int, all_rows: int, total: int) -> bool:
     row sets of a single device; a slice also shortens the attention
     products, which a packed row set leaves whole.  The context product
     ``P·V`` must keep its side of the cutoff too.  The transposed-operand
-    ``Q·Kᵀ`` scores take the small kernel only up to ``_SMALL_GEMM_CELLS``
+    ``Q·Kᵀ`` scores take the small kernel only up to ``SMALL_GEMM_CELLS``
     output cells (and from ``F_H >= 32``), and there even a slice of a
     small product differs — the slice must not.
     """
     if rows == all_rows:
         return True  # the very call the single device makes
-    if config.head_dim >= _SMALL_GEMM_MIN_DEPTH and rows * total <= _SMALL_GEMM_CELLS:
+    if config.head_dim >= SMALL_GEMM_MIN_DEPTH and rows * total <= SMALL_GEMM_CELLS:
         return False
     context = config.head_dim * total
     return same_weight_kernels(config, rows, all_rows) and (

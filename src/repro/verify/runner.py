@@ -324,6 +324,7 @@ def run_scenario(
                     "decode", voltage, n, config.decode_steps, "gathered", drun, dist_stats
                 )
             )
+            checks.append(_head_argmax_check(model, raw, config.seed))
 
             # 5b. distributed attention (regime 2): local-shard attention
             # with the log-sum-exp combine gives up bit-identity against the
@@ -584,6 +585,26 @@ def _decode_head_checks(
             ),
         ),
     ]
+
+
+def _head_argmax_check(model, raw, seed: int) -> Check:
+    """The engine's argmax-only head against the logits it stands in for, on
+    a seed-sampled ``B`` (2–17) of the scenario's own final hidden rows at
+    the scenario's width: screened-and-certified tokens must be
+    ``np.argmax`` of ``lm_head``'s rows (INTERNALS §9)."""
+    rng = np.random.default_rng(seed + 3)
+    hidden = model.encode(model.preprocess(raw))
+    rows = [hidden[i] for i in rng.integers(0, len(hidden), size=int(rng.integers(2, 18)))]
+    tokens, fallbacks = model.head_argmax(rows)
+    want = np.argmax(model.lm_head(rows), axis=-1)
+    return Check(
+        "head_argmax_matches_logits",
+        passed=bool(np.array_equal(tokens, want)),
+        detail=(
+            f"B={len(rows)} rows at F={model.config.hidden_size}: "
+            f"{int(np.sum(tokens != want))} differ, {fallbacks} took the exact path"
+        ),
+    )
 
 
 def _decode_tokens_match(

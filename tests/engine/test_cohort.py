@@ -479,6 +479,30 @@ class TestObservability:
         assert registry.histogram("engine.decode_cohort_rows", replica="r0").max == 2
         assert registry.counter("engine.cohort_forwards_total").value == 0
 
+    def test_head_fallbacks_reach_the_span_and_the_labelled_counters(self, gpt2):
+        """Every vocabulary row duplicated: each screened argmax is an exact
+        tie, so every row of a shared pass is recomputed by the GEMV head —
+        outputs unchanged, and the cost is visible without a debugger."""
+        table = gpt2.embeddings.word.weight.data
+        half = len(table) // 2
+        gpt2.embeddings.word.weight.copy_(np.concatenate([table[:half], table[:half]]))
+        registry, tracer = obs.MetricsRegistry(), obs.Tracer()
+        sequencer = GPT2CachedSequencer(gpt2, max_new_tokens=4, step_cost=constant_step_cost)
+        requests = staggered(4)
+        with obs.use_registry(registry), obs.use_tracer(tracer):
+            report = InferenceEngine(
+                sequencer, EngineConfig(num_slots=2), labels={"replica": "r0"}
+            ).run(requests)
+        check_bit_identity(report, sequencer, requests)
+        spans = [span for span in tracer.spans if span.name == "engine.decode_cohort"]
+        shared = [span for span in spans if span.args["rows"] >= 2]
+        assert shared and all(span.args["fallbacks"] == span.args["rows"] for span in shared)
+        assert all(span.args["fallbacks"] == 0 for span in spans if span.args["rows"] == 1)
+        screened = registry.counter("models.head_rows_screened_total", replica="r0").value
+        assert screened == sum(span.args["rows"] for span in shared)
+        assert registry.counter("models.head_argmax_fallbacks_total", replica="r0").value == screened
+        assert registry.counter("models.head_rows_screened_total").value == 0
+
     def test_span_only_under_an_enabled_tracer(self, gpt2):
         def run():
             sequencer = GPT2CachedSequencer(

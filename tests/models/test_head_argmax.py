@@ -1,0 +1,359 @@
+"""The argmax-only LM head (INTERNALS §9).
+
+``GPT2Model.head_argmax`` must return ``np.argmax(lm_head(rows), -1)`` for
+every row set — the engine's bit-identity to ``generate_cached`` now rides
+on it — while computing ``lm_head``'s logits only for the rows its
+screening product cannot certify.  The screen's summation order is the BLAS
+small kernel's, so equality is by proof (top-two margin against an
+any-order error bound) plus fallback; these tests attack the proof's edges:
+exact ties, runners-up on either side of the bound, scale, non-finite and
+non-float32 inputs, a rebound table.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.models.cache import SMALL_GEMM_CELLS, SMALL_GEMM_FLOPS, SMALL_GEMM_MIN_DEPTH
+from repro.models.gpt2 import head_screen_block
+from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.tensor.workspace import Workspace
+
+from .test_packed_rows import _child, decoder
+
+ROW_COUNTS = (2, 3, 4, 7, 8, 9, 16, 17)
+
+
+@pytest.fixture(scope="module")
+def canary():
+    return decoder(128, 2000)
+
+
+def hidden_rows(model, count, seed=0, scale=1.0):
+    """``count`` final-normed float32 rows, like the ones a pass hands the head."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((count, model.config.hidden_size)).astype(np.float32)
+    return [np.float32(scale) * model.ln_f(row) for row in x]
+
+
+def table_of(model) -> np.ndarray:
+    return model.embeddings.word.weight.data
+
+
+def error_bound(model, row) -> float:
+    """The docstring's ``bound``, spelled independently in float64."""
+    width = model.config.hidden_size
+    gamma = width * 2.0**-24 / (1 - width * 2.0**-24)
+    table = table_of(model).astype(np.float64)
+    return 2 * gamma * np.linalg.norm(row.astype(np.float64)) * np.linalg.norm(table, axis=1).max()
+
+
+def reference(model, rows) -> np.ndarray:
+    return np.argmax(model.lm_head(rows), axis=-1)
+
+
+def with_runner_up(model, row, gap_in_bounds: float):
+    """A copy of ``model``'s table in which the row after ``row``'s argmax
+    scores ``gap_in_bounds · bound`` below it: ``e_top − gap·h/‖h‖²``."""
+    logits = model.lm_head([row])[0]
+    top = int(np.argmax(logits))
+    runner = (top + 1) % logits.size
+    h = row.astype(np.float64)
+    gap = gap_in_bounds * error_bound(model, row)
+    table = table_of(model).copy()
+    table[runner] = (table[top].astype(np.float64) - gap * h / (h @ h)).astype(np.float32)
+    return table, top, runner
+
+
+class TestEqualsLogitsArgmax:
+    @pytest.mark.parametrize("count", ROW_COUNTS)
+    def test_canary_width(self, canary, count):
+        rows = hidden_rows(canary, count, seed=count)
+        tokens, fallbacks = canary.head_argmax(rows, Workspace())
+        assert tokens.shape == (count,)
+        assert np.array_equal(tokens, reference(canary, rows))
+        assert fallbacks == 0  # gaussian rows against a gaussian table: wide margins
+
+    @pytest.mark.parametrize("width,vocab", [(32, 100), (64, 777), (16, 50)])
+    def test_other_widths_with_and_without_scratch(self, width, vocab):
+        model = decoder(width, vocab, heads=2)
+        for count in ROW_COUNTS:
+            rows = hidden_rows(model, count, seed=count)
+            for workspace in (Workspace(), None):
+                tokens, _ = model.head_argmax(rows, workspace)
+                assert np.array_equal(tokens, reference(model, rows))
+
+    def test_lone_row_is_the_gemv_head(self, canary):
+        (row,) = hidden_rows(canary, 1)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            tokens, fallbacks = canary.head_argmax([row], Workspace())
+        assert (tokens.tolist(), fallbacks) == ([int(np.argmax(canary.lm_head([row])[0]))], 0)
+        assert registry.snapshot() == {}  # nothing screened, nothing counted
+
+    def test_gpt2_width_on_one_blas_thread(self):
+        """768 × 50257, where the block rule's cutoffs were measured."""
+        report = _child("""
+            import json, sys
+            import numpy as np
+            sys.path[:0] = sys.argv[1:]
+            from test_packed_rows import decoder
+            from repro.tensor.workspace import Workspace
+            model = decoder(768, 50257, heads=12, layers=1, max_positions=8)
+            rng = np.random.default_rng(3)
+            report = {}
+            for count in (2, 3, 4, 7, 8, 9, 16, 17):
+                x = rng.standard_normal((count, 768)).astype(np.float32)
+                rows = [model.ln_f(row) for row in x]
+                tokens, fallbacks = model.head_argmax(rows, Workspace())
+                equal = np.array_equal(tokens, np.argmax(model.lm_head(rows), axis=-1))
+                report[count] = [bool(equal), fallbacks]
+            print(json.dumps(report))
+        """, threads=1, timeout=600)
+        assert {count: equal for count, (equal, _) in report.items()} == {
+            str(count): True for count in ROW_COUNTS
+        }
+        # 50257 candidates put a runner-up inside the bound now and then
+        # (≈ 1.5 % of rows on served traffic); most rows must still certify
+        assert sum(fallbacks for _, fallbacks in report.values()) <= 3
+
+    def test_pass_tokens_equal_the_logits_pass(self, canary):
+        """``argmax_cached_rows`` is ``logits_cached_rows`` up to the head:
+        same tokens, byte-identical K/V rows."""
+        from .test_packed_rows import flights_for
+
+        specs = [(12, 5, True), (20, 1), (9, 1), (0, 4), (31, 3, True)]
+        screened, logged = flights_for(canary, specs, 6), flights_for(canary, specs, 6)
+        tokens, _ = canary.argmax_cached_rows(screened)
+        assert np.array_equal(tokens, np.argmax(canary.logits_cached_rows(logged), axis=-1))
+        for a, b in zip(screened, logged):
+            for mine, theirs in zip(a[2], b[2]):
+                assert mine.k.tobytes() == theirs.k.tobytes()
+                assert mine.v.tobytes() == theirs.v.tobytes()
+
+
+class TestAdversarial:
+    @pytest.fixture
+    def model(self):
+        return decoder(128, 2000)  # its own: these tests rebind the table
+
+    @pytest.mark.parametrize("shift", [+5, -5])
+    def test_duplicated_table_row_is_an_exact_tie(self, model, shift):
+        rows = hidden_rows(model, 4, seed=1)
+        top = int(reference(model, rows)[2])
+        table = table_of(model).copy()
+        table[(top + shift) % len(table)] = table[top]
+        model.embeddings.word.weight.copy_(table)
+        tokens, fallbacks = model.head_argmax(rows, Workspace())
+        assert np.array_equal(tokens, reference(model, rows))
+        assert tokens[2] == min(top, (top + shift) % len(table))  # argmax's lowest index
+        assert fallbacks == 1
+
+    @pytest.mark.parametrize("count", [2, 4, 9, 20])
+    def test_tie_and_runner_up_in_another_chunk_of_the_scratch(self, count):
+        """The top two are tracked across chunks of table blocks: a
+        duplicate and a near runner-up far from the top row."""
+        model = decoder(32, 40000, heads=2)
+        vocab = model.config.vocab_size
+        rows = hidden_rows(model, count, seed=9)
+        tops = reference(model, rows)
+        table = table_of(model).copy()
+        table[(tops[0] + vocab // 2) % vocab] = table[tops[0]]
+        model.embeddings.word.weight.copy_(table)
+        table, top, runner = with_runner_up(model, rows[1], 1.0)
+        table[(top + vocab // 2) % vocab], table[runner] = table[runner], table_of(model)[runner]
+        model.embeddings.word.weight.copy_(table)
+        tokens, fallbacks = model.head_argmax(rows, Workspace())
+        assert np.array_equal(tokens, reference(model, rows))
+        assert tokens[0] == min(tops[0], (tops[0] + vocab // 2) % vocab)
+        assert fallbacks == 2
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e-3])
+    @pytest.mark.parametrize("gap,expected_fallbacks", [(1.0, 1), (1.9, 1), (2.5, 0), (6.0, 0)])
+    def test_runner_up_inside_and_outside_the_bound(self, model, scale, gap, expected_fallbacks):
+        """The margin is compared with ``2·bound`` and the bound scales with
+        ``‖h‖``, so a ×1e3 / ×1e-3 row certifies exactly when the unit one does."""
+        rows = hidden_rows(model, 3, seed=2, scale=scale)
+        table, top, runner = with_runner_up(model, rows[1], gap)
+        model.embeddings.word.weight.copy_(table)
+        exact = table.astype(np.float64) @ rows[1].astype(np.float64)
+        assert (exact[top] - exact[runner] > 2 * error_bound(model, rows[1])) == (gap > 2)
+        tokens, fallbacks = model.head_argmax(rows, Workspace())
+        assert np.array_equal(tokens, reference(model, rows))
+        assert tokens[1] == top
+        assert fallbacks == expected_fallbacks
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_take_the_exact_path(self, model, poison):
+        rows = hidden_rows(model, 4, seed=3)
+        rows[0] = rows[0].copy()
+        rows[0][5] = poison
+        rows[3] = rows[3] * np.float32(poison)
+        tokens, fallbacks = model.head_argmax(rows, Workspace())
+        assert np.array_equal(tokens, reference(model, rows))
+        assert fallbacks == 2  # and the finite rows were still certified
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_rows_whose_partial_sums_could_overflow_take_the_exact_path(self, model):
+        """Finite inputs, but ``‖h‖·‖e‖`` past float32's range: the error
+        bound assumes no overflow, so the screen is not trusted."""
+        model.embeddings.word.weight.copy_(table_of(model) * np.float32(100))
+        rows = hidden_rows(model, 3, seed=3)
+        rows[1] = rows[1] * np.float32(1e37)
+        assert np.all(np.isfinite(rows[1]))
+        tokens, fallbacks = model.head_argmax(rows, Workspace())
+        assert np.array_equal(tokens, reference(model, rows))
+        assert fallbacks == 1
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_poisoned_table_sends_every_row_to_the_exact_path(self, model):
+        table = table_of(model).copy()
+        table[17, 3] = np.nan
+        model.embeddings.word.weight.copy_(table)
+        rows = hidden_rows(model, 3, seed=4)
+        tokens, fallbacks = model.head_argmax(rows, Workspace())
+        assert np.array_equal(tokens, reference(model, rows))
+        assert fallbacks == 3
+
+    @pytest.mark.parametrize("table_dtype,row_dtype", [
+        (np.float64, np.float64), (np.float64, np.float32), (np.float32, np.float64),
+        (np.float16, np.float16),
+    ])
+    def test_other_dtypes_are_the_logits_path(self, model, table_dtype, row_dtype):
+        model.embeddings.word.weight.data = table_of(model).astype(table_dtype)
+        rows = [row.astype(row_dtype) for row in hidden_rows(model, 4, seed=5)]
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            tokens, fallbacks = model.head_argmax(rows, Workspace())
+        assert np.array_equal(tokens, reference(model, rows))
+        assert fallbacks == 0 and registry.snapshot() == {}
+
+    def test_rebound_table_rederives_its_norm(self, model):
+        """With the old table's norm the bound would be 100× too wide and
+        every row would fall back."""
+        rows = hidden_rows(model, 4, seed=6)
+        assert model.head_argmax(rows, Workspace())[1] == 0
+        model.embeddings.word.weight.copy_(table_of(model) * np.float32(0.01))
+        tokens, fallbacks = model.head_argmax(rows, Workspace())
+        assert np.array_equal(tokens, reference(model, rows))
+        assert fallbacks == 0
+        # ... and 100× too narrow the other way round
+        model.embeddings.word.weight.copy_(table_of(model) * np.float32(1e4))
+        table, _, _ = with_runner_up(model, rows[0], 1.0)
+        model.embeddings.word.weight.copy_(table)
+        assert model.head_argmax(rows, Workspace())[1] == 1
+
+    def test_draft_sharing_the_table_shares_nothing_stale(self, model):
+        draft = model.truncated_draft(1)
+        rows = hidden_rows(model, 3, seed=7)
+        assert np.array_equal(draft.head_argmax(rows)[0], reference(model, rows))
+
+
+class TestScreenWithinBound:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        count=st.integers(2, 20),
+        seed=st.integers(0, 2**16),
+        exponent=st.integers(-6, 6),
+    )
+    def test_every_screening_logit_is_within_the_bound(self, count, seed, exponent):
+        model = _property_model()
+        vocab = model.config.vocab_size
+        rows = hidden_rows(model, count, seed=seed, scale=10.0**exponent)
+        workspace = Workspace()
+        tokens, _ = model.head_argmax(rows, workspace)
+        # this vocabulary is one chunk of the scratch, so all of it is still there
+        screen = workspace.take("head_screen", (1 << 15,))[: count * vocab].reshape(count, vocab)
+        logits = model.lm_head(rows)
+        masked = np.isneginf(screen)  # the screened top, already read out
+        assert masked.sum(axis=1).tolist() == [1] * count
+        bounds = np.array([error_bound(model, row) for row in rows])[:, None]
+        assert np.all((np.abs(screen.astype(np.float64) - logits) <= bounds) | masked)
+        assert np.array_equal(tokens, np.argmax(logits, axis=-1))
+
+
+_PROPERTY_MODEL = []
+
+
+def _property_model():
+    if not _PROPERTY_MODEL:
+        _PROPERTY_MODEL.append(decoder(96, 1111, heads=4))
+    return _PROPERTY_MODEL[0]
+
+
+class TestCounters:
+    def test_screened_rows_and_fallbacks_are_counted_under_the_callers_labels(self):
+        model = decoder(128, 2000)
+        rows = hidden_rows(model, 5, seed=8)
+        table, _, _ = with_runner_up(model, rows[4], 0.5)
+        model.embeddings.word.weight.copy_(table)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            model.head_argmax(rows, Workspace(), labels={"replica": "r0"})
+            model.head_argmax(rows[:3], Workspace(), labels={"replica": "r0"})
+            model.head_argmax(rows[3:])
+        assert {name: entry["value"] for name, entry in registry.snapshot().items()} == {
+            "models.head_rows_screened_total{replica=r0}": 8,
+            "models.head_argmax_fallbacks_total{replica=r0}": 1,
+            "models.head_rows_screened_total": 2,
+            "models.head_argmax_fallbacks_total": 1,
+        }
+
+
+class TestBlockRule:
+    def test_both_sides_of_both_cutoffs(self):
+        # F = 768: the 1200-cell rule binds (the 100³ rule alone says 325)
+        assert head_screen_block(4, 768) == 300 < SMALL_GEMM_FLOPS // (4 * 768) == 325
+        # F = 1024: the multiply-add rule binds
+        assert head_screen_block(4, 1024) == 244 < SMALL_GEMM_CELLS // 4
+        for rows in range(1, 9):
+            for width in (32, 128, 768, 1024, 1600):
+                block = head_screen_block(rows, width)
+                assert rows * block * width <= SMALL_GEMM_FLOPS
+                assert rows * block <= SMALL_GEMM_CELLS
+                assert (
+                    rows * (block + 1) * width > SMALL_GEMM_FLOPS
+                    or rows * (block + 1) > SMALL_GEMM_CELLS
+                )
+
+    def test_below_the_minimum_depth_only_the_flops_rule_applies(self):
+        width = SMALL_GEMM_MIN_DEPTH - 1
+        assert head_screen_block(2, width) == SMALL_GEMM_FLOPS // (2 * width) > SMALL_GEMM_CELLS
+
+    def test_never_zero(self):
+        assert head_screen_block(8, 10**6) == 1
+
+
+@pytest.mark.slow
+def test_screened_head_beats_the_gemv_head_at_gpt2_width():
+    """A BLAS without the non-packing small kernel (or with other cutoffs)
+    would make the screen *slower* than the head it replaces — silently,
+    because tokens stay right either way.  B = 4, the saturated cohort;
+    healthy is 1.35–1.6×, the packed kernel 0.7×.  Fastest of seven
+    interleaved calls a side: a neighbour on the box only ever adds time
+    (the median of five dipped under the bar once in a dozen runs)."""
+    times = _child("""
+        import json, sys, time
+        import numpy as np
+        sys.path[:0] = sys.argv[1:]
+        from test_packed_rows import decoder
+        from repro.tensor.workspace import Workspace
+        model = decoder(768, 50257, heads=12, layers=1, max_positions=8)
+        x = np.random.default_rng(0).standard_normal((4, 768)).astype(np.float32)
+        rows, workspace = [model.ln_f(row) for row in x], Workspace()
+        model.head_argmax(rows, workspace), model.lm_head(rows)  # warm: norm, scratch
+        times = {"screened": [], "gemv": []}
+        for _ in range(7):
+            start = time.perf_counter()
+            model.head_argmax(rows, workspace)
+            times["screened"].append(time.perf_counter() - start)
+            start = time.perf_counter()
+            np.argmax(model.lm_head(rows), axis=-1)
+            times["gemv"].append(time.perf_counter() - start)
+        print(json.dumps(times))
+    """, threads=1, timeout=600)
+    speedup = min(times["gemv"]) / min(times["screened"])
+    assert speedup >= 1.2, times

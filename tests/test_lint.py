@@ -76,3 +76,20 @@ def test_obs_imports_nothing_above_it():
     round."""
     offenders = _imports_of(("obs",), UPPER_PACKAGES)
     assert not offenders, "layering violations:\n" + "\n".join(offenders)
+
+
+def test_engine_takes_no_argmax_of_head_logits():
+    """A greedy token reaches ``repro.engine`` from
+    ``GPT2Model.argmax_cached_rows`` — the argmax-only head
+    (``models/gpt2.py``), whose screen is what lets B rows share one pass
+    over the tied table — never from ``np.argmax`` over logits the engine
+    asked for: that would put the ``(B, vocab)`` GEMV head back on the
+    serving path without failing a single output check."""
+    offenders = [
+        f"{path.relative_to(REPO_ROOT)}:{node.lineno}"
+        for path in sorted((REPO_ROOT / "src" / "repro" / "engine").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Attribute) and node.attr == "argmax")
+        or (isinstance(node, ast.Name) and node.id == "argmax")
+    ]
+    assert not offenders, "argmax taken inside repro.engine:\n" + "\n".join(offenders)
