@@ -62,7 +62,7 @@ class MultiHeadSelfAttention(Module):
         consumer (``attention_params``, tensor-parallel sharding, pruning)
         keeps seeing three ``(F, H·F_H)`` arrays.  In-place weight edits flow
         through the views; rebinding ``weight.data`` wholesale is detected by
-        identity in :meth:`_fused_qkv` and triggers a re-fuse.
+        identity in :meth:`fused_qkv` and triggers a re-fuse.
         """
         proj_width = self.num_heads * self.head_dim
         fused_w = np.concatenate(
@@ -87,7 +87,7 @@ class MultiHeadSelfAttention(Module):
             fused_b,
         )
 
-    def _fused_qkv(self) -> tuple[np.ndarray, np.ndarray | None]:
+    def fused_qkv(self) -> tuple[np.ndarray, np.ndarray | None]:
         """The fused ``(F, 3·H·F_H)`` weight (and bias), re-fused if stale.
 
         Staleness means some consumer rebound ``weight.data`` to a fresh
@@ -114,7 +114,7 @@ class MultiHeadSelfAttention(Module):
         of three (identical FLOPs, one output allocation, better BLAS
         efficiency at decode-step widths).
         """
-        w, b = self._fused_qkv()
+        w, b = self.fused_qkv()
         out = np.matmul(x, w, out=out) if out is not None else x @ w
         if b is not None:
             np.add(out, b, out=out)

@@ -33,6 +33,7 @@ import numpy as np
 from repro.core.orders import merge_heads, split_heads
 from repro.models.layer import TransformerLayer
 from repro.tensor import functional as F
+from repro.tensor.blas import rows_matmul
 from repro.tensor.workspace import Workspace
 
 __all__ = [
@@ -185,28 +186,35 @@ class KVCache:
             layer.truncate(length)
 
 
-def _project_qkv(
-    attention, attn_input: np.ndarray, workspace: Workspace | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fused QKV projection of the new positions, split into per-head views.
+def _qkv_request(attention, attn_input: np.ndarray, workspace: Workspace | None) -> tuple:
+    """The product request (see :func:`layer_steps`) of the fused QKV
+    projection of the new positions.  A multi-row projection lands in the
+    workspace's ``qkv`` scratch when one is supplied, so its result is valid
+    until the next workspace request for that key; a single row never names
+    scratch — its ``(1, 3·H·F_H)`` product is a fresh array."""
+    weight, bias = attention.fused_qkv()
+    t, dt = attn_input.shape[0], np.result_type(attn_input.dtype, weight.dtype)
+    out = None
+    if workspace is not None and t >= 2 and attn_input.dtype == dt:
+        out = workspace.take("qkv", (t, weight.shape[1]), dt)
+    return weight, bias, attn_input, out
 
-    Returns ``(q, k_new, v_new)``, each ``(H, t, F_H)`` — views into the
-    workspace's ``qkv`` scratch when one is supplied, so they are valid
-    until the next workspace request for that key.
-    """
-    t = attn_input.shape[0]
+
+def _linear_request(linear, x: np.ndarray) -> tuple:
+    """The product request of ``linear(x)``, into a fresh array."""
+    return linear.weight.data, linear.bias.data if linear.bias else None, x, None
+
+
+def _split_qkv(attention, qkv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fused projection's per-head views ``(q, k_new, v_new)``, each
+    ``(H, t, F_H)``."""
     heads = attention.num_heads
     width = heads * attention.head_dim
-    dt = np.result_type(attn_input.dtype, attention.query.weight.data.dtype)
-
-    if workspace is not None and attn_input.dtype == dt:
-        qkv = attention.qkv_projection(attn_input, out=workspace.take("qkv", (t, 3 * width), dt))
-    else:
-        qkv = attention.qkv_projection(attn_input)
-    q = split_heads(qkv[:, :width], heads)
-    k_new = split_heads(qkv[:, width : 2 * width], heads)
-    v_new = split_heads(qkv[:, 2 * width :], heads)
-    return q, k_new, v_new
+    return (
+        split_heads(qkv[:, :width], heads),
+        split_heads(qkv[:, width : 2 * width], heads),
+        split_heads(qkv[:, 2 * width :], heads),
+    )
 
 
 def attend_cached(
@@ -286,36 +294,49 @@ def attend_segments(attends, lengths, q: np.ndarray, k_new: np.ndarray, v_new: n
 
 
 def layer_steps(layer: TransformerLayer, x_new: np.ndarray, attend, workspace=None):
-    """The cached causal layer, spelled once — as a generator that pauses
-    (bare ``yield``) before each of the layer's four weight matrices: fused
-    QKV, W_O, FC1, FC2.  Its return value is the layer output ``(t, F)``.
+    """The cached causal layer, spelled once — as a generator that pauses at
+    each of the layer's four weight matrices (fused QKV, W_O, FC1, FC2) on a
+    *product request*: ``y = yield (weight, bias, x, out)`` asks its driver
+    for ``x @ weight + bias`` (``bias`` and ``out`` may be None; with ``out``
+    the product is written there if the driver can).  Its return value is
+    the layer output ``(t, F)``.
 
     ``attend(q, k_new, v_new) -> (H, t, F_H)`` receives the new positions'
     per-head projections and must return the *normalised* attended context
     for those positions — it owns cache extension, score scaling, causal
     masking and the softmax (no weights, so it runs in the QKV segment).
-    ``attend`` may itself be a generator that pauses before it reads rows
-    its peers append (a span-partitioned sharded step, whose owner drives
-    every rank it owns in :func:`lockstep`): its pauses become this
-    layer's, its return value the attended context.
+    ``attend`` may itself be a generator that pauses (a bare ``yield`` — no
+    product) before it reads rows its peers append (a span-partitioned
+    sharded step, whose owner drives every rank it owns in
+    :func:`lockstep`): its pauses become this layer's, its return value the
+    attended context.
 
     ``x_new`` may stack the new rows of several flights (a *packed* row
     set, :func:`packed_flights`): the weight products and everything
     position-wise run once over all of them, and ``attend`` keeps the
     flights apart (:func:`attend_segments`).
 
-    Two drivers run this one body.  :func:`run_steps` exhausts a single
-    generator — the straight-through forward of a lone flight or a sharded
-    decode step.  :func:`lockstep` advances several round-robin, so every
-    row set of a pass — the packed multi-row set, each single-position
-    decode — visits one weight matrix before any moves to the next (the
-    matrix is streamed from memory once per pass, not once per flight).
-    Either way each flight issues the same NumPy/BLAS calls against its own
-    cache and workspace — with the same shapes, or for a packed member with
-    more rows through the same kernel — so pausing changes *when* an op
-    runs, never its result; no workspace view is live across a weight pause
-    (a pausing ``attend`` holds ``q`` across its own, so its driver gives
-    each generator its own workspace).
+    :func:`lockstep` is the driver (:func:`run_steps` for a lone
+    generator): it advances every row set of a pass — the packed multi-row
+    set, each single-position decode — to the same weight matrix and serves
+    their requests together, so the matrix is streamed from memory once per
+    pass, not once per flight.  Each flight's products are the BLAS calls
+    it would issue alone — the same ``np.matmul``, with more rows through
+    the same kernel for a packed member, or for single rows sharing a matrix
+    the same ``cblas_sgemv`` in row blocks
+    (:func:`repro.tensor.blas.rows_matmul`) — so sharing changes *when* and
+    *from which cache level* an op runs, never its result.
+
+    Scratch invariant: a request's ``out`` is named *before* the pause and
+    read after it, so it belongs to its generator from the request until
+    that generator's next pause, and the driver must not let two requests
+    of one round write the same memory — flights may share one
+    :class:`Workspace`.  Hence single rows never name scratch
+    (:func:`_qkv_request`), :func:`lockstep` serves a multi-row ``out`` that
+    overlaps an earlier request's of the round into a fresh array instead,
+    and no other workspace view is live across a weight pause (a pausing
+    ``attend`` holds ``q`` across its own, so its driver gives each
+    generator its own workspace).
     """
     if not layer.config.is_causal:
         raise ValueError("KV caching requires a causal layer")
@@ -323,35 +344,71 @@ def layer_steps(layer: TransformerLayer, x_new: np.ndarray, attend, workspace=No
     post = layer.config.norm_style == "post"
 
     attn_input = x_new if post else layer.ln1(x_new)
-    yield  # fused QKV
-    q, k_new, v_new = _project_qkv(attention, attn_input, workspace)
-    attended = attend(q, k_new, v_new)
+    qkv = yield _qkv_request(attention, attn_input, workspace)
+    attended = attend(*_split_qkv(attention, qkv))
     if isinstance(attended, GeneratorType):
         attended = yield from attended
-    attended = merge_heads(attended)
-    yield  # W_O
-    projected = attention.output(attended)
+    projected = yield _linear_request(attention.output, merge_heads(attended))
     y = layer.ln1(projected + x_new) if post else x_new + projected
     ffn_input = y if post else layer.ln2(y)
-    yield  # FC1
-    expanded = ffn.expand(ffn_input)
-    yield  # FC2
-    out = y + ffn.fc2(expanded)
+    expanded = ffn.activate((yield _linear_request(ffn.fc1, ffn_input)))
+    out = y + (yield _linear_request(ffn.fc2, expanded))
     return layer.ln2(out) if post else out
 
 
+def _serve(requests: dict) -> dict:
+    """One round of :func:`lockstep`: ``requests[i]`` is generator ``i``'s
+    product request ``(weight, bias, x, out)`` or None (a bare pause);
+    returns ``x @ weight + bias`` (or None) under the same keys.
+
+    Requests against the same matrix are served together: its single rows
+    by :func:`rows_matmul` (one stream of the matrix for all of them, each
+    bit-equal to its own ``np.matmul``), a multi-row set — and a single row
+    nobody shares the matrix with — by the literal ``np.matmul``.
+    """
+    products = dict.fromkeys(requests)
+    by_weight: dict[int, list] = {}
+    for index, request in requests.items():
+        if request is not None:
+            by_weight.setdefault(id(request[0]), []).append(index)
+    claimed = []  # the scratch this round's products already occupy
+    for members in by_weight.values():
+        weight = requests[members[0]][0]
+        singles = [index for index in members if requests[index][2].shape[0] == 1]
+        if len(singles) >= 2:
+            products.update(
+                zip(singles, rows_matmul([requests[index][2] for index in singles], weight))
+            )
+        for index in members:
+            _, bias, x, out = requests[index]
+            if products[index] is None:
+                if out is not None and any(np.may_share_memory(out, other) for other in claimed):
+                    out = None
+                elif out is not None:
+                    claimed.append(out)
+                products[index] = np.matmul(x, weight, out=out)
+            if bias is not None:
+                np.add(products[index], bias, out=products[index])
+    return products
+
+
 def lockstep(rows) -> list:
-    """Drive step generators round-robin — each advances one pause per turn —
-    and return their return values in order."""
+    """Drive step generators round-robin — each advances one pause per turn,
+    then the round's product requests are served together (:func:`_serve`)
+    and each generator resumes with its own — and return their return
+    values in order."""
     results = {}
     live = dict(enumerate(rows))
+    products = dict.fromkeys(live)
     while live:
+        requests = {}
         for index, steps in list(live.items()):
             try:
-                next(steps)
+                requests[index] = steps.send(products[index])
             except StopIteration as stop:
                 results[index] = stop.value
                 del live[index]
+        products = _serve(requests)
     return [results[index] for index in sorted(results)]
 
 
@@ -575,10 +632,12 @@ def decoder_layer_forward_cached(
     cross_attn = layer.cross_attention
     offset = cache.self_cache.length
 
+    *_, scratch = _qkv_request(self_attn, x_new, workspace)
+    qkv = self_attn.qkv_projection(x_new, out=scratch)
     attended = merge_heads(
         attend_cached(
             self_attn, cache.self_cache.append, offset, True, workspace,
-            *_project_qkv(self_attn, x_new, workspace),
+            *_split_qkv(self_attn, qkv),
         )
     )
     y1 = layer.ln1(self_attn.output(attended) + x_new)

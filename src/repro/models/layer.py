@@ -40,15 +40,13 @@ class FeedForward(Module):
         self.fc1 = Linear(hidden_size, ffn_dim, rng=rng)
         self.fc2 = Linear(ffn_dim, hidden_size, rng=rng)
         self.activation = activation
-        self._act = F.ACTIVATIONS[activation]
-
-    def expand(self, x: np.ndarray) -> np.ndarray:
-        """The first half, ``Act(x W_1 + b_1)`` — split out so a caller can
-        pause between the two weight matrices (cohort decode, INTERNALS §10)."""
-        return self._act(self.fc1(x))
+        #: the element-wise ``Act`` — public so a caller that has the two
+        #: weight products served elsewhere (the cached layer, INTERNALS §10)
+        #: applies the same function between them
+        self.activate = F.ACTIVATIONS[activation]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.fc2(self.expand(x))
+        return self.fc2(self.activate(self.fc1(x)))
 
     def flops(self, n_rows: int) -> int:
         return self.fc1.flops(n_rows) + self.fc2.flops(n_rows)

@@ -195,7 +195,7 @@ class TensorParallelSystem(InferenceSystem):
             self.geometries, x.shape[0], self.sim, **terminal
         )
         causal = self.model.config.is_causal
-        act = self.model.layers[0].ffn._act
+        act = self.model.layers[0].ffn.activate
         norm_style = self.model.config.norm_style
         for layer, shards in zip(self.model.layers, self.shards):
             attn_input = x if norm_style == "post" else layer.ln1(x)
@@ -246,7 +246,7 @@ class TensorParallelSystem(InferenceSystem):
         """
         x0 = self.model.preprocess(raw)
         causal = self.model.config.is_causal
-        act = self.model.layers[0].ffn._act
+        act = self.model.layers[0].ffn.activate
         norm_style = self.model.config.norm_style
         layers = list(self.model.layers)
         all_shards = self.shards

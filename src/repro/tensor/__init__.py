@@ -9,7 +9,9 @@ provides just enough structure to express transformer models faithfully:
 - :mod:`repro.tensor.functional` — numerically stable functional ops
   (softmax, layer normalisation, GELU/ReLU, linear, embedding lookup);
 - :mod:`repro.tensor.init` — seeded weight initialisers;
-- :mod:`repro.tensor.layers` — `Linear`, `LayerNorm`, `Embedding` modules.
+- :mod:`repro.tensor.layers` — `Linear`, `LayerNorm`, `Embedding` modules;
+- :mod:`repro.tensor.blas` — :func:`rows_matmul`, several single rows against
+  one weight matrix streamed once (the accumulate GEMV NumPy does not expose).
 
 Everything operates on ``numpy.ndarray`` in ``float32`` by default, which is
 what edge CPU inference uses in practice and what the paper's latency model
@@ -17,6 +19,7 @@ assumes (4 bytes/element for communication volume).
 """
 
 from repro.tensor import functional, init
+from repro.tensor.blas import rows_matmul
 from repro.tensor.serialization import (
     CheckpointError,
     checkpoint_manifest,
@@ -43,4 +46,5 @@ __all__ = [
     "Workspace",
     "functional",
     "init",
+    "rows_matmul",
 ]

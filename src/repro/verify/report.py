@@ -18,14 +18,40 @@ import json
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from repro.models.config import gpt2_config
 from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.tensor.blas import bound_blas, rows_matmul_probe
 from repro.verify.runner import ScenarioResult, default_voltage_factory, run_scenario
 from repro.verify.scenario import ScenarioConfig, sample_scenario
 from repro.verify.shrink import shrink_config
 
-__all__ = ["VerifyReport", "run_verification", "replay_seed"]
+__all__ = ["VerifyReport", "run_verification", "replay_seed", "blas_identity"]
 
 REPORT_VERSION = 1
+
+
+def blas_identity() -> dict:
+    """Which BLAS the bit-identity checks ran on, for the report header: the
+    OpenBLAS bound under NumPy (None if there is none to bind) and the
+    verdict ``rows_matmul``'s probe reaches at GPT-2's four layer-matrix
+    shapes (seeded stand-in weights, dropped at once)."""
+    blas = bound_blas()
+    config = gpt2_config()
+    f, ffn = config.hidden_size, config.ffn_dim
+    rng = np.random.default_rng(0)
+    return {
+        "path": blas and blas.path,
+        "config": blas and blas.config,
+        "threads": blas and blas.threads,
+        "rows_matmul": {
+            f"{depth}x{width}": rows_matmul_probe(
+                rng.standard_normal((depth, width), dtype=np.float32)
+            )
+            for depth, width in ((f, 3 * f), (f, f), (f, ffn), (ffn, f))
+        },
+    }
 
 
 @dataclass
@@ -38,6 +64,7 @@ class VerifyReport:
     shrunk: dict[int, ScenarioConfig] = field(default_factory=dict)  # seed -> minimal config
     elapsed_seconds: float = 0.0
     metrics: dict = field(default_factory=dict)
+    blas: dict = field(default_factory=dict)  # :func:`blas_identity` of the run
 
     @property
     def ok(self) -> bool:
@@ -56,6 +83,7 @@ class VerifyReport:
             "passed": sum(1 for r in self.results if r.ok),
             "failed": len(self.failures),
             "elapsed_seconds": round(self.elapsed_seconds, 3),
+            "blas": self.blas,
             "scenarios": [r.to_dict() for r in self.results],
             "failures": [
                 {
@@ -79,7 +107,17 @@ class VerifyReport:
 
     def summary(self) -> str:
         """Short human-readable campaign summary for the CLI."""
-        lines = [
+        lines = []
+        if self.blas:
+            lines.append(
+                f"blas: {self.blas['config'] or 'not OpenBLAS'}, "
+                f"{self.blas['threads']} thread(s), {self.blas['path']}"
+            )
+            lines += [
+                f"  rows_matmul {shape}: {verdict}"
+                for shape, verdict in self.blas["rows_matmul"].items()
+            ]
+        lines += [
             f"verify: {len(self.results)} scenarios "
             f"(seeds {self.base_seed}..{self.base_seed + self.num_seeds - 1}), "
             f"{sum(1 for r in self.results if r.ok)} passed, "
@@ -160,6 +198,7 @@ def run_verification(
                 registry.counter("verify.shrinks_total").inc()
     report.elapsed_seconds = time.perf_counter() - started
     report.metrics = registry.snapshot()
+    report.blas = blas_identity()
     return report
 
 

@@ -42,6 +42,7 @@ from repro.systems import (
     VoltageSystem,
 )
 from repro.systems.base import activation_bytes
+from repro.tensor.blas import rows_matmul, rows_matmul_probe
 from repro.verify.scenario import ScenarioConfig, build_cluster, build_input, build_model, build_scheme
 from repro.verify.tolerances import (
     ANALYTIC_REL_TOL,
@@ -325,6 +326,7 @@ def run_scenario(
                 )
             )
             checks.append(_head_argmax_check(model, raw, config.seed))
+            checks.append(_rows_matmul_check(model, raw, config.seed))
 
             # 5b. distributed attention (regime 2): local-shard attention
             # with the log-sum-exp combine gives up bit-identity against the
@@ -603,6 +605,38 @@ def _head_argmax_check(model, raw, seed: int) -> Check:
         detail=(
             f"B={len(rows)} rows at F={model.config.hidden_size}: "
             f"{int(np.sum(tokens != want))} differ, {fallbacks} took the exact path"
+        ),
+    )
+
+
+def _rows_matmul_check(model, raw, seed: int) -> Check:
+    """The decode round's shared-matrix kernel against the calls it stands
+    in for, on a seed-sampled ``B`` (2–9) of the scenario's own hidden rows
+    and the first layer's four weight matrices: every product of
+    ``rows_matmul`` must be ``np.array_equal`` to that row's own
+    ``np.matmul`` (INTERNALS §10)."""
+    rng = np.random.default_rng(seed + 4)
+    hidden = model.encode(model.preprocess(raw))
+    rows = [hidden[i : i + 1] for i in rng.integers(0, len(hidden), size=int(rng.integers(2, 10)))]
+    layer = model.layers[0]
+    fc1 = layer.ffn.fc1.weight.data
+    products = [
+        (layer.attention.fused_qkv()[0], rows),
+        (layer.attention.output.weight.data, rows),
+        (fc1, rows),
+        (layer.ffn.fc2.weight.data, [layer.ffn.activate(row @ fc1) for row in rows]),
+    ]
+    differ = sum(
+        not np.array_equal(got, np.matmul(x, weight))
+        for weight, xs in products
+        for x, got in zip(xs, rows_matmul(xs, weight))
+    )
+    return Check(
+        "rows_matmul_matches_matmul",
+        passed=differ == 0,
+        detail=(
+            f"B={len(rows)} rows x 4 matrices at F={model.config.hidden_size}: "
+            f"{differ} products differ ({rows_matmul_probe(fc1)})"
         ),
     )
 

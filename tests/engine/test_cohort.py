@@ -24,6 +24,7 @@ from repro.engine import (
     VoltageDecodeSequencer,
 )
 from repro.serving.arrivals import Request
+from repro.tensor import blas
 
 from .conftest import check_bit_identity, constant_step_cost
 
@@ -218,6 +219,37 @@ class TestAccountingUnchanged:
             assert runs[0][5]["hits"] > 0
         if name == "always drafting":
             assert runs[0][7]["rounds"] > 0
+
+
+class TestSharedMatrixKernel:
+    @pytest.mark.parametrize("chaos", [None, 5])
+    def test_engine_is_identical_with_the_binding_patched_away(self, gpt2, chaos, monkeypatch):
+        """The decode rows of a round share each layer matrix through
+        ``rows_matmul``; without an OpenBLAS to bind they are per-row
+        ``np.matmul`` again.  Every ``(done, cost)``, timestamp and output
+        is the same either way — only the counters tell the kernels apart."""
+        config = dict(num_slots=4, chaos_preempt_period=chaos, chaos_seed=3)
+        runs, rows = [], []
+        for patched in (False, True):
+            if patched:
+                monkeypatch.setattr(blas, "_bound", lambda: "patched away")
+            sequencer = StagingSequencer(gpt2, max_new_tokens=6, step_cost=position_cost)
+            registry = obs.MetricsRegistry()
+            with obs.use_registry(registry):
+                report, log = run_logged(sequencer, staggered(9), **config)
+            check_bit_identity(report, sequencer, staggered(9))
+            runs.append((log, lifecycle(report), report.steps_total, report.slot_seconds))
+            rows.append({
+                kernel: registry.counter("tensor.rows_matmul_rows_total", kernel=kernel).value
+                for kernel in ("accumulate", "matmul")
+            })
+            assert registry.counter(
+                "tensor.rows_matmul_disabled", reason="patched away"
+            ).value == patched
+        assert runs[0] == runs[1]
+        assert sum(rows[0].values()) == sum(rows[1].values()) == rows[1]["matmul"] > 0
+        if blas.bound_blas() is not None:
+            assert rows[0]["matmul"] == 0
 
 
 class TestMixedIterations:

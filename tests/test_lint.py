@@ -93,3 +93,15 @@ def test_engine_takes_no_argmax_of_head_logits():
         or (isinstance(node, ast.Name) and node.id == "argmax")
     ]
     assert not offenders, "argmax taken inside repro.engine:\n" + "\n".join(offenders)
+
+
+def test_ctypes_is_imported_only_under_repro_tensor():
+    """Foreign calls take raw pointers: the one place that makes them
+    (``repro/tensor/blas.py``, the accumulate GEMV) validates dtype, shape
+    and strides first and keeps every buffer referenced while native code
+    runs.  Nothing else in ``src/repro`` may import ``ctypes``."""
+    offenders = [
+        line for line in _imports_of(("",), ("ctypes",))  # "" = all of src/repro
+        if not line.startswith("src/repro/tensor/")
+    ]
+    assert not offenders, "ctypes outside repro/tensor:\n" + "\n".join(offenders)
