@@ -15,20 +15,22 @@ Usage::
     voltage-bench all --json out/   # everything, plus JSON dumps
     voltage-bench verify --seeds 25 # differential conformance fuzzing
     voltage-bench verify --replay 7 # re-run one scenario by its seed
-    voltage-bench perf              # allocation-aware perf suite -> BENCH_perf.json
-    voltage-bench perf --quick --check  # CI smoke lane with regression gate
     voltage-bench serve             # online engine offered-load sweep -> BENCH_serve.json
                                     # (includes the speculative-decode / prefix-cache
                                     #  tokens-per-second comparison, digest-gated)
-    voltage-bench serve --quick --check # CI soak lane with baseline gate
+    voltage-bench serve --quick --check # CI gates lane: committed-baseline gate
     voltage-bench fleet             # multi-replica router/autoscale sweep -> BENCH_fleet.json
     voltage-bench fleet --workload bursts   # replay a different registered trace
     voltage-bench fleet --list-traces       # show the workload trace registry
 
 Any invocation accepts ``--trace OUT.json`` to capture the run as a Chrome
 ``trace_event`` timeline (open in Perfetto / ``chrome://tracing``): every
-modeled latency phase, simulator collective and threaded-runtime operation
-of the figure computation lands in the file.
+modeled latency phase, simulator collective, threaded-runtime operation and
+engine step of the chosen target lands in the file.
+
+Wall-clock performance is gated in one place, ``benchmarks/e2e/run.py``
+(see ``BENCHMARK.json``); ``fig6`` and ``profile`` time this host but gate
+nothing.
 """
 
 from __future__ import annotations
@@ -121,6 +123,37 @@ def _run_profile(num_layers: int, n_words: int) -> None:
     )
 
 
+def _run_figures(args) -> int:
+    """The paper's figures and tables plus the profile and headline targets."""
+    fig6_mode = "model" if args.model else "measured"
+    if args.target in ("fig4", "all"):
+        _emit(figures.figure4(bandwidth_mbps=args.bandwidth, max_devices=args.devices),
+              args.json)
+    if args.target in ("fig5", "all"):
+        _emit(figures.figure5(num_devices=args.devices), args.json)
+    if args.target in ("fig6", "all"):
+        _emit(figures.figure6(mode=fig6_mode), args.json)
+    if args.target in ("comm", "all"):
+        _emit(figures.comm_volume_table(), args.json)
+        _emit(figures.memory_tradeoff_table(), args.json)
+    if args.target in ("ablations", "all"):
+        _emit(figures.ablation_order_choice(), args.json)
+        _emit(figures.ablation_heterogeneous(), args.json)
+        _emit(figures.ablation_dynamic_schemes(), args.json)
+        _emit(figures.efficient_attention_comm_table(), args.json)
+        _emit(figures.ablation_comm_precision(), args.json)
+        _emit(figures.ablation_overlap(), args.json)
+        _emit(figures.ablation_decode_attention(), args.json)
+        _emit(figures.fleet_autoscale_timeline(), args.json)
+    if args.target in ("serving", "all"):
+        _emit(figures.serving_tail_latency(), args.json)
+    if args.target == "profile":
+        _run_profile(args.layers, args.words)
+    if args.target in ("headline", "all"):
+        _run_headline(args.json)
+    return 0
+
+
 def _run_verify(args) -> int:
     """Differential conformance fuzzing (``repro.verify``)."""
     from repro import verify
@@ -150,43 +183,6 @@ def _run_verify(args) -> int:
         (args.json / "verify.json").write_text(report.to_json())
         print(f"report: {args.json / 'verify.json'}")
     return 0 if report.ok else 1
-
-
-def _run_perf(args) -> int:
-    """Allocation-aware perf suite (``repro.bench.perf``)."""
-    from repro.bench import perf
-    from repro.bench.harness import format_aligned
-
-    mode = "quick" if args.quick else "full"
-    print(f"perf: running {mode} suite (this times real workloads) ...")
-    payload = perf.run_perf_suite(quick=args.quick)
-
-    rows = [["workload", "median", "peak alloc"]]
-    for name, wl in payload["workloads"].items():
-        rows.append([
-            name,
-            f"{wl['median_s'] * 1e3:.1f} ms",
-            f"{wl['tracemalloc_peak_bytes'] / 1e6:.1f} MB",
-        ])
-    print(format_aligned(rows))
-    derived = payload["derived"]
-    print(
-        f"cached decode vs legacy: {derived['cached_decode_speedup_vs_legacy']:.1f}x faster, "
-        f"{derived['cached_decode_peak_drop_vs_legacy']:.1f}x lower peak allocation"
-    )
-
-    output = args.output or Path("BENCH_perf.json")
-    baseline = args.baseline or Path("BENCH_perf.json")
-    failures = []
-    if args.check:
-        failures = perf.check_regression(payload, mode, baseline)
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        if not failures:
-            print(f"check: within {perf.REGRESSION_FACTOR:g}x of {baseline}")
-    perf.emit_report(payload, mode, output)
-    print(f"report: {output} (mode {mode!r})")
-    return 1 if failures else 0
 
 
 def _run_serve(args) -> int:
@@ -327,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "target",
         choices=["fig4", "fig5", "fig6", "comm", "ablations", "serving", "profile",
-                 "headline", "verify", "perf", "serve", "fleet", "all"],
+                 "headline", "verify", "serve", "fleet", "all"],
         help="which experiment to run",
     )
     parser.add_argument("--layers", type=int, default=4,
@@ -365,14 +361,14 @@ def main(argv: list[str] | None = None) -> int:
                         help="verify: pin the decode attention mode on every decoding "
                              "scenario (default: let each seed draw it)")
     parser.add_argument("--quick", action="store_true",
-                        help="perf/serve/fleet: smaller workloads for the CI smoke lane")
+                        help="serve/fleet: smaller workloads for the CI gates lane")
     parser.add_argument("--check", action="store_true",
-                        help="perf/serve/fleet: fail if results regress vs the committed baseline")
+                        help="serve/fleet: fail if results regress vs the committed baseline")
     parser.add_argument("--output", type=Path, default=None,
-                        help="perf/serve/fleet: report file to write/merge "
-                             "(default BENCH_perf.json / BENCH_serve.json / BENCH_fleet.json)")
+                        help="serve/fleet: report file to write/merge "
+                             "(default BENCH_serve.json / BENCH_fleet.json)")
     parser.add_argument("--baseline", type=Path, default=None,
-                        help="perf/serve/fleet: committed baseline to --check against "
+                        help="serve/fleet: committed baseline to --check against "
                              "(defaults to the report file)")
     parser.add_argument("--workload", default="diurnal", metavar="TRACE",
                         help="fleet: registered workload trace to replay, 'name' or "
@@ -382,54 +378,22 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0,
                         help="fleet: trace/weights/router seed (default 0)")
     args = parser.parse_args(argv)
-    if args.target == "verify":
-        return _run_verify(args)
-    if args.target == "perf":
-        return _run_perf(args)
-    if args.target == "serve":
-        return _run_serve(args)
-    if args.target == "fleet":
-        return _run_fleet(args)
     if args.trace is not None and (not args.trace.name or args.trace.is_dir()):
         parser.error("--trace requires an output file path, e.g. --trace out.json")
 
     from repro import obs
 
     tracer = obs.Tracer() if args.trace is not None else None
-    trace_scope = obs.use_tracer(tracer) if tracer is not None else contextlib.nullcontext()
-
-    fig6_mode = "model" if args.model else "measured"
-    with trace_scope:
-        if args.target in ("fig4", "all"):
-            _emit(figures.figure4(bandwidth_mbps=args.bandwidth, max_devices=args.devices),
-                  args.json)
-        if args.target in ("fig5", "all"):
-            _emit(figures.figure5(num_devices=args.devices), args.json)
-        if args.target in ("fig6", "all"):
-            _emit(figures.figure6(mode=fig6_mode), args.json)
-        if args.target in ("comm", "all"):
-            _emit(figures.comm_volume_table(), args.json)
-            _emit(figures.memory_tradeoff_table(), args.json)
-        if args.target in ("ablations", "all"):
-            _emit(figures.ablation_order_choice(), args.json)
-            _emit(figures.ablation_heterogeneous(), args.json)
-            _emit(figures.ablation_dynamic_schemes(), args.json)
-            _emit(figures.efficient_attention_comm_table(), args.json)
-            _emit(figures.ablation_comm_precision(), args.json)
-            _emit(figures.ablation_overlap(), args.json)
-            _emit(figures.ablation_decode_attention(), args.json)
-            _emit(figures.fleet_autoscale_timeline(), args.json)
-        if args.target in ("serving", "all"):
-            _emit(figures.serving_tail_latency(), args.json)
-        if args.target == "profile":
-            _run_profile(args.layers, args.words)
-        if args.target in ("headline", "all"):
-            _run_headline(args.json)
+    runner = {"verify": _run_verify, "serve": _run_serve, "fleet": _run_fleet}.get(
+        args.target, _run_figures
+    )
+    with obs.use_tracer(tracer) if tracer is not None else contextlib.nullcontext():
+        status = runner(args)
 
     if tracer is not None:
         path = obs.write_chrome_trace(tracer, args.trace)
         print(f"trace: {len(tracer)} spans -> {path}")
-    return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -18,7 +18,8 @@ baseline exactly, and acceptance / prefix-hit rates hold within
 ``RATE_TOLERANCE``.
 
 Determinism: time is *virtual* (:class:`~repro.engine.clock.VirtualClock`)
-and every token step is charged a fixed analytic cost, so the sweep's
+and every token step is charged a fixed analytic cost (the unscaled
+:class:`~repro.fleet.tiers.ReplicaTier` price), so the sweep's
 numbers depend only on the seed and the knobs — not on host speed.  That
 is what lets ``--check`` gate tightly against the committed baseline: a
 scheduling change that moves tail latency shows up as a diff on any
@@ -50,6 +51,7 @@ from repro.engine import (
     SpeculativeSequencer,
     VirtualClock,
 )
+from repro.fleet.tiers import ReplicaTier
 from repro.serving.arrivals import Request, poisson_arrivals
 
 __all__ = [
@@ -71,31 +73,12 @@ SHED_RATE_TOLERANCE = 0.05
 THROUGHPUT_FACTOR = 1.25
 RATE_TOLERANCE = 0.1  # acceptance / prefix-hit rate drift vs baseline
 
-#: Analytic per-forward virtual cost (seconds): a fixed launch overhead, a
-#: per-new-position projection term, and a per-cached-position attention term.
-_BASE_S = 5e-3
-_PER_POSITION_S = 1.5e-3
-_PER_CACHED_S = 2e-5
-
-
-def step_cost(new_positions: int, cache_len: int) -> float:
-    """Deterministic virtual seconds for one engine token step."""
-    return _BASE_S + _PER_POSITION_S * new_positions + _PER_CACHED_S * cache_len
-
-
-def request_cost(prompt_len: int, max_new_tokens: int) -> float:
-    """Total virtual service seconds of one request, prefill included.
-
-    Mirrors the sequencer's forward sequence exactly: one prefill over the
-    prompt, then ``max_new_tokens - 1`` single-position decode forwards
-    (the final token is appended without a forward).
-    """
-    total = step_cost(prompt_len, 0)
-    length = prompt_len
-    for _ in range(max(max_new_tokens - 1, 0)):
-        length += 1
-        total += step_cost(1, length - 1)
-    return total
+#: The analytic per-forward virtual price lives in one place, the fleet's
+#: tier model: an unscaled, uncapped tier charges exactly
+#: ``base + per_position·new + per_cached·cache``.
+_PRICE = ReplicaTier("serve")
+step_cost = _PRICE.step_cost
+request_cost = _PRICE.request_cost
 
 
 def _serve_model(quick: bool):

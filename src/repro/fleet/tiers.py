@@ -9,8 +9,9 @@ A :class:`ReplicaTier` bundles what distinguishes a replica class:
   :func:`repro.compress.quantize.quantize_model_` (so its outputs are the
   quantized model's outputs, deterministically different from full);
 - **virtual service cost** — each tier carries its own deterministic
-  step-cost model, mirroring the ``bench.serve`` analytic form
-  (``base + per_position·new + per_cached·cache``) with two tier knobs:
+  step-cost model, the repo's one analytic step price
+  (``base + per_position·new + per_cached·cache``; ``bench.serve`` charges
+  an unscaled, uncapped tier) with two tier knobs:
   ``cost_scale`` (uniform speedup, e.g. modeled int8 arithmetic) and
   ``attention_rank`` (a Linformer-style cap: the per-cached-position
   attention term stops growing past the rank, which is exactly the
@@ -40,9 +41,8 @@ __all__ = [
     "make_tier_sequencer",
 ]
 
-#: Analytic per-forward virtual cost (seconds) — same shape and magnitudes
-#: as ``repro.bench.serve``: a launch overhead, a per-new-position
-#: projection term, a per-cached-position attention term.
+#: Analytic per-forward virtual cost (seconds): a launch overhead, a
+#: per-new-position projection term, a per-cached-position attention term.
 _BASE_S = 5e-3
 _PER_POSITION_S = 1.5e-3
 _PER_CACHED_S = 2e-5

@@ -65,7 +65,8 @@ class LayerKVCache:
     ``capacity`` pre-sizes the backing buffers (in positions); without it the
     first append sizes them and later growth doubles, so appends stay
     amortised O(1) allocations either way.  ``allocations`` counts backing
-    (re)allocations — the perf tests pin it to 1 when a hint is given.
+    (re)allocations — ``tests/models/test_kv_cache.py`` pins it to 1 when a
+    hint is given.
     """
 
     def __init__(self, capacity: int | None = None):

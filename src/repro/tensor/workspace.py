@@ -30,7 +30,7 @@ class Workspace:
 
     def __init__(self) -> None:
         self._flat: dict[tuple[str, np.dtype], np.ndarray] = {}
-        self.allocations = 0  # buffer (re)allocations — the perf tests pin this
+        self.allocations = 0  # buffer (re)allocations — tier-1 tests pin this
         self.requests = 0
 
     def take(self, name: str, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:

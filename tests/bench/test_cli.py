@@ -95,3 +95,10 @@ class TestCli:
     def test_unknown_target_rejected(self):
         with pytest.raises(SystemExit):
             main(["fig7"])
+
+    def test_perf_target_is_gone(self, capsys):
+        """Wall-clock timing lives in benchmarks/e2e only."""
+        with pytest.raises(SystemExit) as exc:
+            main(["perf"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'perf'" in capsys.readouterr().err

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.bench.cli import main
 from repro.obs.export import DOMAIN_PIDS
 
@@ -35,3 +37,23 @@ class TestCliTrace:
     def test_trace_flag_off_writes_nothing(self, tmp_path, capsys):
         assert main(["comm"]) == 0
         assert "trace:" not in capsys.readouterr().out
+
+    def test_verify_target_is_traced(self, tmp_path, capsys):
+        """verify / serve / fleet run inside the same trace scope as the
+        figure targets."""
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--seeds", "1", "--trace", str(out)]) == 0
+        assert f"-> {out}" in capsys.readouterr().out
+        events = json.loads(out.read_text())["traceEvents"]
+        complete = [e for e in events if e["ph"] == "X"]
+        assert complete, "a verify run must emit spans"
+        for event in complete:
+            for field in ("name", "cat", "ts", "dur", "pid", "tid", "args"):
+                assert field in event
+
+    @pytest.mark.parametrize("target", ["fig4", "verify", "serve", "fleet"])
+    def test_directory_trace_path_rejected(self, tmp_path, capsys, target):
+        with pytest.raises(SystemExit) as exc:
+            main([target, "--trace", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--trace requires an output file path" in capsys.readouterr().err

@@ -248,6 +248,18 @@ class TestLayerForwardCached:
         outputs = [layer_forward_cached(layer, x[i : i + 1], cache) for i in range(6)]
         np.testing.assert_allclose(np.concatenate(outputs), full, atol=1e-5)
 
+    @pytest.mark.parametrize("workspace", [None, Workspace()], ids=["plain", "workspace"])
+    def test_cached_step_stays_float32(self, rng, workspace):
+        """Prefill and single-token steps keep hidden states and K/V float32:
+        a float64 scalar in the step (``np.sqrt(head_dim)`` under NumPy's
+        scalar promotion) would upcast the output and then the cache."""
+        layer = causal_layer()
+        x = rng.normal(size=(6, 32)).astype(np.float32)
+        cache = LayerKVCache()
+        for chunk in (x[0:4], x[4:5], x[5:6]):
+            assert layer_forward_cached(layer, chunk, cache, workspace=workspace).dtype == np.float32
+        assert cache.k.dtype == cache.v.dtype == np.float32
+
     def test_non_causal_layer_rejected(self, rng):
         layer = TransformerLayer(tiny_config(), rng=rng)
         with pytest.raises(ValueError, match="causal"):

@@ -12,10 +12,12 @@ decode path.
 import numpy as np
 import pytest
 
+from repro.cluster.simulator import ClusterSim
 from repro.cluster.spec import ClusterSpec
 from repro.bench.analytic import voltage_decode_latency
+from repro.core.partition import PartitionScheme
 from repro.systems import decode as decode_module
-from repro.models.config import tiny_config
+from repro.models.config import gpt2_config, tiny_config
 from repro.models.gpt2 import GPT2Model
 from repro.systems.decode import (
     decode_capacity,
@@ -277,6 +279,38 @@ class TestDistributedAttentionAccounting:
             _system(gpt2, 1), prompt, max_new_tokens=3, attention="distributed"
         )
         assert result.meta["combine_bytes_per_device"] == 0
+
+
+class TestWireBytesAtGpt2Width:
+    """Exact per-device wire bytes of a K = 2 decode at GPT-2 width, 2 layers.
+
+    Shapes only — no weights: ``run_decode``'s meta sums the lists the one
+    ``decode_timeline`` returns (``assert_one_timeline``), and these values
+    were recorded from ``run_decode`` at commit ad2b87d.  Any drift is a
+    shard-geometry, head-sharding, stats-packing or greedy-loop change.
+    """
+
+    def wire_bytes(self, prompt_len, new_tokens, attention):
+        config = gpt2_config().scaled(num_layers=2)
+        capacity = min(prompt_len + new_tokens, config.max_positions)
+        spans = [PartitionScheme.even(2).positions(capacity)] * config.num_layers
+        _, _, layer_bytes, head_bytes = decode_module.decode_timeline(
+            config, spans, ClusterSim(ClusterSpec.homogeneous(2)), prompt_len, new_tokens,
+            attention=attention,
+        )
+        return layer_bytes, head_bytes
+
+    def test_short_prompt_gathered_totals(self):
+        layer_bytes, head_bytes = self.wire_bytes(8, 8, "gathered")
+        assert sum(layer_bytes) == 442368  # kv_gather_bytes_per_device
+        assert sum(head_bytes) == 3216  # head_bytes_per_device
+
+    def test_long_context_per_step_profiles(self):
+        gathered, _ = self.wire_bytes(96, 6, "gathered")
+        combine, _ = self.wire_bytes(96, 6, "distributed")
+        assert gathered == [552960, 565248, 577536, 589824, 602112, 614400, 626688]
+        assert combine == [608256] + [6336] * 6
+        assert sum(combine) == 646272  # combine_bytes_per_device
 
 
 class TestStepTotals:

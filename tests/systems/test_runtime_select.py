@@ -48,6 +48,19 @@ class TestVoltageRuntimeSelection:
         # sockets add a per-frame envelope and real barrier traffic
         assert p_sent >= t_sent > 0
 
+    @pytest.mark.parametrize("k, expected", [(2, 3792), (4, 12384)])
+    def test_process_socket_bytes_are_exact(self, bert, raw, k, expected):
+        """The bytes the ranks write to their sockets are fixed by the frame
+        protocol and the collective schedule: an exact integer, equal run to
+        run, so a one-byte drift is a wire-format or schedule change, not
+        host noise.  Totals recorded at commit ad2b87d."""
+        system = VoltageSystem(bert, ClusterSpec.homogeneous(k, gflops=5.0, bandwidth_mbps=500))
+        totals = []
+        for _ in range(2):
+            _, stats = system.execute_distributed(raw, runtime="process")
+            totals.append(sum(s.bytes_sent for s in stats))
+        assert totals == [expected, expected]
+
     def test_unknown_runtime_rejected(self, bert, cluster2, raw):
         system = VoltageSystem(bert, cluster2)
         with pytest.raises(ValueError, match="unknown runtime"):
