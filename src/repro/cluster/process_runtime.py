@@ -36,8 +36,9 @@ Socket envelope (little-endian), wrapping every wire frame::
 The tag key replicates the threaded runtime's tagged mailboxes: a per-peer
 reader thread demultiplexes incoming frames into per-(peer, tag) queues so an
 async collective's comm thread can never consume a frame meant for the main
-thread's ``recv`` (or for another in-flight collective).  Byte counters
-include the envelope — they measure what actually traversed the socket.
+thread's ``recv`` (or for another in-flight collective); a collective tag's
+queue is dropped once its last frame is consumed.  Byte counters include the
+envelope — they measure what actually traversed the socket.
 """
 
 from __future__ import annotations
@@ -131,6 +132,11 @@ class _SocketTransport:
             if key not in self._queues:
                 self._queues[key] = queue.Queue()
             return self._queues[key]
+
+    def drop_queue(self, src: int, tagkey: str) -> None:
+        """Forget a tagged channel whose last frame has been consumed."""
+        with self._queues_lock:
+            self._queues.pop((src, tagkey), None)
 
     def peer_closed(self, src: int) -> bool:
         return self._closed.get(src, False)
@@ -242,15 +248,21 @@ class ProcessWorkerContext(WorkerContext):
     def _put_frame(self, dst: int, tag, frame: bytes) -> int:
         return self._transport.send(dst, tag, frame)
 
-    def _get_frame(self, src: int, tag, timeout: float, context: str) -> tuple[bytes, int]:
-        q = self._transport.queue_for(src, _tag_key(tag))
+    def _get_frame(
+        self, src: int, tag, timeout: float, context: str, last: bool = False
+    ) -> tuple[bytes, int]:
+        tagkey = _tag_key(tag)
+        q = self._transport.queue_for(src, tagkey)
         deadline = time.monotonic() + timeout
         while True:
             remaining = deadline - time.monotonic()
             # poll in short slices so a dead peer fails in ~_POLL_INTERVAL,
             # not after the full protocol timeout
             try:
-                return q.get(timeout=min(_POLL_INTERVAL, max(remaining, 0.01)))
+                frame = q.get(timeout=min(_POLL_INTERVAL, max(remaining, 0.01)))
+                if last:
+                    self._transport.drop_queue(src, tagkey)
+                return frame
             except queue.Empty:
                 if self._transport.peer_closed(src) and q.empty():
                     raise RuntimeError_(
@@ -291,7 +303,7 @@ class ProcessWorkerContext(WorkerContext):
             for src in range(1, k):
                 _, nbytes = self._get_frame(
                     src, tag, self._timeout,
-                    context=f"in barrier, waiting on rank {src}",
+                    context=f"in barrier, waiting on rank {src}", last=True,
                 )
                 self._add_stats(bytes_received=nbytes)
             for dst in range(1, k):
@@ -299,7 +311,8 @@ class ProcessWorkerContext(WorkerContext):
         else:
             self._add_stats(bytes_sent=self._put_frame(0, tag, token))
             _, nbytes = self._get_frame(
-                0, tag, self._timeout, context="in barrier, waiting on rank 0 release"
+                0, tag, self._timeout, context="in barrier, waiting on rank 0 release",
+                last=True,
             )
             self._add_stats(bytes_received=nbytes)
 
@@ -341,7 +354,7 @@ class ProcessWorkerContext(WorkerContext):
                 return array
             data, nbytes = self._get_frame(
                 root, tag, self._timeout,
-                context=f"in broadcast, waiting on root rank {root}",
+                context=f"in broadcast, waiting on root rank {root}", last=True,
             )
             payload = decode_frame(data).payload
             self._add_stats(

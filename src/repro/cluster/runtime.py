@@ -27,6 +27,7 @@ Two families of collectives coexist:
 
 from __future__ import annotations
 
+import math
 import queue
 import threading
 from collections.abc import Callable, Sequence
@@ -36,6 +37,7 @@ import numpy as np
 
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import current_tracer
+from repro.tensor.workspace import grow_flat
 
 __all__ = [
     "CommStats",
@@ -135,6 +137,11 @@ class _SharedState:
             if key not in self.mailboxes:
                 self.mailboxes[key] = queue.Queue()
             return self.mailboxes[key]
+
+    def drop_mailbox(self, src: int, dst: int, tag) -> None:
+        """Forget a tagged channel whose last frame has been consumed."""
+        with self.mailbox_lock:
+            self.mailboxes.pop((src, dst, tag), None)
 
 
 class CollectiveHandle:
@@ -265,11 +272,12 @@ class WorkerContext:
         self._stats_lock = threading.Lock()
         self._comm_threads: list[threading.Thread] = []
         self._comm_errors: list[RuntimeError_] = []
-        # Per-rank receive-buffer pool, two generations per (op, shape,
-        # dtype): a collective's result stays valid until the *second*-next
-        # call of the same collective on this rank (the pool alternates), so
-        # the per-layer loops of Voltage / tensor parallelism never allocate
-        # after their first iteration.
+        # Per-rank receive-buffer pool, two generations of flat storage per
+        # (op, dtype) whatever shapes the op returns: a collective's result
+        # stays valid until the *second*-next call of the same collective on
+        # this rank (the generations alternate), so the per-layer loops of
+        # Voltage / tensor parallelism and a resident decode rank's growing
+        # K/V gathers stop allocating once the generations are big enough.
         self._buffers: dict[tuple, list[np.ndarray]] = {}
 
     def _add_stats(self, **deltas) -> None:
@@ -280,26 +288,43 @@ class WorkerContext:
     def _recv_buffer(
         self, op: str, shape: tuple[int, ...], dtype, inputs: Sequence[np.ndarray]
     ) -> np.ndarray:
-        """A pooled output buffer that aliases none of ``inputs``.
+        """A pooled ``shape`` output view that aliases none of ``inputs``.
 
-        The pool is per-rank (results stay private) and holds at most two
-        buffers per key; the second call of an op allocates its own buffer
-        rather than clobbering the first call's still-live result.
+        The pool is per-rank (results stay private) and holds two
+        generations of flat storage per ``(op, dtype)``.  The first two
+        calls of an op allocate one each; every later call takes the least
+        recently used generation and hands back a shaped view of it, so the
+        previous result survives this call.  That generation is replaced by
+        a fresh one when it holds one of ``inputs`` (gathering a view of the
+        older result), and grown by :func:`~repro.tensor.workspace.grow_flat`
+        when it is too small.  A rank therefore holds at most ``2 × GROWTH ×``
+        the largest result of each op, whatever sequence of shapes it has
+        gathered.
         """
-        key = (op, shape, np.dtype(dtype))
-        pool = self._buffers.setdefault(key, [])
-        if len(pool) >= 2:
-            for buf in pool:
-                if not any(np.shares_memory(buf, arr) for arr in inputs):
-                    pool.remove(buf)
-                    pool.append(buf)  # most-recently-used goes to the back
-                    self._add_stats(buffers_reused=1)
-                    return buf
-        buf = np.empty(shape, dtype=dtype)
-        pool.append(buf)
-        if len(pool) > 2:
-            pool.pop(0)
-        return buf
+        dtype = np.dtype(dtype)
+        needed = math.prod(shape)
+        pool = self._buffers.setdefault((op, dtype), [])  # least recently used first
+        held = pool.pop(0) if len(pool) == 2 else None
+        if held is not None and any(np.shares_memory(held, arr) for arr in inputs):
+            held = None
+        flat = grow_flat(held, needed, dtype)
+        if flat is held:
+            self._add_stats(buffers_reused=1)
+        pool.append(flat)
+        return flat[:needed].reshape(shape)
+
+    def _pooled_concatenate(
+        self, op: str, parts: Sequence[np.ndarray], axis: int
+    ) -> np.ndarray:
+        """``np.concatenate(parts, axis)`` written into ``op``'s pooled
+        receive buffer; mixed dtypes fall back to the promoting, allocating
+        concatenate."""
+        if len({p.dtype for p in parts}) != 1:
+            return np.concatenate(parts, axis=axis)
+        shape = list(parts[0].shape)
+        shape[axis] = sum(p.shape[axis] for p in parts)
+        out = self._recv_buffer(op, tuple(shape), parts[0].dtype, parts)
+        return np.concatenate(parts, axis=axis, out=out)
 
     @property
     def world_size(self) -> int:
@@ -333,16 +358,7 @@ class WorkerContext:
             shared.slots[self.rank] = array
             shared.barrier.wait()
             parts = list(shared.slots)
-            dtypes = {p.dtype for p in parts}
-            if len(dtypes) == 1:
-                # write the gathered chunks straight into a pooled output
-                # buffer — no list-concatenate allocation per call
-                shape = list(parts[0].shape)
-                shape[axis] = sum(p.shape[axis] for p in parts)
-                out = self._recv_buffer("all_gather", tuple(shape), parts[0].dtype, parts)
-                result = np.concatenate(parts, axis=axis, out=out)
-            else:  # mixed dtypes: fall back to promoting concatenate
-                result = np.concatenate(parts, axis=axis)
+            result = self._pooled_concatenate("all_gather", parts, axis)
             shared.barrier.wait()  # nobody may overwrite slots until all have read
             total = sum(p.nbytes for p in parts)
             self._add_stats(
@@ -454,17 +470,27 @@ class WorkerContext:
     # move the same frames over loopback TCP sockets.  The returned byte
     # counts are what lands in CommStats — for threads the frame length, for
     # sockets the frame plus its envelope.
+    #
+    # A tagged channel carries a fixed number of frames known to both ends
+    # (K-1 per ring hop, one per scatter slice, barrier token or broadcast),
+    # so the receiver passes ``last=True`` for the final one and the channel
+    # is dropped once it is consumed: a resident rank keeps no channel per
+    # collective it has ever run.  Nothing is sent on a tag after its last
+    # frame, so the drop cannot race a sender.  p2p channels (tag None) stay.
 
     def _put_frame(self, dst: int, tag, frame: bytes) -> int:
         """Deliver one encoded frame to ``dst``; return bytes sent."""
         self._shared.mailbox(self.rank, dst, tag).put(frame)
         return len(frame)
 
-    def _get_frame(self, src: int, tag, timeout: float, context: str) -> tuple[bytes, int]:
+    def _get_frame(
+        self, src: int, tag, timeout: float, context: str, last: bool = False
+    ) -> tuple[bytes, int]:
         """Take the next frame from ``src``; return (frame, bytes received).
 
-        Raises :class:`RuntimeError_` wrapping a ``TimeoutError`` carrying
-        ``context`` when nothing arrives within ``timeout`` seconds.
+        ``last``: the channel's final frame — drop the channel once it is
+        consumed.  Raises :class:`RuntimeError_` wrapping a ``TimeoutError``
+        carrying ``context`` when nothing arrives within ``timeout`` seconds.
         """
         try:
             data = self._shared.mailbox(src, self.rank, tag).get(timeout=timeout)
@@ -475,6 +501,8 @@ class WorkerContext:
                     f"rank {self.rank} timed out after {timeout}s {context}"
                 ),
             ) from None
+        if last:
+            self._shared.drop_mailbox(src, self.rank, tag)
         return data, len(data)
 
     def _ring_send(self, dst: int, payload: np.ndarray, tag, step: int) -> None:
@@ -486,12 +514,13 @@ class WorkerContext:
         sent = self._put_frame(dst, tag, frame)
         self._add_stats(bytes_sent=sent)
 
-    def _ring_recv(self, src: int, tag, context: str) -> np.ndarray:
+    def _ring_recv(self, src: int, tag, context: str, last: bool) -> np.ndarray:
         from repro.cluster.wire import decode_frame
 
         data, received = self._get_frame(
             src, tag, self._timeout,
             context=f"in {context}, waiting on rank {src} (peer never sent, or died)",
+            last=last,
         )
         frame = decode_frame(data)
         self._add_stats(bytes_received=received)
@@ -517,6 +546,7 @@ class WorkerContext:
             current = self._ring_recv(
                 left, tag,
                 context=f"{op} ring step {step + 1}/{k - 1} (chunk from rank {src})",
+                last=step == k - 2,
             )
             on_chunk(src, current)
 
@@ -525,7 +555,10 @@ class WorkerContext:
 
         Bit-identical to :meth:`all_gather` (chunks are concatenated in rank
         order either way, uneven sizes included) but every chunk really flows
-        around the ring, so the byte counters measure executed traffic.
+        around the ring, so the byte counters measure executed traffic.  The
+        result lands in the same pooled receive buffer as :meth:`all_gather`
+        (one op for the pool), so it stays valid until the second-next
+        blocking all-gather of either kind.
         """
         chunks: list[np.ndarray | None] = [None] * self.world_size
         tag = self._collective_tag("ring_all_gather")
@@ -534,7 +567,7 @@ class WorkerContext:
                 array, tag, "ring all-gather",
                 lambda src, payload: chunks.__setitem__(src, payload),
             )
-            result = np.concatenate(chunks, axis=axis)
+            result = self._pooled_concatenate("all_gather", chunks, axis)
             self._add_stats(collective_calls=1, bytes_copied=result.nbytes)
             span.set(nbytes=sum(c.nbytes for c in chunks) - array.nbytes)
         return result
@@ -618,6 +651,7 @@ class WorkerContext:
                         array[lo:hi] if src == self.rank else self._ring_recv(
                             src, scatter_tag,
                             context=f"async all-reduce scatter (slice from rank {src})",
+                            last=True,
                         )
                         for src in range(k)
                     ]
@@ -657,6 +691,9 @@ class WorkerContext:
         thread = threading.Thread(
             target=pump, name=f"comm-{self.rank}-{tag[0]}-{tag[1]}", daemon=True
         )
+        # a finished comm thread needs no join (its errors are already in
+        # _comm_errors), so a resident rank keeps only the live ones
+        self._comm_threads = [t for t in self._comm_threads if t.is_alive()]
         self._comm_threads.append(thread)
         thread.start()
 

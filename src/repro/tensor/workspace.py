@@ -22,7 +22,22 @@ import math
 
 import numpy as np
 
-__all__ = ["Workspace"]
+__all__ = ["GROWTH", "Workspace", "grow_flat"]
+
+#: A flat buffer too small for a request regrows to this many times its
+#: size, or to the request if larger.
+GROWTH = 2
+
+
+def grow_flat(flat: np.ndarray | None, needed: int, dtype) -> np.ndarray:
+    """``flat`` itself if it holds ``needed`` elements, else a fresh flat
+    ``dtype`` buffer of ``max(needed, GROWTH * flat.size)`` elements (just
+    ``needed`` when ``flat`` is None) — amortised O(1) allocations over a
+    growing sequence of requests."""
+    if flat is not None and flat.size >= needed:
+        return flat
+    capacity = needed if flat is None else max(needed, GROWTH * flat.size)
+    return np.empty(capacity, dtype=dtype)
 
 
 class Workspace:
@@ -36,18 +51,16 @@ class Workspace:
     def take(self, name: str, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
         """An uninitialised ``shape``/``dtype`` view of the named slot.
 
-        The backing buffer is reused across calls and grown geometrically
-        (2× or to the requested size, whichever is larger) when the request
-        outgrows it — amortised O(1) allocations over a growing sequence,
-        e.g. the per-step attention-score rows of a lengthening decode.
+        The backing buffer is reused across calls and grown by
+        :func:`grow_flat` when the request outgrows it, e.g. the per-step
+        attention-score rows of a lengthening decode.
         """
         dtype = np.dtype(dtype)
         needed = math.prod(shape)
         key = (name, dtype)
-        flat = self._flat.get(key)
-        if flat is None or flat.size < needed:
-            capacity = needed if flat is None else max(needed, 2 * flat.size)
-            flat = np.empty(capacity, dtype=dtype)
+        held = self._flat.get(key)
+        flat = grow_flat(held, needed, dtype)
+        if flat is not held:
             self._flat[key] = flat
             self.allocations += 1
         self.requests += 1
