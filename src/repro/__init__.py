@@ -9,17 +9,18 @@ Inference with Transformer Models"* (Hu & Li, ICDCS 2024), including:
   partitioning with adaptive attention computation orders (Theorems 1–3,
   Algorithms 1–2);
 - :mod:`repro.cluster` — a simulated multi-device edge cluster (device
-  compute model, bandwidth/latency links, collectives, event-driven latency
-  simulation and a thread-backed real execution runtime);
+  compute model, bandwidth/latency links, collectives, latency simulation
+  and thread- and process-backed real execution runtimes);
 - :mod:`repro.systems` — end-to-end inference systems: single-device,
-  Voltage (plus adaptive, fault-tolerant and seq2seq variants), naive
-  position partitioning, tensor / pipeline / data parallelism;
-- :mod:`repro.efficient` — linear-attention and Linformer variants
-  distributed Voltage-style;
+  Voltage (plus adaptive, fault-tolerant and seq2seq variants, and the
+  naive fixed-order partition as an order policy), tensor and pipeline
+  parallelism, distributed decode;
 - :mod:`repro.compress` — int8 quantization and head pruning, orthogonal
   to distribution;
-- :mod:`repro.serving` — arrival processes and queueing simulation for
-  request streams;
+- :mod:`repro.serving` — arrival processes and served-request statistics
+  for request streams;
+- :mod:`repro.engine` / :mod:`repro.fleet` — the online engine (continuous
+  batching, shedding) and multi-replica routing and autoscaling;
 - :mod:`repro.bench` — the harness regenerating every figure and table of
   the paper's evaluation.
 

@@ -15,13 +15,11 @@ from repro.bench.figures import (
     ablation_heterogeneous,
     ablation_order_choice,
     comm_volume_table,
-    efficient_attention_comm_table,
     figure4,
     figure5,
     figure6,
     headline_summary,
     memory_tradeoff_table,
-    serving_tail_latency,
 )
 from repro.bench.harness import FigureResult, Series, time_callable
 from repro.bench.workloads import Workload, paper_workloads
@@ -30,7 +28,6 @@ __all__ = [
     "FigureResult",
     "ablation_comm_precision",
     "ablation_dynamic_schemes",
-    "efficient_attention_comm_table",
     "Series",
     "Workload",
     "ablation_heterogeneous",
@@ -41,7 +38,6 @@ __all__ = [
     "figure6",
     "headline_summary",
     "memory_tradeoff_table",
-    "serving_tail_latency",
     "paper_workloads",
     "time_callable",
 ]

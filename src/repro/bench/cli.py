@@ -8,8 +8,6 @@ Usage::
     voltage-bench fig6 --model     # same, FLOP-model based (fast)
     voltage-bench comm              # communication volume table
     voltage-bench ablations         # order-choice + heterogeneity ablations
-    voltage-bench serving           # Poisson-arrival serving sweep (analytic, ours)
-    voltage-bench serving --json out/   # same, plus a serving_tail.json dump
     voltage-bench profile           # host-side span profile vs cost model
     voltage-bench headline          # Section VI-B text claims
     voltage-bench all --json out/   # everything, plus JSON dumps
@@ -140,13 +138,10 @@ def _run_figures(args) -> int:
         _emit(figures.ablation_order_choice(), args.json)
         _emit(figures.ablation_heterogeneous(), args.json)
         _emit(figures.ablation_dynamic_schemes(), args.json)
-        _emit(figures.efficient_attention_comm_table(), args.json)
         _emit(figures.ablation_comm_precision(), args.json)
         _emit(figures.ablation_overlap(), args.json)
         _emit(figures.ablation_decode_attention(), args.json)
         _emit(figures.fleet_autoscale_timeline(), args.json)
-    if args.target in ("serving", "all"):
-        _emit(figures.serving_tail_latency(), args.json)
     if args.target == "profile":
         _run_profile(args.layers, args.words)
     if args.target in ("headline", "all"):
@@ -322,8 +317,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "target",
-        choices=["fig4", "fig5", "fig6", "comm", "ablations", "serving", "profile",
-                 "headline", "verify", "serve", "fleet", "all"],
+        choices=["fig4", "fig5", "fig6", "comm", "ablations", "profile", "headline",
+                 "verify", "serve", "fleet", "all"],
         help="which experiment to run",
     )
     parser.add_argument("--layers", type=int, default=4,

@@ -39,8 +39,6 @@ __all__ = [
     "ablation_order_choice",
     "ablation_heterogeneous",
     "ablation_dynamic_schemes",
-    "efficient_attention_comm_table",
-    "serving_tail_latency",
     "fleet_autoscale_timeline",
     "ablation_comm_precision",
     "ablation_overlap",
@@ -380,44 +378,6 @@ def ablation_dynamic_schemes(
     return fig
 
 
-def efficient_attention_comm_table(
-    n_values: tuple[int, ...] = (100, 200, 400, 800),
-    k: int = 6,
-    f: int = 768,
-    num_heads: int = 12,
-    linformer_rank: int = 64,
-) -> FigureResult:
-    """Extra per-layer state traffic of efficient-attention Voltage (VII-C).
-
-    Softmax Voltage needs only the output All-Gather; the linear/Linformer
-    variants add one state All-Reduce whose size is independent of N —
-    shown here against the All-Gather volume it rides along with.
-    """
-    from repro.core import complexity
-    from repro.efficient import linear_attention as lin
-    from repro.efficient import linformer as lfm
-
-    head_dim = f // num_heads
-    fig = FigureResult(
-        name="efficient_comm",
-        title=f"Per-device per-layer traffic, K={k} (KB)",
-        xlabel="sequence length N",
-        ylabel="KB / layer / device",
-    )
-    gather = Series("output All-Gather (all variants)")
-    linear_state = Series("+ linear-attention state All-Reduce")
-    linformer_state = Series("+ Linformer state All-Reduce")
-    for n in n_values:
-        gather.add(n, complexity.voltage_comm_elements(n, f, k) * 4 / 1e3)
-        lin_elements = lin.state_elements(num_heads, head_dim)
-        lfm_elements = lfm.state_elements(num_heads, linformer_rank, head_dim)
-        linear_state.add(n, 2 * (k - 1) / k * lin_elements * 4 / 1e3)
-        linformer_state.add(n, 2 * (k - 1) / k * lfm_elements * 4 / 1e3)
-    fig.series = [gather, linear_state, linformer_state]
-    fig.notes.append("state All-Reduce volume is independent of N (ring, 2(K-1)/K x state)")
-    return fig
-
-
 def ablation_comm_precision(
     bandwidths: tuple[float, ...] = (100, 200, 300, 500, 1000),
     num_devices: int = 6,
@@ -571,44 +531,6 @@ def memory_tradeoff_table(
     fig.notes.append(
         "Voltage replicates weights (latency win, memory cost); TP shards them"
     )
-    return fig
-
-
-def serving_tail_latency(
-    rates: tuple[float, ...] = (0.05, 0.1, 0.2, 0.4, 0.8),
-    num_requests: int = 60,
-    num_devices: int = 6,
-    bandwidth_mbps: float = 500.0,
-    seed: int = 0,
-) -> FigureResult:
-    """P95 latency of BERT-Large serving under Poisson arrivals (ours).
-
-    Extends Figs. 4–5 into serving-land: the paper argues sporadic edge
-    traffic makes per-request latency the metric; this sweep shows where
-    each strategy's queue blows up as the arrival rate grows.
-    """
-    from repro.serving.arrivals import poisson_arrivals
-    from repro.serving.server import service_models
-
-    workload = paper_workloads()["bert"]
-    cluster = paper_cluster(num_devices, bandwidth_mbps)
-    servers = service_models(
-        workload.config, cluster,
-        pre_flops=workload.pre_flops, post_flops=workload.post_flops,
-    )
-    fig = FigureResult(
-        name="serving_tail",
-        title=f"BERT-Large serving p95 latency, Poisson arrivals (K={num_devices})",
-        xlabel="arrival rate (req/s)",
-        ylabel="p95 latency (s)",
-    )
-    series = {name: Series(name) for name in servers}
-    for rate in rates:
-        requests = poisson_arrivals(num_requests, rate=rate, n_tokens=workload.n, seed=seed)
-        for name, server in servers.items():
-            series[name].add(rate, server.run(requests).p95_latency)
-    fig.series = list(series.values())
-    fig.notes.append(f"{num_requests} requests per point, N={workload.n}")
     return fig
 
 

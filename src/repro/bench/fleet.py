@@ -24,10 +24,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from repro.bench import harness
 from repro.fleet import (
     Autoscaler,
     AutoscalerConfig,
@@ -52,6 +54,7 @@ __all__ = [
 ]
 
 SCHEMA = "repro-bench-fleet/v1"
+emit_report = partial(harness.emit_report, schema=SCHEMA)
 
 #: --check tolerances.  Latency/rate bands absorb intentional small retunes;
 #: the digests have NO band — fleet runs are bit-deterministic, so any digest
@@ -301,23 +304,6 @@ def run_single_fleet(
 # -- report emission + regression gate ----------------------------------------
 
 
-def emit_report(payload: dict, mode: str, path: Path) -> dict:
-    """Write/merge one mode's payload into the report file at ``path``."""
-    doc = {"schema": SCHEMA, "modes": {}}
-    if path.exists():
-        try:
-            existing = json.loads(path.read_text())
-        except json.JSONDecodeError:
-            existing = None
-        if isinstance(existing, dict) and existing.get("schema") == SCHEMA:
-            doc = existing
-            doc.setdefault("modes", {})
-    doc["modes"][mode] = payload
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    return doc
-
-
 def _compare_point(now: dict, base: dict, label: str) -> list[str]:
     errors = []
     for key in ("p50_latency_s", "p99_latency_s"):
@@ -354,17 +340,10 @@ def _compare_point(now: dict, base: dict, label: str) -> list[str]:
 
 def check_regression(payload: dict, mode: str, baseline_path: Path) -> list[str]:
     """Gate this run against the committed baseline; [] means pass."""
-    if not baseline_path.exists():
-        return [f"baseline {baseline_path} does not exist"]
     try:
-        doc = json.loads(baseline_path.read_text())
-    except json.JSONDecodeError as exc:
-        return [f"baseline {baseline_path} is not valid JSON: {exc}"]
-    if doc.get("schema") != SCHEMA:
-        return [f"baseline schema {doc.get('schema')!r} != {SCHEMA!r}"]
-    base = doc.get("modes", {}).get(mode)
-    if base is None:
-        return [f"baseline {baseline_path} has no {mode!r} mode entry"]
+        base = harness.load_baseline(baseline_path, mode, SCHEMA)
+    except harness.BaselineError as exc:
+        return [str(exc)]
 
     errors = []
     if payload["workload"]["trace_digest"] != base["workload"]["trace_digest"]:

@@ -1,4 +1,5 @@
-"""Benchmark harness primitives: series containers, timing, table printing.
+"""Benchmark harness primitives: series containers, timing, table printing,
+and the report file plumbing of the ``serve`` / ``fleet`` gates.
 
 Every figure/table runner in :mod:`repro.bench.figures` returns a
 :class:`FigureResult` so the pytest benchmarks, the CLI and EXPERIMENTS.md
@@ -12,10 +13,19 @@ import math
 import time
 from dataclasses import dataclass, field
 from collections.abc import Callable
+from pathlib import Path
 
 from repro.obs.table import format_aligned
 
-__all__ = ["Series", "FigureResult", "time_callable", "format_aligned"]
+__all__ = [
+    "Series",
+    "FigureResult",
+    "time_callable",
+    "format_aligned",
+    "BaselineError",
+    "emit_report",
+    "load_baseline",
+]
 
 
 @dataclass
@@ -116,3 +126,46 @@ def time_callable(
             fn()
         best = min(best, (time.perf_counter() - start) / number)
     return best
+
+
+# -- versioned report files (BENCH_serve.json / BENCH_fleet.json) -------------
+
+
+def emit_report(payload: dict, mode: str, path: Path, schema: str) -> dict:
+    """Write/merge one mode's payload into the ``schema`` report at ``path``
+    (a file of another schema, or not JSON, is replaced)."""
+    doc = {"schema": schema, "modes": {}}
+    if path.exists():
+        try:
+            existing = json.loads(path.read_text())
+        except json.JSONDecodeError:
+            existing = None
+        if isinstance(existing, dict) and existing.get("schema") == schema:
+            doc = existing
+            doc.setdefault("modes", {})
+    doc["modes"][mode] = payload
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    return doc
+
+
+class BaselineError(ValueError):
+    """The committed baseline cannot be gated against (its message is the
+    gate's one failure line)."""
+
+
+def load_baseline(path: Path, mode: str, schema: str) -> dict:
+    """One mode's payload from the ``schema`` report at ``path``; raises
+    :class:`BaselineError` when the file, its schema or the mode is missing."""
+    if not path.exists():
+        raise BaselineError(f"baseline {path} does not exist")
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise BaselineError(f"baseline {path} is not valid JSON: {exc}") from None
+    if doc.get("schema") != schema:
+        raise BaselineError(f"baseline schema {doc.get('schema')!r} != {schema!r}")
+    base = doc.get("modes", {}).get(mode)
+    if base is None:
+        raise BaselineError(f"baseline {path} has no {mode!r} mode entry")
+    return base

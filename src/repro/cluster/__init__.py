@@ -8,8 +8,8 @@ Substitutes the paper's six-VM Compute-Canada testbed (see DESIGN.md):
   cost models and the matching array operations;
 - :mod:`repro.cluster.spec` — cluster construction (homogeneous /
   heterogeneous, bandwidth sweeps);
-- :mod:`repro.cluster.simulator` — bulk-synchronous cost helpers plus a
-  discrete-event engine for pipelined protocols;
+- :mod:`repro.cluster.simulator` — bulk-synchronous cost helpers plus the
+  FIFO stage resources of a pipelined request stream;
 - :mod:`repro.cluster.timeline` — per-phase latency breakdowns;
 - :mod:`repro.cluster.runtime` — thread-backed real execution with byte
   accounting, proving protocol correctness;
@@ -22,7 +22,7 @@ from repro.cluster.network import NetworkSpec
 from repro.cluster.process_runtime import ProcessRuntime, ProcessWorkerContext, resolve_runtime
 from repro.cluster.runtime import CommStats, ThreadedRuntime, WorkerContext
 from repro.cluster.dynamics import SpeedTrace, constant_trace, random_walk_trace, spike_trace
-from repro.cluster.simulator import ClusterSim, EventEngine, Resource
+from repro.cluster.simulator import ClusterSim, Resource
 from repro.cluster.topology import HeterogeneousNetwork, comm_aware_scheme
 from repro.cluster.wire import Frame, decode_frame, encode_frame
 from repro.cluster.spec import ClusterSpec, paper_cluster
@@ -43,7 +43,6 @@ __all__ = [
     "ClusterSpec",
     "CommStats",
     "DeviceSpec",
-    "EventEngine",
     "LatencyBreakdown",
     "NetworkSpec",
     "Phase",

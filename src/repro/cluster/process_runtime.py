@@ -80,6 +80,8 @@ _HELLO = struct.Struct("<I")
 _POLL_INTERVAL = 0.25
 #: Extra grace the parent allows beyond ``timeout`` before declaring a child hung.
 _COLLECT_GRACE = 5.0
+#: The only start method whose children inherit the worker closure unpickled.
+_START_METHOD = "fork"
 
 
 def _tag_key(tag) -> str:
@@ -421,36 +423,30 @@ class ProcessRuntime:
     Drop-in alternative to :class:`ThreadedRuntime`: ``run(worker_fn)``
     returns the same ``(results, stats)`` pair, raises the same
     :class:`RuntimeError_` carrying the *originating* rank on failure, and
-    feeds the same process-wide metrics registry.  Requires the ``fork``
-    start method (the default worker functions are closures over live model
-    objects, which ``spawn`` cannot pickle).
+    feeds the same process-wide metrics registry.  Ranks are always forked:
+    worker functions are closures over live model objects, which neither
+    ``spawn`` nor ``forkserver`` can pickle.
     """
 
-    def __init__(
-        self,
-        world_size: int,
-        timeout: float = DEFAULT_TIMEOUT,
-        start_method: str = "fork",
-    ):
+    def __init__(self, world_size: int, timeout: float = DEFAULT_TIMEOUT):
         if world_size < 1:
             raise ValueError(f"world size must be >= 1, got {world_size}")
         if timeout <= 0:
             raise ValueError(f"timeout must be > 0 seconds, got {timeout}")
-        if start_method not in multiprocessing.get_all_start_methods():
+        if _START_METHOD not in multiprocessing.get_all_start_methods():
             raise ValueError(
-                f"start method {start_method!r} unavailable on this platform "
+                f"start method {_START_METHOD!r} unavailable on this platform "
                 f"(have {multiprocessing.get_all_start_methods()})"
             )
         self.world_size = world_size
         self.timeout = timeout
-        self.start_method = start_method
 
     def run(
         self, worker_fn: Callable[[WorkerContext], object]
     ) -> tuple[list[object], list[CommStats]]:
         """Execute ``worker_fn(ctx)`` on every rank; returns (results, stats)."""
         k = self.world_size
-        mp = multiprocessing.get_context(self.start_method)
+        mp = multiprocessing.get_context(_START_METHOD)
         # Every listener and pipe is created BEFORE the first fork so the
         # port list is plain inherited state (no exchange protocol) and each
         # child can close exactly the FDs it must not hold.

@@ -8,23 +8,21 @@ Two layers of machinery:
   This is exact for barrier-style protocols, which is what both Voltage and
   tensor-parallel inference are.
 
-- :class:`EventEngine` / :class:`Resource` — a small discrete-event core
-  for protocols that are *not* bulk-synchronous (pipeline parallelism's
-  staggered microbatches), where devices and links are serially-reusable
-  resources.
+- :class:`Resource` / :class:`StagePipeline` — serially-reusable FIFO
+  resources for the one protocol that is *not* bulk-synchronous: pipeline
+  parallelism's staggered request stream, where stages and links overlap
+  across requests.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 from repro.cluster import collectives
 from repro.cluster.spec import ClusterSpec
 from repro.obs.tracer import current_tracer
 
-__all__ = ["ClusterSim", "Resource", "StagePipeline", "EventEngine"]
+__all__ = ["ClusterSim", "Resource", "StagePipeline"]
 
 
 class ClusterSim:
@@ -163,34 +161,3 @@ class StagePipeline:
             start = begin if start is None else start
             _, t = link.reserve(t, hop_seconds)
         return start, t
-
-
-class EventEngine:
-    """A minimal discrete-event loop: schedule callbacks at absolute times."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-        self._queue: list[tuple[float, int, Callable[[], None]]] = []
-        self._counter = itertools.count()
-
-    def at(self, time: float, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` to run at absolute time ``time``."""
-        if time < self.now:
-            raise ValueError(f"cannot schedule in the past: {time} < now={self.now}")
-        heapq.heappush(self._queue, (time, next(self._counter), callback))
-
-    def after(self, delay: float, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` to run ``delay`` seconds from now."""
-        self.at(self.now + delay, callback)
-
-    def run(self, max_events: int = 1_000_000) -> float:
-        """Drain the queue; returns the time of the last event."""
-        events = 0
-        while self._queue:
-            events += 1
-            if events > max_events:
-                raise RuntimeError(f"event budget exceeded ({max_events}); likely a cycle")
-            time, _, callback = heapq.heappop(self._queue)
-            self.now = time
-            callback()
-        return self.now

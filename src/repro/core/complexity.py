@@ -467,8 +467,9 @@ def decode_step_flops(
     The single-device figure, and a sharded-decode rank's for the rows it
     runs: all of them on a single-token step (a 1-row product cannot be
     split bit-identically), only its span's slice on a span-partitioned
-    multi-row step (``systems.decode.decode_step_pricing`` passes the
-    rank's own row count and adds its vocab shard of the head).
+    multi-row step (:func:`decode_rank_flops` prices one layer of it for
+    the rank's own rows; ``systems.decode.decode_step_pricing`` adds the
+    rank's vocab shard of the head).
     """
     return num_layers * decode_layer_flops(
         t, f, fh, num_heads, ffn_dim, new_positions=new_positions
@@ -566,81 +567,45 @@ def decode_attention_crossover_length(fh: int, k: int) -> float:
     return k * (fh + 2) / (2 * fh)
 
 
-#: The two decode attention modes the cost table (and every decode surface —
-#: ``systems.decode``, ``bench.analytic``, the verify scenario axis) accepts.
+#: The two decode attention modes every decode surface (``systems.decode``,
+#: ``bench.analytic``, the verify scenario axis) accepts.
 DECODE_ATTENTION_MODES = ("gathered", "distributed")
 
 
-@dataclass(frozen=True)
-class DecodeModeCost:
-    """One row of the decode cost table: per-step formulas for one mode.
+def decode_rank_flops(
+    attention: str,
+    t: int,
+    f: int,
+    fh: int,
+    num_heads: int,
+    ffn_dim: int,
+    new_positions: int = 1,
+    local_rows: int | None = None,
+) -> int:
+    """Matmul FLOPs of one layer of one decode step on one rank.
 
     ``systems.decode.decode_timeline`` — the one timeline ``run_decode`` and
-    ``bench.analytic.voltage_decode_latency`` both return — prices the
-    layer stack of each rank's rows through this object (the rank's vocab
-    shard of the LM head and the head exchange are priced beside it, in
-    ``systems.decode.decode_step_pricing``).
+    ``bench.analytic.voltage_decode_latency`` both return — prices each
+    rank's layer stack with this (the rank's vocab shard of the LM head and
+    the head exchange are priced beside it, in
+    ``systems.decode.decode_step_pricing``).  ``new_positions`` is the rows
+    the rank itself runs (its span's slice on a span-partitioned step).
+    ``gathered`` attends every row against the full ``t``-row history;
+    ``distributed`` only against the rank's ``local_rows`` populated shard
+    rows (post-append), which it therefore requires.
     """
-
-    mode: str
-
-    def rank_flops(
-        self,
-        t: int,
-        num_layers: int,
-        f: int,
-        fh: int,
-        num_heads: int,
-        ffn_dim: int,
-        new_positions: int = 1,
-        local_rows: int | None = None,
-    ) -> int:
-        """Whole-stack matmul FLOPs of one step on one rank.
-
-        ``new_positions`` is the rows the rank itself runs (its span's slice
-        on a span-partitioned step).  ``local_rows`` is the rank's populated
-        shard rows (post-append) and is required for ``distributed`` —
-        per-rank cost depends on the shard fill; ``gathered`` attends every
-        row it runs against the full gathered history.
-        """
-        p = new_positions
-        if self.mode == "gathered":
-            return decode_step_flops(
-                t, num_layers, f, fh, num_heads, ffn_dim, new_positions=p
-            )
-        if local_rows is None:
-            raise ValueError("distributed rank_flops needs the rank's local_rows")
-        per_head = decode_gamma_local(local_rows, f, fh, new_positions=p).matmul
-        out_proj = p * (num_heads * fh) * f
-        layer = num_heads * per_head + out_proj + ffn_flops(p, f, ffn_dim)
-        return num_layers * layer
-
-    def comm_elements(
-        self, t: int, num_heads: int, fh: int, k: int, new_positions: int = 1
-    ) -> float:
-        """Per-device per-layer wire elements of one step."""
-        return decode_comm_elements(
-            self.mode, t, num_heads, fh, k, new_positions=new_positions
-        )
-
-    def order(self, t: int, f: int, fh: int) -> AttentionOrder:
-        """Both modes execute the materialised-K/V Eq. (3) ordering: the
-        cache (whole or sharded) *is* the K/V Eq. (8) exists to avoid."""
-        return select_decode_order(t, f, fh, cached=True)
-
-
-#: The decode cost table: one source of truth per attention mode.
-DECODE_MODE_COSTS = {mode: DecodeModeCost(mode) for mode in DECODE_ATTENTION_MODES}
-
-
-def decode_mode_cost(mode: str) -> DecodeModeCost:
-    """Look up one mode's cost-table row (raises on unknown modes)."""
-    try:
-        return DECODE_MODE_COSTS[mode]
-    except KeyError:
+    p = new_positions
+    if attention == "gathered":
+        return decode_layer_flops(t, f, fh, num_heads, ffn_dim, new_positions=p)
+    if attention != "distributed":
         raise ValueError(
-            f"decode attention mode must be one of {DECODE_ATTENTION_MODES}, got {mode!r}"
-        ) from None
+            f"decode attention mode must be one of {DECODE_ATTENTION_MODES}, got {attention!r}"
+        )
+    if local_rows is None:
+        raise ValueError("distributed decode_rank_flops needs the rank's local_rows")
+    per_head = decode_gamma_local(local_rows, f, fh, new_positions=p).matmul
+    out_proj = p * (num_heads * fh) * f
+    return num_heads * per_head + out_proj + ffn_flops(p, f, ffn_dim)
 
 
 def select_decode_order(t: int, f: int, fh: int, cached: bool = True) -> AttentionOrder:
@@ -681,9 +646,7 @@ __all__ += [
     "decode_comm_elements",
     "decode_attention_crossover_length",
     "DECODE_ATTENTION_MODES",
-    "DecodeModeCost",
-    "DECODE_MODE_COSTS",
-    "decode_mode_cost",
+    "decode_rank_flops",
     "select_decode_order",
     "decode_order_switch_length",
 ]

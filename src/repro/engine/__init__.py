@@ -1,8 +1,8 @@
 """Online inference engine: continuous batching, SLO scheduling, shedding.
 
-The analytic :mod:`repro.serving` package answers "what latency *would*
-each deployment see" with queueing models; this package actually executes
-models under live request streams.  The pieces:
+This package executes models under live request streams (built from
+:mod:`repro.serving`'s arrival processes and reported through its
+:class:`~repro.serving.stats.ServingStats`).  The pieces:
 
 - :mod:`repro.engine.clock` — deterministic virtual time or dilated wall
   time (one interface, so soak tests replay hours of traffic in ms);

@@ -3,9 +3,8 @@
 Three scheduling policies over one bounded queue:
 
 - ``fifo`` — strict arrival order (the paper's sporadic single-request
-  stream; also the policy under which the engine degenerates to the
-  analytic :class:`~repro.serving.server.MonolithicServer` when it has one
-  slot).
+  stream; with one slot the engine then serves requests strictly one at a
+  time, each holding the whole model until it finishes).
 - ``priority`` — higher ``Request.priority`` first, arrival order within a
   class; the only policy under which preemption is meaningful.
 - ``edf`` — earliest deadline first; deadline-less requests sort last.

@@ -15,17 +15,16 @@ A :class:`ReplicaTier` bundles what distinguishes a replica class:
   ``cost_scale`` (uniform speedup, e.g. modeled int8 arithmetic) and
   ``attention_rank`` (a Linformer-style cap: the per-cached-position
   attention term stops growing past the rank, which is exactly the
-  serving-visible property of :mod:`repro.efficient.linformer` — per-step
-  attention cost O(r), flat in context length).
+  serving-visible property of Linformer attention — per-step attention
+  cost O(r), flat in context length).
 
 The router prices each tier through :meth:`ReplicaTier.request_cost`, so
 "least-loaded" means least *work*, not least requests.
 
 Fidelity note: token outputs always come from the real GPT-2 decode path
 (quantized weights for the ``int8`` tier).  The ``linformer`` tier models
-Linformer's *cost* profile only — the repo's efficient-attention layers are
-encoder-only, so a causal Linformer decode path is a documented follow-up;
-until then the tier serves full-fidelity tokens at Linformer prices.
+Linformer's *cost* profile only — the repo has no causal Linformer decode
+path, so the tier serves full-fidelity tokens at Linformer prices.
 """
 
 from __future__ import annotations
@@ -133,11 +132,10 @@ def build_tier_model(tier: ReplicaTier, config, weight_seed: int = 0):
             max_abs_error=report.max_abs_error,
         )
     if tier.attention_rank is not None:
-        from repro.efficient.linformer import state_elements
-
         meta["attention_rank"] = tier.attention_rank
-        meta["linformer_state_elements"] = state_elements(
-            config.num_heads, tier.attention_rank, config.head_dim
+        # Linformer's compressed K and V per layer: 2·H·r·F_H elements
+        meta["linformer_state_elements"] = (
+            2 * config.num_heads * tier.attention_rank * config.head_dim
         )
     return model, meta
 

@@ -1,15 +1,15 @@
 """A small metrics registry: counters, gauges, quantile histograms.
 
-The serving simulators, the threaded runtime and the inference systems all
-record into a process-wide default registry (cheap — a dict lookup and a
-float add), so any experiment can finish with ``get_registry().summary()``
-and see queue depths, wait/service quantiles and byte counters without
-re-plumbing every call site.  Tests that need isolation install their own
-registry with :func:`use_registry`.
+The engine, the threaded runtime and the inference systems all record into
+a process-wide default registry (cheap — a dict lookup and a float add), so
+any experiment can finish with ``get_registry().summary()`` and see queue
+depths, latency quantiles and byte counters without re-plumbing every call
+site.  Tests that need isolation install their own registry with
+:func:`use_registry`.
 
 Metrics are identified by ``(name, labels)``; labels are plain keyword
-arguments (``histogram("serving.wait_seconds", server="monolithic")``),
-rendered Prometheus-style as ``name{server=monolithic}``.
+arguments (``histogram("engine.latency_seconds", replica="r0")``),
+rendered Prometheus-style as ``name{replica=r0}``.
 """
 
 from __future__ import annotations

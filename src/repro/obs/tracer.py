@@ -14,8 +14,8 @@ Two time domains coexist in one trace:
   span opened while another is active on the same thread records it as its
   parent.
 - **model** spans carry *simulated* seconds (``LatencyBreakdown`` phases,
-  :class:`~repro.cluster.simulator.ClusterSim` collective costs, serving
-  timelines).  Each named track keeps a cursor so consecutive modeled spans
+  :class:`~repro.cluster.simulator.ClusterSim` collective costs, engine
+  request timelines).  Each named track keeps a cursor so consecutive modeled spans
   lay out end-to-end, which is what makes the exported timeline readable.
 
 Instrumentation sites call :func:`current_tracer`, which returns a shared
@@ -52,7 +52,7 @@ class Span:
 
     id: int
     name: str
-    cat: str  # "phase" | "sim" | "runtime" | "system" | "serving" | ...
+    cat: str  # "phase" | "sim" | "runtime" | "system" | "engine" | ...
     kind: str  # one of SPAN_KINDS
     domain: str  # "wall" | "model"
     track: str  # timeline lane (thread, device rank, model track)
@@ -243,7 +243,8 @@ class Tracer:
         nbytes: float | None = None,
         **args,
     ) -> Span:
-        """Append a modeled span with an explicit start time (serving timelines)."""
+        """Append a modeled span with an explicit start time (engine request
+        timelines)."""
         _check_kind(kind)
         if duration_s < 0:
             raise ValueError(f"span duration must be >= 0, got {duration_s}")

@@ -1,29 +1,19 @@
-"""Edge request serving: arrival processes, queueing simulators, statistics.
+"""Request streams and their statistics: arrival processes, served-request
+lifecycles and latency percentiles.
 
-Quantifies the paper's deployment argument (Section V-C): under sporadic,
-batch-size-1 arrivals, per-request latency is what matters, and only
-Voltage both cuts latency and keeps outputs exact; pipeline and data
-parallelism buy throughput that sporadic traffic cannot use.
+:mod:`repro.engine` admits these requests and reports through
+:class:`ServingStats`; :mod:`repro.fleet` replays registered traces built
+from the same arrival processes.
 """
 
 from repro.serving.arrivals import Request, bursty_arrivals, poisson_arrivals, uniform_arrivals
-from repro.serving.server import (
-    MonolithicServer,
-    PerDeviceServer,
-    PipelineServer,
-    service_models,
-)
 from repro.serving.stats import ServedRequest, ServingStats
 
 __all__ = [
-    "MonolithicServer",
-    "PerDeviceServer",
-    "PipelineServer",
     "Request",
     "ServedRequest",
     "ServingStats",
     "bursty_arrivals",
     "poisson_arrivals",
-    "service_models",
     "uniform_arrivals",
 ]

@@ -6,11 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.obs.tracer import current_tracer
 from repro.serving.arrivals import Request
 
-__all__ = ["ServedRequest", "ServingStats", "record_serving_metrics"]
+__all__ = ["ServedRequest", "ServingStats"]
 
 
 @dataclass(frozen=True)
@@ -111,63 +109,3 @@ class ServingStats:
                 f" | {self.deadline_misses}/{self.deadline_count} deadline misses"
             )
         return text
-
-
-def queue_depth_at_arrivals(served: list[ServedRequest]) -> list[int]:
-    """Queue depth seen by each request on arrival: peers that have already
-    arrived but not yet started service (the arriving request excluded)."""
-    depths = []
-    for s in served:
-        t = s.request.arrival
-        depths.append(
-            sum(1 for o in served if o is not s and o.request.arrival <= t < o.start)
-        )
-    return depths
-
-
-def record_serving_metrics(
-    server: str,
-    served: list[ServedRequest],
-    registry: MetricsRegistry | None = None,
-) -> None:
-    """Record one serving run into the metrics registry and the active trace.
-
-    Per server shape (labelled ``server=<shape>``): wait/service/latency
-    histograms, a request counter, per-arrival queue-depth samples and the
-    peak queue depth.  When a tracer is installed, each request's service
-    window additionally lands on a ``serving:<shape>`` modeled track, so a
-    Chrome trace of a serving sweep shows the queue dynamics directly.
-    """
-    registry = registry if registry is not None else get_registry()
-    wait = registry.histogram("serving.wait_seconds", server=server)
-    service = registry.histogram("serving.service_seconds", server=server)
-    latency = registry.histogram("serving.latency_seconds", server=server)
-    for s in served:
-        wait.observe(s.waiting)
-        service.observe(s.service)
-        latency.observe(s.latency)
-    registry.counter("serving.requests_total", server=server).inc(len(served))
-    misses = sum(1 for s in served if s.deadline_missed)
-    if misses:
-        registry.counter("serving.deadline_misses_total", server=server).inc(misses)
-    depth = registry.histogram("serving.queue_depth", server=server)
-    depths = queue_depth_at_arrivals(served)
-    for d in depths:
-        depth.observe(d)
-    peak = registry.gauge("serving.peak_queue_depth", server=server)
-    peak.set(max([*depths, peak.value]))
-
-    tracer = current_tracer()
-    if tracer.enabled:
-        for s in served:
-            tracer.record_at(
-                f"request {s.request.id}",
-                cat="serving",
-                kind="service",
-                start_s=s.start,
-                duration_s=s.service,
-                track=f"serving:{server}",
-                arrival=s.request.arrival,
-                wait=s.waiting,
-                n=s.request.n,
-            )

@@ -2,49 +2,33 @@
 
 - :class:`SingleDeviceSystem` — the paper's baseline deployment;
 - :class:`VoltageSystem` — Algorithm 2 (position partition + All-Gather);
-- :class:`NaivePartitionSystem` — position partition, fixed Eq. (3) order;
+  with ``policy=OrderPolicy("naive")`` it is the naive partition baseline
+  (position partition, fixed Eq. (3) order);
 - :class:`TensorParallelSystem` — Megatron-style sharding, 2 All-Reduces;
 - :class:`PipelineParallelSystem` — layer staging (throughput-oriented).
 """
 
 from repro.systems.adaptive import AdaptiveVoltageSystem
 from repro.systems.base import InferenceResult, InferenceSystem, activation_bytes
-from repro.systems.data_parallel import BatchResult, DataParallelSystem
 from repro.systems.decode import generate_distributed, run_decode
 from repro.systems.fault_tolerant import (
     AllDevicesFailedError,
     FailureSchedule,
     FaultTolerantVoltageSystem,
 )
-from repro.systems.naive_partition import NaivePartitionSystem
 from repro.systems.pipeline_parallel import PipelineParallelSystem, StreamReport
 from repro.systems.seq2seq import Seq2SeqVoltageSystem
 from repro.systems.single_device import SingleDeviceSystem
 from repro.systems.tensor_parallel import TensorParallelSystem
 from repro.systems.voltage import VoltageSystem
 
-SYSTEMS = {
-    SingleDeviceSystem.name: SingleDeviceSystem,
-    VoltageSystem.name: VoltageSystem,
-    AdaptiveVoltageSystem.name: AdaptiveVoltageSystem,
-    NaivePartitionSystem.name: NaivePartitionSystem,
-    TensorParallelSystem.name: TensorParallelSystem,
-    PipelineParallelSystem.name: PipelineParallelSystem,
-    DataParallelSystem.name: DataParallelSystem,
-    FaultTolerantVoltageSystem.name: FaultTolerantVoltageSystem,
-}
-
 __all__ = [
-    "SYSTEMS",
     "AdaptiveVoltageSystem",
     "AllDevicesFailedError",
     "FailureSchedule",
     "FaultTolerantVoltageSystem",
-    "BatchResult",
-    "DataParallelSystem",
     "InferenceResult",
     "InferenceSystem",
-    "NaivePartitionSystem",
     "PipelineParallelSystem",
     "Seq2SeqVoltageSystem",
     "SingleDeviceSystem",

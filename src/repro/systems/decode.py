@@ -75,7 +75,7 @@ same code with one or all shards owned:
 * a host-side merge (``np.concatenate``) when the caller owns all ``K``
   shards — :func:`run_decode`, which pairs the emulated tokens with
   :func:`decode_timeline`, the one shapes-only per-token latency timeline
-  (decode-phase Γ model, ``core.complexity.decode_step_flops``) that
+  (decode-phase Γ model, ``core.complexity.decode_rank_flops``) that
   ``bench.analytic.voltage_decode_latency`` also returns.
 """
 
@@ -102,7 +102,7 @@ from repro.core.combine import (
 )
 from repro.core.complexity import (
     DECODE_ATTENTION_MODES,
-    decode_mode_cost,
+    decode_rank_flops,
     select_decode_order,
     select_order,
 )
@@ -567,8 +567,8 @@ def decode_step_pricing(
     stats_itemsize: int = 4,
 ):
     """Price one decode step — the cost source of :func:`decode_timeline`,
-    driven by the per-mode cost table (``core.complexity.DECODE_MODE_COSTS``)
-    and the step's shape (:func:`decode_step_slices`).
+    driven by ``core.complexity.decode_rank_flops`` and the step's shape
+    (:func:`decode_step_slices`).
     Returns ``(per_rank_flops, layer_collectives, head_collectives)``:
 
     - ``per_rank_flops[r]`` — rank ``r``'s matmul FLOPs for the step: the
@@ -584,7 +584,7 @@ def decode_step_pricing(
       partitioned step (one non-empty chunk, its owner's), then the
       ``K``-pair ``(max logit, index)`` exchange.
     """
-    mode = decode_mode_cost(attention)
+    _check_attention(attention)
     k = len(layer_parts[0])
     heads, fh = config.num_heads, config.head_dim
     slices = decode_step_slices(config, layer_parts, total - added, added, attention)
@@ -600,8 +600,8 @@ def decode_step_pricing(
         ]
         for rank in range(k):
             if rank_rows[rank]:
-                per_rank_flops[rank] += mode.rank_flops(
-                    total, 1, config.hidden_size, fh, heads, config.ffn_dim,
+                per_rank_flops[rank] += decode_rank_flops(
+                    attention, total, config.hidden_size, fh, heads, config.ffn_dim,
                     new_positions=rank_rows[rank], local_rows=local_rows[rank],
                 )
         if attention == "gathered":

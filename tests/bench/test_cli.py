@@ -50,17 +50,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "layer[0]" in out and "cost-model check" in out
 
-    def test_serving_target(self, capsys):
-        assert main(["serving"]) == 0
-        assert "serving_tail" in capsys.readouterr().out
-
-    def test_serving_json_writes_dump(self, tmp_path, capsys):
-        """Regression: --json OUT/ must produce serving_tail.json, like
-        every other figure target."""
-        assert main(["serving", "--json", str(tmp_path)]) == 0
-        data = json.loads((tmp_path / "serving_tail.json").read_text())
-        assert data["name"] == "serving_tail"
-
     def test_serve_target_runs_sweep_and_writes_report(self, tmp_path, capsys):
         out = tmp_path / "BENCH_serve.json"
         assert main(["serve", "--quick", "--output", str(out)]) == 0
@@ -102,3 +91,11 @@ class TestCli:
             main(["perf"])
         assert exc.value.code == 2
         assert "invalid choice: 'perf'" in capsys.readouterr().err
+
+    def test_serving_target_is_gone(self, capsys):
+        """The analytic serving-queue sweep is retired; the engine's
+        ``serve`` and ``fleet`` sweeps are the serving benchmarks."""
+        with pytest.raises(SystemExit) as exc:
+            main(["serving"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'serving'" in capsys.readouterr().err

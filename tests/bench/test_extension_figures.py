@@ -28,24 +28,6 @@ class TestDynamicSchemeAblation:
         assert max(values) == pytest.approx(min(values), rel=1e-6)
 
 
-class TestEfficientCommTable:
-    @pytest.fixture(scope="class")
-    def fig(self):
-        return figures.efficient_attention_comm_table()
-
-    def test_state_volume_n_independent(self, fig):
-        for label in (
-            "+ linear-attention state All-Reduce",
-            "+ Linformer state All-Reduce",
-        ):
-            series = fig.series_by_label(label)
-            assert len(set(series.ys)) == 1
-
-    def test_gather_grows_linearly_with_n(self, fig):
-        gather = fig.series_by_label("output All-Gather (all variants)")
-        assert gather.y_at(800) == pytest.approx(8 * gather.y_at(100), rel=1e-6)
-
-
 class TestDecodeAttentionAblation:
     @pytest.fixture(scope="class")
     def fig(self):
@@ -96,23 +78,3 @@ class TestMemoryTradeoffTable:
             voltage = fig.series_by_label(f"Voltage {label}").y_at(1)
             tensor = fig.series_by_label(f"TP {label}").y_at(1)
             assert voltage == pytest.approx(tensor, rel=0.01)
-
-
-class TestServingSweep:
-    @pytest.fixture(scope="class")
-    def fig(self):
-        return figures.serving_tail_latency(rates=(0.05, 0.6), num_requests=30)
-
-    def test_five_strategies(self, fig):
-        assert len(fig.series) == 5
-
-    def test_voltage_beats_monolithic_rivals_at_low_rate(self, fig):
-        voltage = fig.series_by_label("voltage")
-        assert voltage.y_at(0.05) < fig.series_by_label("single-device").y_at(0.05)
-        assert voltage.y_at(0.05) < fig.series_by_label("tensor-parallel").y_at(0.05)
-
-    def test_saturation_hurts_monolithic_strategies(self, fig):
-        voltage = fig.series_by_label("voltage")
-        data_parallel = fig.series_by_label("data-parallel")
-        assert voltage.y_at(0.6) > voltage.y_at(0.05)
-        assert data_parallel.y_at(0.6) < voltage.y_at(0.6)

@@ -1,12 +1,14 @@
-"""Golden-snapshot determinism: the headline figure is byte-stable.
+"""Golden-snapshot determinism: the paper's figures are byte-stable.
 
 Two *fresh* interpreter processes — not two calls in one process, which
 would share module state, RNG state and hash seed — must emit byte-identical
-FigureResult JSON for Figure 4.  This is the reproducibility contract
-EXPERIMENTS.md sells: anyone re-running the CLI gets the published numbers,
-to the last serialized byte.
+FigureResult JSON for Figures 4, 5 and 6 (FLOP model), the communication
+and memory tables and the Section VI-B headline claims.  This is the
+reproducibility contract EXPERIMENTS.md sells: anyone re-running the CLI
+gets the published numbers, to the last serialized byte.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -16,18 +18,42 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = str(REPO_ROOT / "src")
 
+#: The deterministic figure targets (``fig6`` only in its FLOP-model mode:
+#: its default mode times this host).
+TARGETS = (["fig4"], ["fig5"], ["fig6", "--model"], ["comm"], ["headline"])
 
-def emit_figure4(json_dir: Path, hash_seed: str) -> str:
-    """Run ``python -m repro.bench fig4 --json <dir>`` in a fresh process."""
-    result = subprocess.run(
-        [sys.executable, "-m", "repro.bench", "fig4", "--json", str(json_dir)],
-        env={"PYTHONPATH": SRC, "PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin"},
-        capture_output=True,
-        text=True,
-        timeout=120,
-        check=True,
-    )
-    return result.stdout
+
+def emit_targets(json_dir: Path, hash_seed: str) -> str:
+    """Run ``python -m repro.bench <target> --json <dir>`` for every target,
+    each in a fresh process; returns their concatenated stdout."""
+    out = []
+    for target in TARGETS:
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.bench", *target, "--json", str(json_dir)],
+            env={"PYTHONPATH": SRC, "PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin"},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        out.append(result.stdout)
+    return "".join(out)
+
+
+def in_process_payloads() -> dict[str, str]:
+    """File name -> JSON text of every target, from direct library calls."""
+    from repro.bench import figures
+
+    figs = [
+        *figures.figure4().values(),
+        *figures.figure5().values(),
+        *figures.figure6(mode="model").values(),
+        figures.comm_volume_table(),
+        figures.memory_tradeoff_table(),
+    ]
+    payloads = {f"{fig.name}.json": fig.to_json() for fig in figs}
+    payloads["headline.json"] = json.dumps(figures.headline_summary(), indent=2)
+    return payloads
 
 
 class TestGoldenSnapshot:
@@ -37,15 +63,15 @@ class TestGoldenSnapshot:
         second = tmp_path_factory.mktemp("golden_second")
         # Different hash seeds on purpose: byte-identity must not depend on
         # dict/set iteration order of the host process.
-        out_first = emit_figure4(first, hash_seed="0")
-        out_second = emit_figure4(second, hash_seed="12345")
+        out_first = emit_targets(first, hash_seed="0")
+        out_second = emit_targets(second, hash_seed="12345")
         return first, second, out_first, out_second
 
     def test_fresh_processes_emit_byte_identical_json(self, runs):
         first, second, _, _ = runs
         names = sorted(p.name for p in first.glob("*.json"))
         assert names == sorted(p.name for p in second.glob("*.json"))
-        assert names, "fig4 must emit at least one FigureResult JSON"
+        assert names == sorted(in_process_payloads()), "every target must emit its JSON"
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes(), (
                 f"{name} differs between two fresh runs"
@@ -55,14 +81,9 @@ class TestGoldenSnapshot:
         _, _, out_first, out_second = runs
         assert out_first == out_second
 
-    def test_snapshot_matches_in_process_result(self, runs, tmp_path):
+    def test_snapshot_matches_in_process_result(self, runs):
         """The CLI snapshot and a direct library call agree — no hidden
-        CLI-only state feeds the figure."""
-        from repro.bench import figures
-
+        CLI-only state feeds a figure."""
         first, _, _, _ = runs
-        in_process = {
-            fig.name: fig.to_json() for fig in figures.figure4().values()
-        }
-        for name, payload in in_process.items():
-            assert (first / f"{name}.json").read_text() == payload
+        for name, payload in in_process_payloads().items():
+            assert (first / name).read_text() == payload, name

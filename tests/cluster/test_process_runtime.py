@@ -6,6 +6,7 @@ semantics, same fail-loudly error shapes — while every frame really crosses
 a socket (so byte counters are exact integers ≥ the threaded frame counts).
 """
 
+import multiprocessing
 import os
 import time
 
@@ -182,9 +183,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="timeout"):
             ProcessRuntime(2, timeout=0)
 
-    def test_rejects_unknown_start_method(self):
-        with pytest.raises(ValueError, match="start method"):
-            ProcessRuntime(2, start_method="teleport")
+    def test_rejects_unknown_start_method(self, monkeypatch):
+        """Ranks must be forked; a platform without fork fails loudly."""
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        with pytest.raises(ValueError, match="start method 'fork' unavailable"):
+            ProcessRuntime(2)
 
     def test_stats_are_commstats(self):
         _, stats = ProcessRuntime(2, timeout=15).run(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.simulator import ClusterSim, EventEngine, Resource, StagePipeline
+from repro.cluster.simulator import ClusterSim, Resource, StagePipeline
 from repro.cluster.spec import ClusterSpec
 
 
@@ -88,51 +88,3 @@ class TestStagePipeline:
         _, first = pipeline.push(0.0, [1.0, 1.0], 0.0)
         start, second = pipeline.push(0.0, [1.0, 1.0], 0.0)
         assert (first, start, second) == (2.0, 1.0, 3.0)  # one stage apart, not two
-
-
-class TestEventEngine:
-    def test_events_run_in_time_order(self):
-        engine = EventEngine()
-        log = []
-        engine.at(2.0, lambda: log.append("b"))
-        engine.at(1.0, lambda: log.append("a"))
-        engine.at(3.0, lambda: log.append("c"))
-        final = engine.run()
-        assert log == ["a", "b", "c"]
-        assert final == 3.0
-
-    def test_ties_preserve_insertion_order(self):
-        engine = EventEngine()
-        log = []
-        engine.at(1.0, lambda: log.append(1))
-        engine.at(1.0, lambda: log.append(2))
-        engine.run()
-        assert log == [1, 2]
-
-    def test_events_can_schedule_events(self):
-        engine = EventEngine()
-        log = []
-
-        def first():
-            log.append("first")
-            engine.after(0.5, lambda: log.append("second"))
-
-        engine.at(1.0, first)
-        assert engine.run() == pytest.approx(1.5)
-        assert log == ["first", "second"]
-
-    def test_cannot_schedule_in_past(self):
-        engine = EventEngine()
-        engine.at(2.0, lambda: engine.at(1.0, lambda: None))
-        with pytest.raises(ValueError, match="past"):
-            engine.run()
-
-    def test_event_budget_guards_cycles(self):
-        engine = EventEngine()
-
-        def forever():
-            engine.after(0.1, forever)
-
-        engine.at(0.0, forever)
-        with pytest.raises(RuntimeError, match="budget"):
-            engine.run(max_events=100)

@@ -8,7 +8,6 @@ import pytest
 
 from repro.core.complexity import (
     DECODE_ATTENTION_MODES,
-    DECODE_MODE_COSTS,
     EQ3,
     decode_attention_crossover_length,
     decode_combine_elements,
@@ -17,8 +16,8 @@ from repro.core.complexity import (
     decode_gamma_local,
     decode_kv_gather_elements,
     decode_layer_flops,
-    decode_mode_cost,
     decode_order_switch_length,
+    decode_rank_flops,
     decode_step_flops,
     ffn_flops,
     select_decode_order,
@@ -112,44 +111,31 @@ class TestDecodeCombineVolume:
 
 class TestDecodeModeCostTable:
     def test_table_covers_every_mode(self):
-        assert set(DECODE_MODE_COSTS) == set(DECODE_ATTENTION_MODES)
+        for mode in DECODE_ATTENTION_MODES:
+            assert decode_rank_flops(mode, 9, 32, 8, 4, 128, local_rows=5) > 0
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
-            decode_mode_cost("ring")
+            decode_rank_flops("ring", 9, 32, 8, 4, 128)
 
     def test_gathered_rank_flops_replicate_full_step(self):
-        t, layers, f, fh, heads, ffn = 9, 3, 32, 8, 4, 128
-        cost = decode_mode_cost("gathered")
-        assert cost.rank_flops(t, layers, f, fh, heads, ffn) == (
-            decode_step_flops(t, layers, f, fh, heads, ffn)
+        t, f, fh, heads, ffn = 9, 32, 8, 4, 128
+        assert decode_rank_flops("gathered", t, f, fh, heads, ffn) == (
+            decode_step_flops(t, 1, f, fh, heads, ffn)
         )
 
     def test_distributed_rank_flops_scale_with_local_rows(self):
-        layers, f, fh, heads, ffn = 3, 32, 8, 4, 128
-        cost = decode_mode_cost("distributed")
+        f, fh, heads, ffn = 32, 8, 4, 128
         per_head = decode_gamma_local(5, f, fh).matmul
-        expected = layers * (heads * per_head + heads * fh * f + ffn_flops(1, f, ffn))
-        assert cost.rank_flops(20, layers, f, fh, heads, ffn, local_rows=5) == expected
+        expected = heads * per_head + heads * fh * f + ffn_flops(1, f, ffn)
+        assert decode_rank_flops("distributed", 20, f, fh, heads, ffn, local_rows=5) == expected
         # the score/context term is O(local_rows), not O(t)
-        grow = cost.rank_flops(20, layers, f, fh, heads, ffn, local_rows=10)
-        assert grow - expected == layers * heads * 2 * 5 * fh
+        grow = decode_rank_flops("distributed", 20, f, fh, heads, ffn, local_rows=10)
+        assert grow - expected == heads * 2 * 5 * fh
 
     def test_distributed_requires_local_rows(self):
-        cost = decode_mode_cost("distributed")
         with pytest.raises(ValueError, match="local_rows"):
-            cost.rank_flops(20, 3, 32, 8, 4, 128)
-
-    def test_both_modes_use_cached_order(self):
-        for mode in DECODE_ATTENTION_MODES:
-            assert decode_mode_cost(mode).order(64, 32, 8) is EQ3
-
-    def test_comm_elements_route_through_mode(self):
-        t, heads, fh, k = 12, 4, 8, 3
-        for mode in DECODE_ATTENTION_MODES:
-            assert decode_mode_cost(mode).comm_elements(t, heads, fh, k) == (
-                decode_comm_elements(mode, t, heads, fh, k)
-            )
+            decode_rank_flops("distributed", 20, 32, 8, 4, 128)
 
 
 class TestDecodeOrderChoice:

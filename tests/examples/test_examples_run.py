@@ -26,7 +26,6 @@ def _examples_on_path(monkeypatch):
             "image_classification_vit",
             "distributed_generation_gpt2",
             "edge_cluster_simulation",
-            "edge_serving",
             "translation_seq2seq",
             "resilient_inference",
         }:
@@ -64,10 +63,6 @@ class TestExamplesRun:
     def test_cluster_simulation(self, capsys):
         out = _run("edge_cluster_simulation", ["--bandwidth", "300"], capsys)
         assert "minimum bandwidth" in out and "pipeline" in out
-
-    def test_serving(self, capsys):
-        out = _run("edge_serving", ["--rate", "0.3", "--requests", "15"], capsys)
-        assert "Poisson arrivals at 0.3" in out and "best p50" in out
 
     def test_translation(self, capsys):
         out = _run("translation_seq2seq", [], capsys)

@@ -11,9 +11,9 @@ import pytest
 
 from repro.bench.workloads import random_image, random_text
 from repro.cluster.spec import ClusterSpec
+from repro.core.layer import OrderPolicy
 from repro.models import BertModel, GPT2Model, ViTModel, tiny_config, vit_base_config
 from repro.systems import (
-    NaivePartitionSystem,
     PipelineParallelSystem,
     SingleDeviceSystem,
     TensorParallelSystem,
@@ -53,22 +53,22 @@ def vit():
     return ViTModel(cfg, num_classes=7, rng=np.random.default_rng(23))
 
 
-ALL_SYSTEMS = [
-    SingleDeviceSystem,
-    VoltageSystem,
-    NaivePartitionSystem,
-    TensorParallelSystem,
-    PipelineParallelSystem,
-]
+ALL_SYSTEMS = {
+    "single-device": SingleDeviceSystem,
+    "voltage": VoltageSystem,
+    "naive-partition": lambda m, c: VoltageSystem(m, c, policy=OrderPolicy("naive")),
+    "tensor-parallel": TensorParallelSystem,
+    "pipeline-parallel": PipelineParallelSystem,
+}
 
 
 class TestTextClassificationAgreement:
-    @pytest.mark.parametrize("system_cls", ALL_SYSTEMS, ids=lambda c: c.name)
-    def test_same_logits_as_plain_model(self, bert, cluster, system_cls):
+    @pytest.mark.parametrize("system", ALL_SYSTEMS)
+    def test_same_logits_as_plain_model(self, bert, cluster, system):
         text = random_text(40, seed=7)
         ids = bert.encode_text(text)
         reference = bert(ids)
-        result = system_cls(bert, cluster).run(ids)
+        result = ALL_SYSTEMS[system](bert, cluster).run(ids)
         np.testing.assert_allclose(result.output, reference, atol=1e-3)
 
     def test_same_argmax_across_many_inputs(self, bert, cluster):
@@ -79,20 +79,20 @@ class TestTextClassificationAgreement:
 
 
 class TestImageClassificationAgreement:
-    @pytest.mark.parametrize("system_cls", ALL_SYSTEMS, ids=lambda c: c.name)
-    def test_vit_logits_agree(self, vit, cluster, system_cls):
+    @pytest.mark.parametrize("system", ALL_SYSTEMS)
+    def test_vit_logits_agree(self, vit, cluster, system):
         image = random_image(size=32, seed=3)
         reference = vit(image)
-        result = system_cls(vit, cluster).run(image)
+        result = ALL_SYSTEMS[system](vit, cluster).run(image)
         np.testing.assert_allclose(result.output, reference, atol=1e-3)
 
 
 class TestCausalLmAgreement:
-    @pytest.mark.parametrize("system_cls", ALL_SYSTEMS, ids=lambda c: c.name)
-    def test_next_token_logits_agree(self, gpt2, cluster, system_cls):
+    @pytest.mark.parametrize("system", ALL_SYSTEMS)
+    def test_next_token_logits_agree(self, gpt2, cluster, system):
         ids = np.arange(1, 25) % 100
         reference = gpt2(ids)
-        result = system_cls(gpt2, cluster).run(ids)
+        result = ALL_SYSTEMS[system](gpt2, cluster).run(ids)
         np.testing.assert_allclose(result.output, reference, atol=1e-3)
 
     def test_distributed_greedy_generation(self, gpt2, cluster):

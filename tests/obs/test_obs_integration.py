@@ -105,35 +105,3 @@ class TestTracedThreadedRuntime:
         assert snap["runtime.collective_calls"]["value"] == 3.0
         assert snap["runtime.bytes_sent"]["value"] > 0
         assert snap["runtime.worker_total_bytes"]["count"] == 3
-
-
-class TestServingMetrics:
-    def test_histograms_and_queue_depth_recorded_per_shape(self):
-        from repro.serving.arrivals import uniform_arrivals
-        from repro.serving.server import MonolithicServer
-
-        registry = obs.MetricsRegistry()
-        with obs.use_registry(registry):
-            # back-to-back arrivals, each 1 s of service: queue builds up
-            server = MonolithicServer(lambda n: 1.0)
-            stats = server.run(uniform_arrivals(5, interval=0.0, n_tokens=8))
-        snap = registry.snapshot()
-        wait = snap["serving.wait_seconds{server=monolithic}"]
-        assert wait["count"] == 5
-        assert wait["p50"] == pytest.approx(2.0)  # waits are 0,1,2,3,4
-        assert snap["serving.peak_queue_depth{server=monolithic}"]["value"] == 4.0
-        assert snap["serving.requests_total{server=monolithic}"]["value"] == 5.0
-        assert stats.mean_waiting == pytest.approx(2.0)
-
-    def test_traced_serving_emits_request_timeline(self):
-        from repro.serving.arrivals import uniform_arrivals
-        from repro.serving.server import PerDeviceServer
-
-        tracer = obs.Tracer()
-        with obs.use_tracer(tracer):
-            PerDeviceServer(lambda n: 0.5, 2).run(uniform_arrivals(4, interval=0.1,
-                                                                   n_tokens=8))
-        spans = tracer.filter(cat="serving")
-        assert len(spans) == 4
-        assert all(s.track == "serving:per-device" for s in spans)
-        assert all(s.duration_s == pytest.approx(0.5) for s in spans)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.serving.arrivals import Request
-from repro.serving.stats import ServedRequest, ServingStats, queue_depth_at_arrivals
+from repro.serving.stats import ServedRequest, ServingStats
 
 
 def served(arrival, start, finish, id=0, deadline=None):
@@ -75,13 +75,15 @@ class TestSimultaneousArrivals:
         # each later request waited one more second than the previous
         assert stats.mean_waiting == pytest.approx(1.5)
 
-    def test_queue_depth_counts_waiting_peers(self):
-        batch = [served(0.0, i * 1.0, (i + 1) * 1.0, id=i) for i in range(4)]
-        # request 0 starts at t=0, so at t=0 the other three are waiting
-        assert queue_depth_at_arrivals(batch) == [3, 2, 2, 2]
-
 
 class TestSmallSamplePercentiles:
+    def test_stats_percentiles(self):
+        batch = [served(float(i), float(i), float(i) + 1.0, id=i) for i in range(100)]
+        stats = ServingStats.from_served(batch)
+        assert stats.mean_latency == pytest.approx(1.0)
+        assert stats.p99_latency == pytest.approx(1.0)
+        assert stats.count == 100
+
     def test_percentiles_interpolate_below_100_samples(self):
         """With < 100 samples, p99 must interpolate toward the max rather
         than collapse onto it or fall below p95."""
@@ -111,6 +113,10 @@ class TestDeadlineAccounting:
         assert stats.deadline_misses == 1
         assert stats.deadline_miss_rate == pytest.approx(0.5)
         assert "1/2 deadline misses" in stats.summary()
+
+    def test_summary_readable(self):
+        stats = ServingStats.from_served([served(0.0, 0.0, 0.5), served(1.0, 1.0, 1.5, id=1)])
+        assert "p95" in stats.summary()
 
     def test_no_deadlines_means_zero_rate_and_clean_summary(self):
         stats = ServingStats.from_served([served(0.0, 0.0, 1.0)])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.timeline import LatencyBreakdown
-from repro.systems import SYSTEMS, VoltageSystem
+from repro.systems import VoltageSystem
 from repro.systems.base import InferenceResult, activation_bytes
 
 
@@ -32,14 +32,6 @@ class TestInferenceResult:
 
 
 class TestSystemRegistry:
-    def test_all_registered_names_match_class_attribute(self):
-        for name, cls in SYSTEMS.items():
-            assert cls.name == name
-
-    def test_registry_covers_the_eight_systems(self):
-        assert len(SYSTEMS) == 8
-        assert "voltage" in SYSTEMS and "tensor-parallel" in SYSTEMS
-
     def test_repr_mentions_model_and_devices(self, bert, cluster4):
         text = repr(VoltageSystem(bert, cluster4))
         assert "devices=4" in text

@@ -10,11 +10,10 @@ failure here localizes which system broke the contract.
 import numpy as np
 import pytest
 
+from repro.core.layer import OrderPolicy
 from repro.systems import (
     AdaptiveVoltageSystem,
-    DataParallelSystem,
     FaultTolerantVoltageSystem,
-    NaivePartitionSystem,
     PipelineParallelSystem,
     SingleDeviceSystem,
     TensorParallelSystem,
@@ -27,10 +26,9 @@ FACTORIES = {
     "voltage": lambda m, c: VoltageSystem(m, c),
     "voltage-auto": lambda m, c: VoltageSystem(m, c, scheme="auto"),
     "adaptive": lambda m, c: AdaptiveVoltageSystem(m, c),
-    "naive-partition": lambda m, c: NaivePartitionSystem(m, c),
+    "naive-partition": lambda m, c: VoltageSystem(m, c, policy=OrderPolicy("naive")),
     "tensor-parallel": lambda m, c: TensorParallelSystem(m, c),
     "pipeline-parallel": lambda m, c: PipelineParallelSystem(m, c),
-    "data-parallel": lambda m, c: DataParallelSystem(m, c),
     "fault-tolerant": lambda m, c: FaultTolerantVoltageSystem(m, c),
 }
 

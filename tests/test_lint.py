@@ -63,8 +63,8 @@ def test_lower_layers_do_not_import_engine_fleet_or_bench():
 
 
 def test_serving_does_not_import_bench():
-    """``service_models`` prices its servers from the systems' timelines
-    directly — the queueing layer sits below the reporting layer."""
+    """Request streams and their statistics sit below the engine, the fleet
+    and the reporting layer that all read them."""
     offenders = _imports_of(("serving",), ("repro.bench",))
     assert not offenders, "layering violations:\n" + "\n".join(offenders)
 
