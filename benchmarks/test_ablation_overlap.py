@@ -42,8 +42,8 @@ def test_overlapped_threaded_execution_is_bit_identical(benchmark):
     system = VoltageSystem(model, ClusterSpec.homogeneous(4), overlap=True)
     ids = model.encode_text("the quick brown fox jumps over the lazy dog " * 6)
 
-    blocking, _ = system.execute_threaded(ids, overlap=False)
+    blocking, _ = system.execute_distributed(ids, overlap=False)
     overlapped = benchmark.pedantic(
-        lambda: system.execute_threaded(ids, overlap=True)[0], rounds=3, iterations=1
+        lambda: system.execute_distributed(ids, overlap=True)[0], rounds=3, iterations=1
     )
     np.testing.assert_array_equal(overlapped, blocking)

@@ -37,8 +37,8 @@ def test_measured_bytes_match_formulas(benchmark):
     n, f = len(ids), model.config.hidden_size
 
     def run_both():
-        _, v_stats = VoltageSystem(model, cluster).execute_threaded(ids)
-        _, t_stats = TensorParallelSystem(model, cluster).execute_threaded(ids)
+        _, v_stats = VoltageSystem(model, cluster).execute_distributed(ids)
+        _, t_stats = TensorParallelSystem(model, cluster).execute_distributed(ids)
         return v_stats, t_stats
 
     v_stats, t_stats = benchmark.pedantic(run_both, rounds=1, iterations=1)

@@ -48,7 +48,7 @@ def run_real_inference(num_layers: int, num_devices: int) -> None:
     print(f"attention orders chosen per layer: {result.meta['orders']}")
 
     print("\nrunning the same request on REAL concurrent workers ...")
-    output, stats = system.execute_threaded(token_ids)
+    output, stats = system.execute_distributed(token_ids)
     assert np.allclose(output, result.output, atol=1e-4)
     mb = stats[0].bytes_received / 1e6
     print(f"threaded output matches; each worker received {mb:.2f} MB "

@@ -8,7 +8,6 @@ Usage::
     voltage-bench fig6 --model     # same, FLOP-model based (fast)
     voltage-bench comm              # communication volume table
     voltage-bench ablations         # order-choice + heterogeneity ablations
-    voltage-bench profile           # host-side span profile vs cost model
     voltage-bench headline          # Section VI-B text claims
     voltage-bench all --json out/   # everything, plus JSON dumps
     voltage-bench verify --seeds 25 # differential conformance fuzzing
@@ -27,8 +26,7 @@ modeled latency phase, simulator collective, threaded-runtime operation and
 engine step of the chosen target lands in the file.
 
 Wall-clock performance is gated in one place, ``benchmarks/e2e/run.py``
-(see ``BENCHMARK.json``); ``fig6`` and ``profile`` time this host but gate
-nothing.
+(see ``BENCHMARK.json``); ``fig6`` times this host but gates nothing.
 """
 
 from __future__ import annotations
@@ -79,50 +77,8 @@ def _run_headline(json_dir: Path | None) -> None:
         (json_dir / "headline.json").write_text(json.dumps(summary, indent=2))
 
 
-def _run_profile(num_layers: int, n_words: int) -> None:
-    """Profile a real BERT forward pass and reconcile with the cost model.
-
-    Spans ``preprocess`` / ``layer[i]`` / ``postprocess`` — the latency
-    simulator's decomposition, so measured shares compare against modelled
-    ones — land on the ``--trace`` tracer if installed, else a private one.
-    """
-    import numpy as np
-
-    from repro import obs
-    from repro.bench.workloads import random_text
-    from repro.cluster.device import calibrate_matmul_gflops
-    from repro.core.layer import PartitionedLayerExecutor
-    from repro.models import BertModel, bert_large_config
-
-    config = bert_large_config().scaled(num_layers=num_layers)
-    print(f"profiling BERT-Large[:{num_layers} layers] on this host ...")
-    model = BertModel(config, num_classes=2, rng=np.random.default_rng(0))
-    ids = model.encode_text(random_text(n_words))
-    model(ids)  # warm-up
-    active = obs.current_tracer()
-    tracer = active if active.enabled else obs.Tracer()
-    stages = [("preprocess", model.preprocess)]
-    stages += [(f"layer[{index}]", layer) for index, layer in enumerate(model.layers)]
-    stages += [("postprocess", lambda hidden: model.postprocess(model.final_norm(hidden)))]
-    x = ids
-    for name, stage in stages:
-        with tracer.span(name, cat="profile", kind="compute"):
-            x = stage(x)
-    print(obs.summary_table(tracer))
-
-    host_gflops = calibrate_matmul_gflops()
-    layer_flops = PartitionedLayerExecutor(model.layers[0]).full_flops(len(ids))
-    modelled = layer_flops / (host_gflops * 1e9)
-    measured = tracer.filter(cat="profile", name="layer[0]")[-1].duration_s
-    print(
-        f"\ncost-model check: layer[0] measured {measured * 1e3:.2f} ms vs "
-        f"modelled {modelled * 1e3:.2f} ms at the calibrated "
-        f"{host_gflops:.1f} GFLOP/s ({measured / modelled:.2f}x)"
-    )
-
-
 def _run_figures(args) -> int:
-    """The paper's figures and tables plus the profile and headline targets."""
+    """The paper's figures and tables plus the headline target."""
     fig6_mode = "model" if args.model else "measured"
     if args.target in ("fig4", "all"):
         _emit(figures.figure4(bandwidth_mbps=args.bandwidth, max_devices=args.devices),
@@ -142,8 +98,6 @@ def _run_figures(args) -> int:
         _emit(figures.ablation_overlap(), args.json)
         _emit(figures.ablation_decode_attention(), args.json)
         _emit(figures.fleet_autoscale_timeline(), args.json)
-    if args.target == "profile":
-        _run_profile(args.layers, args.words)
     if args.target in ("headline", "all"):
         _run_headline(args.json)
     return 0
@@ -317,14 +271,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "target",
-        choices=["fig4", "fig5", "fig6", "comm", "ablations", "profile", "headline",
+        choices=["fig4", "fig5", "fig6", "comm", "ablations", "headline",
                  "verify", "serve", "fleet", "all"],
         help="which experiment to run",
     )
-    parser.add_argument("--layers", type=int, default=4,
-                        help="profile: transformer layers to instantiate (default 4)")
-    parser.add_argument("--words", type=int, default=200,
-                        help="profile: input length in words (default 200)")
     parser.add_argument("--json", type=Path, default=None, metavar="DIR",
                         help="also write per-figure JSON files into DIR")
     parser.add_argument("--model", action="store_true",

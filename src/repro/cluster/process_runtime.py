@@ -550,16 +550,6 @@ class ProcessRuntime:
                 process.terminate()
                 process.join(timeout=2.0)
 
-    def run_spmd(
-        self, worker_fns: Sequence[Callable[[WorkerContext], object]]
-    ) -> tuple[list[object], list[CommStats]]:
-        """Like :meth:`run` but with a distinct function per rank."""
-        if len(worker_fns) != self.world_size:
-            raise ValueError(
-                f"expected {self.world_size} worker functions, got {len(worker_fns)}"
-            )
-        return self.run(lambda ctx: worker_fns[ctx.rank](ctx))
-
 
 def resolve_runtime(
     spec, world_size: int, timeout: float | None = None

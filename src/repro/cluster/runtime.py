@@ -831,13 +831,3 @@ class ThreadedRuntime:
         per_worker = registry.histogram("runtime.worker_total_bytes")
         for s in stats:
             per_worker.observe(s.total_bytes)
-
-    def run_spmd(
-        self, worker_fns: Sequence[Callable[[WorkerContext], object]]
-    ) -> tuple[list[object], list[CommStats]]:
-        """Like :meth:`run` but with a distinct function per rank."""
-        if len(worker_fns) != self.world_size:
-            raise ValueError(
-                f"expected {self.world_size} worker functions, got {len(worker_fns)}"
-            )
-        return self.run(lambda ctx: worker_fns[ctx.rank](ctx))

@@ -15,8 +15,7 @@ This package executes models under live request streams (built from
   accept → roll back per step) whose forwards run against slot-owned
   caches (:class:`GPT2CachedSequencer`, bit-identical to the offline
   ``generate_cached``) or on ``K`` resident ranks
-  (:class:`VoltageDecodeSequencer`), plus the one-shot threaded Voltage
-  forward; :mod:`repro.engine.speculative` adds the proposers that switch
+  (:class:`VoltageDecodeSequencer`); :mod:`repro.engine.speculative` adds the proposers that switch
   drafting on in that machine (:class:`SpeculativeSequencer`);
 - :mod:`repro.engine.engine` — the worker loop tying them together, fully
   instrumented through :mod:`repro.obs`.
@@ -43,11 +42,7 @@ from repro.engine.engine import (
 )
 from repro.engine.prefix_cache import PrefixCacheStats, PrefixEntry, RadixPrefixCache
 from repro.engine.scheduler import POLICIES, Scheduler, ShedRequest
-from repro.engine.sequencer import (
-    GPT2CachedSequencer,
-    VoltageDecodeSequencer,
-    VoltageForwardSequencer,
-)
+from repro.engine.sequencer import GPT2CachedSequencer, VoltageDecodeSequencer
 from repro.engine.slots import KVSlot, SlotPool
 from repro.engine.speculative import (
     DraftModelProposer,
@@ -79,6 +74,5 @@ __all__ = [
     "SpeculativeStats",
     "VirtualClock",
     "VoltageDecodeSequencer",
-    "VoltageForwardSequencer",
     "WallClock",
 ]

@@ -11,12 +11,11 @@ contract is a tiny state machine:
   measured wall time", the right default under a wall clock);
 - ``result(state)`` is the finished request's output;
 - ``stage(states)`` announces, once per engine iteration and before any of
-  them is stepped, the states about to take a step — a sequencer that can
-  share one forward across them (the iteration forward, below) uses it,
-  the rest inherit a no-op;
+  them is stepped, the states about to take a step, so that one forward
+  can serve them all (the iteration forward, below);
 
 plus the protocol attributes the engine builds its pool and prefix cache
-from (:class:`_Sequencer`).
+from (:class:`_GreedySequencer`).
 
 Greedy decoding is **one** state machine, :class:`_GreedySequencer` —
 prefill, then per step *commit pending → draft ≤ budget → verify → accept →
@@ -53,12 +52,6 @@ go through the kernels they would alone, so outputs are unchanged, and a
 pass of one flight *is* the plain step — there is no other forward path.
 ``step`` stays the only call that runs model compute.
 
-:class:`VoltageForwardSequencer` is the paper's serving workload: one
-distributed forward pass per request on real threaded workers
-(:meth:`VoltageSystem.execute_threaded`), done in a single step.  The slot
-carries no KV state (``num_layers == 0``); the pool purely bounds how many
-distributed forwards may be in flight.
-
 A preempted request is simply re-``begin``-ed later: greedy decoding is
 deterministic, so recomputing from the prompt reproduces the discarded
 steps exactly — correctness is preserved by construction, at the price of
@@ -69,7 +62,7 @@ from __future__ import annotations
 
 import zlib
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple
 
@@ -85,79 +78,11 @@ from repro.systems.decode import DecodeSession, decode_capacity
 __all__ = [
     "GPT2CachedSequencer",
     "VoltageDecodeSequencer",
-    "VoltageForwardSequencer",
 ]
 
 #: Namespaces the per-tenant shared-prefix RNG stream apart from the
 #: per-request suffix stream (which is seeded ``[prompt_seed, request.id]``).
 _TENANT_PREFIX_NS = 0x5E9F
-
-
-class _Sequencer:
-    """What every sequencer declares to the engine, plus the synthetic-prompt
-    plumbing they share."""
-
-    #: Per-slot KV layers the engine's pool allocates; 0 for sequencers that
-    #: keep no engine-side KV state (the pool then only bounds concurrency).
-    num_layers = 0
-    #: Whether the engine's prefix cache may hand this sequencer pre-seeded
-    #: prompt rows (``begin(..., cached_prefix=k)``).
-    supports_prefix_cache = False
-    #: A cached-prefix match leaves at least this many prompt positions to
-    #: re-prefill, keeping the suffix forward a multi-row batched GEMM —
-    #: batch rows are bit-stable across batch shapes, single GEMV rows are
-    #: not (INTERNALS §16), and bit-identity to ``generate_cached`` rides
-    #: on exactly that.
-    min_prefill_suffix = 2
-    #: ``> 0`` opens every tenant-tagged request's prompt with that many
-    #: tenant-keyed common tokens (the prefix-cache workload shape).
-    shared_prefix_tokens = 0
-
-    def __init__(self, model, prompt_seed: int):
-        self.model = model
-        self.prompt_seed = prompt_seed
-        self.slot_capacity = model.config.max_positions
-        #: request id -> (requested n, clipped n) for prompts that exceeded
-        #: the model's position budget (also counted on
-        #: ``engine.prompt_truncated_total``).
-        self.truncated_prompts: dict[int, tuple[int, int]] = {}
-
-    def stage(self, states: Sequence, labels: dict[str, str] | None = None) -> None:
-        """The engine's once-per-iteration announcement of the states it is
-        about to ``step`` (``labels``: the engine's metric labels).  Nothing
-        to do for a sequencer whose steps share no compute."""
-
-    def prompt_for(self, request: Request) -> np.ndarray:
-        """Deterministic synthetic prompt: ``request.n`` tokens seeded by
-        ``(prompt_seed, request.id)`` — the soak tests and the serve bench
-        replay the same prompts offline to check bit-identity.
-
-        ``request.n`` is clipped to the model's position budget — and the
-        clip *recorded* in :attr:`truncated_prompts`: a request asking for
-        more context than the model has is a serving misconfiguration worth
-        surfacing, not something to silently absorb (recording is idempotent
-        so preemption re-``begin``s don't double-count).  Tenant-tagged
-        requests open with the same ``shared_prefix_tokens`` ids, seeded by
-        ``(prompt_seed, tenant)`` so they do not depend on which replica
-        builds them; at least ``min_prefill_suffix`` tokens stay
-        request-unique, matching the prefix cache's match cap."""
-        config = self.model.config
-        n = min(request.n, config.max_positions)
-        if n < request.n and request.id not in self.truncated_prompts:
-            self.truncated_prompts[request.id] = (request.n, n)
-            get_registry().counter("engine.prompt_truncated_total").inc()
-        rng = np.random.default_rng([self.prompt_seed, request.id])
-        suffix = rng.integers(0, config.vocab_size, size=n, dtype=np.int64)
-        if request.tenant is None:
-            return suffix
-        prefix_len = min(self.shared_prefix_tokens, max(n - self.min_prefill_suffix, 0))
-        if prefix_len <= 0:
-            return suffix
-        prefix_rng = np.random.default_rng(
-            [self.prompt_seed, _TENANT_PREFIX_NS, zlib.crc32(request.tenant.encode())]
-        )
-        prefix = prefix_rng.integers(0, config.vocab_size, size=prefix_len, dtype=np.int64)
-        return np.concatenate([prefix, suffix[prefix_len:]])
 
 
 @dataclass
@@ -269,7 +194,7 @@ class _SessionBackend:
         self.session.release(slot.index)
 
 
-class _GreedySequencer(_Sequencer):
+class _GreedySequencer:
     """The greedy decode state machine, over a forward backend.
 
     Prefill is one forward over the (un-cached part of the) prompt.  Every
@@ -288,6 +213,22 @@ class _GreedySequencer(_Sequencer):
     to step this iteration.
     """
 
+    #: Per-slot KV layers the engine's pool allocates; 0 for sequencers that
+    #: keep no engine-side KV state (the pool then only bounds concurrency).
+    num_layers = 0
+    #: Whether the engine's prefix cache may hand this sequencer pre-seeded
+    #: prompt rows (``begin(..., cached_prefix=k)``).
+    supports_prefix_cache = False
+    #: A cached-prefix match leaves at least this many prompt positions to
+    #: re-prefill, keeping the suffix forward a multi-row batched GEMM —
+    #: batch rows are bit-stable across batch shapes, single GEMV rows are
+    #: not (INTERNALS §16), and bit-identity to ``generate_cached`` rides
+    #: on exactly that.
+    min_prefill_suffix = 2
+    #: ``> 0`` opens every tenant-tagged request's prompt with that many
+    #: tenant-keyed common tokens (the prefix-cache workload shape).
+    shared_prefix_tokens = 0
+
     #: Drafting is off until :meth:`_speculate` switches it on.
     proposer = None
     lookahead = 0
@@ -303,7 +244,13 @@ class _GreedySequencer(_Sequencer):
     ):
         if max_new_tokens < 0:
             raise ValueError(f"max_new_tokens must be >= 0, got {max_new_tokens}")
-        super().__init__(model, prompt_seed)
+        self.model = model
+        self.prompt_seed = prompt_seed
+        self.slot_capacity = model.config.max_positions
+        #: request id -> (requested n, clipped n) for prompts that exceeded
+        #: the model's position budget (also counted on
+        #: ``engine.prompt_truncated_total``).
+        self.truncated_prompts: dict[int, tuple[int, int]] = {}
         self.backend = backend
         self.max_new_tokens = max_new_tokens
         self.step_cost = step_cost
@@ -329,6 +276,38 @@ class _GreedySequencer(_Sequencer):
                 "or rollback to check a proposer's drafts with"
             )
         self.proposer, self.lookahead, self.stats = proposer, lookahead, stats
+
+    def prompt_for(self, request: Request) -> np.ndarray:
+        """Deterministic synthetic prompt: ``request.n`` tokens seeded by
+        ``(prompt_seed, request.id)`` — the soak tests and the serve bench
+        replay the same prompts offline to check bit-identity.
+
+        ``request.n`` is clipped to the model's position budget — and the
+        clip *recorded* in :attr:`truncated_prompts`: a request asking for
+        more context than the model has is a serving misconfiguration worth
+        surfacing, not something to silently absorb (recording is idempotent
+        so preemption re-``begin``s don't double-count).  Tenant-tagged
+        requests open with the same ``shared_prefix_tokens`` ids, seeded by
+        ``(prompt_seed, tenant)`` so they do not depend on which replica
+        builds them; at least ``min_prefill_suffix`` tokens stay
+        request-unique, matching the prefix cache's match cap."""
+        config = self.model.config
+        n = min(request.n, config.max_positions)
+        if n < request.n and request.id not in self.truncated_prompts:
+            self.truncated_prompts[request.id] = (request.n, n)
+            get_registry().counter("engine.prompt_truncated_total").inc()
+        rng = np.random.default_rng([self.prompt_seed, request.id])
+        suffix = rng.integers(0, config.vocab_size, size=n, dtype=np.int64)
+        if request.tenant is None:
+            return suffix
+        prefix_len = min(self.shared_prefix_tokens, max(n - self.min_prefill_suffix, 0))
+        if prefix_len <= 0:
+            return suffix
+        prefix_rng = np.random.default_rng(
+            [self.prompt_seed, _TENANT_PREFIX_NS, zlib.crc32(request.tenant.encode())]
+        )
+        prefix = prefix_rng.integers(0, config.vocab_size, size=prefix_len, dtype=np.int64)
+        return np.concatenate([prefix, suffix[prefix_len:]])
 
     def offline_reference(self, request: Request, prompt: np.ndarray | None = None) -> np.ndarray:
         """The ground-truth output: a fresh offline ``generate_cached`` run."""
@@ -615,53 +594,3 @@ class VoltageDecodeSequencer(_GreedySequencer):
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-@dataclass
-class _ForwardState:
-    """One pending single-forward (classification-style) request."""
-
-    request: Request
-    slot: KVSlot
-    ids: np.ndarray
-    output: np.ndarray | None = None
-    done: bool = False
-    comm_stats: list = field(default_factory=list)
-
-
-class VoltageForwardSequencer(_Sequencer):
-    """One distributed forward per request via the threaded Voltage runtime."""
-
-    def __init__(
-        self,
-        system,
-        service_time: Callable[[int], float] | None = None,
-        prompt_seed: int = 0,
-    ):
-        """``system`` is a :class:`~repro.systems.voltage.VoltageSystem`;
-        ``service_time(n)`` supplies the virtual-time cost of one request
-        (e.g. the analytic Voltage latency), None charges measured wall."""
-        super().__init__(system.model, prompt_seed)
-        self.system = system
-        self.service_time = service_time
-
-    def offline_reference(self, request: Request, prompt: np.ndarray | None = None) -> np.ndarray:
-        prompt = prompt if prompt is not None else self.prompt_for(request)
-        output, _ = self.system.execute_threaded(prompt)
-        return output
-
-    def begin(self, request: Request, prompt: np.ndarray, slot: KVSlot) -> _ForwardState:
-        return _ForwardState(request=request, slot=slot, ids=np.asarray(prompt))
-
-    def step(self, state: _ForwardState) -> tuple[bool, float | None]:
-        if state.done:
-            raise ValueError(f"request {state.request.id} already finished")
-        state.output, state.comm_stats = self.system.execute_threaded(state.ids)
-        state.done = True
-        cost = self.service_time(state.ids.shape[0]) if self.service_time else None
-        return True, cost
-
-    def result(self, state: _ForwardState) -> np.ndarray:
-        if not state.done:
-            raise ValueError(f"request {state.request.id} has not run")
-        return state.output

@@ -29,7 +29,7 @@ from repro.core.planner import makespan_optimal_scheme
 from repro.core.schedule import DynamicPlanner
 from repro.models.base import TransformerModel
 from repro.systems.base import (
-    InferenceResult, InferenceSystem, activation_bytes, emulate_partitioned_layers, terminal_phase,
+    InferenceResult, InferenceSystem, activation_bytes, terminal_phase, voltage_layers,
 )
 
 __all__ = ["AdaptiveVoltageSystem"]
@@ -134,8 +134,8 @@ class AdaptiveVoltageSystem(InferenceSystem):
                     "gather to terminal", "comm", self.sim.gather(chunk_bytes), layer=index
                 )
 
-        x = emulate_partitioned_layers(
-            x, lambda i, x, part: self.executors[i].forward_partition(x, part), layer_parts
+        x = voltage_layers(
+            x, [executor.forward_partition for executor in self.executors], layer_parts
         )
         terminal_phase(latency, self.sim, "postprocess", terminal["post_flops"])
         return self._result(

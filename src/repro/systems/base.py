@@ -28,8 +28,8 @@ from repro.models.base import TransformerModel
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import current_tracer
 
-__all__ = ["InferenceResult", "InferenceSystem", "activation_bytes",
-           "emulate_partitioned_layers", "terminal_phase"]
+__all__ = ["InferenceResult", "InferenceSystem", "activation_bytes", "host_all_gather",
+           "terminal_phase", "voltage_layers"]
 
 
 def activation_bytes(n: int, f: int, itemsize: int = 4) -> float:
@@ -42,15 +42,43 @@ def terminal_phase(latency: LatencyBreakdown, sim: ClusterSim, stage: str, flops
     latency.add(f"{stage} (terminal)", "compute", sim.terminal_compute(flops))
 
 
-def emulate_partitioned_layers(x: np.ndarray, forward, layer_parts, encode=None) -> np.ndarray:
-    """Host-emulate Algorithm 2's layer loop: every device's partition of
-    every layer really is computed (``forward(layer, x, part)``), optionally
-    wire-encoded, and All-Gathered into the next layer's full input."""
-    for index, parts in enumerate(layer_parts):
-        outputs = [forward(index, x, part) for part in parts]
-        if encode is not None:
-            outputs = [encode(output) for output in outputs]
-        x = all_gather_arrays(outputs)
+def host_all_gather(index: int, outputs: list[np.ndarray]) -> tuple[np.ndarray, dict]:
+    """The host emulation's exchange for :func:`voltage_layers`: owning
+    every rank, the All-Gather is a rank-order concatenation, and nothing of
+    the next layer is computed ahead."""
+    return all_gather_arrays(outputs), {}
+
+
+def voltage_layers(
+    x: np.ndarray, forwards, layer_parts, ranks=None, exchange=host_all_gather, encode=None,
+) -> np.ndarray:
+    """Algorithm 2's layer loop — the one Voltage rank body — over the ranks
+    its caller owns (default: all of them).
+
+    Every layer, each owned rank computes its partition
+    (``forwards[index](x, part, **ahead)``) and wire-encodes it with
+    ``encode`` — the one place the lossy wire encoding is applied — and
+    ``exchange(index, outputs)`` turns the owned ranks' outputs into
+    ``(x, ahead)``: the next layer's full input and keyword arguments for its
+    forwards that the exchange already computed.  ``run()`` owns every rank
+    and exchanges with :func:`host_all_gather`; a runtime rank owns one and
+    exchanges with ``ctx.all_gather``, or with the ring stream that also
+    hands the next layer ``normed``/``qp`` (``VoltageSystem.
+    execute_distributed``).
+    """
+    tracer = current_tracer()
+    ranks = range(len(layer_parts[0])) if ranks is None else ranks
+    ahead: dict = {}
+    for index, (forward, parts) in enumerate(zip(forwards, layer_parts)):
+        outputs = []
+        for rank in ranks:
+            with tracer.span(
+                "partition compute", cat="runtime", kind="compute",
+                track=f"rank {rank}", device=rank, layer=index,
+            ):
+                output = forward(x, parts[rank], **ahead)
+                outputs.append(output if encode is None else encode(output))
+        x, ahead = exchange(index, outputs)
     return x
 
 

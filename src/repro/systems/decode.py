@@ -68,10 +68,11 @@ all-gather differs between surfaces — K = 1 and the host emulation are the
 same code with one or all shards owned:
 
 * a real collective (``ctx.all_gather``) when the caller owns one rank's
-  shards — :func:`generate_distributed` (one-shot SPMD run over a
-  ``ThreadedRuntime`` or ``ProcessRuntime``; the host asserts all ranks
-  emitted identical tokens) and :class:`DecodeSession` (resident ranks fed
-  per-step commands — the engine's ``VoltageDecodeSequencer`` backend);
+  shards — :class:`DecodeSession`, the only runner of real ranks: resident ranks
+  on a ``ThreadedRuntime`` or ``ProcessRuntime`` fed per-step commands, the
+  host asserting every step that all ranks emitted the same token.  The
+  engine's ``VoltageDecodeSequencer`` drives it, and so does
+  :func:`generate_distributed` (begin, the greedy loop, close);
 * a host-side merge (``np.concatenate``) when the caller owns all ``K``
   shards — :func:`run_decode`, which pairs the emulated tokens with
   :func:`decode_timeline`, the one shapes-only per-token latency timeline
@@ -90,7 +91,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.cluster.process_runtime import ProcessRuntime, resolve_runtime
-from repro.cluster.runtime import WorkerContext
+from repro.cluster.runtime import CommStats, WorkerContext
 from repro.cluster.simulator import ClusterSim
 from repro.cluster.timeline import LatencyBreakdown
 from repro.core.combine import (
@@ -494,8 +495,8 @@ def _sharded_stepper(system, layer_parts, ranks: Sequence[int], all_gather: AllG
     """One request's decode over ``ranks``' shards — one fresh KV shard per
     owned span (sized to it) and a workspace per owned rank, the stats wire
     dtype — bound to the step kernel as ``step(new_ids, offset) -> (token,
-    owned shard logits)``: the one builder every surface (SPMD run,
-    resident session, host emulation) shares."""
+    owned shard logits)``: the one builder both surfaces (a session rank,
+    the host emulation) share."""
     shards = [
         [LayerKVCache(capacity=parts[rank].length or None) for rank in ranks]
         for parts in layer_parts
@@ -527,35 +528,31 @@ def generate_distributed(
 ):
     """Greedy decode on ``K`` ranks with position-sharded KV storage.
 
-    Every rank runs the token loop, holding only its span of each layer's
-    K/V and its vocab rows of the LM head.  With ``attention="gathered"``
-    each step reassembles the full cache with two lossless ``all_gather``
-    calls per layer and the returned ``ids`` are bit-identical to
+    A client of :class:`DecodeSession`: one slot begun at the request's
+    capacity, ``generate_cached``'s greedy loop over the session's
+    ``forward``, then ``close``, whose per-rank ``CommStats`` are returned.
+    Every rank holds only its span of each layer's K/V and its vocab rows of
+    the LM head.  With ``attention="gathered"`` each step reassembles the
+    full cache with two lossless ``all_gather`` calls per layer and the
+    returned ``ids`` are bit-identical to
     ``model.generate_cached(prompt_ids, max_new_tokens)``.  With
     ``attention="distributed"`` each rank attends only against its local
     shard and the ranks exchange one packed stats all-gather per layer —
     per-step wire volume independent of the sequence length, outputs exact
-    up to float re-association.  Either way every rank's token sequence is
+    up to float re-association.  Either way every rank's token is
     bit-identical across ranks (the combine is a deterministic rank-ordered
-    reduction), which is asserted before returning ``(ids, stats)``.
+    reduction), which the session asserts on every step.  ``timeout``
+    overrides the session's (its ranks' per-receive bound and its reply
+    wait).
     """
-    _check_attention(attention)
     model = system.model
-    ids0 = [int(token) for token in np.asarray(prompt_ids)]
-    capacity = decode_capacity(model, len(ids0), max_new_tokens)
-
-    def worker(ctx: WorkerContext) -> np.ndarray:
-        step = _rank_stepper(system, ctx, capacity, attention)
-        ids = greedy_loop(model, step, list(ids0), max_new_tokens)
-        return np.asarray(ids, dtype=np.int64)
-
-    results, stats = resolve_runtime(runtime, system.k, timeout=timeout).run(worker)
-    for rank in range(1, system.k):
-        np.testing.assert_array_equal(
-            results[rank], results[0],
-            err_msg=f"rank {rank} decoded a different sequence than rank 0",
-        )
-    return results[0], stats
+    ids = [int(token) for token in np.asarray(prompt_ids)]
+    capacity = decode_capacity(model, len(ids), max_new_tokens)
+    options = {} if timeout is None else {"timeout": timeout}
+    with DecodeSession(system, runtime=runtime, attention=attention, **options) as session:
+        session.begin(0, capacity)
+        greedy_loop(model, partial(session.forward, 0), ids, max_new_tokens)
+    return np.asarray(ids, dtype=np.int64), session.close()
 
 
 def decode_step_pricing(
@@ -679,7 +676,7 @@ def run_decode(
 ) -> InferenceResult:
     """Host-emulated sharded decode with a simulated per-token timeline.
 
-    Runs the step kernel :func:`generate_distributed` runs
+    Runs the step kernel a :class:`DecodeSession` rank runs
     (:func:`sharded_decode_step`) in a single process: the host owns all
     ``K`` ranks' shards and ``np.concatenate`` stands in for the all-gather
     collective (wire-dtype round trip of the stats included), so the
@@ -767,13 +764,14 @@ def decode_step_totals(prompt_len: int, max_new_tokens: int, max_positions: int)
 
 
 class DecodeSession:
-    """A resident K-rank decode service driven by per-step commands.
+    """A resident K-rank decode service driven by per-step commands — the
+    only runner of real decode ranks (:func:`generate_distributed` and the
+    engine's ``VoltageDecodeSequencer`` are its clients).
 
-    The engine interleaves token steps of many requests, so a one-shot
-    SPMD launch per request would pay runtime startup per token.  Instead
-    the session keeps all ``K`` ranks alive inside one long-lived
-    ``runtime.run`` call (on a background thread) and feeds them commands
-    over per-rank queues:
+    The engine interleaves token steps of many requests, so a launch per
+    request would pay runtime startup per token.  Instead the session keeps
+    all ``K`` ranks alive inside one long-lived ``runtime.run`` call (on a
+    background thread) and feeds them commands over per-rank queues:
 
     - ``("begin", slot, capacity)`` — allocate this rank's KV shards for
       the slot, spans fixed over ``capacity`` (re-beginning a slot simply
@@ -794,7 +792,10 @@ class DecodeSession:
     rank is gone and its peers' replies were never read, so a later command
     could only block for ``timeout`` or pair a stale reply with a new
     request.  The first failure therefore shuts the ranks down and every
-    later command raises immediately, chained to the original error.
+    later command raises immediately, chained to the original error.  An
+    error that ends ``runtime.run`` without failing a command (a comm thread
+    re-raised at join, a rank dying at shutdown) is raised by
+    :meth:`close`.
     """
 
     def __init__(self, system, runtime=None, timeout: float = 60.0, attention: str = "gathered"):
@@ -813,6 +814,7 @@ class DecodeSession:
         self._commands = [make_queue() for _ in range(self.k)]
         self._replies = [make_queue() for _ in range(self.k)]
         self._thread: threading.Thread | None = None
+        self._stats: list[CommStats] = []  # the ranks' counters, once runtime.run returns
         self._error: BaseException | None = None  # what ended runtime.run, if anything
         self._failure: BaseException | None = None  # the first failed command
         self._closed = False
@@ -845,7 +847,7 @@ class DecodeSession:
                     return None
 
         try:
-            self._runtime.run(worker)
+            _, self._stats = self._runtime.run(worker)
         except BaseException as exc:
             self._error = exc
 
@@ -906,14 +908,20 @@ class DecodeSession:
     def release(self, slot: int) -> None:
         self._command(("release", slot))
 
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if self._thread is not None:
-            for rank in range(self.k):
-                self._commands[rank].put(("shutdown", None))
-            self._thread.join(timeout=self.timeout)
+    def close(self) -> list[CommStats]:
+        """Shut the ranks down (once; later calls only report) and return
+        their per-rank ``CommStats`` — empty if they never started.  Raises
+        the error that ended ``runtime.run``, chained, unless a failed
+        command already did."""
+        if not self._closed:
+            self._closed = True
+            if self._thread is not None:
+                for rank in range(self.k):
+                    self._commands[rank].put(("shutdown", None))
+                self._thread.join(timeout=self.timeout)
+        if self._error is not None and self._failure is None:
+            raise RuntimeError(f"decode session ranks failed: {self._error}") from self._error
+        return self._stats
 
     def __enter__(self) -> "DecodeSession":
         return self

@@ -25,7 +25,7 @@ from repro.core.layer import OrderPolicy, PartitionedLayerExecutor
 from repro.core.partition import PartitionScheme
 from repro.models.base import TransformerModel
 from repro.systems.base import (
-    InferenceResult, InferenceSystem, activation_bytes, emulate_partitioned_layers, terminal_phase,
+    InferenceResult, InferenceSystem, activation_bytes, terminal_phase, voltage_layers,
 )
 
 __all__ = ["AllDevicesFailedError", "FailureSchedule", "FaultTolerantVoltageSystem"]
@@ -157,8 +157,8 @@ class FaultTolerantVoltageSystem(InferenceSystem):
             else:
                 latency.add("gather to terminal", "comm", self.sim.gather(live_chunks), layer=index)
 
-        x = emulate_partitioned_layers(
-            x, lambda i, x, part: self.executors[i].forward_partition(x, part), layer_parts
+        x = voltage_layers(
+            x, [executor.forward_partition for executor in self.executors], layer_parts
         )
         terminal_phase(latency, self.sim, "postprocess", terminal["post_flops"])
         survivors = [d for d in range(self.k)

@@ -27,7 +27,7 @@ from repro.cluster.timeline import LatencyBreakdown
 from repro.core.layer import PartitionedLayerExecutor
 from repro.core.partition import PartitionScheme
 from repro.models.seq2seq import PartitionedDecoderLayerExecutor, Seq2SeqTransformer
-from repro.systems.base import InferenceResult, activation_bytes, emulate_partitioned_layers
+from repro.systems.base import InferenceResult, activation_bytes, voltage_layers
 
 __all__ = ["Seq2SeqVoltageSystem"]
 
@@ -67,16 +67,16 @@ class Seq2SeqVoltageSystem:
         latency: LatencyBreakdown,
         stage: str,
         flops_fn,
-        forward_fn,
-        num_layers: int,
+        forwards,
         final_gather_rows: int | None = None,
     ) -> np.ndarray:
         """Price either stack's partition/compute/All-Gather loop (stage-
         prefixed phases; the decoder's last hop ships only the needed rows),
-        then host-emulate it."""
+        then run it through the one Voltage rank body over every rank."""
         n, f = x.shape
         parts = self.scheme.positions(n)
         chunk_bytes = [activation_bytes(part.length, f) for part in parts]
+        num_layers = len(forwards)
         for index in range(num_layers):
             flops = [flops_fn(index, n, part.length) if part.length else 0 for part in parts]
             latency.add(f"{stage} partition compute", "compute",
@@ -89,7 +89,7 @@ class Seq2SeqVoltageSystem:
             else:
                 latency.add(f"{stage} all-gather", "comm",
                             self.sim.all_gather(chunk_bytes), layer=index)
-        return emulate_partitioned_layers(x, forward_fn, [parts] * num_layers)
+        return voltage_layers(x, forwards, [parts] * num_layers)
 
     def run(self, raw) -> InferenceResult:
         """``(src_ids, tgt_ids)`` → next-token logits + latency breakdown."""
@@ -107,8 +107,7 @@ class Seq2SeqVoltageSystem:
         memory = self._distribute_stack(
             src_x, latency, "encoder",
             flops_fn=lambda i, n, p: self.encoder_executors[i].partition_flops(n, p),
-            forward_fn=lambda i, x, part: self.encoder_executors[i].forward_partition(x, part),
-            num_layers=len(self.encoder_executors),
+            forwards=[executor.forward_partition for executor in self.encoder_executors],
         )
 
         tgt_x = model.tgt_embeddings(np.asarray(tgt_ids))
@@ -119,10 +118,10 @@ class Seq2SeqVoltageSystem:
         hidden = self._distribute_stack(
             tgt_x, latency, "decoder",
             flops_fn=lambda i, n, p: self.decoder_executors[i].partition_flops(n, n_mem, p),
-            forward_fn=lambda i, x, part: self.decoder_executors[i].forward_partition(
-                x, memory, part
-            ),
-            num_layers=len(self.decoder_executors),
+            forwards=[
+                lambda x, part, executor=executor: executor.forward_partition(x, memory, part)
+                for executor in self.decoder_executors
+            ],
             final_gather_rows=1,
         )
 

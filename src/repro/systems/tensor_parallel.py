@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cluster.collectives import all_reduce_arrays
 from repro.cluster.process_runtime import resolve_runtime
 from repro.cluster.runtime import CommStats
 from repro.cluster.simulator import ClusterSim
@@ -32,7 +33,7 @@ from repro.models.base import TransformerModel
 from repro.models.layer import TransformerLayer
 from repro.systems.base import InferenceResult, InferenceSystem, activation_bytes, terminal_phase
 
-__all__ = ["TensorParallelSystem", "tensor_parallel_timeline"]
+__all__ = ["TensorParallelSystem", "tensor_parallel_layers", "tensor_parallel_timeline"]
 
 
 def tensor_parallel_timeline(
@@ -176,6 +177,63 @@ def _ffn_partial(shard: _LayerShard, y: np.ndarray, act) -> np.ndarray:
     return partial
 
 
+def host_all_reduce(partials: list[np.ndarray], epilogue) -> np.ndarray:
+    """The host emulation's exchange for :func:`tensor_parallel_layers`:
+    owning every rank, the All-Reduce is :func:`all_reduce_arrays` (the
+    threaded collective's rank-order copy-then-add), its epilogue applied to
+    all rows at once."""
+    return epilogue(all_reduce_arrays(partials), 0, len(partials[0]))
+
+
+def tensor_parallel_layers(
+    x: np.ndarray, layers, shards, ranks, all_reduce=host_all_reduce
+) -> np.ndarray:
+    """The shard/All-Reduce layer loop — the one tensor-parallel rank body —
+    over the shards of the ranks its caller owns.
+
+    Per layer each owned rank computes its attention partial, then its FFN
+    partial, and ``all_reduce(partials, epilogue)`` sums the owned partials
+    with every other rank's in rank order and returns
+    ``epilogue(reduced[lo:hi], lo, hi)`` over all rows: the row-wise
+    residual-add/layer-norm that follows each All-Reduce (Fig. 2), which a
+    streaming reduce applies slice by slice as reduced rows arrive.
+    :meth:`TensorParallelSystem.run` owns every rank and reduces with
+    :func:`host_all_reduce`; a runtime rank owns one and reduces with
+    ``ctx.all_reduce`` or the ``all_reduce_async`` stream
+    (:meth:`TensorParallelSystem.execute_distributed`).
+    """
+    for layer, layer_shards in zip(layers, shards):
+        post = layer.config.norm_style == "post"
+        owned = [layer_shards[rank] for rank in ranks]
+        after_attention, after_ffn = _epilogues(layer, x, post)
+        attn_input = x if post else layer.ln1(x)
+        ffn_input = all_reduce(
+            [_attention_partial(shard, attn_input, layer.config.is_causal) for shard in owned],
+            after_attention,
+        )
+        x = all_reduce(
+            [_ffn_partial(shard, ffn_input, layer.ffn.activate) for shard in owned], after_ffn
+        )
+    return x
+
+
+def _epilogues(layer: TransformerLayer, x: np.ndarray, post: bool):
+    """One layer's row-wise epilogues, each over reduced rows ``[lo, hi)``:
+    after the attention All-Reduce, write the residual stream and return
+    the FFN's input rows; after the FFN's, return the layer's output rows."""
+    y = np.empty_like(x)  # the residual stream between the two sublayers
+
+    def after_attention(reduced, lo, hi):
+        y[lo:hi] = layer.ln1(reduced + x[lo:hi]) if post else x[lo:hi] + reduced
+        return y[lo:hi] if post else layer.ln2(y[lo:hi])
+
+    def after_ffn(reduced, lo, hi):
+        out = y[lo:hi] + reduced
+        return layer.ln2(out) if post else out
+
+    return after_attention, after_ffn
+
+
 class TensorParallelSystem(InferenceSystem):
     """Inference with per-layer weight sharding and two All-Reduces."""
 
@@ -194,34 +252,10 @@ class TensorParallelSystem(InferenceSystem):
         latency, comm_meta = tensor_parallel_timeline(
             self.geometries, x.shape[0], self.sim, **terminal
         )
-        causal = self.model.config.is_causal
-        act = self.model.layers[0].ffn.activate
-        norm_style = self.model.config.norm_style
-        for layer, shards in zip(self.model.layers, self.shards):
-            attn_input = x if norm_style == "post" else layer.ln1(x)
-            attn_sum = sum(_attention_partial(shard, attn_input, causal) for shard in shards)
-            if norm_style == "post":
-                y = layer.ln1(attn_sum + x)
-                ffn_sum = sum(_ffn_partial(shard, y, act) for shard in shards)
-                x = layer.ln2(y + ffn_sum)
-            else:
-                y = x + attn_sum
-                ffn_input = layer.ln2(y)
-                ffn_sum = sum(_ffn_partial(shard, ffn_input, act) for shard in shards)
-                x = y + ffn_sum
-        return self._result(x, latency, **comm_meta)
+        hidden = tensor_parallel_layers(x, self.model.layers, self.shards, range(self.k))
+        return self._result(hidden, latency, **comm_meta)
 
     # -- real distributed execution (threads or processes) -----------------------
-
-    def execute_threaded(
-        self, raw, overlap: bool = False
-    ) -> tuple[np.ndarray, list[CommStats]]:
-        """Run the shard/All-Reduce protocol on real thread workers.
-
-        Kept as the historical entry point; equivalent to
-        ``execute_distributed(raw, runtime="threaded", overlap=overlap)``.
-        """
-        return self.execute_distributed(raw, runtime="threaded", overlap=overlap)
 
     def execute_distributed(
         self, raw, runtime=None, overlap: bool = False
@@ -233,7 +267,9 @@ class TensorParallelSystem(InferenceSystem):
         <repro.systems.voltage.VoltageSystem.execute_distributed>`:
         ``None``/``"threaded"``, ``"process"`` (one OS process per rank over
         loopback TCP), or a runtime instance — same worker body, so outputs
-        are bit-identical across backends.
+        are bit-identical across backends.  That body is
+        :func:`tensor_parallel_layers`, the one :meth:`run` runs, over the
+        worker's own shards.
 
         With ``overlap``, the two per-layer All-Reduces go through the
         nonblocking ring (:meth:`~repro.cluster.runtime.WorkerContext.
@@ -245,65 +281,28 @@ class TensorParallelSystem(InferenceSystem):
         :meth:`run` either way.
         """
         x0 = self.model.preprocess(raw)
-        causal = self.model.config.is_causal
-        act = self.model.layers[0].ffn.activate
-        norm_style = self.model.config.norm_style
-        layers = list(self.model.layers)
-        all_shards = self.shards
-
-        def streamed(ctx, handle, epilogue, out):
-            """Fill ``out`` slice-by-slice as reduced chunks arrive."""
-            for src in handle.arrival_order():
-                chunk = handle.chunk(src)
-                lo, hi = handle.range_of(src)
-                if hi > lo:
-                    out[lo:hi] = epilogue(chunk, lo, hi)
-            return out
-
-        def worker_overlapped(ctx) -> np.ndarray:
-            x = x0
-            for layer, shards in zip(layers, all_shards):
-                shard = shards[ctx.rank]
-                attn_input = x if norm_style == "post" else layer.ln1(x)
-                handle = ctx.all_reduce_async(
-                    _attention_partial(shard, attn_input, causal)
-                )
-                y = np.empty_like(x)
-                if norm_style == "post":
-                    streamed(ctx, handle, lambda c, lo, hi: layer.ln1(c + x[lo:hi]), y)
-                    ffn_input = y
-                else:
-                    ffn_input = np.empty_like(x)
-                    def attn_epilogue(c, lo, hi):
-                        y[lo:hi] = x[lo:hi] + c
-                        return layer.ln2(y[lo:hi])
-                    streamed(ctx, handle, attn_epilogue, ffn_input)
-                handle = ctx.all_reduce_async(_ffn_partial(shard, ffn_input, act))
-                x_next = np.empty_like(x)
-                if norm_style == "post":
-                    streamed(ctx, handle, lambda c, lo, hi: layer.ln2(y[lo:hi] + c), x_next)
-                else:
-                    streamed(ctx, handle, lambda c, lo, hi: y[lo:hi] + c, x_next)
-                x = x_next
-            return x
 
         def worker(ctx) -> np.ndarray:
-            if overlap and ctx.world_size > 1:
-                return worker_overlapped(ctx)
-            x = x0
-            for layer, shards in zip(layers, all_shards):
-                shard = shards[ctx.rank]
-                attn_input = x if norm_style == "post" else layer.ln1(x)
-                attn_sum = ctx.all_reduce(_attention_partial(shard, attn_input, causal))
-                if norm_style == "post":
-                    y = layer.ln1(attn_sum + x)
-                    ffn_sum = ctx.all_reduce(_ffn_partial(shard, y, act))
-                    x = layer.ln2(y + ffn_sum)
-                else:
-                    y = x + attn_sum
-                    ffn_sum = ctx.all_reduce(_ffn_partial(shard, layer.ln2(y), act))
-                    x = y + ffn_sum
-            return x
+            def blocking(partials, epilogue):
+                (partial,) = partials  # a rank owns exactly its own shard
+                return epilogue(ctx.all_reduce(partial), 0, len(partial))
+
+            def streamed(partials, epilogue):
+                """Fill the result slice by slice as reduced chunks arrive."""
+                (partial,) = partials
+                handle = ctx.all_reduce_async(partial)
+                out = np.empty_like(partial)
+                for src in handle.arrival_order():
+                    chunk = handle.chunk(src)
+                    lo, hi = handle.range_of(src)
+                    if hi > lo:
+                        out[lo:hi] = epilogue(chunk, lo, hi)
+                return out
+
+            return tensor_parallel_layers(
+                x0, self.model.layers, self.shards, [ctx.rank],
+                streamed if overlap and ctx.world_size > 1 else blocking,
+            )
 
         results, stats = resolve_runtime(runtime, self.k).run(worker)
         hidden = results[0]

@@ -9,12 +9,13 @@ Per request (Fig. 3):
 3. the final layer's partitions are sent to the terminal, which
    post-processes and answers the user.
 
-``run`` host-emulates the protocol exactly (the partition outputs really are
-computed with the partitioned executors and reassembled) and attaches
-:func:`voltage_timeline` — the one shapes-only spelling of the phase sequence
-above, priced with the calibrated device/network models, which
-``bench.analytic.voltage_latency`` also returns.  The ``execute_threaded``
-method additionally runs the same protocol on real concurrent workers with
+What runs is spelled once, :func:`~repro.systems.base.voltage_layers`.
+``run`` drives it over all ``K`` ranks with a host-side All-Gather (the
+partition outputs really are computed with the partitioned executors and
+reassembled) and attaches :func:`voltage_timeline` — the one shapes-only
+spelling of the phase sequence above, priced with the calibrated
+device/network models, which ``bench.analytic.voltage_latency`` also returns.
+``execute_distributed`` drives it on real concurrent ranks, one each, with
 byte accounting — used by the integration tests to reconcile the analytic
 communication volumes.
 """
@@ -38,7 +39,7 @@ from repro.core.schedule import LayerSchedule
 from repro.models.base import TransformerModel
 from repro.cluster.spec import ClusterSpec
 from repro.systems.base import (
-    InferenceResult, InferenceSystem, activation_bytes, emulate_partitioned_layers, terminal_phase,
+    InferenceResult, InferenceSystem, activation_bytes, terminal_phase, voltage_layers,
 )
 
 __all__ = ["VoltageSystem", "voltage_timeline"]
@@ -155,7 +156,7 @@ class VoltageSystem(InferenceSystem):
         ``overlap`` hides each inner All-Gather behind next-layer compute a
         device can run on rows it already holds (the own-partition Q
         projection).  :meth:`run` models it as per-layer
-        ``exposed = max(0, comm - hideable)`` and :meth:`execute_threaded`
+        ``exposed = max(0, comm - hideable)`` and :meth:`execute_distributed`
         really streams chunks off the ring — bit-identical outputs either
         way.
         """
@@ -257,9 +258,9 @@ class VoltageSystem(InferenceSystem):
             self.geometries, layer_parts, self.sim, policy=self.policy,
             wire_itemsize=self.wire_itemsize, overlap=self.overlap, **terminal,
         )
-        hidden = emulate_partitioned_layers(
-            x, lambda index, x, part: self.executors[index].forward_partition(x, part),
-            layer_parts, encode=self._encode_for_wire,
+        hidden = voltage_layers(
+            x, [executor.forward_partition for executor in self.executors], layer_parts,
+            encode=self._encode_for_wire,
         )
         # a LayerSchedule may change the scheme per layer (Section V-B); the
         # meta must describe what actually ran, not just layer 0's ratios
@@ -277,16 +278,6 @@ class VoltageSystem(InferenceSystem):
 
     # -- real distributed execution (threads or processes) ----------------------
 
-    def execute_threaded(
-        self, raw, overlap: bool | None = None
-    ) -> tuple[np.ndarray, list[CommStats]]:
-        """Run Algorithm 2 on real concurrent thread workers.
-
-        Kept as the historical entry point; equivalent to
-        ``execute_distributed(raw, runtime="threaded", overlap=overlap)``.
-        """
-        return self.execute_distributed(raw, runtime="threaded", overlap=overlap)
-
     def execute_distributed(
         self, raw, runtime=None, overlap: bool | None = None
     ) -> tuple[np.ndarray, list[CommStats]]:
@@ -301,11 +292,13 @@ class VoltageSystem(InferenceSystem):
         across backends.
 
         Every worker holds the full model replica (Voltage's deployment
-        assumption), computes its partition per layer, applies the configured
-        wire encoding, and All-Gathers with the others.  Returns the
-        post-processed output and per-worker communication statistics — the
-        integration tests check the output matches :meth:`run` *bit-for-bit
-        for every wire_dtype* and the byte counters match Section V-C.
+        assumption) and runs :func:`~repro.systems.base.voltage_layers` —
+        the body :meth:`run` runs — over its own rank: it computes its
+        partition per layer, applies the configured wire encoding, and
+        All-Gathers with the others.  Returns the post-processed output and
+        per-worker communication statistics — the integration tests check
+        the output matches :meth:`run` *bit-for-bit for every wire_dtype*
+        and the byte counters match Section V-C.
 
         With ``overlap`` (default: the system's ``overlap`` setting), the
         inner All-Gathers go through the nonblocking ring: each worker
@@ -326,19 +319,19 @@ class VoltageSystem(InferenceSystem):
         layer_parts = self.layer_parts(n)
         tracer = obs.current_tracer()
 
-        def stream_next_layer(ctx, handle, parts, index):
+        def stream_next_layer(ctx, handle, index):
             """Consume ring chunks as they arrive; pre-run next-layer work.
 
-            Returns ``(x, normed, qp)`` for the next layer: the assembled
-            gather, the per-chunk ln1 of it (pre-LN layers only) and the
-            own-partition Q projection — all bitwise identical to what the
-            blocking path would compute from the assembled array, because
-            every streamed op is row-wise (or an identically-shaped GEMM on
-            identical operand values).
+            Returns the assembled gather and, for the next layer's forward,
+            the per-chunk ln1 of it (pre-LN layers only) as ``normed`` and
+            the own-partition Q projection as ``qp`` — all bitwise identical
+            to what the blocking path would compute from the assembled
+            array, because every streamed op is row-wise (or an
+            identically-shaped GEMM on identical operand values).
             """
             from repro.tensor import functional as F
 
-            spans = [(p.start, p.stop) for p in parts]
+            spans = [(p.start, p.stop) for p in layer_parts[index]]
             next_exec = executors[index + 1]
             own = layer_parts[index + 1][ctx.rank]
             pre_ln = next_exec.config.norm_style != "post"
@@ -365,30 +358,19 @@ class VoltageSystem(InferenceSystem):
             # every chunk was consumed, so the ring is complete — no need to
             # wait() (which would also concatenate a result we already built)
             ctx._add_stats(bytes_copied=x_buf.nbytes)
-            return x_buf, normed_buf, qp
+            return x_buf, {"normed": normed_buf, "qp": qp}
 
         def worker(ctx) -> np.ndarray:
-            x = x0  # broadcast of the input features (replicated host memory)
-            normed = qp = None
-            for index, (executor, parts) in enumerate(zip(executors, layer_parts)):
-                with tracer.span(
-                    "partition compute", cat="runtime", kind="compute",
-                    track=f"rank {ctx.rank}", device=ctx.rank, layer=index,
-                ):
-                    out = executor.forward_partition(
-                        x, parts[ctx.rank], normed=normed, qp=qp
-                    )
-                    # what crosses the network must be the *encoded* partition,
-                    # exactly as run() emulates it — skipping this made
-                    # float16/int8 threaded outputs diverge from run()'s
-                    out = self._encode_for_wire(out)
-                normed = qp = None
-                if not overlap or index + 1 >= len(executors) or ctx.world_size == 1:
-                    x = ctx.all_gather(out, axis=0)
-                    continue
-                handle = ctx.all_gather_async(out, axis=0)
-                x, normed, qp = stream_next_layer(ctx, handle, parts, index)
-            return x
+            def exchange(index, outputs):
+                (out,) = outputs  # a rank owns exactly its own partition
+                if overlap and index + 1 < len(layer_parts) and ctx.world_size > 1:
+                    return stream_next_layer(ctx, ctx.all_gather_async(out, axis=0), index)
+                return ctx.all_gather(out, axis=0), {}
+
+            return voltage_layers(
+                x0, [executor.forward_partition for executor in executors], layer_parts,
+                ranks=[ctx.rank], exchange=exchange, encode=self._encode_for_wire,
+            )
 
         results, stats = resolve_runtime(runtime, self.k).run(worker)
         hidden = results[0]

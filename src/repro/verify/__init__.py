@@ -3,7 +3,7 @@
 Voltage's central claim rests on three code paths agreeing: the analytic
 FLOP/latency model (:mod:`repro.bench.analytic`), the host-emulated
 execution with simulated latency (each system's ``run()``), and the real
-threaded execution (``execute_threaded``).  This package cross-checks all
+threaded execution (``execute_distributed``).  This package cross-checks all
 three over randomized scenarios::
 
     from repro import verify

@@ -6,7 +6,7 @@ The differential contract, per scenario:
   (same ops, same order — any difference is a harness bug);
 - every distributed ``run()`` output must match the single-device reference
   within the dtype-aware bound of :mod:`repro.verify.tolerances`;
-- ``execute_threaded()`` must match the corresponding ``run()`` output
+- threaded ``execute_distributed()`` must match the corresponding ``run()`` output
   bit-for-bit (both sides exchange identically-encoded activations);
 - the analytic latency model, handed the system's own settings, must
   reproduce the system's simulated :class:`LatencyBreakdown` phase-by-phase
@@ -191,7 +191,7 @@ def run_scenario(
         voltage = voltage_factory(model, cluster, config)
         vrun = voltage.run(raw)
         close("voltage_run_vs_single", vrun.output, reference, config.wire_dtype)
-        threaded, _stats = voltage.execute_threaded(raw)
+        threaded, _stats = voltage.execute_distributed(raw, runtime="threaded")
         identical(
             "voltage_threaded_vs_run", threaded, vrun.output,
             f"max|diff|={max_abs_diff(threaded, vrun.output):.3e} (must be bit-identical)",
@@ -212,7 +212,7 @@ def run_scenario(
         if voltage_overlap:
             # the overlapped ring-streamed execution must not perturb a single
             # bit relative to the blocking slot collectives
-            blocking, _ = voltage.execute_threaded(raw, overlap=False)
+            blocking, _ = voltage.execute_distributed(raw, runtime="threaded", overlap=False)
             identical(
                 "voltage_overlap_vs_blocking_threaded", threaded, blocking,
                 f"max|diff|={max_abs_diff(threaded, blocking):.3e} "
@@ -423,7 +423,7 @@ def run_scenario(
         tp = TensorParallelSystem(model, cluster)
         tp_run = tp.run(raw)
         close("tensor_parallel_run_vs_single", tp_run.output, reference, "float32")
-        tp_threaded, _ = tp.execute_threaded(raw)
+        tp_threaded, _ = tp.execute_distributed(raw, runtime="threaded")
         identical(
             "tensor_parallel_threaded_vs_run", tp_threaded, tp_run.output,
             f"max|diff|={max_abs_diff(tp_threaded, tp_run.output):.3e}",

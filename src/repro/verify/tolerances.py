@@ -3,7 +3,7 @@
 Three distinct comparison regimes, in decreasing strictness:
 
 1. **bit-identity** — the simulated (``run``) and threaded
-   (``execute_threaded``) wire paths execute the *same* arithmetic on the
+   (``execute_distributed``) wire paths execute the *same* arithmetic on the
    *same* encoded arrays, so their outputs must agree to the last bit; any
    difference is a protocol divergence, never float noise.
 

@@ -45,11 +45,6 @@ class TestCli:
         data = json.loads((tmp_path / "headline.json").read_text())
         assert "workloads" in data
 
-    def test_profile_target(self, capsys):
-        assert main(["profile", "--layers", "1", "--words", "8"]) == 0
-        out = capsys.readouterr().out
-        assert "layer[0]" in out and "cost-model check" in out
-
     def test_serve_target_runs_sweep_and_writes_report(self, tmp_path, capsys):
         out = tmp_path / "BENCH_serve.json"
         assert main(["serve", "--quick", "--output", str(out)]) == 0
@@ -99,3 +94,11 @@ class TestCli:
             main(["serving"])
         assert exc.value.code == 2
         assert "invalid choice: 'serving'" in capsys.readouterr().err
+
+    def test_profile_is_gone(self, capsys):
+        """The host-side span profile is retired: the e2e lanes' per-layer
+        probes are the one wall-clock ruler."""
+        with pytest.raises(SystemExit) as exc:
+            main(["profile"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'profile'" in capsys.readouterr().err

@@ -3,9 +3,9 @@
 Two *fresh* interpreter processes — not two calls in one process, which
 would share module state, RNG state and hash seed — must emit byte-identical
 FigureResult JSON for Figures 4, 5 and 6 (FLOP model), the communication
-and memory tables and the Section VI-B headline claims.  This is the
-reproducibility contract EXPERIMENTS.md sells: anyone re-running the CLI
-gets the published numbers, to the last serialized byte.
+and memory tables, the ablations and the Section VI-B headline claims.
+This is the reproducibility contract EXPERIMENTS.md sells: anyone
+re-running the CLI gets the published numbers, to the last serialized byte.
 """
 
 import json
@@ -20,7 +20,7 @@ SRC = str(REPO_ROOT / "src")
 
 #: The deterministic figure targets (``fig6`` only in its FLOP-model mode:
 #: its default mode times this host).
-TARGETS = (["fig4"], ["fig5"], ["fig6", "--model"], ["comm"], ["headline"])
+TARGETS = (["fig4"], ["fig5"], ["fig6", "--model"], ["comm"], ["ablations"], ["headline"])
 
 
 def emit_targets(json_dir: Path, hash_seed: str) -> str:
@@ -50,6 +50,13 @@ def in_process_payloads() -> dict[str, str]:
         *figures.figure6(mode="model").values(),
         figures.comm_volume_table(),
         figures.memory_tradeoff_table(),
+        figures.ablation_order_choice(),
+        figures.ablation_heterogeneous(),
+        figures.ablation_dynamic_schemes(),
+        figures.ablation_comm_precision(),
+        figures.ablation_overlap(),
+        figures.ablation_decode_attention(),
+        figures.fleet_autoscale_timeline(),
     ]
     payloads = {f"{fig.name}.json": fig.to_json() for fig in figs}
     payloads["headline.json"] = json.dumps(figures.headline_summary(), indent=2)

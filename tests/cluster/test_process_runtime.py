@@ -77,7 +77,8 @@ class TestConformance:
         def make(rank):
             return lambda ctx: ctx.all_reduce(np.full(3, rank + 1.0))
 
-        results, _ = ProcessRuntime(3, timeout=15).run_spmd([make(r) for r in range(3)])
+        fns = [make(r) for r in range(3)]
+        results, _ = ProcessRuntime(3, timeout=15).run(lambda ctx: fns[ctx.rank](ctx))
         np.testing.assert_array_equal(results[0], np.full(3, 6.0))
 
 

@@ -105,7 +105,7 @@ class TestAllGatherAsync:
             return None  # never joins the collective
 
         with pytest.raises(RuntimeError_):
-            runtime.run_spmd([gatherer, deserter])
+            runtime.run(lambda ctx: [gatherer, deserter][ctx.rank](ctx))
 
 
 class TestRingTimeout:
@@ -121,7 +121,7 @@ class TestRingTimeout:
             return None
 
         with pytest.raises(RuntimeError_) as excinfo:
-            runtime.run_spmd([gatherer, deserter])
+            runtime.run(lambda ctx: [gatherer, deserter][ctx.rank](ctx))
         message = str(excinfo.value.cause)
         assert "rank 0" in message
         assert "ring step 1/1" in message

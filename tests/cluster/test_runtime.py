@@ -230,13 +230,9 @@ class TestErrorHandling:
 
 class TestSpmd:
     def test_distinct_functions_per_rank(self):
-        runtime = ThreadedRuntime(2)
-        results, _ = runtime.run_spmd([lambda ctx: "a", lambda ctx: "b"])
+        fns = [lambda ctx: "a", lambda ctx: "b"]
+        results, _ = ThreadedRuntime(2).run(lambda ctx: fns[ctx.rank](ctx))
         assert results == ["a", "b"]
-
-    def test_arity_validation(self):
-        with pytest.raises(ValueError):
-            ThreadedRuntime(2).run_spmd([lambda ctx: None])
 
     def test_world_size_exposed(self):
         runtime = ThreadedRuntime(3)

@@ -17,7 +17,6 @@ from repro.engine import (
     GPT2CachedSequencer,
     InferenceEngine,
     VirtualClock,
-    VoltageForwardSequencer,
     WallClock,
 )
 from repro.serving.arrivals import Request, bursty_arrivals, uniform_arrivals
@@ -160,13 +159,13 @@ class TestPrefixCache:
 
     def test_prefix_cache_requires_sequencer_support(self, gpt2):
         from repro.cluster.spec import ClusterSpec
-        from repro.engine import VoltageForwardSequencer as VFS
+        from repro.engine import VoltageDecodeSequencer
         from repro.systems import VoltageSystem
 
         system = VoltageSystem(gpt2, ClusterSpec.homogeneous(2, gflops=5.0, bandwidth_mbps=500))
-        sequencer = VFS(system, service_time=lambda n: 0.05)
-        with pytest.raises(ValueError, match="prefix cache"):
-            InferenceEngine(sequencer, EngineConfig(prefix_cache=True))
+        with VoltageDecodeSequencer(system) as sequencer:  # its ranks never start
+            with pytest.raises(ValueError, match="prefix cache"):
+                InferenceEngine(sequencer, EngineConfig(prefix_cache=True))
 
     def test_prefix_cache_slots_validated(self):
         with pytest.raises(ValueError, match="prefix_cache_slots"):
@@ -305,23 +304,6 @@ class TestPolicies:
         ]
         report = InferenceEngine(sequencer, config).run(requests)
         assert [c.request.id for c in report.completed] == [2, 1, 0]
-
-
-class TestVoltagePath:
-    def test_threaded_voltage_outputs_match_offline(self, gpt2):
-        from repro.cluster.spec import ClusterSpec
-        from repro.systems import VoltageSystem
-
-        system = VoltageSystem(gpt2, ClusterSpec.homogeneous(2, gflops=5.0, bandwidth_mbps=500))
-        sequencer = VoltageForwardSequencer(system, service_time=lambda n: 0.05)
-        report = InferenceEngine(sequencer, EngineConfig(num_slots=2)).run(
-            uniform_arrivals(5, interval=0.02, n_tokens=(6, 12))
-        )
-        assert len(report.completed) == 5
-        for completed in report.completed:
-            np.testing.assert_array_equal(
-                completed.output, sequencer.offline_reference(completed.request)
-            )
 
 
 class TestWallClockReplay:

@@ -88,5 +88,5 @@ class TestFullComposition:
         ids = model.encode_text("threads and compression together")
         system = VoltageSystem(model, cluster)
         emulated = system.run(ids).output
-        threaded, _ = system.execute_threaded(ids)
+        threaded, _ = system.execute_distributed(ids)
         np.testing.assert_allclose(threaded, emulated, atol=1e-5)

@@ -117,7 +117,7 @@ class TestThreadedAgreesWithEmulated:
         ):
             system = VoltageSystem(model, cluster)
             emulated = system.run(raw).output
-            threaded, _ = system.execute_threaded(raw)
+            threaded, _ = system.execute_distributed(raw, runtime="threaded")
             np.testing.assert_allclose(threaded, emulated, atol=1e-5)
 
     def test_tensor_parallel_all_models(self, bert, gpt2, vit, cluster):
@@ -128,7 +128,7 @@ class TestThreadedAgreesWithEmulated:
         ):
             system = TensorParallelSystem(model, cluster)
             emulated = system.run(raw).output
-            threaded, _ = system.execute_threaded(raw)
+            threaded, _ = system.execute_distributed(raw, runtime="threaded")
             np.testing.assert_allclose(threaded, emulated, atol=1e-5)
 
 
@@ -143,11 +143,11 @@ class TestCommReconciliation:
         n, f, k = len(ids), bert.config.hidden_size, cluster.num_devices
 
         voltage = VoltageSystem(bert, cluster)
-        _, v_stats = voltage.execute_threaded(ids)
+        _, v_stats = voltage.execute_distributed(ids)
         v_formula = voltage_layer_bytes(n, f, k) * bert.num_layers
 
         tensor = TensorParallelSystem(bert, cluster)
-        _, t_stats = tensor.execute_threaded(ids)
+        _, t_stats = tensor.execute_distributed(ids)
         t_formula = tensor_parallel_layer_bytes(n, f, k) * bert.num_layers
 
         assert v_stats[0].bytes_received == pytest.approx(v_formula, rel=0.15)

@@ -83,7 +83,7 @@ class TestTracedThreadedRuntime:
         tracer = obs.Tracer()
         system = VoltageSystem(bert, cluster4)
         with obs.use_tracer(tracer):
-            threaded, _ = system.execute_threaded(token_ids)
+            threaded, _ = system.execute_distributed(token_ids)
         gathers = tracer.filter(cat="runtime", name="all_gather")
         # one all_gather per layer per rank
         assert len(gathers) == bert.num_layers * 4

@@ -2,7 +2,7 @@
 
 One matrix, instead of per-system spot checks: each system's ``run()`` must
 land within the wire-dtype tolerance of :class:`SingleDeviceSystem`, and each
-system that implements ``execute_threaded`` must be *bit-identical* to its
+system that implements ``execute_distributed`` must be *bit-identical* to its
 own simulated ``run()`` — the same contracts :mod:`repro.verify` fuzzes, so a
 failure here localizes which system broke the contract.
 """
@@ -84,11 +84,11 @@ class TestThreadedMatchesRun:
     ):
         system = THREADED[name](model, cluster4, wire_dtype)
         simulated = system.run(ids).output
-        threaded, _ = system.execute_threaded(ids)
+        threaded, _ = system.execute_distributed(ids)
         np.testing.assert_array_equal(threaded, simulated)
 
     @pytest.mark.parametrize("name", sorted(THREADED))
     def test_threaded_on_single_device_cluster(self, name, model, cluster1, ids):
         system = THREADED[name](model, cluster1, "float32")
-        threaded, _ = system.execute_threaded(ids)
+        threaded, _ = system.execute_distributed(ids)
         np.testing.assert_array_equal(threaded, system.run(ids).output)

@@ -9,9 +9,13 @@ lossy *activation* encoding must not let that encoding leak into the
 decode path.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
+from repro.cluster.process_runtime import ProcessRuntime
+from repro.cluster.runtime import ThreadedRuntime
 from repro.cluster.simulator import ClusterSim
 from repro.cluster.spec import ClusterSpec
 from repro.bench.analytic import voltage_decode_latency
@@ -20,6 +24,7 @@ from repro.systems import decode as decode_module
 from repro.models.config import gpt2_config, tiny_config
 from repro.models.gpt2 import GPT2Model
 from repro.systems.decode import (
+    DecodeSession,
     decode_capacity,
     decode_layer_spans,
     decode_step_totals,
@@ -103,6 +108,80 @@ class TestBitIdentityMatrix:
         reference = gpt2.generate_cached(prompt, max_new_tokens=4)
         ids, _ = generate_distributed(system, prompt, max_new_tokens=4)
         np.testing.assert_array_equal(ids, reference)
+
+
+class TestSessionDriven:
+    """``generate_distributed`` is a :class:`DecodeSession` client: begin,
+    the greedy loop over ``forward``, close."""
+
+    @pytest.mark.parametrize("runtime", ["threaded", "process"])
+    @pytest.mark.parametrize("attention", ["gathered", "distributed"])
+    def test_bytes_sent_at_k2_are_the_one_shot_runs(self, gpt2, prompt, runtime, attention):
+        """The ranks' summed ``CommStats.bytes_sent``, returned by the
+        session's ``close``, equals what the one-shot SPMD run these ranks
+        replaced sent, recorded at commit 8a2aac2."""
+        expected = {
+            ("threaded", "gathered"): 29376, ("threaded", "distributed"): 7872,
+            ("process", "gathered"): 32970, ("process", "distributed"): 10098,
+        }[runtime, attention]
+        ids, stats = generate_distributed(
+            _system(gpt2, 2), prompt, max_new_tokens=5, runtime=runtime, attention=attention
+        )
+        np.testing.assert_array_equal(ids, gpt2.generate_cached(prompt, max_new_tokens=5))
+        assert len(stats) == 2
+        assert sum(s.bytes_sent for s in stats) == expected
+
+    def test_the_only_runtime_run_is_the_sessions(self, gpt2, prompt, monkeypatch):
+        callers = []
+        real = ThreadedRuntime.run
+
+        def spy(runtime, worker_fn):
+            callers.append(threading.current_thread().name)
+            return real(runtime, worker_fn)
+
+        monkeypatch.setattr(ThreadedRuntime, "run", spy)
+        generate_distributed(_system(gpt2, 2), prompt, max_new_tokens=2)
+        assert callers == ["decode-session"]
+
+
+def _failing_at_shutdown(runtime_class):
+    """A ``runtime_class`` whose rank 1 raises after its worker returns —
+    the session has already shut down cleanly, so no command fails."""
+
+    class FailingAtShutdown(runtime_class):
+        def run(self, worker_fn):
+            def worker(ctx):
+                result = worker_fn(ctx)
+                if ctx.rank == 1:
+                    raise ConnectionError("link dropped during shutdown")
+                return result
+
+            return super().run(worker)
+
+    return FailingAtShutdown(2, timeout=10.0)
+
+
+class TestSessionShutdownFailure:
+    """An error that ends ``runtime.run`` after every command succeeded is
+    raised by ``close``, chained, on both runtimes."""
+
+    @pytest.mark.parametrize("runtime_class", [ThreadedRuntime, ProcessRuntime])
+    def test_close_raises_the_error_that_ended_the_run(self, gpt2, prompt, runtime_class):
+        session = DecodeSession(_system(gpt2, 2), runtime=_failing_at_shutdown(runtime_class))
+        session.begin(0, decode_capacity(gpt2, len(prompt), 2))
+        session.forward(0, list(prompt), 0)
+        with pytest.raises(RuntimeError, match="decode session ranks failed") as raised:
+            session.close()
+        assert "link dropped during shutdown" in str(raised.value.__cause__)
+        assert raised.value.__cause__.rank == 1
+
+    @pytest.mark.parametrize("runtime_class", [ThreadedRuntime, ProcessRuntime])
+    def test_generate_distributed_does_not_return_its_stats(self, gpt2, prompt, runtime_class):
+        with pytest.raises(RuntimeError, match="link dropped during shutdown"):
+            generate_distributed(
+                _system(gpt2, 2), prompt, max_new_tokens=2,
+                runtime=_failing_at_shutdown(runtime_class),
+            )
 
 
 class TestRunDecodeAccounting:

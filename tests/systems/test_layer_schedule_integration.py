@@ -32,7 +32,7 @@ class TestLayerScheduleInVoltage:
         ])
         system = VoltageSystem(bert, cluster4, scheme=schedule)
         emulated = system.run(token_ids)
-        threaded, _ = system.execute_threaded(token_ids)
+        threaded, _ = system.execute_distributed(token_ids)
         np.testing.assert_allclose(threaded, emulated.output, atol=1e-5)
 
     def test_schedule_device_count_validated(self, bert, cluster4):

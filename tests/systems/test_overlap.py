@@ -33,20 +33,20 @@ class TestVoltageOverlapBitIdentity:
     def test_overlapped_threaded_matches_run(self, model, cluster4, ids, wire_dtype):
         system = VoltageSystem(model, cluster4, wire_dtype=wire_dtype, overlap=True)
         simulated = system.run(ids).output
-        threaded, _ = system.execute_threaded(ids)
+        threaded, _ = system.execute_distributed(ids)
         np.testing.assert_array_equal(threaded, simulated)
 
     @pytest.mark.parametrize("wire_dtype", WIRE_DTYPES)
     def test_overlapped_matches_blocking_threaded(self, model, cluster4, ids, wire_dtype):
         system = VoltageSystem(model, cluster4, wire_dtype=wire_dtype)
-        blocking, _ = system.execute_threaded(ids, overlap=False)
-        overlapped, _ = system.execute_threaded(ids, overlap=True)
+        blocking, _ = system.execute_distributed(ids, overlap=False)
+        overlapped, _ = system.execute_distributed(ids, overlap=True)
         np.testing.assert_array_equal(overlapped, blocking)
 
     def test_uneven_scheme(self, bert, cluster4, token_ids):
         scheme = PartitionScheme([0.55, 0.25, 0.15, 0.05])
         system = VoltageSystem(bert, cluster4, scheme=scheme, overlap=True)
-        threaded, _ = system.execute_threaded(token_ids)
+        threaded, _ = system.execute_distributed(token_ids)
         np.testing.assert_array_equal(threaded, system.run(token_ids).output)
 
     def test_layer_schedule(self, bert, cluster4, token_ids):
@@ -58,12 +58,12 @@ class TestVoltageOverlapBitIdentity:
             ]
         )
         system = VoltageSystem(bert, cluster4, scheme=schedule, overlap=True)
-        threaded, _ = system.execute_threaded(token_ids)
+        threaded, _ = system.execute_distributed(token_ids)
         np.testing.assert_array_equal(threaded, system.run(token_ids).output)
 
     def test_single_device_degenerates_to_blocking(self, bert, cluster1, token_ids):
         system = VoltageSystem(bert, cluster1, overlap=True)
-        threaded, _ = system.execute_threaded(token_ids)
+        threaded, _ = system.execute_distributed(token_ids)
         np.testing.assert_array_equal(threaded, system.run(token_ids).output)
 
     def test_more_devices_than_positions(self, bert):
@@ -71,7 +71,7 @@ class TestVoltageOverlapBitIdentity:
         cluster = ClusterSpec.homogeneous(8, gflops=5.0, bandwidth_mbps=500)
         ids = np.arange(5, dtype=np.int64) % bert.config.vocab_size
         system = VoltageSystem(bert, cluster, overlap=True)
-        threaded, _ = system.execute_threaded(ids)
+        threaded, _ = system.execute_distributed(ids)
         np.testing.assert_array_equal(threaded, system.run(ids).output)
 
 
@@ -80,13 +80,13 @@ class TestTensorParallelOverlap:
     def test_overlapped_matches_run(self, model, ids, world_size):
         cluster = ClusterSpec.homogeneous(world_size, gflops=5.0, bandwidth_mbps=500)
         system = TensorParallelSystem(model, cluster)
-        overlapped, _ = system.execute_threaded(ids, overlap=True)
+        overlapped, _ = system.execute_distributed(ids, overlap=True)
         np.testing.assert_array_equal(overlapped, system.run(ids).output)
 
     def test_overlapped_matches_blocking_threaded(self, model, cluster4, ids):
         system = TensorParallelSystem(model, cluster4)
-        blocking, _ = system.execute_threaded(ids, overlap=False)
-        overlapped, _ = system.execute_threaded(ids, overlap=True)
+        blocking, _ = system.execute_distributed(ids, overlap=False)
+        overlapped, _ = system.execute_distributed(ids, overlap=True)
         np.testing.assert_array_equal(overlapped, blocking)
 
 

@@ -35,7 +35,7 @@ class TestVoltageRuntimeSelection:
     def test_default_runtime_is_threaded(self, bert, cluster2, raw):
         system = VoltageSystem(bert, cluster2)
         d_out, _ = system.execute_distributed(raw)
-        t_out, _ = system.execute_threaded(raw)
+        t_out, _ = system.execute_distributed(raw, runtime="threaded")
         np.testing.assert_array_equal(d_out, t_out)
 
     def test_process_stats_count_real_socket_bytes(self, bert, cluster2, raw):
@@ -68,7 +68,7 @@ class TestVoltageRuntimeSelection:
 
     def test_process_with_overlap_matches(self, bert, cluster2, raw):
         system = VoltageSystem(bert, cluster2)
-        t_out, _ = system.execute_threaded(raw)
+        t_out, _ = system.execute_distributed(raw, runtime="threaded")
         p_out, _ = system.execute_distributed(raw, runtime="process", overlap=True)
         np.testing.assert_array_equal(p_out, t_out)
 
@@ -85,3 +85,13 @@ class TestTensorParallelRuntimeSelection:
         reference = system.run(raw)
         p_out, _ = system.execute_distributed(raw, runtime="process")
         np.testing.assert_array_equal(p_out, reference.output)
+
+    @pytest.mark.parametrize("family", ["bert", "gpt2"])
+    def test_process_with_overlap_matches_run(self, request, family, cluster2):
+        """Both epilogue shapes — post-LN BERT, pre-LN GPT-2 — applied slice
+        by slice as reduced rows come off the socket ring equal the host
+        emulation bit for bit (11 rows: an uneven reduce-scatter split)."""
+        system = TensorParallelSystem(request.getfixturevalue(family), cluster2)
+        raw = np.arange(1, 12)
+        p_out, _ = system.execute_distributed(raw, runtime="process", overlap=True)
+        np.testing.assert_array_equal(p_out, system.run(raw).output)

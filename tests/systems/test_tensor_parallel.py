@@ -93,7 +93,7 @@ class TestThreadedExecution:
     def test_matches_emulated_run(self, bert, cluster4, token_ids):
         system = TensorParallelSystem(bert, cluster4)
         emulated = system.run(token_ids)
-        threaded_out, stats = system.execute_threaded(token_ids)
+        threaded_out, stats = system.execute_distributed(token_ids)
         np.testing.assert_allclose(threaded_out, emulated.output, atol=1e-5)
         # 2 collectives per layer per worker
         assert stats[0].collective_calls == 2 * bert.num_layers
@@ -102,7 +102,7 @@ class TestThreadedExecution:
         from repro.core.planner import tensor_parallel_layer_bytes
 
         system = TensorParallelSystem(bert, cluster4)
-        _, stats = system.execute_threaded(token_ids)
+        _, stats = system.execute_distributed(token_ids)
         n = len(token_ids)
         expected = tensor_parallel_layer_bytes(n, bert.config.hidden_size, 4) * bert.num_layers
         for s in stats:
@@ -114,5 +114,5 @@ class TestThreadedExecution:
 
     def test_causal_threaded(self, gpt2, cluster4):
         ids = np.arange(1, 12)
-        out, _ = TensorParallelSystem(gpt2, cluster4).execute_threaded(ids)
+        out, _ = TensorParallelSystem(gpt2, cluster4).execute_distributed(ids)
         np.testing.assert_allclose(out, gpt2(ids), atol=1e-3)

@@ -155,13 +155,13 @@ class TestThreadedExecution:
     def test_output_matches_emulated_run(self, bert, cluster4, token_ids):
         system = VoltageSystem(bert, cluster4)
         emulated = system.run(token_ids)
-        threaded_out, _ = system.execute_threaded(token_ids)
+        threaded_out, _ = system.execute_distributed(token_ids)
         np.testing.assert_allclose(threaded_out, emulated.output, atol=1e-5)
 
     def test_causal_threaded(self, gpt2, cluster4):
         ids = np.arange(1, 14)
         system = VoltageSystem(gpt2, cluster4)
-        out, _ = system.execute_threaded(ids)
+        out, _ = system.execute_distributed(ids)
         np.testing.assert_allclose(out, gpt2(ids), atol=1e-3)
 
     def test_byte_accounting_close_to_section_vc(self, bert, cluster4, token_ids):
@@ -169,7 +169,7 @@ class TestThreadedExecution:
         from repro.core.planner import voltage_layer_bytes
 
         system = VoltageSystem(bert, cluster4)
-        _, stats = system.execute_threaded(token_ids)
+        _, stats = system.execute_distributed(token_ids)
         n = len(token_ids)
         expected = voltage_layer_bytes(n, bert.config.hidden_size, 4) * bert.num_layers
         for s in stats:

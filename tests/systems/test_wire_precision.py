@@ -39,20 +39,20 @@ class TestWirePrecisionCorrectness:
 
 class TestThreadedWireEquivalence:
     """Regression: the worker loop used to skip ``_encode_for_wire`` entirely,
-    so `execute_threaded` silently exchanged full-precision activations and
+    so threaded `execute_distributed` silently exchanged full-precision activations and
     diverged from `run()` for float16/int8."""
 
     @pytest.mark.parametrize("wire_dtype", ["float32", "float16", "int8"])
     def test_threaded_bit_identical_to_simulated(self, bert, cluster4, token_ids, wire_dtype):
         system = VoltageSystem(bert, cluster4, wire_dtype=wire_dtype)
         simulated = system.run(token_ids).output
-        threaded, _ = system.execute_threaded(token_ids)
+        threaded, _ = system.execute_distributed(token_ids)
         np.testing.assert_array_equal(threaded, simulated)
 
     def test_threaded_compression_actually_lossy(self, bert, cluster4, token_ids):
         threaded, _ = VoltageSystem(
             bert, cluster4, wire_dtype="int8"
-        ).execute_threaded(token_ids)
+        ).execute_distributed(token_ids)
         assert not np.array_equal(threaded, bert(token_ids))
 
 

@@ -1,9 +1,9 @@
 """Demo: the harness catches an injected wire-encoding bug and shrinks it.
 
 The injected defect replicates the exact regression fixed in PR 1: the
-threaded workers exchanged *unencoded* partitions, so ``execute_threaded``
-silently diverged from ``run()`` for float16/int8 wire dtypes while all the
-hand-picked float32 test configs stayed green.  The conformance harness must
+threaded workers exchanged *unencoded* partitions, so threaded
+``execute_distributed`` silently diverged from ``run()`` for float16/int8
+wire dtypes while all the hand-picked float32 test configs stayed green.  The conformance harness must
 (a) flag it via the ``voltage_threaded_vs_run`` bit-identity check, and
 (b) shrink the failing scenario to a minimal reproducing config that keeps
 the distinguishing dimension — the lossy wire dtype.
@@ -27,7 +27,7 @@ from repro.verify import (
 class WireSkippingVoltage(VoltageSystem):
     """Voltage whose threaded path 'forgets' the wire encoding (PR-1 bug)."""
 
-    def execute_threaded(self, raw):
+    def execute_distributed(self, raw, runtime=None, overlap=None):
         x0 = self.model.preprocess(raw)
         n = x0.shape[0]
         layer_parts = [
@@ -146,6 +146,6 @@ class TestHealthySystemStaysGreen:
             model, cluster, scheme=build_scheme(FAT_FAILING_CONFIG), wire_dtype="int8"
         )
         buggy = buggy_factory(model, cluster, FAT_FAILING_CONFIG)
-        good_out, _ = good.execute_threaded(raw)
-        buggy_out, _ = buggy.execute_threaded(raw)
+        good_out, _ = good.execute_distributed(raw, runtime="threaded")
+        buggy_out, _ = buggy.execute_distributed(raw, runtime="threaded")
         assert not np.array_equal(good_out, buggy_out)
