@@ -17,18 +17,18 @@ and shards both the storage and the two largest costs of a step:
   lowest-index rule exactly.  A shard's GEMV is bit-equal to the same rows
   of ``row @ table.T`` (INTERNALS §13).
 * **Multi-row steps are partitioned by span.**  On a prefill or chunked
-  forward under ``attention="gathered"`` each rank pushes only the new rows
-  inside its KV span through the layers (:func:`decode_step_slices`) and
-  appends exactly those K/V rows; the per-layer K/V all-gather — the one the
-  protocol already pays — gives it the history they attend to, and one
+  forward each rank pushes only the new rows inside its KV span through the
+  layers (:func:`decode_step_slices`) and appends exactly those K/V rows;
+  a per-layer K/V all-gather gives it the history they attend to, and one
   ``(1, F)`` gather hands the last row's hidden state to the sharded head.
   Row-sliced GEMMs are bit-equal to the same rows of the all-rows GEMM as
   long as BLAS serves both with one kernel, which the step's shapes decide
   (``_same_gemm_kernels``); a step where they would not — every
   single-token step among them, a 1-row product being a GEMV — runs all
-  its rows on every rank, as a single device would.  What is still
-  replicated: the layers of a single-token step, and any multi-row step
-  under ``attention="distributed"``.
+  its rows on every rank, as a single device would.  The split depends on
+  shapes only, so a partitioned step runs the same way — K/V gathered,
+  bit-identical to ``generate_cached`` — under either attention mode; the
+  modes differ only on the all-rows steps, whose layers are replicated.
 * **KV storage is sharded.** Each rank's ``LayerKVCache`` holds only the
   rows of K/V whose positions fall inside its span, so per-rank cache
   memory drops to O(L·T/K).  Spans are fixed per request from
@@ -46,11 +46,13 @@ and shards both the storage and the two largest costs of a step:
   step and the error would compound, so the decode path never applies the
   forward pass's lossy wire encoding (INTERNALS §13).
 
-The last two bullets describe ``attention="gathered"`` (PR 7, the lossless
-baseline): bit-identical to ``generate_cached`` but attending every new row
-against the full history on its rank and moving ``2(K-1)tHF_H/K`` elements
-per layer per step, growing with the sequence.  ``attention="distributed"``
-instead scores the new token only against the local shard and exchanges
+The last bullet describes every step under ``attention="gathered"`` (the
+lossless baseline) and every partitioned step under either mode:
+bit-identical to ``generate_cached`` but attending every new row against
+the full history on its rank and moving ``2(K-1)tHF_H/K`` elements per
+layer per step, growing with the sequence.  On an all-rows step
+``attention="distributed"`` instead scores the new rows only against the
+local shard and exchanges
 packed per-head log-sum-exp stats (``K·H·(F_H+2)`` elements per layer, flat
 in t); a deterministic rank-ordered combine (:mod:`repro.core.combine`)
 reconstructs exact attention up to float re-association.  Cross-rank
@@ -85,6 +87,7 @@ from __future__ import annotations
 import multiprocessing
 import queue
 import threading
+from contextlib import ExitStack
 from functools import partial
 from typing import Callable, Sequence
 
@@ -149,6 +152,8 @@ _PAIR_BYTES = 16
 # Vocab-shard boundaries sit on multiples of this many table rows, where the
 # BLAS GEMV's unrolled row groups fall in the whole-table product too.
 _HEAD_ROW_ALIGN = 64
+# decode_timeline's name for a step's layer all-gathers, by exchange.
+_COMM_PHASES = {"kv": "kv shard all-gather", "stats": "combine stats all-gather"}
 
 #: One layer's shards a caller owns, each paired with the span it covers.
 Owned = Sequence[tuple[Partition, LayerKVCache]]
@@ -250,25 +255,24 @@ def _same_gemm_kernels(config, rows: int, all_rows: int, total: int) -> bool:
 
 
 def decode_step_slices(
-    config, layer_parts: Sequence[Sequence[Partition]], offset: int, added: int, attention: str
+    config, layer_parts: Sequence[Sequence[Partition]], offset: int, added: int
 ) -> list[Partition] | None:
     """Rank by rank, the new rows ``[offset, offset + added)`` that fall in
     its KV span — when the step is *span-partitioned*; ``None`` when every
-    rank runs all the rows.  Decided from shapes alone, so the kernel, its
-    pricing and the wire-byte oracles agree by construction.
+    rank runs all the rows.  Decided from shapes alone — never from the
+    attention mode — so the kernel, its pricing and the wire-byte oracles
+    agree by construction.
 
     A rank of a partitioned step pushes only its own rows through the
-    layers.  That needs rows to split (``added >= 2``); one span layout
-    shared by every layer (a rank's rows must stay its own from layer to
-    layer); every rank's slice empty or bit-equal to the same rows of the
-    all-rows step (:func:`_same_gemm_kernels` — which rules out every
-    single-token step); and ``attention="gathered"``, whose K/V all-gather
-    hands a rank the history its rows attend to (a distributed-attention
-    rank scores every new row against its local shard, so it needs them
-    all).
+    layers and the K/V all-gather hands it the history they attend to, in
+    either attention mode.  That needs rows to split (``added >= 2``); one
+    span layout shared by every layer (a rank's rows must stay its own from
+    layer to layer); and every rank's slice empty or bit-equal to the same
+    rows of the all-rows step (:func:`_same_gemm_kernels` — which rules out
+    every single-token step).
     """
     parts = layer_parts[0]
-    if attention != "gathered" or added < 2 or any(other != parts for other in layer_parts):
+    if added < 2 or any(other != parts for other in layer_parts):
         return None
     total = offset + added
     slices = []
@@ -279,6 +283,14 @@ def decode_step_slices(
             return None
         slices.append(Partition(lo, hi))
     return slices
+
+
+def _exchange(slices: list[Partition] | None, attention: str) -> str:
+    """What the layers of a step with these :func:`decode_step_slices`
+    all-gather: ``"kv"`` (K/V shard rows) under ``attention="gathered"`` and
+    on every partitioned step, ``"stats"`` (packed log-sum-exp stats) on a
+    distributed-attention all-rows step."""
+    return "kv" if attention == "gathered" or slices is not None else "stats"
 
 
 def _append_owned(owned: Owned, k_new: np.ndarray, v_new: np.ndarray, offset: int) -> None:
@@ -410,13 +422,16 @@ def sharded_decode_step(
     *Layers.*  On a span-partitioned step (:func:`decode_step_slices`) each
     owned rank runs only the new rows inside its span, the ranks in
     lockstep; otherwise all the rows run once, appended to every owned
-    shard.  With ``attention="gathered"`` ``all_gather`` assembles the full
-    K/V from every rank's shard and either shape is op-for-op
-    ``generate_cached``'s rows — bit-identical to the single device.  With
+    shard.  A partitioned step, and any step under
+    ``attention="gathered"``, has ``all_gather`` assemble the full K/V from
+    every rank's shard: either shape is op-for-op ``generate_cached``'s
+    rows — bit-identical to the single device.  On an all-rows step under
     ``attention="distributed"`` each shard is attended locally and
     ``all_gather`` exchanges the packed log-sum-exp combine stats (in
     ``stats_dtype`` on the wire) — exact up to float re-association
-    (INTERNALS §14).
+    (INTERNALS §14).  Each owned rank's layers are one ``decode.layers``
+    span: the ``rows`` it ran, the step's ``added`` rows and its
+    ``exchange`` (``kv`` or ``stats``).
 
     *Head.*  After a partitioned step only the last row's owner holds its
     hidden state, so one ``(1, F)`` gather hands it to everyone.  Each rank
@@ -428,7 +443,8 @@ def sharded_decode_step(
     _check_attention(attention)
     ids = np.asarray(new_ids, dtype=np.int64)
     total = offset + len(ids)
-    slices = decode_step_slices(model.config, layer_parts, offset, len(ids), attention)
+    slices = decode_step_slices(model.config, layer_parts, offset, len(ids))
+    exchange = _exchange(slices, attention)
     # the rows each compute group runs: everything once, or one slice per owned rank
     groups = [Partition(offset, total)] if slices is None else [slices[rank] for rank in ranks]
     xs = [
@@ -436,21 +452,28 @@ def sharded_decode_step(
         + model.embeddings.position(np.arange(rows.start, rows.stop))
         for rows in groups
     ]
-    for index, layer in enumerate(model.layers):
-        owned = [(layer_parts[index][rank], shard) for rank, shard in zip(ranks, shards[index])]
-        steps = []
-        for group, (rows, x, workspace) in enumerate(zip(groups, xs, workspaces)):
-            if attention == "gathered":
-                # all the rows land in every owned shard; a slice only in its rank's
-                mine = owned if slices is None else owned[group : group + 1]
-                attend = partial(
-                    _attend_gathered, layer.attention, mine, owned, rows.start, all_gather,
-                    workspace,
-                )
-            else:
-                attend = partial(_attend_sharded, owned, offset, all_gather, stats_dtype)
-            steps.append(layer_steps(layer, x, attend, workspace))
-        xs = lockstep(steps)
+    with ExitStack() as spans:
+        for rank in ranks:
+            spans.enter_context(current_tracer().span(
+                "decode.layers", cat="systems", kind="compute", track=f"rank {rank}", device=rank,
+                rows=len(ids) if slices is None else slices[rank].length, added=len(ids),
+                exchange=exchange,
+            ))
+        for index, layer in enumerate(model.layers):
+            owned = [(layer_parts[index][rank], shard) for rank, shard in zip(ranks, shards[index])]
+            steps = []
+            for group, (rows, x, workspace) in enumerate(zip(groups, xs, workspaces)):
+                if exchange == "kv":
+                    # all the rows land in every owned shard; a slice only in its rank's
+                    mine = owned if slices is None else owned[group : group + 1]
+                    attend = partial(
+                        _attend_gathered, layer.attention, mine, owned, rows.start, all_gather,
+                        workspace,
+                    )
+                else:
+                    attend = partial(_attend_sharded, owned, offset, all_gather, stats_dtype)
+                steps.append(layer_steps(layer, x, attend, workspace))
+            xs = lockstep(steps)
 
     if slices is None:
         last = xs[0][-1]
@@ -537,9 +560,10 @@ def generate_distributed(
     returned ``ids`` are bit-identical to
     ``model.generate_cached(prompt_ids, max_new_tokens)``.  With
     ``attention="distributed"`` each rank attends only against its local
-    shard and the ranks exchange one packed stats all-gather per layer —
-    per-step wire volume independent of the sequence length, outputs exact
-    up to float re-association.  Either way every rank's token is
+    shard and the ranks exchange one packed stats all-gather per layer on
+    every step that is not span-partitioned (a partitioned prefill gathers
+    K/V as above) — per-step wire volume independent of the sequence
+    length, outputs exact up to float re-association.  Either way every rank's token is
     bit-identical across ranks (the combine is a deterministic rank-ordered
     reduction), which the session asserts on every step.  ``timeout``
     overrides the session's (its ranks' per-receive bound and its reply
@@ -573,10 +597,12 @@ def decode_step_pricing(
       step, all ``added`` otherwise) plus ``F·V_r`` for its vocab shard of
       the LM head.  Gathered attention scores a row against the full
       history; distributed attention only against the rank's local shard
-      rows, so heterogeneous spans yield heterogeneous per-rank FLOPs.
+      rows, so heterogeneous spans yield heterogeneous per-rank FLOPs.  A
+      partitioned step is priced as gathered in either mode: that is how
+      it runs.
     - ``layer_collectives[i]`` — the ordered all-gather chunk-byte lists
-      layer ``i`` issues: two lossless K/V row gathers when gathered, one
-      packed-stats gather when distributed.
+      layer ``i`` issues: two lossless K/V row gathers when the step's
+      exchange is ``"kv"``, one packed-stats gather when ``"stats"``.
     - ``head_collectives`` — the head's: the ``(1, F)`` last-row gather of a
       partitioned step (one non-empty chunk, its owner's), then the
       ``K``-pair ``(max logit, index)`` exchange.
@@ -584,7 +610,9 @@ def decode_step_pricing(
     _check_attention(attention)
     k = len(layer_parts[0])
     heads, fh = config.num_heads, config.head_dim
-    slices = decode_step_slices(config, layer_parts, total - added, added, attention)
+    slices = decode_step_slices(config, layer_parts, total - added, added)
+    if slices is not None:
+        attention = "gathered"  # how a partitioned step runs, in either mode
     rank_rows = [added] * k if slices is None else [rows.length for rows in slices]
     per_rank_flops = [
         config.hidden_size * part.length
@@ -637,11 +665,9 @@ def decode_timeline(
     (``sum(chunks) - max(chunks)`` per collective: the K/V gathers or the
     stats gathers) and, as its own term, in the head exchange
     (``sum(chunks) - min(chunks)``: what a rank other than the last row's
-    owner receives).
+    owner receives).  Each step's comm phase is named by the exchange it
+    used (:func:`_exchange`).
     """
-    comm_phase = (
-        "kv shard all-gather" if attention == "gathered" else "combine stats all-gather"
-    )
     latency = LatencyBreakdown()
     latency.add("broadcast prompt", "comm", sim.broadcast(_ID_ITEMSIZE * prompt_len))
     per_step_seconds: list[float] = []
@@ -658,8 +684,9 @@ def decode_timeline(
         compute_s = sim.compute_makespan(per_rank_flops)
         comm_s = sum(sim.all_gather(chunks) for chunks in layer_chunks)
         head_s = sum(sim.all_gather(chunks) for chunks in head_collectives)
+        slices = decode_step_slices(config, layer_parts, total - added, added)
         latency.add("decode step compute", "compute", compute_s, layer=step_index)
-        latency.add(comm_phase, "comm", comm_s, layer=step_index)
+        latency.add(_COMM_PHASES[_exchange(slices, attention)], "comm", comm_s, layer=step_index)
         latency.add("head exchange", "comm", head_s, layer=step_index)
         per_step_seconds.append(compute_s + comm_s + head_s)
         per_step_bytes.append(sum(sum(chunks) - max(chunks) for chunks in layer_chunks))
@@ -712,7 +739,8 @@ def run_decode(
     totals = decode_step_totals(len(ids0), max_new_tokens, config.max_positions)
     addeds = [len(ids0)] + [1] * (len(totals) - 1)
     uncached_orders = []
-    for added, total in zip(addeds, totals):
+    kv_gather_bytes = 0  # the steps whose layers gathered K/V; the rest gathered stats
+    for added, total, comm_bytes in zip(addeds, totals, per_step_comm_bytes):
         if added == total:
             order = select_order(total, added, config.hidden_size, config.head_dim)
         else:
@@ -720,7 +748,8 @@ def run_decode(
                 total, config.hidden_size, config.head_dim, cached=False
             )
         uncached_orders.append("eq8" if order.is_reordered else "eq3")
-    gathered = attention == "gathered"
+        slices = decode_step_slices(config, layer_parts, total - added, added)
+        kv_gather_bytes += comm_bytes if _exchange(slices, attention) == "kv" else 0
     meta = {
         "system": "voltage-decode",
         "devices": k,
@@ -730,8 +759,8 @@ def run_decode(
         "capacity": capacity,
         "steps": len(per_token_seconds),
         "per_token_seconds": per_token_seconds,
-        "kv_gather_bytes_per_device": sum(per_step_comm_bytes) if gathered else 0,
-        "combine_bytes_per_device": 0 if gathered else sum(per_step_comm_bytes),
+        "kv_gather_bytes_per_device": kv_gather_bytes,
+        "combine_bytes_per_device": sum(per_step_comm_bytes) - kv_gather_bytes,
         "per_step_comm_bytes_per_device": per_step_comm_bytes,
         "head_bytes_per_device": sum(per_step_head_bytes),
         "cached_order": "eq3",
@@ -910,15 +939,21 @@ class DecodeSession:
 
     def close(self) -> list[CommStats]:
         """Shut the ranks down (once; later calls only report) and return
-        their per-rank ``CommStats`` — empty if they never started.  Raises
-        the error that ended ``runtime.run``, chained, unless a failed
-        command already did."""
+        their per-rank ``CommStats`` — empty if they never started.  Unless
+        a failed command already raised, raises if ``runtime.run`` has not
+        ended within ``timeout`` (a hung shutdown), or the error that ended
+        it, chained."""
         if not self._closed:
             self._closed = True
             if self._thread is not None:
                 for rank in range(self.k):
                     self._commands[rank].put(("shutdown", None))
                 self._thread.join(timeout=self.timeout)
+        if self._failure is None and self._thread is not None and self._thread.is_alive():
+            raise RuntimeError(
+                f"decode session {self._thread.name!r}: the ranks did not shut down "
+                f"within {self.timeout}s"
+            )
         if self._error is not None and self._failure is None:
             raise RuntimeError(f"decode session ranks failed: {self._error}") from self._error
         return self._stats

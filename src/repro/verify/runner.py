@@ -465,6 +465,26 @@ def run_scenario(
     return result
 
 
+def _decode_steps(
+    voltage: VoltageSystem, prompt_len: int, max_new_tokens: int
+) -> list[tuple[int, int, bool]]:
+    """Per step of the greedy loop, ``(filled, added, partitioned)``: the
+    sequence length after the step, its new rows, and whether
+    ``decode_step_slices`` span-partitions it — which decides, in either
+    attention mode, that its layers gather K/V rows, not combine stats."""
+    from repro.systems.decode import decode_layer_spans, decode_step_slices, decode_step_totals
+
+    config = voltage.model.config
+    spans = decode_layer_spans(voltage, min(prompt_len + max_new_tokens, config.max_positions))
+    totals = decode_step_totals(prompt_len, max_new_tokens, config.max_positions)
+    steps = []
+    for step, filled in enumerate(totals):
+        added = prompt_len if step == 0 else 1
+        partitioned = decode_step_slices(config, spans, filled - added, added) is not None
+        steps.append((filled, added, partitioned))
+    return steps
+
+
 def _expected_decode_gather_bytes(
     voltage: VoltageSystem, prompt_len: int, max_new_tokens: int
 ) -> int:
@@ -496,27 +516,26 @@ def _expected_decode_combine_bytes(
 ) -> int:
     """Per-device combine-stats traffic distributed attention implies.
 
-    Every layer of every step pays one all-gather of packed
+    Every layer of every all-rows step pays one all-gather of packed
     ``(o, m, l)`` tuples — one ``head_dim + 2`` row per head per *new*
     query position, independent of how much context each rank holds.
     The framing is deterministic, so the check against the meta is exact.
     """
-    from repro.systems.decode import decode_stats_wire, decode_step_totals
+    from repro.systems.decode import decode_stats_wire
 
     config = voltage.model.config
     k = voltage.cluster.num_devices
     itemsize = decode_stats_wire(voltage.wire_dtype)[1]
-    totals = decode_step_totals(prompt_len, max_new_tokens, config.max_positions)
     total = 0
-    for step_index in range(len(totals)):
-        added = prompt_len if step_index == 0 else 1
-        chunk = config.num_heads * added * (config.head_dim + 2) * itemsize
-        total += config.num_layers * (k - 1) * chunk
+    for _, added, partitioned in _decode_steps(voltage, prompt_len, max_new_tokens):
+        if not partitioned:
+            chunk = config.num_heads * added * (config.head_dim + 2) * itemsize
+            total += config.num_layers * (k - 1) * chunk
     return total
 
 
 def _expected_decode_head_bytes(
-    voltage: VoltageSystem, prompt_len: int, max_new_tokens: int, attention: str
+    voltage: VoltageSystem, prompt_len: int, max_new_tokens: int
 ) -> tuple[int, int]:
     """Head-exchange traffic the decode shapes imply, as its own term beside
     the layers' K/V or stats gathers: ``(per device, sent by all ranks)``.
@@ -526,25 +545,14 @@ def _expected_decode_head_bytes(
     hidden state (``F`` float32) from its owner to the ``K - 1`` ranks that
     did not compute it.  Per device is what such a rank receives.
     """
-    from repro.systems.decode import decode_layer_spans, decode_step_slices, decode_step_totals
-
     config = voltage.model.config
     k = voltage.cluster.num_devices
-    capacity = min(prompt_len + max_new_tokens, config.max_positions)
-    spans = decode_layer_spans(voltage, capacity)
-    totals = decode_step_totals(prompt_len, max_new_tokens, config.max_positions)
-    partitioned = sum(
-        k > 1
-        and decode_step_slices(
-            config, spans, 0 if step == 0 else filled - 1, prompt_len if step == 0 else 1, attention
-        )
-        is not None
-        for step, filled in enumerate(totals)
-    )
+    steps = _decode_steps(voltage, prompt_len, max_new_tokens)
+    partitioned = sum(k > 1 and step_partitioned for *_, step_partitioned in steps)
     pair, row = (k - 1) * 16, config.hidden_size * 4
     return (
-        len(totals) * pair + partitioned * row,
-        len(totals) * k * pair + partitioned * (k - 1) * row,
+        len(steps) * pair + partitioned * row,
+        len(steps) * k * pair + partitioned * (k - 1) * row,
     )
 
 
@@ -557,19 +565,18 @@ def _decode_head_checks(
     — every byte the ranks sent must be a layer gather's or the head's
     (ring accounting: a rank sends the gathered whole minus its own chunk,
     so ``K`` ranks send ``K - 1`` times the whole)."""
-    from repro.systems.decode import decode_step_totals
-
     config = voltage.model.config
     k = voltage.cluster.num_devices
-    per_device, head_sent = _expected_decode_head_bytes(
-        voltage, prompt_len, max_new_tokens, attention
+    per_device, head_sent = _expected_decode_head_bytes(voltage, prompt_len, max_new_tokens)
+    # K and V: every filled row of every layer, on each step that gathers K/V
+    filled = sum(
+        filled for filled, _, partitioned in _decode_steps(voltage, prompt_len, max_new_tokens)
+        if attention == "gathered" or partitioned
     )
-    if attention == "gathered":  # K and V: every filled row of every layer, every step
-        filled = sum(decode_step_totals(prompt_len, max_new_tokens, config.max_positions))
-        row_bytes = config.num_heads * config.head_dim * 4
-        layer_sent = (k - 1) * 2 * config.num_layers * filled * row_bytes
-    else:  # K equal stats chunks; the oracle counts the K - 1 one device receives
-        layer_sent = k * _expected_decode_combine_bytes(voltage, prompt_len, max_new_tokens)
+    row_bytes = config.num_heads * config.head_dim * 4
+    layer_sent = (k - 1) * 2 * config.num_layers * filled * row_bytes
+    if attention != "gathered":  # K equal stats chunks; the oracle counts the K - 1 one receives
+        layer_sent += k * _expected_decode_combine_bytes(voltage, prompt_len, max_new_tokens)
     reported = drun.meta.get("head_bytes_per_device", float("nan"))
     sent = sum(s.bytes_sent for s in stats)
     return [

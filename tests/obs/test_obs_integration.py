@@ -105,3 +105,47 @@ class TestTracedThreadedRuntime:
         assert snap["runtime.collective_calls"]["value"] == 3.0
         assert snap["runtime.bytes_sent"]["value"] > 0
         assert snap["runtime.worker_total_bytes"]["count"] == 3
+
+
+class TestTracedDecodeLayers:
+    """``sharded_decode_step`` emits one ``decode.layers`` span per owned rank
+    per step: the rows that rank ran, the step's new rows and its exchange."""
+
+    @pytest.fixture
+    def gpt2(self):
+        from repro.models import GPT2Model
+
+        config = tiny_config(norm_style="pre", is_causal=True, type_vocab_size=0, num_layers=2)
+        return GPT2Model(config, rng=np.random.default_rng(3))
+
+    @pytest.mark.parametrize("attention,exchange", [("gathered", "kv"), ("distributed", "stats")])
+    def test_one_span_per_rank_per_step_names_the_split(self, gpt2, attention, exchange):
+        from repro.systems.decode import generate_distributed
+
+        prompt = np.random.default_rng(9).integers(0, gpt2.config.vocab_size, size=7)
+        system = VoltageSystem(gpt2, ClusterSpec.homogeneous(2))  # 7 rows split 5 | 2
+        tracer = obs.Tracer()
+        with obs.use_tracer(tracer):
+            generate_distributed(system, prompt, max_new_tokens=3, attention=attention)
+        for rank, prefill_rows in enumerate([5, 2]):
+            spans = [s for s in tracer.filter(name="decode.layers") if s.device == rank]
+            assert [s.args["rows"] for s in spans] == [prefill_rows, 1, 1, 1]
+            assert [s.args["added"] for s in spans] == [7, 1, 1, 1]
+            # a split step gathers K/V in either mode; token steps keep the mode's exchange
+            assert [s.args["exchange"] for s in spans] == ["kv"] + [exchange] * 3
+            assert all(s.track == f"rank {rank}" and s.cat == "systems" for s in spans)
+
+    def test_host_emulation_emits_every_owned_rank_and_nothing_untraced(self, gpt2):
+        from repro.systems.decode import run_decode
+
+        prompt = np.random.default_rng(9).integers(0, gpt2.config.vocab_size, size=7)
+        system = VoltageSystem(gpt2, ClusterSpec.homogeneous(2))
+        run_decode(system, prompt, max_new_tokens=3, attention="distributed")
+        assert len(obs.current_tracer()) == 0  # the null tracer stayed inert
+        tracer = obs.Tracer()
+        with obs.use_tracer(tracer):
+            run_decode(system, prompt, max_new_tokens=3, attention="distributed")
+        spans = tracer.filter(name="decode.layers")
+        assert sorted((s.device, s.args["rows"]) for s in spans) == sorted(
+            [(0, 5), (1, 2)] + [(rank, 1) for rank in (0, 1) for _ in range(3)]
+        )

@@ -10,6 +10,7 @@ decode path.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -184,6 +185,53 @@ class TestSessionShutdownFailure:
             )
 
 
+def _outliving_shutdown(runtime_class, seconds):
+    """A ``runtime_class`` whose ``run`` ends ``seconds`` after its ranks
+    did, cleanly or not — a shutdown that outlives a session's short
+    ``timeout``."""
+
+    class OutlivingShutdown(runtime_class):
+        def run(self, worker_fn):
+            try:
+                return super().run(worker_fn)
+            finally:
+                time.sleep(seconds)
+
+    return OutlivingShutdown(2, timeout=10.0)
+
+
+class TestSessionHungShutdown:
+    """``close`` does not pass a run that has not ended within ``timeout``
+    off as clean — unless a failed command already raised its own error."""
+
+    @staticmethod
+    def _session(gpt2, prompt, runtime_class):
+        """A session begun with a generous reply wait, then cut to a short
+        one: the commands stay unhurried, the shutdown outlives the wait."""
+        session = DecodeSession(
+            _system(gpt2, 2), runtime=_outliving_shutdown(runtime_class, 3.0), timeout=30.0
+        )
+        session.begin(0, decode_capacity(gpt2, len(prompt), 2))
+        session.timeout = 1.0
+        return session
+
+    @pytest.mark.parametrize("runtime_class", [ThreadedRuntime, ProcessRuntime])
+    def test_close_raises_naming_the_session(self, gpt2, prompt, runtime_class):
+        session = self._session(gpt2, prompt, runtime_class)
+        session.forward(0, list(prompt), 0)
+        with pytest.raises(RuntimeError, match="'decode-session'.*did not shut down"):
+            session.close()
+        session._thread.join()  # let the run end before the next test
+
+    @pytest.mark.parametrize("runtime_class", [ThreadedRuntime, ProcessRuntime])
+    def test_a_failed_command_keeps_its_error(self, gpt2, prompt, runtime_class):
+        session = self._session(gpt2, prompt, runtime_class)
+        with pytest.raises(RuntimeError, match="rank 0 failed: KeyError"):
+            session.forward(1, list(prompt), 0)  # slot 1 was never begun
+        assert session.close() == []  # the failure was raised; close only reports
+        session._thread.join()
+
+
 class TestRunDecodeAccounting:
     def test_analytic_mirror_matches_phase_by_phase(self, gpt2, prompt, monkeypatch):
         assert_one_timeline(monkeypatch, gpt2, prompt, "gathered")
@@ -338,15 +386,23 @@ class TestDistributedAttentionAccounting:
         system = _system(gpt2, 3)
         result = run_decode(system, prompt, max_new_tokens=4, attention="distributed")
         config = gpt2.config
+        spans = decode_layer_spans(system, decode_capacity(gpt2, len(prompt), 4))
         totals = decode_step_totals(len(prompt), 4, config.max_positions)
-        expected = 0
-        for step, _ in enumerate(totals):
+        expected = stats_steps = 0
+        for step, total in enumerate(totals):
             added = len(prompt) if step == 0 else 1
+            if decode_module.decode_step_slices(config, spans, total - added, added) is not None:
+                continue  # a partitioned step gathers K/V, not stats
+            stats_steps += 1
             per_rank = decode_combine_elements(
                 config.num_heads, config.head_dim, 1, new_positions=added
             )
             expected += config.num_layers * 2 * per_rank * 4  # (K-1)=2, float32
+        assert stats_steps == len(totals) - 1  # the 7-row prefill splits 4 | 3 | 0
         assert result.meta["combine_bytes_per_device"] == expected
+        assert result.meta["kv_gather_bytes_per_device"] == (
+            result.meta["per_step_comm_bytes_per_device"][0]
+        )
         assert result.meta["decode_attention"] == "distributed"
 
     def test_analytic_mirror_matches_phase_by_phase(self, gpt2, prompt, monkeypatch):
@@ -385,11 +441,20 @@ class TestWireBytesAtGpt2Width:
         assert sum(head_bytes) == 3216  # head_bytes_per_device
 
     def test_long_context_per_step_profiles(self):
-        gathered, _ = self.wire_bytes(96, 6, "gathered")
-        combine, _ = self.wire_bytes(96, 6, "distributed")
+        gathered, gathered_head = self.wire_bytes(96, 6, "gathered")
+        combine, combine_head = self.wire_bytes(96, 6, "distributed")
         assert gathered == [552960, 565248, 577536, 589824, 602112, 614400, 626688]
-        assert combine == [608256] + [6336] * 6
-        assert sum(combine) == 646272  # combine_bytes_per_device
+        # the 96-row prefill is span-partitioned in either mode: the same K/V
+        # gather (was a 608256-byte stats gather), then flat stats steps
+        assert combine == [552960] + [6336] * 6
+        assert sum(combine) == 590976  # kv_gather 552960 + combine 38016
+        assert sum(combine_head) == sum(gathered_head) == 3184  # was 112: + the (1, F) row
+
+    def test_short_prompt_distributed_prefill_moves_no_layer_bytes(self):
+        # the 8-token prompt sits inside rank 0's span: rank 0 runs every row
+        layer_bytes, head_bytes = self.wire_bytes(8, 8, "distributed")
+        assert layer_bytes == [0] + [6336] * 8
+        assert sum(head_bytes) == 3216
 
 
 class TestStepTotals:

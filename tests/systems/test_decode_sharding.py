@@ -1,18 +1,21 @@
 """Sharded decode *compute*: the rank-sharded LM head and span-partitioned
-multi-row steps (``repro.systems.decode``).
+multi-row steps (``repro.systems.decode``), in both attention modes.
 
 Both rest on BLAS-kernel facts (INTERNALS §13) these tests assert where the
 suite runs: a vocab shard starting on a multiple of 64 rows is bit-equal to
 the same rows of the whole-table product, and a row slice of a step's GEMMs
 is bit-equal to the same rows of the all-rows step whenever
-``decode_step_slices`` partitions it.
+``decode_step_slices`` partitions it.  ``-m slow`` repeats the
+partitioned-step sweeps under distributed attention.
 """
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -164,12 +167,10 @@ def _prompt(model, length, seed=9):
     return np.random.default_rng(seed).integers(0, model.config.vocab_size, size=length)
 
 
-def _slices(system, prompt_len, new_tokens, offset=0, attention="gathered"):
+def _slices(system, prompt_len, new_tokens, offset=0):
     capacity = decode_module.decode_capacity(system.model, prompt_len, new_tokens)
     spans = decode_layer_spans(system, capacity)
-    slices = decode_step_slices(
-        system.model.config, spans, offset, prompt_len - offset, attention
-    )
+    slices = decode_step_slices(system.model.config, spans, offset, prompt_len - offset)
     return None if slices is None else [part.length for part in slices]
 
 
@@ -181,11 +182,34 @@ class TestStepSlices:
         assert _slices(system, 7, 3) == [5, 2]
         assert _slices(system, 3, 7) == [3, 0]  # shorter than rank 0's span
 
-    def test_distributed_attention_and_per_layer_spans_stay_whole(self, tiny):
+    def test_distributed_attention_splits_exactly_like_gathered(self, tiny):
+        """The split is a function of shapes alone: a partitioned step is the
+        same step under either mode — priced, named and counted as a K/V
+        gather — while an all-rows step keeps its mode's exchange."""
         system = VoltageSystem(tiny, ClusterSpec.homogeneous(2))
-        assert _slices(system, 7, 3, attention="distributed") is None
+        spans = decode_layer_spans(system, 10)
+        assert _slices(system, 7, 3) == [5, 2]
+
+        def pricing(added, total, attention):
+            return decode_module.decode_step_pricing(
+                tiny.config, spans, added, total, attention=attention
+            )
+
+        assert pricing(7, 7, "distributed") == pricing(7, 7, "gathered")
+        assert pricing(1, 8, "distributed") != pricing(1, 8, "gathered")
+        result = run_decode(system, _prompt(tiny, 7), max_new_tokens=3, attention="distributed")
+        layer_phases = [
+            phase.name for phase in result.latency.phases
+            if phase.kind == "comm" and phase.layer is not None and phase.name != "head exchange"
+        ]
+        assert layer_phases == ["kv shard all-gather"] + ["combine stats all-gather"] * 3
+        per_step = result.meta["per_step_comm_bytes_per_device"]
+        assert result.meta["kv_gather_bytes_per_device"] == per_step[0] > 0
+        assert result.meta["combine_bytes_per_device"] == sum(per_step[1:])
+
+    def test_per_layer_spans_stay_whole(self, tiny):
         spans = [PartitionScheme(r).positions(10) for r in ([0.5, 0.5], [0.3, 0.7])]
-        assert decode_step_slices(tiny.config, spans, 0, 7, "gathered") is None
+        assert decode_step_slices(tiny.config, spans, 0, 7) is None
 
     def test_small_matrix_cutoffs(self, wide):
         system = VoltageSystem(wide, ClusterSpec.homogeneous(2))
@@ -197,16 +221,27 @@ class TestStepSlices:
         assert _slices(system, 140, 0) is None
 
 
+#: ``(prompt length, new tokens, offset)`` the sweeps try, partitioned or not.
+TINY_CASES = [
+    (length, new_tokens, offset)
+    for length in range(2, 40) for new_tokens in (1, 9) for offset in (0, length // 3)
+]
+WIDE_CASES = [
+    (length, 8, offset) for length in (50, 64, 75, 96, 112, 125, 130, 150) for offset in (0, 20)
+]
+WIDE_RATIOS = [[0.5, 0.5], [0.3, 0.7], [0.5, 0.2, 0.3]]
+
+
 class TestPartitionedStepsMatchTheSingleDevice:
     """Every partitioned step, layer for layer: logits and K/V rows
     ``np.array_equal`` to ``logits_cached`` over one cache."""
 
     @staticmethod
-    def _check(system, prompt, new_tokens, offset):
+    def _check(system, prompt, new_tokens, offset, attention="gathered"):
         model, k = system.model, system.k
         capacity = decode_module.decode_capacity(model, len(prompt), new_tokens)
         spans = decode_layer_spans(system, capacity)
-        step = decode_module._sharded_stepper(system, spans, range(k), np.concatenate, "gathered")
+        step = decode_module._sharded_stepper(system, spans, range(k), np.concatenate, attention)
         cache = KVCache.empty(model.num_layers, capacity=capacity)
         if offset:
             step(list(prompt[:offset]), 0)
@@ -219,32 +254,42 @@ class TestPartitionedStepsMatchTheSingleDevice:
             merged_k, merged_v = merge_kv_shards(layer_shards)
             assert np.array_equal(merged_k, full.k) and np.array_equal(merged_v, full.v)
 
+    @classmethod
+    def _sweep(cls, model, ratios, cases, attention="gathered") -> int:
+        """Check every partitioned ``(length, new tokens, offset)`` case;
+        returns how many there were.  Under distributed attention a chunk's
+        prefix must be partitioned too: an all-rows prefix combines stats,
+        and the cache it leaves is no longer ``logits_cached``'s."""
+        system = VoltageSystem(
+            model, ClusterSpec.homogeneous(len(ratios)), scheme=PartitionScheme(ratios)
+        )
+        partitioned = 0
+        for length, new_tokens, offset in cases:
+            if _slices(system, length, new_tokens, offset) is None:
+                continue
+            if attention != "gathered" and offset:
+                if _slices(system, offset, length + new_tokens - offset) is None:
+                    continue
+            partitioned += 1
+            cls._check(system, _prompt(model, length), new_tokens, offset, attention)
+        return partitioned
+
     @pytest.mark.parametrize("ratios", [r for r in LAYOUTS if len(r) > 1])
     def test_tiny_every_length(self, tiny, ratios):
-        system = VoltageSystem(
-            tiny, ClusterSpec.homogeneous(len(ratios)), scheme=PartitionScheme(ratios)
-        )
-        partitioned = 0
-        for length in range(2, 40):
-            for new_tokens in (1, 9):
-                for offset in (0, length // 3):
-                    if _slices(system, length, new_tokens, offset) is not None:
-                        partitioned += 1
-                        self._check(system, _prompt(tiny, length), new_tokens, offset)
-        assert partitioned > 20
+        assert self._sweep(tiny, ratios, TINY_CASES) > 20
 
-    @pytest.mark.parametrize("ratios", [[0.5, 0.5], [0.3, 0.7], [0.5, 0.2, 0.3]])
+    @pytest.mark.parametrize("ratios", WIDE_RATIOS)
     def test_gpt2_geometry_across_the_cutoffs(self, wide, ratios):
-        system = VoltageSystem(
-            wide, ClusterSpec.homogeneous(len(ratios)), scheme=PartitionScheme(ratios)
-        )
-        partitioned = 0
-        for length in (50, 64, 75, 96, 112, 125, 130, 150):
-            for offset in (0, 20):
-                if _slices(system, length, 8, offset) is not None:
-                    partitioned += 1
-                    self._check(system, _prompt(wide, length), 8, offset)
-        assert partitioned >= 4
+        assert self._sweep(wide, ratios, WIDE_CASES) >= 4
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("ratios", [r for r in LAYOUTS if len(r) > 1])
+    def test_distributed_attention_sweep(self, tiny, wide, ratios):
+        """Both sweeps again under ``attention="distributed"``: a partitioned
+        step runs the gathered exchange there too, so it is bit-identical."""
+        assert self._sweep(tiny, ratios, TINY_CASES, "distributed") > 20
+        if ratios in WIDE_RATIOS:
+            assert self._sweep(wide, ratios, WIDE_CASES, "distributed") >= 4
 
 
 #: (prompt length, new tokens): rank 1's prefill slice of a K = 2 even split is
@@ -305,10 +350,72 @@ class TestRuntimesMatchGenerateCached:
             session.release(0)
 
     @pytest.mark.parametrize("runtime", ["threaded", "process"])
+    def test_distributed_prefill_is_the_single_devices(self, wide, runtime, monkeypatch):
+        """A partitioned prefill under distributed attention: every rank's
+        K/V shard rows after it, and the first token's logits, are
+        ``np.array_equal`` to ``generate_cached``'s cache rows and
+        ``logits_cached``.  The ranks report through a queue made before
+        the fork."""
+        system = VoltageSystem(wide, ClusterSpec.homogeneous(2))
+        prompt = _prompt(wide, 96)
+        capacity = decode_module.decode_capacity(wide, 96, 4)
+        assert _slices(system, 96, 4) == [50, 46]
+        reports = multiprocessing.Queue()
+        real = decode_module._sharded_stepper
+
+        def spy(*args):
+            step = real(*args)
+
+            def reporting(new_ids, offset):
+                token, logits = step(new_ids, offset)
+                (rank,), shards = step.args[3], step.args[2]
+                reports.put((rank, [(s.k.copy(), s.v.copy()) for (s,) in shards], logits[0]))
+                return token, logits
+
+            return reporting
+
+        monkeypatch.setattr(decode_module, "_sharded_stepper", spy)
+        with DecodeSession(system, runtime=runtime, attention="distributed", timeout=60.0) as session:
+            session.begin(0, capacity)
+            token = session.forward(0, [int(t) for t in prompt], 0)
+            ranks = sorted((reports.get(timeout=60) for _ in range(2)), key=lambda r: r[0])
+        cache = KVCache.empty(wide.num_layers, capacity=capacity)
+        reference = wide.logits_cached(prompt, 0, cache.layers)
+        assert token == int(np.argmax(reference))
+        spans = decode_layer_spans(system, capacity)
+        for rank, shard_rows, logits in ranks:
+            for parts, full, (k, v) in zip(spans, cache.layers, shard_rows):
+                rows = slice(parts[rank].start, min(parts[rank].stop, len(prompt)))
+                assert np.array_equal(k, full.k[:, rows]) and np.array_equal(v, full.v[:, rows])
+            head = decode_head_parts(spans[-1], wide.config.vocab_size)[rank]
+            assert np.array_equal(logits, reference[head.start : head.stop])
+
+    def test_each_rank_runs_only_its_slice(self, tiny, monkeypatch):
+        """A spy on ``layer_steps``: in a threaded distributed-attention
+        session each rank's layers get only its slice of a partitioned
+        prefill (5 | 2 of 7), then the one new row of each token step."""
+        calls = []
+        real = decode_module.layer_steps
+
+        def spy(layer, x, attend, workspace=None):
+            calls.append((threading.current_thread().name, len(x)))
+            return real(layer, x, attend, workspace)
+
+        monkeypatch.setattr(decode_module, "layer_steps", spy)
+        system = VoltageSystem(tiny, ClusterSpec.homogeneous(2))
+        assert _slices(system, 7, 3) == [5, 2]
+        generate_distributed(system, _prompt(tiny, 7), max_new_tokens=3, attention="distributed")
+        layers = tiny.num_layers
+        for rank, rows in enumerate([5, 2]):
+            mine = [count for name, count in calls if name == f"worker-{rank}"]
+            assert mine == [rows] * layers + [1] * (3 * layers)
+
+    @pytest.mark.parametrize("runtime", ["threaded", "process"])
     def test_distributed_attention_close_and_rank_identical(self, wide, runtime):
-        """A prompt ``gathered`` would partition: distributed attention runs
-        every row on every rank, stays inside the closeness regime, and the
-        ranks agree bit for bit (asserted inside ``generate_distributed``)."""
+        """A prompt that partitions: distributed attention's prefill is the
+        gathered one, its token steps combine stats and stay inside the
+        closeness regime, and the ranks agree bit for bit (asserted inside
+        ``generate_distributed``)."""
         from repro.verify.tolerances import decode_logits_close
 
         system = VoltageSystem(wide, ClusterSpec.homogeneous(2))
@@ -334,8 +441,9 @@ class TestAccounting:
         steps = gathered.meta["steps"]
         row = tiny.config.hidden_size * 4
         assert gathered.meta["head_bytes_per_device"] == steps * 2 * 16 + row
+        # the partitioned prefill hands its last row over in either mode
         distributed = run_decode(system, prompt, max_new_tokens=4, attention="distributed")
-        assert distributed.meta["head_bytes_per_device"] == steps * 2 * 16
+        assert distributed.meta["head_bytes_per_device"] == steps * 2 * 16 + row
         single = run_decode(VoltageSystem(tiny, ClusterSpec.homogeneous(1)), prompt, 4)
         assert single.meta["head_bytes_per_device"] == 0
 
