@@ -12,8 +12,8 @@ Inference with Transformer Models"* (Hu & Li, ICDCS 2024), including:
   compute model, bandwidth/latency links, collectives, latency simulation
   and thread- and process-backed real execution runtimes);
 - :mod:`repro.systems` — end-to-end inference systems: single-device,
-  Voltage (plus adaptive, fault-tolerant and seq2seq variants, and the
-  naive fixed-order partition as an order policy), tensor and pipeline
+  Voltage (plus adaptive and fault-tolerant variants, and the naive
+  fixed-order partition as an order policy), tensor and pipeline
   parallelism, distributed decode;
 - :mod:`repro.compress` — int8 quantization and head pruning, orthogonal
   to distribution;

@@ -442,9 +442,15 @@ class ProcessRuntime:
         self.timeout = timeout
 
     def run(
-        self, worker_fn: Callable[[WorkerContext], object]
+        self, worker_fn: Callable[[WorkerContext], object],
+        shutdown: threading.Event | None = None,
     ) -> tuple[list[object], list[CommStats]]:
-        """Execute ``worker_fn(ctx)`` on every rank; returns (results, stats)."""
+        """Execute ``worker_fn(ctx)`` on every rank; returns (results, stats).
+
+        ``shutdown`` marks a resident run (a ``RankService``): its ranks
+        report only once told to stop, which the service signals by setting
+        the event, so the hang watchdog of :meth:`_collect` starts then.
+        """
         k = self.world_size
         mp = multiprocessing.get_context(_START_METHOD)
         # Every listener and pipe is created BEFORE the first fork so the
@@ -477,7 +483,7 @@ class ProcessRuntime:
         for conn in child_conns:
             conn.close()
         try:
-            results, stats, errors = self._collect(parent_conns, processes)
+            results, stats, errors = self._collect(parent_conns, processes, shutdown)
         finally:
             self._reap(processes)
             for conn in parent_conns:
@@ -487,13 +493,16 @@ class ProcessRuntime:
         ThreadedRuntime._record_metrics(stats)
         return results, stats
 
-    def _collect(self, parent_conns, processes):
+    def _collect(self, parent_conns, processes, shutdown):
         """Drain every child pipe; first error *received* is the root cause.
 
         A child that dies without reporting (hard crash, ``os._exit``)
         surfaces immediately as a ``ChildProcessError`` with its exit code;
         a child that stops making progress for ``timeout`` + grace is
-        declared hung rather than waited on forever.
+        declared hung rather than waited on forever.  A resident run's ranks
+        write nothing here until ``shutdown`` is set — idle or busy, their
+        liveness is the service's per-reply wait — so its silence counts
+        only from then on.
         """
         k = len(parent_conns)
         results: list[object] = [None] * k
@@ -506,7 +515,9 @@ class ProcessRuntime:
                 list(pending), timeout=_POLL_INTERVAL
             )
             if not ready:
-                if time.monotonic() - last_progress > self.timeout + _COLLECT_GRACE:
+                if shutdown is not None and not shutdown.is_set():
+                    last_progress = time.monotonic()
+                elif time.monotonic() - last_progress > self.timeout + _COLLECT_GRACE:
                     for conn, rank in pending.items():
                         errors.append(RuntimeError_(
                             rank,

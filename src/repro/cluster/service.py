@@ -82,23 +82,24 @@ class RankService:
     :class:`~repro.cluster.process_runtime.ProcessRuntime` forks, so
     pre-existing ``multiprocessing.Queue`` ends survive into the children.
 
-    A failed or timed-out command breaks the service for good — the failing
-    rank is gone and its peers' replies were never read, so a later command
-    could only block for ``timeout`` or pair a stale reply with a new
-    request.  The first failure therefore shuts the ranks down and every
-    later command raises immediately, chained to the original error.  An
-    error that ends ``runtime.run`` without failing a command (a comm
-    thread re-raised at join, a rank dying at shutdown) is raised by
-    :meth:`close`, and so is a run still going when its ``timeout`` join
-    gives up.
+    A rank's liveness is its reply: each wait is bounded by ``timeout``, and
+    an idle or busy service may live any length of time between commands
+    (the process runtime's hang watchdog starts only at shutdown).  A failed
+    or timed-out command breaks the service for good — the failing rank is
+    gone and its peers' replies were never read, so a later command could
+    only block for ``timeout`` or pair a stale reply with a new request.  The
+    first failure therefore raises as soon as it is seen, tells the ranks to
+    shut down, and every later command raises immediately, chained to the
+    original error.  An error that ends ``runtime.run`` without failing a
+    command (a comm thread re-raised at join, a rank dying at shutdown) is
+    raised by :meth:`close`, and so is a run still going when its
+    ``timeout`` join gives up.
     """
 
     def __init__(
         self, serve: Serve, k: int, runtime=None, timeout: float | None = None,
         name: str = "rank service",
     ):
-        # The ranks return only at shutdown, so the process runtime's
-        # no-progress watchdog needs the service's timeout, not a per-call one.
         self._runtime = resolve_runtime(runtime, k, timeout=timeout)
         self.k = k
         self.timeout = self._runtime.timeout if timeout is None else timeout
@@ -109,6 +110,7 @@ class RankService:
         self._commands = [make_queue() for _ in range(k)]
         self._replies = [make_queue() for _ in range(k)]
         self._thread: threading.Thread | None = None
+        self._shutdown = threading.Event()  # set once the ranks are told to stop
         self._stats: list[CommStats] = []  # the ranks' counters, once runtime.run returns
         self._error: BaseException | None = None  # what ended runtime.run, if anything
         self._failure: BaseException | None = None  # the first failed command
@@ -120,8 +122,12 @@ class RankService:
         def worker(ctx):
             _rank_loop(serve, ctx, iter(commands[ctx.rank].get, _SHUTDOWN), replies[ctx.rank].put)
 
+        # A forked rank's runtime watches its result pipe for hangs, but a
+        # resident rank writes there only at shutdown: until then call()'s
+        # reply wait is its liveness check.
+        resident = {"shutdown": self._shutdown} if self._forked else {}
         try:
-            _, self._stats = self._runtime.run(worker)
+            _, self._stats = self._runtime.run(worker, **resident)
         except BaseException as exc:
             self._error = exc
 
@@ -161,8 +167,16 @@ class RankService:
             return values
         except RuntimeError as exc:
             self._failure = exc
-            self.close()
+            self._stop()
             raise
+
+    def _stop(self) -> None:
+        """Tell the ranks to shut down, once; a rank hung in a command never
+        reads it, and the runtime reaps it ``timeout`` + grace later."""
+        if not self._shutdown.is_set() and self._thread is not None:
+            for commands in self._commands:
+                commands.put(_SHUTDOWN)
+            self._shutdown.set()
 
     def close(self) -> list[CommStats]:
         """Shut the ranks down (once; later calls only report) and return
@@ -172,9 +186,8 @@ class RankService:
         it, chained."""
         if not self._closed:
             self._closed = True
+            self._stop()
             if self._thread is not None:
-                for commands in self._commands:
-                    commands.put(_SHUTDOWN)
                 self._thread.join(timeout=self.timeout)
                 if self._forked and not self._thread.is_alive():
                     for commands in self._commands:  # flush and stop the feeder threads

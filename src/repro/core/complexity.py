@@ -118,14 +118,6 @@ def _check_dims(n: int, p: int, f: int, fh: int) -> None:
         raise ValueError(f"feature dims must be positive, got F={f}, F_H={fh}")
 
 
-def _check_cross_dims(n: int, p: int, f: int, fh: int) -> None:
-    """Cross-attention relaxation: P may exceed the memory length N."""
-    if p < 1 or n < 1:
-        raise ValueError(f"P and N must be >= 1, got P={p}, N={n}")
-    if f < 1 or fh < 1:
-        raise ValueError(f"feature dims must be positive, got F={f}, F_H={fh}")
-
-
 def score_order_cost(order: ScoreOrder, n: int, p: int, f: int, fh: int) -> OrderCost:
     """Per-head matmul FLOPs of computing the ``(P, N)`` score matrix.
 
@@ -135,10 +127,6 @@ def score_order_cost(order: ScoreOrder, n: int, p: int, f: int, fh: int) -> Orde
     operand is what makes those orders lose under multi-head settings.
     """
     _check_dims(n, p, f, fh)
-    return _score_cost_unchecked(order, n, p, f, fh)
-
-
-def _score_cost_unchecked(order: ScoreOrder, n: int, p: int, f: int, fh: int) -> OrderCost:
     if order is ScoreOrder.QP_KT:
         matmul = 2 * p * f * fh + p * f * n            # Eq. (10)
     elif order is ScoreOrder.Q_K:
@@ -161,10 +149,6 @@ def value_order_cost(order: ValueOrder, n: int, p: int, f: int, fh: int) -> Orde
     Implements Eq. (6).
     """
     _check_dims(n, p, f, fh)
-    return _value_cost_unchecked(order, n, p, f, fh)
-
-
-def _value_cost_unchecked(order: ValueOrder, n: int, p: int, f: int, fh: int) -> OrderCost:
     if order is ValueOrder.V_FIRST:
         matmul = p * n * fh + n * f * fh
     elif order is ValueOrder.S_FIRST:
@@ -240,47 +224,6 @@ def theorem3_min_partitions(n: int, f: int, fh: int) -> float:
 def select_order(n: int, p: int, f: int, fh: int) -> AttentionOrder:
     """Algorithm 1's order choice (lines 3–7): Eq. (8) iff Theorem 2 fires."""
     return EQ8 if theorem2_prefers_reordered(n, p, f, fh) else EQ3
-
-
-def cross_attention_order_cost(
-    order: AttentionOrder, n_mem: int, p: int, f: int, fh: int
-) -> OrderCost:
-    """Per-head cost of a cross-attention partition of length ``p``.
-
-    Identical formulas with N re-interpreted as the encoder memory length;
-    the self-attention constraint ``P <= N`` does not apply (a decoder may
-    be longer than its source).
-    """
-    _check_cross_dims(n_mem, p, f, fh)
-    return _score_cost_unchecked(order.score, n_mem, p, f, fh) + _value_cost_unchecked(
-        order.value, n_mem, p, f, fh
-    )
-
-
-def select_cross_order(n_mem: int, p: int, f: int, fh: int) -> AttentionOrder:
-    """Cheapest order for a cross-attention partition — by enumeration.
-
-    Theorem 2's two-candidate elimination uses ``P < N``, which cross
-    attention can violate, so we take the argmin over all ten orders
-    directly (ten formula evaluations — still trivially cheap at runtime).
-    Ties prefer Eq. (3)/Eq. (8) so the executable fast paths are used.
-    """
-    _check_cross_dims(n_mem, p, f, fh)
-    costs = {
-        AttentionOrder(s, v): cross_attention_order_cost(
-            AttentionOrder(s, v), n_mem, p, f, fh
-        ).matmul
-        for s in ScoreOrder
-        for v in ValueOrder
-    }
-    best = min(costs.values())
-    for preferred in (EQ3, EQ8):
-        if costs[preferred] == best:
-            return preferred
-    return min(costs, key=costs.get)
-
-
-__all__ += ["cross_attention_order_cost", "select_cross_order"]
 
 
 def matrix_chain_min_cost(dims: list[int]) -> int:

@@ -48,7 +48,6 @@ __all__ = [
     "split_heads",
     "merge_heads",
     "attention_partition",
-    "cross_attention_partition",
     "attention_eq3",
     "attention_eq8",
     "attention_full",
@@ -337,35 +336,6 @@ def attention_partition(
     raw_scores = _SCORE_IMPLS[order.score](xp, x, params, qp=qp)
     s = _softmax_scores(raw_scores, params.head_dim, mask)
     return _VALUE_IMPLS[order.value](s, x, params)
-
-
-def cross_attention_partition(
-    queries: np.ndarray,
-    memory: np.ndarray,
-    start: int,
-    stop: int,
-    params: AttentionParams,
-    order: AttentionOrder,
-    mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Cross-attention for query rows ``[start, stop)`` of ``queries``.
-
-    Q comes from the (decoder-side) ``queries``; K and V come from the
-    (encoder-side) ``memory`` — the self-attention case is
-    ``queries is memory``.  All ten computation orders apply unchanged with
-    the paper's N re-interpreted as the memory length, so a decoder layer
-    partitions by *output* position exactly like an encoder layer.
-
-    Unlike self-attention, the partition may be longer than the memory
-    (decoding more tokens than the source sentence has).
-    """
-    n_q = queries.shape[0]
-    if not (0 <= start < stop <= n_q):
-        raise ValueError(f"invalid partition [{start}, {stop}) for N_q={n_q}")
-    xp = queries[start:stop]
-    raw_scores = _SCORE_IMPLS[order.score](xp, memory, params)
-    s = _softmax_scores(raw_scores, params.head_dim, mask)
-    return _VALUE_IMPLS[order.value](s, memory, params)
 
 
 def attention_eq3(

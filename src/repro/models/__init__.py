@@ -23,21 +23,13 @@ from repro.models.embeddings import PatchEmbeddings, TextEmbeddings
 from repro.models.gpt2 import GPT2Model
 from repro.models.cache import KVCache, LayerKVCache, layer_forward_cached
 from repro.models.layer import FeedForward, TransformerLayer
-from repro.models.seq2seq import (
-    DecoderLayer,
-    PartitionedDecoderLayerExecutor,
-    Seq2SeqTransformer,
-)
 from repro.models.tokenizer import SimpleTokenizer
 from repro.models.vit import ViTModel
 
 __all__ = [
     "BertModel",
-    "DecoderLayer",
     "KVCache",
     "LayerKVCache",
-    "PartitionedDecoderLayerExecutor",
-    "Seq2SeqTransformer",
     "layer_forward_cached",
     "FeedForward",
     "GPT2Model",

@@ -106,7 +106,7 @@ class MultiHeadSelfAttention(Module):
         self._fuse_qkv_storage()
         return self._qkv_cache[3], self._qkv_cache[4]
 
-    def qkv_projection(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def qkv_projection(self, x: np.ndarray) -> np.ndarray:
         """Fused ``x @ W_QKV + b_QKV`` → ``(N, 3·H·F_H)``, Q/K/V side by side.
 
         Column blocks ``[0:W)``, ``[W:2W)``, ``[2W:3W)`` (``W = H·F_H``) are
@@ -115,7 +115,7 @@ class MultiHeadSelfAttention(Module):
         efficiency at decode-step widths).
         """
         w, b = self.fused_qkv()
-        out = np.matmul(x, w, out=out) if out is not None else x @ w
+        out = x @ w
         if b is not None:
             np.add(out, b, out=out)
         return out

@@ -54,8 +54,6 @@ __all__ = [
     "shard_kv_cache",
     "merge_kv_shards",
     "shard_kv_views",
-    "DecoderLayerKVCache",
-    "decoder_layer_forward_cached",
 ]
 
 
@@ -585,71 +583,3 @@ def merge_kv_shards(shards) -> tuple[np.ndarray, np.ndarray]:
     v = np.concatenate([s.v for s in populated], axis=1)
     return k, v
 
-
-class DecoderLayerKVCache:
-    """Per-decoder-layer cache: self-attention K/V plus memoised cross K/V.
-
-    The encoder memory is fixed for a whole translation, so its cross
-    K/V projections are computed once on the first step and reused — the
-    cached decode then never touches the memory again.
-    """
-
-    def __init__(self, capacity: int | None = None):
-        self.self_cache = LayerKVCache(capacity=capacity)
-        self.memory_k: np.ndarray | None = None
-        self.memory_v: np.ndarray | None = None
-
-    @property
-    def length(self) -> int:
-        return self.self_cache.length
-
-    def truncate(self, length: int) -> None:
-        """Roll back the self-attention cache to ``length`` positions.
-
-        Truncating to zero also drops the memoised cross-attention K/V: a
-        decode restarted from scratch belongs to a (potentially) different
-        encoder memory, so keeping the projections would silently attend a
-        stale source sentence.  Partial rollbacks keep them — the memory is
-        fixed for the whole translation the decode is resuming.
-        """
-        self.self_cache.truncate(length)
-        if length == 0:
-            self.memory_k = None
-            self.memory_v = None
-
-
-def decoder_layer_forward_cached(
-    layer,
-    x_new: np.ndarray,
-    memory: np.ndarray,
-    cache: DecoderLayerKVCache,
-    workspace: Workspace | None = None,
-) -> np.ndarray:
-    """One post-LN decoder layer (self-attn + cross-attn + FFN) over ``t`` new
-    positions, reusing the cache.  Equivalent to
-    ``layer.forward(full_x, memory)[-t:]`` (asserted by the tests).
-    """
-    self_attn = layer.self_attention
-    cross_attn = layer.cross_attention
-    offset = cache.self_cache.length
-
-    *_, scratch = _qkv_request(self_attn, x_new, workspace)
-    qkv = self_attn.qkv_projection(x_new, out=scratch)
-    attended = merge_heads(
-        attend_cached(
-            self_attn, cache.self_cache.append, offset, True, workspace,
-            *_split_qkv(self_attn, qkv),
-        )
-    )
-    y1 = layer.ln1(self_attn.output(attended) + x_new)
-
-    if cache.memory_k is None:
-        cache.memory_k = split_heads(cross_attn.key(memory), cross_attn.num_heads)
-        cache.memory_v = split_heads(cross_attn.value(memory), cross_attn.num_heads)
-    q = split_heads(cross_attn.query(y1), cross_attn.num_heads)
-    scores = q @ cache.memory_k.transpose(0, 2, 1)
-    np.divide(scores, math.sqrt(cross_attn.head_dim), out=scores)
-    F.softmax(scores, axis=-1, out=scores)
-    crossed = merge_heads(scores @ cache.memory_v)
-    y2 = layer.ln2(cross_attn.output(crossed) + y1)
-    return layer.ln3(y2 + layer.ffn(y2))

@@ -17,7 +17,6 @@ from repro.systems.fault_tolerant import (
     FaultTolerantVoltageSystem,
 )
 from repro.systems.pipeline_parallel import PipelineParallelSystem, StreamReport
-from repro.systems.seq2seq import Seq2SeqVoltageSystem
 from repro.systems.single_device import SingleDeviceSystem
 from repro.systems.tensor_parallel import TensorParallelSystem
 from repro.systems.voltage import VoltageSystem
@@ -30,7 +29,6 @@ __all__ = [
     "InferenceResult",
     "InferenceSystem",
     "PipelineParallelSystem",
-    "Seq2SeqVoltageSystem",
     "SingleDeviceSystem",
     "StreamReport",
     "TensorParallelSystem",

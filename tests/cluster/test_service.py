@@ -8,12 +8,19 @@ service for good.  Shutdown failures are tested through the decode session,
 the resident service's client (``tests/systems/test_decode.py``).
 """
 
+import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.cluster import process_runtime
 from repro.cluster.service import RankService, serve_once
+from repro.cluster.spec import ClusterSpec
+from repro.models.config import tiny_config
+from repro.models.gpt2 import GPT2Model
+from repro.systems.decode import DecodeSession, decode_capacity, greedy_loop
+from repro.systems.voltage import VoltageSystem
 
 RUNTIMES = ["threaded", "process"]
 
@@ -37,7 +44,11 @@ def counting(ctx):
         if ctx.rank == 1:
             time.sleep(seconds)
 
-    return {"add": add, "gather": gather, "fail": fail, "nap": nap}
+    def hang():
+        if ctx.rank == 1:
+            threading.Event().wait()
+
+    return {"add": add, "gather": gather, "fail": fail, "nap": nap, "hang": hang}
 
 
 @pytest.mark.parametrize("runtime", RUNTIMES)
@@ -91,3 +102,63 @@ def test_a_service_that_never_started_has_no_stats():
     assert service.close() == []
     with pytest.raises(RuntimeError, match="rank service is closed"):
         service.call("add", 1)
+
+
+class TestResidentLiveness:
+    """A resident rank writes to its process's result pipe only at shutdown,
+    so pipe silence says nothing about its health: ``call``'s per-reply wait
+    judges it, whether the service is idle or busy, however long it lives."""
+
+    TIMEOUT = 1.0
+    GRACE = 0.5
+
+    @pytest.fixture(autouse=True)
+    def _short_grace(self, monkeypatch):
+        monkeypatch.setattr(process_runtime, "_COLLECT_GRACE", self.GRACE)
+
+    def test_an_idle_spell_past_the_bound_is_not_a_hang(self):
+        with RankService(counting, 2, runtime="process", timeout=self.TIMEOUT) as service:
+            assert service.call("add", 1) == [1, 2]
+            time.sleep(self.TIMEOUT + self.GRACE + 1.0)
+            assert service.call("add", 1) == [2, 4]
+
+    def test_a_busy_service_outlives_the_bound(self):
+        with RankService(counting, 2, runtime="process", timeout=self.TIMEOUT) as service:
+            began, calls = time.monotonic(), 0
+            while time.monotonic() - began < 2 * (self.TIMEOUT + self.GRACE):
+                calls += 1
+                assert service.call("add", 1) == [calls, 2 * calls]
+                time.sleep(0.1)
+
+    def test_a_rank_that_hangs_still_raises_within_the_bound(self):
+        service = RankService(counting, 2, runtime="process", timeout=self.TIMEOUT)
+        assert service.call("add", 1) == [1, 2]
+        began = time.monotonic()
+        with pytest.raises(RuntimeError, match="rank 1 did not reply to 'hang'"):
+            service.call("hang")
+        assert time.monotonic() - began < self.TIMEOUT + self.GRACE
+        assert service.close() == []
+        service._thread.join(timeout=self.TIMEOUT + self.GRACE + 5.0)
+        assert not service._thread.is_alive()  # the hung rank was reaped
+
+
+@pytest.mark.slow
+def test_a_process_decode_session_outlives_the_bound():
+    """Steps paced over more than ``timeout`` + grace of the session's life
+    still emit exactly ``generate_cached``'s tokens."""
+    config = tiny_config(norm_style="pre", is_causal=True, type_vocab_size=0, num_layers=2)
+    model = GPT2Model(config, rng=np.random.default_rng(3))
+    prompt = np.random.default_rng(0).integers(0, config.vocab_size, size=6)
+    new_tokens, timeout = 16, 2.0
+    system = VoltageSystem(model, ClusterSpec.homogeneous(2))
+
+    def paced_forward(new_ids, offset):
+        time.sleep(0.5)
+        return session.forward(0, new_ids, offset)
+
+    began = time.monotonic()
+    with DecodeSession(system, runtime="process", timeout=timeout) as session:
+        session.begin(0, decode_capacity(model, len(prompt), new_tokens))
+        ids = greedy_loop(model, paced_forward, [int(t) for t in prompt], new_tokens)
+    assert time.monotonic() - began > timeout + process_runtime._COLLECT_GRACE
+    assert ids == list(model.generate_cached(prompt, new_tokens))

@@ -5,10 +5,8 @@ import pytest
 
 from repro.models import GPT2Model, tiny_config
 from repro.models.cache import (
-    DecoderLayerKVCache,
     KVCache,
     LayerKVCache,
-    decoder_layer_forward_cached,
     layer_forward_cached,
 )
 from repro.models.layer import TransformerLayer
@@ -203,28 +201,6 @@ class TestTruncate:
         assert cache.length == 1
         assert all(layer.length == 1 for layer in cache.layers)
 
-    def test_decoder_cache_partial_truncate_keeps_cross_memo(self, rng):
-        cache = DecoderLayerKVCache()
-        step = rng.normal(size=(2, 2, 8)).astype(np.float32)
-        cache.self_cache.append(step, step.copy())
-        cache.memory_k = rng.normal(size=(2, 5, 8))
-        cache.memory_v = rng.normal(size=(2, 5, 8))
-        cache.truncate(1)
-        assert cache.length == 1
-        assert cache.memory_k is not None  # same translation, memory still valid
-
-    def test_decoder_cache_full_truncate_drops_cross_memo(self, rng):
-        """A from-scratch restart may target a different encoder memory, so
-        the memoised cross K/V must go."""
-        cache = DecoderLayerKVCache()
-        step = rng.normal(size=(2, 2, 8)).astype(np.float32)
-        cache.self_cache.append(step, step.copy())
-        cache.memory_k = rng.normal(size=(2, 5, 8))
-        cache.memory_v = rng.normal(size=(2, 5, 8))
-        cache.truncate(0)
-        assert cache.length == 0
-        assert cache.memory_k is None and cache.memory_v is None
-
 
 class TestLayerForwardCached:
     @pytest.mark.parametrize("norm_style", ["pre", "post"])
@@ -293,53 +269,6 @@ class TestLayerForwardCached:
             for i in range(12)
         ]
         np.testing.assert_allclose(np.concatenate(outputs), full, atol=1e-5)
-
-
-class TestDecoderLayerCached:
-    def seq2seq_config(self):
-        return tiny_config(norm_style="post", is_causal=True, type_vocab_size=0)
-
-    def test_incremental_equals_full_forward(self, rng):
-        from repro.models.seq2seq import DecoderLayer
-
-        layer = DecoderLayer(self.seq2seq_config(), rng=np.random.default_rng(3))
-        x = rng.normal(size=(7, 32)).astype(np.float32)
-        memory = rng.normal(size=(5, 32)).astype(np.float32)
-        full = layer(x, memory)
-        cache = DecoderLayerKVCache(capacity=7)
-        outputs = [
-            decoder_layer_forward_cached(layer, x[i : i + 1], memory, cache)
-            for i in range(7)
-        ]
-        np.testing.assert_allclose(np.concatenate(outputs), full, atol=1e-5)
-        assert cache.length == 7
-
-    def test_cross_kv_memoised_once(self, rng):
-        from repro.models.seq2seq import DecoderLayer
-
-        layer = DecoderLayer(self.seq2seq_config(), rng=np.random.default_rng(3))
-        memory = rng.normal(size=(5, 32)).astype(np.float32)
-        cache = DecoderLayerKVCache()
-        decoder_layer_forward_cached(
-            layer, rng.normal(size=(1, 32)).astype(np.float32), memory, cache
-        )
-        memo_k = cache.memory_k
-        decoder_layer_forward_cached(
-            layer, rng.normal(size=(1, 32)).astype(np.float32), memory, cache
-        )
-        assert cache.memory_k is memo_k  # not recomputed on later steps
-
-    def test_greedy_translate_cached_matches_uncached(self, rng):
-        from repro.models.seq2seq import Seq2SeqTransformer
-
-        cfg = tiny_config(
-            norm_style="post", is_causal=True, type_vocab_size=0, num_layers=2
-        )
-        model = Seq2SeqTransformer(cfg, rng=np.random.default_rng(11))
-        src = rng.integers(0, cfg.vocab_size, size=6)
-        uncached = model.greedy_translate(src, max_length=8)
-        cached = model.greedy_translate_cached(src, max_length=8)
-        np.testing.assert_array_equal(cached, uncached)
 
 
 class TestGenerateCached:

@@ -150,14 +150,14 @@ def _failing_at_shutdown(runtime_class):
     the session has already shut down cleanly, so no command fails."""
 
     class FailingAtShutdown(runtime_class):
-        def run(self, worker_fn):
+        def run(self, worker_fn, **resident):
             def worker(ctx):
                 result = worker_fn(ctx)
                 if ctx.rank == 1:
                     raise ConnectionError("link dropped during shutdown")
                 return result
 
-            return super().run(worker)
+            return super().run(worker, **resident)
 
     return FailingAtShutdown(2, timeout=10.0)
 
@@ -191,9 +191,9 @@ def _outliving_shutdown(runtime_class, seconds):
     ``timeout``."""
 
     class OutlivingShutdown(runtime_class):
-        def run(self, worker_fn):
+        def run(self, worker_fn, **resident):
             try:
-                return super().run(worker_fn)
+                return super().run(worker_fn, **resident)
             finally:
                 time.sleep(seconds)
 

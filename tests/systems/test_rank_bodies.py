@@ -15,13 +15,9 @@ import numpy as np
 import pytest
 
 from repro.cluster.dynamics import spike_trace
-from repro.cluster.spec import ClusterSpec
-from repro.models.config import tiny_config
-from repro.models.seq2seq import Seq2SeqTransformer
-from repro.systems import adaptive, base, fault_tolerant, seq2seq, tensor_parallel, voltage
+from repro.systems import adaptive, base, fault_tolerant, tensor_parallel, voltage
 from repro.systems.adaptive import AdaptiveVoltageSystem
 from repro.systems.fault_tolerant import FaultTolerantVoltageSystem
-from repro.systems.seq2seq import Seq2SeqVoltageSystem
 from repro.systems.tensor_parallel import TensorParallelSystem
 from repro.systems.voltage import VoltageSystem
 
@@ -54,9 +50,7 @@ def owned(calls) -> list[list[int] | None]:
 
 @pytest.fixture
 def voltage_calls(monkeypatch):
-    return spy_on(
-        monkeypatch, "voltage_layers", [base, voltage, fault_tolerant, adaptive, seq2seq]
-    )
+    return spy_on(monkeypatch, "voltage_layers", [base, voltage, fault_tolerant, adaptive])
 
 
 class TestVoltageFamily:
@@ -92,14 +86,6 @@ class TestVoltageFamily:
         assert owned(voltage_calls) == [None, None]
         for result in (faulty, drifting):
             np.testing.assert_allclose(result.output, bert(token_ids), atol=1e-4)
-
-    def test_seq2seq_runs_both_stacks_through_it(self, voltage_calls):
-        config = tiny_config(num_layers=2, vocab_size=80).scaled(activation="relu")
-        model = Seq2SeqTransformer(config, rng=np.random.default_rng(12))
-        raw = (np.array([5, 6, 7, 8, 9]), np.array([1, 11, 12]))
-        result = Seq2SeqVoltageSystem(model, ClusterSpec.homogeneous(3)).run(raw)
-        assert owned(voltage_calls) == [None, None]  # encoder, decoder
-        np.testing.assert_allclose(result.output, model(raw), atol=1e-3)
 
 
 class TestTensorParallel:
