@@ -9,11 +9,11 @@ real OS process, every frame crosses a loopback TCP socket in the
 NumPy/BLAS compute is genuinely multi-core.
 
 It honours the exact same :class:`~repro.cluster.runtime.WorkerContext`
-contract (send/recv, barrier, all_gather/all_reduce, ring + async variants
+contract (barrier, broadcast, all_gather/all_reduce, ring + async variants
 returning :class:`~repro.cluster.runtime.CollectiveHandle`): the subclass
 only overrides the frame-transport hooks (``_put_frame`` / ``_get_frame``)
 and the three slot-based collectives, which become wire collectives
-(ring all-gather, ring all-reduce, point-to-point broadcast).  Everything
+(ring all-gather, ring all-reduce, root-to-peer broadcast).  Everything
 above those hooks — ring step order, summation order, chunk streaming — is
 the *same code*, which is what makes thread-vs-process bit-identity a
 checkable property rather than a hope.
@@ -35,10 +35,10 @@ Socket envelope (little-endian), wrapping every wire frame::
 
 The tag key replicates the threaded runtime's tagged mailboxes: a per-peer
 reader thread demultiplexes incoming frames into per-(peer, tag) queues so an
-async collective's comm thread can never consume a frame meant for the main
-thread's ``recv`` (or for another in-flight collective); a collective tag's
-queue is dropped once its last frame is consumed.  Byte counters include the
-envelope — they measure what actually traversed the socket.
+async collective's comm thread can never consume a frame meant for another
+in-flight collective; a tag's queue is dropped once its last frame is
+consumed.  Byte counters include the envelope — they measure what actually
+traversed the socket.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ _START_METHOD = "fork"
 
 
 def _tag_key(tag) -> str:
-    """Canonical string form of a mailbox tag (tuples and None included)."""
+    """Canonical string form of a channel tag (nested tuples included)."""
     return json.dumps(tag, separators=(",", ":"))
 
 
@@ -232,7 +232,7 @@ class ProcessWorkerContext(WorkerContext):
 
     Overrides only the frame-transport hooks and the three slot-based
     collectives (which have no shared memory to use here); the ring and
-    async collectives, p2p framing, stats locking, and buffer pooling are
+    async collectives, frame encoding, stats locking, and buffer pooling are
     inherited unchanged — that shared body is the conformance argument.
     """
 
@@ -251,7 +251,7 @@ class ProcessWorkerContext(WorkerContext):
         return self._transport.send(dst, tag, frame)
 
     def _get_frame(
-        self, src: int, tag, timeout: float, context: str, last: bool = False
+        self, src: int, tag, timeout: float, context: str, last: bool
     ) -> tuple[bytes, int]:
         tagkey = _tag_key(tag)
         q = self._transport.queue_for(src, tagkey)

@@ -18,7 +18,7 @@ Two families of collectives coexist:
   slots and *account* ring-equivalent byte volumes;
 - **ring** collectives (``ring_all_gather``, ``all_gather_async``,
   ``all_reduce_async``), which actually move framed chunks rank-to-rank over
-  the p2p wire path in K-1 steps, so the byte counters measure *executed*
+  tagged channels in K-1 steps, so the byte counters measure *executed*
   ring traffic (payload plus framing overhead).  The async variants return a
   :class:`CollectiveHandle` backed by a per-rank communication thread and
   stream chunks to the caller as they arrive — the mechanism the systems use
@@ -47,7 +47,7 @@ __all__ = [
     "RuntimeError_",
 ]
 
-#: Wire frame kind used by the ring collectives (p2p ``send`` uses kind 0).
+#: Wire frame kind stamped on every collective frame.
 _RING_FRAME_KIND = 1
 
 #: Default seconds a blocked receive waits before failing loudly.
@@ -101,7 +101,6 @@ class CommStats:
     bytes_sent: int = 0
     bytes_received: int = 0
     collective_calls: int = 0
-    p2p_messages: int = 0
     bytes_copied: int = 0
     buffers_reused: int = 0
 
@@ -124,13 +123,12 @@ class _SharedState:
         self.barrier = threading.Barrier(self.world_size)
         self.slots = [None] * self.world_size
 
-    def mailbox(self, src: int, dst: int, tag=None) -> "queue.Queue":
+    def mailbox(self, src: int, dst: int, tag) -> "queue.Queue":
         """FIFO channel from ``src`` to ``dst``.
 
-        ``tag`` separates concurrent conversations: each ring collective gets
-        its own tagged channels so an async gather's comm thread can never
-        consume a frame meant for the main thread's p2p ``recv`` (or for
-        another in-flight collective).
+        ``tag`` separates concurrent conversations: each collective gets its
+        own tagged channels so an async gather's comm thread can never
+        consume a frame meant for another in-flight collective.
         """
         with self.mailbox_lock:
             key = (src, dst, tag)
@@ -265,7 +263,6 @@ class WorkerContext:
         self._shared = shared
         self._timeout = timeout
         self.stats = CommStats()
-        self._sequence = 0
         self._collective_sequence = 0
         # counters are mutated by the main worker thread *and* by async comm
         # threads; a lock keeps the accounting exact
@@ -471,12 +468,12 @@ class WorkerContext:
     # counts are what lands in CommStats — for threads the frame length, for
     # sockets the frame plus its envelope.
     #
-    # A tagged channel carries a fixed number of frames known to both ends
-    # (K-1 per ring hop, one per scatter slice, barrier token or broadcast),
-    # so the receiver passes ``last=True`` for the final one and the channel
-    # is dropped once it is consumed: a resident rank keeps no channel per
-    # collective it has ever run.  Nothing is sent on a tag after its last
-    # frame, so the drop cannot race a sender.  p2p channels (tag None) stay.
+    # Every channel is tagged and carries a fixed number of frames known to
+    # both ends (K-1 per ring hop, one per scatter slice, barrier token or
+    # broadcast), so the receiver passes ``last=True`` for the final one and
+    # the channel is dropped once it is consumed: a resident rank keeps no
+    # channel per collective it has ever run.  Nothing is sent on a tag after
+    # its last frame, so the drop cannot race a sender.
 
     def _put_frame(self, dst: int, tag, frame: bytes) -> int:
         """Deliver one encoded frame to ``dst``; return bytes sent."""
@@ -484,7 +481,7 @@ class WorkerContext:
         return len(frame)
 
     def _get_frame(
-        self, src: int, tag, timeout: float, context: str, last: bool = False
+        self, src: int, tag, timeout: float, context: str, last: bool
     ) -> tuple[bytes, int]:
         """Take the next frame from ``src``; return (frame, bytes received).
 
@@ -703,55 +700,13 @@ class WorkerContext:
         for thread in self._comm_threads:
             thread.join()
 
-    # -- point to point --------------------------------------------------------
-    #
-    # Unlike the shared-memory collectives, point-to-point messages cross
-    # the wire format (repro.cluster.wire): arrays are actually serialised
-    # into framed bytes and parsed back, so the byte counters measure real
-    # frame sizes (payload + header) and corrupt frames fail loudly.
-
-    def send(self, dst: int, payload: np.ndarray, kind: int = 0) -> None:
-        from repro.cluster.wire import encode_frame
-
-        if not (0 <= dst < self.world_size) or dst == self.rank:
-            raise ValueError(f"invalid destination rank {dst} (self={self.rank})")
-        with self._span("send") as span:
-            self._sequence += 1
-            frame = encode_frame(
-                payload, kind=kind, sender=self.rank, sequence=self._sequence
-            )
-            sent = self._put_frame(dst, None, frame)
-            self._add_stats(bytes_sent=sent, p2p_messages=1)
-            span.set(nbytes=sent, dst=dst)
-
-    def recv(self, src: int, timeout: float | None = None) -> np.ndarray:
-        from repro.cluster.wire import decode_frame
-
-        if not (0 <= src < self.world_size) or src == self.rank:
-            raise ValueError(f"invalid source rank {src} (self={self.rank})")
-        if timeout is None:
-            timeout = self._timeout
-        with self._span("recv") as span:
-            # a bare queue timeout says nothing about who was waiting on
-            # whom — _get_frame rewraps with the protocol context so a hung
-            # peer is diagnosable from the traceback alone
-            data, received = self._get_frame(
-                src, None, timeout,
-                context=f"waiting to recv from rank {src} (sender never sent, or died)",
-            )
-            frame = decode_frame(data)
-            self._add_stats(bytes_received=received, p2p_messages=1)
-            span.set(nbytes=received, src=src)
-        return frame.payload
-
 
 class ThreadedRuntime:
     """Run one worker function per rank on real threads and collect results.
 
-    ``timeout`` bounds every blocking receive — the p2p ``recv`` default,
-    each ring step of the (a)sync collectives, and ``CollectiveHandle``
-    waits — so a hung peer fails loudly with rank/step context instead of
-    stalling the whole run.
+    ``timeout`` bounds every blocking receive — each ring step of the
+    (a)sync collectives and ``CollectiveHandle`` waits — so a hung peer
+    fails loudly with rank/step context instead of stalling the whole run.
     """
 
     def __init__(self, world_size: int, timeout: float = DEFAULT_TIMEOUT):
@@ -823,7 +778,6 @@ class ThreadedRuntime:
         registry.counter("runtime.collective_calls").inc(
             sum(s.collective_calls for s in stats)
         )
-        registry.counter("runtime.p2p_messages").inc(sum(s.p2p_messages for s in stats))
         registry.counter("runtime.bytes_copied").inc(sum(s.bytes_copied for s in stats))
         registry.counter("runtime.buffers_reused").inc(
             sum(s.buffers_reused for s in stats)

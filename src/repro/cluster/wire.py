@@ -3,9 +3,9 @@
 The paper's communication accounting assumes activations cross the network
 as raw float32 payloads.  This module makes that concrete: a fixed binary
 header (magic, version, kind, sender, sequence number, dtype, shape)
-followed by the C-contiguous array bytes.  The threaded runtime's
-point-to-point path sends *encoded frames*, so its byte counters measure
-what would really cross a socket — payload plus framing overhead.
+followed by the C-contiguous array bytes.  The runtimes' ring collectives
+send *encoded frames*, so their byte counters measure what would really
+cross a socket — payload plus framing overhead.
 
 Format (little-endian):
 

@@ -1,21 +1,12 @@
 """Model compression, orthogonal to distribution (paper Section VII-A).
 
-- :mod:`repro.compress.quantize` — Q8BERT-style simulated int8 weight
-  quantization (4× smaller replicas, unchanged execution path);
-- :mod:`repro.compress.prune` — attention-head pruning after Michel et al.
-
-Both transforms leave the model a valid input to every system in
-:mod:`repro.systems`; the integration tests demonstrate the paper's
-orthogonality claim (a compressed model still gains from Voltage, and the
-gains compose).
+:mod:`repro.compress.quantize` — Q8BERT-style simulated int8 weight
+quantization (4× smaller replicas, unchanged execution path).  The quantized
+model stays a valid input to every system in :mod:`repro.systems`; the
+integration tests demonstrate the paper's orthogonality claim (a compressed
+model still gains from Voltage, and the gains compose).
 """
 
-from repro.compress.prune import (
-    PruneReport,
-    head_importance,
-    prune_attention_heads_,
-    prune_model_heads_,
-)
 from repro.compress.quantize import (
     QuantReport,
     QuantizedTensor,
@@ -25,13 +16,9 @@ from repro.compress.quantize import (
 )
 
 __all__ = [
-    "PruneReport",
     "QuantReport",
     "QuantizedTensor",
     "dequantize_tensor",
-    "head_importance",
-    "prune_attention_heads_",
-    "prune_model_heads_",
     "quantize_model_",
     "quantize_tensor",
 ]

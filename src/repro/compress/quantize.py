@@ -102,7 +102,7 @@ def quantize_model_(
         quantized = quantize_tensor(param.data, per_channel=per_channel)
         restored = dequantize_tensor(quantized, dtype=str(param.data.dtype))
         error = float(np.max(np.abs(restored - param.data)))
-        param.copy_(restored)
+        param.data = restored
         report.quantized_bytes += quantized.nbytes
         report.num_tensors += 1
         report.errors[name] = error

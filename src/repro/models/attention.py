@@ -91,7 +91,7 @@ class MultiHeadSelfAttention(Module):
         """The fused ``(F, 3·H·F_H)`` weight (and bias), re-fused if stale.
 
         Staleness means some consumer rebound ``weight.data`` to a fresh
-        array (``Parameter.copy_``, checkpoint loading, tests).  Re-fusing
+        array (:func:`~repro.compress.quantize_model_`, tests).  Re-fusing
         also re-homes the parameters as views again, so later in-place edits
         keep the fused buffer coherent.
         """

@@ -248,9 +248,9 @@ class GPT2Model(TransformerModel):
     def _table_row_norm(self, table: np.ndarray) -> float:
         """``max_j ‖e_j‖₂`` over the rows of the tied table, in float64 —
         one buffered pass (no float64 copy of the table), remembered for as
-        long as ``table`` is the array the embedding holds
-        (``Parameter.copy_`` rebinds it; writing into it in place is not
-        seen)."""
+        long as ``table`` is the array the embedding holds (rebinding
+        ``weight.data``, as :func:`~repro.compress.quantize_model_` does, is
+        seen; writing into it in place is not)."""
         if self._table_norm[0] is not table:
             squares = np.einsum("ij,ij->i", table, table, dtype=np.float64)
             self._table_norm = (table, float(np.sqrt(squares.max())))

@@ -4,8 +4,7 @@ This package replaces PyTorch in the original paper's implementation.  It
 provides just enough structure to express transformer models faithfully:
 
 - :class:`~repro.tensor.module.Module` / :class:`~repro.tensor.module.Parameter`
-  — a composable module system with named parameter traversal and
-  state-dict-style (de)serialisation;
+  — a composable module system with named parameter traversal;
 - :mod:`repro.tensor.functional` — numerically stable functional ops
   (softmax, layer normalisation, GELU/ReLU, linear, embedding lookup);
 - :mod:`repro.tensor.init` — seeded weight initialisers;
@@ -20,12 +19,6 @@ assumes (4 bytes/element for communication volume).
 
 from repro.tensor import functional, init
 from repro.tensor.blas import rows_matmul
-from repro.tensor.serialization import (
-    CheckpointError,
-    checkpoint_manifest,
-    load_checkpoint,
-    save_checkpoint,
-)
 from repro.tensor.layers import Embedding, LayerNorm, Linear
 from repro.tensor.module import Module, Parameter
 from repro.tensor.workspace import Workspace
@@ -33,11 +26,7 @@ from repro.tensor.workspace import Workspace
 DEFAULT_DTYPE = "float32"
 
 __all__ = [
-    "CheckpointError",
     "DEFAULT_DTYPE",
-    "checkpoint_manifest",
-    "load_checkpoint",
-    "save_checkpoint",
     "Embedding",
     "LayerNorm",
     "Linear",

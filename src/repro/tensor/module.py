@@ -2,9 +2,9 @@
 
 The design intentionally mirrors ``torch.nn.Module`` (the paper's
 implementation substrate) but only the inference-relevant subset: parameter
-registration via attribute assignment, recursive traversal, state-dict
-round-tripping, and parameter counting.  There is no autograd — Voltage is an
-inference-only system (Section V-C of the paper makes this explicit).
+registration via attribute assignment, recursive traversal and parameter
+counting.  There is no autograd — Voltage is an inference-only system
+(Section V-C of the paper makes this explicit).
 """
 
 from __future__ import annotations
@@ -45,13 +45,6 @@ class Parameter:
 
     def numel(self) -> int:
         return int(self.data.size)
-
-    def copy_(self, value: np.ndarray) -> None:
-        """In-place overwrite, preserving shape (state-dict loading)."""
-        value = np.asarray(value, dtype=self.data.dtype)
-        if value.shape != self.data.shape:
-            raise ValueError(f"shape mismatch: expected {self.data.shape}, got {value.shape}")
-        self.data = value
 
     def __repr__(self) -> str:
         return f"Parameter(shape={self.data.shape}, dtype={self.data.dtype})"
@@ -112,26 +105,6 @@ class Module:
     def num_bytes(self) -> int:
         """Total weight bytes — the per-device memory cost of replication."""
         return sum(p.nbytes for p in self.parameters())
-
-    # -- state dict --------------------------------------------------------
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """Flat ``name -> array`` mapping (arrays are not copied)."""
-        return {name: param.data for name, param in self.named_parameters()}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Load a previously captured :meth:`state_dict`.
-
-        Strict: every parameter must be present and no extras are allowed,
-        so a mismatch between two devices' model replicas fails loudly.
-        """
-        own = dict(self.named_parameters())
-        missing = sorted(set(own) - set(state))
-        unexpected = sorted(set(state) - set(own))
-        if missing or unexpected:
-            raise KeyError(f"state dict mismatch: missing={missing}, unexpected={unexpected}")
-        for name, param in own.items():
-            param.copy_(state[name])
 
     # -- call protocol -----------------------------------------------------
 

@@ -12,11 +12,11 @@ import pytest
 from repro.bench import analytic
 from repro.cluster.simulator import ClusterSim
 from repro.cluster.spec import ClusterSpec
-from repro.compress import prune_model_heads_
 from repro.core.layer import OrderPolicy
 from repro.core.partition import PartitionScheme
 from repro.core.schedule import LayerSchedule
 from repro.models import BertModel, GPT2Model, tiny_config
+from repro.models.attention import MultiHeadSelfAttention
 from repro.systems import (
     PipelineParallelSystem,
     SingleDeviceSystem,
@@ -44,7 +44,8 @@ def gpt2():
 def pruned():
     config = tiny_config(hidden_size=64, num_heads=8, num_layers=3)
     model = BertModel(config, num_classes=3, rng=np.random.default_rng(5))
-    prune_model_heads_(model, keep_fraction=0.25)
+    for layer in model.layers:  # head-pruned: 2 of 8 heads, F_H = 8
+        layer.attention = MultiHeadSelfAttention(64, 2, head_dim=8)
     return model
 
 

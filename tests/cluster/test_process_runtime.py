@@ -44,12 +44,12 @@ class TestConformance:
             for proc_out, thread_out in zip(proc_results[rank], thread_results[rank]):
                 np.testing.assert_array_equal(proc_out, thread_out)
 
-    def test_p2p_roundtrip_and_writability(self):
+    def test_broadcast_roundtrip_and_writability(self):
         def worker(ctx):
+            root_value = np.arange(6, dtype=np.float64).reshape(2, 3)
+            got = ctx.broadcast(root_value if ctx.rank == 0 else None, root=0)
             if ctx.rank == 0:
-                ctx.send(1, np.arange(6, dtype=np.float64).reshape(2, 3))
                 return None
-            got = ctx.recv(0)
             got += 1.0  # must be writable: it arrived through decode_frame
             return got
 
@@ -57,8 +57,8 @@ class TestConformance:
         np.testing.assert_array_equal(
             results[1], np.arange(6, dtype=np.float64).reshape(2, 3) + 1.0
         )
-        assert stats[0].p2p_messages == 1
-        assert stats[1].p2p_messages == 1
+        assert stats[0].collective_calls == 1
+        assert stats[1].collective_calls == 1
 
     def test_uneven_chunks_gather(self):
         def worker(ctx):
@@ -91,19 +91,16 @@ class TestByteAccounting:
             assert s.bytes_sent > 0
             assert s.bytes_received > 0
 
-    def test_p2p_counts_envelope_plus_frame(self):
+    def test_broadcast_counts_envelope_plus_frame(self):
         payload = np.ones((4, 4), dtype=np.float32)
 
         def worker(ctx):
-            if ctx.rank == 0:
-                ctx.send(1, payload)
-            else:
-                ctx.recv(0)
+            ctx.broadcast(payload if ctx.rank == 0 else None, root=0)
             return None
 
         _, stats = ProcessRuntime(2, timeout=15).run(worker)
         expected = (
-            envelope_overhead_bytes(None)
+            envelope_overhead_bytes(("broadcast", 1))
             + frame_overhead_bytes(payload.ndim)
             + payload.nbytes
         )
@@ -132,20 +129,25 @@ class TestFailureSemantics:
         assert "boom on rank 2" in str(excinfo.value)
 
     def test_recv_timeout_fails_loudly(self):
+        """Every receive is bounded by the runtime's timeout, and the error
+        names the waiting rank and the peer it waited on."""
         def worker(ctx):
             if ctx.rank == 0:
-                return ctx.recv(1, timeout=1.0)
+                return ctx.all_gather(np.ones(4, dtype=np.float32))
             time.sleep(2.5)  # rank 1 never sends but stays alive
             return None
 
-        with pytest.raises(RuntimeError_, match="timed out after 1.0s"):
-            ProcessRuntime(2, timeout=5).run(worker)
+        with pytest.raises(RuntimeError_, match="timed out after 1.0s") as excinfo:
+            ProcessRuntime(2, timeout=1.0).run(worker)
+        assert excinfo.value.rank == 0
+        message = str(excinfo.value)
+        assert "rank 0" in message and "rank 1" in message
 
     def test_dead_peer_detected_fast(self):
         def worker(ctx):
             if ctx.rank == 1:
                 os._exit(17)  # hard death: no exception, no report
-            return ctx.recv(1)
+            return ctx.all_gather(np.ones(4, dtype=np.float32))
 
         started = time.monotonic()
         with pytest.raises(RuntimeError_, match="exit code 17"):

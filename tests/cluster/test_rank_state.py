@@ -7,8 +7,8 @@ collectives it has run or how many shapes it has seen:
 - the receive pool holds two flat generations per ``(op, dtype)`` — at most
   ``2 × GROWTH ×`` the op's largest result — and a result stays valid
   until the second-next call of the same op, across shapes;
-- a collective's tagged channels are dropped once their last frame is
-  consumed (p2p channels stay), and finished comm threads are forgotten;
+- every channel is tagged by its collective and dropped once its last frame
+  is consumed, and finished comm threads are forgotten;
 - nothing a rank service started outlives its ``close``.
 """
 
@@ -37,7 +37,7 @@ def pooled(ctx) -> dict:
 
 
 def open_channels(ctx) -> int:
-    """Tagged + p2p channels the rank holds (threads: the shared mailboxes)."""
+    """Channels the rank holds (threads: the shared mailboxes)."""
     transport = getattr(ctx, "_transport", None)
     return len(transport._queues) if transport is not None else len(ctx._shared.mailboxes)
 
@@ -154,15 +154,11 @@ def test_gathering_a_view_of_the_older_result_never_aliases(runtime):
 @pytest.mark.parametrize("rounds", [1, 12])
 def test_collectives_return_channels_to_baseline(runtime, rounds):
     """However many ring, async, slot/wire, barrier and broadcast calls a rank
-    runs, afterwards it holds only its p2p channel (rank 0 -> 1 here), and
-    at most the comm thread launched last."""
+    runs, afterwards it holds no channel at all, and at most the comm thread
+    launched last."""
 
     def worker(ctx):
         x = np.arange(12, dtype=np.float32).reshape(6, 2) + ctx.rank
-        if ctx.rank == 0:
-            ctx.send(1, x)
-        elif ctx.rank == 1:
-            ctx.recv(0)
         for _ in range(rounds):
             ctx.ring_all_gather(x)
             ctx.all_gather_async(x).wait()
@@ -175,11 +171,7 @@ def test_collectives_return_channels_to_baseline(runtime, rounds):
         return open_channels(ctx), len(ctx._comm_threads)
 
     results, _ = runtime(3, timeout=15).run(worker)
-    if runtime is ThreadedRuntime:  # one mailbox dict shared by every rank
-        baseline = [1, 1, 1]
-    else:  # per-rank transports: only rank 1 received the p2p frame
-        baseline = [0, 1, 0]
-    assert [channels for channels, _ in results] == baseline
+    assert [channels for channels, _ in results] == [0, 0, 0]
     assert all(threads <= 2 for _, threads in results)
 
 

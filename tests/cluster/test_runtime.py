@@ -154,60 +154,6 @@ class TestBroadcast:
         assert stats[1].bytes_received == pytest.approx(80)
 
 
-class TestPointToPoint:
-    def test_send_recv_roundtrip(self):
-        runtime = ThreadedRuntime(2)
-
-        def worker(ctx):
-            if ctx.rank == 0:
-                ctx.send(1, np.arange(5.0))
-                return None
-            return ctx.recv(0)
-
-        results, stats = runtime.run(worker)
-        np.testing.assert_array_equal(results[1], np.arange(5.0))
-        assert stats[0].p2p_messages == 1 and stats[1].p2p_messages == 1
-
-    def test_messages_preserve_fifo_order(self):
-        runtime = ThreadedRuntime(2)
-
-        def worker(ctx):
-            if ctx.rank == 0:
-                for i in range(5):
-                    ctx.send(1, np.array([float(i)]))
-                return None
-            return [float(ctx.recv(0)[0]) for _ in range(5)]
-
-        results, _ = runtime.run(worker)
-        assert results[1] == [0.0, 1.0, 2.0, 3.0, 4.0]
-
-    def test_invalid_ranks(self):
-        runtime = ThreadedRuntime(2)
-
-        def send_to_self(ctx):
-            ctx.send(ctx.rank, np.zeros(1))
-
-        with pytest.raises(RuntimeError_):
-            runtime.run(send_to_self)
-
-    def test_recv_timeout_raises_runtime_error_with_context(self):
-        """Regression: a recv with no matching send used to let the bare
-        ``queue.Empty`` escape, losing the sender/receiver context."""
-        runtime = ThreadedRuntime(2)
-
-        def worker(ctx):
-            if ctx.rank == 1:
-                return ctx.recv(0, timeout=0.05)  # rank 0 never sends
-            return None
-
-        with pytest.raises(RuntimeError_) as excinfo:
-            runtime.run(worker)
-        assert excinfo.value.rank == 1
-        message = str(excinfo.value.cause)
-        assert "rank 1" in message and "rank 0" in message
-        assert "0.05" in message
-
-
 class TestErrorHandling:
     def test_worker_exception_propagates_with_rank(self):
         runtime = ThreadedRuntime(3)

@@ -101,20 +101,18 @@ class TestValidation:
 
 
 class TestRuntimeIntegration:
-    def test_p2p_accounting_includes_framing(self):
+    def test_ring_accounting_includes_framing(self):
         from repro.cluster.runtime import ThreadedRuntime
 
         runtime = ThreadedRuntime(2)
         payload = np.zeros((5, 4), dtype=np.float32)
 
         def worker(ctx):
-            if ctx.rank == 0:
-                ctx.send(1, payload)
-                return None
-            return ctx.recv(0)
+            return ctx.ring_all_gather(payload + ctx.rank)
 
         results, stats = runtime.run(worker)
-        np.testing.assert_array_equal(results[1], payload)
+        np.testing.assert_array_equal(results[1], np.concatenate([payload, payload + 1]))
+        # K = 2: one ring hop, each rank sends its chunk as one frame
         expected = frame_overhead_bytes(2) + payload.nbytes
         assert stats[0].bytes_sent == expected
         assert stats[1].bytes_received == expected

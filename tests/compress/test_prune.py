@@ -1,17 +1,28 @@
-"""Tests for attention-head pruning and its composition with Voltage."""
+"""Head-pruned layer geometry (Michel et al.) and its composition with Voltage.
+
+A head-pruned layer keeps F_H but has fewer heads, so ``H·F_H < F``.  The
+tests build one directly as a narrower :class:`MultiHeadSelfAttention`; the
+partitioned executor reads head geometry from the module, so Theorem 2's
+order selection and the FLOP accounting must follow it.
+"""
 
 import numpy as np
 import pytest
 
-from repro.compress.prune import (
-    head_importance,
-    prune_attention_heads_,
-    prune_model_heads_,
-)
 from repro.core.layer import PartitionedLayerExecutor
 from repro.core.partition import Partition
 from repro.models import BertModel, tiny_config
+from repro.models.attention import MultiHeadSelfAttention
 from repro.models.layer import TransformerLayer
+
+
+def narrow_attention(layer, num_heads: int, seed: int = 0) -> MultiHeadSelfAttention:
+    """A fresh attention of ``num_heads`` heads with the layer's F and F_H."""
+    attention = layer.attention
+    return MultiHeadSelfAttention(
+        attention.hidden_size, num_heads, head_dim=attention.head_dim,
+        rng=np.random.default_rng(seed),
+    )
 
 
 @pytest.fixture
@@ -19,54 +30,11 @@ def layer():
     return TransformerLayer(tiny_config(), rng=np.random.default_rng(6))
 
 
-class TestHeadImportance:
-    def test_one_score_per_head(self, layer):
-        assert head_importance(layer.attention).shape == (4,)
-
-    def test_zeroed_head_scores_lowest(self, layer):
-        fh = layer.attention.head_dim
-        layer.attention.query.weight.data[:, 2 * fh : 3 * fh] = 0.0
-        layer.attention.value.weight.data[:, 2 * fh : 3 * fh] = 0.0
-        scores = head_importance(layer.attention)
-        assert int(np.argmin(scores)) == 2
-
-
-class TestPruneLayer:
-    def test_shapes_after_pruning(self, layer):
-        prune_attention_heads_(layer, keep=[0, 2])
-        attention = layer.attention
-        assert attention.num_heads == 2
-        assert attention.query.weight.shape == (32, 16)
-        assert attention.output.weight.shape == (16, 32)
-
-    def test_layer_still_runs(self, rng, layer):
-        prune_attention_heads_(layer, keep=[1, 3])
-        out = layer(rng.normal(size=(10, 32)).astype(np.float32))
-        assert out.shape == (10, 32)
-
-    def test_pruning_all_but_kept_heads_preserves_their_contribution(self, rng, layer):
-        """If the dropped heads' output-projection rows are zero, pruning
-        them changes nothing — the surviving computation is exact."""
-        fh = layer.attention.head_dim
-        for head in (1, 2):
-            layer.attention.output.weight.data[head * fh : (head + 1) * fh, :] = 0.0
-        x = rng.normal(size=(8, 32)).astype(np.float32)
-        before = layer(x)
-        prune_attention_heads_(layer, keep=[0, 3])
-        np.testing.assert_allclose(layer(x), before, atol=1e-5)
-
-    def test_validation(self, layer):
-        with pytest.raises(ValueError, match="at least one"):
-            prune_attention_heads_(layer, keep=[])
-        with pytest.raises(ValueError, match="out of range"):
-            prune_attention_heads_(layer, keep=[7])
-
-
 class TestPrunedPartitioning:
     """The paper's Section VII-A: compressed models still partition exactly."""
 
     def test_partition_matches_full_slice_after_pruning(self, rng, layer):
-        prune_attention_heads_(layer, keep=[0, 1, 3])
+        layer.attention = narrow_attention(layer, 3)
         executor = PartitionedLayerExecutor(layer)
         x = rng.normal(size=(14, 32)).astype(np.float32)
         full = layer(x)
@@ -76,32 +44,27 @@ class TestPrunedPartitioning:
     def test_flops_drop_with_heads(self, layer):
         executor_before = PartitionedLayerExecutor(layer)
         flops_before = executor_before.full_flops(20)
-        prune_attention_heads_(layer, keep=[0])
+        layer.attention = narrow_attention(layer, 1)
         flops_after = PartitionedLayerExecutor(layer).full_flops(20)
         assert flops_after < flops_before
 
     def test_order_selection_uses_pruned_geometry(self, layer):
         """After pruning, F_H is unchanged but H shrinks; Theorem 2 input is
         (F, F_H), so selection still works and flop accounting uses kept H."""
-        prune_attention_heads_(layer, keep=[0, 2])
+        layer.attention = narrow_attention(layer, 2)
         executor = PartitionedLayerExecutor(layer)
         assert executor.select_order(20, 20).is_naive
 
 
 class TestPruneModel:
-    def test_prune_model_keeps_fraction(self):
-        model = BertModel(tiny_config(num_layers=2), rng=np.random.default_rng(1))
-        report = prune_model_heads_(model, keep_fraction=0.5)
-        assert report.kept_fraction == pytest.approx(0.5)
-        assert all(layer.attention.num_heads == 2 for layer in model.layers)
-
     def test_pruned_model_serves_distributed_exactly(self):
         from repro.cluster.spec import ClusterSpec
         from repro.systems import TensorParallelSystem, VoltageSystem
 
         model = BertModel(tiny_config(num_layers=2), num_classes=3,
                           rng=np.random.default_rng(2))
-        prune_model_heads_(model, keep_fraction=0.5)
+        for index, layer in enumerate(model.layers):
+            layer.attention = narrow_attention(layer, 2, seed=index)
         ids = model.encode_text("pruned then distributed")
         reference = model(ids)
         cluster = ClusterSpec.homogeneous(2, gflops=5.0)
@@ -119,11 +82,7 @@ class TestPruneModel:
         dense = BertModel(tiny_config(num_layers=2), rng=np.random.default_rng(3))
         ids = dense.encode_text("some words to classify " * 3)
         before = VoltageSystem(dense, cluster).run(ids).latency.compute_seconds
-        prune_model_heads_(dense, keep_fraction=0.25)
+        for layer in dense.layers:
+            layer.attention = narrow_attention(layer, 1)
         after = VoltageSystem(dense, cluster).run(ids).latency.compute_seconds
         assert after < before
-
-    def test_keep_fraction_validation(self):
-        model = BertModel(tiny_config(num_layers=1), rng=np.random.default_rng(1))
-        with pytest.raises(ValueError):
-            prune_model_heads_(model, keep_fraction=0.0)

@@ -517,7 +517,7 @@ class TestObservability:
         outputs unchanged, and the cost is visible without a debugger."""
         table = gpt2.embeddings.word.weight.data
         half = len(table) // 2
-        gpt2.embeddings.word.weight.copy_(np.concatenate([table[:half], table[:half]]))
+        gpt2.embeddings.word.weight.data = np.concatenate([table[:half], table[:half]])
         registry, tracer = obs.MetricsRegistry(), obs.Tracer()
         sequencer = GPT2CachedSequencer(gpt2, max_new_tokens=4, step_cost=constant_step_cost)
         requests = staggered(4)

@@ -2,17 +2,17 @@
 
 The paper claims compressed models "can also leverage Voltage's distributed
 inference system for further acceleration".  This integration test composes
-everything at once — head pruning, int8 weight quantization, distributed
-execution with compressed (float16) activation exchange — and verifies both
-halves of the claim: the composition still predicts like the compressed
-local model, and every stage contributes its own latency/memory saving.
+int8 weight quantization with distributed execution and compressed
+(float16) activation exchange, and verifies both halves of the claim: the
+composition still predicts like the compressed local model, and every stage
+contributes its own latency/memory saving.
 """
 
 import numpy as np
 import pytest
 
 from repro.cluster.spec import ClusterSpec
-from repro.compress import prune_model_heads_, quantize_model_
+from repro.compress import quantize_model_
 from repro.models import BertModel, tiny_config
 from repro.systems import SingleDeviceSystem, VoltageSystem
 
@@ -31,18 +31,16 @@ def fresh_model(seed=42):
 
 
 class TestFullComposition:
-    def test_prune_quantize_distribute_compress_wire(self, cluster):
+    def test_quantize_distribute_compress_wire(self, cluster):
         model = fresh_model()
         ids = model.encode_text("compose every optimisation at once " * 2)
 
-        prune_report = prune_model_heads_(model, keep_fraction=0.5)
         quant_report = quantize_model_(model)
         compressed_reference = model(ids)  # the compressed model, locally
 
         system = VoltageSystem(model, cluster, wire_dtype="float16")
         result = system.run(ids)
 
-        assert prune_report.kept_fraction == pytest.approx(0.5)
         assert quant_report.compression_ratio > 2.0
         # distributed compressed model ≈ local compressed model
         np.testing.assert_allclose(result.output, compressed_reference, atol=0.05)
@@ -59,17 +57,12 @@ class TestFullComposition:
 
         dense_voltage = VoltageSystem(fresh_model(), cluster).run(ids).total_seconds
 
-        pruned = fresh_model()
-        prune_model_heads_(pruned, keep_fraction=0.5)
-        pruned_voltage = VoltageSystem(pruned, cluster).run(ids).total_seconds
-
-        pruned_fp16 = VoltageSystem(pruned, cluster, wire_dtype="float16").run(
+        dense_fp16 = VoltageSystem(fresh_model(), cluster, wire_dtype="float16").run(
             ids
         ).total_seconds
 
         assert dense_voltage < dense_single          # distribution helps
-        assert pruned_voltage < dense_voltage        # pruning helps on top
-        assert pruned_fp16 < pruned_voltage          # wire compression on top
+        assert dense_fp16 < dense_voltage            # wire compression on top
 
     def test_quantization_shrinks_the_replica_every_device_ships(self):
         """Section V-C's replication cost × Section VII-A's cure: the int8
@@ -83,7 +76,6 @@ class TestFullComposition:
 
     def test_threaded_execution_of_compressed_model(self, cluster):
         model = fresh_model()
-        prune_model_heads_(model, keep_fraction=0.5)
         quantize_model_(model)
         ids = model.encode_text("threads and compression together")
         system = VoltageSystem(model, cluster)

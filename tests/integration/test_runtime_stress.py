@@ -1,10 +1,10 @@
 """Stress tests: randomized concurrent collective sequences on real threads.
 
 The double-barrier slot protocol in :mod:`repro.cluster.runtime` must stay
-consistent under arbitrary interleavings of collectives and point-to-point
-traffic.  These tests run seeded-random programs on real threads many times
-— racy bugs show up as cross-rank disagreement or deadlocks (caught by the
-recv timeout / barrier abort machinery).
+consistent under arbitrary interleavings of slot and ring collectives.
+These tests run seeded-random programs on real threads many times — racy
+bugs show up as cross-rank disagreement or deadlocks (caught by the receive
+timeout / barrier abort machinery).
 """
 
 import numpy as np
@@ -43,20 +43,17 @@ class TestMixedCollectiveSequences:
             assert other == results[0]
         assert all(s.collective_calls == len(ops) for s in stats)
 
-    def test_interleaved_p2p_and_collectives(self):
-        """Point-to-point messages flowing alongside collectives must not
-        corrupt either channel."""
+    def test_interleaved_ring_and_slot_collectives(self):
+        """Framed ring gathers over the tagged mailboxes flowing alongside
+        the slot collectives must not corrupt either path."""
         runtime = ThreadedRuntime(3)
 
         def worker(ctx):
             gathered = []
             for round_index in range(8):
-                if ctx.rank == 0:
-                    ctx.send(1, np.array([float(round_index)]))
+                ring = ctx.ring_all_gather(np.full((1, 1), float(round_index + ctx.rank)))
+                assert list(ring[:, 0]) == [float(round_index + r) for r in range(3)]
                 gathered.append(ctx.all_gather(np.full((1, 2), ctx.rank, dtype=np.float32)))
-                if ctx.rank == 1:
-                    message = ctx.recv(0)
-                    assert message[0] == float(round_index)
             return np.concatenate(gathered).sum()
 
         results, _ = runtime.run(worker)

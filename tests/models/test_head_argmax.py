@@ -144,7 +144,7 @@ class TestAdversarial:
         top = int(reference(model, rows)[2])
         table = table_of(model).copy()
         table[(top + shift) % len(table)] = table[top]
-        model.embeddings.word.weight.copy_(table)
+        model.embeddings.word.weight.data = table
         tokens, fallbacks = model.head_argmax(rows, Workspace())
         assert np.array_equal(tokens, reference(model, rows))
         assert tokens[2] == min(top, (top + shift) % len(table))  # argmax's lowest index
@@ -160,10 +160,10 @@ class TestAdversarial:
         tops = reference(model, rows)
         table = table_of(model).copy()
         table[(tops[0] + vocab // 2) % vocab] = table[tops[0]]
-        model.embeddings.word.weight.copy_(table)
+        model.embeddings.word.weight.data = table
         table, top, runner = with_runner_up(model, rows[1], 1.0)
         table[(top + vocab // 2) % vocab], table[runner] = table[runner], table_of(model)[runner]
-        model.embeddings.word.weight.copy_(table)
+        model.embeddings.word.weight.data = table
         tokens, fallbacks = model.head_argmax(rows, Workspace())
         assert np.array_equal(tokens, reference(model, rows))
         assert tokens[0] == min(tops[0], (tops[0] + vocab // 2) % vocab)
@@ -176,7 +176,7 @@ class TestAdversarial:
         ``‖h‖``, so a ×1e3 / ×1e-3 row certifies exactly when the unit one does."""
         rows = hidden_rows(model, 3, seed=2, scale=scale)
         table, top, runner = with_runner_up(model, rows[1], gap)
-        model.embeddings.word.weight.copy_(table)
+        model.embeddings.word.weight.data = table
         exact = table.astype(np.float64) @ rows[1].astype(np.float64)
         assert (exact[top] - exact[runner] > 2 * error_bound(model, rows[1])) == (gap > 2)
         tokens, fallbacks = model.head_argmax(rows, Workspace())
@@ -200,7 +200,7 @@ class TestAdversarial:
     def test_rows_whose_partial_sums_could_overflow_take_the_exact_path(self, model):
         """Finite inputs, but ``‖h‖·‖e‖`` past float32's range: the error
         bound assumes no overflow, so the screen is not trusted."""
-        model.embeddings.word.weight.copy_(table_of(model) * np.float32(100))
+        model.embeddings.word.weight.data = table_of(model) * np.float32(100)
         rows = hidden_rows(model, 3, seed=3)
         rows[1] = rows[1] * np.float32(1e37)
         assert np.all(np.isfinite(rows[1]))
@@ -212,7 +212,7 @@ class TestAdversarial:
     def test_poisoned_table_sends_every_row_to_the_exact_path(self, model):
         table = table_of(model).copy()
         table[17, 3] = np.nan
-        model.embeddings.word.weight.copy_(table)
+        model.embeddings.word.weight.data = table
         rows = hidden_rows(model, 3, seed=4)
         tokens, fallbacks = model.head_argmax(rows, Workspace())
         assert np.array_equal(tokens, reference(model, rows))
@@ -236,14 +236,14 @@ class TestAdversarial:
         every row would fall back."""
         rows = hidden_rows(model, 4, seed=6)
         assert model.head_argmax(rows, Workspace())[1] == 0
-        model.embeddings.word.weight.copy_(table_of(model) * np.float32(0.01))
+        model.embeddings.word.weight.data = table_of(model) * np.float32(0.01)
         tokens, fallbacks = model.head_argmax(rows, Workspace())
         assert np.array_equal(tokens, reference(model, rows))
         assert fallbacks == 0
         # ... and 100× too narrow the other way round
-        model.embeddings.word.weight.copy_(table_of(model) * np.float32(1e4))
+        model.embeddings.word.weight.data = table_of(model) * np.float32(1e4)
         table, _, _ = with_runner_up(model, rows[0], 1.0)
-        model.embeddings.word.weight.copy_(table)
+        model.embeddings.word.weight.data = table
         assert model.head_argmax(rows, Workspace())[1] == 1
 
     def test_draft_sharing_the_table_shares_nothing_stale(self, model):
@@ -289,7 +289,7 @@ class TestCounters:
         model = decoder(128, 2000)
         rows = hidden_rows(model, 5, seed=8)
         table, _, _ = with_runner_up(model, rows[4], 0.5)
-        model.embeddings.word.weight.copy_(table)
+        model.embeddings.word.weight.data = table
         registry = MetricsRegistry()
         with use_registry(registry):
             model.head_argmax(rows, Workspace(), labels={"replica": "r0"})

@@ -67,9 +67,9 @@ class TestTransformerLayer:
         for module in (layer.attention.query, layer.attention.key,
                        layer.attention.value, layer.attention.output,
                        layer.ffn.fc1, layer.ffn.fc2):
-            module.weight.copy_(np.zeros_like(module.weight.data))
+            module.weight.data = np.zeros_like(module.weight.data)
             if module.bias is not None:
-                module.bias.copy_(np.zeros_like(module.bias.data))
+                module.bias.data = np.zeros_like(module.bias.data)
         x = rng.normal(size=(5, 32)).astype(np.float32)
         np.testing.assert_allclose(layer(x), x, atol=1e-6)
 

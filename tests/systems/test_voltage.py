@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.cluster.spec import ClusterSpec
-from repro.compress import prune_model_heads_
 from repro.core.partition import PartitionScheme
 from repro.models import BertModel, tiny_config
+from repro.models.attention import MultiHeadSelfAttention
 from repro.systems import SingleDeviceSystem, VoltageSystem
 
 
@@ -115,10 +115,10 @@ class TestSchemes:
         result = system.run(token_ids)
         np.testing.assert_allclose(result.output, bert(token_ids), atol=1e-4)
 
-    @pytest.mark.parametrize("keep_fraction", [0.25, 1.0], ids=["pruned", "unpruned"])
+    @pytest.mark.parametrize("kept_heads", [2, 8], ids=["pruned", "unpruned"])
     @pytest.mark.parametrize("n", [48, 96, 200])
     def test_auto_scheme_is_makespan_optimal_for_the_layers_real_geometry(
-        self, keep_fraction, n
+        self, kept_heads, n
     ):
         """Regression: ``"auto"`` planned with ``model.config``'s head count
         while ``run()`` priced the layers' real (pruned) geometry, landing
@@ -126,7 +126,8 @@ class TestSchemes:
         brute-force best over every 3-way split, priced as ``run()`` prices."""
         config = tiny_config(hidden_size=64, num_heads=8, num_layers=2)
         model = BertModel(config, num_classes=3, rng=np.random.default_rng(0))
-        prune_model_heads_(model, keep_fraction=keep_fraction)
+        for layer in model.layers:  # head-pruned: 8 → kept heads of F_H = 8
+            layer.attention = MultiHeadSelfAttention(64, kept_heads, head_dim=8)
         cluster = ClusterSpec.heterogeneous([1.0, 2.0, 4.0])
         system = VoltageSystem(model, cluster, scheme="auto")
         executor = system.executors[0]

@@ -52,8 +52,8 @@ class TestLayerNorm:
 
     def test_learned_affine_applied(self, rng):
         layer = LayerNorm(4)
-        layer.weight.copy_(np.full(4, 3.0, dtype=np.float32))
-        layer.bias.copy_(np.full(4, 1.0, dtype=np.float32))
+        layer.weight.data = np.full(4, 3.0, dtype=np.float32)
+        layer.bias.data = np.full(4, 1.0, dtype=np.float32)
         x = rng.normal(size=(2, 4)).astype(np.float32)
         base = LayerNorm(4)(x)
         np.testing.assert_allclose(layer(x), base * 3.0 + 1.0, atol=1e-6)

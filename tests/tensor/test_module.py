@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.tensor.layers import Linear
 from repro.tensor.module import Module, ModuleList, Parameter
 
 
@@ -32,16 +31,6 @@ class TestParameter:
         assert p.dtype == np.float32
         assert p.nbytes == 4 * 5 * 4
         assert p.numel() == 20
-
-    def test_copy_preserves_shape(self):
-        p = Parameter(np.zeros((2, 2)))
-        p.copy_(np.ones((2, 2)))
-        np.testing.assert_array_equal(p.data, np.ones((2, 2)))
-
-    def test_copy_rejects_shape_mismatch(self):
-        p = Parameter(np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="shape mismatch"):
-            p.copy_(np.ones((3, 2)))
 
     def test_repr_mentions_shape(self):
         assert "(2, 2)" in repr(Parameter(np.zeros((2, 2))))
@@ -78,38 +67,6 @@ class TestModuleTraversal:
         leaf = Leaf()
         del leaf.bias
         assert [name for name, _ in leaf.named_parameters()] == ["weight"]
-
-
-class TestStateDict:
-    def test_roundtrip(self):
-        source, target = Tree(), Tree()
-        for param in source.parameters():
-            param.data = param.data + 1.0
-        target.load_state_dict(source.state_dict())
-        for (_, a), (_, b) in zip(source.named_parameters(), target.named_parameters()):
-            np.testing.assert_array_equal(a.data, b.data)
-
-    def test_missing_key_raises(self):
-        tree = Tree()
-        state = tree.state_dict()
-        state.pop("scale")
-        with pytest.raises(KeyError, match="missing"):
-            tree.load_state_dict(state)
-
-    def test_unexpected_key_raises(self):
-        tree = Tree()
-        state = tree.state_dict()
-        state["ghost"] = np.zeros(1)
-        with pytest.raises(KeyError, match="unexpected"):
-            tree.load_state_dict(state)
-
-    def test_load_changes_forward_output(self, rng):
-        a = Linear(4, 3, rng=np.random.default_rng(1))
-        b = Linear(4, 3, rng=np.random.default_rng(2))
-        x = rng.normal(size=(2, 4)).astype(np.float32)
-        assert not np.allclose(a(x), b(x))
-        b.load_state_dict(a.state_dict())
-        np.testing.assert_allclose(a(x), b(x))
 
 
 class TestCallProtocol:
