@@ -15,7 +15,7 @@ Usage::
     voltage-bench serve             # online engine offered-load sweep -> BENCH_serve.json
                                     # (includes the speculative-decode / prefix-cache
                                     #  tokens-per-second comparison, digest-gated)
-    voltage-bench serve --quick --check # CI gates lane: committed-baseline gate
+    voltage-bench serve --quick --check # CI gates lane: equal to the committed baseline
     voltage-bench fleet             # multi-replica router/autoscale sweep -> BENCH_fleet.json
     voltage-bench fleet --workload bursts   # replay a different registered trace
     voltage-bench fleet --list-traces       # show the workload trace registry
@@ -190,18 +190,7 @@ def _run_serve(args) -> int:
         f"{'yes' if spec['identical_outputs'] else 'NO (BUG)'}"
     )
 
-    output = args.output or Path("BENCH_serve.json")
-    baseline = args.baseline or Path("BENCH_serve.json")
-    failures = []
-    if args.check:
-        failures = serve.check_regression(payload, mode, baseline)
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        if not failures:
-            print(f"check: within tolerance of {baseline}")
-    serve.emit_report(payload, mode, output)
-    print(f"report: {output} (mode {mode!r})")
-    return 1 if failures else 0
+    return _gate_and_emit(serve, payload, mode, args, Path("BENCH_serve.json"))
 
 
 def _run_fleet(args) -> int:
@@ -250,17 +239,26 @@ def _run_fleet(args) -> int:
         f"({'holds' if autoscale['autoscaled_bound_held'] else 'VIOLATES'} bound)"
     )
 
-    output = args.output or Path("BENCH_fleet.json")
-    baseline = args.baseline or Path("BENCH_fleet.json")
+    return _gate_and_emit(fleet_bench, payload, mode, args, Path("BENCH_fleet.json"))
+
+
+def _gate_and_emit(bench, payload: dict, mode: str, args, default: Path) -> int:
+    """``--check`` the payload against the baseline, then write the report —
+    unless the check failed and the report would overwrite that baseline."""
+    output = args.output or default
+    baseline = args.baseline or default
     failures = []
     if args.check:
-        failures = fleet_bench.check_regression(payload, mode, baseline)
+        failures = bench.check_regression(payload, mode, baseline)
         for failure in failures:
             print(f"FAIL: {failure}")
         if not failures:
-            print(f"check: within tolerance of {baseline}")
-    fleet_bench.emit_report(payload, mode, output)
-    print(f"report: {output} (mode {mode!r})")
+            print(f"check: equal to {baseline}")
+    if failures and output.resolve() == baseline.resolve():
+        print(f"report: not written, {output} is the baseline the check failed against")
+    else:
+        bench.emit_report(payload, mode, output)
+        print(f"report: {output} (mode {mode!r})")
     return 1 if failures else 0
 
 
@@ -308,7 +306,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="serve/fleet: smaller workloads for the CI gates lane")
     parser.add_argument("--check", action="store_true",
-                        help="serve/fleet: fail if results regress vs the committed baseline")
+                        help="serve/fleet: fail unless this mode's results equal the "
+                             "committed baseline's and the report's claims hold")
     parser.add_argument("--output", type=Path, default=None,
                         help="serve/fleet: report file to write/merge "
                              "(default BENCH_serve.json / BENCH_fleet.json)")

@@ -5,8 +5,8 @@ standard heterogeneous tier pool (full / int8 / linformer) once per router
 policy, every run autoscaled, and emits ``BENCH_fleet.json`` (schema
 ``repro-bench-fleet/v1``): per-policy p50/p99 latency, shed and
 deadline-miss rates, the replica-count envelope, per-tier utilisation —
-plus sha256 digests of the routing decisions and the served token outputs,
-which is what pins whole-fleet determinism into the regression gate.
+plus sha256 digests of the routing decisions and the served token outputs.
+``--check`` requires the whole payload to equal the committed baseline.
 
 The acceptance demo (``autoscale`` block) contrasts a **fixed single
 replica** with a bounded queue against the **autoscaled** fleet on the
@@ -55,13 +55,6 @@ __all__ = [
 
 SCHEMA = "repro-bench-fleet/v1"
 emit_report = partial(harness.emit_report, schema=SCHEMA)
-
-#: --check tolerances.  Latency/rate bands absorb intentional small retunes;
-#: the digests have NO band — fleet runs are bit-deterministic, so any digest
-#: drift is a real behaviour change (regenerate the baseline if intended).
-LATENCY_FACTOR = 1.25
-RATE_TOLERANCE = 0.05
-REPLICA_TOLERANCE = 1
 
 _MAX_NEW = 8
 _NUM_SLOTS = 2
@@ -304,64 +297,12 @@ def run_single_fleet(
 # -- report emission + regression gate ----------------------------------------
 
 
-def _compare_point(now: dict, base: dict, label: str) -> list[str]:
-    errors = []
-    for key in ("p50_latency_s", "p99_latency_s"):
-        a, b = now.get(key), base.get(key)
-        if (a is None) != (b is None):
-            errors.append(f"{label}: {key} presence changed ({a} vs baseline {b})")
-        elif a is not None and b is not None and b > 0 and not (
-            b / LATENCY_FACTOR <= a <= b * LATENCY_FACTOR
-        ):
-            errors.append(
-                f"{label}: {key} {a:.4f}s drifted >{LATENCY_FACTOR:g}x "
-                f"from baseline {b:.4f}s"
-            )
-    for key in ("shed_rate", "deadline_miss_rate"):
-        if abs(now[key] - base[key]) > RATE_TOLERANCE:
-            errors.append(
-                f"{label}: {key} {now[key]:.3f} vs baseline {base[key]:.3f} "
-                f"(tolerance {RATE_TOLERANCE})"
-            )
-    for key in ("peak_replicas", "mean_replicas"):
-        if abs(now[key] - base[key]) > REPLICA_TOLERANCE:
-            errors.append(
-                f"{label}: {key} {now[key]:g} vs baseline {base[key]:g} "
-                f"(tolerance {REPLICA_TOLERANCE})"
-            )
-    for key in ("routing_digest", "outputs_digest"):
-        if now[key] != base[key]:
-            errors.append(
-                f"{label}: {key} {now[key]} != baseline {base[key]} — fleet "
-                "behaviour changed (regenerate the baseline if intended)"
-            )
-    return errors
-
-
 def check_regression(payload: dict, mode: str, baseline_path: Path) -> list[str]:
-    """Gate this run against the committed baseline; [] means pass."""
-    try:
-        base = harness.load_baseline(baseline_path, mode, SCHEMA)
-    except harness.BaselineError as exc:
-        return [str(exc)]
-
-    errors = []
-    if payload["workload"]["trace_digest"] != base["workload"]["trace_digest"]:
-        errors.append(
-            f"trace digest {payload['workload']['trace_digest']} != baseline "
-            f"{base['workload']['trace_digest']} (different workload — check "
-            "trace/seed, or regenerate the baseline)"
-        )
-    now_points = {p["policy"]: p for p in payload["sweep"]}
-    base_points = {p["policy"]: p for p in base["sweep"]}
-    if set(now_points) != set(base_points):
-        errors.append(
-            f"policy set {sorted(now_points)} != baseline {sorted(base_points)}"
-        )
-    for policy in sorted(set(now_points) & set(base_points)):
-        errors.extend(
-            _compare_point(now_points[policy], base_points[policy], f"policy {policy}")
-        )
+    """Gate this run against the committed baseline; [] means pass.  Fleet
+    runs are bit-deterministic, so the payload must equal the baseline
+    exactly (regenerate the baseline if a change is intended), and the
+    autoscale demo's claims must hold."""
+    errors = harness.check_baseline(payload, mode, baseline_path, SCHEMA)
     autoscale = payload["autoscale"]
     if not autoscale["fixed_sheds_or_misses"]:
         errors.append(

@@ -25,6 +25,7 @@ __all__ = [
     "BaselineError",
     "emit_report",
     "load_baseline",
+    "check_baseline",
 ]
 
 
@@ -169,3 +170,50 @@ def load_baseline(path: Path, mode: str, schema: str) -> dict:
     if base is None:
         raise BaselineError(f"baseline {path} has no {mode!r} mode entry")
     return base
+
+
+#: How many differing JSON paths :func:`check_baseline` names.
+_SHOWN_DIFFS = 5
+
+
+def _short(value) -> str:
+    text = json.dumps(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _diff(now, base, where: str, out: list[str]) -> None:
+    """Append one line per differing leaf of two JSON values, document order."""
+    if isinstance(now, dict) and isinstance(base, dict):
+        for key in [*base, *(k for k in now if k not in base)]:
+            at = f"{where}.{key}"
+            if key not in now:
+                out.append(f"{at}: missing (baseline {_short(base[key])})")
+            elif key not in base:
+                out.append(f"{at}: {_short(now[key])} is not in the baseline")
+            else:
+                _diff(now[key], base[key], at, out)
+    elif isinstance(now, list) and isinstance(base, list):
+        if len(now) != len(base):
+            out.append(f"{where}: {len(now)} items != baseline {len(base)}")
+        else:
+            for i, (a, b) in enumerate(zip(now, base)):
+                _diff(a, b, f"{where}[{i}]", out)
+    elif now != base:
+        out.append(f"{where}: {_short(now)} != baseline {_short(base)}")
+
+
+def check_baseline(payload: dict, mode: str, path: Path, schema: str) -> list[str]:
+    """Compare one mode's payload with the ``schema`` baseline at ``path``;
+    [] when they are equal as JSON, otherwise one line per differing path
+    (the first few) — or the :class:`BaselineError` that made the baseline
+    unusable."""
+    try:
+        base = load_baseline(path, mode, schema)
+    except BaselineError as exc:
+        return [str(exc)]
+    diffs: list[str] = []
+    _diff(json.loads(json.dumps(payload)), base, f"modes.{mode}", diffs)
+    shown = diffs[:_SHOWN_DIFFS]
+    if len(diffs) > len(shown):
+        shown.append(f"... and {len(diffs) - len(shown)} more differing paths")
+    return shown

@@ -79,25 +79,16 @@ def all_reduce_seconds(network: NetworkSpec, total_bytes: float, k: int) -> floa
     return rounds * network.latency_seconds + network.serialization_seconds(volume)
 
 
-def broadcast_seconds(
-    network: NetworkSpec, nbytes: float, k: int, algorithm: str = "tree"
-) -> float:
-    """Terminal → K computing devices broadcast of the input features.
-
-    ``tree`` (default): binomial tree, ``ceil(log2(K+1))`` full-message
-    steps.  ``sequential``: the terminal unicasts K copies back-to-back —
-    the worst case for a cheap edge deployment.  The choice affects Voltage
-    and tensor parallelism identically (both broadcast once per request).
+def broadcast_seconds(network: NetworkSpec, nbytes: float, k: int) -> float:
+    """Terminal → K computing devices broadcast of the input features: a
+    binomial tree, ``ceil(log2(K+1))`` full-message steps.  Voltage and
+    tensor parallelism pay it alike (both broadcast once per request).
     """
     _validate_k(k)
     if nbytes == 0:
         return 0.0
-    if algorithm == "tree":
-        steps = math.ceil(math.log2(k + 1))
-        return steps * network.transfer_seconds(nbytes)
-    if algorithm == "sequential":
-        return k * network.transfer_seconds(nbytes)
-    raise ValueError(f"unknown broadcast algorithm {algorithm!r}")
+    steps = math.ceil(math.log2(k + 1))
+    return steps * network.transfer_seconds(nbytes)
 
 
 def gather_seconds(network: NetworkSpec, chunk_bytes: Sequence[float]) -> float:

@@ -383,9 +383,10 @@ def attention_decode_step(
     at P=1 when None — the choice shifts from Eq. (3) to Eq. (8) as N passes
     :func:`repro.core.complexity.decode_order_switch_length`, because a
     growing N makes the partition relatively ever smaller).  This is what a
-    per-token loop without a KV cache would run, and what the decode-order
-    ablation times against the cached path; the executed distributed decode
-    keeps the cache-compatible Eq. (3) ordering (see
+    per-token loop without a KV cache would run; no figure or runtime path
+    calls it (the tests pin it to the last row of :func:`attention_full`).
+    The executed distributed decode keeps the cache-compatible Eq. (3)
+    ordering (see
     :func:`~repro.core.complexity.select_decode_order`).
     """
     n = x.shape[0]

@@ -1,15 +1,15 @@
-"""Online inference engine: continuous batching, SLO scheduling, shedding.
+"""Online inference engine: continuous batching, deadline shedding.
 
 This package executes models under live request streams (built from
 :mod:`repro.serving`'s arrival processes and reported through its
 :class:`~repro.serving.stats.ServingStats`).  The pieces:
 
-- :mod:`repro.engine.clock` — deterministic virtual time or dilated wall
-  time (one interface, so soak tests replay hours of traffic in ms);
+- :mod:`repro.engine.clock` — deterministic virtual time or wall time
+  (one interface, so soak tests replay hours of traffic in ms);
 - :mod:`repro.engine.slots` — a bounded pool of preallocated KV-cache
   slots (``LayerKVCache.truncate`` recycling, no steady-state allocation);
-- :mod:`repro.engine.scheduler` — bounded admission queue with FIFO /
-  priority / EDF ordering and explicit load shedding;
+- :mod:`repro.engine.scheduler` — bounded admission queue in arrival
+  order with explicit load shedding;
 - :mod:`repro.engine.sequencer` — per-request execution state machines:
   *one* greedy decode machine (prefill, then commit → draft → verify →
   accept → roll back per step) whose forwards run against slot-owned
@@ -41,7 +41,7 @@ from repro.engine.engine import (
     InferenceEngine,
 )
 from repro.engine.prefix_cache import PrefixCacheStats, PrefixEntry, RadixPrefixCache
-from repro.engine.scheduler import POLICIES, Scheduler, ShedRequest
+from repro.engine.scheduler import Scheduler, ShedRequest
 from repro.engine.sequencer import GPT2CachedSequencer, VoltageDecodeSequencer
 from repro.engine.slots import KVSlot, SlotPool
 from repro.engine.speculative import (
@@ -63,7 +63,6 @@ __all__ = [
     "InferenceEngine",
     "KVSlot",
     "NgramProposer",
-    "POLICIES",
     "PrefixCacheStats",
     "PrefixEntry",
     "RadixPrefixCache",

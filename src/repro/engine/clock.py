@@ -1,4 +1,4 @@
-"""Engine time sources: deterministic virtual time or dilated wall time.
+"""Engine time sources: deterministic virtual time or wall time.
 
 The engine replays an arrival stream against a clock.  Two implementations
 share one tiny interface:
@@ -9,11 +9,10 @@ share one tiny interface:
   of wall time and every scheduling decision is reproducible bit-for-bit
   across hosts.  This is the default, and the only mode the CI soak lane
   and the ``serve`` bench use.
-- :class:`WallClock` — real elapsed time via ``time.perf_counter``, with an
-  optional ``dilation`` factor (2.0 = arrival timestamps replay twice as
-  fast).  ``advance`` is a no-op because real time already passed while the
-  model computed; ``wait_until`` sleeps.  Use this to demo the engine
-  against live load.
+- :class:`WallClock` — real elapsed time via ``time.perf_counter`` since
+  construction.  ``advance`` is a no-op because real time already passed
+  while the model computed; ``wait_until`` sleeps.  Use this to drive the
+  engine against live load.
 
 Both clocks report time in *request-stream seconds* — the same time base as
 ``Request.arrival`` / ``Request.deadline`` — so the scheduler never needs
@@ -50,18 +49,15 @@ class VirtualClock:
 
 
 class WallClock:
-    """Real time, optionally dilated so recorded traces replay faster."""
+    """Real time in seconds since the clock was built."""
 
     is_virtual = False
 
-    def __init__(self, dilation: float = 1.0):
-        if dilation <= 0:
-            raise ValueError(f"dilation must be > 0, got {dilation}")
-        self.dilation = dilation
+    def __init__(self):
         self._origin = time.perf_counter()
 
     def now(self) -> float:
-        return (time.perf_counter() - self._origin) * self.dilation
+        return time.perf_counter() - self._origin
 
     def advance(self, seconds: float) -> None:
         """No-op: wall time already elapsed while the work ran."""
@@ -69,4 +65,4 @@ class WallClock:
     def wait_until(self, deadline: float) -> None:
         remaining = deadline - self.now()
         if remaining > 0:
-            time.sleep(remaining / self.dilation)
+            time.sleep(remaining)

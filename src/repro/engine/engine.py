@@ -1,18 +1,14 @@
 """The online inference engine: continuous batching over a bounded slot pool.
 
 The worker loop (INTERNALS §10) turns an arrival stream into completed
-requests through four repeating phases, all at *token-step* granularity:
+requests through three repeating phases, all at *token-step* granularity:
 
 1. **admit** — arrivals whose timestamp has passed enter the scheduler's
    bounded queue (or are shed with backpressure, reason ``queue-full``);
-2. **preempt** — under the preemptive priority policy, a queued request
-   that outranks the lowest-priority running decode evicts it: the victim's
-   slot is truncated and recycled, the victim re-queued (greedy decoding is
-   deterministic, so its eventual output is unchanged — only work is lost);
-3. **dispatch** — free slots are filled from the queue in policy order;
+2. **dispatch** — free slots are filled from the queue in arrival order;
    requests whose deadline is already hopeless are shed (reason
    ``deadline``) instead of occupying a slot;
-4. **step** — every in-flight request advances exactly one token step
+3. **step** — every in-flight request advances exactly one token step
    (prefill counts as one step), which is continuous batching at iteration
    granularity: a finishing decode frees its slot for a queued request at
    the very next iteration, no batch barrier.  The iteration's flights are
@@ -20,8 +16,13 @@ requests through four repeating phases, all at *token-step* granularity:
    run as one pass inside the first step that needs one; every flight is
    still stepped and charged on its own.
 
+The chaos hook (``chaos_preempt_period``) is the one source of preemption:
+before a step it may evict a seeded in-flight request, whose slot is
+truncated and recycled and which is re-queued (greedy decoding is
+deterministic, so its eventual output is unchanged — only work is lost).
+
 Time comes from a pluggable clock: deterministic accelerated virtual time
-(the default — soak tests and the ``serve`` bench) or dilated wall time.
+(the default — soak tests and the ``serve`` bench) or wall time.
 Everything the loop does is observable: queue-depth / slot-occupancy
 gauges, shed and preemption counters, per-request spans on the ``engine``
 trace track.
@@ -72,12 +73,10 @@ class EngineStalledError(RuntimeError):
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Engine sizing and policy knobs (see INTERNALS §10 for the semantics)."""
+    """Engine sizing and admission knobs (see INTERNALS §10 for the semantics)."""
 
     num_slots: int = 4
     max_queue: int | None = None  # None = unbounded queue (no queue-full sheds)
-    policy: str = "fifo"  # "fifo" | "priority" | "edf"
-    preemptive: bool = False  # priority policy only: evict lower-priority decodes
     shed_on_deadline: bool = True  # drop queued requests that can no longer make it
     service_estimate: Callable[[Request], float] | None = None
     prefix_cache: bool = False  # retain finished prompt KV for cross-request reuse
@@ -89,8 +88,6 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.num_slots < 1:
             raise ValueError(f"need >= 1 slot, got {self.num_slots}")
-        if self.preemptive and self.policy != "priority":
-            raise ValueError("preemption requires the 'priority' policy")
         if self.prefix_cache_slots is not None:
             if not self.prefix_cache:
                 raise ValueError("prefix_cache_slots requires prefix_cache=True")
@@ -265,7 +262,6 @@ class InferenceEngine:
     def _new_scheduler(self) -> Scheduler:
         config = self.config
         return Scheduler(
-            policy=config.policy,
             max_queue=config.max_queue,
             shed_on_deadline=config.shed_on_deadline,
             service_estimate=config.service_estimate,
@@ -502,19 +498,7 @@ class InferenceEngine:
                 progressed = True
             record_shed()
 
-            # 2. priority preemption: a queued request outranks a runner
-            if config.preemptive and active and not self._can_dispatch():
-                best = scheduler.best_waiting_priority()
-                if best is not None:
-                    victim = min(
-                        active,
-                        key=lambda f: (f.request.priority, -f.request.arrival, -f.request.id),
-                    )
-                    if victim.request.priority < best:
-                        preempt(victim)
-                        progressed = True
-
-            # 3. fill free slots in policy order
+            # 2. fill free slots in arrival order
             while self._can_dispatch():
                 request = scheduler.next_ready(now)
                 if request is None:
@@ -542,7 +526,7 @@ class InferenceEngine:
             queue_gauge.set(scheduler.depth)
             slots_gauge.set(pool.in_use)
 
-            # 4. one token step for every in-flight request
+            # 3. one token step for every in-flight request
             if active:
                 # chaos hook: force a (seeded) preemption to prove restart
                 # correctness under adversarial scheduling; the per-request

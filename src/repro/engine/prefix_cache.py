@@ -122,21 +122,14 @@ def _common_len(a: Sequence[int], b: Sequence[int]) -> int:
 class RadixPrefixCache:
     """Longest-prefix lookup over retained slots, refcounted against reuse.
 
-    ``min_match`` is the shortest prefix worth serving from cache (a 1-row
-    copy saves almost nothing but is still correct — the floor mainly keeps
-    stats honest).  ``on_release(slot)`` is invoked for every slot this
-    cache lets go of through dedup displacement or rejected inserts; the
-    engine binds it to ``pool.reclaim`` so parked slots flow back to free.
+    Any non-empty shared prefix is served (a 1-row copy saves almost
+    nothing but is still correct).  ``on_release(slot)`` is invoked for
+    every slot this cache lets go of through dedup displacement or rejected
+    inserts; the engine binds it to ``pool.reclaim`` so parked slots flow
+    back to free.
     """
 
-    def __init__(
-        self,
-        min_match: int = 1,
-        on_release: Callable[[object], object] | None = None,
-    ):
-        if min_match < 1:
-            raise ValueError(f"min_match must be >= 1, got {min_match}")
-        self.min_match = min_match
+    def __init__(self, on_release: Callable[[object], object] | None = None):
         self.stats = PrefixCacheStats()
         self._on_release = on_release if on_release is not None else (lambda slot: slot)
         self._root = _Node()
@@ -186,8 +179,8 @@ class RadixPrefixCache:
     ) -> tuple[PrefixEntry, int] | None:
         """The longest cached prefix of ``ids`` (capped at ``limit`` tokens),
         as ``(entry, length)`` where ``entry.slot`` holds at least ``length``
-        valid rows — or None (counted as a miss) if nothing reaches
-        ``min_match``.  Serving a match bumps the entry's LRU stamp."""
+        valid rows — or None (counted as a miss) if no token of ``ids``
+        is cached.  Serving a match bumps the entry's LRU stamp."""
         key = tuple(int(t) for t in ids)
         if limit is not None:
             key = key[: max(limit, 0)]
@@ -201,7 +194,7 @@ class RadixPrefixCache:
             node = child
             if consumed < len(child.edge):
                 break  # diverged mid-edge; everything below shares key[:depth]
-        if depth < self.min_match or node is self._root:
+        if node is self._root:
             self.stats.misses += 1
             return None
         entry = self._subtree_entry(node)
@@ -233,7 +226,7 @@ class RadixPrefixCache:
         prefixes of ``key`` are displaced (their slots released too): the
         longer entry serves every lookup the shorter one could."""
         key = tuple(int(t) for t in key)
-        if len(key) < self.min_match:
+        if not key:
             self._on_release(slot)
             return None
         for existing in self._entries:

@@ -1,13 +1,10 @@
-"""Admission queue + dispatch policy + load shedding for the online engine.
+"""Admission queue + dispatch order + load shedding for the online engine.
 
-Three scheduling policies over one bounded queue:
-
-- ``fifo`` — strict arrival order (the paper's sporadic single-request
-  stream; with one slot the engine then serves requests strictly one at a
-  time, each holding the whole model until it finishes).
-- ``priority`` — higher ``Request.priority`` first, arrival order within a
-  class; the only policy under which preemption is meaningful.
-- ``edf`` — earliest deadline first; deadline-less requests sort last.
+One bounded queue, dispatched in arrival order (ties by request id): the
+paper's sporadic single-request stream.  With one slot the engine then
+serves requests strictly one at a time, each holding the whole model until
+it finishes.  A preempted request re-enters at its original arrival
+position.
 
 Shedding happens at two points and is always *explicit* (a shed request is
 returned to the caller with a reason, never silently dropped):
@@ -34,9 +31,7 @@ from collections.abc import Callable
 
 from repro.serving.arrivals import Request
 
-__all__ = ["POLICIES", "ShedRequest", "Scheduler"]
-
-POLICIES = ("fifo", "priority", "edf")
+__all__ = ["ShedRequest", "Scheduler"]
 
 #: Shed reasons (stable strings — they label metrics and land in reports).
 SHED_QUEUE_FULL = "queue-full"
@@ -53,11 +48,10 @@ class ShedRequest:
 
 
 class Scheduler:
-    """Bounded, policy-ordered admission queue with deadline shedding."""
+    """Bounded, arrival-ordered admission queue with deadline shedding."""
 
     def __init__(
         self,
-        policy: str = "fifo",
         max_queue: int | None = None,
         shed_on_deadline: bool = True,
         service_estimate: Callable[[Request], float] | None = None,
@@ -66,11 +60,8 @@ class Scheduler:
         deadline shedding: a queued request is dropped as soon as
         ``now + estimate > deadline``, not only once the deadline passes.
         """
-        if policy not in POLICIES:
-            raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
         if max_queue is not None and max_queue < 1:
             raise ValueError(f"max_queue must be >= 1 or None, got {max_queue}")
-        self.policy = policy
         self.max_queue = max_queue
         self.shed_on_deadline = shed_on_deadline
         self.service_estimate = service_estimate
@@ -79,12 +70,8 @@ class Scheduler:
         self._tie = itertools.count()
         self.shed: list[ShedRequest] = []
 
-    def _key(self, request: Request) -> tuple:
-        if self.policy == "priority":
-            return (-request.priority, request.arrival, request.id)
-        if self.policy == "edf":
-            deadline = request.deadline if request.deadline is not None else float("inf")
-            return (deadline, request.arrival, request.id)
+    @staticmethod
+    def _key(request: Request) -> tuple:
         return (request.arrival, request.id)
 
     @property
@@ -137,13 +124,3 @@ class Scheduler:
                     continue
                 return request
             return None
-
-    def best_waiting_priority(self) -> int | None:
-        """Highest priority currently queued (None when empty); used by the
-        engine to decide whether a running decode should be preempted."""
-        with self._lock:
-            if not self._heap:
-                return None
-            if self.policy == "priority":
-                return -self._heap[0][0][0]
-            return max(request.priority for _, _, request in self._heap)

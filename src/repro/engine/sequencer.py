@@ -566,7 +566,6 @@ class VoltageDecodeSequencer(_GreedySequencer):
         step_cost: Callable[[int, int], float] | None = None,
         prompt_seed: int = 0,
         runtime=None,
-        session_timeout: float = 60.0,
         attention: str = "gathered",
     ):
         """``attention`` selects the decode mode the resident ranks run:
@@ -574,9 +573,7 @@ class VoltageDecodeSequencer(_GreedySequencer):
         ``generate_cached``) or ``"distributed"`` (local-shard attention
         with the log-sum-exp combine — exact up to float tolerance, per-step
         wire volume flat in the sequence length)."""
-        session = DecodeSession(
-            system, runtime=runtime, timeout=session_timeout, attention=attention
-        )
+        session = DecodeSession(system, runtime=runtime, attention=attention)
         super().__init__(
             system.model, _SessionBackend(session), max_new_tokens, step_cost, prompt_seed
         )

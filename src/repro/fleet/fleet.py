@@ -50,7 +50,6 @@ class FleetConfig:
 
     num_slots: int = 2
     max_queue: int | None = None
-    policy: str = "fifo"  # engine queue policy, not the router policy
     shed_on_deadline: bool = True
     use_service_estimate: bool = False  # give engines the tier's exact cost model
     max_new_tokens: int = 8
@@ -72,7 +71,6 @@ class FleetConfig:
         return EngineConfig(
             num_slots=self.num_slots,
             max_queue=self.max_queue,
-            policy=self.policy,
             shed_on_deadline=self.shed_on_deadline,
             service_estimate=(
                 (lambda r: tier.request_cost(r.n, max_new))

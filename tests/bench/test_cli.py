@@ -1,10 +1,16 @@
 """Tests for the voltage-bench CLI."""
 
+import copy
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.bench import fleet as fleet_bench
+from repro.bench import serve as serve_bench
 from repro.bench.cli import main
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestCli:
@@ -62,7 +68,7 @@ class TestCli:
             "serve", "--quick", "--check",
             "--output", str(out), "--baseline", str(out),
         ]) == 0
-        assert "check: within tolerance" in capsys.readouterr().out
+        assert "check: equal to" in capsys.readouterr().out
 
     def test_serve_check_missing_baseline_fails(self, tmp_path, capsys):
         assert main([
@@ -102,3 +108,59 @@ class TestCli:
             main(["profile"])
         assert exc.value.code == 2
         assert "invalid choice: 'profile'" in capsys.readouterr().err
+
+
+@pytest.fixture(params=["serve", "fleet"])
+def canned_bench(request, monkeypatch):
+    """(target, committed report) with the target's sweep replaced by the
+    committed quick payload, so ``--check`` runs in milliseconds."""
+    target = request.param
+    committed = ROOT / f"BENCH_{target}.json"
+    quick = json.loads(committed.read_text())["modes"]["quick"]
+    if target == "serve":
+        monkeypatch.setattr(serve_bench, "run_serve_sweep", lambda **_: copy.deepcopy(quick))
+    else:
+        monkeypatch.setattr(fleet_bench, "run_fleet_sweep", lambda **_: copy.deepcopy(quick))
+    return target, committed
+
+
+def _doubled_p99(committed: Path, path: Path) -> Path:
+    doc = json.loads(committed.read_text())
+    doc["modes"]["quick"]["sweep"][0]["p99_latency_s"] *= 2
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    return path
+
+
+class TestCheckKeepsItsBaseline:
+    def test_failing_check_leaves_the_baseline_byte_unchanged(
+        self, canned_bench, tmp_path, capsys
+    ):
+        target, committed = canned_bench
+        baseline = _doubled_p99(committed, tmp_path / "baseline.json")
+        before = baseline.read_bytes()
+        argv = [target, "--quick", "--check", "--output", str(baseline),
+                "--baseline", str(baseline)]
+        for _ in range(2):  # a second identical run must fail the same way
+            assert main(argv) == 1
+            out = capsys.readouterr().out
+            assert "FAIL: modes.quick.sweep[0].p99_latency_s" in out
+            assert "not written" in out
+            assert baseline.read_bytes() == before
+
+    def test_failing_check_still_writes_another_output(self, canned_bench, tmp_path, capsys):
+        target, committed = canned_bench
+        baseline = _doubled_p99(committed, tmp_path / "baseline.json")
+        output = tmp_path / "out.json"
+        assert main([target, "--quick", "--check", "--output", str(output),
+                     "--baseline", str(baseline)]) == 1
+        written = json.loads(output.read_text())["modes"]["quick"]
+        assert written == json.loads(committed.read_text())["modes"]["quick"]
+
+    def test_passing_check_rewrites_an_equal_baseline(self, canned_bench, tmp_path, capsys):
+        target, committed = canned_bench
+        baseline = tmp_path / "baseline.json"
+        baseline.write_bytes(committed.read_bytes())
+        assert main([target, "--quick", "--check", "--output", str(baseline),
+                     "--baseline", str(baseline)]) == 0
+        assert f"check: equal to {baseline}" in capsys.readouterr().out
+        assert baseline.read_bytes() == committed.read_bytes()

@@ -1,8 +1,8 @@
 """Components of the fleet bench (``repro.bench fleet``).
 
 The full sweep runs in CI's fleet lane; these tests cover the pieces fast —
-report schema/merge, the regression gate's tolerance bands and exact digest
-gate, the committed baseline's invariants (autoscale demo demonstrated,
+report schema/merge, the regression gate's exact comparison and claim
+flags, the committed baseline's invariants (autoscale demo demonstrated,
 digests present), and byte-identical payload determinism across two fresh
 runs of the quick sweep.
 """
@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from repro.bench import fleet as fleet_bench
+
+from .test_serve_bench import changed, leaf_paths
 
 BASELINE = Path(__file__).resolve().parents[2] / "BENCH_fleet.json"
 
@@ -97,58 +99,79 @@ class TestRegressionGate:
         baseline = self.write_baseline(tmp_path, payload())
         assert fleet_bench.check_regression(payload(), "quick", baseline) == []
 
+    def test_any_one_leaf_change_fails_naming_its_path(self, tmp_path):
+        baseline = self.write_baseline(tmp_path, payload())
+        count = len(list(leaf_paths(payload(), "modes.quick")))
+        for i in range(count):
+            run = payload()
+            path, parent, key = list(leaf_paths(run, "modes.quick"))[i]
+            parent[key] = changed(parent[key])
+            errors = fleet_bench.check_regression(run, "quick", baseline)
+            assert errors and errors[0].startswith(f"{path}: "), (path, errors)
+
     def test_latency_drift_fails(self, tmp_path):
         baseline = self.write_baseline(tmp_path, payload())
         errors = fleet_bench.check_regression(
-            payload(p99_latency_s=1.0), "quick", baseline
+            payload(p99_latency_s=0.41), "quick", baseline
         )
-        assert errors and "p99_latency_s" in errors[0]
+        assert errors == ["modes.quick.sweep[0].p99_latency_s: 0.41 != baseline 0.4"]
 
     def test_rate_and_replica_drift_fail(self, tmp_path):
         baseline = self.write_baseline(tmp_path, payload())
-        assert fleet_bench.check_regression(
-            payload(shed_rate=0.2), "quick", baseline
-        )
-        assert fleet_bench.check_regression(
-            payload(peak_replicas=6), "quick", baseline
-        )
+        errors = fleet_bench.check_regression(payload(shed_rate=0.01), "quick", baseline)
+        assert errors and errors[0].startswith("modes.quick.sweep[0].shed_rate: 0.01 ")
+        errors = fleet_bench.check_regression(payload(peak_replicas=5), "quick", baseline)
+        assert errors == ["modes.quick.sweep[0].peak_replicas: 5 != baseline 4"]
 
     def test_digest_change_fails_exactly(self, tmp_path):
         baseline = self.write_baseline(tmp_path, payload())
         errors = fleet_bench.check_regression(
             payload(routing_digest="ffff"), "quick", baseline
         )
-        assert errors and "routing_digest" in errors[0]
+        assert errors and "sweep[0].routing_digest" in errors[0]
         errors = fleet_bench.check_regression(
             payload(outputs_digest="ffff"), "quick", baseline
         )
-        assert errors and "outputs_digest" in errors[0]
+        assert errors and "sweep[0].outputs_digest" in errors[0]
 
     def test_trace_digest_mismatch_fails(self, tmp_path):
         baseline = self.write_baseline(tmp_path, payload())
         errors = fleet_bench.check_regression(
             payload(trace_digest="beef"), "quick", baseline
         )
-        assert errors and "trace digest" in errors[0]
+        assert errors == ['modes.quick.workload.trace_digest: "beef" != baseline "cafe"']
+
+    def test_sweep_length_and_missing_key_fail(self, tmp_path):
+        baseline = self.write_baseline(tmp_path, payload())
+        longer = payload()
+        longer["sweep"].append(sweep_point(policy="affinity"))
+        errors = fleet_bench.check_regression(longer, "quick", baseline)
+        assert errors == ["modes.quick.sweep: 2 items != baseline 1"]
+        bare = payload()
+        del bare["sweep"][0]["tier_utilisation"]
+        errors = fleet_bench.check_regression(bare, "quick", baseline)
+        assert errors == ['modes.quick.sweep[0].tier_utilisation: missing (baseline {"full": 0.7})']
 
     def test_lost_demo_flags_fail(self, tmp_path):
-        baseline = self.write_baseline(tmp_path, payload())
+        """Each claim fails on its own, even against a baseline that lost it too."""
         for flag in (
             "fixed_sheds_or_misses",
             "autoscaled_bound_held",
             "autoscaled_halves_shed",
         ):
-            errors = fleet_bench.check_regression(
-                payload(**{flag: False}), "quick", baseline
-            )
-            assert errors, f"clearing {flag} should fail the gate"
+            lost = payload(**{flag: False})
+            baseline = self.write_baseline(tmp_path, lost)
+            errors = fleet_bench.check_regression(lost, "quick", baseline)
+            assert len(errors) == 1, f"clearing {flag} should fail the gate"
 
     def test_policy_set_change_fails(self, tmp_path):
         baseline = self.write_baseline(tmp_path, payload())
-        changed = payload()
-        changed["sweep"][0]["policy"] = "warm-random"
-        errors = fleet_bench.check_regression(changed, "quick", baseline)
-        assert errors and "policy set" in errors[0]
+        changed_run = payload()
+        changed_run["sweep"][0]["policy"] = "warm-random"
+        errors = fleet_bench.check_regression(changed_run, "quick", baseline)
+        assert errors == [
+            'modes.quick.sweep[0].policy: "warm-random" != baseline "least-loaded"'
+        ]
 
     def test_missing_baseline_and_mode_reported(self, tmp_path):
         assert fleet_bench.check_regression(

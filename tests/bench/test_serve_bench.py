@@ -99,6 +99,32 @@ class TestReportFile:
         assert doc["schema"] == serve.SCHEMA
 
 
+def leaf_paths(value, where):
+    """Every leaf of a JSON value as (path, parent container, key)."""
+    if isinstance(value, dict):
+        for key, child in value.items():
+            if isinstance(child, (dict, list)):
+                yield from leaf_paths(child, f"{where}.{key}")
+            else:
+                yield f"{where}.{key}", value, key
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            if isinstance(child, (dict, list)):
+                yield from leaf_paths(child, f"{where}[{i}]")
+            else:
+                yield f"{where}[{i}]", value, i
+
+
+def changed(leaf):
+    if isinstance(leaf, bool):
+        return not leaf
+    if isinstance(leaf, (int, float)):
+        return leaf * 2 + 1
+    if leaf is None:
+        return 0.0
+    return leaf + "x"
+
+
 class TestRegressionGate:
     def write_baseline(self, tmp_path, payload, mode="quick"):
         path = tmp_path / "baseline.json"
@@ -122,24 +148,55 @@ class TestRegressionGate:
         baseline = self.write_baseline(tmp_path, self.payload())
         assert serve.check_regression(self.payload(), "quick", baseline) == []
 
+    def test_any_one_leaf_change_fails_naming_its_path(self, tmp_path):
+        baseline = self.write_baseline(tmp_path, self.payload())
+        count = len(list(leaf_paths(self.payload(), "modes.quick")))
+        for i in range(count):
+            run = self.payload()
+            path, parent, key = list(leaf_paths(run, "modes.quick"))[i]
+            parent[key] = changed(parent[key])
+            errors = serve.check_regression(run, "quick", baseline)
+            assert errors and errors[0].startswith(f"{path}: "), (path, errors)
+
     def test_latency_drift_fails(self, tmp_path):
         baseline = self.write_baseline(tmp_path, self.payload())
         errors = serve.check_regression(
-            self.payload(p99_latency_s=2.0), "quick", baseline
+            self.payload(p99_latency_s=0.5000001), "quick", baseline
         )
-        assert errors and "p99_latency_s" in errors[0]
+        assert errors == ["modes.quick.sweep[0].p99_latency_s: 0.5000001 != baseline 0.5"]
 
     def test_shed_rate_drift_fails(self, tmp_path):
         baseline = self.write_baseline(tmp_path, self.payload())
-        errors = serve.check_regression(self.payload(shed_rate=0.2), "quick", baseline)
-        assert errors and "shed rate" in errors[0]
+        errors = serve.check_regression(self.payload(shed_rate=0.01), "quick", baseline)
+        assert errors and errors[0].startswith("modes.quick.sweep[0].shed_rate: 0.01 ")
+
+    def test_list_length_change_fails(self, tmp_path):
+        baseline = self.write_baseline(tmp_path, self.payload())
+        run = self.payload()
+        run["sweep"].append(dict(run["sweep"][0]))
+        errors = serve.check_regression(run, "quick", baseline)
+        assert errors == ["modes.quick.sweep: 2 items != baseline 1"]
+
+    def test_missing_key_fails(self, tmp_path):
+        baseline = self.write_baseline(tmp_path, self.payload())
+        run = self.payload()
+        del run["sweep"][0]["throughput_rps"]
+        errors = serve.check_regression(run, "quick", baseline)
+        assert errors == ["modes.quick.sweep[0].throughput_rps: missing (baseline 10.0)"]
+        errors = serve.check_regression(self.payload(), "quick", self.write_baseline(tmp_path, run))
+        assert errors == ["modes.quick.sweep[0].throughput_rps: 10.0 is not in the baseline"]
 
     def test_lost_overload_bound_fails(self, tmp_path):
-        baseline = self.write_baseline(tmp_path, self.payload())
-        errors = serve.check_regression(
-            self.payload(bound_held_with_shedding=False), "quick", baseline
-        )
-        assert errors and "bound" in errors[0]
+        """The claim fails on its own, even against a baseline that lost it too."""
+        lost = self.payload(bound_held_with_shedding=False)
+        baseline = self.write_baseline(tmp_path, lost)
+        errors = serve.check_regression(lost, "quick", baseline)
+        assert len(errors) == 1 and "bound" in errors[0]
+
+    def test_met_bound_without_shedding_fails(self, tmp_path):
+        met = self.payload(bound_exceeded_without_shedding=False)
+        errors = serve.check_regression(met, "quick", self.write_baseline(tmp_path, met))
+        assert len(errors) == 1 and "no-shedding" in errors[0]
 
     def test_missing_baseline_and_mode_reported(self, tmp_path):
         assert serve.check_regression(self.payload(), "quick", tmp_path / "nope.json")
@@ -150,41 +207,56 @@ class TestRegressionGate:
     # -- v2 speculative gates --------------------------------------------------
 
     def test_diverged_outputs_fail(self, tmp_path):
-        baseline = self.write_baseline(tmp_path, self.payload())
+        diverged = self.payload(identical=False)
         errors = serve.check_regression(
-            self.payload(identical=False), "quick", baseline
+            diverged, "quick", self.write_baseline(tmp_path, diverged)
         )
-        assert any("lossless" in e for e in errors)
+        assert len(errors) == 1 and "lossless" in errors[0]
 
     def test_changed_output_digest_fails(self, tmp_path):
         baseline = self.write_baseline(tmp_path, self.payload())
         errors = serve.check_regression(
             self.payload(digest="beef"), "quick", baseline
         )
-        assert any("digest" in e and "tokens changed" in e for e in errors)
+        assert errors[0] == (
+            'modes.quick.speculative.configs.baseline.output_digest: "beef" != '
+            'baseline "f00d"'
+        )
 
     def test_lost_speedup_fails(self, tmp_path):
-        baseline = self.write_baseline(tmp_path, self.payload())
-        errors = serve.check_regression(self.payload(speedup=0.97), "quick", baseline)
-        assert any("not > 1.0x" in e for e in errors)
+        slow = self.payload(speedup=0.97)
+        errors = serve.check_regression(slow, "quick", self.write_baseline(tmp_path, slow))
+        assert len(errors) == 1 and "speculative-ngram" in errors[0] and "not > 1.0x" in errors[0]
 
     def test_acceptance_rate_drift_fails(self, tmp_path):
         baseline = self.write_baseline(tmp_path, self.payload(acceptance=0.8))
-        assert serve.check_regression(self.payload(acceptance=0.75), "quick", baseline) == []
-        errors = serve.check_regression(self.payload(acceptance=0.6), "quick", baseline)
-        assert any("acceptance_rate" in e for e in errors)
+        errors = serve.check_regression(self.payload(acceptance=0.75), "quick", baseline)
+        assert errors and errors[0].startswith(
+            "modes.quick.speculative.configs.speculative-ngram.speculative.acceptance_rate: 0.75"
+        )
 
     def test_prefix_hit_rate_drift_fails(self, tmp_path):
         baseline = self.write_baseline(tmp_path, self.payload(hit_rate=0.6))
         errors = serve.check_regression(self.payload(hit_rate=0.3), "quick", baseline)
-        assert any("hit_rate" in e for e in errors)
+        assert errors and errors[0].startswith(
+            "modes.quick.speculative.configs.speculative-prefix-cache.prefix_cache.hit_rate: 0.3"
+        )
 
     def test_missing_speculative_section_fails(self, tmp_path):
         baseline = self.write_baseline(tmp_path, self.payload())
         bare = self.payload()
         del bare["speculative"]
         errors = serve.check_regression(bare, "quick", baseline)
-        assert any("speculative" in e for e in errors)
+        assert errors[0].startswith("modes.quick.speculative: missing")
+        assert "payload has no 'speculative' section" in errors
+
+    def test_only_the_first_differing_paths_are_listed(self, tmp_path):
+        baseline = self.write_baseline(tmp_path, self.payload())
+        run = self.payload()
+        for _, parent, key in list(leaf_paths(run, "modes.quick"))[:8]:
+            parent[key] = changed(parent[key])
+        errors = serve.check_regression(run, "quick", baseline)
+        assert errors[5] == "... and 3 more differing paths"
 
 
 class TestCommittedBaseline:

@@ -69,14 +69,6 @@ class TestBroadcastAndGather:
         steps = math.ceil(math.log2(5))
         assert t == pytest.approx(steps * (0.01 + 1e6 / BPS))
 
-    def test_sequential_broadcast(self):
-        t = coll.broadcast_seconds(NET, 1e6, 4, algorithm="sequential")
-        assert t == pytest.approx(4 * (0.01 + 1e6 / BPS))
-
-    def test_unknown_algorithm(self):
-        with pytest.raises(ValueError):
-            coll.broadcast_seconds(NET, 1e6, 4, algorithm="gossip")
-
     def test_zero_bytes_free(self):
         assert coll.broadcast_seconds(NET, 0, 4) == 0.0
 

@@ -38,21 +38,11 @@ class TestVirtualClock:
 
 
 class TestWallClock:
-    def test_dilation_validation(self):
-        with pytest.raises(ValueError, match="dilation"):
-            WallClock(dilation=0.0)
-
     def test_now_tracks_real_time(self):
         clock = WallClock()
         a = clock.now()
         time.sleep(0.01)
         assert clock.now() > a
-
-    def test_dilation_scales_stream_time(self):
-        clock = WallClock(dilation=100.0)
-        time.sleep(0.01)
-        # ~1 ms of wall time reads as >= 0.5 stream seconds at 100x
-        assert clock.now() >= 0.5
 
     def test_advance_is_noop(self):
         clock = WallClock()
@@ -60,12 +50,11 @@ class TestWallClock:
         clock.advance(100.0)
         assert clock.now() - before < 1.0  # no 100 s jump happened
 
-    def test_wait_until_sleeps_dilated(self):
-        clock = WallClock(dilation=1000.0)
-        began = time.perf_counter()
-        clock.wait_until(clock.now() + 1.0)  # 1 stream second = 1 ms wall
-        assert time.perf_counter() - began < 0.5
-        assert clock.now() >= 1.0
+    def test_wait_until_sleeps_until_the_deadline(self):
+        clock = WallClock()
+        target = clock.now() + 0.005
+        clock.wait_until(target)
+        assert clock.now() >= target
 
     def test_wait_until_past_deadline_returns_immediately(self):
         clock = WallClock()

@@ -373,14 +373,13 @@ class TestStepProtocol:
         [
             dict(num_slots=4),
             dict(num_slots=3, chaos_preempt_period=4, chaos_max_preemptions=2, chaos_seed=5),
-            dict(num_slots=2, policy="priority", preemptive=True),
         ],
-        ids=["plain", "chaos", "priority-preemption"],
+        ids=["plain", "chaos"],
     )
     def test_one_step_per_staged_flight_per_iteration(self, gpt2, config):
         """What a ``begin``/``step``-only proxy sees: between two ``stage``
         announcements every staged flight is stepped exactly once, in order
-        — so preemption (chaos or priority) always lands *before* staging
+        — so a chaos preemption always lands *before* staging
         and a staged state can never be skipped with its KV row appended."""
         sequencer = StagingSequencer(gpt2, max_new_tokens=5, step_cost=constant_step_cost)
         requests = [
@@ -389,7 +388,7 @@ class TestStepProtocol:
         report, log = run_logged(sequencer, requests, **config)
         assert len(report.completed) == len(requests)
         check_bit_identity(report, sequencer, requests)
-        if config.get("preemptive") or config.get("chaos_preempt_period"):
+        if config.get("chaos_preempt_period"):
             assert report.preemptions_total > 0
         rounds = iterations(log)
         assert rounds and all(staged == [i for i, _, _ in steps] for staged, steps in rounds)

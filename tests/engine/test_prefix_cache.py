@@ -40,7 +40,7 @@ class TestMatchEqualsBruteForce:
         capped = query if limit is None else query[: max(limit, 0)]
         expected = brute_force_lcp(cache.keys(), capped)
         result = cache.match(query, limit=limit)
-        if expected >= cache.min_match:
+        if expected > 0:
             assert result is not None
             entry, depth = result
             assert depth == expected
@@ -179,11 +179,11 @@ class TestInsertSemantics:
         assert sorted(cache.keys()) == [(1, 2), (1, 2, 3, 4)]
         cache.unpin(short)
 
-    def test_short_key_below_min_match_released(self):
+    def test_empty_key_released(self):
         released = []
-        cache = RadixPrefixCache(min_match=3, on_release=released.append)
-        assert cache.insert((1, 2), slot="tiny") is None
-        assert released == ["tiny"]
+        cache = RadixPrefixCache(on_release=released.append)
+        assert cache.insert((), slot="empty") is None
+        assert released == ["empty"]
         assert len(cache) == 0
 
 

@@ -1,4 +1,4 @@
-"""Tests for the admission queue, dispatch policies and shedding."""
+"""Tests for the admission queue, its arrival order and shedding."""
 
 import pytest
 
@@ -15,42 +15,31 @@ def drain(scheduler, now=0.0):
 
 
 class TestValidation:
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="policy"):
-            Scheduler(policy="lifo")
-
     def test_bad_queue_bound_rejected(self):
         with pytest.raises(ValueError, match="max_queue"):
             Scheduler(max_queue=0)
 
 
-class TestPolicies:
-    def test_fifo_is_arrival_order(self):
-        s = Scheduler(policy="fifo")
+class TestOrder:
+    def test_dispatch_is_arrival_order(self):
+        s = Scheduler()
         for request in [Request(2.0, 4, id=2), Request(0.0, 4, id=0), Request(1.0, 4, id=1)]:
             s.submit(request, now=request.arrival)
         assert drain(s, now=5.0) == [0, 1, 2]
 
-    def test_priority_orders_by_class_then_arrival(self):
-        s = Scheduler(policy="priority")
+    def test_priority_and_deadline_do_not_reorder(self):
+        s = Scheduler(shed_on_deadline=False)
         s.submit(Request(0.0, 4, id=0, priority=0), now=0.0)
-        s.submit(Request(1.0, 4, id=1, priority=5), now=1.0)
-        s.submit(Request(2.0, 4, id=2, priority=5), now=2.0)
-        assert drain(s, now=2.0) == [1, 2, 0]
+        s.submit(Request(1.0, 4, id=1, priority=5, deadline=2.0), now=1.0)
+        s.submit(Request(1.0, 4, id=2, priority=9, deadline=1.5), now=1.0)
+        assert drain(s, now=2.0) == [0, 1, 2]
 
-    def test_edf_orders_by_deadline_deadline_less_last(self):
-        s = Scheduler(policy="edf", shed_on_deadline=False)
-        s.submit(Request(0.0, 4, id=0), now=0.0)  # no deadline: sorts last
-        s.submit(Request(0.0, 4, id=1, deadline=9.0), now=0.0)
-        s.submit(Request(0.0, 4, id=2, deadline=3.0), now=0.0)
-        assert drain(s) == [2, 1, 0]
-
-    def test_best_waiting_priority(self):
-        s = Scheduler(policy="priority")
-        assert s.best_waiting_priority() is None
-        s.submit(Request(0.0, 4, id=0, priority=1), now=0.0)
-        s.submit(Request(0.0, 4, id=1, priority=7), now=0.0)
-        assert s.best_waiting_priority() == 7
+    def test_requeued_request_keeps_its_arrival_position(self):
+        s = Scheduler()
+        s.submit(Request(1.0, 4, id=1), now=1.0)
+        s.submit(Request(2.0, 4, id=2), now=2.0)
+        s.requeue(Request(0.5, 4, id=0))
+        assert drain(s, now=3.0) == [0, 1, 2]
 
 
 class TestShedding:
