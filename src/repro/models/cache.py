@@ -321,9 +321,9 @@ def layer_steps(layer: TransformerLayer, x_new: np.ndarray, attend, workspace=No
     their requests together, so the matrix is streamed from memory once per
     pass, not once per flight.  Each flight's products are the BLAS calls
     it would issue alone — the same ``np.matmul``, with more rows through
-    the same kernel for a packed member, or for single rows sharing a matrix
-    the same ``cblas_sgemv`` in row blocks
-    (:func:`repro.tensor.blas.rows_matmul`) — so sharing changes *when* and
+    the same kernel for a packed member — or, for single rows sharing a
+    matrix, a kernel in the same summation order
+    (:func:`repro.tensor.blas.rows_matmul`), so sharing changes *when* and
     *from which cache level* an op runs, never its result.
 
     Scratch invariant: a request's ``out`` is named *before* the pause and

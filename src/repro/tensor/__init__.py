@@ -10,7 +10,8 @@ provides just enough structure to express transformer models faithfully:
 - :mod:`repro.tensor.init` — seeded weight initialisers;
 - :mod:`repro.tensor.layers` — `Linear`, `LayerNorm`, `Embedding` modules;
 - :mod:`repro.tensor.blas` — :func:`rows_matmul`, several single rows against
-  one weight matrix streamed once (the accumulate GEMV NumPy does not expose).
+  one weight matrix streamed once (a small C kernel in ``np.matmul``'s own
+  summation order, built at first use).
 
 Everything operates on ``numpy.ndarray`` in ``float32`` by default, which is
 what edge CPU inference uses in practice and what the paper's latency model

@@ -1,32 +1,40 @@
-"""The one BLAS call NumPy does not expose: GEMV that *accumulates* (β = 1).
+"""Several single rows against one weight matrix, one stream of it, in the
+summation order of the BLAS ``np.matmul`` forwards a single row to.
 
 A decode round multiplies ``B`` single rows against the same weight matrix.
 ``B`` ``np.matmul`` calls stream the whole 7–9 MB matrix ``B`` times — every
 row after the first re-reads it from L3, no faster than DRAM on the reference
 box — and stacking the rows into one GEMM changes the summation order, so the
-bits (INTERNALS §10).  :func:`rows_matmul` instead walks the matrix *once*, in
-contiguous row blocks small enough to stay in L2, and finishes every row on a
-block before touching the next: block ``j`` of row ``i`` is
-``cblas_sgemv(..., beta = 1 if j else 0)`` — the very routine ``np.matmul``
-forwards a 1-row product to, called through :mod:`ctypes` on the OpenBLAS
-NumPy has already loaded.  The kernel adds each weight row's contribution
-straight into ``y``, so for the right block sizes the blocks replay the whole
-call's own summation sequence and the result is bit-identical.
+bits (INTERNALS §10).  :func:`rows_matmul` instead hands all the rows to one
+small C kernel (``_SOURCE``) that walks the matrix once and, per output
+element, sums in the order of OpenBLAS's SkylakeX ``sgemv_n``, the routine
+``np.matmul`` runs for a ``(1, K)`` row on the reference build: weight rows
+in groups of 8 (a product, then seven ``fmaf``), each group's sum added to
+``y``, the ``K % 8`` remainder as one group each of 4, 2 and 1 — and a
+``K ≤ 48`` as one group of all K.  The system ``cc`` compiles it at the
+first multi-row call into a private cache directory; later processes on the
+same compiler and CPU load that file.
 
-"The right block sizes" is measured, not derived (multiples of 64 rows at
-GPT-2's shapes; 16–56 and 100 differ; at K = 1000 so do 64 and 192), so
-nothing here assumes it: the first use of each weight shape multiplies a few seeded
-rows both ways against the live weight and keeps the accumulate kernel only
-if ``np.array_equal`` says so.  Everything that cannot take the kernel — no
-OpenBLAS to bind, operands that are not float32 with contiguous rows, a shape
-whose probe differs — is served by per-row ``np.matmul``, the call it would
-have been anyway, and says so once through :mod:`repro.obs`.
+That order is measured, not derived (bit-equal at every GPT-2, BERT and
+canary shape and every K below 120; columns past the last multiple of 16
+differ), so nothing here assumes it: the first use of each weight shape
+multiplies a few seeded rows both ways against the live weight and keeps the
+kernel only if ``np.array_equal`` says so.  Everything that cannot take the
+kernel — no compiler or no library, operands that are not float32 with
+contiguous rows, a shape whose probe differs — is served by per-row
+``np.matmul``, the call it would have been anyway, and says so once through
+:mod:`repro.obs`.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -34,104 +42,172 @@ import numpy as np
 
 from repro.obs import current_tracer, get_registry
 
-__all__ = [
-    "BLOCK_BYTES", "BLOCK_ROWS", "OpenBlas", "bound_blas", "rows_matmul", "rows_matmul_probe",
-]
+__all__ = ["kernel_library", "rows_matmul", "rows_matmul_probe"]
 
-#: A row block is the largest multiple of ``BLOCK_ROWS`` weight rows within
-#: ``BLOCK_BYTES`` (at least one multiple): ≈ 512 KiB stays L2-resident while
-#: every row of the round reads it, and multiples of 64 rows are the blocks
-#: the probe finds bit-equal at GPT-2's shapes.
-BLOCK_BYTES = 512 * 1024
-BLOCK_ROWS = 64
+_SOURCE = r"""
+#include <math.h>
+#include <stddef.h>
 
-_ROW_MAJOR, _TRANS = 101, 112  # CblasRowMajor, CblasTrans
-#: ``(symbol prefix, symbol suffix, BLAS integer)``: the ILP64 then the LP64
-#: spellings of NumPy's bundled (``scipy_``-prefixed) and a system OpenBLAS.
-_SYMBOLS = (
-    ("scipy_", "64_", ctypes.c_int64),
-    ("", "64_", ctypes.c_int64),
-    ("scipy_", "", ctypes.c_int),
-    ("", "", ctypes.c_int),
-)
+#define STRIP 256
+
+/* Weight rows k .. k+g-1 against columns [n0, n1) of every row's output:
+   t = x[k] w[k][n], then t = fma(x[k+j], w[k+j][n], t), then y[n] += t. */
+static inline __attribute__((always_inline)) void group(
+    int g, ptrdiff_t rows, ptrdiff_t k, ptrdiff_t n0, ptrdiff_t n1, const float *w,
+    ptrdiff_t lda, const float *const *xs, float *const *ys)
+{
+    const float *c = w + k * lda;
+    for (ptrdiff_t r = 0; r < rows; r++) {
+        const float *x = xs[r] + k;
+        float *restrict y = ys[r];
+        for (ptrdiff_t n = n0; n < n1; n++) {
+            float t = x[0] * c[n];
+            for (int j = 1; j < g; j++)
+                t = fmaf(x[j], c[j * lda + n], t);
+            y[n] += t;
+        }
+    }
+}
+
+/* Groups of g weight rows while they fit, each streamed once for all rows. */
+#define GROUPS(g)                                                       \
+    for (; k + g <= depth; k += g)                                      \
+        for (ptrdiff_t n0 = 0; n0 < width; n0 += STRIP)                 \
+            group(g, rows, k, n0, n0 + STRIP < width ? n0 + STRIP : width, w, lda, xs, ys)
+
+void rows_matmul(ptrdiff_t rows, ptrdiff_t depth, ptrdiff_t width, const float *w,
+                 ptrdiff_t lda, const float *const *xs, float *const *ys)
+{
+    for (ptrdiff_t r = 0; r < rows; r++)
+        for (ptrdiff_t n = 0; n < width; n++)
+            ys[r][n] = 0.0f;
+    ptrdiff_t k = 0;
+    if (depth <= 48)
+        GROUPS(depth); /* a short K is one chain */
+    GROUPS(8);
+    GROUPS(4);
+    GROUPS(2);
+    GROUPS(1);
+}
+"""
+#: No contraction but the explicit ``fmaf``s: the order is the source's.
+_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
 #: Scales of the probe's seeded rows (the magnitudes hidden states take).
 _PROBE_SCALES = (1.0, 1e-3, 50.0)
 
 
 @dataclass
-class OpenBlas:
-    """The OpenBLAS NumPy loaded, bound for :func:`rows_matmul`."""
+class Kernel:
+    """The compiled kernel, loaded into this process."""
 
     path: str
-    config: str  #: ``openblas_get_config()``
-    threads: int  #: ``openblas_get_num_threads()`` at bind time
-    sgemv: object = field(repr=False)  #: the bound ``cblas_sgemv``
-    #: ``(K, N, lda) -> does the blocked accumulate equal np.matmul`` per probed shape
+    function: object = field(repr=False)
+    #: ``(K, N, lda) -> does the kernel equal np.matmul`` per probed shape
     verdicts: dict[tuple[int, int, int], bool] = field(default_factory=dict, repr=False)
 
 
+def _cache_dir() -> str:
+    """``$XDG_CACHE_HOME/repro`` (else ``~/.cache/repro``), or a per-user one
+    in the temp dir: the first that is, or can be made, a directory only this
+    user can write (it holds code this process will load)."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    for directory in (os.path.join(base, "repro"),
+                      os.path.join(tempfile.gettempdir(), f"repro-{os.getuid()}")):
+        try:
+            os.makedirs(directory, mode=0o700, exist_ok=True)
+            status = os.stat(directory)
+        except OSError:
+            continue
+        if status.st_uid == os.getuid() and not status.st_mode & 0o077:
+            return directory
+    raise OSError("no private cache directory")
+
+
+def _cpu_flags() -> str:
+    """The CPU's feature flags (``-march=native`` builds for them).  Without
+    ``/proc/cpuinfo`` this raises, and the process gets no kernel rather
+    than one cached for another CPU."""
+    with open("/proc/cpuinfo") as info:
+        return next((line for line in info if line.startswith(("flags", "Features"))), "")
+
+
+def _library_path(compiler: str) -> str:
+    """Where the library built by ``compiler`` for this CPU lives: the name
+    hashes everything the bytes depend on."""
+    version = subprocess.run(
+        [compiler, "--version"], capture_output=True, text=True, check=True, timeout=60
+    ).stdout
+    digest = hashlib.sha256("\0".join((_SOURCE, *_FLAGS, version, _cpu_flags())).encode())
+    return os.path.join(_cache_dir(), f"rows_matmul-{digest.hexdigest()[:16]}.so")
+
+
+def _build(compiler: str, path: str) -> None:
+    """Compile the kernel to ``path``: built beside it, then renamed into
+    place, so a concurrent loader sees the old file or the whole new one."""
+    with tempfile.TemporaryDirectory(dir=os.path.dirname(path)) as scratch:
+        source, built = os.path.join(scratch, "rows_matmul.c"), os.path.join(scratch, "lib.so")
+        with open(source, "w") as out:
+            out.write(_SOURCE)
+        subprocess.run(
+            [compiler, *_FLAGS, "-o", built, source], capture_output=True, check=True, timeout=120
+        )
+        os.replace(built, path)
+
+
+def _open(path: str) -> Kernel:
+    function = ctypes.CDLL(path).rows_matmul  # a CDLL call releases the GIL
+    function.restype = None
+    function.argtypes = [
+        ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_ssize_t,  # rows, K, N
+        ctypes.c_void_p, ctypes.c_ssize_t,  # weight, lda
+        ctypes.c_void_p, ctypes.c_void_p,  # row pointers, output pointers
+    ]
+    return Kernel(path, function)
+
+
 @functools.cache
-def _bound() -> OpenBlas | str:
-    """Bind ``cblas_sgemv`` of the OpenBLAS mapped into this process, or say
-    why not — once per process.  The library is found the way the e2e
-    harness's thread guard finds it: NumPy has loaded it, so it is in
-    ``/proc/self/maps``."""
+def _loaded() -> Kernel | str:
+    """The kernel, built if no usable library is cached, or why there is
+    none — once per process (a forked rank inherits its parent's)."""
+    compiler = shutil.which("cc")
+    if compiler is None:
+        return "no C compiler (cc) on PATH"
     try:
-        with open("/proc/self/maps") as maps:
-            paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
-    except OSError:
-        paths = []
-    for path in paths:
-        library = ctypes.CDLL(path)
-        for prefix, suffix, blas_int in _SYMBOLS:
-            sgemv = getattr(library, f"{prefix}cblas_sgemv{suffix}", None)
-            get_config = getattr(library, f"{prefix}openblas_get_config{suffix}", None)
-            get_threads = getattr(library, f"{prefix}openblas_get_num_threads{suffix}", None)
-            if sgemv is None or get_config is None or get_threads is None:
-                continue
-            sgemv.restype = None
-            sgemv.argtypes = [
-                ctypes.c_int, ctypes.c_int, blas_int, blas_int,  # order, trans, M, N
-                ctypes.c_float, ctypes.c_void_p, blas_int,  # alpha, A, lda
-                ctypes.c_void_p, blas_int,  # x, incx
-                ctypes.c_float, ctypes.c_void_p, blas_int,  # beta, y, incy
-            ]
-            get_config.restype, get_config.argtypes = ctypes.c_char_p, []
-            get_threads.restype, get_threads.argtypes = ctypes.c_int, []
-            return OpenBlas(path, get_config().decode().strip(), get_threads(), sgemv)
-    return "no cblas_sgemv symbol in the mapped OpenBLAS" if paths else "no OpenBLAS mapped"
+        path = _library_path(compiler)
+        if os.path.exists(path):
+            try:
+                return _open(path)
+            except (OSError, AttributeError):
+                pass  # not a loadable kernel: build over it
+        _build(compiler, path)
+        return _open(path)
+    except subprocess.CalledProcessError as error:
+        return f"cc exited with status {error.returncode}"
+    except (OSError, AttributeError, subprocess.SubprocessError) as error:
+        return f"kernel library unavailable: {error}"
 
 
-def bound_blas() -> OpenBlas | None:
-    """The process's bound OpenBLAS (bound on first use), None if there is none."""
-    blas = _bound()
-    return blas if isinstance(blas, OpenBlas) else None
+def kernel_library() -> str:
+    """The loaded kernel's path (built on first use), or the reason there is
+    none."""
+    kernel = _loaded()
+    return kernel.path if isinstance(kernel, Kernel) else kernel
 
 
-def _block_rows(width: int) -> int:
-    return max(BLOCK_ROWS, BLOCK_BYTES // (4 * width) // BLOCK_ROWS * BLOCK_ROWS)
-
-
-def _accumulate(sgemv, xs: Sequence[np.ndarray], weight: np.ndarray) -> list[np.ndarray]:
-    """``x @ weight`` for float32 ``(1, K)`` rows: one walk over ``weight``'s
-    row blocks, every row accumulated on a block before the next is read."""
-    depth, width = weight.shape
-    lda = weight.strides[0] // 4
-    outs = [np.empty((1, width), dtype=np.float32) for _ in xs]
-    base = weight.ctypes.data
-    pointers = [(x.ctypes.data, out.ctypes.data) for x, out in zip(xs, outs)]
-    block = _block_rows(width)
-    for start in range(0, depth, block):
-        rows, beta = min(block, depth - start), float(start > 0)
-        panel = base + 4 * lda * start
-        for x, out in pointers:
-            sgemv(_ROW_MAJOR, _TRANS, rows, width, 1.0, panel, lda, x + 4 * start, 1, beta, out, 1)
+def _call(kernel: Kernel, xs: Sequence[np.ndarray], weight: np.ndarray) -> list[np.ndarray]:
+    """``x @ weight`` for float32 ``(1, K)`` rows, one pass over ``weight``."""
+    outs = [np.empty((1, weight.shape[1]), dtype=np.float32) for _ in xs]
+    pointers = ctypes.c_void_p * len(xs)
+    kernel.function(
+        len(xs), *weight.shape, weight.ctypes.data, weight.strides[0] // 4,
+        pointers(*(x.ctypes.data for x in xs)), pointers(*(out.ctypes.data for out in outs)),
+    )
     return outs
 
 
 def _unsupported(xs: Sequence[np.ndarray], weight: np.ndarray) -> str | None:
-    """Why these operands cannot go through ``cblas_sgemv`` as they lie in
-    memory (None if they can)."""
+    """Why these operands cannot go through the kernel as they lie in memory
+    (None if they can)."""
     if weight.dtype != np.float32 or any(x.dtype != np.float32 for x in xs):
         return "operands are not float32"
     if weight.ndim != 2 or 0 in weight.shape or any(x.shape != (1, weight.shape[0]) for x in xs):
@@ -144,36 +220,36 @@ def _unsupported(xs: Sequence[np.ndarray], weight: np.ndarray) -> str | None:
     return None
 
 
-def _probe(blas: OpenBlas, weight: np.ndarray) -> bool:
-    """Does the blocked accumulate reproduce ``np.matmul`` on this weight's
-    shape?  A few seeded rows against the live weight — no copy of it (a NaN
-    the weight holds must not count as a difference: the verdict outlives it)."""
+def _probe(kernel: Kernel, weight: np.ndarray) -> bool:
+    """Does the kernel reproduce ``np.matmul`` on this weight's shape?  A few
+    seeded rows against the live weight — no copy of it (a NaN the weight
+    holds must not count as a difference: the verdict outlives it)."""
     rng = np.random.default_rng(weight.shape)
     rows = [
         (scale * rng.standard_normal((1, weight.shape[0]))).astype(np.float32)
         for scale in _PROBE_SCALES
     ]
-    blocked = _accumulate(blas.sgemv, rows, weight)
     return all(
-        np.array_equal(y, np.matmul(x, weight), equal_nan=True) for x, y in zip(rows, blocked)
+        np.array_equal(y, np.matmul(x, weight), equal_nan=True)
+        for x, y in zip(rows, _call(kernel, rows, weight))
     )
 
 
-def _kernel(xs: Sequence[np.ndarray], weight: np.ndarray) -> OpenBlas | str:
-    """The library whose accumulate kernel may serve these rows, or the
-    reason they take per-row ``np.matmul``."""
-    blas = _bound()
-    if isinstance(blas, str):
-        return blas
+def _kernel(xs: Sequence[np.ndarray], weight: np.ndarray) -> Kernel | str:
+    """The kernel that may serve these rows, or the reason they take per-row
+    ``np.matmul``."""
     reason = _unsupported(xs, weight)
     if reason is not None:
         return reason
+    kernel = _loaded()
+    if isinstance(kernel, str):
+        return kernel
     key = (*weight.shape, weight.strides[0] // 4)
-    if key not in blas.verdicts:
-        blas.verdicts[key] = _probe(blas, weight)
-    if not blas.verdicts[key]:
-        return "blocked accumulate differs from np.matmul at (K, N, lda) = {}".format(key)
-    return blas
+    if key not in kernel.verdicts:
+        kernel.verdicts[key] = _probe(kernel, weight)
+    if not kernel.verdicts[key]:
+        return "kernel differs from np.matmul at (K, N, lda) = {}".format(key)
+    return kernel
 
 
 def _report_disabled(reason: str) -> None:
@@ -191,18 +267,18 @@ def rows_matmul(xs: Sequence[np.ndarray], weight: np.ndarray) -> list[np.ndarray
 
     Two or more float32 ``(1, K)`` rows against a float32 ``(K, N)`` weight
     with contiguous rows (a column view — ``lda ≠ N`` — qualifies) take the
-    L2-blocked accumulate GEMV, once the shape's probe has shown it equal
-    to ``np.matmul``; anything else, and a lone row (for which the blocked
-    walk is the slower one), is literally the ``np.matmul`` calls.  Counted
-    per row in ``tensor.rows_matmul_rows_total{kernel=accumulate|matmul}``.
+    C kernel, once the shape's probe has shown it equal to ``np.matmul``;
+    anything else, and a lone row (for which ``np.matmul`` is the faster
+    walk), is literally the ``np.matmul`` calls.  Counted per row in
+    ``tensor.rows_matmul_rows_total{kernel=accumulate|matmul}``.
     """
     rows_total = get_registry().counter
     if len(xs) >= 2:
-        blas = _kernel(xs, weight)
-        if isinstance(blas, OpenBlas):
+        kernel = _kernel(xs, weight)
+        if isinstance(kernel, Kernel):
             rows_total("tensor.rows_matmul_rows_total", kernel="accumulate").inc(len(xs))
-            return _accumulate(blas.sgemv, xs, weight)
-        _report_disabled(blas)
+            return _call(kernel, xs, weight)
+        _report_disabled(kernel)
     rows_total("tensor.rows_matmul_rows_total", kernel="matmul").inc(len(xs))
     return [np.matmul(x, weight) for x in xs]
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.models.config import gpt2_config
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.tensor.blas import bound_blas, rows_matmul_probe
+from repro.tensor.blas import kernel_library, rows_matmul_probe
 from repro.verify.runner import ScenarioResult, default_voltage_factory, run_scenario
 from repro.verify.scenario import ScenarioConfig, sample_scenario
 from repro.verify.shrink import shrink_config
@@ -33,18 +33,18 @@ REPORT_VERSION = 1
 
 
 def blas_identity() -> dict:
-    """Which BLAS the bit-identity checks ran on, for the report header: the
-    OpenBLAS bound under NumPy (None if there is none to bind) and the
-    verdict ``rows_matmul``'s probe reaches at GPT-2's four layer-matrix
-    shapes (seeded stand-in weights, dropped at once)."""
-    blas = bound_blas()
+    """Which arithmetic the bit-identity checks ran on, for the report
+    header: the BLAS NumPy was built against (``np.show_config``), the
+    ``rows_matmul`` kernel's library (or why there is none) and the verdict
+    its probe reaches at GPT-2's four layer-matrix shapes (seeded stand-in
+    weights, dropped at once)."""
+    numpy_blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     config = gpt2_config()
     f, ffn = config.hidden_size, config.ffn_dim
     rng = np.random.default_rng(0)
     return {
-        "path": blas and blas.path,
-        "config": blas and blas.config,
-        "threads": blas and blas.threads,
+        "numpy_blas": f"{numpy_blas.get('name')} {numpy_blas.get('version')}",
+        "kernel": kernel_library(),
         "rows_matmul": {
             f"{depth}x{width}": rows_matmul_probe(
                 rng.standard_normal((depth, width), dtype=np.float32)
@@ -109,10 +109,7 @@ class VerifyReport:
         """Short human-readable campaign summary for the CLI."""
         lines = []
         if self.blas:
-            lines.append(
-                f"blas: {self.blas['config'] or 'not OpenBLAS'}, "
-                f"{self.blas['threads']} thread(s), {self.blas['path']}"
-            )
+            lines.append(f"blas: {self.blas['numpy_blas']}; kernel: {self.blas['kernel']}")
             lines += [
                 f"  rows_matmul {shape}: {verdict}"
                 for shape, verdict in self.blas["rows_matmul"].items()

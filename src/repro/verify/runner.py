@@ -619,31 +619,39 @@ def _head_argmax_check(model, raw, seed: int) -> Check:
 def _rows_matmul_check(model, raw, seed: int) -> Check:
     """The decode round's shared-matrix kernel against the calls it stands
     in for, on a seed-sampled ``B`` (2–9) of the scenario's own hidden rows
-    and the first layer's four weight matrices: every product of
+    and the first layer's weight matrices — the fused QKV and its query
+    column view (``lda ≠ N``), W_O, FC1 and FC2: every product of
     ``rows_matmul`` must be ``np.array_equal`` to that row's own
-    ``np.matmul`` (INTERNALS §10)."""
+    ``np.matmul``, and the detail names the probe's verdict per matrix
+    (INTERNALS §10)."""
     rng = np.random.default_rng(seed + 4)
     hidden = model.encode(model.preprocess(raw))
     rows = [hidden[i : i + 1] for i in rng.integers(0, len(hidden), size=int(rng.integers(2, 10)))]
-    layer = model.layers[0]
-    fc1 = layer.ffn.fc1.weight.data
-    products = [
-        (layer.attention.fused_qkv()[0], rows),
-        (layer.attention.output.weight.data, rows),
-        (fc1, rows),
-        (layer.ffn.fc2.weight.data, [layer.ffn.activate(row @ fc1) for row in rows]),
-    ]
+    attention, ffn = model.layers[0].attention, model.layers[0].ffn
+    fc1 = ffn.fc1.weight.data
+    products = {
+        "QKV": (attention.fused_qkv()[0], rows),
+        "Q view": (attention.query.weight.data, rows),
+        "W_O": (attention.output.weight.data, rows),
+        "FC1": (fc1, rows),
+        "FC2": (ffn.fc2.weight.data, [ffn.activate(row @ fc1) for row in rows]),
+    }
     differ = sum(
         not np.array_equal(got, np.matmul(x, weight))
-        for weight, xs in products
+        for weight, xs in products.values()
         for x, got in zip(xs, rows_matmul(xs, weight))
     )
+    verdicts = {name: rows_matmul_probe(weight) for name, (weight, _) in products.items()}
     return Check(
         "rows_matmul_matches_matmul",
         passed=differ == 0,
         detail=(
-            f"B={len(rows)} rows x 4 matrices at F={model.config.hidden_size}: "
-            f"{differ} products differ ({rows_matmul_probe(fc1)})"
+            f"B={len(rows)} rows x {len(products)} matrices at F={model.config.hidden_size}: "
+            f"{differ} products differ; "
+            + ", ".join(
+                f"{name} {'kernel' if verdict.startswith('accumulate') else verdict}"
+                for name, verdict in verdicts.items()
+            )
         ),
     )
 

@@ -225,14 +225,20 @@ class TestSharedMatrixKernel:
     @pytest.mark.parametrize("chaos", [None, 5])
     def test_engine_is_identical_with_the_binding_patched_away(self, gpt2, chaos, monkeypatch):
         """The decode rows of a round share each layer matrix through
-        ``rows_matmul``; without an OpenBLAS to bind they are per-row
+        ``rows_matmul``; without its C kernel they are per-row
         ``np.matmul`` again.  Every ``(done, cost)``, timestamp and output
         is the same either way — only the counters tell the kernels apart."""
         config = dict(num_slots=4, chaos_preempt_period=chaos, chaos_seed=3)
+        layer = gpt2.layers[0]
+        served = all(  # the probe's verdict at each of the model's layer shapes
+            blas.rows_matmul_probe(weight).startswith("accumulate")
+            for weight in (layer.attention.fused_qkv()[0], layer.attention.output.weight.data,
+                           layer.ffn.fc1.weight.data, layer.ffn.fc2.weight.data)
+        )
         runs, rows = [], []
         for patched in (False, True):
             if patched:
-                monkeypatch.setattr(blas, "_bound", lambda: "patched away")
+                monkeypatch.setattr(blas, "_loaded", lambda: "patched away")
             sequencer = StagingSequencer(gpt2, max_new_tokens=6, step_cost=position_cost)
             registry = obs.MetricsRegistry()
             with obs.use_registry(registry):
@@ -248,8 +254,7 @@ class TestSharedMatrixKernel:
             ).value == patched
         assert runs[0] == runs[1]
         assert sum(rows[0].values()) == sum(rows[1].values()) == rows[1]["matmul"] > 0
-        if blas.bound_blas() is not None:
-            assert rows[0]["matmul"] == 0
+        assert (rows[0]["matmul"] == 0) == served
 
 
 class TestMixedIterations:

@@ -57,7 +57,7 @@ class TestCohortRows:
         self, gpt2, batch, layout, monkeypatch
     ):
         """The rows sharing a matrix fall back to per-row ``np.matmul``."""
-        monkeypatch.setattr(blas, "_bound", lambda: "patched away")
+        monkeypatch.setattr(blas, "_loaded", lambda: "patched away")
         self.test_rows_equal_lone_forwards_and_kv_rows(gpt2, batch, layout)
 
     @pytest.mark.parametrize("batch", [1, 2, 3, 4, 7])

@@ -191,7 +191,7 @@ GPT2_CASES = {
     "suffixes": [(96, 9), (96, 24), (96, 2)],
     "verify + decode + prefill": [(20, 5, True), (31, 1), (26, 4, True), (0, 16), (40, 1)],
     # the saturated round: four single rows share every layer matrix
-    # (``rows_matmul``'s accumulate GEMV) next to a packed set
+    # (``rows_matmul``'s C kernel) next to a packed set
     "decode cohort + prefills": [(31, 1), (40, 1), (12, 1), (0, 16), (7, 1), (0, 9)],
 }
 

@@ -97,7 +97,7 @@ def test_engine_takes_no_argmax_of_head_logits():
 
 def test_ctypes_is_imported_only_under_repro_tensor():
     """Foreign calls take raw pointers: the one place that makes them
-    (``repro/tensor/blas.py``, the accumulate GEMV) validates dtype, shape
+    (``repro/tensor/blas.py``, the rows_matmul kernel) validates dtype, shape
     and strides first and keeps every buffer referenced while native code
     runs.  Nothing else in ``src/repro`` may import ``ctypes``."""
     offenders = [

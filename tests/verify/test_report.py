@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.bench.cli import main
+from repro.tensor.blas import kernel_library
 from repro.verify import run_verification
 
 
@@ -44,6 +45,17 @@ class TestVerifyReport:
 
     def test_summary_mentions_counts(self, report):
         assert "6 passed" in report.summary()
+
+    def test_header_names_numpys_blas_and_the_kernel(self, report):
+        """NumPy's BLAS, the ``rows_matmul`` kernel's library (or why there
+        is none) and the probe's verdict at GPT-2's four layer shapes."""
+        blas = json.loads(report.to_json())["blas"]
+        assert blas == report.blas and set(blas) == {"numpy_blas", "kernel", "rows_matmul"}
+        assert blas["kernel"] == kernel_library()
+        assert list(blas["rows_matmul"]) == ["768x2304", "768x768", "768x3072", "3072x768"]
+        assert report.summary().splitlines()[0] == (
+            f"blas: {blas['numpy_blas']}; kernel: {blas['kernel']}"
+        )
 
 
 @pytest.mark.slow
