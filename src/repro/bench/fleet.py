@@ -36,6 +36,7 @@ from repro.fleet import (
     Fleet,
     FleetConfig,
     FleetReport,
+    REFERENCE_PROMPT_LEN,
     ROUTER_POLICIES,
     build_tier_model,
     build_trace,
@@ -58,7 +59,6 @@ emit_report = partial(harness.emit_report, schema=SCHEMA)
 
 _MAX_NEW = 8
 _NUM_SLOTS = 2
-_REF_PROMPT = 8
 _LINFORMER_RANK = 16
 
 
@@ -126,7 +126,7 @@ def run_fleet_sweep(quick: bool = False, seed: int = 0, trace_ref: str = "diurna
         tier_meta.append(meta)
 
     full = tiers[0]
-    service_s = full.request_cost(_REF_PROMPT, _MAX_NEW)
+    service_s = full.request_cost(REFERENCE_PROMPT_LEN, _MAX_NEW)
     trace = build_trace(trace_ref, seed=seed, quick=quick)
     scaled = trace.rescaled(service_s)
 
@@ -141,7 +141,6 @@ def run_fleet_sweep(quick: bool = False, seed: int = 0, trace_ref: str = "diurna
         shed_on_deadline=True,
         use_service_estimate=True,
         max_new_tokens=_MAX_NEW,
-        reference_prompt_len=_REF_PROMPT,
     )
 
     def scaler() -> Autoscaler:
@@ -254,7 +253,7 @@ def run_single_fleet(
         for tier in tiers
     }
     full = tiers[0]
-    service_s = full.request_cost(_REF_PROMPT, _MAX_NEW)
+    service_s = full.request_cost(REFERENCE_PROMPT_LEN, _MAX_NEW)
     trace = build_trace(trace_ref, seed=seed, quick=quick).rescaled(service_s)
 
     def factory(tier):
@@ -287,7 +286,6 @@ def run_single_fleet(
                 shed_on_deadline=True,
                 use_service_estimate=True,
                 max_new_tokens=_MAX_NEW,
-                reference_prompt_len=_REF_PROMPT,
             ),
         )
         report = fleet.run(trace.requests)

@@ -175,7 +175,6 @@ class _Flight:
     state: object
     request: Request
     slot: KVSlot
-    steps: int = 0
 
 
 @dataclass
@@ -559,7 +558,6 @@ class InferenceEngine:
                         cost if cost is not None else time.perf_counter() - began
                     )
                     clock.advance(elapsed)
-                    flight.steps += 1
                     lifecycles[flight.request.id].steps += 1
                     report.steps_total += 1
                     report.slot_seconds += elapsed * in_use

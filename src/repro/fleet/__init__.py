@@ -11,7 +11,7 @@ sweeps router policies and demonstrates autoscaling end to end.
 """
 
 from repro.fleet.autoscaler import Autoscaler, AutoscalerConfig, AutoscalerSample
-from repro.fleet.fleet import Fleet, FleetConfig, FleetReport, Replica
+from repro.fleet.fleet import REFERENCE_PROMPT_LEN, Fleet, FleetConfig, FleetReport, Replica
 from repro.fleet.router import (
     ROUTER_POLICIES,
     LeastLoadedRouter,
@@ -44,6 +44,7 @@ __all__ = [
     "Fleet",
     "FleetConfig",
     "FleetReport",
+    "REFERENCE_PROMPT_LEN",
     "Replica",
     "ROUTER_POLICIES",
     "Router",

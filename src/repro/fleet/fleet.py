@@ -30,7 +30,7 @@ byte-identical-report gate checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,13 @@ from repro.fleet.tiers import ReplicaTier
 from repro.serving.arrivals import Request
 from repro.serving.stats import ServedRequest, ServingStats
 
-__all__ = ["FleetConfig", "Replica", "FleetReport", "Fleet"]
+__all__ = ["FleetConfig", "Replica", "FleetReport", "Fleet", "REFERENCE_PROMPT_LEN"]
+
+#: Prompt length of the reference request that prices a tier's service cost
+#: for the router's load estimate.
+REFERENCE_PROMPT_LEN = 8
+#: Replicas a run starts with, before the autoscaler's first tick.
+_INITIAL_REPLICAS = 1
 
 
 @dataclass(frozen=True)
@@ -53,18 +59,6 @@ class FleetConfig:
     shed_on_deadline: bool = True
     use_service_estimate: bool = False  # give engines the tier's exact cost model
     max_new_tokens: int = 8
-    initial_replicas: int = 1
-    reference_prompt_len: int = 8  # prices tiers for the router's load estimate
-
-    def __post_init__(self) -> None:
-        if self.initial_replicas < 1:
-            raise ValueError(
-                f"initial_replicas must be >= 1, got {self.initial_replicas}"
-            )
-        if self.reference_prompt_len < 1:
-            raise ValueError(
-                f"reference_prompt_len must be >= 1, got {self.reference_prompt_len}"
-            )
 
     def engine_config(self, tier: ReplicaTier) -> EngineConfig:
         max_new = self.max_new_tokens
@@ -260,9 +254,7 @@ class Fleet:
             index=index,
             tier=tier,
             engine=engine,
-            service_cost=tier.request_cost(
-                self.config.reference_prompt_len, self.config.max_new_tokens
-            ),
+            service_cost=tier.request_cost(REFERENCE_PROMPT_LEN, self.config.max_new_tokens),
             spawned_at=now,
         )
         self._all.append(replica)
@@ -297,7 +289,7 @@ class Fleet:
             raise RuntimeError("a Fleet instance runs exactly once; build a new one")
         arrivals = sorted(requests)
         start = arrivals[0].arrival if arrivals else 0.0
-        for _ in range(self.config.initial_replicas):
+        for _ in range(_INITIAL_REPLICAS):
             self._spawn(start)
         # align the timeline's origin with the run start, not spawn order
         self._timeline = [(start, len(self.live))]

@@ -20,7 +20,7 @@ from repro.models.config import (
     vit_large_config,
 )
 from repro.models.embeddings import PatchEmbeddings, TextEmbeddings
-from repro.models.gpt2 import GPT2Model
+from repro.models.gpt2 import GPT2Model, greedy_loop
 from repro.models.cache import KVCache, LayerKVCache, layer_forward_cached
 from repro.models.layer import FeedForward, TransformerLayer
 from repro.models.tokenizer import SimpleTokenizer
@@ -46,6 +46,7 @@ __all__ = [
     "distilbert_config",
     "gpt2_config",
     "gpt2_medium_config",
+    "greedy_loop",
     "vit_large_config",
     "tiny_config",
     "vit_base_config",

@@ -26,7 +26,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from types import GeneratorType
 
 import numpy as np
 
@@ -304,11 +303,6 @@ def layer_steps(layer: TransformerLayer, x_new: np.ndarray, attend, workspace=No
     per-head projections and must return the *normalised* attended context
     for those positions — it owns cache extension, score scaling, causal
     masking and the softmax (no weights, so it runs in the QKV segment).
-    ``attend`` may itself be a generator that pauses (a bare ``yield`` — no
-    product) before it reads rows its peers append (a span-partitioned
-    sharded step, whose owner drives every rank it owns in
-    :func:`lockstep`): its pauses become this layer's, its return value the
-    attended context.
 
     ``x_new`` may stack the new rows of several flights (a *packed* row
     set, :func:`packed_flights`): the weight products and everything
@@ -333,9 +327,7 @@ def layer_steps(layer: TransformerLayer, x_new: np.ndarray, attend, workspace=No
     :class:`Workspace`.  Hence single rows never name scratch
     (:func:`_qkv_request`), :func:`lockstep` serves a multi-row ``out`` that
     overlaps an earlier request's of the round into a fresh array instead,
-    and no other workspace view is live across a weight pause (a pausing
-    ``attend`` holds ``q`` across its own, so its driver gives each
-    generator its own workspace).
+    and no other workspace view is live across a weight pause.
     """
     if not layer.config.is_causal:
         raise ValueError("KV caching requires a causal layer")
@@ -345,8 +337,6 @@ def layer_steps(layer: TransformerLayer, x_new: np.ndarray, attend, workspace=No
     attn_input = x_new if post else layer.ln1(x_new)
     qkv = yield _qkv_request(attention, attn_input, workspace)
     attended = attend(*_split_qkv(attention, qkv))
-    if isinstance(attended, GeneratorType):
-        attended = yield from attended
     projected = yield _linear_request(attention.output, merge_heads(attended))
     y = layer.ln1(projected + x_new) if post else x_new + projected
     ffn_input = y if post else layer.ln2(y)

@@ -26,7 +26,7 @@ from repro.tensor.layers import LayerNorm
 from repro.tensor.module import Module, ModuleList
 from repro.tensor.workspace import Workspace
 
-__all__ = ["CachedForward", "GPT2Model", "head_screen_block"]
+__all__ = ["CachedForward", "GPT2Model", "greedy_loop", "head_screen_block"]
 
 #: Embedding-table bytes one LM-head block covers: ≈ 1 MiB, small enough to
 #: stay cache resident while every cohort row is multiplied against it
@@ -45,6 +45,25 @@ _NO_OVERFLOW = 1e38
 #: fixed size to the workspace): a chunk of table blocks is screened into
 #: them, reduced to each row's running top two, and overwritten by the next.
 _SCREEN_SCRATCH_CELLS = 1 << 15
+
+
+def greedy_loop(step, ids: list[int], max_new_tokens: int, max_positions: int) -> list[int]:
+    """Greedy decoding's control flow, spelled once: ``step(new_ids,
+    offset) -> next token id`` runs one cached forward — first over the
+    whole prompt ``ids``, then over each appended token — and ``ids`` grows
+    in place, stopping at ``max_new_tokens`` new tokens or ``max_positions``
+    ids; returns ``ids``.  :meth:`GPT2Model.generate_cached`, the decode
+    session's clients and ``systems.decode.decode_step_totals`` (over
+    lengths only) all run it."""
+    next_id = step(ids, 0)
+    for _ in range(max_new_tokens):
+        if len(ids) >= max_positions:
+            break
+        ids.append(next_id)
+        if len(ids) >= max_positions:
+            break
+        next_id = step([ids[-1]], len(ids) - 1)
+    return ids
 
 
 def head_screen_block(rows: int, width: int) -> int:
@@ -406,14 +425,7 @@ class GPT2Model(TransformerModel):
             logits = self.logits_cached(new_ids, offset, cache.layers, workspace=workspace)
             return int(np.argmax(logits))
 
-        next_id = step(ids, 0)  # prefill over the whole prompt
-        for _ in range(max_new_tokens):
-            if len(ids) >= self.config.max_positions:
-                break
-            ids.append(next_id)
-            if len(ids) >= self.config.max_positions:
-                break
-            next_id = step([ids[-1]], len(ids) - 1)
+        greedy_loop(step, ids, max_new_tokens, self.config.max_positions)
         return np.asarray(ids, dtype=np.int64)
 
     def generate(self, prompt_ids: np.ndarray, max_new_tokens: int = 8) -> np.ndarray:

@@ -61,31 +61,27 @@ in the same order — so only the comparison against the single device
 moves to the verify harness's regime-2 closeness tolerance, and per-rank
 score/context FLOPs drop to O(t/K).  See INTERNALS §14.
 
-One rank-side step kernel, two exchanges.  :func:`sharded_decode_step` is
-the only "embed → sharded layers → sharded LM head" body: it appends the
-new K/V rows to the shards its caller *owns*, takes each owned shard's
-local contribution (K/V views, or packed softmax stats; then head
-candidates) and all-gathers them into the rank-ordered whole.  Only the
-all-gather differs between surfaces — K = 1 and the host emulation are the
-same code with one or all shards owned:
-
-* a real collective (``ctx.all_gather``) when the caller owns one rank's
-  shards — :class:`DecodeSession`, the only runner of real decode ranks: a
-  ``repro.cluster.service.RankService`` whose resident ranks, on a
-  ``ThreadedRuntime`` or ``ProcessRuntime``, are fed per-step commands, the
-  host asserting every step that all ranks emitted the same token.  The
-  engine's ``VoltageDecodeSequencer`` drives it, and so does
-  :func:`generate_distributed` (begin, the greedy loop, close);
-* a host-side merge (``np.concatenate``) when the caller owns all ``K``
-  shards — :func:`run_decode`, which pairs the emulated tokens with
-  :func:`decode_timeline`, the one shapes-only per-token latency timeline
-  (decode-phase Γ model, ``core.complexity.decode_rank_flops``) that
-  ``bench.analytic.voltage_decode_latency`` also returns.
+One step kernel, one rank.  :func:`sharded_decode_step` is the only "embed
+→ sharded layers → sharded LM head" body, and it serves one rank: it
+appends the new K/V rows that fall in that rank's spans to its shards, takes
+its local contribution (K/V views, or packed softmax stats; then its head
+candidate) and all-gathers it with its peers' through ``ctx.all_gather``,
+whose rank-ordered concatenation is the whole.  Its only runner is
+:class:`DecodeSession`: a ``repro.cluster.service.RankService`` whose
+resident ranks, on a ``ThreadedRuntime`` or ``ProcessRuntime``, are fed
+per-step commands, the host asserting every step that all ranks emitted the
+same token.  The session has three clients: the engine's
+``VoltageDecodeSequencer``; :func:`generate_distributed` (begin, the greedy
+loop, close); and :func:`run_decode`, the same driver on the default
+threaded runtime, which also collects the last step's vocab-shard logits
+and pairs the tokens with :func:`decode_timeline`, the one shapes-only
+per-token latency timeline (decode-phase Γ model,
+``core.complexity.decode_rank_flops``) that
+``bench.analytic.voltage_decode_latency`` also returns.
 """
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from functools import partial
 from typing import Callable, Sequence
 
@@ -116,10 +112,11 @@ from repro.models.cache import (
     LayerKVCache,
     attend_cached,
     layer_steps,
-    lockstep,
+    run_steps,
     same_weight_kernels,
     shard_kv_views,
 )
+from repro.models.gpt2 import greedy_loop
 from repro.obs.tracer import current_tracer
 from repro.tensor.workspace import Workspace
 from repro.systems.base import InferenceResult
@@ -152,15 +149,6 @@ _PAIR_BYTES = 16
 _HEAD_ROW_ALIGN = 64
 # decode_timeline's name for a step's layer all-gathers, by exchange.
 _COMM_PHASES = {"kv": "kv shard all-gather", "stats": "combine stats all-gather"}
-
-#: One layer's shards a caller owns, each paired with the span it covers.
-Owned = Sequence[tuple[Partition, LayerKVCache]]
-#: ``all_gather(chunks, axis)``: the owned ranks' chunks in, every rank's
-#: chunks concatenated along ``axis`` in rank order out.  A collective when
-#: the caller owns one rank (:func:`_rank_stepper`), ``np.concatenate`` when
-#: it owns them all (:func:`run_decode`) — the whole difference between a
-#: real rank and the host emulation.
-AllGather = Callable[[list[np.ndarray], int], np.ndarray]
 
 
 def _check_attention(attention: str) -> None:
@@ -291,42 +279,38 @@ def _exchange(slices: list[Partition] | None, attention: str) -> str:
     return "kv" if attention == "gathered" or slices is not None else "stats"
 
 
-def _append_owned(owned: Owned, k_new: np.ndarray, v_new: np.ndarray, offset: int) -> None:
-    """Append to each owned shard the slice of the new rows that falls
-    inside its span (possibly none)."""
-    added = k_new.shape[1]
-    for part, shard in owned:
-        lo = max(part.start, offset)
-        hi = min(part.stop, offset + added)
-        if hi > lo:
-            shard.append(
-                k_new[:, lo - offset : hi - offset], v_new[:, lo - offset : hi - offset]
-            )
+def _append_span(
+    part: Partition, shard: LayerKVCache, k_new: np.ndarray, v_new: np.ndarray, first_row: int
+) -> None:
+    """Append to the shard the new rows, starting at position ``first_row``,
+    that fall inside its span ``part`` (possibly none)."""
+    lo = max(part.start, first_row)
+    hi = min(part.stop, first_row + k_new.shape[1])
+    if hi > lo:
+        shard.append(
+            k_new[:, lo - first_row : hi - first_row], v_new[:, lo - first_row : hi - first_row]
+        )
 
 
 def _attend_gathered(
-    attention, mine: Owned, owned: Owned, first_row: int, all_gather: AllGather,
+    attention, part: Partition, shard: LayerKVCache, first_row: int, ctx: WorkerContext,
     workspace: Workspace, q: np.ndarray, k_new: np.ndarray, v_new: np.ndarray,
-):
-    """The gathered ``attend`` hook (a generator, see ``layer_steps``) of
-    the rows starting at ``first_row``: append them to their owners among
-    ``mine``, pause, then all-gather every rank's shard view and attend.
+) -> np.ndarray:
+    """The gathered ``attend`` hook of the rows starting at ``first_row``:
+    append them to the rank's shard where they fall in its span, then
+    all-gather every rank's shard view and attend.  The all-gather is the
+    barrier: no rank reads a peer's shard before the peer appended its rows.
 
-    The pause is what lets one caller own several ranks: it drives them in
-    lockstep, so every owned shard holds its new rows before any rank
-    gathers (a rank under a runtime has the collective's barrier for that,
-    and its pause is a no-op).  The rank-order concatenation is
-    value-identical to a full single-device cache append followed by a read
-    (a pure row copy), and everything after it is ``attend_cached`` — the
-    single-device op sequence.
+    The rank-order concatenation is value-identical to a full single-device
+    cache append followed by a read (a pure row copy), and everything after
+    it is ``attend_cached`` — the single-device op sequence.
     """
-    _append_owned(mine, k_new, v_new, first_row)
-    yield
+    _append_span(part, shard, k_new, v_new, first_row)
     heads, _, head_dim = k_new.shape
 
     def gathered(*_new_rows):
-        views = [shard_kv_views(shard, heads, head_dim, k_new.dtype) for _, shard in owned]
-        return all_gather([k for k, _ in views], 1), all_gather([v for _, v in views], 1)
+        k, v = shard_kv_views(shard, heads, head_dim, k_new.dtype)
+        return ctx.all_gather(k, axis=1), ctx.all_gather(v, axis=1)
 
     return attend_cached(attention, gathered, first_row, True, workspace, q, k_new, v_new)
 
@@ -351,30 +335,27 @@ def _local_stats_packed(
 
 
 def _attend_sharded(
-    owned: Owned, offset: int, all_gather: AllGather, stats_dtype: np.dtype,
-    q: np.ndarray, k_new: np.ndarray, v_new: np.ndarray,
+    part: Partition, shard: LayerKVCache, offset: int, ctx: WorkerContext,
+    stats_dtype: np.dtype, q: np.ndarray, k_new: np.ndarray, v_new: np.ndarray,
 ) -> np.ndarray:
-    """The distributed ``attend`` hook over one layer's owned shards.
+    """The distributed ``attend`` hook over the rank's shard of one layer.
 
-    Appends the new K/V rows to their owners, computes partial attention
-    over each owned shard's *local* rows only, and gathers the packed
+    Appends the new K/V rows that fall in the rank's span, computes partial
+    attention over the shard's *local* rows only, and gathers the packed
     ``(o, m, l)`` stats — ``(K, H, P, F_H+2)`` in rank order — before the
     deterministic rank-ordered log-sum-exp combine.  Every rank combines
-    the same gathered stats in the same order, so all ranks (and the host
-    emulation) produce the bit-identical layer output; only the comparison
-    against a *single-device* decode needs a tolerance.
+    the same gathered stats in the same order, so all ranks produce the
+    bit-identical layer output; only the comparison against a
+    *single-device* decode needs a tolerance.
     """
-    _append_owned(owned, k_new, v_new, offset)
+    _append_span(part, shard, k_new, v_new, offset)
     # stats may round to float16 on the wire; they are *not* re-read on
     # later steps (unlike cache rows), so the error cannot compound — it is
     # a one-shot rounding covered by the closeness tolerance.  The float32
     # upcast happens after the gather so the combine arithmetic is identical
     # on every rank.
-    wire = [
-        _local_stats_packed(q, part, shard, offset).astype(stats_dtype, copy=False)[None]
-        for part, shard in owned
-    ]
-    gathered = all_gather(wire, 0).astype(np.float32)
+    wire = _local_stats_packed(q, part, shard, offset).astype(stats_dtype, copy=False)[None]
+    gathered = ctx.all_gather(wire, axis=0).astype(np.float32)
     return combine_softmax_stats([unpack_softmax_stats(chunk) for chunk in gathered])
 
 
@@ -399,37 +380,34 @@ def _first_max(pairs: np.ndarray) -> int:
 def sharded_decode_step(
     model,
     layer_parts: Sequence[Sequence[Partition]],
-    shards: Sequence[Sequence[LayerKVCache]],
-    ranks: Sequence[int],
+    shards: Sequence[LayerKVCache],
+    ctx: WorkerContext,
     new_ids: Sequence[int],
     offset: int,
-    all_gather: AllGather,
     stats_dtype: np.dtype,
-    workspaces: Sequence[Workspace],
+    workspace: Workspace,
     attention: str = "gathered",
-) -> tuple[int, list[np.ndarray]]:
-    """One decode step as seen by the owner of ``ranks``' shards; returns the
-    greedy token and, per owned rank, its vocab shard of the last new
-    position's LM-head logits (:func:`decode_head_parts`; concatenated in
-    rank order they are the full logits row).
+) -> tuple[int, np.ndarray]:
+    """One decode step on rank ``ctx.rank``; returns the greedy token and
+    the rank's vocab shard of the last new position's LM-head logits
+    (:func:`decode_head_parts`; concatenated in rank order, the ranks'
+    shards are the full logits row).
 
-    ``shards[i]`` holds layer ``i``'s KV shard for each of ``ranks`` and
-    ``workspaces`` one scratch workspace per owned rank — one rank under a
-    runtime, all ``K`` in host emulation.
+    ``shards[i]`` is the rank's KV shard of layer ``i`` (its span of
+    ``layer_parts[i]``) and ``workspace`` its scratch; every collective is
+    ``ctx.all_gather``.
 
-    *Layers.*  On a span-partitioned step (:func:`decode_step_slices`) each
-    owned rank runs only the new rows inside its span, the ranks in
-    lockstep; otherwise all the rows run once, appended to every owned
-    shard.  A partitioned step, and any step under
-    ``attention="gathered"``, has ``all_gather`` assemble the full K/V from
-    every rank's shard: either shape is op-for-op ``generate_cached``'s
-    rows — bit-identical to the single device.  On an all-rows step under
-    ``attention="distributed"`` each shard is attended locally and
-    ``all_gather`` exchanges the packed log-sum-exp combine stats (in
-    ``stats_dtype`` on the wire) — exact up to float re-association
-    (INTERNALS §14).  Each owned rank's layers are one ``decode.layers``
-    span: the ``rows`` it ran, the step's ``added`` rows and its
-    ``exchange`` (``kv`` or ``stats``).
+    *Layers.*  On a span-partitioned step (:func:`decode_step_slices`) the
+    rank runs only the new rows inside its span; otherwise it runs all of
+    them, and appends those inside its span.  A partitioned step, and any
+    step under ``attention="gathered"``, all-gathers the full K/V from every
+    rank's shard: either shape is op-for-op ``generate_cached``'s rows —
+    bit-identical to the single device.  On an all-rows step under
+    ``attention="distributed"`` the shard is attended locally and the ranks
+    all-gather the packed log-sum-exp combine stats (in ``stats_dtype`` on
+    the wire) — exact up to float re-association (INTERNALS §14).  The
+    rank's layers are one ``decode.layers`` span: the ``rows`` it ran, the
+    step's ``added`` rows and its ``exchange`` (``kv`` or ``stats``).
 
     *Head.*  After a partitioned step only the last row's owner holds its
     hidden state, so one ``(1, F)`` gather hands it to everyone.  Each rank
@@ -439,108 +417,64 @@ def sharded_decode_step(
     ``np.argmax``'s lowest-index rule exactly.
     """
     _check_attention(attention)
+    rank = ctx.rank
     ids = np.asarray(new_ids, dtype=np.int64)
     total = offset + len(ids)
     slices = decode_step_slices(model.config, layer_parts, offset, len(ids))
     exchange = _exchange(slices, attention)
-    # the rows each compute group runs: everything once, or one slice per owned rank
-    groups = [Partition(offset, total)] if slices is None else [slices[rank] for rank in ranks]
-    xs = [
-        model.embeddings.word(ids[rows.start - offset : rows.stop - offset])
-        + model.embeddings.position(np.arange(rows.start, rows.stop))
-        for rows in groups
-    ]
-    with ExitStack() as spans:
-        for rank in ranks:
-            spans.enter_context(current_tracer().span(
-                "decode.layers", cat="systems", kind="compute", track=f"rank {rank}", device=rank,
-                rows=len(ids) if slices is None else slices[rank].length, added=len(ids),
-                exchange=exchange,
-            ))
-        for index, layer in enumerate(model.layers):
-            owned = [(layer_parts[index][rank], shard) for rank, shard in zip(ranks, shards[index])]
-            steps = []
-            for group, (rows, x, workspace) in enumerate(zip(groups, xs, workspaces)):
-                if exchange == "kv":
-                    # all the rows land in every owned shard; a slice only in its rank's
-                    mine = owned if slices is None else owned[group : group + 1]
-                    attend = partial(
-                        _attend_gathered, layer.attention, mine, owned, rows.start, all_gather,
-                        workspace,
-                    )
-                else:
-                    attend = partial(_attend_sharded, owned, offset, all_gather, stats_dtype)
-                steps.append(layer_steps(layer, x, attend, workspace))
-            xs = lockstep(steps)
+    rows = Partition(offset, total) if slices is None else slices[rank]
+    x = model.embeddings.word(ids[rows.start - offset : rows.stop - offset])
+    x = x + model.embeddings.position(np.arange(rows.start, rows.stop))
+    with current_tracer().span(
+        "decode.layers", cat="systems", kind="compute", track=f"rank {rank}", device=rank,
+        rows=rows.length, added=len(ids), exchange=exchange,
+    ):
+        for layer, parts, shard in zip(model.layers, layer_parts, shards):
+            if exchange == "kv":
+                attend = partial(
+                    _attend_gathered, layer.attention, parts[rank], shard, rows.start, ctx,
+                    workspace,
+                )
+            else:
+                attend = partial(_attend_sharded, parts[rank], shard, offset, ctx, stats_dtype)
+            x = run_steps(layer_steps(layer, x, attend, workspace))
 
-    if slices is None:
-        last = xs[0][-1]
-    else:  # zero rows from everyone but the owner of the last new position
-        last = all_gather(
-            [x[-1:] if rows.stop == total else x[:0] for rows, x in zip(groups, xs)], 0
-        )[0]
-    hidden = model.ln_f(last)
+    if slices is not None:  # zero rows from everyone but the owner of the last new position
+        x = ctx.all_gather(x[-1:] if rows.stop == total else x[:0], axis=0)
+    hidden = model.ln_f(x[-1])
     head_parts = decode_head_parts(layer_parts[-1], model.config.vocab_size)
-    pair_bytes = (len(head_parts) - 1) * _PAIR_BYTES
-    logits = []
-    for rank in ranks:
-        part = head_parts[rank]
-        with current_tracer().span(
-            "decode.head", cat="systems", kind="compute", track=f"rank {rank}", device=rank,
-            vocab_rows=part.length, pair_bytes=pair_bytes,
-        ):
-            logits.append(model.lm_head([hidden], part.start, part.stop)[0])
-    pairs = all_gather(
-        [_best_pair(shard, head_parts[rank].start) for rank, shard in zip(ranks, logits)], 0
-    )
-    return _first_max(pairs), logits
-
-
-def greedy_loop(
-    model, step: Callable[[list[int], int], int], ids: list[int], max_new_tokens: int
-) -> list[int]:
-    """The exact control flow of ``generate_cached``'s greedy loop."""
-    max_positions = model.config.max_positions
-    next_id = step(ids, 0)
-    for _ in range(max_new_tokens):
-        if len(ids) >= max_positions:
-            break
-        ids.append(next_id)
-        if len(ids) >= max_positions:
-            break
-        next_id = step([ids[-1]], len(ids) - 1)
-    return ids
-
-
-def _sharded_stepper(system, layer_parts, ranks: Sequence[int], all_gather: AllGather, attention):
-    """One request's decode over ``ranks``' shards — one fresh KV shard per
-    owned span (sized to it) and a workspace per owned rank, the stats wire
-    dtype — bound to the step kernel as ``step(new_ids, offset) -> (token,
-    owned shard logits)``: the one builder both surfaces (a session rank,
-    the host emulation) share."""
-    shards = [
-        [LayerKVCache(capacity=parts[rank].length or None) for rank in ranks]
-        for parts in layer_parts
-    ]
-    return partial(
-        sharded_decode_step, system.model, layer_parts, shards, ranks,
-        all_gather=all_gather, stats_dtype=decode_stats_wire(system.wire_dtype)[0],
-        workspaces=[Workspace() for _ in ranks], attention=attention,
-    )
+    part = head_parts[rank]
+    with current_tracer().span(
+        "decode.head", cat="systems", kind="compute", track=f"rank {rank}", device=rank,
+        vocab_rows=part.length, pair_bytes=(len(head_parts) - 1) * _PAIR_BYTES,
+    ):
+        logits = model.lm_head([hidden], part.start, part.stop)[0]
+    return _first_max(ctx.all_gather(_best_pair(logits, part.start), axis=0)), logits
 
 
 def _rank_stepper(system, ctx: WorkerContext, capacity: int, attention: str):
     """Rank ``ctx.rank``'s side of one request — spans fixed over
-    ``capacity``, the all-gather a real collective — as
-    ``step(new_ids, offset) -> next token id``."""
-
-    def all_gather(chunks, axis):
-        (mine,) = chunks  # a rank owns exactly its own shard
-        return ctx.all_gather(mine, axis=axis)
-
+    ``capacity``, one fresh KV shard per layer sized to the rank's span, a
+    workspace and the stats wire dtype — bound to the step kernel as
+    ``step(new_ids, offset) -> (token, vocab-shard logits)``."""
     layer_parts = decode_layer_spans(system, capacity)
-    step = _sharded_stepper(system, layer_parts, [ctx.rank], all_gather, attention)
-    return lambda new_ids, offset: step(new_ids, offset)[0]
+    shards = [LayerKVCache(capacity=parts[ctx.rank].length or None) for parts in layer_parts]
+    return partial(
+        sharded_decode_step, system.model, layer_parts, shards, ctx,
+        stats_dtype=decode_stats_wire(system.wire_dtype)[0], workspace=Workspace(),
+        attention=attention,
+    )
+
+
+def _decode_slot(session: DecodeSession, model, prompt_ids, max_new_tokens: int) -> np.ndarray:
+    """One request on an open session, the driver both of its one-request
+    clients share: slot 0 begun at the request's capacity, then
+    ``generate_cached``'s greedy loop over :meth:`DecodeSession.forward`;
+    returns the ids, prompt included."""
+    ids = [int(token) for token in np.asarray(prompt_ids)]
+    session.begin(0, decode_capacity(model, len(ids), max_new_tokens))
+    greedy_loop(partial(session.forward, 0), ids, max_new_tokens, model.config.max_positions)
+    return np.asarray(ids, dtype=np.int64)
 
 
 def generate_distributed(
@@ -567,14 +501,10 @@ def generate_distributed(
     overrides the session's (its ranks' per-receive bound and its reply
     wait).
     """
-    model = system.model
-    ids = [int(token) for token in np.asarray(prompt_ids)]
-    capacity = decode_capacity(model, len(ids), max_new_tokens)
     options = {} if timeout is None else {"timeout": timeout}
     with DecodeSession(system, runtime=runtime, attention=attention, **options) as session:
-        session.begin(0, capacity)
-        greedy_loop(model, partial(session.forward, 0), ids, max_new_tokens)
-    return np.asarray(ids, dtype=np.int64), session.close()
+        ids = _decode_slot(session, system.model, prompt_ids, max_new_tokens)
+    return ids, session.close()
 
 
 def decode_step_pricing(
@@ -653,7 +583,7 @@ def decode_timeline(
     """The per-token latency timeline of one sharded decode — shapes only.
 
     The single source of the decode phase sequence: :func:`run_decode`
-    attaches it to the emulated tokens, ``bench.analytic`` returns it
+    attaches it to the session's tokens, ``bench.analytic`` returns it
     weight-free.  Replays the greedy loop over lengths
     (:func:`decode_step_totals`) and prices every step through
     :func:`decode_step_pricing`; spans are fixed over the request's full
@@ -699,43 +629,31 @@ def decode_timeline(
 def run_decode(
     system, prompt_ids, max_new_tokens: int = 8, attention: str = "gathered"
 ) -> InferenceResult:
-    """Host-emulated sharded decode with a simulated per-token timeline.
+    """Sharded decode on a :class:`DecodeSession`, with a simulated
+    per-token timeline.
 
-    Runs the step kernel a :class:`DecodeSession` rank runs
-    (:func:`sharded_decode_step`) in a single process: the host owns all
-    ``K`` ranks' shards and ``np.concatenate`` stands in for the all-gather
-    collective (wire-dtype round trip of the stats included), so the
-    emulated tokens are bit-identical to the runtime's.  The latency is
-    :func:`decode_timeline` over the request's shapes.
+    The tokens come from the session's ranks, exactly as
+    :func:`generate_distributed`'s do (they share one driver); the ranks
+    then reply with their vocab shards of the last step's logits, which
+    ``meta["final_logits"]`` concatenates in rank order.  The latency and
+    every byte field of ``meta`` are :func:`decode_timeline` over the
+    request's shapes.
     """
     model = system.model
     config = model.config
-    k = system.k
-    ids0 = [int(token) for token in np.asarray(prompt_ids)]
-    capacity = decode_capacity(model, len(ids0), max_new_tokens)
+    prompt_len = len(np.asarray(prompt_ids))
+    with DecodeSession(system, attention=attention) as session:
+        output = _decode_slot(session, model, prompt_ids, max_new_tokens)
+        final_logits = session.logits(0)
+    capacity = decode_capacity(model, prompt_len, max_new_tokens)
     layer_parts = decode_layer_spans(system, capacity)
-    # owning every shard, the host's all-gather is plain concatenation
-    sharded = _sharded_stepper(system, layer_parts, range(k), np.concatenate, attention)
-
-    final_logits: np.ndarray | None = None
-    final_logits_prefix = 0
-
-    def step(new_ids, offset):
-        nonlocal final_logits, final_logits_prefix
-        token, shard_logits = sharded(new_ids, offset)
-        final_logits = np.concatenate(shard_logits)
-        final_logits_prefix = offset + len(new_ids)
-        return token
-
-    ids = greedy_loop(model, step, list(ids0), max_new_tokens)
-    output = np.asarray(ids, dtype=np.int64)
 
     latency, per_token_seconds, per_step_comm_bytes, per_step_head_bytes = decode_timeline(
-        config, layer_parts, system.sim, len(ids0), max_new_tokens,
+        config, layer_parts, system.sim, prompt_len, max_new_tokens,
         attention=attention, stats_itemsize=decode_stats_wire(system.wire_dtype)[1],
     )
-    totals = decode_step_totals(len(ids0), max_new_tokens, config.max_positions)
-    addeds = [len(ids0)] + [1] * (len(totals) - 1)
+    totals = decode_step_totals(prompt_len, max_new_tokens, config.max_positions)
+    addeds = [prompt_len] + [1] * (len(totals) - 1)
     uncached_orders = []
     kv_gather_bytes = 0  # the steps whose layers gathered K/V; the rest gathered stats
     for added, total, comm_bytes in zip(addeds, totals, per_step_comm_bytes):
@@ -750,10 +668,10 @@ def run_decode(
         kv_gather_bytes += comm_bytes if _exchange(slices, attention) == "kv" else 0
     meta = {
         "system": "voltage-decode",
-        "devices": k,
+        "devices": system.k,
         "decode_attention": attention,
-        "prompt_tokens": len(ids0),
-        "tokens": len(ids),
+        "prompt_tokens": prompt_len,
+        "tokens": len(output),
         "capacity": capacity,
         "steps": len(per_token_seconds),
         "per_token_seconds": per_token_seconds,
@@ -765,64 +683,70 @@ def run_decode(
         "uncached_orders": uncached_orders,
         "shard_spans": [[part.start, part.stop] for part in layer_parts[0]],
         "final_logits": final_logits,
-        "final_logits_prefix": final_logits_prefix,
+        "final_logits_prefix": totals[-1],
     }
     return InferenceResult(output=output, latency=latency, meta=meta)
 
 
 def decode_step_totals(prompt_len: int, max_new_tokens: int, max_positions: int) -> list[int]:
-    """Sequence lengths seen by each decode step — deterministic in shapes.
+    """Sequence lengths seen by each decode step — deterministic in shapes:
+    :func:`~repro.models.gpt2.greedy_loop` (``generate_cached``'s control
+    flow) over a stand-in step that records ``offset + len(new_ids)`` — the
+    prompt's rows on the prefill, then the post-append length of each token
+    step, stopping at ``max_positions`` exactly where the real loop does."""
+    totals: list[int] = []
 
-    Replays ``generate_cached``'s control flow over lengths only: the
-    prefill step sees ``prompt_len`` rows; each later step sees one row at
-    the post-append length, stopping early at ``max_positions`` exactly
-    where the real loop does.
-    """
-    totals = [prompt_len]
-    length = prompt_len
-    for _ in range(max_new_tokens):
-        if length >= max_positions:
-            break
-        length += 1
-        if length >= max_positions:
-            break
-        totals.append(length)
+    def step(new_ids, offset):
+        totals.append(offset + len(new_ids))
+        return 0
+
+    greedy_loop(step, [0] * prompt_len, max_new_tokens, max_positions)
     return totals
 
 
 def _decode_commands(system, attention: str, ctx: WorkerContext) -> dict:
-    """A session rank's command table: one :func:`_rank_stepper` per slot."""
-    steppers: dict[int, Callable[[list[int], int], int]] = {}
+    """A session rank's command table: one :func:`_rank_stepper` per slot,
+    and a reference to each slot's last vocab-shard logits."""
+    steppers: dict[int, Callable] = {}
+    last_logits: dict[int, np.ndarray] = {}
 
     def begin(slot: int, capacity: int) -> None:
         steppers[slot] = _rank_stepper(system, ctx, capacity, attention)
+        last_logits.pop(slot, None)
 
     def forward(slot: int, new_ids: list[int], offset: int) -> int:
-        return steppers[slot](new_ids, offset)
+        token, last_logits[slot] = steppers[slot](new_ids, offset)
+        return token
+
+    def logits(slot: int) -> np.ndarray:
+        return last_logits[slot]
 
     def release(slot: int) -> None:
         steppers.pop(slot, None)
+        last_logits.pop(slot, None)
 
-    return {"begin": begin, "forward": forward, "release": release}
+    return {"begin": begin, "forward": forward, "logits": logits, "release": release}
 
 
 class DecodeSession(RankService):
     """The resident K-rank decode service — a :class:`~repro.cluster.service.
     RankService` whose ranks run :func:`sharded_decode_step`, and the only
-    runner of real decode ranks (:func:`generate_distributed` and the
-    engine's ``VoltageDecodeSequencer`` are its clients).
+    runner of decode ranks (:func:`generate_distributed`, :func:`run_decode`
+    and the engine's ``VoltageDecodeSequencer`` are its clients).
 
     The engine interleaves token steps of many requests, so a launch per
     request would pay runtime startup per token.  The session's ranks stay
-    up across requests instead, and run three commands:
+    up across requests instead, and run four commands:
 
     - :meth:`begin` ``(slot, capacity)`` — allocate this rank's KV shards for
       the slot, spans fixed over ``capacity`` (re-beginning a slot simply
       replaces its shards, which is how preemption restarts work);
     - :meth:`forward` ``(slot, new_ids, offset)`` — run one position-sharded
-      decode step (:func:`sharded_decode_step` over ``ctx.all_gather``)
-      and reply with the next token id; the host asserts all ranks replied
-      the same token — a per-step distributed consistency check;
+      decode step (:func:`sharded_decode_step`) and reply with the next
+      token id; the host asserts all ranks replied the same token — a
+      per-step distributed consistency check;
+    - :meth:`logits` ``(slot)`` — reply with the rank's vocab shard of the
+      slot's last step's logits; the host concatenates them in rank order;
     - :meth:`release` ``(slot)`` — drop the slot's shards.
 
     Failure and shutdown are the service's: the first failed command breaks
@@ -849,6 +773,11 @@ class DecodeSession(RankService):
                     f"rank {rank} decoded token {value} where rank 0 decoded {first}"
                 )
         return first
+
+    def logits(self, slot: int) -> np.ndarray:
+        """The full LM-head logits row of the slot's last :meth:`forward`
+        (its last new position)."""
+        return np.concatenate(self.call("logits", slot))
 
     def release(self, slot: int) -> None:
         self.call("release", slot)

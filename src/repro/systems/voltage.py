@@ -239,7 +239,8 @@ class VoltageSystem(InferenceSystem):
         )
 
     def run_decode(self, prompt_ids, max_new_tokens: int = 8, attention: str = "gathered"):
-        """Host-emulated sharded decode with a simulated per-token timeline."""
+        """Sharded decode on a resident decode session (threaded ranks), with a
+        simulated per-token timeline; see :func:`repro.systems.decode.run_decode`."""
         from repro.systems.decode import run_decode
 
         return run_decode(

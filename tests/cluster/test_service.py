@@ -18,8 +18,8 @@ from repro.cluster import process_runtime
 from repro.cluster.service import RankService, serve_once
 from repro.cluster.spec import ClusterSpec
 from repro.models.config import tiny_config
-from repro.models.gpt2 import GPT2Model
-from repro.systems.decode import DecodeSession, decode_capacity, greedy_loop
+from repro.models.gpt2 import GPT2Model, greedy_loop
+from repro.systems.decode import DecodeSession, decode_capacity
 from repro.systems.voltage import VoltageSystem
 
 RUNTIMES = ["threaded", "process"]
@@ -159,6 +159,8 @@ def test_a_process_decode_session_outlives_the_bound():
     began = time.monotonic()
     with DecodeSession(system, runtime="process", timeout=timeout) as session:
         session.begin(0, decode_capacity(model, len(prompt), new_tokens))
-        ids = greedy_loop(model, paced_forward, [int(t) for t in prompt], new_tokens)
+        ids = greedy_loop(
+            paced_forward, [int(t) for t in prompt], new_tokens, config.max_positions
+        )
     assert time.monotonic() - began > timeout + process_runtime._COLLECT_GRACE
     assert ids == list(model.generate_cached(prompt, new_tokens))

@@ -108,8 +108,8 @@ class TestTracedThreadedRuntime:
 
 
 class TestTracedDecodeLayers:
-    """``sharded_decode_step`` emits one ``decode.layers`` span per owned rank
-    per step: the rows that rank ran, the step's new rows and its exchange."""
+    """``sharded_decode_step`` emits one ``decode.layers`` span per rank per
+    step: the rows that rank ran, the step's new rows and its exchange."""
 
     @pytest.fixture
     def gpt2(self):
@@ -135,7 +135,7 @@ class TestTracedDecodeLayers:
             assert [s.args["exchange"] for s in spans] == ["kv"] + [exchange] * 3
             assert all(s.track == f"rank {rank}" and s.cat == "systems" for s in spans)
 
-    def test_host_emulation_emits_every_owned_rank_and_nothing_untraced(self, gpt2):
+    def test_run_decode_spans_every_rank_only_traced(self, gpt2):
         from repro.systems.decode import run_decode
 
         prompt = np.random.default_rng(9).integers(0, gpt2.config.vocab_size, size=7)

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from repro.cluster.spec import ClusterSpec
 from repro.core.partition import PartitionScheme
 from repro.models.cache import KVCache, merge_kv_shards
 from repro.models.config import gpt2_config, tiny_config
-from repro.models.gpt2 import GPT2Model
+from repro.models.gpt2 import GPT2Model, greedy_loop
 from repro.systems import decode as decode_module
 from repro.systems.decode import (
     DecodeSession,
@@ -232,30 +233,44 @@ WIDE_CASES = [
 WIDE_RATIOS = [[0.5, 0.5], [0.3, 0.7], [0.5, 0.2, 0.3]]
 
 
+def _spy_rank_shards(monkeypatch) -> dict:
+    """Each rank's per-layer KV shards of the slot it last began, by rank,
+    kept by a spy on ``_rank_stepper`` (threaded ranks share this memory)."""
+    shards = {}
+    real = decode_module._rank_stepper
+
+    def spy(system, ctx, capacity, attention):
+        step = real(system, ctx, capacity, attention)
+        shards[ctx.rank] = step.args[2]
+        return step
+
+    monkeypatch.setattr(decode_module, "_rank_stepper", spy)
+    return shards
+
+
 class TestPartitionedStepsMatchTheSingleDevice:
-    """Every partitioned step, layer for layer: logits and K/V rows
-    ``np.array_equal`` to ``logits_cached`` over one cache."""
+    """Every partitioned step, layer for layer, on the ranks of a threaded
+    ``DecodeSession``: logits and K/V rows ``np.array_equal`` to
+    ``logits_cached`` over one cache."""
 
     @staticmethod
-    def _check(system, prompt, new_tokens, offset, attention="gathered"):
-        model, k = system.model, system.k
+    def _check(session, shards, model, prompt, new_tokens, offset):
         capacity = decode_module.decode_capacity(model, len(prompt), new_tokens)
-        spans = decode_layer_spans(system, capacity)
-        step = decode_module._sharded_stepper(system, spans, range(k), np.concatenate, attention)
+        session.begin(0, capacity)
         cache = KVCache.empty(model.num_layers, capacity=capacity)
         if offset:
-            step(list(prompt[:offset]), 0)
+            session.forward(0, prompt[:offset], 0)
             model.logits_cached(prompt[:offset], 0, cache.layers)
-        token, shard_logits = step(list(prompt[offset:]), offset)
+        token = session.forward(0, prompt[offset:], offset)
         reference = model.logits_cached(prompt[offset:], offset, cache.layers)
-        assert np.array_equal(np.concatenate(shard_logits), reference)
+        assert np.array_equal(session.logits(0), reference)
         assert token == int(np.argmax(reference))
-        for layer_shards, full in zip(step.args[2], cache.layers):
-            merged_k, merged_v = merge_kv_shards(layer_shards)
+        for layer, full in enumerate(cache.layers):
+            merged_k, merged_v = merge_kv_shards([shards[rank][layer] for rank in sorted(shards)])
             assert np.array_equal(merged_k, full.k) and np.array_equal(merged_v, full.v)
 
     @classmethod
-    def _sweep(cls, model, ratios, cases, attention="gathered") -> int:
+    def _sweep(cls, model, ratios, cases, monkeypatch, attention="gathered") -> int:
         """Check every partitioned ``(length, new tokens, offset)`` case;
         returns how many there were.  Under distributed attention a chunk's
         prefix must be partitioned too: an all-rows prefix combines stats,
@@ -263,33 +278,35 @@ class TestPartitionedStepsMatchTheSingleDevice:
         system = VoltageSystem(
             model, ClusterSpec.homogeneous(len(ratios)), scheme=PartitionScheme(ratios)
         )
+        shards = _spy_rank_shards(monkeypatch)
         partitioned = 0
-        for length, new_tokens, offset in cases:
-            if _slices(system, length, new_tokens, offset) is None:
-                continue
-            if attention != "gathered" and offset:
-                if _slices(system, offset, length + new_tokens - offset) is None:
+        with DecodeSession(system, attention=attention, timeout=30.0) as session:
+            for length, new_tokens, offset in cases:
+                if _slices(system, length, new_tokens, offset) is None:
                     continue
-            partitioned += 1
-            cls._check(system, _prompt(model, length), new_tokens, offset, attention)
+                if attention != "gathered" and offset:
+                    if _slices(system, offset, length + new_tokens - offset) is None:
+                        continue
+                partitioned += 1
+                cls._check(session, shards, model, _prompt(model, length), new_tokens, offset)
         return partitioned
 
     @pytest.mark.parametrize("ratios", [r for r in LAYOUTS if len(r) > 1])
-    def test_tiny_every_length(self, tiny, ratios):
-        assert self._sweep(tiny, ratios, TINY_CASES) > 20
+    def test_tiny_every_length(self, tiny, ratios, monkeypatch):
+        assert self._sweep(tiny, ratios, TINY_CASES, monkeypatch) > 20
 
     @pytest.mark.parametrize("ratios", WIDE_RATIOS)
-    def test_gpt2_geometry_across_the_cutoffs(self, wide, ratios):
-        assert self._sweep(wide, ratios, WIDE_CASES) >= 4
+    def test_gpt2_geometry_across_the_cutoffs(self, wide, ratios, monkeypatch):
+        assert self._sweep(wide, ratios, WIDE_CASES, monkeypatch) >= 4
 
     @pytest.mark.slow
     @pytest.mark.parametrize("ratios", [r for r in LAYOUTS if len(r) > 1])
-    def test_distributed_attention_sweep(self, tiny, wide, ratios):
+    def test_distributed_attention_sweep(self, tiny, wide, ratios, monkeypatch):
         """Both sweeps again under ``attention="distributed"``: a partitioned
         step runs the gathered exchange there too, so it is bit-identical."""
-        assert self._sweep(tiny, ratios, TINY_CASES, "distributed") > 20
+        assert self._sweep(tiny, ratios, TINY_CASES, monkeypatch, "distributed") > 20
         if ratios in WIDE_RATIOS:
-            assert self._sweep(wide, ratios, WIDE_CASES, "distributed") >= 4
+            assert self._sweep(wide, ratios, WIDE_CASES, monkeypatch, "distributed") >= 4
 
 
 #: (prompt length, new tokens): rank 1's prefill slice of a K = 2 even split is
@@ -350,6 +367,29 @@ class TestRuntimesMatchGenerateCached:
             session.release(0)
 
     @pytest.mark.parametrize("runtime", ["threaded", "process"])
+    @pytest.mark.parametrize("prompt_len,new_tokens", SLICE_CASES)
+    def test_session_logits_are_the_single_devices(self, tiny, runtime, prompt_len, new_tokens):
+        """``DecodeSession.logits`` after a greedy decode at K = 3: the ranks'
+        vocab shards, concatenated, are ``np.array_equal`` to
+        ``logits_cached``'s at the final offset."""
+        system = VoltageSystem(tiny, ClusterSpec.heterogeneous([2.0, 1.0, 1.0]))
+        prompt = [int(token) for token in _prompt(tiny, prompt_len)]
+        reference = tiny.generate_cached(np.asarray(prompt), max_new_tokens=new_tokens)
+        with DecodeSession(system, runtime=runtime, timeout=30.0) as session:
+            session.begin(0, len(reference))
+            ids = greedy_loop(
+                partial(session.forward, 0), list(prompt), new_tokens, tiny.config.max_positions
+            )
+            logits = session.logits(0)
+        assert ids == list(reference)
+        cache = KVCache.empty(tiny.num_layers, capacity=len(reference))
+        expected = tiny.logits_cached(prompt, 0, cache.layers)
+        for offset in range(len(prompt), len(reference)):
+            expected = tiny.logits_cached(reference[offset : offset + 1], offset, cache.layers)
+        assert logits.shape == (tiny.config.vocab_size,)
+        assert np.array_equal(logits, expected)
+
+    @pytest.mark.parametrize("runtime", ["threaded", "process"])
     def test_distributed_prefill_is_the_single_devices(self, wide, runtime, monkeypatch):
         """A partitioned prefill under distributed attention: every rank's
         K/V shard rows after it, and the first token's logits, are
@@ -361,20 +401,19 @@ class TestRuntimesMatchGenerateCached:
         capacity = decode_module.decode_capacity(wide, 96, 4)
         assert _slices(system, 96, 4) == [50, 46]
         reports = multiprocessing.Queue()
-        real = decode_module._sharded_stepper
+        real = decode_module._rank_stepper
 
-        def spy(*args):
-            step = real(*args)
+        def spy(system, ctx, capacity, attention):
+            step = real(system, ctx, capacity, attention)
 
             def reporting(new_ids, offset):
                 token, logits = step(new_ids, offset)
-                (rank,), shards = step.args[3], step.args[2]
-                reports.put((rank, [(s.k.copy(), s.v.copy()) for (s,) in shards], logits[0]))
+                reports.put((ctx.rank, [(s.k.copy(), s.v.copy()) for s in step.args[2]], logits))
                 return token, logits
 
             return reporting
 
-        monkeypatch.setattr(decode_module, "_sharded_stepper", spy)
+        monkeypatch.setattr(decode_module, "_rank_stepper", spy)
         with DecodeSession(system, runtime=runtime, attention="distributed", timeout=60.0) as session:
             session.begin(0, capacity)
             token = session.forward(0, [int(t) for t in prompt], 0)

@@ -16,9 +16,9 @@ import pytest
 
 from repro.cluster.spec import ClusterSpec
 from repro.models.config import tiny_config
-from repro.models.gpt2 import GPT2Model
+from repro.models.gpt2 import GPT2Model, greedy_loop
 from repro.systems import decode as decode_module
-from repro.systems.decode import DecodeSession, decode_capacity, greedy_loop
+from repro.systems.decode import DecodeSession, decode_capacity
 from repro.systems.voltage import VoltageSystem
 from repro.tensor.workspace import GROWTH
 
@@ -40,8 +40,8 @@ def serve(session, model, prompt: np.ndarray, new_tokens: int) -> list[int]:
     """One request through slot 0: ``generate_cached``'s control flow."""
     session.begin(0, decode_capacity(model, len(prompt), new_tokens))
     ids = greedy_loop(
-        model, lambda new_ids, offset: session.forward(0, new_ids, offset),
-        [int(t) for t in prompt], new_tokens,
+        lambda new_ids, offset: session.forward(0, new_ids, offset),
+        [int(t) for t in prompt], new_tokens, model.config.max_positions,
     )
     session.release(0)
     return ids
@@ -122,13 +122,13 @@ def test_process_session_rank_state_flat_over_a_thousand_steps(model, monkeypatc
         step = real(system, ctx, capacity, attention)
 
         def recorded(new_ids, offset):
-            token = step(new_ids, offset)
+            result = step(new_ids, offset)
             index = next(counter)
             if index < steps:
                 at = (ctx.rank * steps + index) * 2
                 samples[at] = len(ctx._transport._queues)
                 samples[at + 1] = _vm_rss_kb()
-            return token
+            return result
 
         return recorded
 

@@ -21,7 +21,6 @@ from repro.verify import (
 DIST_CHECKS = {
     "decode_distributed_attn_vs_generate_cached",
     "decode_distributed_attn_logits_close",
-    "decode_distributed_attn_threaded_vs_emulated",
     "decode_distributed_attn_analytic_vs_sim",
     "decode_combine_volume",
 }
