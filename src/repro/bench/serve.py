@@ -10,7 +10,7 @@ Since v2 the report also carries a **speculative-decoding comparison**: the
 ``shared-prefix`` fleet trace replayed at saturating load through four
 engine configurations — baseline greedy decode, speculative with the
 n-gram self-drafting proposer, speculative with a truncated draft model,
-and speculative combined with the cross-request radix prefix cache.  All
+and speculative combined with the cross-request prefix cache.  All
 four must produce byte-identical outputs (greedy exact-match acceptance is
 lossless); what changes is virtual-time tokens/s.  ``--check`` gates that
 the outputs stay identical and every speedup stays above 1.0.
@@ -214,7 +214,7 @@ def run_speculative_comparison(quick: bool = False, seed: int = 0) -> dict:
     - ``speculative-ngram`` — self-drafting n-gram proposer;
     - ``speculative-draft`` — one-layer truncated draft model proposer;
     - ``speculative-prefix-cache`` — n-gram proposer plus the cross-request
-      radix prefix cache (retained prompt KV seeds same-tenant prefills).
+      prefix cache (retained prompt KV seeds same-tenant prefills).
 
     The trace is rescaled to offer ~9× one engine's capacity, so the
     makespan is service-bound and tokens/s measures decode efficiency

@@ -40,7 +40,7 @@ from repro.engine.engine import (
     EngineStalledError,
     InferenceEngine,
 )
-from repro.engine.prefix_cache import PrefixCacheStats, PrefixEntry, RadixPrefixCache
+from repro.engine.prefix_cache import PrefixCache, PrefixCacheStats, PrefixEntry
 from repro.engine.scheduler import Scheduler, ShedRequest
 from repro.engine.sequencer import GPT2CachedSequencer, VoltageDecodeSequencer
 from repro.engine.slots import KVSlot, SlotPool
@@ -63,9 +63,9 @@ __all__ = [
     "InferenceEngine",
     "KVSlot",
     "NgramProposer",
+    "PrefixCache",
     "PrefixCacheStats",
     "PrefixEntry",
-    "RadixPrefixCache",
     "Scheduler",
     "ShedRequest",
     "SlotPool",

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.engine.clock import VirtualClock
-from repro.engine.prefix_cache import PrefixCacheStats, RadixPrefixCache
+from repro.engine.prefix_cache import PrefixCache, PrefixCacheStats
 from repro.engine.scheduler import Scheduler, ShedRequest
 from repro.engine.slots import KVSlot, SlotPool
 from repro.obs.metrics import get_registry
@@ -200,7 +200,6 @@ class _Stream:
     first_arrival: float | None = None
     shed_seen: int = 0
     last_chaos_step: int = 0
-    prefix_base: PrefixCacheStats | None = None  # cache counters at stream open
 
 
 class InferenceEngine:
@@ -250,8 +249,8 @@ class InferenceEngine:
             retained_slots=retained,
         )
         # the cache recycles displaced/duplicate slots straight back to the pool
-        self.prefix_cache: RadixPrefixCache | None = (
-            RadixPrefixCache(on_release=self.pool.reclaim)
+        self.prefix_cache: PrefixCache | None = (
+            PrefixCache(on_release=self.pool.reclaim)
             if self.config.prefix_cache
             else None
         )
@@ -306,12 +305,9 @@ class InferenceEngine:
                 if config.chaos_preempt_period is not None
                 else None
             ),
-            prefix_base=(
-                self.prefix_cache.stats.snapshot()
-                if self.prefix_cache is not None
-                else None
-            ),
         )
+        if self.prefix_cache is not None:  # the report counts this stream only
+            self.prefix_cache.stats = PrefixCacheStats()
 
     def offer(self, request: Request, prompt: np.ndarray | None = None) -> None:
         """Hand one request to the open stream (admitted on the next pump)."""
@@ -586,18 +582,18 @@ class InferenceEngine:
         registry = get_registry()
         report = s.report
         registry.counter("engine.steps_total", **self.labels).inc(report.steps_total)
-        if self.prefix_cache is not None and s.prefix_base is not None:
-            delta = self.prefix_cache.stats.delta(s.prefix_base)
-            report.prefix_cache = {**delta.as_dict(), "entries": len(self.prefix_cache)}
+        if self.prefix_cache is not None:
+            stats = self.prefix_cache.stats
+            report.prefix_cache = {**stats.as_dict(), "entries": len(self.prefix_cache)}
             labels = self.labels
-            registry.counter("engine.prefix_cache.hits_total", **labels).inc(delta.hits)
-            registry.counter("engine.prefix_cache.misses_total", **labels).inc(delta.misses)
+            registry.counter("engine.prefix_cache.hits_total", **labels).inc(stats.hits)
+            registry.counter("engine.prefix_cache.misses_total", **labels).inc(stats.misses)
             registry.counter("engine.prefix_cache.evictions_total", **labels).inc(
-                delta.evictions
+                stats.evictions
             )
             registry.counter(
                 "engine.prefix_cache.positions_saved_total", **labels
-            ).inc(delta.positions_saved)
+            ).inc(stats.positions_saved)
             registry.gauge("engine.prefix_cache.entries", **labels).set(
                 len(self.prefix_cache)
             )

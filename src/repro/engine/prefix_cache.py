@@ -1,15 +1,21 @@
-"""Cross-request prefix cache: a refcounted radix trie over retained KV slots.
+"""Cross-request prefix cache: a refcounted list of retained KV slots.
 
 Requests in real serving share prompt prefixes — per-tenant system
 preambles, few-shot headers, conversation history — and re-prefilling the
 shared part is pure redone work.  This module keys *retained* slots
 (:meth:`~repro.engine.slots.SlotPool.release` with ``retain=True``) by
-their prompt token ids in a compressed radix trie, so a new request can
-find the longest cached prefix of its prompt in O(|prompt|) and seed its
-slot with a byte-exact copy of those rows instead of recomputing them.
+their prompt token ids, so a new request can find the longest cached
+prefix of its prompt and seed its slot with a byte-exact copy of those
+rows instead of recomputing them.
 
 Design points (INTERNALS §16 has the full story):
 
+- **A list, scanned.**  Every entry holds a whole per-layer KV slot, so the
+  cache never holds more entries than the pool has physical slots
+  (``num_slots + prefix_cache_slots``: 8 in the serve bench).
+  :meth:`match` is one pass over the entries; at that size a scan costs a
+  few tens of microseconds per dispatch and needs no index to keep in
+  step with inserts and evictions.
 - **Prompt rows only.**  Entries hold prefill rows, never decode rows: the
   engine truncates a slot to its prompt length before retaining it.  Batch
   (t >= 2) GEMM rows are bit-stable across batch shapes, single-row decode
@@ -30,19 +36,18 @@ Design points (INTERNALS §16 has the full story):
   displaced by a subsuming :meth:`insert` are recycled through the
   ``on_release`` callback.
 
-The trie itself is standard compressed-radix: edges are token-id runs,
-nodes exist only on entry paths, and the longest-common-prefix walk equals
-a brute-force max-common-prefix scan over all entries (property-tested
-with Hypothesis in ``tests/engine/test_prefix_cache.py``).
+The scan equals a brute-force max-common-prefix over all entries, ties
+going to the smallest key (property-tested with Hypothesis in
+``tests/engine/test_prefix_cache.py``).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-__all__ = ["PrefixEntry", "PrefixCacheStats", "RadixPrefixCache"]
+__all__ = ["PrefixEntry", "PrefixCacheStats", "PrefixCache"]
 
 
 @dataclass
@@ -50,15 +55,14 @@ class PrefixEntry:
     """One retained slot keyed by the token ids its cached rows cover."""
 
     key: tuple[int, ...]
-    slot: object  # the retained KVSlot (opaque to the trie)
+    slot: object  # the retained KVSlot (opaque to the cache)
     refcount: int = 0
     stamp: int = 0  # LRU clock: bumped on insert and on every match served
-    hits: int = 0
 
 
 @dataclass
 class PrefixCacheStats:
-    """Monotonic counters; snapshot/delta give per-run views."""
+    """Monotonic counters; the engine starts a fresh set per stream."""
 
     hits: int = 0
     misses: int = 0
@@ -75,19 +79,6 @@ class PrefixCacheStats:
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
 
-    def snapshot(self) -> "PrefixCacheStats":
-        return replace(self)
-
-    def delta(self, since: "PrefixCacheStats") -> "PrefixCacheStats":
-        return PrefixCacheStats(
-            hits=self.hits - since.hits,
-            misses=self.misses - since.misses,
-            inserts=self.inserts - since.inserts,
-            displaced=self.displaced - since.displaced,
-            evictions=self.evictions - since.evictions,
-            positions_saved=self.positions_saved - since.positions_saved,
-        )
-
     def as_dict(self) -> dict:
         return {
             "hits": self.hits,
@@ -100,17 +91,6 @@ class PrefixCacheStats:
         }
 
 
-class _Node:
-    """Trie node: ``edge`` labels the run of token ids from its parent."""
-
-    __slots__ = ("edge", "children", "entry")
-
-    def __init__(self, edge: tuple[int, ...] = ()):
-        self.edge = edge
-        self.children: dict[int, _Node] = {}  # first edge token -> child
-        self.entry: PrefixEntry | None = None
-
-
 def _common_len(a: Sequence[int], b: Sequence[int]) -> int:
     n = min(len(a), len(b))
     i = 0
@@ -119,7 +99,7 @@ def _common_len(a: Sequence[int], b: Sequence[int]) -> int:
     return i
 
 
-class RadixPrefixCache:
+class PrefixCache:
     """Longest-prefix lookup over retained slots, refcounted against reuse.
 
     Any non-empty shared prefix is served (a 1-row copy saves almost
@@ -132,7 +112,6 @@ class RadixPrefixCache:
     def __init__(self, on_release: Callable[[object], object] | None = None):
         self.stats = PrefixCacheStats()
         self._on_release = on_release if on_release is not None else (lambda slot: slot)
-        self._root = _Node()
         self._entries: list[PrefixEntry] = []
         self._clock = 0
 
@@ -180,37 +159,23 @@ class RadixPrefixCache:
         """The longest cached prefix of ``ids`` (capped at ``limit`` tokens),
         as ``(entry, length)`` where ``entry.slot`` holds at least ``length``
         valid rows — or None (counted as a miss) if no token of ``ids``
-        is cached.  Serving a match bumps the entry's LRU stamp."""
+        is cached.  Among entries sharing the longest prefix the smallest
+        key wins.  Serving a match bumps the entry's LRU stamp."""
         key = tuple(int(t) for t in ids)
         if limit is not None:
             key = key[: max(limit, 0)]
-        node, depth = self._root, 0
-        while depth < len(key):
-            child = node.children.get(key[depth])
-            if child is None:
-                break
-            consumed = _common_len(child.edge, key[depth:])
-            depth += consumed
-            node = child
-            if consumed < len(child.edge):
-                break  # diverged mid-edge; everything below shares key[:depth]
-        if node is self._root:
+        best, depth = None, 0
+        for entry in self._entries:
+            length = _common_len(entry.key, key)
+            if length > depth or (length == depth and length and entry.key < best.key):
+                best, depth = entry, length
+        if best is None:
             self.stats.misses += 1
             return None
-        entry = self._subtree_entry(node)
         self.stats.hits += 1
         self.stats.positions_saved += depth
-        entry.hits += 1
-        entry.stamp = self._tick()
-        return entry, depth
-
-    def _subtree_entry(self, node: _Node) -> PrefixEntry:
-        """Any entry at or below ``node`` (deterministic: smallest edge token
-        first).  Every node lies on at least one entry's path, so this
-        always terminates at an entry."""
-        while node.entry is None:
-            node = node.children[min(node.children)]
-        return node.entry
+        best.stamp = self._tick()
+        return best, depth
 
     def _tick(self) -> int:
         self._clock += 1
@@ -241,74 +206,13 @@ class RadixPrefixCache:
             and e.refcount == 0
             and key[: len(e.key)] == e.key
         ]:
-            self._remove(existing)
+            self._entries.remove(existing)
             self.stats.displaced += 1
             self._on_release(existing.slot)
         entry = PrefixEntry(key=key, slot=slot, stamp=self._tick())
-        self._insert_node(entry)
         self._entries.append(entry)
         self.stats.inserts += 1
         return entry
-
-    def _insert_node(self, entry: PrefixEntry) -> None:
-        node, depth = self._root, 0
-        key = entry.key
-        while True:
-            remaining = key[depth:]
-            if not remaining:
-                node.entry = entry  # exact-path terminal (shorter-key node split)
-                return
-            child = node.children.get(remaining[0])
-            if child is None:
-                leaf = _Node(edge=remaining)
-                leaf.entry = entry
-                node.children[remaining[0]] = leaf
-                return
-            consumed = _common_len(child.edge, remaining)
-            if consumed == len(child.edge):
-                node, depth = child, depth + consumed
-                continue
-            # split the edge at the divergence point
-            mid = _Node(edge=child.edge[:consumed])
-            child.edge = child.edge[consumed:]
-            mid.children[child.edge[0]] = child
-            node.children[mid.edge[0]] = mid
-            node, depth = mid, depth + consumed
-
-    # -- removal ---------------------------------------------------------------
-
-    def remove(self, entry: PrefixEntry) -> None:
-        """Drop an entry explicitly (its slot is NOT released — caller's)."""
-        if entry.refcount != 0:
-            raise ValueError(
-                f"cannot remove pinned entry (refcount {entry.refcount})"
-            )
-        self._remove(entry)
-
-    def _remove(self, entry: PrefixEntry) -> None:
-        self._entries.remove(entry)
-        # walk the exact path, recording parents for pruning
-        path: list[tuple[_Node, _Node]] = []  # (parent, child) pairs
-        node, depth = self._root, 0
-        while depth < len(entry.key):
-            child = node.children[entry.key[depth]]
-            path.append((node, child))
-            depth += len(child.edge)
-            node = child
-        if node.entry is not entry:
-            raise AssertionError(f"trie desync: entry {entry.key[:4]}… not at its node")
-        node.entry = None
-        # prune empty leaves upward, then merge single-child pass-through nodes
-        for parent, child in reversed(path):
-            if child.entry is None and not child.children:
-                del parent.children[child.edge[0]]
-            elif child.entry is None and len(child.children) == 1:
-                only = next(iter(child.children.values()))
-                only.edge = child.edge + only.edge
-                parent.children[only.edge[0]] = only  # replaces child (same first id)
-                break
-            else:
-                break
 
     # -- eviction --------------------------------------------------------------
 
@@ -320,6 +224,6 @@ class RadixPrefixCache:
         if not victims:
             return None
         entry = min(victims, key=lambda e: e.stamp)
-        self._remove(entry)
+        self._entries.remove(entry)
         self.stats.evictions += 1
         return entry

@@ -28,7 +28,7 @@ Built-in traces (all seeds-deterministic, ids unique, arrivals sorted):
 - ``shared-prefix`` — four tenants with skewed traffic shares on one
   Poisson timeline; each tenant's prompts open with a common
   system-prompt prefix (the sequencer's ``shared_prefix_tokens``), the
-  workload the cross-request radix prefix cache exists for.
+  workload the cross-request prefix cache exists for.
 """
 
 from __future__ import annotations

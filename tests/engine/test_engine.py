@@ -116,6 +116,10 @@ class TestPrefixCache:
         report2 = engine.run(second)
         assert engine.pool.allocations() == baseline
         assert report2.prefix_cache["hits"] > 0
+        # the second report's counters cover the second stream only
+        assert report2.prefix_cache["positions_saved"] == sum(
+            c.prefix_reused for c in report2.completed
+        )
         check_bit_identity(report2, sequencer, second)
 
     def test_cached_prefill_does_less_work_than_cold(self, gpt2):
