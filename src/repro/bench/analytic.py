@@ -5,12 +5,11 @@ requires instantiating full model weights (1.3 GB for BERT-Large).  The
 figure sweeps only need *latency*, which depends on shapes, the cluster and
 the protocol — not on weight values.  Each protocol's phase sequence is
 spelled once, as a shapes-only timeline function beside its system
-(``voltage_timeline``, ``single_device_timeline``, ...); ``System.run()``
-attaches that timeline to its emulated output over the live layers'
-geometry, and every function here returns *the same function's* result over
-the geometry a :class:`TransformerConfig` declares (the forward models also
-accept per-layer geometries in its place).  Nothing is mirrored, so there is
-nothing to keep in sync.
+(``voltage_timeline``, ``single_device_timeline``, ...) over a
+:class:`TransformerConfig`; ``System.run()`` attaches that timeline to its
+emulated output over its model's config, and every function here returns
+*the same function's* result over the config it is handed.  Nothing is
+mirrored, so there is nothing to keep in sync.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 from repro.cluster.simulator import ClusterSim
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.timeline import LatencyBreakdown
-from repro.core.layer import LayerGeometry, OrderPolicy
+from repro.core.layer import OrderPolicy
 from repro.core.partition import Partition, PartitionScheme
 from repro.core.schedule import LayerSchedule
 from repro.models.config import TransformerConfig
@@ -31,14 +30,6 @@ __all__ = [
     "tensor_parallel_latency",
     "pipeline_latency",
 ]
-
-
-def _geometries(config) -> list[LayerGeometry]:
-    """The per-layer geometry ``config`` declares — or, handed per-layer
-    geometries already (a system's ``geometries``: head-pruned layers), those."""
-    if isinstance(config, TransformerConfig):
-        return [LayerGeometry.of_config(config)] * config.num_layers
-    return list(config)
 
 
 def _layer_parts(
@@ -61,7 +52,7 @@ def single_device_latency(
 ) -> LatencyBreakdown:
     """What :class:`repro.systems.single_device.SingleDeviceSystem.run` reports."""
     return single_device.single_device_timeline(
-        _geometries(config), n, ClusterSim(cluster), pre_flops=pre_flops, post_flops=post_flops
+        config, n, ClusterSim(cluster), pre_flops=pre_flops, post_flops=post_flops
     )
 
 
@@ -82,9 +73,8 @@ def voltage_latency(
     2 = float16, 1 = int8); ``overlap`` charges each inner All-Gather only
     its exposed time — see :func:`~repro.systems.voltage.voltage_timeline`.
     """
-    geometries = _geometries(config)
     latency, _ = voltage.voltage_timeline(
-        geometries, _layer_parts(scheme, len(geometries), cluster, n), ClusterSim(cluster),
+        config, _layer_parts(scheme, config.num_layers, cluster, n), ClusterSim(cluster),
         policy=policy, wire_itemsize=wire_itemsize, overlap=overlap,
         pre_flops=pre_flops, post_flops=post_flops,
     )
@@ -100,7 +90,7 @@ def tensor_parallel_latency(
 ) -> LatencyBreakdown:
     """What :class:`repro.systems.tensor_parallel.TensorParallelSystem.run` reports."""
     latency, _ = tensor_parallel.tensor_parallel_timeline(
-        _geometries(config), n, ClusterSim(cluster), pre_flops=pre_flops, post_flops=post_flops
+        config, n, ClusterSim(cluster), pre_flops=pre_flops, post_flops=post_flops
     )
     return latency
 
@@ -114,7 +104,7 @@ def pipeline_latency(
 ) -> LatencyBreakdown:
     """What :class:`repro.systems.pipeline_parallel.PipelineParallelSystem.run` reports."""
     latency, _, _ = pipeline_parallel.pipeline_timeline(
-        _geometries(config), n, ClusterSim(cluster), pre_flops=pre_flops, post_flops=post_flops
+        config, n, ClusterSim(cluster), pre_flops=pre_flops, post_flops=post_flops
     )
     return latency
 

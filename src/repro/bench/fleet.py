@@ -60,6 +60,7 @@ emit_report = partial(harness.emit_report, schema=SCHEMA)
 _MAX_NEW = 8
 _NUM_SLOTS = 2
 _LINFORMER_RANK = 16
+_FLEET_CONFIG = FleetConfig(num_slots=_NUM_SLOTS, max_queue=3 * _NUM_SLOTS, max_new_tokens=_MAX_NEW)
 
 
 def _fleet_model_config(quick: bool):
@@ -112,62 +113,64 @@ def _point(policy: str, report: FleetReport) -> dict:
     }
 
 
+class _FleetBench:
+    """The bench's standard fleet: the tiers, one seeded model per tier, the
+    reference service time, and the sizing and autoscaler tuning every run
+    shares."""
+
+    def __init__(self, quick: bool, seed: int):
+        self.seed = seed
+        self.model_config = _fleet_model_config(quick)
+        self.tiers = standard_tiers(linformer_rank=_LINFORMER_RANK)
+        self.models: dict = {}
+        self.tier_meta = []
+        for tier in self.tiers:
+            model, meta = build_tier_model(tier, self.model_config, weight_seed=seed)
+            self.models[tier.name] = model
+            self.tier_meta.append({**meta, "cost_scale": tier.cost_scale})
+        self.service_s = self.tiers[0].request_cost(REFERENCE_PROMPT_LEN, _MAX_NEW)
+
+    def _sequencer(self, tier):
+        return make_tier_sequencer(
+            tier, self.models[tier.name], max_new_tokens=_MAX_NEW, prompt_seed=self.seed
+        )
+
+    def run(self, router, requests, autoscaled: bool) -> FleetReport:
+        # thresholds in the trace's rescaled time base: the control loop ticks
+        # once per mean service time, cooldowns span a few service times
+        service_s = self.service_s
+        autoscaler = (
+            Autoscaler(
+                AutoscalerConfig(
+                    min_replicas=1,
+                    max_replicas=6,
+                    interval=service_s,
+                    up_cooldown=2 * service_s,
+                    down_cooldown=6 * service_s,
+                )
+            )
+            if autoscaled
+            else None
+        )
+        with use_registry(MetricsRegistry()):
+            fleet = Fleet(
+                self.tiers, self._sequencer, router, autoscaler=autoscaler, config=_FLEET_CONFIG
+            )
+            return fleet.run(requests)
+
+
 def run_fleet_sweep(quick: bool = False, seed: int = 0, trace_ref: str = "diurnal") -> dict:
     """Run the policy sweep plus the autoscale demo; returns one mode's
     payload (deterministic for a given ``quick``/``seed``/``trace_ref``)."""
-    model_config = _fleet_model_config(quick)
-    tiers = standard_tiers(linformer_rank=_LINFORMER_RANK)
-    models: dict = {}
-    tier_meta = []
-    for tier in tiers:
-        model, meta = build_tier_model(tier, model_config, weight_seed=seed)
-        models[tier.name] = model
-        meta["cost_scale"] = tier.cost_scale
-        tier_meta.append(meta)
-
-    full = tiers[0]
-    service_s = full.request_cost(REFERENCE_PROMPT_LEN, _MAX_NEW)
+    bench = _FleetBench(quick, seed)
+    full, service_s = bench.tiers[0], bench.service_s
     trace = build_trace(trace_ref, seed=seed, quick=quick)
     scaled = trace.rescaled(service_s)
 
-    def factory(tier):
-        return make_tier_sequencer(
-            tier, models[tier.name], max_new_tokens=_MAX_NEW, prompt_seed=seed
-        )
-
-    fleet_config = FleetConfig(
-        num_slots=_NUM_SLOTS,
-        max_queue=3 * _NUM_SLOTS,
-        shed_on_deadline=True,
-        use_service_estimate=True,
-        max_new_tokens=_MAX_NEW,
-    )
-
-    def scaler() -> Autoscaler:
-        # thresholds in the trace's rescaled time base: the control loop ticks
-        # once per mean service time, cooldowns span a few service times
-        return Autoscaler(
-            AutoscalerConfig(
-                min_replicas=1,
-                max_replicas=6,
-                interval=service_s,
-                up_cooldown=2 * service_s,
-                down_cooldown=6 * service_s,
-            )
-        )
-
-    def run_fleet(policy: str, autoscaled: bool) -> FleetReport:
-        with use_registry(MetricsRegistry()):
-            fleet = Fleet(
-                tiers,
-                factory,
-                make_router(policy, seed=seed),
-                autoscaler=scaler() if autoscaled else None,
-                config=fleet_config,
-            )
-            return fleet.run(scaled.requests)
-
-    sweep = [_point(policy, run_fleet(policy, autoscaled=True)) for policy in ROUTER_POLICIES]
+    sweep = [
+        _point(policy, bench.run(make_router(policy, seed=seed), scaled.requests, autoscaled=True))
+        for policy in ROUTER_POLICIES
+    ]
 
     # -- acceptance demo: fixed single replica vs autoscaled, diurnal trace ----
     demo_trace = (
@@ -179,18 +182,10 @@ def run_fleet_sweep(quick: bool = False, seed: int = 0, trace_ref: str = "diurna
     worst_service_s = full.request_cost(12, _MAX_NEW)  # diurnal prompts are 4..12
     bound_s = slo_s + _NUM_SLOTS * worst_service_s
 
-    def demo_run(autoscaled: bool) -> FleetReport:
-        with use_registry(MetricsRegistry()):
-            fleet = Fleet(
-                tiers,
-                factory,
-                make_router("least-loaded"),
-                autoscaler=scaler() if autoscaled else None,
-                config=fleet_config,
-            )
-            return fleet.run(demo_trace.requests)
-
-    fixed, auto = demo_run(False), demo_run(True)
+    fixed, auto = (
+        bench.run(make_router("least-loaded"), demo_trace.requests, autoscaled)
+        for autoscaled in (False, True)
+    )
     fixed_stats, auto_stats = fixed.stats(), auto.stats()
     autoscale = {
         "trace": demo_trace.label,
@@ -219,8 +214,8 @@ def run_fleet_sweep(quick: bool = False, seed: int = 0, trace_ref: str = "diurna
 
     return {
         "workload": {
-            "model": model_config.name,
-            "num_layers": model_config.num_layers,
+            "model": bench.model_config.name,
+            "num_layers": bench.model_config.num_layers,
             "trace": scaled.label,
             "trace_digest": scaled.digest(),
             "num_requests": len(scaled),
@@ -228,7 +223,7 @@ def run_fleet_sweep(quick: bool = False, seed: int = 0, trace_ref: str = "diurna
             "max_new_tokens": _MAX_NEW,
             "mean_service_seconds": service_s,
             "slo_seconds": slo_s,
-            "tiers": tier_meta,
+            "tiers": bench.tier_meta,
             "seed": seed,
         },
         "sweep": sweep,
@@ -246,50 +241,10 @@ def run_single_fleet(
     """One fleet run under the bench's standard setup (tiers, sizing,
     autoscaler tuning); returns ``(report, trace, service_s)``.  This is the
     entry the ablation figure uses to plot a control timeline."""
-    model_config = _fleet_model_config(quick)
-    tiers = standard_tiers(linformer_rank=_LINFORMER_RANK)
-    models = {
-        tier.name: build_tier_model(tier, model_config, weight_seed=seed)[0]
-        for tier in tiers
-    }
-    full = tiers[0]
-    service_s = full.request_cost(REFERENCE_PROMPT_LEN, _MAX_NEW)
-    trace = build_trace(trace_ref, seed=seed, quick=quick).rescaled(service_s)
-
-    def factory(tier):
-        return make_tier_sequencer(
-            tier, models[tier.name], max_new_tokens=_MAX_NEW, prompt_seed=seed
-        )
-
-    autoscaler = (
-        Autoscaler(
-            AutoscalerConfig(
-                min_replicas=1,
-                max_replicas=6,
-                interval=service_s,
-                up_cooldown=2 * service_s,
-                down_cooldown=6 * service_s,
-            )
-        )
-        if autoscaled
-        else None
-    )
-    with use_registry(MetricsRegistry()):
-        fleet = Fleet(
-            tiers,
-            factory,
-            make_router(policy, seed=seed),
-            autoscaler=autoscaler,
-            config=FleetConfig(
-                num_slots=_NUM_SLOTS,
-                max_queue=3 * _NUM_SLOTS,
-                shed_on_deadline=True,
-                use_service_estimate=True,
-                max_new_tokens=_MAX_NEW,
-            ),
-        )
-        report = fleet.run(trace.requests)
-    return report, trace, service_s
+    bench = _FleetBench(quick, seed)
+    trace = build_trace(trace_ref, seed=seed, quick=quick).rescaled(bench.service_s)
+    report = bench.run(make_router(policy, seed=seed), trace.requests, autoscaled)
+    return report, trace, bench.service_s
 
 
 # -- report emission + regression gate ----------------------------------------

@@ -27,35 +27,10 @@ from repro.core.orders import attention_partition
 from repro.core.partition import Partition
 
 if TYPE_CHECKING:  # avoid a runtime circular import (models depends on core)
+    from repro.models.config import TransformerConfig
     from repro.models.layer import TransformerLayer
 
-__all__ = ["LayerGeometry", "OrderPolicy", "PartitionedLayerExecutor", "full_layer_flops"]
-
-
-@dataclass(frozen=True)
-class LayerGeometry:
-    """The four shapes that price one layer: F, F_H, H and the FFN width.
-
-    Every timeline and FLOP count reads these (a ``TransformerConfig`` has
-    the same four attributes and may stand in where no record is needed).
-    :meth:`of_layer` reads the head geometry from the attention module, not
-    the config, so head-pruned layers (H·F_H < F) keep pricing by their real
-    head count.
-    """
-
-    hidden_size: int
-    head_dim: int
-    num_heads: int
-    ffn_dim: int
-
-    @classmethod
-    def of_config(cls, config) -> "LayerGeometry":
-        return cls(config.hidden_size, config.head_dim, config.num_heads, config.ffn_dim)
-
-    @classmethod
-    def of_layer(cls, layer: TransformerLayer) -> "LayerGeometry":
-        attention, config = layer.attention, layer.config
-        return cls(config.hidden_size, attention.head_dim, attention.num_heads, config.ffn_dim)
+__all__ = ["OrderPolicy", "PartitionedLayerExecutor", "full_layer_flops"]
 
 
 @dataclass(frozen=True)
@@ -82,24 +57,27 @@ class OrderPolicy:
             return EQ8
         return complexity.select_order(n, p, f, fh)
 
-    def layer_flops(self, geometry, n: int, p: int, order: AttentionOrder | None = None) -> int:
-        """Matmul FLOPs (the paper's Γ accounting) one device spends on a
-        ``geometry`` layer for a length-``p`` partition of ``n`` positions,
-        under ``order`` or this policy's choice; zero for an empty one."""
+    def layer_flops(
+        self, config: TransformerConfig, n: int, p: int, order: AttentionOrder | None = None
+    ) -> int:
+        """Matmul FLOPs (the paper's Γ accounting) one device spends on one
+        of ``config``'s layers for a length-``p`` partition of ``n``
+        positions, under ``order`` or this policy's choice; zero for an
+        empty one."""
         if p == 0:
             return 0
         if order is None:
-            order = self.order_for(n, p, geometry.hidden_size, geometry.head_dim)
+            order = self.order_for(n, p, config.hidden_size, config.head_dim)
         return complexity.layer_flops(
-            n, p, geometry.hidden_size, geometry.head_dim, geometry.num_heads,
-            geometry.ffn_dim, order=order,
+            n, p, config.hidden_size, config.head_dim, config.num_heads, config.ffn_dim,
+            order=order,
         )
 
 
-def full_layer_flops(geometry, n: int) -> int:
+def full_layer_flops(config: TransformerConfig, n: int) -> int:
     """Matmul FLOPs of one unpartitioned layer: Eq. (3) at P = N — the
     single-device baseline, and one layer of a pipeline stage."""
-    return OrderPolicy("naive").layer_flops(geometry, n, n)
+    return OrderPolicy("naive").layer_flops(config, n, n)
 
 
 class PartitionedLayerExecutor:
@@ -110,21 +88,11 @@ class PartitionedLayerExecutor:
         self.config = layer.config
         self.policy = policy if policy is not None else OrderPolicy()
 
-    @property
-    def geometry(self) -> LayerGeometry:
-        """The layer's live shapes (re-read, so pruning after construction counts)."""
-        return LayerGeometry.of_layer(self.layer)
-
     def select_order(self, n: int, p: int) -> AttentionOrder:
-        """The order Algorithm 1 would pick for an (N, P) instance.
-
-        Head geometry is read from the attention module, not the config,
-        so head-pruned layers (H·F_H < F) select correctly.
-        """
+        """The order Algorithm 1 would pick for an (N, P) instance."""
         if p < 1:
             raise ValueError(f"partition must be non-empty, got P={p}")
-        attention = self.layer.attention
-        return self.policy.order_for(n, p, self.config.hidden_size, attention.head_dim)
+        return self.policy.order_for(n, p, self.config.hidden_size, self.config.head_dim)
 
     def forward_partition(
         self,
@@ -184,8 +152,8 @@ class PartitionedLayerExecutor:
     def partition_flops(self, n: int, p: int, order: AttentionOrder | None = None) -> int:
         """Matmul FLOPs this executor spends on a (N, P) partition — feeds
         the cluster latency simulator."""
-        return self.policy.layer_flops(self.geometry, n, p, order)
+        return self.policy.layer_flops(self.config, n, p, order)
 
     def full_flops(self, n: int) -> int:
         """Matmul FLOPs of the unpartitioned layer (single-device baseline)."""
-        return full_layer_flops(self.geometry, n)
+        return full_layer_flops(self.config, n)

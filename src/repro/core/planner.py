@@ -98,12 +98,7 @@ def device_layer_flops(
     p: int,
     policy: OrderPolicy | None = None,
 ) -> int:
-    """FLOPs one device spends on one layer given its partition length ``p``.
-
-    Here and below ``config`` may be a ``TransformerConfig`` or one layer's
-    :class:`~repro.core.layer.LayerGeometry` (a head-pruned layer plans by
-    its real head count).
-    """
+    """FLOPs one device spends on one layer given its partition length ``p``."""
     return (policy if policy is not None else OrderPolicy()).layer_flops(config, n, p)
 
 

@@ -56,21 +56,16 @@ class FleetConfig:
 
     num_slots: int = 2
     max_queue: int | None = None
-    shed_on_deadline: bool = True
-    use_service_estimate: bool = False  # give engines the tier's exact cost model
     max_new_tokens: int = 8
 
     def engine_config(self, tier: ReplicaTier) -> EngineConfig:
+        """A replica's engine sheds on deadline, estimating each request's
+        service time with its tier's exact cost model."""
         max_new = self.max_new_tokens
         return EngineConfig(
             num_slots=self.num_slots,
             max_queue=self.max_queue,
-            shed_on_deadline=self.shed_on_deadline,
-            service_estimate=(
-                (lambda r: tier.request_cost(r.n, max_new))
-                if self.use_service_estimate
-                else None
-            ),
+            service_estimate=lambda r: tier.request_cost(r.n, max_new),
         )
 
 

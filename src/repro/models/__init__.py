@@ -10,14 +10,10 @@ from repro.models.base import TransformerModel
 from repro.models.bert import BertModel
 from repro.models.config import (
     TransformerConfig,
-    bert_base_config,
     bert_large_config,
-    distilbert_config,
     gpt2_config,
-    gpt2_medium_config,
     tiny_config,
     vit_base_config,
-    vit_large_config,
 )
 from repro.models.embeddings import PatchEmbeddings, TextEmbeddings
 from repro.models.gpt2 import GPT2Model, greedy_loop
@@ -41,13 +37,9 @@ __all__ = [
     "TransformerLayer",
     "TransformerModel",
     "ViTModel",
-    "bert_base_config",
     "bert_large_config",
-    "distilbert_config",
     "gpt2_config",
-    "gpt2_medium_config",
     "greedy_loop",
-    "vit_large_config",
     "tiny_config",
     "vit_base_config",
 ]

@@ -28,28 +28,18 @@ class MultiHeadSelfAttention(Module):
         num_heads: int,
         rng: np.random.Generator | None = None,
         bias: bool = True,
-        head_dim: int | None = None,
     ):
-        """``head_dim`` defaults to ``hidden_size // num_heads`` (the standard
-        ``H·F_H = F`` setting); passing it explicitly supports head-pruned
-        models where ``H·F_H < F`` (the projection width shrinks while the
-        residual width stays F)."""
         super().__init__()
-        if head_dim is None:
-            if hidden_size % num_heads != 0:
-                raise ValueError(
-                    f"hidden_size={hidden_size} not divisible by num_heads={num_heads}"
-                )
-            head_dim = hidden_size // num_heads
+        if hidden_size % num_heads != 0:
+            raise ValueError(f"hidden_size={hidden_size} not divisible by num_heads={num_heads}")
         self.hidden_size = hidden_size
         self.num_heads = num_heads
-        self.head_dim = head_dim
-        proj_width = num_heads * head_dim
+        self.head_dim = hidden_size // num_heads
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.query = Linear(hidden_size, proj_width, rng=rng, bias=bias)
-        self.key = Linear(hidden_size, proj_width, rng=rng, bias=bias)
-        self.value = Linear(hidden_size, proj_width, rng=rng, bias=bias)
-        self.output = Linear(proj_width, hidden_size, rng=rng, bias=bias)
+        self.query = Linear(hidden_size, hidden_size, rng=rng, bias=bias)
+        self.key = Linear(hidden_size, hidden_size, rng=rng, bias=bias)
+        self.value = Linear(hidden_size, hidden_size, rng=rng, bias=bias)
+        self.output = Linear(hidden_size, hidden_size, rng=rng, bias=bias)
         self._qkv_cache: tuple | None = None
         self._fuse_qkv_storage()
 
@@ -59,12 +49,12 @@ class MultiHeadSelfAttention(Module):
         The three projection parameters become column views of a single
         fused matrix, so a decode step computes Q, K and V with *one* GEMM
         (``x @ W_QKV``) instead of three skinny ones, while every existing
-        consumer (``attention_params``, tensor-parallel sharding, pruning)
+        consumer (``attention_params``, tensor-parallel sharding)
         keeps seeing three ``(F, H·F_H)`` arrays.  In-place weight edits flow
         through the views; rebinding ``weight.data`` wholesale is detected by
         identity in :meth:`fused_qkv` and triggers a re-fuse.
         """
-        proj_width = self.num_heads * self.head_dim
+        proj_width = self.hidden_size
         fused_w = np.concatenate(
             [self.query.weight.data, self.key.weight.data, self.value.weight.data], axis=1
         )

@@ -12,12 +12,8 @@ from dataclasses import dataclass, field, replace
 __all__ = [
     "TransformerConfig",
     "bert_large_config",
-    "bert_base_config",
-    "distilbert_config",
     "gpt2_config",
-    "gpt2_medium_config",
     "vit_base_config",
-    "vit_large_config",
     "tiny_config",
 ]
 
@@ -84,22 +80,6 @@ def bert_large_config() -> TransformerConfig:
     )
 
 
-def bert_base_config() -> TransformerConfig:
-    """BERT-Base: 12 layers, F=768, H=12 — used by fast examples."""
-    return TransformerConfig(
-        hidden_size=768,
-        num_heads=12,
-        num_layers=12,
-        ffn_dim=3072,
-        vocab_size=30522,
-        max_positions=512,
-        activation="gelu",
-        norm_style="post",
-        is_causal=False,
-        name="bert-base-uncased",
-    )
-
-
 def gpt2_config() -> TransformerConfig:
     """GPT-2 (117M): 12 layers, F=768, H=12, causal, pre-LN."""
     return TransformerConfig(
@@ -131,62 +111,6 @@ def vit_base_config() -> TransformerConfig:
         is_causal=False,
         type_vocab_size=0,
         name="vit-base-patch16-224",
-        extras={"image_size": 224, "patch_size": 16, "num_channels": 3},
-    )
-
-
-def distilbert_config() -> TransformerConfig:
-    """DistilBERT: 6 layers, F=768 — the distilled model of reference [7].
-
-    Included to demonstrate Section VII-A's point end-to-end: a compressed
-    model still runs through Voltage unchanged for a further speed-up.
-    """
-    return TransformerConfig(
-        hidden_size=768,
-        num_heads=12,
-        num_layers=6,
-        ffn_dim=3072,
-        vocab_size=30522,
-        max_positions=512,
-        activation="gelu",
-        norm_style="post",
-        is_causal=False,
-        type_vocab_size=0,  # DistilBERT drops segment embeddings
-        name="distilbert-base-uncased",
-    )
-
-
-def gpt2_medium_config() -> TransformerConfig:
-    """GPT-2 Medium (345M): 24 layers, F=1024, H=16."""
-    return TransformerConfig(
-        hidden_size=1024,
-        num_heads=16,
-        num_layers=24,
-        ffn_dim=4096,
-        vocab_size=50257,
-        max_positions=1024,
-        activation="gelu",
-        norm_style="pre",
-        is_causal=True,
-        type_vocab_size=0,
-        name="gpt2-medium",
-    )
-
-
-def vit_large_config() -> TransformerConfig:
-    """ViT-Large/16: 24 layers, F=1024, H=16, 197 tokens."""
-    return TransformerConfig(
-        hidden_size=1024,
-        num_heads=16,
-        num_layers=24,
-        ffn_dim=4096,
-        vocab_size=1,
-        max_positions=197,
-        activation="gelu",
-        norm_style="pre",
-        is_causal=False,
-        type_vocab_size=0,
-        name="vit-large-patch16-224",
         extras={"image_size": 224, "patch_size": 16, "num_channels": 3},
     )
 

@@ -26,7 +26,6 @@ from repro.cluster.service import serve_once
 from repro.cluster.simulator import ClusterSim
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.timeline import LatencyBreakdown
-from repro.core.layer import LayerGeometry
 from repro.models.base import TransformerModel
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import current_tracer
@@ -174,11 +173,6 @@ class InferenceSystem:
         return model.postprocess(model.final_norm(hidden)), stats
 
     # -- shared terminal-side stages -----------------------------------------
-
-    @property
-    def geometries(self) -> list[LayerGeometry]:
-        """Per-layer shapes read off the live layers — what a timeline prices."""
-        return [LayerGeometry.of_layer(layer) for layer in self.model.layers]
 
     def _preprocess(self, raw) -> tuple[np.ndarray, dict]:
         """The embedded request and the terminal FLOPs its timeline charges."""

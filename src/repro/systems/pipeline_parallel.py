@@ -14,15 +14,15 @@ tool for sporadic edge traffic.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.cluster.simulator import ClusterSim, StagePipeline
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.timeline import LatencyBreakdown
-from repro.core.layer import LayerGeometry, full_layer_flops
+from repro.core.layer import full_layer_flops
 from repro.core.partition import split_evenly
 from repro.models.base import TransformerModel
+from repro.models.config import TransformerConfig
 from repro.systems.base import InferenceResult, InferenceSystem, activation_bytes, terminal_phase
 
 __all__ = ["PipelineParallelSystem", "StreamReport", "pipeline_timeline"]
@@ -37,7 +37,7 @@ def _stage_splits(num_layers: int, k: int) -> list[range]:
 
 
 def pipeline_timeline(
-    geometries: Sequence[LayerGeometry],
+    config: TransformerConfig,
     n: int,
     sim: ClusterSim,
     pre_flops: int = 0,
@@ -47,14 +47,14 @@ def pipeline_timeline(
     only; what :meth:`PipelineParallelSystem.run` and ``bench.analytic`` both
     return.  Also hands back each stage's compute seconds and the per-hop
     transfer seconds, which is all a request *stream* needs."""
-    wire = activation_bytes(n, geometries[0].hidden_size)
+    wire = activation_bytes(n, config.hidden_size)
     stage_seconds: list[float] = []
     latency = LatencyBreakdown()
     terminal_phase(latency, sim, "preprocess", pre_flops)
     hop_seconds = sim.point_to_point(wire)
     latency.add("ship input to stage 0", "comm", hop_seconds)
-    for rank, stage in enumerate(_stage_splits(len(geometries), sim.k)):
-        flops = sum(full_layer_flops(geometries[index], n) for index in stage)
+    for rank, stage in enumerate(_stage_splits(config.num_layers, sim.k)):
+        flops = len(stage) * full_layer_flops(config, n)
         seconds = sim.cluster.devices[rank].compute_seconds(flops)
         stage_seconds.append(seconds)
         latency.add(f"stage {rank} compute", "compute", seconds)
@@ -91,7 +91,7 @@ class PipelineParallelSystem(InferenceSystem):
 
     def run(self, raw) -> InferenceResult:
         x, terminal = self._preprocess(raw)
-        latency, _, _ = pipeline_timeline(self.geometries, x.shape[0], self.sim, **terminal)
+        latency, _, _ = pipeline_timeline(self.model.config, x.shape[0], self.sim, **terminal)
         for layer in self.model.layers:  # the stages, back to back
             x = layer(x)
         return self._result(x, latency, stage_layers=[len(s) for s in self.stages])
@@ -107,7 +107,7 @@ class PipelineParallelSystem(InferenceSystem):
         """
         if num_requests < 1:
             raise ValueError(f"need at least one request, got {num_requests}")
-        _, stage_seconds, hop_seconds = pipeline_timeline(self.geometries, n, self.sim)
+        _, stage_seconds, hop_seconds = pipeline_timeline(self.model.config, n, self.sim)
         pipeline = StagePipeline(self.k)
         arrivals = [request * arrival_interval for request in range(num_requests)]
         finishes = [pipeline.push(t, stage_seconds, hop_seconds)[1] for t in arrivals]

@@ -14,7 +14,6 @@ partials (this is what lets the K=5 point of Fig. 4 exist for H=16 models).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +24,10 @@ from repro.cluster.simulator import ClusterSim
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.timeline import LatencyBreakdown
 from repro.core import complexity
-from repro.core.layer import LayerGeometry
 from repro.core.orders import AttentionParams, attention_full
 from repro.core.partition import split_evenly
 from repro.models.base import TransformerModel
+from repro.models.config import TransformerConfig
 from repro.models.layer import TransformerLayer
 from repro.systems.base import InferenceResult, InferenceSystem, activation_bytes, terminal_phase
 
@@ -36,7 +35,7 @@ __all__ = ["TensorParallelSystem", "tensor_parallel_layers", "tensor_parallel_ti
 
 
 def tensor_parallel_timeline(
-    geometries: Sequence[LayerGeometry],
+    config: TransformerConfig,
     n: int,
     sim: ClusterSim,
     pre_flops: int = 0,
@@ -51,20 +50,18 @@ def tensor_parallel_timeline(
     its heads, its rows of W_O, its slice of both FFN matmuls.
     """
     k = sim.k
-    wire = activation_bytes(n, geometries[0].hidden_size)
+    f, fh = config.hidden_size, config.head_dim
+    wire = activation_bytes(n, f)
+    per_head = complexity.gamma_eq3(n, n, f, fh).matmul  # full-N attention head
+    flops = [
+        heads * per_head + n * (heads * fh) * f + 2 * n * f * ffn
+        for heads, ffn in zip(split_evenly(config.num_heads, k), split_evenly(config.ffn_dim, k))
+    ]
     allreduce_bytes = 0.0
     latency = LatencyBreakdown()
     terminal_phase(latency, sim, "preprocess", pre_flops)
     latency.add("broadcast input", "comm", sim.broadcast(wire))
-    for index, geometry in enumerate(geometries):
-        f, fh = geometry.hidden_size, geometry.head_dim
-        per_head = complexity.gamma_eq3(n, n, f, fh).matmul  # full-N attention head
-        flops = [
-            heads * per_head + n * (heads * fh) * f + 2 * n * f * ffn
-            for heads, ffn in zip(
-                split_evenly(geometry.num_heads, k), split_evenly(geometry.ffn_dim, k)
-            )
-        ]
+    for index in range(config.num_layers):
         latency.add("shard compute", "compute", sim.compute_makespan(flops), layer=index)
         # two All-Reduces per layer (Fig. 2)
         latency.add("2x all-reduce", "comm", 2 * sim.all_reduce(wire), layer=index)
@@ -107,15 +104,11 @@ def _column_splits(total: int, k: int) -> list[slice]:
 
 
 def shard_layer(layer: TransformerLayer, k: int) -> list[_LayerShard]:
-    """Split one layer's weights across ``k`` devices, Megatron-style.
-
-    Head geometry comes from the attention module itself (not the config)
-    so head-pruned layers shard correctly.
-    """
+    """Split one layer's weights across ``k`` devices, Megatron-style."""
     cfg = layer.config
     attn = layer.attention
-    fh = attn.head_dim
-    head_slices = _column_splits(attn.num_heads, k)
+    fh = cfg.head_dim
+    head_slices = _column_splits(cfg.num_heads, k)
     ffn_slices = _column_splits(cfg.ffn_dim, k)
 
     def col(weight: np.ndarray, head_slice: slice) -> np.ndarray:
@@ -249,7 +242,7 @@ class TensorParallelSystem(InferenceSystem):
     def run(self, raw) -> InferenceResult:
         x, terminal = self._preprocess(raw)
         latency, comm_meta = tensor_parallel_timeline(
-            self.geometries, x.shape[0], self.sim, **terminal
+            self.model.config, x.shape[0], self.sim, **terminal
         )
         hidden = tensor_parallel_layers(x, self.model.layers, self.shards, range(self.k))
         return self._result(hidden, latency, **comm_meta)

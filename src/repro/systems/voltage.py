@@ -31,11 +31,12 @@ from repro.cluster.runtime import CommStats
 from repro.cluster.simulator import ClusterSim
 from repro.cluster.timeline import LatencyBreakdown
 from repro.core.complexity import prologue_flops
-from repro.core.layer import LayerGeometry, OrderPolicy, PartitionedLayerExecutor
+from repro.core.layer import OrderPolicy, PartitionedLayerExecutor
 from repro.core.partition import Partition, PartitionScheme
 from repro.core.planner import makespan_optimal_scheme
 from repro.core.schedule import LayerSchedule
 from repro.models.base import TransformerModel
+from repro.models.config import TransformerConfig
 from repro.cluster.spec import ClusterSpec
 from repro.systems.base import (
     InferenceResult, InferenceSystem, activation_bytes, terminal_phase, voltage_layers,
@@ -49,7 +50,7 @@ WIRE_DTYPES = {"float32": 4, "float16": 2, "int8": 1}
 
 
 def voltage_timeline(
-    geometries: Sequence[LayerGeometry],
+    config: TransformerConfig,
     layer_parts: Sequence[Sequence[Partition]],
     sim: ClusterSim,
     policy: OrderPolicy | None = None,
@@ -63,7 +64,8 @@ def voltage_timeline(
     The single source of the Voltage phase sequence: :meth:`VoltageSystem.run`
     attaches it to the emulated output, ``bench.analytic.voltage_latency``
     returns it weight-free.  ``layer_parts[i]`` holds layer ``i``'s per-device
-    partitions; ``wire_itemsize`` prices compressed activation exchange (the
+    partitions, one entry per layer, each priced with ``config``'s shapes;
+    ``wire_itemsize`` prices compressed activation exchange (the
     input broadcast stays float32).  With ``overlap`` each inner All-Gather
     is charged only its *exposed* time ``max(0, comm - hideable)``, where the
     hideable compute is the next layer's own-partition Q projection (it
@@ -74,7 +76,7 @@ def voltage_timeline(
     """
     policy = policy if policy is not None else OrderPolicy()
     n = sum(part.length for part in layer_parts[0])
-    f = geometries[0].hidden_size
+    f, fh = config.hidden_size, config.head_dim
     orders: list[str] = []
     exposed_comm_per_layer: list[float] = []
     allgather_bytes = hidden_comm_s = 0.0
@@ -82,24 +84,21 @@ def voltage_timeline(
     latency = LatencyBreakdown()
     terminal_phase(latency, sim, "preprocess", pre_flops)
     latency.add("broadcast input", "comm", sim.broadcast(activation_bytes(n, f)))
-    for index, (geometry, parts) in enumerate(zip(geometries, layer_parts)):
+    for index, parts in enumerate(layer_parts):
         first = next((part for part in parts if part.length), parts[0])
-        order = policy.order_for(n, max(first.length, 1), f, geometry.head_dim)
+        order = policy.order_for(n, max(first.length, 1), f, fh)
         orders.append("eq8" if order.is_reordered else "eq3")
-        flops = [policy.layer_flops(geometry, n, part.length) for part in parts]
+        flops = [policy.layer_flops(config, n, part.length) for part in parts]
         latency.add("partition compute", "compute", sim.compute_makespan(flops), layer=index)
         chunk_bytes = [activation_bytes(part.length, f, itemsize=wire_itemsize) for part in parts]
-        if index + 1 == len(geometries):
+        if index + 1 == len(layer_parts):
             # Algorithm 2 line 8: final partitions go to the terminal only
             latency.add("gather to terminal", "comm", sim.gather(chunk_bytes), layer=index)
             break
         # Algorithm 2 line 10: synchronise partitions across devices
         if overlap:
-            ahead = geometries[index + 1]
             hideable = min(
-                device.compute_seconds(
-                    prologue_flops(part.length, f, ahead.num_heads, ahead.head_dim)
-                )
+                device.compute_seconds(prologue_flops(part.length, f, config.num_heads, fh))
                 for device, part in zip(sim.cluster.devices, layer_parts[index + 1])
             )
             exposed, full = sim.all_gather_overlapped(chunk_bytes, hideable)
@@ -201,10 +200,8 @@ class VoltageSystem(InferenceSystem):
         if isinstance(self._scheme, PartitionScheme):
             return self._scheme
         if self._scheme == "auto":
-            # plan with the geometry run() prices (a pruned layer's real heads)
             return makespan_optimal_scheme(
-                self.executors[layer].geometry, n, self.cluster.device_gflops,
-                policy=self.policy,
+                self.model.config, n, self.cluster.device_gflops, policy=self.policy
             )
         if self._scheme is None:
             return PartitionScheme.even(self.k)
@@ -255,7 +252,7 @@ class VoltageSystem(InferenceSystem):
         schemes = self.layer_schemes(n)
         layer_parts = [scheme.positions(n) for scheme in schemes]
         latency, comm_meta = voltage_timeline(
-            self.geometries, layer_parts, self.sim, policy=self.policy,
+            self.model.config, layer_parts, self.sim, policy=self.policy,
             wire_itemsize=self.wire_itemsize, overlap=self.overlap, **terminal,
         )
         hidden = voltage_layers(

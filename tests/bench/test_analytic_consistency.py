@@ -16,7 +16,6 @@ from repro.core.layer import OrderPolicy
 from repro.core.partition import PartitionScheme
 from repro.core.schedule import LayerSchedule
 from repro.models import BertModel, GPT2Model, tiny_config
-from repro.models.attention import MultiHeadSelfAttention
 from repro.systems import (
     PipelineParallelSystem,
     SingleDeviceSystem,
@@ -40,15 +39,6 @@ def gpt2():
     return GPT2Model(cfg, rng=np.random.default_rng(5))
 
 
-@pytest.fixture
-def pruned():
-    config = tiny_config(hidden_size=64, num_heads=8, num_layers=3)
-    model = BertModel(config, num_classes=3, rng=np.random.default_rng(5))
-    for layer in model.layers:  # head-pruned: 2 of 8 heads, F_H = 8
-        layer.attention = MultiHeadSelfAttention(64, 2, head_dim=8)
-    return model
-
-
 CLUSTERS = [
     ClusterSpec.homogeneous(1, gflops=3.0, bandwidth_mbps=500),
     ClusterSpec.homogeneous(4, gflops=3.0, bandwidth_mbps=300),
@@ -56,12 +46,11 @@ CLUSTERS = [
 ]
 
 
-def assert_one_timeline(monkeypatch, module, name, system, raw, adapter, geometry=None, **settings):
+def assert_one_timeline(monkeypatch, module, name, system, raw, adapter, **settings):
     """``system.run(raw)`` and ``adapter(config, n, cluster, **settings)`` each
     call ``module.name`` exactly once, with the same arguments (only the
     ``ClusterSim`` instance wrapping the cluster differs), and each returns
-    that call's breakdown.  ``geometry`` overrides the model config as the
-    adapter's shape source (per-layer geometries of a head-pruned model)."""
+    that call's breakdown."""
     calls = []
     real = getattr(module, name)
 
@@ -80,7 +69,7 @@ def assert_one_timeline(monkeypatch, module, name, system, raw, adapter, geometr
     result = system.run(raw)
     n = result.meta["n"]
     modelled = adapter(
-        geometry if geometry is not None else model.config, n, system.cluster,
+        model.config, n, system.cluster,
         pre_flops=model.preprocess_flops(n), post_flops=model.postprocess_flops(n),
         **settings,
     )
@@ -93,10 +82,10 @@ def assert_one_timeline(monkeypatch, module, name, system, raw, adapter, geometr
     return result, modelled
 
 
-def assert_one_voltage_timeline(monkeypatch, system, raw, scheme=None, geometry=None):
+def assert_one_voltage_timeline(monkeypatch, system, raw, scheme=None):
     return assert_one_timeline(
         monkeypatch, voltage, "voltage_timeline", system, raw, analytic.voltage_latency,
-        geometry=geometry, scheme=scheme, policy=system.policy,
+        scheme=scheme, policy=system.policy,
         wire_itemsize=system.wire_itemsize, overlap=system.overlap,
     )
 
@@ -142,22 +131,6 @@ class TestVoltageConsistency:
         )
         assert not result.meta["scheme_uniform"]
 
-    def test_pruned_geometry_breakdown(self, pruned, monkeypatch):
-        """Head-pruned layers price by their real head count: the adapter,
-        handed the layers' geometry, returns what ``run()`` attaches — and
-        the declared config's geometry would not."""
-        system = VoltageSystem(pruned, CLUSTERS[2])
-        ids = pruned.encode_text("one two three four five six seven eight nine ten " * 2)
-        assert {g.num_heads for g in system.geometries} == {2}
-        result, _ = assert_one_voltage_timeline(
-            monkeypatch, system, ids, geometry=system.geometries
-        )
-        declared = analytic.voltage_latency(
-            pruned.config, len(ids), system.cluster,
-            post_flops=pruned.postprocess_flops(len(ids)),
-        )
-        assert declared.compute_seconds > result.latency.compute_seconds
-
 
 class TestTensorParallelConsistency:
     @pytest.mark.parametrize("k", [2, 3, 5])
@@ -167,14 +140,6 @@ class TestTensorParallelConsistency:
         assert_one_timeline(
             monkeypatch, tensor_parallel, "tensor_parallel_timeline",
             TensorParallelSystem(bert, cluster), ids, analytic.tensor_parallel_latency,
-        )
-
-    def test_pruned_geometry_breakdown(self, pruned, monkeypatch):
-        system = TensorParallelSystem(pruned, CLUSTERS[1])
-        ids = pruned.encode_text("shards must cost exactly what the model says")
-        assert_one_timeline(
-            monkeypatch, tensor_parallel, "tensor_parallel_timeline",
-            system, ids, analytic.tensor_parallel_latency, geometry=system.geometries,
         )
 
 
