@@ -13,8 +13,9 @@ from repro.cluster.topology import (
     comm_aware_scheme,
     ring_all_gather_seconds_exact,
 )
+from repro.core.layer import OrderPolicy
 from repro.core.partition import PartitionScheme
-from repro.core.planner import device_layer_flops, makespan_optimal_scheme
+from repro.core.planner import makespan_optimal_scheme
 from repro.models.config import bert_large_config
 
 CONFIG = bert_large_config()
@@ -24,7 +25,7 @@ N = 202
 def _layer_time(scheme: PartitionScheme, gflops, net) -> float:
     parts = scheme.positions(N)
     compute = max(
-        (device_layer_flops(CONFIG, N, p.length) / (g * 1e9)) if p.length else 0.0
+        (OrderPolicy().layer_flops(CONFIG, N, p.length) / (g * 1e9)) if p.length else 0.0
         for p, g in zip(parts, gflops)
     )
     chunks = [p.length * CONFIG.hidden_size * 4 for p in parts]

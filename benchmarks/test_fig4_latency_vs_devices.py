@@ -7,13 +7,11 @@ evaluation for each system at the paper's operating point (K=6, 500 Mbps).
 import pytest
 
 from repro.bench import figures
-from repro.bench.analytic import (
-    single_device_latency,
-    tensor_parallel_latency,
-    voltage_latency,
-)
 from repro.bench.workloads import paper_workloads
 from repro.cluster.spec import paper_cluster
+from repro.systems.single_device import single_device_timeline
+from repro.systems.tensor_parallel import tensor_parallel_timeline
+from repro.systems.voltage import voltage_timeline
 
 WORKLOADS = paper_workloads()
 
@@ -38,10 +36,10 @@ def test_bench_voltage_latency_evaluation(benchmark, key):
     workload = WORKLOADS[key]
     cluster = paper_cluster(6)
     result = benchmark(
-        lambda: voltage_latency(
+        lambda: voltage_timeline(
             workload.config, workload.n, cluster,
             pre_flops=workload.pre_flops, post_flops=workload.post_flops,
-        ).total_seconds
+        )[0].total_seconds
     )
     assert result > 0
 
@@ -51,10 +49,10 @@ def test_bench_tensor_parallel_latency_evaluation(benchmark, key):
     workload = WORKLOADS[key]
     cluster = paper_cluster(6)
     result = benchmark(
-        lambda: tensor_parallel_latency(
+        lambda: tensor_parallel_timeline(
             workload.config, workload.n, cluster,
             pre_flops=workload.pre_flops, post_flops=workload.post_flops,
-        ).total_seconds
+        )[0].total_seconds
     )
     assert result > 0
 
@@ -63,8 +61,8 @@ def test_bench_single_device_latency_evaluation(benchmark):
     workload = WORKLOADS["bert"]
     cluster = paper_cluster(1)
     result = benchmark(
-        lambda: single_device_latency(
+        lambda: single_device_timeline(
             workload.config, workload.n, cluster, post_flops=workload.post_flops
-        ).total_seconds
+        )[0].total_seconds
     )
     assert result > 0

@@ -1,8 +1,8 @@
 """What-if exploration of an edge cluster design space — simulation only.
 
-Uses the weight-free analytic latency models (the same ones the figure
-benchmarks use, verified phase-by-phase against the real systems by the
-test-suite) to answer deployment questions for full-scale BERT-Large
+Uses each protocol's weight-free latency timeline (the one its system's
+``run()`` reports and the figure benchmarks sweep, so it needs only the
+model's config) to answer deployment questions for full-scale BERT-Large
 without instantiating 1.3 GB of weights:
 
 - How many devices are worth adding at my bandwidth?
@@ -16,33 +16,37 @@ Run:
 
 import argparse
 
-from repro.bench.analytic import (
-    pipeline_latency,
-    single_device_latency,
-    tensor_parallel_latency,
-    voltage_latency,
-)
 from repro.bench.workloads import paper_workloads
 from repro.cluster import ClusterSpec, paper_cluster
 from repro.models import BertModel, bert_large_config
 from repro.systems import PipelineParallelSystem
+from repro.systems.pipeline_parallel import pipeline_timeline
+from repro.systems.single_device import single_device_timeline
+from repro.systems.tensor_parallel import tensor_parallel_timeline
+from repro.systems.voltage import voltage_timeline
+
+
+def seconds(timeline, workload, cluster, **flops) -> float:
+    """End-to-end seconds of ``timeline`` over ``workload``'s shapes."""
+    latency, _ = timeline(workload.config, workload.n, cluster, **flops)
+    return latency.total_seconds
 
 
 def sweep_devices(bandwidth: float) -> None:
     workload = paper_workloads()["bert"]
     print(f"\nBERT-Large latency (s) vs device count at {bandwidth:g} Mbps:")
     print(f"{'K':>3s} {'voltage':>9s} {'tensor-par':>11s} {'pipeline':>9s}")
-    single = single_device_latency(
-        workload.config, workload.n, paper_cluster(1, bandwidth),
+    single = seconds(
+        single_device_timeline, workload, paper_cluster(1, bandwidth),
         post_flops=workload.post_flops,
-    ).total_seconds
+    )
     print(f"{1:>3d} {single:>9.3f} {single:>11.3f} {single:>9.3f}   <- single device")
     for k in (2, 3, 4, 5, 6, 8):
         cluster = paper_cluster(k, bandwidth)
         kwargs = dict(pre_flops=workload.pre_flops, post_flops=workload.post_flops)
-        v = voltage_latency(workload.config, workload.n, cluster, **kwargs).total_seconds
-        t = tensor_parallel_latency(workload.config, workload.n, cluster, **kwargs).total_seconds
-        p = pipeline_latency(workload.config, workload.n, cluster, **kwargs).total_seconds
+        v = seconds(voltage_timeline, workload, cluster, **kwargs)
+        t = seconds(tensor_parallel_timeline, workload, cluster, **kwargs)
+        p = seconds(pipeline_timeline, workload, cluster, **kwargs)
         marks = " <- best" if v < single else ""
         print(f"{k:>3d} {v:>9.3f} {t:>11.3f} {p:>9.3f}{marks}")
 
@@ -50,16 +54,15 @@ def sweep_devices(bandwidth: float) -> None:
 def find_crossovers() -> None:
     workload = paper_workloads()["bert"]
     print("\nminimum bandwidth (Mbps) at which each strategy beats single device (K=6):")
-    for name, fn in (("Voltage", voltage_latency), ("Tensor parallelism", tensor_parallel_latency)):
+    for name, timeline in (("Voltage", voltage_timeline),
+                           ("Tensor parallelism", tensor_parallel_timeline)):
         crossover = None
         for bandwidth in range(100, 3100, 100):
             cluster = paper_cluster(6, bandwidth)
-            single = single_device_latency(
-                workload.config, workload.n, cluster, post_flops=workload.post_flops
-            ).total_seconds
-            distributed = fn(
-                workload.config, workload.n, cluster, post_flops=workload.post_flops
-            ).total_seconds
+            single = seconds(
+                single_device_timeline, workload, cluster, post_flops=workload.post_flops
+            )
+            distributed = seconds(timeline, workload, cluster, post_flops=workload.post_flops)
             if distributed < single:
                 crossover = bandwidth
                 break

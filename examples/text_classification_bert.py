@@ -7,7 +7,7 @@ Two parts:
    string through Voltage's distributed protocol, including the threaded
    runtime with per-device traffic counters.
 
-2. *Full-scale latency projection* — the analytic models sweep device
+2. *Full-scale latency projection* — the weight-free timelines sweep device
    counts for the real 24-layer BERT-Large, regenerating the Fig. 4(a)
    curve on your terminal.
 
@@ -20,11 +20,12 @@ import argparse
 
 import numpy as np
 
-from repro.bench.analytic import single_device_latency, voltage_latency
 from repro.bench.workloads import paper_workloads, random_text
 from repro.cluster import ClusterSpec, paper_cluster
 from repro.models import BertModel, bert_large_config
 from repro.systems import VoltageSystem
+from repro.systems.single_device import single_device_timeline
+from repro.systems.voltage import voltage_timeline
 
 
 def run_real_inference(num_layers: int, num_devices: int) -> None:
@@ -57,15 +58,15 @@ def run_real_inference(num_layers: int, num_devices: int) -> None:
 
 def project_full_scale() -> None:
     workload = paper_workloads()["bert"]
-    single = single_device_latency(
+    single = single_device_timeline(
         workload.config, workload.n, paper_cluster(1), post_flops=workload.post_flops
-    ).total_seconds
+    )[0].total_seconds
     print(f"\nFull BERT-Large (24 layers) latency projection at 500 Mbps:")
     print(f"  single device: {single:.3f} s")
     for k in range(2, 7):
-        latency = voltage_latency(
+        latency = voltage_timeline(
             workload.config, workload.n, paper_cluster(k), post_flops=workload.post_flops
-        ).total_seconds
+        )[0].total_seconds
         print(f"  Voltage, K={k}: {latency:.3f} s  ({1 - latency / single:+.1%} vs single)")
 
 

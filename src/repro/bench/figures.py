@@ -18,11 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bench import analytic
 from repro.bench.harness import FigureResult, Series, time_callable
 from repro.bench.workloads import Workload, paper_workloads
 from repro.cluster.spec import ClusterSpec, paper_cluster
-from repro.cluster.timeline import LatencyBreakdown
 from repro.core import complexity
 from repro.core.complexity import EQ3
 from repro.core.layer import OrderPolicy
@@ -30,6 +28,9 @@ from repro.core.orders import AttentionParams, attention_full, attention_partiti
 from repro.core.partition import PartitionScheme
 from repro.core.planner import comm_report, makespan_optimal_scheme
 from repro.models.config import bert_large_config
+from repro.systems.single_device import single_device_timeline
+from repro.systems.tensor_parallel import tensor_parallel_timeline
+from repro.systems.voltage import voltage_timeline
 
 __all__ = [
     "figure4",
@@ -50,25 +51,14 @@ __all__ = [
 _SUBFIG = {"bert": "a", "vit": "b", "gpt2": "c"}
 
 
-def _breakdown(model, workload: Workload, cluster: ClusterSpec, **settings) -> LatencyBreakdown:
-    """One ``analytic.*_latency`` model over a paper workload's shapes."""
-    return model(
+def _seconds(timeline, workload: Workload, cluster: ClusterSpec, **settings) -> float:
+    """End-to-end seconds of one protocol's timeline over a paper workload's
+    shapes on ``cluster``."""
+    latency, _ = timeline(
         workload.config, workload.n, cluster,
         pre_flops=workload.pre_flops, post_flops=workload.post_flops, **settings,
     )
-
-
-def _single_latency(workload: Workload, cluster: ClusterSpec) -> float:
-    single = cluster.with_num_devices(1)
-    return _breakdown(analytic.single_device_latency, workload, single).total_seconds
-
-
-def _voltage_latency(workload: Workload, cluster: ClusterSpec, **settings) -> float:
-    return _breakdown(analytic.voltage_latency, workload, cluster, **settings).total_seconds
-
-
-def _tp_latency(workload: Workload, cluster: ClusterSpec) -> float:
-    return _breakdown(analytic.tensor_parallel_latency, workload, cluster).total_seconds
+    return latency.total_seconds
 
 
 def figure4(
@@ -92,15 +82,15 @@ def figure4(
         )
         voltage = Series("Voltage")
         tensor = Series("Tensor Parallelism")
-        single = _single_latency(workload, paper_cluster(1, bandwidth_mbps))
+        single = _seconds(single_device_timeline, workload, paper_cluster(1, bandwidth_mbps))
         for k in range(1, max_devices + 1):
             cluster = paper_cluster(k, bandwidth_mbps)
             if k == 1:
                 voltage.add(1, single)
                 tensor.add(1, single)
                 continue
-            voltage.add(k, _voltage_latency(workload, cluster))
-            tensor.add(k, _tp_latency(workload, cluster))
+            voltage.add(k, _seconds(voltage_timeline, workload, cluster))
+            tensor.add(k, _seconds(tensor_parallel_timeline, workload, cluster))
         fig.series = [tensor, voltage]
         fig.notes.append(f"single-device reference: {single:.4f} s")
         results[key] = fig
@@ -127,9 +117,9 @@ def figure5(
         single = Series("Single Device")
         for bandwidth in bandwidths:
             cluster = paper_cluster(num_devices, bandwidth)
-            voltage.add(bandwidth, _voltage_latency(workload, cluster))
-            tensor.add(bandwidth, _tp_latency(workload, cluster))
-            single.add(bandwidth, _single_latency(workload, cluster))
+            voltage.add(bandwidth, _seconds(voltage_timeline, workload, cluster))
+            tensor.add(bandwidth, _seconds(tensor_parallel_timeline, workload, cluster))
+            single.add(bandwidth, _seconds(single_device_timeline, workload, cluster))
         fig.series = [tensor, voltage, single]
         results[key] = fig
     return results
@@ -325,7 +315,7 @@ def ablation_heterogeneous(
         cluster = ClusterSpec.heterogeneous(speeds, bandwidth_mbps=bandwidth_mbps)
 
         def latency(scheme: PartitionScheme) -> float:
-            return analytic.voltage_latency(config, n, cluster, scheme=scheme).total_seconds
+            return voltage_timeline(config, n, cluster, scheme=scheme)[0].total_seconds
 
         even.add(ratio, latency(PartitionScheme.even(4)))
         proportional.add(ratio, latency(PartitionScheme.proportional(speeds)))
@@ -406,11 +396,11 @@ def ablation_comm_precision(
         curve = Series(label)
         for bandwidth in bandwidths:
             cluster = paper_cluster(num_devices, bandwidth)
-            curve.add(bandwidth, _voltage_latency(workload, cluster, wire_itemsize=itemsize))
+            curve.add(bandwidth, _seconds(voltage_timeline, workload, cluster, wire_itemsize=itemsize))
         fig.series.append(curve)
     single = Series("Single Device")
     for bandwidth in bandwidths:
-        single.add(bandwidth, _single_latency(workload, paper_cluster(1, bandwidth)))
+        single.add(bandwidth, _seconds(single_device_timeline, workload, paper_cluster(1, bandwidth)))
     fig.series.append(single)
     return fig
 
@@ -438,12 +428,12 @@ def ablation_overlap(
         curve = Series(label)
         for bandwidth in bandwidths:
             cluster = paper_cluster(num_devices, bandwidth)
-            curve.add(bandwidth, _voltage_latency(workload, cluster, overlap=overlap))
+            curve.add(bandwidth, _seconds(voltage_timeline, workload, cluster, overlap=overlap))
         fig.series.append(curve)
     hidden = Series("hidden comm (s)")
     for bandwidth in bandwidths:
         cluster = paper_cluster(num_devices, bandwidth)
-        overlapped = _breakdown(analytic.voltage_latency, workload, cluster, overlap=True)
+        overlapped, _ = voltage_timeline(workload.config, workload.n, cluster, overlap=True)
         hidden.add(bandwidth, overlapped.hidden_comm_seconds)
     fig.series.append(hidden)
     fig.notes.append("overlapped latency <= blocking on every layer by construction")
@@ -606,14 +596,15 @@ def headline_summary(max_devices: int = 6, bandwidth_mbps: float = 500.0) -> dic
     crossings = {}
     for bandwidth in (200, 300, 400, 500, 600, 700, 800, 900, 1000):
         cluster = paper_cluster(max_devices, bandwidth)
-        single = _single_latency(bert, cluster)
+        single = _seconds(single_device_timeline, bert, cluster)
         crossings[bandwidth] = {
-            "voltage_wins": _voltage_latency(bert, cluster) < single,
-            "tp_wins": _tp_latency(bert, cluster) < single,
+            "voltage_wins": _seconds(voltage_timeline, bert, cluster) < single,
+            "tp_wins": _seconds(tensor_parallel_timeline, bert, cluster) < single,
         }
     summary["bert_bandwidth_crossovers"] = crossings
     cluster200 = paper_cluster(max_devices, 200)
-    summary["tp_slowdown_at_200mbps"] = _tp_latency(bert, cluster200) / _single_latency(
-        bert, cluster200
+    summary["tp_slowdown_at_200mbps"] = (
+        _seconds(tensor_parallel_timeline, bert, cluster200)
+        / _seconds(single_device_timeline, bert, cluster200)
     )
     return summary

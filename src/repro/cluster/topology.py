@@ -134,7 +134,7 @@ def comm_aware_scheme(
 
     from repro.core.layer import OrderPolicy
     from repro.core.partition import PartitionScheme
-    from repro.core.planner import device_layer_flops, makespan_optimal_scheme
+    from repro.core.planner import makespan_optimal_scheme
 
     policy = policy if policy is not None else OrderPolicy()
     k = len(device_gflops)
@@ -147,7 +147,7 @@ def comm_aware_scheme(
     def layer_time(ratios: np.ndarray) -> float:
         lengths = np.maximum(ratios, 0.0) * n
         compute = max(
-            device_layer_flops(config, n, max(1, int(round(p)))) / (g * 1e9)
+            policy.layer_flops(config, n, max(1, int(round(p)))) / (g * 1e9)
             if p > 0.5 else 0.0
             for p, g in zip(lengths, device_gflops)
         )
@@ -178,7 +178,7 @@ def comm_aware_scheme(
     def scheme_time(scheme: PartitionScheme) -> float:
         parts = scheme.positions(n)
         compute = max(
-            (device_layer_flops(config, n, part.length) / (g * 1e9)) if part.length else 0.0
+            (policy.layer_flops(config, n, part.length) / (g * 1e9)) if part.length else 0.0
             for part, g in zip(parts, device_gflops)
         )
         chunks = [part.length * f * 4 for part in parts]

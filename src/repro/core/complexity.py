@@ -510,8 +510,8 @@ def decode_attention_crossover_length(fh: int, k: int) -> float:
     return k * (fh + 2) / (2 * fh)
 
 
-#: The two decode attention modes every decode surface (``systems.decode``,
-#: ``bench.analytic``, the verify scenario axis) accepts.
+#: The two decode attention modes every decode surface (``systems.decode``
+#: and its timeline, the verify scenario axis) accepts.
 DECODE_ATTENTION_MODES = ("gathered", "distributed")
 
 
@@ -527,8 +527,8 @@ def decode_rank_flops(
 ) -> int:
     """Matmul FLOPs of one layer of one decode step on one rank.
 
-    ``systems.decode.decode_timeline`` — the one timeline ``run_decode`` and
-    ``bench.analytic.voltage_decode_latency`` both return — prices each
+    ``systems.decode.decode_timeline`` — the one timeline ``run_decode``
+    returns, also called weight-free — prices each
     rank's layer stack with this (the rank's vocab shard of the LM head and
     the head exchange are priced beside it, in
     ``systems.decode.decode_step_pricing``).  ``new_positions`` is the rows

@@ -148,12 +148,3 @@ class PartitionedLayerExecutor:
         )
         y = xp + layer.attention.output(attended)
         return y + layer.ffn(layer.ln2(y))
-
-    def partition_flops(self, n: int, p: int, order: AttentionOrder | None = None) -> int:
-        """Matmul FLOPs this executor spends on a (N, P) partition — feeds
-        the cluster latency simulator."""
-        return self.policy.layer_flops(self.config, n, p, order)
-
-    def full_flops(self, n: int) -> int:
-        """Matmul FLOPs of the unpartitioned layer (single-device baseline)."""
-        return full_layer_flops(self.config, n)

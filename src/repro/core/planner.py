@@ -29,7 +29,6 @@ __all__ = [
     "voltage_layer_bytes",
     "tensor_parallel_layer_bytes",
     "comm_report",
-    "device_layer_flops",
     "makespan_optimal_scheme",
     "estimate_makespan",
 ]
@@ -92,16 +91,6 @@ def comm_report(config: TransformerConfig, n: int, k: int) -> CommReport:
 # ---------------------------------------------------------------------------
 
 
-def device_layer_flops(
-    config: TransformerConfig,
-    n: int,
-    p: int,
-    policy: OrderPolicy | None = None,
-) -> int:
-    """FLOPs one device spends on one layer given its partition length ``p``."""
-    return (policy if policy is not None else OrderPolicy()).layer_flops(config, n, p)
-
-
 def estimate_makespan(
     config: TransformerConfig,
     n: int,
@@ -114,11 +103,11 @@ def estimate_makespan(
         raise ValueError(
             f"scheme has {scheme.num_devices} devices but {len(device_gflops)} speeds given"
         )
-    times = []
-    for part, gflops in zip(scheme.positions(n), device_gflops):
-        flops = device_layer_flops(config, n, part.length, policy=policy)
-        times.append(flops / (gflops * 1e9))
-    return max(times)
+    policy = policy if policy is not None else OrderPolicy()
+    return max(
+        policy.layer_flops(config, n, part.length) / (gflops * 1e9)
+        for part, gflops in zip(scheme.positions(n), device_gflops)
+    )
 
 
 def _max_positions_within(
@@ -137,7 +126,7 @@ def _max_positions_within(
     lo, hi = 0, n
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if device_layer_flops(config, n, mid, policy=policy) <= budget_flops:
+        if policy.layer_flops(config, n, mid) <= budget_flops:
             lo = mid
         else:
             hi = mid - 1
@@ -169,7 +158,7 @@ def makespan_optimal_scheme(
         return PartitionScheme.single()
 
     # upper bound: the fastest device does everything
-    hi = device_layer_flops(config, n, n, policy=policy) / (max(device_gflops) * 1e9)
+    hi = policy.layer_flops(config, n, n) / (max(device_gflops) * 1e9)
     lo = 0.0
     for _ in range(64):
         mid = (lo + hi) / 2

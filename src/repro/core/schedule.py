@@ -22,8 +22,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.core.layer import OrderPolicy
-from repro.core.partition import PartitionScheme
-from repro.core.planner import device_layer_flops, makespan_optimal_scheme
+from repro.core.partition import Partition, PartitionScheme
+from repro.core.planner import makespan_optimal_scheme
 from repro.models.config import TransformerConfig
 
 __all__ = ["LayerSchedule", "EwmaSpeedEstimator", "DynamicPlanner"]
@@ -35,6 +35,14 @@ class LayerSchedule:
     Wraps either a single static scheme (the paper's evaluation setting) or
     one scheme per layer.  All schemes must agree on the device count.
     """
+
+    @classmethod
+    def of(cls, scheme: PartitionScheme | LayerSchedule | None, num_devices: int) -> LayerSchedule:
+        """``scheme`` as a schedule: itself, one scheme for every layer, or
+        the paper's even 1/K split of ``num_devices`` when None."""
+        if isinstance(scheme, LayerSchedule):
+            return scheme
+        return cls(scheme if scheme is not None else PartitionScheme.even(num_devices))
 
     def __init__(self, schemes: PartitionScheme | Sequence[PartitionScheme]):
         if isinstance(schemes, PartitionScheme):
@@ -59,6 +67,10 @@ class LayerSchedule:
         if layer < 0:
             raise ValueError(f"layer must be >= 0, got {layer}")
         return self._schemes[min(layer, len(self._schemes) - 1)]
+
+    def layer_parts(self, n: int, num_layers: int) -> list[list[Partition]]:
+        """Every layer's per-device partitions of ``n`` positions."""
+        return [self.scheme_for_layer(index).positions(n) for index in range(num_layers)]
 
     def __len__(self) -> int:
         return len(self._schemes)
@@ -141,5 +153,5 @@ class DynamicPlanner:
                 f"got {len(seconds)} timings for {scheme.num_devices} devices"
             )
         for device, (part, elapsed) in enumerate(zip(scheme.positions(n), seconds)):
-            flops = device_layer_flops(self.config, n, part.length, policy=self.policy)
+            flops = self.policy.layer_flops(self.config, n, part.length)
             self.estimator.observe(device, flops, elapsed)

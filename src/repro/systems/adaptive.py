@@ -21,6 +21,7 @@ extra data movement — only the partition boundaries change.
 from __future__ import annotations
 
 from repro.cluster.dynamics import SpeedTrace, constant_trace
+from repro.cluster.simulator import ClusterSim
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.timeline import LatencyBreakdown
 from repro.core.layer import OrderPolicy, PartitionedLayerExecutor
@@ -94,10 +95,11 @@ class AdaptiveVoltageSystem(InferenceSystem):
     def run(self, raw) -> InferenceResult:
         x, terminal = self._preprocess(raw)
         n, f = x.shape
+        sim = ClusterSim(self.cluster)
         latency = LatencyBreakdown()
-        terminal_phase(latency, self.sim, "preprocess", terminal["pre_flops"])
+        terminal_phase(latency, sim, "preprocess", terminal["pre_flops"])
 
-        latency.add("broadcast input", "comm", self.sim.broadcast(activation_bytes(n, f)))
+        latency.add("broadcast input", "comm", sim.broadcast(activation_bytes(n, f)))
 
         planner = (
             DynamicPlanner(
@@ -115,12 +117,12 @@ class AdaptiveVoltageSystem(InferenceSystem):
         # layer's observed times
         schemes_used: list[tuple[float, ...]] = []
         layer_parts = []
-        for index, executor in enumerate(self.executors):
+        for index in range(len(self.executors)):
             scheme = self._scheme_for_layer(index, n, planner)
             schemes_used.append(scheme.ratios)
             parts = scheme.positions(n)
             layer_parts.append(parts)
-            flops = [executor.partition_flops(n, part.length) for part in parts]
+            flops = [self.policy.layer_flops(self.model.config, n, part.length) for part in parts]
             seconds = self._device_seconds(index, flops)
             latency.add("partition compute", "compute", max(seconds), layer=index)
             if planner is not None:
@@ -128,16 +130,16 @@ class AdaptiveVoltageSystem(InferenceSystem):
 
             chunk_bytes = [activation_bytes(part.length, f) for part in parts]
             if index + 1 < len(self.executors):
-                latency.add("all-gather", "comm", self.sim.all_gather(chunk_bytes), layer=index)
+                latency.add("all-gather", "comm", sim.all_gather(chunk_bytes), layer=index)
             else:
                 latency.add(
-                    "gather to terminal", "comm", self.sim.gather(chunk_bytes), layer=index
+                    "gather to terminal", "comm", sim.gather(chunk_bytes), layer=index
                 )
 
         x = voltage_layers(
             x, [executor.forward_partition for executor in self.executors], layer_parts
         )
-        terminal_phase(latency, self.sim, "postprocess", terminal["post_flops"])
+        terminal_phase(latency, sim, "postprocess", terminal["post_flops"])
         return self._result(
             x, latency, mode=self.mode, schemes=schemes_used,
             speed_estimates=planner.estimator.estimates if planner else None,

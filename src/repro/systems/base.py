@@ -106,14 +106,13 @@ class InferenceResult:
 
 
 class InferenceSystem:
-    """Base class: holds the model, the cluster, and the cost helper."""
+    """Base class: holds the model and the cluster."""
 
     name = "abstract"
 
     def __init__(self, model: TransformerModel, cluster: ClusterSpec):
         self.model = model
         self.cluster = cluster
-        self.sim = ClusterSim(cluster)
 
     @property
     def k(self) -> int:
@@ -122,10 +121,6 @@ class InferenceSystem:
     def run(self, raw) -> InferenceResult:
         """Serve one request end-to-end."""
         raise NotImplementedError
-
-    def latency_seconds(self, raw) -> float:
-        """Convenience wrapper for sweeps that only need the scalar."""
-        return self.run(raw).total_seconds
 
     def traced_run(self, raw) -> InferenceResult:
         """:meth:`run` inside a wall-clock request span, with per-system

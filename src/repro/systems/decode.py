@@ -32,7 +32,7 @@ and shards both the storage and the two largest costs of a step:
 * **KV storage is sharded.** Each rank's ``LayerKVCache`` holds only the
   rows of K/V whose positions fall inside its span, so per-rank cache
   memory drops to O(L·T/K).  Spans are fixed per request from
-  ``scheme_for(capacity, layer)`` over the request's full capacity
+  the system's ``schedule(capacity)`` over the request's full capacity
   (``min(prompt + max_new, max_positions)``) so a row's owner never moves
   as the sequence grows.
 * **Assembly is a lossless all-gather.** Before attention each rank
@@ -76,8 +76,8 @@ loop, close); and :func:`run_decode`, the same driver on the default
 threaded runtime, which also collects the last step's vocab-shard logits
 and pairs the tokens with :func:`decode_timeline`, the one shapes-only
 per-token latency timeline (decode-phase Γ model,
-``core.complexity.decode_rank_flops``) that
-``bench.analytic.voltage_decode_latency`` also returns.
+``core.complexity.decode_rank_flops``), which also prices a decode without
+weights.
 """
 
 from __future__ import annotations
@@ -90,6 +90,7 @@ import numpy as np
 from repro.cluster.runtime import WorkerContext
 from repro.cluster.service import RankService
 from repro.cluster.simulator import ClusterSim
+from repro.cluster.spec import ClusterSpec
 from repro.cluster.timeline import LatencyBreakdown
 from repro.core.combine import (
     combine_softmax_stats,
@@ -104,7 +105,8 @@ from repro.core.complexity import (
     select_decode_order,
     select_order,
 )
-from repro.core.partition import Partition
+from repro.core.partition import Partition, PartitionScheme
+from repro.core.schedule import LayerSchedule
 from repro.models.cache import (
     SMALL_GEMM_CELLS,
     SMALL_GEMM_FLOPS,
@@ -174,10 +176,7 @@ def decode_layer_spans(system, capacity: int) -> list[list[Partition]]:
     owner of any position is a pure function of the request shape: rows
     never migrate between ranks as the sequence grows.
     """
-    return [
-        system.scheme_for(capacity, layer=index).positions(capacity)
-        for index in range(system.model.num_layers)
-    ]
+    return system.layer_parts(capacity)
 
 
 def decode_stats_wire(wire_dtype: str) -> tuple[np.dtype, int]:
@@ -573,29 +572,37 @@ def decode_step_pricing(
 
 def decode_timeline(
     config,
-    layer_parts: Sequence[Sequence[Partition]],
-    sim: ClusterSim,
     prompt_len: int,
     max_new_tokens: int,
+    cluster: ClusterSpec,
+    scheme: PartitionScheme | LayerSchedule | None = None,
     attention: str = "gathered",
     stats_itemsize: int = 4,
-) -> tuple[LatencyBreakdown, list[float], list[int], list[int]]:
-    """The per-token latency timeline of one sharded decode — shapes only.
+) -> tuple[LatencyBreakdown, dict]:
+    """The per-token latency timeline of one sharded decode on ``cluster`` —
+    shapes only, so it needs no weights.
 
     The single source of the decode phase sequence: :func:`run_decode`
-    attaches it to the session's tokens, ``bench.analytic`` returns it
-    weight-free.  Replays the greedy loop over lengths
+    attaches it to the session's tokens.  ``scheme`` (a
+    :class:`PartitionScheme`, a :class:`LayerSchedule`, or None for the even
+    1/K split) draws every layer's spans over the request's full capacity,
+    as :func:`decode_layer_spans` does.  Replays the greedy loop over lengths
     (:func:`decode_step_totals`) and prices every step through
-    :func:`decode_step_pricing`; spans are fixed over the request's full
-    capacity, so each step's chunk sizes are the spans clipped to the filled
-    prefix.  Returns the phase breakdown, each step's compute + comm
-    seconds, and per step the wire bytes one device receives in the layers
-    (``sum(chunks) - max(chunks)`` per collective: the K/V gathers or the
-    stats gathers) and, as its own term, in the head exchange
-    (``sum(chunks) - min(chunks)``: what a rank other than the last row's
-    owner receives).  Each step's comm phase is named by the exchange it
-    used (:func:`_exchange`).
+    :func:`decode_step_pricing`; each step's chunk sizes are the spans
+    clipped to the filled prefix.  Returns the phase breakdown and a dict of
+    three per-step lists: ``per_step_seconds`` (compute + comm),
+    ``per_step_comm_bytes`` (the wire bytes one device receives in the
+    layers, ``sum(chunks) - max(chunks)`` per collective: the K/V gathers or
+    the stats gathers) and ``per_step_head_bytes`` (the head exchange's own
+    term, ``sum(chunks) - min(chunks)``: what a rank other than the last
+    row's owner receives).  Each step's comm phase is named by the exchange
+    it used (:func:`_exchange`).
     """
+    sim = ClusterSim(cluster)
+    capacity = min(prompt_len + max_new_tokens, config.max_positions)
+    layer_parts = LayerSchedule.of(scheme, cluster.num_devices).layer_parts(
+        capacity, config.num_layers
+    )
     latency = LatencyBreakdown()
     latency.add("broadcast prompt", "comm", sim.broadcast(_ID_ITEMSIZE * prompt_len))
     per_step_seconds: list[float] = []
@@ -623,7 +630,11 @@ def decode_timeline(
     latency.add(
         "gather output to terminal", "comm", sim.point_to_point(_ID_ITEMSIZE * final_len)
     )
-    return latency, per_step_seconds, per_step_bytes, per_step_head_bytes
+    return latency, {
+        "per_step_seconds": per_step_seconds,
+        "per_step_comm_bytes": per_step_bytes,
+        "per_step_head_bytes": per_step_head_bytes,
+    }
 
 
 def run_decode(
@@ -646,12 +657,15 @@ def run_decode(
         output = _decode_slot(session, model, prompt_ids, max_new_tokens)
         final_logits = session.logits(0)
     capacity = decode_capacity(model, prompt_len, max_new_tokens)
-    layer_parts = decode_layer_spans(system, capacity)
+    schedule = system.schedule(capacity)
+    layer_parts = schedule.layer_parts(capacity, config.num_layers)
 
-    latency, per_token_seconds, per_step_comm_bytes, per_step_head_bytes = decode_timeline(
-        config, layer_parts, system.sim, prompt_len, max_new_tokens,
+    latency, steps = decode_timeline(
+        config, prompt_len, max_new_tokens, system.cluster, scheme=schedule,
         attention=attention, stats_itemsize=decode_stats_wire(system.wire_dtype)[1],
     )
+    per_token_seconds = steps["per_step_seconds"]
+    per_step_comm_bytes = steps["per_step_comm_bytes"]
     totals = decode_step_totals(prompt_len, max_new_tokens, config.max_positions)
     addeds = [prompt_len] + [1] * (len(totals) - 1)
     uncached_orders = []
@@ -678,7 +692,7 @@ def run_decode(
         "kv_gather_bytes_per_device": kv_gather_bytes,
         "combine_bytes_per_device": sum(per_step_comm_bytes) - kv_gather_bytes,
         "per_step_comm_bytes_per_device": per_step_comm_bytes,
-        "head_bytes_per_device": sum(per_step_head_bytes),
+        "head_bytes_per_device": sum(steps["per_step_head_bytes"]),
         "cached_order": "eq3",
         "uncached_orders": uncached_orders,
         "shard_spans": [[part.start, part.stop] for part in layer_parts[0]],

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.cluster.simulator import ClusterSim
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.timeline import LatencyBreakdown
 from repro.core.layer import OrderPolicy, PartitionedLayerExecutor
@@ -111,16 +112,17 @@ class FaultTolerantVoltageSystem(InferenceSystem):
     def run(self, raw) -> InferenceResult:
         x, terminal = self._preprocess(raw)
         n, f = x.shape
+        sim = ClusterSim(self.cluster)
         latency = LatencyBreakdown()
-        terminal_phase(latency, self.sim, "preprocess", terminal["pre_flops"])
+        terminal_phase(latency, sim, "preprocess", terminal["pre_flops"])
 
-        latency.add("broadcast input", "comm", self.sim.broadcast(activation_bytes(n, f)))
+        latency.add("broadcast input", "comm", sim.broadcast(activation_bytes(n, f)))
 
         # priced here, not through ``voltage_timeline``: collectives run over
         # the live devices only and detection timeouts interleave the layers
         events = []
         layer_parts = []
-        for index, executor in enumerate(self.executors):
+        for index in range(len(self.executors)):
             dying = self.failures.dying_at(index)
             dead = self.failures.dead_before(index) | dying
             alive = [d for d in range(self.k) if d not in dead]
@@ -143,7 +145,7 @@ class FaultTolerantVoltageSystem(InferenceSystem):
             parts = _survivor_scheme(alive, self.k).positions(n)
             layer_parts.append(parts)
             seconds = [
-                device.compute_seconds(executor.partition_flops(n, part.length))
+                device.compute_seconds(self.policy.layer_flops(self.model.config, n, part.length))
                 if part.length
                 else 0.0
                 for device, part in zip(self.cluster.devices, parts)
@@ -153,14 +155,14 @@ class FaultTolerantVoltageSystem(InferenceSystem):
             chunk_bytes = [activation_bytes(part.length, f) for part in parts]
             live_chunks = [chunk_bytes[d] for d in alive]
             if index + 1 < len(self.executors):
-                latency.add("all-gather", "comm", self.sim.all_gather(live_chunks), layer=index)
+                latency.add("all-gather", "comm", sim.all_gather(live_chunks), layer=index)
             else:
-                latency.add("gather to terminal", "comm", self.sim.gather(live_chunks), layer=index)
+                latency.add("gather to terminal", "comm", sim.gather(live_chunks), layer=index)
 
         x = voltage_layers(
             x, [executor.forward_partition for executor in self.executors], layer_parts
         )
-        terminal_phase(latency, self.sim, "postprocess", terminal["post_flops"])
+        terminal_phase(latency, sim, "postprocess", terminal["post_flops"])
         survivors = [d for d in range(self.k)
                      if d not in self.failures.dead_before(len(self.executors))]
         return self._result(x, latency, failure_events=events, survivors=survivors)

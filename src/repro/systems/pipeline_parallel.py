@@ -39,14 +39,16 @@ def _stage_splits(num_layers: int, k: int) -> list[range]:
 def pipeline_timeline(
     config: TransformerConfig,
     n: int,
-    sim: ClusterSim,
+    cluster: ClusterSpec,
     pre_flops: int = 0,
     post_flops: int = 0,
-) -> tuple[LatencyBreakdown, list[float], float]:
+) -> tuple[LatencyBreakdown, dict]:
     """The latency timeline of one request through the layer stages — shapes
-    only; what :meth:`PipelineParallelSystem.run` and ``bench.analytic`` both
-    return.  Also hands back each stage's compute seconds and the per-hop
-    transfer seconds, which is all a request *stream* needs."""
+    only, so it needs no weights; what :meth:`PipelineParallelSystem.run`
+    reports.  Its meta holds each stage's compute seconds
+    (``stage_seconds``) and the per-hop transfer seconds (``hop_seconds``),
+    which is all a request *stream* needs."""
+    sim = ClusterSim(cluster)
     wire = activation_bytes(n, config.hidden_size)
     stage_seconds: list[float] = []
     latency = LatencyBreakdown()
@@ -55,13 +57,13 @@ def pipeline_timeline(
     latency.add("ship input to stage 0", "comm", hop_seconds)
     for rank, stage in enumerate(_stage_splits(config.num_layers, sim.k)):
         flops = len(stage) * full_layer_flops(config, n)
-        seconds = sim.cluster.devices[rank].compute_seconds(flops)
+        seconds = cluster.devices[rank].compute_seconds(flops)
         stage_seconds.append(seconds)
         latency.add(f"stage {rank} compute", "compute", seconds)
         hop = "return hidden to terminal" if rank == sim.k - 1 else f"stage {rank}->{rank + 1}"
         latency.add(hop, "comm", sim.point_to_point(wire))
     terminal_phase(latency, sim, "postprocess", post_flops)
-    return latency, stage_seconds, hop_seconds
+    return latency, {"stage_seconds": stage_seconds, "hop_seconds": hop_seconds}
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,7 @@ class PipelineParallelSystem(InferenceSystem):
 
     def run(self, raw) -> InferenceResult:
         x, terminal = self._preprocess(raw)
-        latency, _, _ = pipeline_timeline(self.model.config, x.shape[0], self.sim, **terminal)
+        latency, _ = pipeline_timeline(self.model.config, x.shape[0], self.cluster, **terminal)
         for layer in self.model.layers:  # the stages, back to back
             x = layer(x)
         return self._result(x, latency, stage_layers=[len(s) for s in self.stages])
@@ -107,7 +109,8 @@ class PipelineParallelSystem(InferenceSystem):
         """
         if num_requests < 1:
             raise ValueError(f"need at least one request, got {num_requests}")
-        _, stage_seconds, hop_seconds = pipeline_timeline(self.model.config, n, self.sim)
+        _, meta = pipeline_timeline(self.model.config, n, self.cluster)
+        stage_seconds, hop_seconds = meta["stage_seconds"], meta["hop_seconds"]
         pipeline = StagePipeline(self.k)
         arrivals = [request * arrival_interval for request in range(num_requests)]
         finishes = [pipeline.push(t, stage_seconds, hop_seconds)[1] for t in arrivals]

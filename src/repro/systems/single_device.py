@@ -8,6 +8,7 @@ final hidden states for post-processing (the dashed orange line of Fig. 5).
 from __future__ import annotations
 
 from repro.cluster.simulator import ClusterSim
+from repro.cluster.spec import ClusterSpec
 from repro.cluster.timeline import LatencyBreakdown
 from repro.core.layer import full_layer_flops
 from repro.models.config import TransformerConfig
@@ -19,15 +20,16 @@ __all__ = ["SingleDeviceSystem", "single_device_timeline"]
 def single_device_timeline(
     config: TransformerConfig,
     n: int,
-    sim: ClusterSim,
+    cluster: ClusterSpec,
     pre_flops: int = 0,
     post_flops: int = 0,
-) -> LatencyBreakdown:
-    """The latency timeline of one single-device request — shapes only; what
-    :meth:`SingleDeviceSystem.run` and ``bench.analytic`` both return."""
+) -> tuple[LatencyBreakdown, dict]:
+    """The latency timeline of one single-device request on ``cluster``'s
+    first device — shapes only, so it needs no weights; what
+    :meth:`SingleDeviceSystem.run` reports.  Its meta is empty."""
+    sim = ClusterSim(cluster)
     wire = activation_bytes(n, config.hidden_size)
-    device = sim.cluster.devices[0]
-    seconds = device.compute_seconds(full_layer_flops(config, n))
+    seconds = cluster.devices[0].compute_seconds(full_layer_flops(config, n))
     latency = LatencyBreakdown()
     terminal_phase(latency, sim, "preprocess", pre_flops)
     latency.add("ship input to device", "comm", sim.point_to_point(wire))
@@ -35,7 +37,7 @@ def single_device_timeline(
         latency.add("layer compute", "compute", seconds, layer=index)
     latency.add("return hidden to terminal", "comm", sim.point_to_point(wire))
     terminal_phase(latency, sim, "postprocess", post_flops)
-    return latency
+    return latency, {}
 
 
 class SingleDeviceSystem(InferenceSystem):
@@ -45,7 +47,7 @@ class SingleDeviceSystem(InferenceSystem):
 
     def run(self, raw) -> InferenceResult:
         x, terminal = self._preprocess(raw)
-        latency = single_device_timeline(self.model.config, x.shape[0], self.sim, **terminal)
+        latency, _ = single_device_timeline(self.model.config, x.shape[0], self.cluster, **terminal)
         for layer in self.model.layers:
             x = layer(x)
         return self._result(x, latency, devices=1)

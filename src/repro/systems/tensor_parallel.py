@@ -37,18 +37,19 @@ __all__ = ["TensorParallelSystem", "tensor_parallel_layers", "tensor_parallel_ti
 def tensor_parallel_timeline(
     config: TransformerConfig,
     n: int,
-    sim: ClusterSim,
+    cluster: ClusterSpec,
     pre_flops: int = 0,
     post_flops: int = 0,
 ) -> tuple[LatencyBreakdown, dict]:
-    """The latency timeline of one tensor-parallel request — shapes only;
-    what :meth:`TensorParallelSystem.run` and ``bench.analytic`` both return,
-    with the All-Reduce bytes one device moves as meta.
+    """The latency timeline of one tensor-parallel request on ``cluster`` —
+    shapes only, so it needs no weights; what :meth:`TensorParallelSystem.run`
+    reports, with the All-Reduce bytes one device moves as meta.
 
     Device ``d`` holds ``split_evenly`` shares of every layer's heads and
     FFN columns (exactly :func:`shard_layer`'s split): full-N attention for
     its heads, its rows of W_O, its slice of both FFN matmuls.
     """
+    sim = ClusterSim(cluster)
     k = sim.k
     f, fh = config.hidden_size, config.head_dim
     wire = activation_bytes(n, f)
@@ -242,7 +243,7 @@ class TensorParallelSystem(InferenceSystem):
     def run(self, raw) -> InferenceResult:
         x, terminal = self._preprocess(raw)
         latency, comm_meta = tensor_parallel_timeline(
-            self.model.config, x.shape[0], self.sim, **terminal
+            self.model.config, x.shape[0], self.cluster, **terminal
         )
         hidden = tensor_parallel_layers(x, self.model.layers, self.shards, range(self.k))
         return self._result(hidden, latency, **comm_meta)

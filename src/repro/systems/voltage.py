@@ -14,7 +14,7 @@ What runs is spelled once, :func:`~repro.systems.base.voltage_layers`.
 partition outputs really are computed with the partitioned executors and
 reassembled) and attaches :func:`voltage_timeline` — the one shapes-only
 spelling of the phase sequence above, priced with the calibrated
-device/network models, which ``bench.analytic.voltage_latency`` also returns.
+device/network models, which the figure sweeps call without weights.
 ``execute_distributed`` drives it on real concurrent ranks, one each, as
 one command to a rank service, with byte accounting — used by the
 integration tests to reconcile the analytic communication volumes.
@@ -22,13 +22,12 @@ integration tests to reconcile the analytic communication volumes.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from repro import obs
 from repro.cluster.runtime import CommStats
 from repro.cluster.simulator import ClusterSim
+from repro.cluster.spec import ClusterSpec
 from repro.cluster.timeline import LatencyBreakdown
 from repro.core.complexity import prologue_flops
 from repro.core.layer import OrderPolicy, PartitionedLayerExecutor
@@ -37,7 +36,6 @@ from repro.core.planner import makespan_optimal_scheme
 from repro.core.schedule import LayerSchedule
 from repro.models.base import TransformerModel
 from repro.models.config import TransformerConfig
-from repro.cluster.spec import ClusterSpec
 from repro.systems.base import (
     InferenceResult, InferenceSystem, activation_bytes, terminal_phase, voltage_layers,
 )
@@ -51,31 +49,36 @@ WIRE_DTYPES = {"float32": 4, "float16": 2, "int8": 1}
 
 def voltage_timeline(
     config: TransformerConfig,
-    layer_parts: Sequence[Sequence[Partition]],
-    sim: ClusterSim,
+    n: int,
+    cluster: ClusterSpec,
+    scheme: PartitionScheme | LayerSchedule | None = None,
     policy: OrderPolicy | None = None,
     wire_itemsize: int = 4,
     overlap: bool = False,
     pre_flops: int = 0,
     post_flops: int = 0,
 ) -> tuple[LatencyBreakdown, dict]:
-    """The latency timeline of one Algorithm 2 request — shapes only.
+    """The latency timeline of one Algorithm 2 request on ``cluster`` —
+    shapes only, so it needs no weights.
 
     The single source of the Voltage phase sequence: :meth:`VoltageSystem.run`
-    attaches it to the emulated output, ``bench.analytic.voltage_latency``
-    returns it weight-free.  ``layer_parts[i]`` holds layer ``i``'s per-device
-    partitions, one entry per layer, each priced with ``config``'s shapes;
-    ``wire_itemsize`` prices compressed activation exchange (the
-    input broadcast stays float32).  With ``overlap`` each inner All-Gather
-    is charged only its *exposed* time ``max(0, comm - hideable)``, where the
-    hideable compute is the next layer's own-partition Q projection (it
-    needs only rows a device already holds) — the *minimum* over devices, a
-    conservative bound: a device with an empty next partition hides nothing.
+    reports it over its own settings, and the figure sweeps call it over
+    paper-scale configs.  ``scheme`` is one :class:`PartitionScheme` for
+    every layer, a :class:`LayerSchedule`, or None for the paper's even 1/K
+    split; each layer's partitions of the ``n`` positions are priced with
+    ``config``'s shapes.  ``wire_itemsize`` prices compressed activation
+    exchange (the input broadcast stays float32).  With ``overlap`` each
+    inner All-Gather is charged only its *exposed* time
+    ``max(0, comm - hideable)``, where the hideable compute is the next
+    layer's own-partition Q projection (it needs only rows a device already
+    holds) — the *minimum* over devices, a conservative bound: a device
+    with an empty next partition hides nothing.
 
     Returns the breakdown plus the meta ``run()`` reports alongside it.
     """
+    sim = ClusterSim(cluster)
+    layer_parts = LayerSchedule.of(scheme, cluster.num_devices).layer_parts(n, config.num_layers)
     policy = policy if policy is not None else OrderPolicy()
-    n = sum(part.length for part in layer_parts[0])
     f, fh = config.hidden_size, config.head_dim
     orders: list[str] = []
     exposed_comm_per_layer: list[float] = []
@@ -99,7 +102,7 @@ def voltage_timeline(
         if overlap:
             hideable = min(
                 device.compute_seconds(prologue_flops(part.length, f, config.num_heads, fh))
-                for device, part in zip(sim.cluster.devices, layer_parts[index + 1])
+                for device, part in zip(cluster.devices, layer_parts[index + 1])
             )
             exposed, full = sim.all_gather_overlapped(chunk_bytes, hideable)
             latency.add(
@@ -189,31 +192,29 @@ class VoltageSystem(InferenceSystem):
         quantized = quantize_tensor(partition_output, per_channel=True)
         return dequantize_tensor(quantized, dtype=str(partition_output.dtype))
 
-    def scheme_for(self, n: int, layer: int = 0) -> PartitionScheme:
-        """Resolve the partition scheme for a length-``n`` request.
+    def schedule(self, n: int) -> LayerSchedule:
+        """The partition schedule a length-``n`` request runs under.
 
         With a :class:`LayerSchedule`, different layers may use different
-        schemes (Section V-B's penalty-free per-layer flexibility).
+        schemes (Section V-B's penalty-free per-layer flexibility); every
+        other specifier is one scheme for every layer.
         """
-        if isinstance(self._scheme, LayerSchedule):
-            return self._scheme.scheme_for_layer(layer)
-        if isinstance(self._scheme, PartitionScheme):
-            return self._scheme
-        if self._scheme == "auto":
-            return makespan_optimal_scheme(
+        scheme = self._scheme
+        if scheme == "auto":
+            scheme = makespan_optimal_scheme(
                 self.model.config, n, self.cluster.device_gflops, policy=self.policy
             )
-        if self._scheme is None:
-            return PartitionScheme.even(self.k)
-        raise ValueError(f"unsupported scheme specifier {self._scheme!r}")
+        elif scheme is not None and not isinstance(scheme, (PartitionScheme, LayerSchedule)):
+            raise ValueError(f"unsupported scheme specifier {scheme!r}")
+        return LayerSchedule.of(scheme, self.k)
 
-    def layer_schemes(self, n: int) -> list[PartitionScheme]:
-        """The scheme each layer runs a length-``n`` request under."""
-        return [self.scheme_for(n, layer=index) for index in range(len(self.executors))]
+    def scheme_for(self, n: int, layer: int = 0) -> PartitionScheme:
+        """The scheme ``layer`` runs a length-``n`` request under."""
+        return self.schedule(n).scheme_for_layer(layer)
 
     def layer_parts(self, n: int) -> list[list[Partition]]:
         """Every layer's per-device partitions of a length-``n`` request."""
-        return [scheme.positions(n) for scheme in self.layer_schemes(n)]
+        return self.schedule(n).layer_parts(n, len(self.executors))
 
     # -- distributed autoregressive decode (position-sharded KV cache) ---------
 
@@ -249,19 +250,21 @@ class VoltageSystem(InferenceSystem):
     def run(self, raw) -> InferenceResult:
         x, terminal = self._preprocess(raw)
         n = x.shape[0]
-        schemes = self.layer_schemes(n)
-        layer_parts = [scheme.positions(n) for scheme in schemes]
+        schedule = self.schedule(n)
         latency, comm_meta = voltage_timeline(
-            self.model.config, layer_parts, self.sim, policy=self.policy,
+            self.model.config, n, self.cluster, scheme=schedule, policy=self.policy,
             wire_itemsize=self.wire_itemsize, overlap=self.overlap, **terminal,
         )
+        layer_parts = schedule.layer_parts(n, len(self.executors))
         hidden = voltage_layers(
             x, [executor.forward_partition for executor in self.executors], layer_parts,
             encode=self._encode_for_wire,
         )
         # a LayerSchedule may change the scheme per layer (Section V-B); the
         # meta must describe what actually ran, not just layer 0's ratios
-        ratios_per_layer = [scheme.ratios for scheme in schemes]
+        ratios_per_layer = [
+            schedule.scheme_for_layer(index).ratios for index in range(len(layer_parts))
+        ]
         uniform = all(r == ratios_per_layer[0] for r in ratios_per_layer)
         return self._result(
             hidden, latency,

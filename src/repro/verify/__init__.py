@@ -1,7 +1,8 @@
 """Differential conformance and fuzzing harness.
 
-Voltage's central claim rests on three code paths agreeing: the analytic
-FLOP/latency model (:mod:`repro.bench.analytic`), the host-emulated
+Voltage's central claim rests on three code paths agreeing: each
+protocol's weight-free latency timeline called directly
+(:func:`repro.systems.voltage.voltage_timeline`, ...), the host-emulated
 execution with simulated latency (each system's ``run()``), and the real
 threaded execution (``execute_distributed``).  This package cross-checks all
 three over randomized scenarios::

@@ -8,10 +8,11 @@ The differential contract, per scenario:
   within the dtype-aware bound of :mod:`repro.verify.tolerances`;
 - threaded ``execute_distributed()`` must match the corresponding ``run()`` output
   bit-for-bit (both sides exchange identically-encoded activations);
-- the analytic latency model, handed the system's own settings, must
-  reproduce the system's simulated :class:`LatencyBreakdown` phase-by-phase
-  within ``ANALYTIC_REL_TOL`` (both return the one timeline function, so this
-  guards that ``run()`` plumbs its scheme/policy/wire/overlap into it);
+- the protocol's timeline, called directly on the system's own settings,
+  must reproduce the system's simulated :class:`LatencyBreakdown`
+  phase-by-phase within ``ANALYTIC_REL_TOL`` (``run()`` returns that one
+  function's breakdown, so this guards that it plumbs its
+  scheme/policy/wire/overlap into it);
 - the All-Gather byte meta must equal the volume implied by the partition
   scheme and wire itemsize exactly;
 - with failure injection, the fault-tolerant system must still match the
@@ -29,10 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.bench import analytic
 from repro.cluster.timeline import LatencyBreakdown
 from repro.core.layer import OrderPolicy
-from repro.core.schedule import LayerSchedule
 from repro.systems import (
     FailureSchedule,
     FaultTolerantVoltageSystem,
@@ -42,6 +41,8 @@ from repro.systems import (
     VoltageSystem,
 )
 from repro.systems.base import activation_bytes
+from repro.systems.decode import decode_timeline
+from repro.systems.voltage import voltage_timeline
 from repro.tensor.blas import rows_matmul, rows_matmul_probe
 from repro.verify.scenario import ScenarioConfig, build_cluster, build_input, build_model, build_scheme
 from repro.verify.tolerances import (
@@ -219,15 +220,15 @@ def run_scenario(
                 "(overlap=True vs overlap=False, must be bit-identical)",
             )
 
-        # 3. analytic latency model vs the simulated timeline
+        # 3. the timeline called directly on the system's settings vs run()'s
         voltage_settings = dict(
-            scheme=LayerSchedule(voltage.layer_schemes(n)),
+            scheme=voltage.schedule(n),
             policy=voltage.policy,
             pre_flops=model.preprocess_flops(n),
             post_flops=model.postprocess_flops(n),
             wire_itemsize=voltage.wire_itemsize,
         )
-        modelled = analytic.voltage_latency(
+        modelled, _ = voltage_timeline(
             model.config, n, cluster, overlap=voltage_overlap, **voltage_settings
         )
         agree, detail = _timelines_agree(modelled, vrun.latency)
@@ -236,7 +237,7 @@ def run_scenario(
             # overlapping may only remove gather time from the critical
             # path: exposed <= blocking comm per layer, and the hidden
             # remainder must reconstruct the blocking figure exactly
-            unoverlapped = analytic.voltage_latency(
+            unoverlapped, _ = voltage_timeline(
                 model.config, n, cluster, overlap=False, **voltage_settings
             )
             blocking_comm = [
@@ -301,8 +302,8 @@ def run_scenario(
             capacity = min(
                 n + config.decode_steps, model.config.max_positions
             )
-            decode_scheme = LayerSchedule(voltage.layer_schemes(capacity))
-            decode_modelled = analytic.voltage_decode_latency(
+            decode_scheme = voltage.schedule(capacity)
+            decode_modelled, _ = decode_timeline(
                 model.config, n, config.decode_steps, cluster, scheme=decode_scheme
             )
             agree, detail = _timelines_agree(decode_modelled, drun.latency)
@@ -379,7 +380,7 @@ def run_scenario(
                         "ProcessRuntime vs ThreadedRuntime distributed-"
                         "attention decode (must be bit-identical)",
                     )
-                dist_modelled = analytic.voltage_decode_latency(
+                dist_modelled, _ = decode_timeline(
                     model.config, n, config.decode_steps, cluster,
                     scheme=decode_scheme, attention="distributed",
                     stats_itemsize=decode_stats_wire(voltage.wire_dtype)[1],

@@ -13,9 +13,9 @@ Three distinct comparison regimes, in decreasing strictness:
    tight; float16/int8 wire encodings are *deliberately* lossy, and their
    bounds reflect the quantisation step compounded across layers.
 
-3. **analytic-vs-simulated timing** — the config-driven latency model and
-   the system's :class:`LatencyBreakdown` are the same timeline function
-   over the same shapes, so they must agree to relative ``1e-9`` (no
+3. **analytic-vs-simulated timing** — the timeline called directly on the
+   system's settings and the system's :class:`LatencyBreakdown` are the same
+   function over the same shapes, so they must agree to relative ``1e-9`` (no
    modelling slack); a difference means ``run()`` priced other settings
    than its own.
 

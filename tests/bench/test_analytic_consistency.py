@@ -1,16 +1,16 @@
-"""The analytic latency models *are* the systems' timelines.
+"""Each system's ``run()`` prices a request with its protocol's one
+timeline, and that timeline needs no weights.
 
 This is what licenses running the big-model figure sweeps (Figs. 4–5)
-without instantiating 1.3 GB of BERT-Large weights: ``run()`` and the
-``bench.analytic`` adapter do not mirror each other — both hand back what the
-protocol's one timeline function returned, given the same shapes.
+without instantiating 1.3 GB of BERT-Large weights: ``run()`` calls the
+protocol's ``*_timeline`` exactly once on its own settings, and a direct
+call with the same config, shapes, cluster and settings — no model in
+sight — returns equal phases.
 """
 
 import numpy as np
 import pytest
 
-from repro.bench import analytic
-from repro.cluster.simulator import ClusterSim
 from repro.cluster.spec import ClusterSpec
 from repro.core.layer import OrderPolicy
 from repro.core.partition import PartitionScheme
@@ -46,11 +46,12 @@ CLUSTERS = [
 ]
 
 
-def assert_one_timeline(monkeypatch, module, name, system, raw, adapter, **settings):
-    """``system.run(raw)`` and ``adapter(config, n, cluster, **settings)`` each
-    call ``module.name`` exactly once, with the same arguments (only the
-    ``ClusterSim`` instance wrapping the cluster differs), and each returns
-    that call's breakdown."""
+def assert_one_timeline(monkeypatch, module, name, system, raw, **settings):
+    """``system.run(raw)`` calls ``module.name`` exactly once — on its model's
+    config, the request's length, its own cluster, ``settings`` and the
+    terminal FLOPs — and returns that call's breakdown; calling the timeline
+    directly with the same arguments returns equal phases.  A Voltage
+    ``scheme`` is compared by the per-layer partitions it resolves to."""
     calls = []
     real = getattr(module, name)
 
@@ -58,33 +59,29 @@ def assert_one_timeline(monkeypatch, module, name, system, raw, adapter, **setti
         calls.append((args, kwargs, real(*args, **kwargs)))
         return calls[-1][2]
 
-    def shapes(args):
-        return tuple(a.cluster if isinstance(a, ClusterSim) else a for a in args)
-
-    def breakdown(out):
-        return out[0] if isinstance(out, tuple) else out
-
     monkeypatch.setattr(module, name, spy)
     model = system.model
     result = system.run(raw)
+    ((run_args, run_kwargs, run_out),) = calls
     n = result.meta["n"]
-    modelled = adapter(
-        model.config, n, system.cluster,
-        pre_flops=model.preprocess_flops(n), post_flops=model.postprocess_flops(n),
-        **settings,
-    )
-    (run_args, run_kwargs, run_out), (model_args, model_kwargs, model_out) = calls
-    assert result.latency is breakdown(run_out) and modelled is breakdown(model_out)
-    assert shapes(run_args) == shapes(model_args)
-    assert any(a is system.cluster for a in shapes(model_args))
-    assert run_kwargs == model_kwargs
+    terminal = {"pre_flops": model.preprocess_flops(n), "post_flops": model.postprocess_flops(n)}
+    assert result.latency is run_out[0]
+    assert run_args == (model.config, n, system.cluster)
+    expected = {**settings, **terminal}
+    if "scheme" in expected:  # run() hands over its resolved schedule
+        run_kwargs["scheme"], expected["scheme"] = (
+            LayerSchedule.of(scheme, system.k).layer_parts(n, model.num_layers)
+            for scheme in (run_kwargs["scheme"], expected["scheme"])
+        )
+    assert run_kwargs == expected
+    modelled, _ = real(model.config, n, system.cluster, **settings, **terminal)
     assert result.latency.phases == modelled.phases
     return result, modelled
 
 
 def assert_one_voltage_timeline(monkeypatch, system, raw, scheme=None):
     return assert_one_timeline(
-        monkeypatch, voltage, "voltage_timeline", system, raw, analytic.voltage_latency,
+        monkeypatch, voltage, "voltage_timeline", system, raw,
         scheme=scheme, policy=system.policy,
         wire_itemsize=system.wire_itemsize, overlap=system.overlap,
     )
@@ -95,7 +92,7 @@ class TestSingleDeviceConsistency:
         ids = bert.encode_text("analytic consistency check input")
         assert_one_timeline(
             monkeypatch, single_device, "single_device_timeline",
-            SingleDeviceSystem(bert, CLUSTERS[0]), ids, analytic.single_device_latency,
+            SingleDeviceSystem(bert, CLUSTERS[0]), ids,
         )
 
 
@@ -139,7 +136,7 @@ class TestTensorParallelConsistency:
         ids = bert.encode_text("shards must cost exactly what the model says")
         assert_one_timeline(
             monkeypatch, tensor_parallel, "tensor_parallel_timeline",
-            TensorParallelSystem(bert, cluster), ids, analytic.tensor_parallel_latency,
+            TensorParallelSystem(bert, cluster), ids,
         )
 
 
@@ -150,5 +147,5 @@ class TestPipelineConsistency:
         ids = bert.encode_text("pipeline stages in sequence")
         assert_one_timeline(
             monkeypatch, pipeline_parallel, "pipeline_timeline",
-            PipelineParallelSystem(bert, cluster), ids, analytic.pipeline_latency,
+            PipelineParallelSystem(bert, cluster), ids,
         )

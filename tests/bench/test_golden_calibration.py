@@ -10,31 +10,30 @@ update these bands AND EXPERIMENTS.md together.
 
 import pytest
 
-from repro.bench import analytic
 from repro.bench.workloads import paper_workloads
 from repro.cluster.spec import paper_cluster
 from repro.core import complexity
 from repro.core.planner import comm_report
+from repro.systems.single_device import single_device_timeline
+from repro.systems.tensor_parallel import tensor_parallel_timeline
+from repro.systems.voltage import voltage_timeline
 
 
 WORKLOADS = paper_workloads()
+TIMELINES = {
+    "single": single_device_timeline,
+    "voltage": voltage_timeline,
+    "tp": tensor_parallel_timeline,
+}
 
 
 def _latency(kind: str, key: str, k: int, bandwidth: float = 500.0) -> float:
     workload = WORKLOADS[key]
-    cluster = paper_cluster(k, bandwidth)
-    fn = {
-        "single": lambda: analytic.single_device_latency(
-            workload.config, workload.n, cluster.with_num_devices(1),
-            pre_flops=workload.pre_flops, post_flops=workload.post_flops),
-        "voltage": lambda: analytic.voltage_latency(
-            workload.config, workload.n, cluster,
-            pre_flops=workload.pre_flops, post_flops=workload.post_flops),
-        "tp": lambda: analytic.tensor_parallel_latency(
-            workload.config, workload.n, cluster,
-            pre_flops=workload.pre_flops, post_flops=workload.post_flops),
-    }[kind]
-    return fn().total_seconds
+    latency, _ = TIMELINES[kind](
+        workload.config, workload.n, paper_cluster(k, bandwidth),
+        pre_flops=workload.pre_flops, post_flops=workload.post_flops,
+    )
+    return latency.total_seconds
 
 
 class TestGoldenLatencies:

@@ -9,6 +9,7 @@ from repro.cluster.topology import (
     comm_aware_scheme,
     ring_all_gather_seconds_exact,
 )
+from repro.core.layer import OrderPolicy
 from repro.core.partition import PartitionScheme
 from repro.core.planner import makespan_optimal_scheme
 from repro.models.config import tiny_config
@@ -96,11 +97,9 @@ class TestCommAwareScheme:
     CONFIG = tiny_config(hidden_size=64, num_heads=8, ffn_dim=128)
 
     def _layer_time(self, scheme, n, gflops, net):
-        from repro.core.planner import device_layer_flops
-
         parts = scheme.positions(n)
         compute = max(
-            (device_layer_flops(self.CONFIG, n, p.length) / (g * 1e9)) if p.length else 0.0
+            (OrderPolicy().layer_flops(self.CONFIG, n, p.length) / (g * 1e9)) if p.length else 0.0
             for p, g in zip(parts, gflops)
         )
         chunks = [p.length * self.CONFIG.hidden_size * 4 for p in parts]
@@ -140,6 +139,25 @@ class TestCommAwareScheme:
         net = HeterogeneousNetwork((50.0, 500.0, 500.0), efficiency=1.0)
         scheme = comm_aware_scheme(self.CONFIG, 97, [1.0, 5.0, 5.0], net)
         assert sum(p.length for p in scheme.positions(97)) == 97
+
+    @pytest.mark.parametrize("mode", ["naive", "reordered"])
+    def test_every_flop_price_uses_the_callers_policy(self, mode, monkeypatch):
+        """The SLSQP objective and the final comparison price partitions
+        under the policy the caller passed, as the compute-only baseline
+        they start from does."""
+        modes = []
+        real = OrderPolicy.layer_flops
+
+        def spy(self, *args, **kwargs):
+            modes.append(self.mode)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(OrderPolicy, "layer_flops", spy)
+        net = HeterogeneousNetwork((50.0, 500.0, 500.0), efficiency=1.0)
+        comm_aware_scheme(
+            tiny_config(num_layers=2), 97, [1.0, 5.0, 5.0], net, policy=OrderPolicy(mode)
+        )
+        assert modes and set(modes) == {mode}
 
     def test_single_device(self):
         net = uniform_network(1)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.complexity import EQ3, EQ8
-from repro.core.layer import OrderPolicy, PartitionedLayerExecutor
+from repro.core.layer import OrderPolicy, PartitionedLayerExecutor, full_layer_flops
 from repro.core.partition import Partition, PartitionScheme
 from repro.models.config import tiny_config
 from repro.models.layer import TransformerLayer
@@ -109,20 +109,21 @@ class TestOrderPolicy:
 
 class TestFlopAccounting:
     def test_full_flops_uses_eq3_at_p_equals_n(self):
-        executor = PartitionedLayerExecutor(make_layer())
-        assert executor.full_flops(16) == executor.partition_flops(16, 16, order=EQ3)
+        config = make_layer().config
+        assert full_layer_flops(config, 16) == OrderPolicy().layer_flops(config, 16, 16, order=EQ3)
 
-    def test_partition_flops_monotone(self):
-        executor = PartitionedLayerExecutor(make_layer())
-        values = [executor.partition_flops(64, p) for p in range(1, 65, 7)]
+    def test_layer_flops_monotone(self):
+        config = make_layer().config
+        values = [OrderPolicy().layer_flops(config, 64, p) for p in range(1, 65, 7)]
         assert values == sorted(values)
 
     def test_adaptive_flops_never_exceed_fixed_orders(self):
-        executor = PartitionedLayerExecutor(make_layer(hidden_size=64, num_heads=8))
+        config = make_layer(hidden_size=64, num_heads=8).config
+        policy = OrderPolicy()
         for p in range(1, 33):
-            adaptive = executor.partition_flops(32, p)
-            assert adaptive <= executor.partition_flops(32, p, order=EQ3)
-            assert adaptive <= executor.partition_flops(32, p, order=EQ8)
+            adaptive = policy.layer_flops(config, 32, p)
+            assert adaptive <= policy.layer_flops(config, 32, p, order=EQ3)
+            assert adaptive <= policy.layer_flops(config, 32, p, order=EQ8)
 
     def test_shares_weights_with_wrapped_layer(self, rng):
         """The executor must not copy weights (replica deployment model)."""

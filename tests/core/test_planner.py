@@ -9,7 +9,6 @@ from repro.core.partition import PartitionScheme
 from repro.core.planner import (
     BYTES_PER_ELEMENT,
     comm_report,
-    device_layer_flops,
     estimate_makespan,
     makespan_optimal_scheme,
     tensor_parallel_layer_bytes,
@@ -43,17 +42,17 @@ class TestCommAccounting:
 
 class TestDeviceLayerFlops:
     def test_zero_partition_zero_flops(self):
-        assert device_layer_flops(tiny_config(), 20, 0) == 0
+        assert OrderPolicy().layer_flops(tiny_config(), 20, 0) == 0
 
     def test_monotone_in_partition_length(self):
         config = tiny_config()
-        values = [device_layer_flops(config, 40, p) for p in range(0, 41, 5)]
+        values = [OrderPolicy().layer_flops(config, 40, p) for p in range(0, 41, 5)]
         assert values == sorted(values)
 
     def test_policy_changes_cost(self):
         config = tiny_config(hidden_size=64, num_heads=8)
-        naive = device_layer_flops(config, 64, 2, policy=OrderPolicy("naive"))
-        adaptive = device_layer_flops(config, 64, 2)
+        naive = OrderPolicy("naive").layer_flops(config, 64, 2)
+        adaptive = OrderPolicy().layer_flops(config, 64, 2)
         assert adaptive < naive  # tiny partition: Theorem 2 picks Eq. (8)
 
 

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.core.layer import OrderPolicy
 from repro.core.partition import PartitionScheme
-from repro.core.planner import device_layer_flops
 from repro.core.schedule import DynamicPlanner, EwmaSpeedEstimator, LayerSchedule
 from repro.models.config import tiny_config
 
@@ -86,7 +86,7 @@ class TestDynamicPlanner:
         parts = scheme.positions(n)
         seconds = []
         for device, part in enumerate(parts):
-            flops = device_layer_flops(self.CONFIG, n, part.length)
+            flops = OrderPolicy().layer_flops(self.CONFIG, n, part.length)
             true_speed = 2.0 if device == 0 else 8.0
             seconds.append(flops / (true_speed * 1e9))
         planner.observe_layer(n, scheme, seconds)

@@ -81,13 +81,14 @@ class TestLatencyInvariants:
     @settings(max_examples=25, deadline=None)
     def test_per_device_flops_shrink_with_k(self, k, n):
         """Algorithm 1's per-device work never grows when devices are added."""
-        from repro.core.planner import device_layer_flops
+        from repro.core.layer import OrderPolicy
         from repro.models.config import bert_large_config
 
         cfg = bert_large_config()
         p_k = max(1, round(n / k))
         p_1 = n
-        assert device_layer_flops(cfg, n, p_k) <= device_layer_flops(cfg, n, p_1)
+        policy = OrderPolicy()
+        assert policy.layer_flops(cfg, n, p_k) <= policy.layer_flops(cfg, n, p_1)
 
     @given(
         n=st.integers(16, 256),

@@ -38,9 +38,10 @@ class TestSystemRegistry:
         assert bert.config.name in text
 
     def test_latency_seconds_equals_run_total(self, bert, cluster4, token_ids):
-        system = VoltageSystem(bert, cluster4)
-        assert system.latency_seconds(token_ids) == pytest.approx(
-            system.run(token_ids).total_seconds
+        """A request's latency is its phases, end to end."""
+        result = VoltageSystem(bert, cluster4).run(token_ids)
+        assert result.total_seconds == pytest.approx(
+            sum(phase.seconds for phase in result.latency.phases)
         )
 
     def test_k_property(self, bert, cluster4):

@@ -17,10 +17,7 @@ import pytest
 
 from repro.cluster.process_runtime import ProcessRuntime
 from repro.cluster.runtime import ThreadedRuntime
-from repro.cluster.simulator import ClusterSim
 from repro.cluster.spec import ClusterSpec
-from repro.bench.analytic import voltage_decode_latency
-from repro.core.partition import PartitionScheme
 from repro.systems import decode as decode_module
 from repro.models.config import gpt2_config, tiny_config
 from repro.models.gpt2 import GPT2Model
@@ -28,6 +25,7 @@ from repro.systems.decode import (
     DecodeSession,
     decode_capacity,
     decode_layer_spans,
+    decode_stats_wire,
     decode_step_totals,
     generate_distributed,
     run_decode,
@@ -56,9 +54,9 @@ def _system(gpt2, k, wire_dtype="float32"):
 
 
 def assert_one_timeline(monkeypatch, gpt2, prompt, attention):
-    """``run_decode`` and the analytic model do not mirror each other — both
-    hand back what the one ``decode_timeline`` returned, given the same
-    shapes (only the ``ClusterSim`` instance wrapping the cluster differs)."""
+    """``run_decode`` prices its tokens with exactly one ``decode_timeline``
+    call on its own config, shapes, cluster and settings, and a direct
+    weight-free call with the same arguments returns equal phases."""
     calls = []
     real = decode_module.decode_timeline
 
@@ -69,14 +67,19 @@ def assert_one_timeline(monkeypatch, gpt2, prompt, attention):
     monkeypatch.setattr(decode_module, "decode_timeline", spy)
     system = _system(gpt2, 3)
     result = run_decode(system, prompt, max_new_tokens=4, attention=attention)
-    modelled = voltage_decode_latency(
-        gpt2.config, len(prompt), 4, system.cluster, attention=attention
+    ((args, kwargs, out),) = calls
+    assert result.latency is out[0]
+    assert args == (gpt2.config, len(prompt), 4, system.cluster)
+    capacity = decode_capacity(gpt2, len(prompt), 4)
+    assert kwargs.pop("scheme").layer_parts(capacity, gpt2.config.num_layers) == (
+        decode_layer_spans(system, capacity)
     )
-    (run_args, run_kwargs, run_out), (model_args, model_kwargs, model_out) = calls
-    assert result.latency is run_out[0] and modelled is model_out[0]
-    assert run_args[:2] == model_args[:2]  # config, per-layer spans
-    assert run_args[2].cluster is model_args[2].cluster is system.cluster
-    assert (run_args[3:], run_kwargs) == (model_args[3:], model_kwargs)
+    stats_itemsize = decode_stats_wire(system.wire_dtype)[1]
+    assert kwargs == {"attention": attention, "stats_itemsize": stats_itemsize}
+    modelled, _ = real(
+        gpt2.config, len(prompt), 4, system.cluster,
+        attention=attention, stats_itemsize=stats_itemsize,
+    )
     assert result.latency.phases == modelled.phases
     return modelled
 
@@ -427,13 +430,10 @@ class TestWireBytesAtGpt2Width:
 
     def wire_bytes(self, prompt_len, new_tokens, attention):
         config = gpt2_config().scaled(num_layers=2)
-        capacity = min(prompt_len + new_tokens, config.max_positions)
-        spans = [PartitionScheme.even(2).positions(capacity)] * config.num_layers
-        _, _, layer_bytes, head_bytes = decode_module.decode_timeline(
-            config, spans, ClusterSim(ClusterSpec.homogeneous(2)), prompt_len, new_tokens,
-            attention=attention,
+        _, steps = decode_module.decode_timeline(
+            config, prompt_len, new_tokens, ClusterSpec.homogeneous(2), attention=attention
         )
-        return layer_bytes, head_bytes
+        return steps["per_step_comm_bytes"], steps["per_step_head_bytes"]
 
     def test_short_prompt_gathered_totals(self):
         layer_bytes, head_bytes = self.wire_bytes(8, 8, "gathered")

@@ -9,12 +9,11 @@ themselves to bitwise row-safe work, so every output here is compared with
 import numpy as np
 import pytest
 
-from repro.bench import analytic
 from repro.cluster.spec import ClusterSpec
 from repro.core.partition import PartitionScheme
 from repro.core.schedule import LayerSchedule
 from repro.systems import TensorParallelSystem, VoltageSystem
-from repro.systems.voltage import WIRE_DTYPES
+from repro.systems.voltage import WIRE_DTYPES, voltage_timeline
 
 
 @pytest.fixture(params=["bert", "gpt2"])
@@ -117,18 +116,18 @@ class TestOverlapCostModel:
     def test_analytic_mirror_agrees_with_system(self, bert, cluster4, token_ids):
         n = len(token_ids)
         system_result = VoltageSystem(bert, cluster4, overlap=True).run(token_ids)
-        modeled = analytic.voltage_latency(bert.config, n, cluster4, overlap=True)
+        modeled, _ = voltage_timeline(bert.config, n, cluster4, overlap=True)
         system_phases = [
             (p.seconds, p.hidden_s)
             for p in system_result.latency.phases
             if p.name == "all-gather (overlapped)"
         ]
-        analytic_phases = [
+        timeline_phases = [
             (p.seconds, p.hidden_s)
             for p in modeled.phases
             if p.name == "all-gather (overlapped)"
         ]
-        assert len(system_phases) == len(analytic_phases) == bert.num_layers - 1
-        for (s_sec, s_hid), (a_sec, a_hid) in zip(system_phases, analytic_phases):
+        assert len(system_phases) == len(timeline_phases) == bert.num_layers - 1
+        for (s_sec, s_hid), (a_sec, a_hid) in zip(system_phases, timeline_phases):
             assert s_sec == pytest.approx(a_sec)
             assert s_hid == pytest.approx(a_hid)

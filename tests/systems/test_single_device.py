@@ -1,9 +1,9 @@
 """Tests for the single-device baseline system."""
 
 import numpy as np
-import pytest
 
 from repro.systems import SingleDeviceSystem
+from repro.systems.single_device import single_device_timeline
 
 
 class TestSingleDevice:
@@ -35,9 +35,15 @@ class TestSingleDevice:
         assert result.meta["n"] == len(token_ids)
 
     def test_latency_seconds_helper(self, bert, cluster1, token_ids):
-        system = SingleDeviceSystem(bert, cluster1)
-        assert system.latency_seconds(token_ids) == pytest.approx(
-            system.run(token_ids).total_seconds
+        """``run()``'s total is the weight-free timeline's over the same shapes."""
+        n = len(token_ids)
+        latency, meta = single_device_timeline(
+            bert.config, n, cluster1,
+            pre_flops=bert.preprocess_flops(n), post_flops=bert.postprocess_flops(n),
+        )
+        assert meta == {}
+        assert SingleDeviceSystem(bert, cluster1).run(token_ids).total_seconds == (
+            latency.total_seconds
         )
 
     def test_accepts_raw_text(self, bert, cluster1):

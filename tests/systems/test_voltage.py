@@ -122,11 +122,11 @@ class TestSchemes:
         model = BertModel(config, num_classes=3, rng=np.random.default_rng(0))
         cluster = ClusterSpec.heterogeneous([1.0, 2.0, 4.0])
         system = VoltageSystem(model, cluster, scheme="auto")
-        executor = system.executors[0]
 
         def makespan(lengths, extra=0):
             return max(
-                executor.partition_flops(n, min(p + extra, n)) / gflops if p + extra else 0.0
+                system.policy.layer_flops(config, n, min(p + extra, n)) / gflops
+                if p + extra else 0.0
                 for p, gflops in zip(lengths, cluster.device_gflops)
             )
 

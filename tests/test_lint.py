@@ -56,7 +56,7 @@ def _imports_of(packages, forbidden) -> list[str]:
 
 def test_lower_layers_do_not_import_engine_fleet_or_bench():
     """``DecodeSession`` and the timeline functions live in ``repro.systems``
-    so the engine and the analytic bench can both build on them; the arrow
+    so the engine and the figure sweeps can both build on them; the arrow
     must never point back (function-level imports count too)."""
     offenders = _imports_of(LOWER_PACKAGES, UPPER_PACKAGES)
     assert not offenders, "layering violations:\n" + "\n".join(offenders)
