@@ -6,8 +6,10 @@ This package executes models under live request streams (built from
 
 - :mod:`repro.engine.clock` — deterministic virtual time or wall time
   (one interface, so soak tests replay hours of traffic in ms);
-- :mod:`repro.engine.slots` — a bounded pool of preallocated KV-cache
-  slots (``LayerKVCache.truncate`` recycling, no steady-state allocation);
+- :mod:`repro.engine.slots` — a bounded pool of KV-cache slots, each
+  sized per request in power-of-two classes (``LayerKVCache.truncate``
+  recycling, no steady-state allocation); scratch is one workspace per
+  sequencer backend, shared by every slot;
 - :mod:`repro.engine.scheduler` — bounded admission queue in arrival
   order with explicit load shedding;
 - :mod:`repro.engine.sequencer` — per-request execution state machines:

@@ -399,12 +399,15 @@ class InferenceEngine:
         """Copy the longest cached prefix of ``prompt`` into ``slot``; the
         donor entry stays pinned over the copy window.  The match is capped
         so at least ``min_prefill_suffix`` prompt positions re-prefill as a
-        multi-row GEMM (the bit-identity condition, INTERNALS §16)."""
+        multi-row GEMM (the bit-identity condition, INTERNALS §16).  The
+        slot is sized for the request first, so the copy lands in buffers
+        allocated once."""
         cache = self.prefix_cache
         hit = cache.match(prompt, limit=len(prompt) - self.sequencer.min_prefill_suffix)
         if hit is None:
             return 0
         entry, length = hit
+        self.sequencer.reserve(slot, prompt)
         with cache.pinned(entry):
             slot.copy_prefix_from(entry.slot, length)
         return length

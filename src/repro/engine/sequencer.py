@@ -22,10 +22,12 @@ prefill, then per step *commit pending → draft ≤ budget → verify → accep
 roll back* — over a small backend that says where a forward runs:
 
 - :class:`_SlotCacheBackend` — on the host, against the engine slot's own
-  caches.  Every forward is literally the op sequence of
-  :meth:`repro.models.gpt2.GPT2Model.generate_cached`'s inner step
-  (embedding add, the cached layer per layer, final-norm LM head); buffer
-  capacity is the only difference, and capacity never changes values.
+  caches (sized to the request's power-of-two class at ``begin``) and the
+  backend's one scratch workspace.  Every forward is literally the op
+  sequence of :meth:`repro.models.gpt2.GPT2Model.generate_cached`'s inner
+  step (embedding add, the cached layer per layer, final-norm LM head);
+  buffer capacity is the only difference, and capacity never changes
+  values.
 - :class:`_SessionBackend` — on ``K`` resident ranks through a
   :class:`~repro.systems.decode.DecodeSession`; KV shards live rank-side.
 
@@ -74,6 +76,7 @@ from repro.obs.tracer import current_tracer
 from repro.serving.arrivals import Request
 from repro.engine.slots import KVSlot
 from repro.systems.decode import DecodeSession, decode_capacity
+from repro.tensor.workspace import Workspace
 
 __all__ = [
     "GPT2CachedSequencer",
@@ -121,16 +124,24 @@ _Row = tuple[KVSlot, list[int], int, bool]
 
 
 class _SlotCacheBackend:
-    """Forwards run on the host against the engine slot's own KV caches."""
+    """Forwards run on the host against the engine slot's own KV caches,
+    with one scratch :class:`Workspace` for every flight of every pass
+    (:func:`~repro.models.cache.layer_steps`' scratch invariant: single
+    rows name no scratch, each attention result is copied out at once, and
+    the ``qkv``, ``scores``, ``attended`` and ``head_screen`` keys never
+    alias)."""
 
     supports_verify = True
     supports_rows = True
 
     def __init__(self, model):
         self.model = model
+        self.workspace = Workspace()
 
     def begin(self, slot: KVSlot, capacity: int) -> None:
-        pass  # the slot already owns preallocated caches
+        # the request's size class; a no-op when the engine reserved it
+        # before seeding a cached prefix
+        slot.reserve(capacity)
 
     def forward_rows(
         self, rows: Sequence[_Row], labels: dict[str, str]
@@ -144,7 +155,7 @@ class _SlotCacheBackend:
         those very logits) — and how many rows fell back to the logits."""
         tokens, fallbacks = self.model.argmax_cached_rows(
             [
-                (new_ids, offset, slot.caches, slot.workspace, all_positions)
+                (new_ids, offset, slot.caches, self.workspace, all_positions)
                 for slot, new_ids, offset, all_positions in rows
             ],
             labels,
@@ -372,6 +383,13 @@ class _GreedySequencer:
         if self.proposer is not None:
             state.draft = self.proposer.begin(state.ids)
         return state
+
+    def reserve(self, slot: KVSlot, prompt: np.ndarray) -> None:
+        """Size ``slot``'s caches for ``prompt``'s request (its size class,
+        :meth:`KVSlot.reserve`) before anything is written into them: the
+        engine calls this before it seeds a cached prefix, so a seeded slot
+        allocates once; :meth:`begin` reserves the same class again."""
+        slot.reserve(decode_capacity(self.model, len(prompt), self.max_new_tokens))
 
     def cache_key(self, state: _DecodeState) -> tuple[int, ...] | None:
         """The token ids whose slot rows are safe to retain for the prefix

@@ -1,13 +1,18 @@
-"""Bounded pool of preallocated KV-cache slots for in-flight decodes.
+"""Bounded pool of KV-cache slots for in-flight decodes.
 
 The engine's memory story (INTERNALS §10): a fixed number of *slots*, each
-owning one :class:`~repro.models.cache.LayerKVCache` per model layer plus a
-:class:`~repro.tensor.workspace.Workspace` for per-step scratch.  A request
-occupies exactly one slot from prefill to completion; when it finishes (or
+owning one :class:`~repro.models.cache.LayerKVCache` per model layer.  A
+request occupies exactly one slot from prefill to completion.  Before
+anything is written into it, the slot reserves (:meth:`KVSlot.reserve`)
+its request's capacity rounded up to a power of two and capped at the
+pool's ``capacity`` (``max_positions``): a *size class*, so a short
+request holds K/V for the positions it can use, not for the model's whole
+budget, and a slot grows at most a few times in its life.  When a request finishes (or
 is preempted/cancelled) the slot's caches are rolled back with
-``truncate(0)`` — the backing buffers and the workspace survive, so the
-next request appends into memory that was allocated once, early in the
-engine's life (the PR 3 capacity-hint machinery does the sizing).
+``truncate(0)`` — the backing buffers survive, so the next request of the
+same class appends into memory allocated once, early in the engine's life.
+Per-step scratch is not the slot's: every slot of a backend shares that
+backend's one :class:`~repro.tensor.workspace.Workspace`.
 
 The pool is the engine's *admission currency*: a decode cannot start
 without a slot, and a saturated pool is what turns arrivals into queueing
@@ -21,8 +26,9 @@ requests can :meth:`KVSlot.copy_prefix_from` them instead of re-prefilling.
 Concurrency stays capped at ``num_slots``: :meth:`acquire` never hands out
 more than that many slots at once, and a retained slot re-enters service
 only through :meth:`reclaim` (which is where eviction lands).  Buffers are
-never freed either way, so the zero-steady-state-allocation invariant
-(``allocations()`` flat across runs) holds with retention enabled.
+never freed either way, so once the traffic's size classes have been seen
+the zero-steady-state-allocation invariant (``allocations()`` flat across
+runs) holds with retention enabled.
 """
 
 from __future__ import annotations
@@ -30,23 +36,35 @@ from __future__ import annotations
 import threading
 
 from repro.models.cache import LayerKVCache
-from repro.tensor.workspace import Workspace
 
 __all__ = ["KVSlot", "SlotPool"]
 
 
 class KVSlot:
-    """One slot: per-layer caches + scratch workspace + a reuse generation."""
+    """One slot: per-layer caches + a reuse generation.
+
+    ``capacity`` is the most positions a request may bring (the model's
+    ``max_positions``); the caches allocate nothing until the first
+    :meth:`reserve` or append."""
 
     def __init__(self, index: int, num_layers: int, capacity: int):
         self.index = index
-        self.caches = [LayerKVCache(capacity=capacity) for _ in range(num_layers)]
-        self.workspace = Workspace()
+        self.capacity = capacity
+        self.caches = [LayerKVCache() for _ in range(num_layers)]
         self.generation = 0  # bumped on every recycle; stale holders can detect reuse
 
     @property
     def length(self) -> int:
         return self.caches[0].length if self.caches else 0
+
+    def reserve(self, positions: int) -> None:
+        """Size every layer cache for a request of ``positions`` positions:
+        its size class — ``positions`` rounded up to a power of two, capped
+        at :attr:`capacity`.  Call before anything is written, so a slot
+        seeded with a cached prefix still allocates once."""
+        size = min(1 << max(positions - 1, 0).bit_length(), self.capacity)
+        for cache in self.caches:
+            cache.reserve(size)
 
     def truncate(self, length: int) -> None:
         """Roll every layer cache back to ``length`` valid rows (shrink-only)."""
@@ -55,9 +73,9 @@ class KVSlot:
 
     def copy_prefix_from(self, donor: "KVSlot", length: int) -> None:
         """Seed this (empty) slot with the first ``length`` cached rows of
-        ``donor`` — a byte-exact copy into this slot's own preallocated
-        buffers, so the donor stays immutable and refcounting stays simple
-        (no cross-slot aliasing to invalidate)."""
+        ``donor`` — a byte-exact copy into this slot's own buffers, so the
+        donor stays immutable and refcounting stays simple (no cross-slot
+        aliasing to invalidate)."""
         if self.length != 0:
             raise ValueError(
                 f"slot {self.index} must be empty to seed a prefix (length {self.length})"
@@ -181,5 +199,10 @@ class SlotPool:
             return slot
 
     def allocations(self) -> int:
-        """Backing allocations across all slots (steady state: one per cache)."""
+        """Backing allocations across all slots (flat once every slot has
+        seen its largest size class)."""
         return sum(slot.allocations() for slot in self._slots)
+
+    def nbytes(self) -> int:
+        """Bytes of K/V backing buffers held across all slots."""
+        return sum(cache.nbytes for slot in self._slots for cache in slot.caches)

@@ -157,13 +157,14 @@ class _DraftDecode:
 class DraftModelProposer:
     """A smaller same-vocab GPT-2 drafts ``k`` greedy tokens per round.
 
-    The draft keeps its own per-request KV cache (one small allocation per
-    request, like offline ``generate_cached`` itself — the *slot pool's*
-    zero-allocation invariant is untouched).  Each round it resynchronises
-    by truncating to the longest common prefix of its cached ids and the
-    committed ids (drafts the target rejected simply fall off), catches up
-    on committed tokens in one batched forward, then rolls ``k`` greedy
-    steps ahead.
+    The draft keeps its own per-request KV cache, sized by the request
+    itself: the first catch-up forward allocates the prompt's rows and
+    later rounds grow it geometrically, so a short request never holds a
+    ``max_positions`` cache (the *slot pool's* zero-allocation invariant is
+    untouched).  Each round it resynchronises by truncating to the longest
+    common prefix of its cached ids and the committed ids (drafts the
+    target rejected simply fall off), catches up on committed tokens in one
+    batched forward, then rolls ``k`` greedy steps ahead.
     """
 
     name = "draft-model"
@@ -178,7 +179,7 @@ class DraftModelProposer:
         from repro.tensor.workspace import Workspace
 
         return _DraftDecode(
-            cache=KVCache.empty(self.model.num_layers, self.model.config.max_positions),
+            cache=KVCache.empty(self.model.num_layers),
             workspace=Workspace(),
             ids=[],
         )

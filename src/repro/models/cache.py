@@ -7,14 +7,16 @@ then projects only the *new* positions and attends them against the cached
 keys/values — position-wise partitioning still applies to everything the
 cache does not already cover.
 
-Allocation behaviour (INTERNALS §9): the cache owns one preallocated
+Allocation behaviour (INTERNALS §9): the cache owns one
 ``(H, capacity, F_H)`` buffer per tensor, grown geometrically, so a T-token
 decode performs O(T) element writes instead of the O(T²) copies of a
 concatenate-per-append scheme.  ``append`` always copies the new positions
 in and returns *views* of the cached prefix; callers that need the hidden
 states to outlive the next ``append`` must copy.  Callers that know the
-final sequence length up front (e.g. ``generate_cached``) should pass a
-``capacity`` hint so the buffers are allocated exactly once.
+final sequence length up front should size the buffers before the first
+append — a ``capacity`` hint (``generate_cached``) or :meth:`reserve`
+(an engine slot, which reserves its request's power-of-two size class) —
+so they are allocated exactly once.
 
 Works for both normalisation placements; only causal layers may use a cache
 (bidirectional layers would need future tokens that do not exist yet).
@@ -92,15 +94,21 @@ class LayerKVCache:
         """Positions the backing buffers can hold without reallocating."""
         return 0 if self._k_buf is None else self._k_buf.shape[1]
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the K and V backing buffers."""
+        return 0 if self._k_buf is None else self._k_buf.nbytes + self._v_buf.nbytes
+
     def reserve(self, capacity: int) -> None:
-        """Ensure room for ``capacity`` positions (allocates at most once)."""
+        """Ensure room for ``capacity`` positions (allocates at most once).
+        Before the first append it only raises the hint, so the first
+        append — a prefill or a copied prefix — allocates at that size."""
         if self._k_buf is None:
             self._capacity_hint = max(capacity, self._capacity_hint or 0)
         elif self._k_buf.shape[1] < capacity:
             self._grow(capacity)
 
-    def _grow(self, needed: int) -> None:
-        new_cap = max(needed, 2 * self._k_buf.shape[1])
+    def _grow(self, new_cap: int) -> None:
         k_buf = np.empty(
             (self._k_buf.shape[0], new_cap, self._k_buf.shape[2]), dtype=self._k_buf.dtype
         )
@@ -155,7 +163,7 @@ class LayerKVCache:
                     f"cache dtype mismatch: cached {self._k_buf.dtype}, new {k_new.dtype}"
                 )
             if self._length + t > self._k_buf.shape[1]:
-                self._grow(self._length + t)
+                self._grow(max(self._length + t, 2 * self._k_buf.shape[1]))
         self._k_buf[:, self._length : self._length + t] = k_new
         self._v_buf[:, self._length : self._length + t] = v_new
         self._length += t

@@ -189,6 +189,52 @@ def test_building_gpt2_peaks_near_its_parameter_bytes():
     assert peak < 1.25 * parameters, f"peak RSS {peak / 1e6:.0f} MB for {parameters / 1e6:.0f} MB"
 
 
+def test_engine_footprint_is_near_what_its_requests_need():
+    """The engine's resident K/V and scratch after a serve-saturated-shaped
+    run — 8 requests at once over 4 slots, 16–32-token prompts, 12 new
+    tokens, a 256-position model — counted from buffer ``nbytes``, stay
+    within twice what its traffic needs: K/V for each slot's largest
+    request capacity, and scratch for the largest pass (the fused QKV rows
+    of the 4 longest prompts packed, the longest prompt's scores and
+    attended context, the head screen's fixed 128 KiB).  Power-of-two slot
+    classes and the workspace's doubling growth each stay under 2x; slots
+    sized to ``max_positions`` hold over 5x, and a workspace per slot
+    multiplies the scratch."""
+    from repro.engine import EngineConfig, GPT2CachedSequencer, InferenceEngine
+    from repro.models.gpt2 import _SCREEN_SCRATCH_CELLS
+    from repro.serving.arrivals import Request
+    from repro.systems.decode import decode_capacity
+
+    config = tiny_config(
+        norm_style="pre", is_causal=True, type_vocab_size=0, hidden_size=256, num_heads=4,
+        num_layers=4, ffn_dim=1024, vocab_size=1000, max_positions=256,
+    )
+    model = GPT2Model(config, rng=np.random.default_rng(0))
+    slots, new_tokens = 4, 12
+    sequencer = GPT2CachedSequencer(model, max_new_tokens=new_tokens, step_cost=lambda *_: 0.01)
+    engine = InferenceEngine(sequencer, EngineConfig(num_slots=slots))
+    lengths = np.random.default_rng(3).integers(16, 33, size=8).tolist()
+    report = engine.run([Request(0.0, n, id=i) for i, n in enumerate(lengths)])
+    assert len(report.completed) == len(lengths)
+    largest: dict[int, int] = {}
+    for done in report.completed:
+        assert np.array_equal(done.output, sequencer.offline_reference(done.request))
+        capacity = decode_capacity(model, done.request.n, new_tokens)
+        largest[done.slot_index] = max(largest.get(done.slot_index, 0), capacity)
+
+    f, longest = config.hidden_size, max(lengths)
+    kv_needed = sum(largest.values()) * model.num_layers * 2 * f * 4  # float32 K and V
+    scratch_needed = 4 * (
+        sum(sorted(lengths)[-slots:]) * 3 * f + longest * (config.num_heads * longest + f)
+    ) + 4 * _SCREEN_SCRATCH_CELLS
+    kv_held = engine.pool.nbytes()
+    held = kv_held + sequencer.backend.workspace.nbytes()
+    assert kv_held < 2 * kv_needed, f"{kv_held} K/V bytes held for {kv_needed} needed"
+    assert held <= 2 * (kv_needed + scratch_needed), (
+        f"{held} bytes held for {kv_needed} K/V + {scratch_needed} scratch needed"
+    )
+
+
 class TestViT:
     def test_forward_shape(self, vit, rng):
         logits = vit(rng.normal(size=(3, 32, 32)).astype(np.float32))
