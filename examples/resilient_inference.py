@@ -27,8 +27,8 @@ def straggler_story(model, cluster, ids) -> None:
     for mode in ("static", "dynamic", "oracle"):
         system = AdaptiveVoltageSystem(model, cluster, trace=trace, mode=mode)
         result = system.run(ids)
-        first = result.meta["schemes"][0]
-        last = result.meta["schemes"][-1]
+        first = result.meta["scheme_per_layer"][0]
+        last = result.meta["scheme_per_layer"][-1]
         print(
             f"  {mode:>8s}: compute makespan {result.latency.compute_seconds * 1e3:7.1f} ms"
             f"   device-0 share {first[0]:.2f} -> {last[0]:.2f}"

@@ -11,9 +11,11 @@ deterministic, seeded per-layer speed traces that the adaptive system in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+
+from repro.cluster.spec import ClusterSpec
 
 __all__ = ["SpeedTrace", "constant_trace", "random_walk_trace", "spike_trace"]
 
@@ -62,6 +64,12 @@ class SpeedTrace:
                 f"trace covers {len(row)} devices, got {len(nominal)} nominal speeds"
             )
         return [g * f for g, f in zip(nominal, row)]
+
+    def cluster_at(self, step: int, cluster: ClusterSpec) -> ClusterSpec:
+        """``cluster`` with every device at its effective speed for ``step``."""
+        speeds = self.effective_gflops(step, cluster.device_gflops)
+        devices = tuple(replace(d, gflops=g) for d, g in zip(cluster.devices, speeds))
+        return replace(cluster, devices=devices)
 
 
 def constant_trace(num_devices: int, num_steps: int = 1) -> SpeedTrace:

@@ -15,30 +15,29 @@ Three scheduling modes, compared by the ``ablation_dynamic`` benchmark:
 
 Re-partitioning really is penalty-free: every device already holds the full
 layer input after the All-Gather, so changing who computes what requires no
-extra data movement — only the partition boundaries change.
+extra data movement — only the partition boundaries change.  So the system
+is a :class:`VoltageSystem` whose per-layer :class:`LayerSchedule` is built
+up front: ``run()`` prices it with :func:`voltage_timeline` at the trace's
+speeds, and ``execute_distributed`` runs it on real ranks.
 """
 
 from __future__ import annotations
 
 from repro.cluster.dynamics import SpeedTrace, constant_trace
-from repro.cluster.simulator import ClusterSim
 from repro.cluster.spec import ClusterSpec
-from repro.cluster.timeline import LatencyBreakdown
-from repro.core.layer import OrderPolicy, PartitionedLayerExecutor
+from repro.core.layer import OrderPolicy
 from repro.core.partition import PartitionScheme
 from repro.core.planner import makespan_optimal_scheme
-from repro.core.schedule import DynamicPlanner
+from repro.core.schedule import DynamicPlanner, LayerSchedule
 from repro.models.base import TransformerModel
-from repro.systems.base import (
-    InferenceResult, InferenceSystem, activation_bytes, terminal_phase, voltage_layers,
-)
+from repro.systems.voltage import VoltageSystem
 
 __all__ = ["AdaptiveVoltageSystem"]
 
 _MODES = ("static", "dynamic", "oracle")
 
 
-class AdaptiveVoltageSystem(InferenceSystem):
+class AdaptiveVoltageSystem(VoltageSystem):
     """Voltage with per-layer scheme adaptation under time-varying speeds."""
 
     name = "voltage-adaptive"
@@ -52,9 +51,11 @@ class AdaptiveVoltageSystem(InferenceSystem):
         policy: OrderPolicy | None = None,
         ewma_alpha: float = 0.6,
     ):
-        super().__init__(model, cluster)
+        super().__init__(model, cluster, policy=policy)
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+        if not 0 < ewma_alpha <= 1:
+            raise ValueError(f"ewma_alpha must be in (0, 1], got {ewma_alpha}")
         self.trace = trace if trace is not None else constant_trace(cluster.num_devices)
         if self.trace.num_devices != cluster.num_devices:
             raise ValueError(
@@ -62,85 +63,48 @@ class AdaptiveVoltageSystem(InferenceSystem):
                 f"{cluster.num_devices}"
             )
         self.mode = mode
-        self.policy = policy if policy is not None else OrderPolicy()
         self.ewma_alpha = ewma_alpha
-        self.executors = [
-            PartitionedLayerExecutor(layer, policy=self.policy) for layer in model.layers
-        ]
+        self._plans: dict[int, tuple[LayerSchedule, list[float] | None]] = {}
 
-    def _device_seconds(self, layer: int, flops: list[float]) -> list[float]:
-        """Per-device wall time at this layer's effective speeds."""
-        speeds = self.trace.effective_gflops(layer, self.cluster.device_gflops)
-        seconds = []
-        for device, speed, work in zip(self.cluster.devices, speeds, flops):
-            if work == 0:
-                seconds.append(0.0)
-            else:
-                seconds.append(work / (speed * 1e9) + device.overhead_seconds)
-        return seconds
+    def schedule(self, n: int) -> LayerSchedule:
+        return self._plan(n)[0]
 
-    def _scheme_for_layer(
-        self, layer: int, n: int, planner: DynamicPlanner | None
-    ) -> PartitionScheme:
+    def _plan(self, n: int) -> tuple[LayerSchedule, list[float] | None]:
+        """The request's schedule and, in ``dynamic`` mode, the planner's
+        final speed estimates — a pure function of ``n``, planned once per
+        length (``run()`` reads both halves, and re-planning costs a solve
+        per layer)."""
+        if n not in self._plans:
+            self._plans[n] = self._make_plan(n)
+        return self._plans[n]
+
+    def _make_plan(self, n: int) -> tuple[LayerSchedule, list[float] | None]:
         if self.mode == "static":
-            return PartitionScheme.even(self.k)
+            return LayerSchedule(PartitionScheme.even(self.k)), None
+        config = self.model.config
+        layers = [self.trace.cluster_at(index, self.cluster) for index in range(len(self.executors))]
         if self.mode == "oracle":
-            true_speeds = self.trace.effective_gflops(layer, self.cluster.device_gflops)
-            return makespan_optimal_scheme(
-                self.model.config, n, true_speeds, policy=self.policy
-            )
-        assert planner is not None
-        return planner.plan(n)
-
-    def run(self, raw) -> InferenceResult:
-        x, terminal = self._preprocess(raw)
-        n, f = x.shape
-        sim = ClusterSim(self.cluster)
-        latency = LatencyBreakdown()
-        terminal_phase(latency, sim, "preprocess", terminal["pre_flops"])
-
-        latency.add("broadcast input", "comm", sim.broadcast(activation_bytes(n, f)))
-
-        planner = (
-            DynamicPlanner(
-                self.model.config,
-                self.cluster.device_gflops,
-                policy=self.policy,
-                alpha=self.ewma_alpha,
-            )
-            if self.mode == "dynamic"
-            else None
+            schemes = [
+                makespan_optimal_scheme(config, n, layer.device_gflops, policy=self.policy)
+                for layer in layers
+            ]
+            return LayerSchedule(schemes), None
+        planner = DynamicPlanner(
+            config, self.cluster.device_gflops, policy=self.policy, alpha=self.ewma_alpha
         )
+        for layer in layers:
+            # the planner observes each layer's modelled seconds at the
+            # trace's speeds — what the timeline charges for it
+            scheme = planner.plan(n)
+            seconds = [
+                device.compute_seconds(self.policy.layer_flops(config, n, part.length))
+                for device, part in zip(layer.devices, scheme.positions(n))
+            ]
+            planner.observe_layer(n, scheme, seconds)
+        return LayerSchedule(planner.planned), planner.estimator.estimates
 
-        # priced here, not through ``voltage_timeline``: compute runs at the
-        # trace's speeds and each layer's scheme depends on the previous
-        # layer's observed times
-        schemes_used: list[tuple[float, ...]] = []
-        layer_parts = []
-        for index in range(len(self.executors)):
-            scheme = self._scheme_for_layer(index, n, planner)
-            schemes_used.append(scheme.ratios)
-            parts = scheme.positions(n)
-            layer_parts.append(parts)
-            flops = [self.policy.layer_flops(self.model.config, n, part.length) for part in parts]
-            seconds = self._device_seconds(index, flops)
-            latency.add("partition compute", "compute", max(seconds), layer=index)
-            if planner is not None:
-                planner.observe_layer(n, scheme, seconds)
+    def _timeline_inputs(self) -> dict:
+        return {"speeds": self.trace}
 
-            chunk_bytes = [activation_bytes(part.length, f) for part in parts]
-            if index + 1 < len(self.executors):
-                latency.add("all-gather", "comm", sim.all_gather(chunk_bytes), layer=index)
-            else:
-                latency.add(
-                    "gather to terminal", "comm", sim.gather(chunk_bytes), layer=index
-                )
-
-        x = voltage_layers(
-            x, [executor.forward_partition for executor in self.executors], layer_parts
-        )
-        terminal_phase(latency, sim, "postprocess", terminal["post_flops"])
-        return self._result(
-            x, latency, mode=self.mode, schemes=schemes_used,
-            speed_estimates=planner.estimator.estimates if planner else None,
-        )
+    def _meta(self, n: int) -> dict:
+        return {"mode": self.mode, "speed_estimates": self._plan(n)[1]}

@@ -11,23 +11,25 @@ weight shard: losing one device loses part of the model, and inference
 cannot continue without re-distributing weights from a checkpoint.
 
 Failures are injected as a schedule ``{device_index: layer_index}`` —
-device ``d`` dies immediately before computing layer ``l``.  The output is
-bit-identical to the failure-free run; only the latency changes.
+device ``d`` dies immediately before computing layer ``l``.  The system is
+a :class:`VoltageSystem` whose :class:`LayerSchedule` gives dead devices
+ratio 0 from their failure layer on: ``run()`` prices it with
+:func:`voltage_timeline` (detection phases, collectives over the live
+ranks), and ``execute_distributed`` runs it on real ranks, where a dead
+rank holds an empty partition.  The output is bit-identical to the
+failure-free run; only the latency changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cluster.simulator import ClusterSim
 from repro.cluster.spec import ClusterSpec
-from repro.cluster.timeline import LatencyBreakdown
-from repro.core.layer import OrderPolicy, PartitionedLayerExecutor
+from repro.core.layer import OrderPolicy
 from repro.core.partition import PartitionScheme
+from repro.core.schedule import LayerSchedule
 from repro.models.base import TransformerModel
-from repro.systems.base import (
-    InferenceResult, InferenceSystem, activation_bytes, terminal_phase, voltage_layers,
-)
+from repro.systems.voltage import VoltageSystem
 
 __all__ = ["AllDevicesFailedError", "FailureSchedule", "FaultTolerantVoltageSystem"]
 
@@ -73,6 +75,10 @@ class FailureSchedule:
     def dying_at(self, layer: int) -> set:
         return {d for d, fail_layer in self.failures.items() if fail_layer == layer}
 
+    def events(self) -> dict[int, list[int]]:
+        """``{layer: devices dying just before it}``, by layer."""
+        return {layer: sorted(self.dying_at(layer)) for layer in sorted(set(self.failures.values()))}
+
 
 def _survivor_scheme(alive: list[int], k: int) -> PartitionScheme:
     """Even split over survivors, zero ratio for dead devices."""
@@ -83,7 +89,7 @@ def _survivor_scheme(alive: list[int], k: int) -> PartitionScheme:
     return PartitionScheme(ratios)
 
 
-class FaultTolerantVoltageSystem(InferenceSystem):
+class FaultTolerantVoltageSystem(VoltageSystem):
     """Voltage with failure detection and survivor re-partitioning."""
 
     name = "voltage-fault-tolerant"
@@ -96,7 +102,7 @@ class FaultTolerantVoltageSystem(InferenceSystem):
         detection_timeout_seconds: float = 0.2,
         policy: OrderPolicy | None = None,
     ):
-        super().__init__(model, cluster)
+        super().__init__(model, cluster, policy=policy)
         if isinstance(failures, dict):
             failures = FailureSchedule(failures)
         self.failures = failures if failures is not None else FailureSchedule()
@@ -104,65 +110,30 @@ class FaultTolerantVoltageSystem(InferenceSystem):
         if detection_timeout_seconds < 0:
             raise ValueError("detection timeout must be >= 0")
         self.detection_timeout_seconds = detection_timeout_seconds
-        self.policy = policy if policy is not None else OrderPolicy()
-        self.executors = [
-            PartitionedLayerExecutor(layer, policy=self.policy) for layer in model.layers
-        ]
 
-    def run(self, raw) -> InferenceResult:
-        x, terminal = self._preprocess(raw)
-        n, f = x.shape
-        sim = ClusterSim(self.cluster)
-        latency = LatencyBreakdown()
-        terminal_phase(latency, sim, "preprocess", terminal["pre_flops"])
-
-        latency.add("broadcast input", "comm", sim.broadcast(activation_bytes(n, f)))
-
-        # priced here, not through ``voltage_timeline``: collectives run over
-        # the live devices only and detection timeouts interleave the layers
-        events = []
-        layer_parts = []
+    def schedule(self, n: int) -> LayerSchedule:
+        """Each layer split evenly over the devices still alive at it."""
+        schemes = []
         for index in range(len(self.executors)):
-            dying = self.failures.dying_at(index)
-            dead = self.failures.dead_before(index) | dying
+            dead = self.failures.dead_before(index + 1)
             alive = [d for d in range(self.k) if d not in dead]
-            if dying:
-                # survivors notice the missing peer at the barrier: one
-                # detection timeout per failure event (not per device)
-                latency.add(
-                    f"detect failure of device(s) {sorted(dying)}",
-                    "overhead",
-                    self.detection_timeout_seconds,
-                    layer=index,
-                )
-                events.append({"layer": index, "devices": sorted(dying)})
             if not alive:
                 raise AllDevicesFailedError(
                     f"no devices left at layer {index} "
                     f"(failures: {self.failures.failures})"
                 )
+            schemes.append(_survivor_scheme(alive, self.k))
+        return LayerSchedule(schemes)
 
-            parts = _survivor_scheme(alive, self.k).positions(n)
-            layer_parts.append(parts)
-            seconds = [
-                device.compute_seconds(self.policy.layer_flops(self.model.config, n, part.length))
-                if part.length
-                else 0.0
-                for device, part in zip(self.cluster.devices, parts)
-            ]
-            latency.add("partition compute", "compute", max(seconds), layer=index)
+    def _timeline_inputs(self) -> dict:
+        return {
+            "failures": self.failures.events(),
+            "detection_seconds": self.detection_timeout_seconds,
+        }
 
-            chunk_bytes = [activation_bytes(part.length, f) for part in parts]
-            live_chunks = [chunk_bytes[d] for d in alive]
-            if index + 1 < len(self.executors):
-                latency.add("all-gather", "comm", sim.all_gather(live_chunks), layer=index)
-            else:
-                latency.add("gather to terminal", "comm", sim.gather(live_chunks), layer=index)
-
-        x = voltage_layers(
-            x, [executor.forward_partition for executor in self.executors], layer_parts
-        )
-        terminal_phase(latency, sim, "postprocess", terminal["post_flops"])
-        survivors = [d for d in range(self.k)
-                     if d not in self.failures.dead_before(len(self.executors))]
-        return self._result(x, latency, failure_events=events, survivors=survivors)
+    def _meta(self, n: int) -> dict:
+        events = self.failures.events().items()
+        return {
+            "failure_events": [{"layer": layer, "devices": devices} for layer, devices in events],
+            "survivors": [d for d in range(self.k) if d not in self.failures.failures],
+        }

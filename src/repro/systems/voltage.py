@@ -22,9 +22,12 @@ integration tests to reconcile the analytic communication volumes.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
+
 import numpy as np
 
 from repro import obs
+from repro.cluster.dynamics import SpeedTrace
 from repro.cluster.runtime import CommStats
 from repro.cluster.simulator import ClusterSim
 from repro.cluster.spec import ClusterSpec
@@ -55,6 +58,9 @@ def voltage_timeline(
     policy: OrderPolicy | None = None,
     wire_itemsize: int = 4,
     overlap: bool = False,
+    speeds: SpeedTrace | None = None,
+    failures: Mapping[int, Sequence[int]] | None = None,
+    detection_seconds: float = 0.0,
     pre_flops: int = 0,
     post_flops: int = 0,
 ) -> tuple[LatencyBreakdown, dict]:
@@ -74,6 +80,14 @@ def voltage_timeline(
     holds) — the *minimum* over devices, a conservative bound: a device
     with an empty next partition hides nothing.
 
+    Two inputs vary the devices from layer to layer (both None for the
+    paper's setting).  ``speeds`` prices layer ``l``'s compute at the
+    trace's speeds for step ``l`` (:meth:`SpeedTrace.cluster_at`).
+    ``failures`` maps a layer to the devices that die just before it: each
+    event adds one ``"detect failure of device(s) [...]"`` overhead phase of
+    ``detection_seconds``, and from that layer on the All-Gather / gather go
+    over the live ranks only, which must hold every position.
+
     Returns the breakdown plus the meta ``run()`` reports alongside it.
     """
     sim = ClusterSim(cluster)
@@ -83,17 +97,31 @@ def voltage_timeline(
     orders: list[str] = []
     exposed_comm_per_layer: list[float] = []
     allgather_bytes = hidden_comm_s = 0.0
+    failures = failures or {}
+    dead: set[int] = set()
 
     latency = LatencyBreakdown()
     terminal_phase(latency, sim, "preprocess", pre_flops)
     latency.add("broadcast input", "comm", sim.broadcast(activation_bytes(n, f)))
     for index, parts in enumerate(layer_parts):
+        if failures.get(index):
+            # survivors notice the missing peer at the barrier: one
+            # detection timeout per failure event (not per device)
+            dying = sorted(failures[index])
+            latency.add(
+                f"detect failure of device(s) {dying}", "overhead", detection_seconds, layer=index
+            )
+            dead.update(dying)
         first = next((part for part in parts if part.length), parts[0])
         order = policy.order_for(n, max(first.length, 1), f, fh)
         orders.append("eq8" if order.is_reordered else "eq3")
         flops = [policy.layer_flops(config, n, part.length) for part in parts]
-        latency.add("partition compute", "compute", sim.compute_makespan(flops), layer=index)
-        chunk_bytes = [activation_bytes(part.length, f, itemsize=wire_itemsize) for part in parts]
+        layer_sim = sim if speeds is None else ClusterSim(speeds.cluster_at(index, cluster))
+        latency.add("partition compute", "compute", layer_sim.compute_makespan(flops), layer=index)
+        chunk_bytes = [
+            activation_bytes(part.length, f, itemsize=wire_itemsize)
+            for rank, part in enumerate(parts) if rank not in dead
+        ]
         if index + 1 == len(layer_parts):
             # Algorithm 2 line 8: final partitions go to the terminal only
             latency.add("gather to terminal", "comm", sim.gather(chunk_bytes), layer=index)
@@ -216,6 +244,15 @@ class VoltageSystem(InferenceSystem):
         """Every layer's per-device partitions of a length-``n`` request."""
         return self.schedule(n).layer_parts(n, len(self.executors))
 
+    def _timeline_inputs(self) -> dict:
+        """:func:`voltage_timeline`'s ``speeds`` / ``failures`` inputs for this
+        deployment: neither for plain Voltage."""
+        return {}
+
+    def _meta(self, n: int) -> dict:
+        """What ``run()`` reports beyond the timeline's meta."""
+        return {}
+
     # -- distributed autoregressive decode (position-sharded KV cache) ---------
 
     def generate_distributed(
@@ -253,7 +290,8 @@ class VoltageSystem(InferenceSystem):
         schedule = self.schedule(n)
         latency, comm_meta = voltage_timeline(
             self.model.config, n, self.cluster, scheme=schedule, policy=self.policy,
-            wire_itemsize=self.wire_itemsize, overlap=self.overlap, **terminal,
+            wire_itemsize=self.wire_itemsize, overlap=self.overlap,
+            **self._timeline_inputs(), **terminal,
         )
         layer_parts = schedule.layer_parts(n, len(self.executors))
         hidden = voltage_layers(
@@ -274,6 +312,7 @@ class VoltageSystem(InferenceSystem):
             wire_dtype=self.wire_dtype,
             overlap=self.overlap,
             **comm_meta,
+            **self._meta(n),
         )
 
     # -- real distributed execution (threads or processes) ----------------------

@@ -16,7 +16,8 @@ The differential contract, per scenario:
 - the All-Gather byte meta must equal the volume implied by the partition
   scheme and wire itemsize exactly;
 - with failure injection, the fault-tolerant system must still match the
-  reference and report the expected survivors.
+  reference, report the expected survivors, and run bit-identically on
+  the scenario's runtime.
 
 ``run_scenario`` never raises on a conformance violation — each violation
 becomes a failed :class:`Check` so the fuzzing loop can keep sampling and
@@ -455,6 +456,13 @@ def run_scenario(
                     passed=ft_run.meta.get("survivors") == expected_survivors,
                     detail=f"meta {ft_run.meta.get('survivors')} vs expected {expected_survivors}",
                 )
+            )
+            # survivors re-shard on real ranks: a dead rank holds an empty partition
+            ft_out, _ = ft.execute_distributed(raw, runtime=config.runtime)
+            identical(
+                "fault_tolerant_distributed_vs_run", ft_out, ft_run.output,
+                f"max|diff|={max_abs_diff(ft_out, ft_run.output):.3e} "
+                f"({config.runtime} ranks vs run(), must be bit-identical)",
             )
     except Exception as exc:  # noqa: BLE001 - a crash is itself a finding
         result.error = f"{type(exc).__name__}: {exc}"

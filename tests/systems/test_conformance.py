@@ -10,6 +10,7 @@ failure here localizes which system broke the contract.
 import numpy as np
 import pytest
 
+from repro.cluster.dynamics import spike_trace
 from repro.core.layer import OrderPolicy
 from repro.systems import (
     AdaptiveVoltageSystem,
@@ -35,6 +36,13 @@ FACTORIES = {
 THREADED = {
     "voltage": lambda m, c, wd: VoltageSystem(m, c, wire_dtype=wd),
     "tensor-parallel": lambda m, c, wd: TensorParallelSystem(m, c),
+    # float32 wire only; a one-device cluster has no device 1 to lose
+    "adaptive": lambda m, c, wd: AdaptiveVoltageSystem(
+        m, c, trace=spike_trace(c.num_devices, num_steps=10, victim=0), mode="dynamic"
+    ),
+    "fault-tolerant": lambda m, c, wd: FaultTolerantVoltageSystem(
+        m, c, failures={1: 1} if c.num_devices > 1 else None
+    ),
 }
 
 

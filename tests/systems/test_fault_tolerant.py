@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.systems import VoltageSystem
+from repro.cluster.simulator import ClusterSim
+from repro.systems import VoltageSystem, base
+from repro.systems.base import activation_bytes
 from repro.systems.fault_tolerant import (
     AllDevicesFailedError,
     FailureSchedule,
@@ -45,7 +47,8 @@ class TestOutputCorrectness:
     def test_no_failures_matches_plain_voltage(self, bert, cluster4, token_ids):
         plain = VoltageSystem(bert, cluster4).run(token_ids)
         fault_tolerant = FaultTolerantVoltageSystem(bert, cluster4).run(token_ids)
-        np.testing.assert_allclose(fault_tolerant.output, plain.output, atol=1e-6)
+        assert fault_tolerant.latency.phases == plain.latency.phases
+        np.testing.assert_array_equal(fault_tolerant.output, plain.output)
 
     def test_one_failure_mid_inference(self, bert, cluster4, token_ids):
         system = FaultTolerantVoltageSystem(bert, cluster4, failures={1: 1})
@@ -99,6 +102,44 @@ class TestLatencyAccounting:
             bert, cluster4, failures={0: bert.num_layers - 1}, detection_timeout_seconds=0.0
         ).run(token_ids)
         assert late.latency.compute_seconds < early.latency.compute_seconds
+
+    def test_all_gathers_go_over_the_survivors(self, bert, cluster4, token_ids):
+        """After device 1 dies, each All-Gather is priced over the three
+        survivors' chunks: a ring of K with an empty chunk costs more."""
+        system = FaultTolerantVoltageSystem(bert, cluster4, failures={1: 1})
+        result = system.run(token_ids)
+        n, f = len(token_ids), bert.config.hidden_size
+        sim = ClusterSim(cluster4)
+        gathers = [p for p in result.latency.phases if p.name == "all-gather"]
+        assert [p.layer for p in gathers] == list(range(bert.num_layers - 1))
+        for phase, parts in zip(gathers, system.layer_parts(n)):
+            chunks = [activation_bytes(part.length, f) for part in parts]
+            live = [chunk for device, chunk in enumerate(chunks) if device != 1 or phase.layer < 1]
+            assert phase.seconds == sim.all_gather(live)
+            if phase.layer >= 1:
+                assert phase.seconds < sim.all_gather(chunks)
+
+
+class TestRealRanks:
+    """Survivor re-sharding runs on real ranks: a dead rank holds an empty
+    partition, and the output is bit-identical to ``run()``'s."""
+
+    def test_two_failures_on_processes_with_overlap(self, bert, cluster4, token_ids):
+        system = FaultTolerantVoltageSystem(bert, cluster4, failures={2: 1, 0: 2})
+        output, _ = system.execute_distributed(token_ids, runtime="process", overlap=True)
+        np.testing.assert_array_equal(output, system.run(token_ids).output)
+
+    def test_all_dead_raises_before_any_rank_starts(
+        self, bert, cluster4, token_ids, monkeypatch
+    ):
+        started = []
+        monkeypatch.setattr(base, "serve_once", lambda *args: started.append(args))
+        system = FaultTolerantVoltageSystem(
+            bert, cluster4, failures={0: 0, 1: 0, 2: 0, 3: 1}
+        )
+        with pytest.raises(AllDevicesFailedError):
+            system.execute_distributed(token_ids)
+        assert started == []
 
 
 class TestValidation:

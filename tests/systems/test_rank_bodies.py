@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.dynamics import spike_trace
-from repro.systems import adaptive, base, fault_tolerant, tensor_parallel, voltage
+from repro.systems import base, tensor_parallel, voltage
 from repro.systems.adaptive import AdaptiveVoltageSystem
 from repro.systems.fault_tolerant import FaultTolerantVoltageSystem
 from repro.systems.tensor_parallel import TensorParallelSystem
@@ -50,7 +50,7 @@ def owned(calls) -> list[list[int] | None]:
 
 @pytest.fixture
 def voltage_calls(monkeypatch):
-    return spy_on(monkeypatch, "voltage_layers", [base, voltage, fault_tolerant, adaptive])
+    return spy_on(monkeypatch, "voltage_layers", [base, voltage])
 
 
 class TestVoltageFamily:
@@ -79,13 +79,19 @@ class TestVoltageFamily:
     def test_fault_tolerant_and_adaptive_run_through_it(
         self, bert, cluster4, token_ids, voltage_calls
     ):
-        faulty = FaultTolerantVoltageSystem(bert, cluster4, failures={1: 1}).run(token_ids)
+        faulty = FaultTolerantVoltageSystem(bert, cluster4, failures={1: 1})
         drifting = AdaptiveVoltageSystem(
             bert, cluster4, trace=spike_trace(4, num_steps=10, victim=0, spike_start=0)
-        ).run(token_ids)
-        assert owned(voltage_calls) == [None, None]
-        for result in (faulty, drifting):
+        )
+        for system in (faulty, drifting):
+            voltage_calls.clear()
+            result = system.run(token_ids)
+            assert owned(voltage_calls) == [None]
             np.testing.assert_allclose(result.output, bert(token_ids), atol=1e-4)
+            voltage_calls.clear()
+            threaded, _ = system.execute_distributed(token_ids)
+            assert owned(voltage_calls) == [[0], [1], [2], [3]]
+            np.testing.assert_array_equal(threaded, result.output)
 
 
 class TestTensorParallel:
