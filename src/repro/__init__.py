@@ -13,8 +13,8 @@ Inference with Transformer Models"* (Hu & Li, ICDCS 2024), including:
   and thread- and process-backed real execution runtimes);
 - :mod:`repro.systems` — end-to-end inference systems: single-device,
   Voltage (plus adaptive and fault-tolerant variants, and the naive
-  fixed-order partition as an order policy), tensor and pipeline
-  parallelism, distributed decode;
+  fixed-order partition as an order policy), tensor parallelism,
+  distributed decode;
 - :mod:`repro.compress` — int8 weight quantization, orthogonal to
   distribution;
 - :mod:`repro.serving` — arrival processes and served-request statistics

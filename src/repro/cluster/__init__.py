@@ -8,8 +8,7 @@ Substitutes the paper's six-VM Compute-Canada testbed (see DESIGN.md):
   cost models and the matching array operations;
 - :mod:`repro.cluster.spec` — cluster construction (homogeneous /
   heterogeneous, bandwidth sweeps);
-- :mod:`repro.cluster.simulator` — bulk-synchronous cost helpers plus the
-  FIFO stage resources of a pipelined request stream;
+- :mod:`repro.cluster.simulator` — bulk-synchronous cost helpers;
 - :mod:`repro.cluster.timeline` — per-phase latency breakdowns;
 - :mod:`repro.cluster.runtime` — thread-backed real execution with byte
   accounting, proving protocol correctness;
@@ -22,18 +21,15 @@ from repro.cluster.network import NetworkSpec
 from repro.cluster.process_runtime import ProcessRuntime, ProcessWorkerContext, resolve_runtime
 from repro.cluster.runtime import CommStats, ThreadedRuntime, WorkerContext
 from repro.cluster.dynamics import SpeedTrace, constant_trace, random_walk_trace, spike_trace
-from repro.cluster.simulator import ClusterSim, Resource
-from repro.cluster.topology import HeterogeneousNetwork, comm_aware_scheme
+from repro.cluster.simulator import ClusterSim
 from repro.cluster.wire import Frame, decode_frame, encode_frame
 from repro.cluster.spec import ClusterSpec, paper_cluster
 from repro.cluster.timeline import LatencyBreakdown, Phase
 
 __all__ = [
     "Frame",
-    "HeterogeneousNetwork",
     "PAPER_EDGE_DEVICE_GFLOPS",
     "SpeedTrace",
-    "comm_aware_scheme",
     "constant_trace",
     "decode_frame",
     "encode_frame",
@@ -48,7 +44,6 @@ __all__ = [
     "Phase",
     "ProcessRuntime",
     "ProcessWorkerContext",
-    "Resource",
     "ThreadedRuntime",
     "WorkerContext",
     "calibrate_matmul_gflops",

@@ -1,17 +1,10 @@
 """Latency simulation for distributed inference protocols.
 
-Two layers of machinery:
-
-- :class:`ClusterSim` — bulk-synchronous helpers matching the structure of
-  Algorithm 2 (and of tensor parallelism): per-layer *compute makespan*
-  (the slowest device gates the All-Gather) followed by collective time.
-  This is exact for barrier-style protocols, which is what both Voltage and
-  tensor-parallel inference are.
-
-- :class:`Resource` / :class:`StagePipeline` — serially-reusable FIFO
-  resources for the one protocol that is *not* bulk-synchronous: pipeline
-  parallelism's staggered request stream, where stages and links overlap
-  across requests.
+:class:`ClusterSim` holds bulk-synchronous helpers matching the structure of
+Algorithm 2 (and of tensor parallelism): per-layer *compute makespan* (the
+slowest device gates the All-Gather) followed by collective time. This is
+exact for barrier-style protocols, which is what both Voltage and
+tensor-parallel inference are.
 """
 
 from __future__ import annotations
@@ -22,7 +15,7 @@ from repro.cluster import collectives
 from repro.cluster.spec import ClusterSpec
 from repro.obs.tracer import current_tracer
 
-__all__ = ["ClusterSim", "Resource", "StagePipeline"]
+__all__ = ["ClusterSim"]
 
 
 class ClusterSim:
@@ -118,46 +111,3 @@ class ClusterSim:
         seconds = self.cluster.network.transfer_seconds(nbytes)
         return self._record("point_to_point", "comm", seconds, nbytes=nbytes)
 
-
-class Resource:
-    """A serially-reusable simulated resource (device core or network link)."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.available_at = 0.0
-
-    def reserve(self, earliest_start: float, duration: float) -> tuple[float, float]:
-        """Occupy the resource for ``duration`` at the first feasible time.
-
-        Returns ``(begin, end)``; subsequent reservations cannot begin before
-        ``end`` (FIFO discipline, which is how a single CPU core or a TCP
-        stream behaves).
-        """
-        if duration < 0:
-            raise ValueError(f"duration must be >= 0, got {duration}")
-        begin = max(earliest_start, self.available_at)
-        end = begin + duration
-        self.available_at = end
-        return begin, end
-
-
-class StagePipeline:
-    """``num_stages`` FIFO stage resources daisy-chained by FIFO links
-    (terminal->0, 0->1, ..., last->terminal) — a layer-stage pipeline as a
-    request stream sees it."""
-
-    def __init__(self, num_stages: int):
-        self.stages = [Resource(f"stage-{i}") for i in range(num_stages)]
-        self.links = [Resource(f"link-{i}") for i in range(num_stages + 1)]
-
-    def push(
-        self, arrival: float, stage_seconds: Sequence[float], hop_seconds: float
-    ) -> tuple[float, float]:
-        """Send one request through; returns ``(first stage begin, finish)``."""
-        _, t = self.links[0].reserve(arrival, hop_seconds)
-        start = None
-        for stage, seconds, link in zip(self.stages, stage_seconds, self.links[1:]):
-            begin, t = stage.reserve(t, seconds)
-            start = begin if start is None else start
-            _, t = link.reserve(t, hop_seconds)
-        return start, t

@@ -125,11 +125,9 @@ _Row = tuple[KVSlot, list[int], int, bool]
 
 class _SlotCacheBackend:
     """Forwards run on the host against the engine slot's own KV caches,
-    with one scratch :class:`Workspace` for every flight of every pass
-    (:func:`~repro.models.cache.layer_steps`' scratch invariant: single
-    rows name no scratch, each attention result is copied out at once, and
-    the ``qkv``, ``scores``, ``attended`` and ``head_screen`` keys never
-    alias)."""
+    with one scratch :class:`Workspace` for every flight of every pass (no
+    workspace view is live across a weight pause, and each attention result
+    is copied out at once)."""
 
     supports_verify = True
     supports_rows = True

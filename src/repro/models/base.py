@@ -8,9 +8,8 @@ Fig. 3 of the paper splits a model into three stages:
    LM head).
 
 :class:`TransformerModel` encodes exactly that decomposition so that the
-systems in :mod:`repro.systems` (single-device, Voltage, tensor parallelism,
-pipeline parallelism) can run *any* of the three evaluation models through
-one generic code path.
+systems in :mod:`repro.systems` (single-device, Voltage, tensor parallelism)
+can run *any* of the three evaluation models through one generic code path.
 """
 
 from __future__ import annotations

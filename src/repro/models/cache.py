@@ -192,23 +192,9 @@ class KVCache:
             layer.truncate(length)
 
 
-def _qkv_request(attention, attn_input: np.ndarray, workspace: Workspace | None) -> tuple:
-    """The product request (see :func:`layer_steps`) of the fused QKV
-    projection of the new positions.  A multi-row projection lands in the
-    workspace's ``qkv`` scratch when one is supplied, so its result is valid
-    until the next workspace request for that key; a single row never names
-    scratch — its ``(1, 3·H·F_H)`` product is a fresh array."""
-    weight, bias = attention.fused_qkv()
-    t, dt = attn_input.shape[0], np.result_type(attn_input.dtype, weight.dtype)
-    out = None
-    if workspace is not None and t >= 2 and attn_input.dtype == dt:
-        out = workspace.take("qkv", (t, weight.shape[1]), dt)
-    return weight, bias, attn_input, out
-
-
 def _linear_request(linear, x: np.ndarray) -> tuple:
-    """The product request of ``linear(x)``, into a fresh array."""
-    return linear.weight.data, linear.bias.data if linear.bias else None, x, None
+    """The product request (see :func:`layer_steps`) of ``linear(x)``."""
+    return linear.weight.data, linear.bias.data if linear.bias else None, x
 
 
 def _split_qkv(attention, qkv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -299,13 +285,12 @@ def attend_segments(attends, lengths, q: np.ndarray, k_new: np.ndarray, v_new: n
     return attended
 
 
-def layer_steps(layer: TransformerLayer, x_new: np.ndarray, attend, workspace=None):
+def layer_steps(layer: TransformerLayer, x_new: np.ndarray, attend):
     """The cached causal layer, spelled once — as a generator that pauses at
     each of the layer's four weight matrices (fused QKV, W_O, FC1, FC2) on a
-    *product request*: ``y = yield (weight, bias, x, out)`` asks its driver
-    for ``x @ weight + bias`` (``bias`` and ``out`` may be None; with ``out``
-    the product is written there if the driver can).  Its return value is
-    the layer output ``(t, F)``.
+    *product request*: ``y = yield (weight, bias, x)`` asks its driver for
+    ``x @ weight + bias`` (``bias`` may be None) as a fresh array.  Its
+    return value is the layer output ``(t, F)``.
 
     ``attend(q, k_new, v_new) -> (H, t, F_H)`` receives the new positions'
     per-head projections and must return the *normalised* attended context
@@ -328,14 +313,8 @@ def layer_steps(layer: TransformerLayer, x_new: np.ndarray, attend, workspace=No
     (:func:`repro.tensor.blas.rows_matmul`), so sharing changes *when* and
     *from which cache level* an op runs, never its result.
 
-    Scratch invariant: a request's ``out`` is named *before* the pause and
-    read after it, so it belongs to its generator from the request until
-    that generator's next pause, and the driver must not let two requests
-    of one round write the same memory — flights may share one
-    :class:`Workspace`.  Hence single rows never name scratch
-    (:func:`_qkv_request`), :func:`lockstep` serves a multi-row ``out`` that
-    overlaps an earlier request's of the round into a fresh array instead,
-    and no other workspace view is live across a weight pause.
+    No workspace view is live across a weight pause, so the flights of a
+    pass may share one :class:`Workspace`.
     """
     if not layer.config.is_causal:
         raise ValueError("KV caching requires a causal layer")
@@ -343,7 +322,7 @@ def layer_steps(layer: TransformerLayer, x_new: np.ndarray, attend, workspace=No
     post = layer.config.norm_style == "post"
 
     attn_input = x_new if post else layer.ln1(x_new)
-    qkv = yield _qkv_request(attention, attn_input, workspace)
+    qkv = yield (*attention.fused_qkv(), attn_input)
     attended = attend(*_split_qkv(attention, qkv))
     projected = yield _linear_request(attention.output, merge_heads(attended))
     y = layer.ln1(projected + x_new) if post else x_new + projected
@@ -355,7 +334,7 @@ def layer_steps(layer: TransformerLayer, x_new: np.ndarray, attend, workspace=No
 
 def _serve(requests: dict) -> dict:
     """One round of :func:`lockstep`: ``requests[i]`` is generator ``i``'s
-    product request ``(weight, bias, x, out)`` or None (a bare pause);
+    product request ``(weight, bias, x)`` or None (a bare pause);
     returns ``x @ weight + bias`` (or None) under the same keys.
 
     Requests against the same matrix are served together: its single rows
@@ -368,7 +347,6 @@ def _serve(requests: dict) -> dict:
     for index, request in requests.items():
         if request is not None:
             by_weight.setdefault(id(request[0]), []).append(index)
-    claimed = []  # the scratch this round's products already occupy
     for members in by_weight.values():
         weight = requests[members[0]][0]
         singles = [index for index in members if requests[index][2].shape[0] == 1]
@@ -377,13 +355,9 @@ def _serve(requests: dict) -> dict:
                 zip(singles, rows_matmul([requests[index][2] for index in singles], weight))
             )
         for index in members:
-            _, bias, x, out = requests[index]
+            _, bias, x = requests[index]
             if products[index] is None:
-                if out is not None and any(np.may_share_memory(out, other) for other in claimed):
-                    out = None
-                elif out is not None:
-                    claimed.append(out)
-                products[index] = np.matmul(x, weight, out=out)
+                products[index] = np.matmul(x, weight)
             if bias is not None:
                 np.add(products[index], bias, out=products[index])
     return products
@@ -488,20 +462,19 @@ def packed_flights(config, lengths: Sequence[int]) -> list[int]:
         members = kept
 
 
-def layer_steps_cached(layer: TransformerLayer, x_new: np.ndarray, segments, workspace=None):
+def layer_steps_cached(layer: TransformerLayer, x_new: np.ndarray, segments):
     """:func:`layer_steps` over single-device caches — of one *row set*:
     ``x_new`` stacks the new rows of one or more flights and
     ``segments[i] = (rows, cache, workspace)`` says whose they are.  The
-    layer's weight products run once over all the stacked rows
-    (``workspace`` backs the stacked QKV projection); each flight's rows are
-    appended to and attended against its own :class:`LayerKVCache` with its
-    own scratch (:func:`attend_segments`)."""
+    layer's weight products run once over all the stacked rows; each
+    flight's rows are appended to and attended against its own
+    :class:`LayerKVCache` with its own scratch (:func:`attend_segments`)."""
     attends = [
         partial(attend_cached, layer.attention, cache.append, cache.length, True, scratch)
         for _, cache, scratch in segments
     ]
     attend = partial(attend_segments, attends, [rows for rows, _, _ in segments])
-    return layer_steps(layer, x_new, attend, workspace)
+    return layer_steps(layer, x_new, attend)
 
 
 def layer_forward_cached(
@@ -519,11 +492,11 @@ def layer_forward_cached(
     O(t·F²  + t·T·F) cost instead of O(T·F² + T²·F).
 
     ``workspace`` (optional, shared across layers and decode steps) backs
-    the large per-step intermediates so a steady-state step allocates only
-    its small ``(t, F)`` outputs.
+    the attention scores and context, so a step allocates only its weight
+    products and ``(t, F)`` outputs.
     """
     segments = [(x_new.shape[0], cache, workspace)]
-    return run_steps(layer_steps_cached(layer, x_new, segments, workspace))
+    return run_steps(layer_steps_cached(layer, x_new, segments))
 
 
 # ---------------------------------------------------------------------------

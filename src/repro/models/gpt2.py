@@ -295,19 +295,17 @@ class GPT2Model(TransformerModel):
         against its own caches — as a step generator (pausing at every
         weight boundary of every layer, see
         :func:`repro.models.cache.layer_steps_cached`); returns each
-        flight's hidden states before the final norm.  Scratch for the
-        stacked projection is the first flight's: a set of one flight is
-        exactly that flight's lone forward."""
+        flight's hidden states before the final norm.  A set of one flight
+        is exactly that flight's lone forward."""
         lengths = [len(f.new_ids) for f in flights]
         ids = np.concatenate([np.asarray(f.new_ids, dtype=np.int64) for f in flights])
         positions = np.concatenate(
             [np.arange(f.offset, f.offset + rows) for f, rows in zip(flights, lengths)]
         )
         x = self.embeddings.word(ids) + self.embeddings.position(positions)
-        workspace = flights[0].workspace
         for index, layer in enumerate(self.layers):
             segments = [(rows, f.caches[index], f.workspace) for f, rows in zip(flights, lengths)]
-            x = yield from layer_steps_cached(layer, x, segments, workspace)
+            x = yield from layer_steps_cached(layer, x, segments)
         bounds = [0, *accumulate(lengths)]
         return [x[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 

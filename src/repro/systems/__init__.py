@@ -4,8 +4,7 @@
 - :class:`VoltageSystem` — Algorithm 2 (position partition + All-Gather);
   with ``policy=OrderPolicy("naive")`` it is the naive partition baseline
   (position partition, fixed Eq. (3) order);
-- :class:`TensorParallelSystem` — Megatron-style sharding, 2 All-Reduces;
-- :class:`PipelineParallelSystem` — layer staging (throughput-oriented).
+- :class:`TensorParallelSystem` — Megatron-style sharding, 2 All-Reduces.
 """
 
 from repro.systems.adaptive import AdaptiveVoltageSystem
@@ -16,7 +15,6 @@ from repro.systems.fault_tolerant import (
     FailureSchedule,
     FaultTolerantVoltageSystem,
 )
-from repro.systems.pipeline_parallel import PipelineParallelSystem, StreamReport
 from repro.systems.single_device import SingleDeviceSystem
 from repro.systems.tensor_parallel import TensorParallelSystem
 from repro.systems.voltage import VoltageSystem
@@ -28,9 +26,7 @@ __all__ = [
     "FaultTolerantVoltageSystem",
     "InferenceResult",
     "InferenceSystem",
-    "PipelineParallelSystem",
     "SingleDeviceSystem",
-    "StreamReport",
     "TensorParallelSystem",
     "VoltageSystem",
     "activation_bytes",

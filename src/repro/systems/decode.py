@@ -436,7 +436,7 @@ def sharded_decode_step(
                 )
             else:
                 attend = partial(_attend_sharded, parts[rank], shard, offset, ctx, stats_dtype)
-            x = run_steps(layer_steps(layer, x, attend, workspace))
+            x = run_steps(layer_steps(layer, x, attend))
 
     if slices is not None:  # zero rows from everyone but the owner of the last new position
         x = ctx.all_gather(x[-1:] if rows.stop == total else x[:0], axis=0)

@@ -17,11 +17,9 @@ from repro.core.partition import PartitionScheme
 from repro.core.schedule import LayerSchedule
 from repro.models import BertModel, GPT2Model, tiny_config
 from repro.systems import (
-    PipelineParallelSystem,
     SingleDeviceSystem,
     TensorParallelSystem,
     VoltageSystem,
-    pipeline_parallel,
     single_device,
     tensor_parallel,
     voltage,
@@ -139,13 +137,3 @@ class TestTensorParallelConsistency:
             TensorParallelSystem(bert, cluster), ids,
         )
 
-
-class TestPipelineConsistency:
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_breakdown_matches(self, bert, k, monkeypatch):
-        cluster = ClusterSpec.homogeneous(k, gflops=3.0, bandwidth_mbps=400)
-        ids = bert.encode_text("pipeline stages in sequence")
-        assert_one_timeline(
-            monkeypatch, pipeline_parallel, "pipeline_timeline",
-            PipelineParallelSystem(bert, cluster), ids,
-        )

@@ -9,7 +9,6 @@ import pytest
 
 from repro.cluster.spec import ClusterSpec, paper_cluster
 from repro.models.config import tiny_config
-from repro.systems.pipeline_parallel import pipeline_timeline
 from repro.systems.single_device import single_device_timeline
 from repro.systems.tensor_parallel import tensor_parallel_timeline
 from repro.systems.voltage import voltage_timeline
@@ -37,10 +36,6 @@ class TestPhaseStructure:
         # pre + broadcast + 4x(compute+comm) + return + post
         assert len(latency(tensor_parallel_timeline, paper_cluster(4)).phases) == 12
 
-    def test_pipeline_phase_count(self):
-        # pre + ship + 2x(stage compute + hop) + post
-        assert len(latency(pipeline_timeline, paper_cluster(2)).phases) == 7
-
 
 class TestMonotonicities:
     def test_all_models_improve_with_bandwidth(self):
@@ -54,7 +49,6 @@ class TestMonotonicities:
             single_device_timeline,
             voltage_timeline,
             tensor_parallel_timeline,
-            pipeline_timeline,
         ):
             short = latency(timeline, paper_cluster(4), n=16).total_seconds
             long = latency(timeline, paper_cluster(4), n=64).total_seconds
@@ -64,12 +58,6 @@ class TestMonotonicities:
         c2 = latency(voltage_timeline, paper_cluster(2)).compute_seconds
         c6 = latency(voltage_timeline, paper_cluster(6)).compute_seconds
         assert c6 < c2
-
-    def test_pipeline_compute_constant_in_devices(self):
-        """Layer-staging never reduces a single request's total compute."""
-        c1 = latency(pipeline_timeline, paper_cluster(1)).compute_seconds
-        c4 = latency(pipeline_timeline, paper_cluster(4)).compute_seconds
-        assert c4 == pytest.approx(c1, rel=1e-9)
 
 
 class TestParameters:

@@ -1,8 +1,8 @@
-"""Tests for the cluster cost helper, resources, and the event engine."""
+"""Tests for the cluster cost helper."""
 
 import pytest
 
-from repro.cluster.simulator import ClusterSim, Resource, StagePipeline
+from repro.cluster.simulator import ClusterSim
 from repro.cluster.spec import ClusterSpec
 
 
@@ -58,33 +58,3 @@ class TestClusterSim:
         with pytest.raises(ValueError):
             sim.all_gather_overlapped([1e6] * 4, hideable_seconds=-1.0)
 
-
-class TestResource:
-    def test_fifo_reservations(self):
-        resource = Resource("cpu")
-        begin1, end1 = resource.reserve(0.0, 1.0)
-        begin2, end2 = resource.reserve(0.5, 1.0)
-        assert (begin1, end1) == (0.0, 1.0)
-        assert (begin2, end2) == (1.0, 2.0)  # queued behind the first
-
-    def test_idle_gap(self):
-        resource = Resource("cpu")
-        resource.reserve(0.0, 1.0)
-        begin, end = resource.reserve(5.0, 1.0)
-        assert (begin, end) == (5.0, 6.0)
-
-    def test_negative_duration(self):
-        with pytest.raises(ValueError):
-            Resource("cpu").reserve(0.0, -1.0)
-
-
-class TestStagePipeline:
-    def test_lone_request_pays_every_stage_and_hop(self):
-        start, finish = StagePipeline(2).push(1.0, [0.5, 0.25], 0.125)
-        assert (start, finish) == (1.125, 1.0 + 3 * 0.125 + 0.75)
-
-    def test_back_to_back_requests_overlap_across_stages(self):
-        pipeline = StagePipeline(2)
-        _, first = pipeline.push(0.0, [1.0, 1.0], 0.0)
-        start, second = pipeline.push(0.0, [1.0, 1.0], 0.0)
-        assert (first, start, second) == (2.0, 1.0, 3.0)  # one stage apart, not two

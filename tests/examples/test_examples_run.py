@@ -55,7 +55,7 @@ class TestExamplesRun:
 
     def test_cluster_simulation(self, capsys):
         out = _run("edge_cluster_simulation", ["--bandwidth", "300"], capsys)
-        assert "minimum bandwidth" in out and "pipeline" in out
+        assert "minimum bandwidth" in out and "tensor-par" in out
 
     def test_resilience(self, capsys):
         out = _run("resilient_inference", [], capsys)

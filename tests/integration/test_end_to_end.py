@@ -2,8 +2,8 @@
 
 This is the repo's strongest guarantee: for real text/image inputs, every
 deployment strategy — single device, Voltage (emulated and threaded), naive
-partition, tensor parallel (emulated and threaded), pipeline — produces the
-same predictions as the plain model.
+partition, tensor parallel (emulated and threaded) — produces the same
+predictions as the plain model.
 """
 
 import numpy as np
@@ -14,7 +14,6 @@ from repro.cluster.spec import ClusterSpec
 from repro.core.layer import OrderPolicy
 from repro.models import BertModel, GPT2Model, ViTModel, tiny_config, vit_base_config
 from repro.systems import (
-    PipelineParallelSystem,
     SingleDeviceSystem,
     TensorParallelSystem,
     VoltageSystem,
@@ -58,7 +57,6 @@ ALL_SYSTEMS = {
     "voltage": VoltageSystem,
     "naive-partition": lambda m, c: VoltageSystem(m, c, policy=OrderPolicy("naive")),
     "tensor-parallel": TensorParallelSystem,
-    "pipeline-parallel": PipelineParallelSystem,
 }
 
 

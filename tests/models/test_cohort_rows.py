@@ -115,48 +115,31 @@ class TestCohortRows:
 
     def test_lockstep_serves_each_generator_its_own_product(self):
         """Requests against one matrix are answered together — single rows
-        through ``rows_matmul``, a multi-row set by its own ``np.matmul``
-        into the scratch it named — each exactly ``x @ weight + bias``."""
+        through ``rows_matmul``, a multi-row set by its own ``np.matmul`` —
+        each exactly ``x @ weight + bias``."""
         rng = np.random.default_rng(0)
         weight, other = rng.standard_normal((2, 24, 40)).astype(np.float32)
         bias = rng.standard_normal(40).astype(np.float32)
-        scratch, transposed = np.empty((3, 40), dtype=np.float32), other.T
+        transposed = other.T
 
-        def steps(x, out=None):
-            first = yield (weight, bias, x, out)
+        def steps(x):
+            first = yield (weight, bias, x)
             yield  # generators need not pause on products only
-            second = yield (transposed, None, first, None)
+            second = yield (transposed, None, first)
             return first, second
 
         xs = [rng.standard_normal((rows, 24)).astype(np.float32) for rows in (1, 3, 1, 1)]
         registry = MetricsRegistry()
         with use_registry(registry):
-            results = lockstep([steps(xs[0]), steps(xs[1], scratch), steps(xs[2]), steps(xs[3])])
+            results = lockstep([steps(x) for x in xs])
         for x, (first, second) in zip(xs, results):
             assert np.array_equal(first, x @ weight + bias)
             assert np.array_equal(second, first @ transposed)
-        assert results[1][0] is scratch
         rows = sum(
             entry["value"] for name, entry in registry.snapshot().items()
             if name.startswith("tensor.rows_matmul_rows_total")
         )
         assert rows == 6  # three single rows, two shared matrices
-
-    def test_lockstep_never_serves_two_requests_into_the_same_scratch(self):
-        """Flights sharing one ``Workspace`` name the same ``qkv`` buffer in
-        the same round: the first keeps it, the second gets a fresh array."""
-        weight = np.random.default_rng(1).standard_normal((8, 6)).astype(np.float32)
-        shared = Workspace()
-
-        def steps(x):
-            return (yield (weight, None, x, shared.take("qkv", (len(x), 6))))
-
-        xs = [np.full((rows, 8), rows, dtype=np.float32) for rows in (3, 2, 3)]
-        first, second, third = lockstep([steps(x) for x in xs])
-        for x, product in zip(xs, (first, second, third)):
-            assert np.array_equal(product, x @ weight)
-        assert np.shares_memory(first, shared.take("qkv", (3, 6)))
-        assert not np.shares_memory(first, second) and not np.shares_memory(first, third)
 
 
 # -- the blocked LM head --------------------------------------------------------

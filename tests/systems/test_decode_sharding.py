@@ -436,9 +436,9 @@ class TestRuntimesMatchGenerateCached:
         calls = []
         real = decode_module.layer_steps
 
-        def spy(layer, x, attend, workspace=None):
+        def spy(layer, x, attend):
             calls.append((threading.current_thread().name, len(x)))
-            return real(layer, x, attend, workspace)
+            return real(layer, x, attend)
 
         monkeypatch.setattr(decode_module, "layer_steps", spy)
         system = VoltageSystem(tiny, ClusterSpec.homogeneous(2))

@@ -7,8 +7,10 @@ itself carries no extra dependency.
 """
 
 import ast
+import re
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,6 +78,29 @@ def test_obs_imports_nothing_above_it():
     round."""
     offenders = _imports_of(("obs",), UPPER_PACKAGES)
     assert not offenders, "layering violations:\n" + "\n".join(offenders)
+
+
+def _declared_dependencies() -> set[str]:
+    """The import names of ``pyproject.toml``'s ``[project] dependencies``
+    (a regex, not ``tomllib``: Python 3.10 has none)."""
+    text = (REPO_ROOT / "pyproject.toml").read_text()
+    block = re.search(r"^dependencies\s*=\s*\[(.*?)\]", text, re.M | re.S).group(1)
+    return {
+        re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower().replace("-", "_")
+        for spec in re.findall(r'"([^"]+)"', block)
+    }
+
+
+def test_src_imports_only_the_standard_library_and_declared_dependencies():
+    """``pip install -e .`` installs ``dependencies`` and nothing else, so an
+    import of any other third-party module under ``src/repro`` (function-level
+    ones too) works only where something happened to install it."""
+    allowed = set(sys.stdlib_module_names) | {"repro"} | _declared_dependencies()
+    offenders = [
+        line for line in _imports_of(("",), ("",))  # every import of src/repro
+        if line.rsplit(" imports ", 1)[1].split(".")[0] not in allowed
+    ]
+    assert not offenders, "undeclared imports:\n" + "\n".join(offenders)
 
 
 def test_engine_takes_no_argmax_of_head_logits():

@@ -12,7 +12,6 @@ CHECKS_ALWAYS_PRESENT = {
     "voltage_comm_volume",
     "tensor_parallel_run_vs_single",
     "tensor_parallel_threaded_vs_run",
-    "pipeline_run_vs_single",
 }
 
 
