@@ -1,7 +1,7 @@
 """Fleet bench (``repro.bench fleet``): router-policy sweep + autoscale demo.
 
 Replays a registered workload trace (default ``diurnal``) across the
-standard heterogeneous tier pool (full / int8 / linformer) once per router
+standard tier pool (full / int8, priced alike) once per router
 policy, every run autoscaled, and emits ``BENCH_fleet.json`` (schema
 ``repro-bench-fleet/v1``): per-policy p50/p99 latency, shed and
 deadline-miss rates, the replica-count envelope, per-tier utilisation —
@@ -42,6 +42,7 @@ from repro.fleet import (
     build_trace,
     make_router,
     make_tier_sequencer,
+    request_seconds,
     standard_tiers,
 )
 from repro.obs.metrics import MetricsRegistry, use_registry
@@ -59,7 +60,6 @@ emit_report = partial(harness.emit_report, schema=SCHEMA)
 
 _MAX_NEW = 8
 _NUM_SLOTS = 2
-_LINFORMER_RANK = 16
 _FLEET_CONFIG = FleetConfig(num_slots=_NUM_SLOTS, max_queue=3 * _NUM_SLOTS, max_new_tokens=_MAX_NEW)
 
 
@@ -121,18 +121,18 @@ class _FleetBench:
     def __init__(self, quick: bool, seed: int):
         self.seed = seed
         self.model_config = _fleet_model_config(quick)
-        self.tiers = standard_tiers(linformer_rank=_LINFORMER_RANK)
+        self.tiers = standard_tiers()
         self.models: dict = {}
         self.tier_meta = []
         for tier in self.tiers:
             model, meta = build_tier_model(tier, self.model_config, weight_seed=seed)
             self.models[tier.name] = model
-            self.tier_meta.append({**meta, "cost_scale": tier.cost_scale})
-        self.service_s = self.tiers[0].request_cost(REFERENCE_PROMPT_LEN, _MAX_NEW)
+            self.tier_meta.append(meta)
+        self.service_s = request_seconds(self.model_config, REFERENCE_PROMPT_LEN, _MAX_NEW)
 
     def _sequencer(self, tier):
         return make_tier_sequencer(
-            tier, self.models[tier.name], max_new_tokens=_MAX_NEW, prompt_seed=self.seed
+            self.models[tier.name], max_new_tokens=_MAX_NEW, prompt_seed=self.seed
         )
 
     def run(self, router, requests, autoscaled: bool) -> FleetReport:
@@ -163,7 +163,7 @@ def run_fleet_sweep(quick: bool = False, seed: int = 0, trace_ref: str = "diurna
     """Run the policy sweep plus the autoscale demo; returns one mode's
     payload (deterministic for a given ``quick``/``seed``/``trace_ref``)."""
     bench = _FleetBench(quick, seed)
-    full, service_s = bench.tiers[0], bench.service_s
+    service_s = bench.service_s
     trace = build_trace(trace_ref, seed=seed, quick=quick)
     scaled = trace.rescaled(service_s)
 
@@ -179,7 +179,7 @@ def run_fleet_sweep(quick: bool = False, seed: int = 0, trace_ref: str = "diurna
         else build_trace("diurnal", seed=seed, quick=quick).rescaled(service_s)
     )
     slo_s = 8.0 * service_s  # the diurnal trace's SLO budget, rescaled
-    worst_service_s = full.request_cost(12, _MAX_NEW)  # diurnal prompts are 4..12
+    worst_service_s = request_seconds(bench.model_config, 12, _MAX_NEW)  # prompts are 4..12
     bound_s = slo_s + _NUM_SLOTS * worst_service_s
 
     fixed, auto = (

@@ -7,27 +7,30 @@ p50/p99 latency, throughput, shed rate and slot occupancy per point, plus
 a 2× overload comparison of shedding vs no shedding.
 
 Since v2 the report also carries a **speculative-decoding comparison**: the
-``shared-prefix`` fleet trace replayed at saturating load through four
+``shared-prefix`` fleet trace replayed at saturating load through three
 engine configurations — baseline greedy decode, speculative with the
-n-gram self-drafting proposer, speculative with a truncated draft model,
-and speculative combined with the cross-request prefix cache.  All
-four must produce byte-identical outputs (greedy exact-match acceptance is
-lossless); what changes is virtual-time tokens/s.  ``--check`` gates that
-the outputs stay identical and every speedup stays above 1.0.
+n-gram self-drafting proposer, and speculative combined with the
+cross-request prefix cache.  All three must produce byte-identical outputs
+(greedy exact-match acceptance is lossless); what changes is virtual-time
+tokens/s.  ``--check`` gates that the outputs stay identical and every
+speedup stays above 1.0.
 
 Determinism: time is *virtual* (:class:`~repro.engine.clock.VirtualClock`)
-and every token step is charged a fixed analytic cost (the unscaled
-:class:`~repro.fleet.tiers.ReplicaTier` price), so the sweep's
-numbers depend only on the seed and the knobs — not on host speed.  That
-is what lets ``--check`` require the payload to equal the committed
-baseline exactly: a scheduling change that moves tail latency shows up as
-a diff on any machine, with zero noise.
+and every engine pass is charged its price on the fitted serving device
+(:func:`~repro.systems.decode.pass_seconds` on
+:data:`~repro.fleet.tiers.SERVE_DEVICE`, once per pass however many
+requests share it), so the sweep's numbers depend only on the seed and the
+knobs — not on host speed.  That is what lets ``--check`` require the
+payload to equal the committed baseline exactly: a scheduling change that
+moves tail latency shows up as a diff on any machine, with zero noise.
 
 The documented overload bound (EXPERIMENTS "Online serving"): with
-deadline shedding and an exact service estimate, an admitted request is
+deadline shedding and an exact service estimate (a request's lone price,
+:func:`~repro.fleet.tiers.request_seconds`), an admitted request is
 dispatched no later than ``deadline - service``, and with ``S`` slots its
-service stretches at most ``S``-fold under step interleaving, so admitted
-latency is bounded by ``slo + S × service``.  The no-shedding
+service stretches at most ``S``-fold under step interleaving — a pass
+never costs more than its flights' lone passes — so admitted latency is
+bounded by ``slo + S × service``.  The no-shedding
 configuration has no such bound — its queue grows without limit at 2×
 load — and the report records both sides.
 """
@@ -42,7 +45,6 @@ import numpy as np
 
 from repro.bench import harness
 from repro.engine import (
-    DraftModelProposer,
     EngineConfig,
     GPT2CachedSequencer,
     InferenceEngine,
@@ -50,13 +52,12 @@ from repro.engine import (
     SpeculativeSequencer,
     VirtualClock,
 )
-from repro.fleet.tiers import ReplicaTier
+from repro.fleet.tiers import SERVE_DEVICE, request_seconds
 from repro.serving.arrivals import Request, poisson_arrivals
+from repro.systems.decode import pass_seconds
 
 __all__ = [
     "SCHEMA",
-    "step_cost",
-    "request_cost",
     "run_serve_sweep",
     "run_speculative_comparison",
     "emit_report",
@@ -65,14 +66,6 @@ __all__ = [
 
 SCHEMA = "repro-bench-serve/v2"
 emit_report = partial(harness.emit_report, schema=SCHEMA)
-
-#: The analytic per-forward virtual price lives in one place, the fleet's
-#: tier model: an unscaled, uncapped tier charges exactly
-#: ``base + per_position·new + per_cached·cache``.
-_PRICE = ReplicaTier("serve")
-step_cost = _PRICE.step_cost
-request_cost = _PRICE.request_cost
-
 
 def _serve_model(quick: bool):
     from repro.models import GPT2Model
@@ -112,6 +105,8 @@ def run_serve_sweep(quick: bool = False, seed: int = 0) -> dict:
     """Run the offered-load sweep plus the overload demo; returns one mode's
     report payload (deterministic for a given ``quick``/``seed``)."""
     model = _serve_model(quick)
+    step_cost = partial(pass_seconds, model.config, SERVE_DEVICE)
+    request_cost = partial(request_seconds, model.config)
     max_new = 8
     prompt_tokens = (4, 12)
     num_requests = 48 if quick else 120
@@ -212,7 +207,6 @@ def run_speculative_comparison(quick: bool = False, seed: int = 0) -> dict:
 
     - ``baseline`` — plain KV-cached greedy decode;
     - ``speculative-ngram`` — self-drafting n-gram proposer;
-    - ``speculative-draft`` — one-layer truncated draft model proposer;
     - ``speculative-prefix-cache`` — n-gram proposer plus the cross-request
       prefix cache (retained prompt KV seeds same-tenant prefills).
 
@@ -229,7 +223,7 @@ def run_speculative_comparison(quick: bool = False, seed: int = 0) -> dict:
     shared_prefix = 12  # tenant system-prompt length, < min prompt - 2
     trace = build_trace("shared-prefix", seed=seed, quick=quick)
     mean_prompt = sum(r.n for r in trace.requests) / len(trace.requests)
-    service_s = request_cost(int(mean_prompt), max_new)
+    service_s = request_seconds(model.config, int(mean_prompt), max_new)
     # trace rate is 0.9 req/unit; one unit -> 0.1 service times ~= 9x capacity
     trace = trace.rescaled(0.1 * service_s)
     requests = list(trace.requests)
@@ -237,7 +231,7 @@ def run_speculative_comparison(quick: bool = False, seed: int = 0) -> dict:
     def sequencer_kwargs():
         return dict(
             max_new_tokens=max_new,
-            step_cost=step_cost,
+            step_cost=partial(pass_seconds, model.config, SERVE_DEVICE),
             prompt_seed=seed,
             shared_prefix_tokens=shared_prefix,
         )
@@ -248,16 +242,6 @@ def run_speculative_comparison(quick: bool = False, seed: int = 0) -> dict:
             "speculative-ngram",
             lambda: SpeculativeSequencer(
                 model, proposer=NgramProposer(), lookahead=lookahead, **sequencer_kwargs()
-            ),
-            False,
-        ),
-        (
-            "speculative-draft",
-            lambda: SpeculativeSequencer(
-                model,
-                proposer=DraftModelProposer(model.truncated_draft(1)),
-                lookahead=lookahead,
-                **sequencer_kwargs(),
             ),
             False,
         ),

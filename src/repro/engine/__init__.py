@@ -27,8 +27,13 @@ Quick start::
     from repro import engine
     from repro.serving.arrivals import poisson_arrivals
 
-    seq = engine.GPT2CachedSequencer(model, max_new_tokens=8,
-                                     step_cost=lambda t, n: 0.01 * t + 0.002)
+    from functools import partial
+    from repro.fleet import SERVE_DEVICE
+    from repro.systems.decode import pass_seconds
+
+    seq = engine.GPT2CachedSequencer(
+        model, max_new_tokens=8,
+        step_cost=partial(pass_seconds, model.config, SERVE_DEVICE))
     eng = engine.InferenceEngine(seq, engine.EngineConfig(num_slots=4))
     report = eng.run(poisson_arrivals(100, rate=5.0, n_tokens=16))
     print(report.stats().summary(), f"shed {report.shed_rate:.0%}")
@@ -47,7 +52,6 @@ from repro.engine.scheduler import Scheduler, ShedRequest
 from repro.engine.sequencer import GPT2CachedSequencer, VoltageDecodeSequencer
 from repro.engine.slots import KVSlot, SlotPool
 from repro.engine.speculative import (
-    DraftModelProposer,
     NgramProposer,
     SpeculativeSequencer,
     SpeculativeStats,
@@ -56,7 +60,6 @@ from repro.systems.decode import DecodeSession
 
 __all__ = [
     "CompletedRequest",
-    "DraftModelProposer",
     "EngineConfig",
     "EngineReport",
     "EngineStalledError",

@@ -546,8 +546,9 @@ class InferenceEngine:
                 # announce the iteration's flights — after every preemption, so
                 # each staged state is stepped below — then step them one by
                 # one: a sequencer may run all their forwards inside the first
-                # step that needs one (the iteration forward), but cost, clock
-                # and step accounting stay per flight
+                # step that needs one (the iteration forward), which is then
+                # charged the whole pass and the others nothing; clock and
+                # step accounting stay per flight
                 self.sequencer.stage([flight.state for flight in active], labels)
                 for flight in list(active):
                     in_use = pool.in_use

@@ -8,7 +8,8 @@ contract is a tiny state machine:
 - ``step(state)`` runs exactly one token-step of model compute and returns
   ``(done, virtual_cost)`` — ``virtual_cost`` is the simulated seconds to
   charge a :class:`~repro.engine.clock.VirtualClock` (None means "charge
-  measured wall time", the right default under a wall clock);
+  measured wall time", the right default under a wall clock): the price of
+  the pass the step ran, or 0.0 for a step that ran none;
 - ``result(state)`` is the finished request's output;
 - ``stage(states)`` announces, once per engine iteration and before any of
   them is stepped, the states about to take a step, so that one forward
@@ -46,12 +47,15 @@ backend the first ``step`` of an iteration that needs model compute — a
 prefill, a single-position decode or a verify round — runs one
 ``forward_rows`` for itself *and* every staged state whose own step will
 need a forward too, and stashes their tokens; each of those steps then
-commits, charges its own cost and consumes its tokens without touching the
-model.  Inside, :meth:`GPT2Model.logits_cached_rows` makes it one pass over
-the weights: multi-row flights packed into shared GEMMs, single positions
-as GEMV rows in the same lockstep, one blocked LM head.  Each flight's rows
-go through the kernels they would alone, so outputs are unchanged, and a
-pass of one flight *is* the plain step — there is no other forward path.
+commits and consumes its tokens without touching the model.  The pass is
+charged once, to the step that ran it: the cost hook prices its flights
+together, and a step served from the stash costs 0.0 — as under a wall
+clock, where the first step's measured time is the whole pass's.  Inside,
+:meth:`GPT2Model.logits_cached_rows` makes it one pass over the weights:
+multi-row flights packed into shared GEMMs, single positions as GEMV rows in
+the same lockstep, one blocked LM head.  Each flight's rows go through the
+kernels they would alone, so outputs are unchanged, and a pass of one
+flight *is* the plain step — there is no other forward path.
 ``step`` stays the only call that runs model compute.
 
 A preempted request is simply re-``begin``-ed later: greedy decoding is
@@ -121,6 +125,9 @@ class _Forward(NamedTuple):
 #: offset, all_positions)`` — greedy tokens for every new position (a
 #: verify) or only the last.
 _Row = tuple[KVSlot, list[int], int, bool]
+#: What the cost hook is handed per flight of a pass: ``(new_positions,
+#: cache_len_before, all_positions)``.
+_FlightShape = tuple[int, int, bool]
 
 
 class _SlotCacheBackend:
@@ -248,7 +255,7 @@ class _GreedySequencer:
         model,
         backend,
         max_new_tokens: int,
-        step_cost: Callable[[int, int], float] | None,
+        step_cost: Callable[[list[_FlightShape]], float] | None,
         prompt_seed: int,
     ):
         if max_new_tokens < 0:
@@ -262,10 +269,9 @@ class _GreedySequencer:
         self.truncated_prompts: dict[int, tuple[int, int]] = {}
         self.backend = backend
         self.max_new_tokens = max_new_tokens
+        # the single cost hook: virtual seconds of one pass over its flights,
+        # or None to charge measured wall time
         self.step_cost = step_cost
-        # the single cost hook: virtual seconds of one forward over
-        # (new_positions, cache_len_before), or None to charge measured wall
-        self._cost = step_cost if step_cost is not None else lambda new, cache_len: None
         # this iteration's staged states not yet stepped, and the forwards an
         # iteration forward already ran for some of them — both keyed by
         # request id
@@ -405,19 +411,19 @@ class _GreedySequencer:
         max_positions = self.model.config.max_positions
         stats, ids = self.stats, state.ids
         self._staged.pop(state.request.id, None)
-        # what an earlier step's iteration forward already ran for this one,
-        # else what this step runs itself
+        # what an earlier step's iteration forward already ran (and charged)
+        # for this one, else what this step runs itself
         forward = self._stash.pop(state.request.id, None) or self._plan(state)
+        cost = None if self.step_cost is None else 0.0  # unless this step runs the pass
         if forward is not None:
             if forward.tokens is None:
-                forward = self._iteration_forward(state, forward)
+                forward, cost = self._iteration_forward(state, forward)
             elif state.slot.length != forward.offset + len(forward.new_ids):
                 raise RuntimeError(
                     f"request {state.request.id}: its staged token was computed into a "
                     f"{forward.offset + len(forward.new_ids)}-row cache but slot "
                     f"{state.slot.index} holds {state.slot.length} rows"
                 )
-            cost = self._cost(len(forward.new_ids), forward.offset)
         if not state.prefilled:
             state.next_id = forward.tokens[-1]
             state.prefilled = True
@@ -431,7 +437,7 @@ class _GreedySequencer:
             stats.emitted += 1
         if forward is None:
             self._finish(state)
-            return True, 0.0 if self.step_cost is not None else None
+            return True, cost
         # with no guesses this was the exact one-position forward (same GEMV
         # head) of generate_cached — op-identical to non-speculative decode
         draft, guesses = forward.draft, forward.tokens
@@ -485,12 +491,15 @@ class _GreedySequencer:
         draft = self._draft(state, ids + [state.next_id], state.emitted + 1)
         return _Forward([state.next_id] + draft, len(ids), draft)
 
-    def _iteration_forward(self, state: _DecodeState, forward: _Forward) -> _Forward:
+    def _iteration_forward(
+        self, state: _DecodeState, forward: _Forward
+    ) -> tuple[_Forward, float | None]:
         """Run ``state``'s forward — together, on a backend that takes rows,
         with the forward of every staged state still to step this iteration
         (prefill, single position or verify round alike: one pass over the
         weights) — and stash the others' results for their own steps.  With
-        nothing staged this is the plain single step."""
+        nothing staged this is the plain single step.  Returns ``state``'s
+        forward and the pass's price (None without a cost hook)."""
         forwards = {state.request.id: (state, forward)}
         if self.backend.supports_rows:
             forwards.update(
@@ -518,7 +527,10 @@ class _GreedySequencer:
             (request_id, plan._replace(tokens=row_tokens))
             for (request_id, (_, plan)), row_tokens in zip(forwards.items(), tokens)
         )
-        return self._stash.pop(state.request.id)
+        cost = None if self.step_cost is None else self.step_cost(
+            [(len(new_ids), offset, all_positions) for _, new_ids, offset, all_positions in rows]
+        )
+        return self._stash.pop(state.request.id), cost
 
     def _finish(self, state: _DecodeState) -> None:
         state.done = True
@@ -542,12 +554,14 @@ class GPT2CachedSequencer(_GreedySequencer):
         self,
         model,
         max_new_tokens: int = 8,
-        step_cost: Callable[[int, int], float] | None = None,
+        step_cost: Callable[[list[_FlightShape]], float] | None = None,
         prompt_seed: int = 0,
         shared_prefix_tokens: int = 0,
     ):
-        """``step_cost(new_positions, cache_len_before)`` supplies the
-        deterministic virtual-time cost of one forward; leave None to charge
+        """``step_cost(flights)`` supplies the deterministic virtual-time
+        cost of one pass over its ``(new_positions, cache_len_before,
+        all_positions)`` flights (e.g. ``functools.partial`` of
+        :func:`repro.systems.decode.pass_seconds`); leave None to charge
         measured wall time (wall-clock serving).  ``prompt_seed`` namespaces
         the synthetic prompts :meth:`prompt_for` derives from request ids;
         ``shared_prefix_tokens > 0`` opens every tenant-tagged request's
@@ -579,7 +593,7 @@ class VoltageDecodeSequencer(_GreedySequencer):
         self,
         system,
         max_new_tokens: int = 8,
-        step_cost: Callable[[int, int], float] | None = None,
+        step_cost: Callable[[list[_FlightShape]], float] | None = None,
         prompt_seed: int = 0,
         runtime=None,
         attention: str = "gathered",

@@ -26,24 +26,18 @@ one-position forward — op-for-op identical, because it *is* the same
 ``step`` body (``sequencer._GreedySequencer``): this module only supplies
 the proposers, the counters and the construction that switches drafting on.
 
-Two proposers ship:
+The proposer is :class:`NgramProposer` — self-drafting: assume the
+sequence keeps following its own most recent repeated suffix.  Free (no
+model), and strong on greedy decodes, which settle into repetition
+attractors.  A proposer is any object with ``begin(ids)`` (per-request
+state, kept on ``_DecodeState.draft``) and ``propose(state, ids, k)``; what
+it proposes decides only *which* tokens are verified, never what the
+target accepts.
 
-- :class:`NgramProposer` — self-drafting: assume the sequence keeps
-  following its own most recent repeated suffix.  Free (no model), and
-  surprisingly strong on greedy decodes, which settle into repetition
-  attractors.
-- :class:`DraftModelProposer` — a smaller GPT-2 sharing the tokenizer /
-  vocab (typically :meth:`GPT2Model.truncated_draft`: the target's first
-  layers by reference) drafts ``k`` greedy tokens through its own KV cache,
-  resynchronised against the committed ids by longest-common-prefix
-  truncation each round.  Draft forwards affect only *which* tokens get
-  proposed — never what the target accepts — so draft-side float wobble
-  cannot touch output correctness.
-
-Virtual-time honesty: a verify over ``1 + k`` positions is charged
-``step_cost(1 + k, cache_len)``, so the serve bench's speedup is the cost
-model's own amortisation of the per-forward launch overhead, not an
-accounting trick.
+Virtual time: a verify round is one flight of its pass, priced with its
+``1 + k`` rows like any other (``systems.decode.pass_seconds``).  A
+proposer's own compute is not priced; on the wall clock the n-gram
+proposer's is negligible (EXPERIMENTS "One cost model").
 """
 
 from __future__ import annotations
@@ -54,7 +48,6 @@ from repro.engine.sequencer import GPT2CachedSequencer
 from repro.obs.metrics import get_registry
 
 __all__ = [
-    "DraftModelProposer",
     "NgramProposer",
     "SpeculativeSequencer",
     "SpeculativeStats",
@@ -143,74 +136,6 @@ class NgramProposer:
                         continuation = continuation + continuation
                     return continuation[:k]
         return []
-
-
-@dataclass
-class _DraftDecode:
-    """Per-request draft-model state: its own KV cache over committed ids."""
-
-    cache: object  # KVCache
-    workspace: object
-    ids: list[int]  # the ids whose rows the cache currently holds
-
-
-class DraftModelProposer:
-    """A smaller same-vocab GPT-2 drafts ``k`` greedy tokens per round.
-
-    The draft keeps its own per-request KV cache, sized by the request
-    itself: the first catch-up forward allocates the prompt's rows and
-    later rounds grow it geometrically, so a short request never holds a
-    ``max_positions`` cache (the *slot pool's* zero-allocation invariant is
-    untouched).  Each round it resynchronises by truncating to the longest
-    common prefix of its cached ids and the committed ids (drafts the
-    target rejected simply fall off), catches up on committed tokens in one
-    batched forward, then rolls ``k`` greedy steps ahead.
-    """
-
-    name = "draft-model"
-
-    def __init__(self, model):
-        if model.num_layers < 1:
-            raise ValueError("draft model needs at least one layer")
-        self.model = model
-
-    def begin(self, ids: list[int]) -> _DraftDecode:
-        from repro.models.cache import KVCache
-        from repro.tensor.workspace import Workspace
-
-        return _DraftDecode(
-            cache=KVCache.empty(self.model.num_layers),
-            workspace=Workspace(),
-            ids=[],
-        )
-
-    def propose(self, dstate: _DraftDecode, ids: list[int], k: int) -> list[int]:
-        model = self.model
-        max_positions = model.config.max_positions
-        k = min(k, max_positions - len(ids))
-        if k <= 0:
-            return []
-        # resync: keep only rows matching the committed ids, and always leave
-        # the last committed token to forward (its logits are what we draft from)
-        common = 0
-        bound = min(len(dstate.ids), len(ids) - 1)
-        while common < bound and dstate.ids[common] == ids[common]:
-            common += 1
-        if common < len(dstate.ids):
-            for layer_cache in dstate.cache.layers:
-                layer_cache.truncate(common)
-            del dstate.ids[common:]
-        drafts: list[int] = []
-        new = ids[common:]
-        while len(drafts) < k:
-            tokens, _ = model.argmax_cached_rows(
-                [(new, len(dstate.ids), dstate.cache.layers, dstate.workspace)]
-            )
-            guess = int(tokens[0])
-            dstate.ids.extend(new)
-            drafts.append(guess)
-            new = [guess]
-        return drafts
 
 
 class SpeculativeSequencer(GPT2CachedSequencer):

@@ -23,9 +23,11 @@ from repro.fleet.router import (
     replica_load,
 )
 from repro.fleet.tiers import (
+    SERVE_DEVICE,
     ReplicaTier,
     build_tier_model,
     make_tier_sequencer,
+    request_seconds,
     standard_tiers,
 )
 from repro.fleet.traces import (
@@ -55,6 +57,8 @@ __all__ = [
     "make_router",
     "replica_load",
     "ReplicaTier",
+    "SERVE_DEVICE",
+    "request_seconds",
     "standard_tiers",
     "build_tier_model",
     "make_tier_sequencer",

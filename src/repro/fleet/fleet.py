@@ -37,14 +37,14 @@ import numpy as np
 from repro.engine import EngineConfig, EngineReport, InferenceEngine, VirtualClock
 from repro.fleet.autoscaler import Autoscaler
 from repro.fleet.router import Router
-from repro.fleet.tiers import ReplicaTier
+from repro.fleet.tiers import ReplicaTier, request_seconds
 from repro.serving.arrivals import Request
 from repro.serving.stats import ServedRequest, ServingStats
 
 __all__ = ["FleetConfig", "Replica", "FleetReport", "Fleet", "REFERENCE_PROMPT_LEN"]
 
-#: Prompt length of the reference request that prices a tier's service cost
-#: for the router's load estimate.
+#: Prompt length of the reference request that prices a replica's service
+#: cost for the router's load estimate.
 REFERENCE_PROMPT_LEN = 8
 #: Replicas a run starts with, before the autoscaler's first tick.
 _INITIAL_REPLICAS = 1
@@ -58,14 +58,15 @@ class FleetConfig:
     max_queue: int | None = None
     max_new_tokens: int = 8
 
-    def engine_config(self, tier: ReplicaTier) -> EngineConfig:
+    def engine_config(self, model_config) -> EngineConfig:
         """A replica's engine sheds on deadline, estimating each request's
-        service time with its tier's exact cost model."""
+        service time as its lone price on ``model_config``
+        (:func:`~repro.fleet.tiers.request_seconds`)."""
         max_new = self.max_new_tokens
         return EngineConfig(
             num_slots=self.num_slots,
             max_queue=self.max_queue,
-            service_estimate=lambda r: tier.request_cost(r.n, max_new),
+            service_estimate=lambda r: request_seconds(model_config, r.n, max_new),
         )
 
 
@@ -76,7 +77,7 @@ class Replica:
     index: int  # spawn order, unique for the whole run (never reused)
     tier: ReplicaTier
     engine: InferenceEngine
-    service_cost: float  # virtual seconds per reference request on this tier
+    service_cost: float  # virtual seconds of a lone reference request on its model
     spawned_at: float
     retired_at: float | None = None
     report: EngineReport | None = None
@@ -209,8 +210,8 @@ class Fleet:
     ``sequencer_factory(tier)`` builds a fresh sequencer for each spawned
     replica (replicas must not share mutable decode state; sharing the
     underlying model weights is fine and expected).  ``tiers`` is the spawn
-    cycle: replica *i* gets ``tiers[i % len(tiers)]``, so a three-tier pool
-    grows full → int8 → linformer → full → ...
+    cycle: replica *i* gets ``tiers[i % len(tiers)]``, so the two-tier pool
+    grows full → int8 → full → ...
     """
 
     def __init__(
@@ -238,9 +239,11 @@ class Fleet:
     def _spawn(self, now: float) -> Replica:
         index = len(self._all)
         tier = self.tiers[index % len(self.tiers)]
+        sequencer = self.sequencer_factory(tier)
+        model_config = sequencer.model.config
         engine = InferenceEngine(
-            self.sequencer_factory(tier),
-            config=self.config.engine_config(tier),
+            sequencer,
+            config=self.config.engine_config(model_config),
             clock=VirtualClock(start=now),
             labels={"replica": f"r{index}"},
         )
@@ -249,7 +252,9 @@ class Fleet:
             index=index,
             tier=tier,
             engine=engine,
-            service_cost=tier.request_cost(REFERENCE_PROMPT_LEN, self.config.max_new_tokens),
+            service_cost=request_seconds(
+                model_config, REFERENCE_PROMPT_LEN, self.config.max_new_tokens
+            ),
             spawned_at=now,
         )
         self._all.append(replica)

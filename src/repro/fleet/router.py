@@ -7,8 +7,8 @@ request stream, which is what makes whole fleet runs replayable:
 - ``round-robin`` — cycle through the live set; the baseline that ignores
   load entirely.
 - ``least-loaded`` — minimise *priced* backlog: ``(queue_depth +
-  slots_in_use) × service_cost``, so a request on a cheap (int8/linformer)
-  tier counts for less than one on the full tier.  Ties break on spawn
+  slots_in_use) × service_cost``, so a request on a replica with a cheaper
+  model counts for less than one on a dearer model.  Ties break on spawn
   index.
 - ``power-of-two`` — sample two distinct replicas with a seeded RNG and
   take the less loaded (the classic two-choices result: near-least-loaded
@@ -48,7 +48,7 @@ ROUTER_POLICIES = ("round-robin", "least-loaded", "power-of-two", "affinity")
 
 
 def replica_load(replica) -> float:
-    """Priced backlog: work items it holds x the tier's relative service cost."""
+    """Priced backlog: work items it holds x its model's service cost."""
     return (replica.queue_depth + replica.slots_in_use) * replica.service_cost
 
 

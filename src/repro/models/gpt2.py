@@ -23,7 +23,6 @@ from repro.models.embeddings import TextEmbeddings
 from repro.models.tokenizer import SimpleTokenizer
 from repro.obs.metrics import get_registry
 from repro.tensor.layers import LayerNorm
-from repro.tensor.module import Module, ModuleList
 from repro.tensor.workspace import Workspace
 
 __all__ = ["CachedForward", "GPT2Model", "greedy_loop", "head_screen_block"]
@@ -380,29 +379,6 @@ class GPT2Model(TransformerModel):
             for index, flight in enumerate(flights)
             for row in (hidden[index] if flight.all_positions else hidden[index][-1:])
         ]
-
-    def truncated_draft(self, num_layers: int = 1) -> "GPT2Model":
-        """A shallower draft model for speculative decoding: shares this
-        model's embeddings, first ``num_layers`` transformer layers and
-        final norm *by reference* — no extra weights (none are even drawn:
-        the draft is assembled from the shared modules, in the
-        constructor's registration order), same tokenizer and vocab, so its
-        greedy proposals track the full model closely while each draft
-        forward runs ``num_layers / L`` of the layer stack."""
-        if not 1 <= num_layers < self.num_layers:
-            raise ValueError(
-                f"draft depth must be in [1, {self.num_layers - 1}], got {num_layers}"
-            )
-        draft = GPT2Model.__new__(GPT2Model)
-        Module.__init__(draft)
-        draft.config = self.config.scaled(
-            num_layers=num_layers, name=f"{self.config.name}-draft{num_layers}"
-        )
-        draft.layers = ModuleList(list(self.layers)[:num_layers])
-        draft.embeddings = self.embeddings
-        draft.ln_f = self.ln_f
-        draft.tokenizer = self.tokenizer
-        return draft
 
     def generate_cached(self, prompt_ids: np.ndarray, max_new_tokens: int = 8) -> np.ndarray:
         """Greedy decoding with a KV cache: prefill once, then O(1) steps.

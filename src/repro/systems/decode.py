@@ -87,6 +87,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.cluster.device import DeviceSpec
 from repro.cluster.runtime import WorkerContext
 from repro.cluster.service import RankService
 from repro.cluster.simulator import ClusterSim
@@ -101,6 +102,7 @@ from repro.core.combine import (
 )
 from repro.core.complexity import (
     DECODE_ATTENTION_MODES,
+    decode_layer_flops,
     decode_rank_flops,
     select_decode_order,
     select_order,
@@ -114,6 +116,7 @@ from repro.models.cache import (
     LayerKVCache,
     attend_cached,
     layer_steps,
+    packed_flights,
     run_steps,
     same_weight_kernels,
     shard_kv_views,
@@ -134,6 +137,7 @@ __all__ = [
     "decode_step_totals",
     "decode_timeline",
     "generate_distributed",
+    "pass_seconds",
     "run_decode",
     "sharded_decode_step",
 ]
@@ -568,6 +572,42 @@ def decode_step_pricing(
             0, [row_bytes if 0 < rows.length and rows.stop == total else 0 for rows in slices]
         )
     return per_rank_flops, layer_collectives, head_collectives
+
+
+def pass_seconds(
+    config, device: DeviceSpec, flights: Sequence[tuple[int, int, bool]]
+) -> float:
+    """Price one engine pass on one device — the serving counterpart of
+    :func:`decode_step_pricing`, on the same ``DeviceSpec.compute_seconds``.
+
+    ``flights`` are the pass's ``(new_positions, cache_len_before,
+    all_positions)``, grouped into row sets as
+    ``GPT2Model.argmax_cached_rows`` runs them: the flights
+    ``models.cache.packed_flights`` admits share one row set, every other
+    flight is its own.  Each (layer, row set) pair is one call over its
+    flights' ``decode_layer_flops``, and the head one call over the
+    ``F·V`` products of every wanted row (all of a verify flight's, else
+    the last), so a call's ``overhead_seconds`` is paid once however many
+    flights share it.
+    """
+    lengths = [new for new, _, _ in flights]
+    packed = packed_flights(config, lengths)
+    row_sets = [packed] * bool(packed) + [[i] for i in range(len(flights)) if i not in packed]
+    f = config.hidden_size
+    layer_seconds = sum(
+        device.compute_seconds(sum(
+            decode_layer_flops(
+                cached + new, f, config.head_dim, config.num_heads, config.ffn_dim,
+                new_positions=new,
+            )
+            for new, cached, _ in (flights[i] for i in row_set)
+        ))
+        for row_set in row_sets
+    )
+    wanted = sum(new if all_positions else 1 for new, _, all_positions in flights)
+    return config.num_layers * layer_seconds + device.compute_seconds(
+        f * config.vocab_size * wanted
+    )
 
 
 def decode_timeline(

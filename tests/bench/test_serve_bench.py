@@ -1,7 +1,7 @@
 """Components of the online-serving bench (``repro.bench serve``).
 
 The quick sweep runs in CI's gates lane; these tests cover the pieces
-fast — the analytic cost model's agreement with the sequencer, the report
+fast — the pass price's agreement with the sequencer, the report
 schema/merge, the regression gate, and the committed baseline's invariants
 (monotone sweep, overload bound demonstrated).
 """
@@ -10,28 +10,74 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench import serve
+from repro.engine import EngineConfig, InferenceEngine
+from repro.fleet import SERVE_DEVICE, make_tier_sequencer, request_seconds
+from repro.serving.arrivals import Request
+from repro.systems.decode import decode_step_totals, pass_seconds
 
 BASELINE = Path(__file__).resolve().parents[2] / "BENCH_serve.json"
 
 
+CONFIG = serve._serve_model(quick=True).config
+
+
+def lone(flight):
+    return pass_seconds(CONFIG, SERVE_DEVICE, [flight])
+
+
+flights = st.lists(
+    st.tuples(st.integers(1, 16), st.integers(0, 40), st.booleans()), min_size=1, max_size=6
+)
+
+
 class TestCostModel:
-    def test_step_cost_monotone_in_both_terms(self):
-        assert serve.step_cost(2, 0) > serve.step_cost(1, 0)
-        assert serve.step_cost(1, 10) > serve.step_cost(1, 0)
+    """The serving price: ``pass_seconds`` on ``SERVE_DEVICE`` per engine
+    pass, and a request's lone price built from it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(new=st.integers(1, 32), cached=st.integers(0, 31), wanted=st.booleans())
+    def test_step_cost_monotone_in_both_terms(self, new, cached, wanted):
+        """A flight's price grows with the rows it brings and the context
+        it attends."""
+        assert lone((new + 1, cached, wanted)) > lone((new, cached, wanted))
+        assert lone((new, cached + 1, wanted)) > lone((new, cached, wanted))
+
+    @settings(max_examples=80, deadline=None)
+    @given(flights=flights)
+    def test_a_pass_costs_between_its_dearest_flight_and_all_of_them(self, flights):
+        """Sharing a pass never costs more than running its flights alone —
+        the serve bench's ``slo + S x worst_service`` overload bound rests on
+        it — nor less than its dearest flight; and more context never makes
+        a pass cheaper."""
+        price = pass_seconds(CONFIG, SERVE_DEVICE, flights)
+        alone = [lone(flight) for flight in flights]
+        assert max(alone) <= price <= sum(alone) * (1 + 1e-12)
+        longer = [(new, cached + 1, wanted) for new, cached, wanted in flights]
+        assert pass_seconds(CONFIG, SERVE_DEVICE, longer) > price
 
     def test_request_cost_counts_the_sequencer_forwards(self):
-        """prefill + (max_new - 1) decode forwards, nothing more: the final
-        token is appended without a forward, exactly like the sequencer."""
+        """A request's price is its lone passes — the prefill and one decode
+        forward per later token, the last token committed without one, as
+        ``decode_step_totals`` lists them with one token fewer — and is
+        exactly the virtual time an engine serving it alone takes."""
         prompt_len, max_new = 5, 4
-        expected = serve.step_cost(prompt_len, 0)
-        for i in range(max_new - 1):
-            expected += serve.step_cost(1, prompt_len + i)
-        assert serve.request_cost(prompt_len, max_new) == pytest.approx(expected)
+        totals = decode_step_totals(prompt_len, max_new - 1, CONFIG.max_positions)
+        assert totals == [5, 6, 7, 8]
+        expected = lone((prompt_len, 0, False)) + sum(lone((1, t - 1, False)) for t in totals[1:])
+        assert request_seconds(CONFIG, prompt_len, max_new) == pytest.approx(expected)
+        model = serve._serve_model(quick=True)
+        engine = InferenceEngine(
+            make_tier_sequencer(model, max_new_tokens=max_new), EngineConfig(num_slots=2)
+        )
+        report = engine.run([Request(0.0, prompt_len, id=0)])
+        assert report.makespan == pytest.approx(request_seconds(CONFIG, prompt_len, max_new))
 
     def test_request_cost_with_zero_new_tokens_is_prefill_only(self):
-        assert serve.request_cost(6, 0) == pytest.approx(serve.step_cost(6, 0))
+        assert request_seconds(CONFIG, 6, 0) == pytest.approx(lone((6, 0, False)))
 
 
 def speculative_section(
@@ -311,7 +357,6 @@ class TestCommittedBaseline:
         assert set(configs) == {
             "baseline",
             "speculative-ngram",
-            "speculative-draft",
             "speculative-prefix-cache",
         }
         digests = {entry["output_digest"] for entry in configs.values()}
@@ -320,7 +365,7 @@ class TestCommittedBaseline:
                    for entry in configs.values())
         for name, speedup in spec["speedups"].items():
             assert speedup > 1.0, f"{name} shows no speedup"
-        for name in ("speculative-ngram", "speculative-draft", "speculative-prefix-cache"):
+        for name in ("speculative-ngram", "speculative-prefix-cache"):
             stats = configs[name]["speculative"]
             assert 0.0 < stats["acceptance_rate"] <= 1.0
             assert stats["tokens_per_forward"] > 1.0

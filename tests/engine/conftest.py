@@ -13,9 +13,16 @@ def gpt2():
     return GPT2Model(cfg, rng=np.random.default_rng(13))
 
 
-def constant_step_cost(new_positions, cache_len):
-    """Flat 10 ms virtual seconds per forward — keeps the math in tests easy."""
+def constant_step_cost(flights):
+    """Flat 10 ms virtual seconds per pass — keeps the math in tests easy."""
     return 0.01
+
+
+def position_cost(flights):
+    """Virtual seconds that depend on what each flight of a pass covers —
+    a sum over the flights, so a cost priced for the wrong flights or the
+    wrong cache lengths shows."""
+    return sum(0.002 + 0.0005 * new + 0.00001 * cached for new, cached, _ in flights)
 
 
 @pytest.fixture

@@ -2,13 +2,15 @@
 
 The engine stages each iteration's flights, and the first ``step`` that
 needs a forward — a prefill, a single position or a verify round — runs it
-for every staged state that will need one.  What must *not* change: every
-output, and every number the engine derives per flight — the ``(done,
-cost)`` each ``step`` returns, the virtual-time start / finish of every
-request, the step counts.  What the wall-clock benchmark relies on:
-``step`` is still called once per flight per iteration and is still where
-the model runs.
+for every staged state that will need one, and is charged the whole pass.
+What must *not* change: every output, the ``done`` each ``step`` returns,
+the step counts — and, under a price that adds up over flights, what each
+iteration costs and the virtual-time start / finish of every request.
+What the wall-clock benchmark relies on: ``step`` is still called once
+per flight per iteration and is still where the model runs.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,16 +25,12 @@ from repro.engine import (
     SpeculativeSequencer,
     VoltageDecodeSequencer,
 )
+from repro.fleet import SERVE_DEVICE
 from repro.serving.arrivals import Request
+from repro.systems.decode import pass_seconds
 from repro.tensor import blas
 
-from .conftest import check_bit_identity, constant_step_cost
-
-
-def position_cost(new_positions, cache_len):
-    """Virtual seconds that depend on what a forward covers, so a cost
-    charged to the wrong flight or the wrong cache length shows."""
-    return 0.002 + 0.0005 * new_positions + 0.00001 * cache_len
+from .conftest import check_bit_identity, constant_step_cost, position_cost
 
 
 def staggered(count=7):
@@ -60,12 +58,20 @@ class StepProxy:
         return done, cost
 
 
-class StagingSequencer(GPT2CachedSequencer):
+class Staging:
     """Logs every ``stage`` call next to the proxy's steps."""
 
     def stage(self, states, labels=None):
         self.log.append(("stage", [state.request.id for state in states]))
         super().stage(states, labels)
+
+
+class StagingSequencer(Staging, GPT2CachedSequencer):
+    pass
+
+
+class StagingSpeculativeSequencer(Staging, SpeculativeSequencer):
+    pass
 
 
 def run_logged(sequencer, requests, **config):
@@ -121,6 +127,25 @@ def iterations(log):
     return out
 
 
+def charged(log):
+    """Per iteration: the staged ids, each step's ``(id, done)`` and what the
+    iteration charged in all — with every float rounded to 12 places, as a
+    pass charged once adds its flights' costs in another order than steps
+    charged one by one do."""
+    return rounded([
+        (staged, [step[:2] for step in steps], sum(step[2] for step in steps))
+        for staged, steps in iterations(log)
+    ])
+
+
+def rounded(value):
+    if isinstance(value, float):
+        return round(value, 12)
+    if isinstance(value, (list, tuple)):
+        return type(value)(rounded(item) for item in value)
+    return value
+
+
 def forward_sizes(log):
     """Forwards per iteration of a run without preemption: every step but
     the commits that finish a request."""
@@ -142,15 +167,23 @@ class TestAccountingUnchanged:
     ]
 
     def test_virtual_time_pinned_to_the_parent(self, gpt2):
+        """``position_cost`` is a sum over a pass's flights, so charging the
+        pass once reproduces the per-flight charges of the parent — up to
+        the order the same terms are added in."""
         sequencer = GPT2CachedSequencer(gpt2, max_new_tokens=6, step_cost=position_cost)
         report = InferenceEngine(sequencer, EngineConfig(num_slots=3)).run(staggered())
         got = [
             (c.request.id, c.start, c.finish, c.steps, c.output[c.request.n:].tolist())
             for c in sorted(report.completed, key=lambda c: c.request.id)
         ]
-        assert got == self.PARENT
-        assert (report.steps_total, report.makespan) == (49, 0.12530000000000002)
-        assert report.slot_seconds == 0.30495000000000005
+        assert [(i, steps, out) for i, _, _, steps, out in got] == [
+            (i, steps, out) for i, _, _, steps, out in self.PARENT
+        ]
+        times = [time for row in got for time in row[1:3]]
+        assert times == pytest.approx([time for row in self.PARENT for time in row[1:3]])
+        assert report.steps_total == 49
+        assert report.makespan == pytest.approx(0.12530000000000002)
+        assert report.slot_seconds == pytest.approx(0.30495000000000005)
 
     @pytest.mark.parametrize("chaos", [None, 5])
     def test_step_results_and_lifecycles_equal_per_flight_decode(self, gpt2, chaos):
@@ -161,9 +194,9 @@ class TestAccountingUnchanged:
             report, log = run_logged(
                 per_flight(sequencer) if decline else sequencer, staggered(9), **config
             )
-            runs.append((log, lifecycle(report), report.steps_total, report.slot_seconds))
-        assert runs[0] == runs[1]  # every (done, cost), in order, and every timestamp
-        assert any(len(staged) > 1 for staged, _ in iterations(runs[0][0]))
+            runs.append((charged(log), rounded(lifecycle(report)), report.steps_total))
+        assert runs[0] == runs[1]  # every done, each iteration's cost, every timestamp
+        assert any(len(staged) > 1 for staged, _, _ in runs[0][0])
 
     @staticmethod
     def _scenario(gpt2, name):
@@ -181,7 +214,7 @@ class TestAccountingUnchanged:
             return sequencer, requests, dict(prefix_cache=True)
         proposer = CountingProposer(NgramProposer() if name == "n-gram drafts" else Always())
         costs["max_new_tokens"] = 10
-        sequencer = SpeculativeSequencer(gpt2, proposer, lookahead=3, **costs)
+        sequencer = StagingSpeculativeSequencer(gpt2, proposer, lookahead=3, **costs)
         return sequencer, staggered(9), {}
 
     @pytest.mark.parametrize("chaos", [None, 5])
@@ -192,7 +225,8 @@ class TestAccountingUnchanged:
     def test_every_forward_kind_equals_per_flight_forwards(self, gpt2, name, chaos):
         """Prefills, prefix-cache suffixes and verify rounds joined the
         shared pass (the test above is the staggered prefill + decode mix);
-        the ``(done, cost)`` log, finish order, outputs, the proposer's call
+        the steps' ``done`` log, each iteration's cost (``position_cost``
+        adds up over flights), finish order, outputs, the proposer's call
         count and the speculative counters are those of a backend that runs
         every forward in its own flight's step."""
         runs = []
@@ -207,18 +241,18 @@ class TestAccountingUnchanged:
             check_bit_identity(report, sequencer, requests)
             proposer, stats = sequencer.proposer, sequencer.stats
             runs.append((
-                [entry for entry in log if entry[0] == "step"],
-                [c.request.id for c in report.completed], lifecycle(report),
-                report.steps_total, report.slot_seconds, report.prefix_cache,
+                charged(log),
+                [c.request.id for c in report.completed], rounded(lifecycle(report)),
+                report.steps_total, report.prefix_cache,
                 proposer and proposer.calls, stats and stats.as_dict(),
             ))
             shared = registry.histogram("engine.decode_cohort_rows").max
             assert shared == 1 if decline else shared > 1
         assert runs[0] == runs[1]
         if name == "prefix-cache hits":
-            assert runs[0][5]["hits"] > 0
+            assert runs[0][4]["hits"] > 0
         if name == "always drafting":
-            assert runs[0][7]["rounds"] > 0
+            assert runs[0][6]["rounds"] > 0
 
 
 class TestSharedMatrixKernel:
@@ -370,6 +404,25 @@ class TestMixedIterations:
             check_bit_identity(report, sequencer, requests)
         rows = registry.histogram("engine.decode_cohort_rows")
         assert rows.count == report.steps_total - len(requests) and rows.max == 1  # all alone
+
+
+class TestPassPrice:
+    def test_co_scheduled_flights_advance_the_clock_by_one_pass(self, gpt2):
+        """Three co-arriving requests share every pass: under a virtual
+        clock each iteration costs the price of its one pass over all three
+        flights — charged to the step that ran it, the others charged 0 —
+        not three prices."""
+        price = partial(pass_seconds, gpt2.config, SERVE_DEVICE)
+        sequencer = StagingSequencer(gpt2, max_new_tokens=4, step_cost=price)
+        requests = [Request(arrival=0.0, n=6, id=i) for i in range(3)]
+        report, log = run_logged(sequencer, requests, num_slots=3)
+        check_bit_identity(report, sequencer, requests)
+        passes = [[(6, 0, False)] * 3] + [[(1, 6 + i, False)] * 3 for i in range(3)]
+        costs = [[cost for _, _, cost in steps] for _, steps in iterations(log)]
+        assert costs == [[price(flights), 0.0, 0.0] for flights in passes] + [[0.0] * 3]
+        assert report.makespan == pytest.approx(sum(map(price, passes)))
+        lone = sum(price(flights[:1]) for flights in passes)
+        assert lone < report.makespan < 3 * lone
 
 
 class TestStepProtocol:

@@ -15,7 +15,6 @@ import pytest
 
 from repro.cluster.spec import ClusterSpec
 from repro.engine import (
-    DraftModelProposer,
     GPT2CachedSequencer,
     NgramProposer,
     SlotPool,
@@ -25,7 +24,7 @@ from repro.engine import (
 from repro.serving.arrivals import Request, bursty_arrivals
 from repro.systems.voltage import VoltageSystem
 
-from .conftest import chaos_soak, constant_step_cost
+from .conftest import chaos_soak, constant_step_cost, position_cost
 
 MAX_NEW = 4
 
@@ -54,9 +53,6 @@ CONSTRUCTIONS = {
         gpt2, max_new_tokens=MAX_NEW, step_cost=constant_step_cost
     )),
     "speculative-ngram": speculative(lambda gpt2: NgramProposer()),
-    "speculative-draft-model": speculative(
-        lambda gpt2: DraftModelProposer(gpt2.truncated_draft(1))
-    ),
     "voltage-gathered-threaded": voltage("gathered", "threaded"),
     "voltage-gathered-process": voltage("gathered", "process"),
     "voltage-distributed-threaded": voltage("distributed", "threaded"),
@@ -92,7 +88,7 @@ def test_empty_drafts_degenerate_to_the_plain_sequencer_step_for_step(gpt2):
     """A speculative sequencer whose proposer never proposes runs the plain
     sequencer's exact steps: same ``(done, cost)`` sequence, same step count,
     same output — the zero-token draft *is* the single-position forward."""
-    kwargs = dict(max_new_tokens=6, step_cost=lambda new, cached: 0.01 * new + 0.001 * cached)
+    kwargs = dict(max_new_tokens=6, step_cost=position_cost)
     prompt = GPT2CachedSequencer(gpt2, **kwargs).prompt_for(Request(0.0, 7, id=0))
 
     def trace(sequencer):

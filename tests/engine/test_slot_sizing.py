@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.engine import (
-    DraftModelProposer,
     EngineConfig,
     GPT2CachedSequencer,
     InferenceEngine,
@@ -105,14 +104,6 @@ class TestSlotSizing:
         assert engine.pool.allocations() == 2 * long_gpt2.num_layers
         for done in report.completed:
             np.testing.assert_array_equal(done.output, sequencer.offline_reference(done.request))
-
-    def test_draft_cache_grows_from_the_request(self, long_gpt2):
-        proposer = DraftModelProposer(long_gpt2.truncated_draft(1))
-        ids = list(range(1, 11))
-        dstate = proposer.begin(ids)
-        proposer.propose(dstate, ids, 3)
-        (cache,) = dstate.cache.layers
-        assert len(ids) <= cache.capacity < long_gpt2.config.max_positions
 
 
 class TestSharedWorkspace:

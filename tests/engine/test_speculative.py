@@ -3,7 +3,8 @@
 The headline guarantee extends ISSUE 4's: a speculative engine run —
 drafting, batched verify, rollback, under chaos preemption and
 interleaving — must emit outputs bit-identical to the offline
-``generate_cached`` reference, on *both* proposers.  Everything else here
+``generate_cached`` reference, whether the proposer's drafts are mostly
+accepted (n-gram) or mostly rolled back (:class:`RepeatProposer`).  Everything else here
 pins the mechanics: proposal shapes, budget clamping, degenerate rounds,
 and honest stats.
 """
@@ -13,7 +14,6 @@ import pytest
 
 from repro import obs
 from repro.engine import (
-    DraftModelProposer,
     EngineConfig,
     GPT2CachedSequencer,
     InferenceEngine,
@@ -24,6 +24,20 @@ from repro.engine import (
 from repro.serving.arrivals import Request, bursty_arrivals, uniform_arrivals
 
 from .conftest import chaos_soak, check_bit_identity, constant_step_cost
+
+
+class RepeatProposer:
+    """Drafts its last committed token ``k`` times: a full draft every
+    round, nearly all of it rolled back."""
+
+    def begin(self, ids):
+        return None
+
+    def propose(self, dstate, ids, k):
+        return [ids[-1]] * k
+
+
+PROPOSERS = {"ngram": NgramProposer, "repeat": RepeatProposer}
 
 
 def spec_sequencer(gpt2, proposer=None, **kwargs):
@@ -59,70 +73,12 @@ class TestNgramProposer:
             NgramProposer(max_order=0)
 
 
-class TestDraftModelProposer:
-    def test_drafts_track_the_target_greedy_path(self, gpt2):
-        """A draft sharing ALL the target's layers is the target — its
-        proposals must equal the target's own greedy continuation."""
-        proposer = DraftModelProposer(gpt2)
-        prompt = np.array([3, 1, 4, 1, 5], dtype=np.int64)
-        reference = gpt2.generate_cached(prompt, max_new_tokens=4)
-        dstate = proposer.begin(list(prompt))
-        drafts = proposer.propose(dstate, list(prompt), k=4)
-        assert drafts == [int(t) for t in reference[len(prompt):]]
-
-    def test_resync_truncates_rejected_speculation(self, gpt2):
-        proposer = DraftModelProposer(gpt2.truncated_draft(1))
-        ids = [3, 1, 4, 1, 5]
-        dstate = proposer.begin(ids)
-        proposer.propose(dstate, ids, k=3)
-        cached_after_first = list(dstate.ids)
-        # the target rejected everything and emitted 9 instead
-        ids2 = ids + [9]
-        proposer.propose(dstate, ids2, k=3)
-        # the draft cache was rolled back to the still-valid committed prefix
-        assert dstate.ids[: len(ids2)] == ids2
-        assert len(cached_after_first) >= len(ids)
-
-    def test_respects_the_position_budget(self, gpt2):
-        proposer = DraftModelProposer(gpt2.truncated_draft(1))
-        max_positions = gpt2.config.max_positions
-        ids = list(range(3)) * (max_positions // 3)
-        ids = ids[: max_positions - 1]
-        dstate = proposer.begin(ids)
-        assert len(proposer.propose(dstate, ids, k=4)) <= 1
-        full = list(range(2)) * (max_positions // 2)
-        dstate2 = proposer.begin(full)
-        assert proposer.propose(dstate2, full, k=4) == []
-
-    def test_truncated_draft_shares_weights_by_reference(self, gpt2):
-        draft = gpt2.truncated_draft(1)
-        assert draft.num_layers == 1
-        assert draft.embeddings is gpt2.embeddings
-        assert draft.layers[0] is gpt2.layers[0]
-        assert draft.ln_f is gpt2.ln_f
-        assert draft.tokenizer is gpt2.tokenizer
-        # assembled from the shared modules, registered as the constructor would
-        built = type(gpt2)(draft.config)
-        assert draft.config.name == f"{gpt2.config.name}-draft1"
-        assert [n for n, _ in draft.named_parameters()] == [n for n, _ in built.named_parameters()]
-        assert draft.num_bytes() == built.num_bytes()
-        with pytest.raises(ValueError, match="draft depth"):
-            gpt2.truncated_draft(gpt2.num_layers)
-        with pytest.raises(ValueError, match="draft depth"):
-            gpt2.truncated_draft(0)
-
-
 class TestBitIdentity:
     """Single-request equivalence before the concurrent soaks."""
 
-    @pytest.mark.parametrize("proposer_kind", ["ngram", "draft"])
+    @pytest.mark.parametrize("proposer_kind", list(PROPOSERS))
     def test_single_request_matches_offline(self, gpt2, proposer_kind):
-        proposer = (
-            NgramProposer()
-            if proposer_kind == "ngram"
-            else DraftModelProposer(gpt2.truncated_draft(1))
-        )
-        sequencer = spec_sequencer(gpt2, proposer=proposer, max_new_tokens=8)
+        sequencer = spec_sequencer(gpt2, proposer=PROPOSERS[proposer_kind](), max_new_tokens=8)
         for rid, n in enumerate((3, 5, 9, 14)):
             request = Request(0.0, n, id=rid)
             report = InferenceEngine(sequencer, EngineConfig(num_slots=1)).run([request])
@@ -153,7 +109,8 @@ class TestBitIdentity:
 
 
 class TestSpeculativeSoak:
-    """The tentpole guarantee on both proposers, chaos preemption included."""
+    """The tentpole guarantee for accepted and rejected drafts, chaos
+    preemption included."""
 
     def requests(self):
         return [
@@ -161,14 +118,9 @@ class TestSpeculativeSoak:
             for r in bursty_arrivals(bursts=2, burst_size=10, burst_gap=0.005, n_tokens=(3, 9))
         ]
 
-    @pytest.mark.parametrize("proposer_kind", ["ngram", "draft"])
+    @pytest.mark.parametrize("proposer_kind", list(PROPOSERS))
     def test_soak_bit_identical_under_preemption(self, gpt2, proposer_kind):
-        proposer = (
-            NgramProposer()
-            if proposer_kind == "ngram"
-            else DraftModelProposer(gpt2.truncated_draft(1))
-        )
-        sequencer = spec_sequencer(gpt2, proposer=proposer)
+        sequencer = spec_sequencer(gpt2, proposer=PROPOSERS[proposer_kind]())
         report = chaos_soak(
             sequencer, self.requests(),
             num_slots=3, chaos_preempt_period=5, chaos_max_preemptions=2, chaos_seed=7,
@@ -198,9 +150,13 @@ class TestSpeculativeSoak:
 
     def test_speculative_is_faster_in_virtual_time(self, gpt2):
         """The point of the feature: same outputs, fewer forwards, and a
-        smaller virtual-time makespan under the analytic step cost."""
-        from repro.bench.serve import step_cost
+        smaller virtual-time makespan under the serving device's pass price."""
+        from functools import partial
 
+        from repro.fleet import SERVE_DEVICE
+        from repro.systems.decode import pass_seconds
+
+        step_cost = partial(pass_seconds, gpt2.config, SERVE_DEVICE)
         requests = uniform_arrivals(8, interval=0.001, n_tokens=(6, 12))
 
         def run(speculative):
@@ -257,13 +213,6 @@ class TestValidation:
     def test_lookahead_validated(self, gpt2):
         with pytest.raises(ValueError, match="lookahead"):
             SpeculativeSequencer(gpt2, lookahead=0)
-
-    def test_draft_model_needs_layers(self, gpt2):
-        class NoLayers:
-            num_layers = 0
-
-        with pytest.raises(ValueError, match="at least one layer"):
-            DraftModelProposer(NoLayers())
 
     def test_dirty_slot_still_rejected(self, gpt2):
         sequencer = spec_sequencer(gpt2)

@@ -12,35 +12,36 @@ from repro.fleet import (
     build_trace,
     make_router,
     make_tier_sequencer,
+    request_seconds,
     standard_tiers,
 )
 from repro.models.config import gpt2_config
 from repro.obs.metrics import MetricsRegistry, use_registry
 
 MAX_NEW = 6
-TIERS = standard_tiers(linformer_rank=8)
+TIERS = standard_tiers()
+
+
+CONFIG = gpt2_config().scaled(
+    num_layers=1, hidden_size=32, num_heads=2, ffn_dim=64,
+    vocab_size=128, max_positions=64, name="gpt2-fleet-test",
+)
 
 
 @pytest.fixture(scope="module")
 def tier_models():
-    config = gpt2_config().scaled(
-        num_layers=1, hidden_size=32, num_heads=2, ffn_dim=64,
-        vocab_size=128, max_positions=64, name="gpt2-fleet-test",
-    )
-    return {tier.name: build_tier_model(tier, config, weight_seed=0)[0] for tier in TIERS}
+    return {tier.name: build_tier_model(tier, CONFIG, weight_seed=0)[0] for tier in TIERS}
 
 
 def factory_for(tier_models):
     def factory(tier):
-        return make_tier_sequencer(
-            tier, tier_models[tier.name], max_new_tokens=MAX_NEW, prompt_seed=0
-        )
+        return make_tier_sequencer(tier_models[tier.name], max_new_tokens=MAX_NEW, prompt_seed=0)
 
     return factory
 
 
 def diurnal_trace():
-    service_s = TIERS[0].request_cost(8, MAX_NEW)
+    service_s = request_seconds(CONFIG, 8, MAX_NEW)
     return build_trace("diurnal", seed=0, quick=True).rescaled(service_s), service_s
 
 

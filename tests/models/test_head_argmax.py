@@ -246,11 +246,6 @@ class TestAdversarial:
         model.embeddings.word.weight.data = table
         assert model.head_argmax(rows, Workspace())[1] == 1
 
-    def test_draft_sharing_the_table_shares_nothing_stale(self, model):
-        draft = model.truncated_draft(1)
-        rows = hidden_rows(model, 3, seed=7)
-        assert np.array_equal(draft.head_argmax(rows)[0], reference(model, rows))
-
 
 class TestScreenWithinBound:
     @settings(max_examples=40, deadline=None)

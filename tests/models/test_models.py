@@ -175,7 +175,6 @@ def test_building_gpt2_peaks_near_its_parameter_bytes():
         from repro.models.gpt2 import GPT2Model
         model = GPT2Model(gpt2_config().scaled(num_layers=4, max_positions=256),
                           rng=np.random.default_rng(0))
-        draft = model.truncated_draft(1)  # shares, draws nothing
         peak_kib = re.search(r"VmHWM:\\s+(\\d+) kB", open("/proc/self/status").read()).group(1)
         print(model.num_bytes(), int(peak_kib) * 1024)
     """)
