@@ -59,12 +59,11 @@ class ReplicaTier:
 def request_seconds(config, prompt_len: int, max_new_tokens: int) -> float:
     """Virtual seconds of one request served alone on :data:`SERVE_DEVICE`:
     the lone pass prices of its forwards.  Those are
-    ``decode_step_totals``' with one token fewer — the engine's sequencer
-    commits the last token without the forward ``greedy_loop`` runs after
-    it — over the prompt clipped to the position budget, as
-    ``prompt_for`` clips it."""
+    ``decode_step_totals``', over the prompt clipped to the position
+    budget, as ``prompt_for`` clips it — or the prefill alone, which the
+    engine's sequencer runs even for a request that keeps no token."""
     prompt_len = min(prompt_len, config.max_positions)
-    totals = decode_step_totals(prompt_len, max(max_new_tokens - 1, 0), config.max_positions)
+    totals = decode_step_totals(prompt_len, max_new_tokens, config.max_positions) or [prompt_len]
     news = [prompt_len] + [1] * (len(totals) - 1)
     return sum(
         pass_seconds(config, SERVE_DEVICE, [(new, total - new, False)])

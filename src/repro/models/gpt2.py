@@ -50,18 +50,16 @@ def greedy_loop(step, ids: list[int], max_new_tokens: int, max_positions: int) -
     """Greedy decoding's control flow, spelled once: ``step(new_ids,
     offset) -> next token id`` runs one cached forward — first over the
     whole prompt ``ids``, then over each appended token — and ``ids`` grows
-    in place, stopping at ``max_new_tokens`` new tokens or ``max_positions``
-    ids; returns ``ids``.  :meth:`GPT2Model.generate_cached`, the decode
-    session's clients and ``systems.decode.decode_step_totals`` (over
-    lengths only) all run it."""
-    next_id = step(ids, 0)
-    for _ in range(max_new_tokens):
-        if len(ids) >= max_positions:
-            break
-        ids.append(next_id)
-        if len(ids) >= max_positions:
-            break
-        next_id = step([ids[-1]], len(ids) - 1)
+    in place by its token, stopping at ``max_new_tokens`` new tokens or
+    ``max_positions`` ids; returns ``ids``.  Only forwards whose token is
+    kept run: the last token ends the loop without another.
+    :meth:`GPT2Model.generate_cached`, the decode session's clients and
+    ``systems.decode.decode_step_totals`` (over lengths only) all run it."""
+    new_tokens = min(max_new_tokens, max_positions - len(ids))
+    if new_tokens > 0:
+        ids.append(step(ids, 0))
+    for _ in range(new_tokens - 1):
+        ids.append(step([ids[-1]], len(ids) - 1))
     return ids
 
 

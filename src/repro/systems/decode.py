@@ -685,9 +685,11 @@ def run_decode(
 
     The tokens come from the session's ranks, exactly as
     :func:`generate_distributed`'s do (they share one driver); the ranks
-    then reply with their vocab shards of the last step's logits, which
-    ``meta["final_logits"]`` concatenates in rank order.  The latency and
-    every byte field of ``meta`` are :func:`decode_timeline` over the
+    then reply with their vocab shards of the last step's logits — the
+    step that produced the last token, over the first
+    ``meta["final_logits_prefix"]`` ids — which ``meta["final_logits"]``
+    concatenates in rank order (both None when no step ran).  The latency
+    and every byte field of ``meta`` are :func:`decode_timeline` over the
     request's shapes.
     """
     model = system.model
@@ -695,7 +697,7 @@ def run_decode(
     prompt_len = len(np.asarray(prompt_ids))
     with DecodeSession(system, attention=attention) as session:
         output = _decode_slot(session, model, prompt_ids, max_new_tokens)
-        final_logits = session.logits(0)
+        final_logits = session.logits(0) if len(output) > prompt_len else None
     capacity = decode_capacity(model, prompt_len, max_new_tokens)
     schedule = system.schedule(capacity)
     layer_parts = schedule.layer_parts(capacity, config.num_layers)
@@ -737,7 +739,7 @@ def run_decode(
         "uncached_orders": uncached_orders,
         "shard_spans": [[part.start, part.stop] for part in layer_parts[0]],
         "final_logits": final_logits,
-        "final_logits_prefix": totals[-1],
+        "final_logits_prefix": totals[-1] if totals else None,
     }
     return InferenceResult(output=output, latency=latency, meta=meta)
 
@@ -747,7 +749,8 @@ def decode_step_totals(prompt_len: int, max_new_tokens: int, max_positions: int)
     :func:`~repro.models.gpt2.greedy_loop` (``generate_cached``'s control
     flow) over a stand-in step that records ``offset + len(new_ids)`` — the
     prompt's rows on the prefill, then the post-append length of each token
-    step, stopping at ``max_positions`` exactly where the real loop does."""
+    step: one step per kept token, so none when no token fits under
+    ``max_positions``."""
     totals: list[int] = []
 
     def step(new_ids, offset):

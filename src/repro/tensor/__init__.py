@@ -11,7 +11,10 @@ provides just enough structure to express transformer models faithfully:
 - :mod:`repro.tensor.layers` — `Linear`, `LayerNorm`, `Embedding` modules;
 - :mod:`repro.tensor.blas` — :func:`rows_matmul`, several single rows against
   one weight matrix streamed once (a small C kernel in ``np.matmul``'s own
-  summation order, built at first use).
+  summation order, built at first use);
+- :mod:`repro.tensor.workspace` — scratch buffers, and the process's malloc
+  policy (one glibc arena), applied here on import: before any thread of
+  the package exists, which a later call could not undo.
 
 Everything operates on ``numpy.ndarray`` in ``float32`` by default, which is
 what edge CPU inference uses in practice and what the paper's latency model
@@ -22,9 +25,11 @@ from repro.tensor import functional, init
 from repro.tensor.blas import rows_matmul
 from repro.tensor.layers import Embedding, LayerNorm, Linear
 from repro.tensor.module import Module, Parameter
-from repro.tensor.workspace import Workspace
+from repro.tensor.workspace import Workspace, malloc_policy
 
 DEFAULT_DTYPE = "float32"
+
+malloc_policy()
 
 __all__ = [
     "DEFAULT_DTYPE",

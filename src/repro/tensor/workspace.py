@@ -14,15 +14,30 @@ Ownership rules (also documented in INTERNALS §9):
   names — the workspace never checks aliasing between slots;
 - anything that must survive the next request of a slot (a layer's returned
   hidden state, tokens, logits) must be a fresh array, not a workspace view.
+
+The process-wide half of the policy is :func:`malloc_policy`: glibc's malloc
+is held to one arena, so the temporaries the rank, session and reference
+threads free go back to one heap that every thread reuses, instead of
+staying resident in a private arena per thread (INTERNALS §9, "One malloc
+arena").  Importing :mod:`repro.tensor` applies it, before any thread of
+the package exists.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 
 import numpy as np
 
-__all__ = ["GROWTH", "Workspace", "grow_flat"]
+from repro.obs import current_tracer, get_registry
+
+__all__ = ["GROWTH", "Workspace", "grow_flat", "malloc_policy"]
+
+#: ``M_ARENA_MAX``, glibc's ``mallopt`` parameter capping its malloc arenas
+#: (``malloc.h``).
+_M_ARENA_MAX = -8
 
 #: A flat buffer too small for a request regrows to this many times its
 #: size, or to the request if larger.
@@ -38,6 +53,44 @@ def grow_flat(flat: np.ndarray | None, needed: int, dtype) -> np.ndarray:
         return flat
     capacity = needed if flat is None else max(needed, GROWTH * flat.size)
     return np.empty(capacity, dtype=dtype)
+
+
+def _libc():
+    """The C library this process runs on (its exported symbols)."""
+    return ctypes.CDLL(None)
+
+
+@functools.cache
+def _single_arena() -> tuple[bool, str]:
+    """Hold glibc's malloc to one arena — once per process (a forked rank
+    inherits it).  ``(True, "glibc 2.36: one arena")`` once it took, else
+    ``(False, why not)``: not glibc (``M_ARENA_MAX`` is glibc's parameter
+    number; musl and macOS have no such cap), or glibc refused it."""
+    try:
+        libc = _libc()
+        mallopt, version = libc.mallopt, libc.gnu_get_libc_version
+    except (OSError, AttributeError) as error:
+        return False, f"not glibc: {error}"
+    mallopt.restype, mallopt.argtypes = ctypes.c_int, (ctypes.c_int, ctypes.c_int)
+    if mallopt(_M_ARENA_MAX, 1) != 1:
+        return False, "mallopt(M_ARENA_MAX, 1) refused"
+    version.restype = ctypes.c_char_p
+    return True, f"glibc {version().decode()}: one arena"
+
+
+def malloc_policy() -> str:
+    """The allocator policy in effect, in words (for reports): ``"glibc
+    2.36: one arena"``, or the reason the process keeps its libc's default —
+    reported once per reason and registry as a
+    ``tensor.malloc_arena_disabled`` event, never raised."""
+    applied, verdict = _single_arena()
+    if not applied:
+        seen = get_registry().counter("tensor.malloc_arena_disabled", reason=verdict)
+        if not seen.value:
+            seen.inc()
+            with current_tracer().span("tensor.malloc_arena_disabled", cat="tensor", reason=verdict):
+                pass
+    return verdict
 
 
 class Workspace:

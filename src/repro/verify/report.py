@@ -23,6 +23,7 @@ import numpy as np
 from repro.models.config import gpt2_config
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.tensor.blas import kernel_library, rows_matmul_probe
+from repro.tensor.workspace import malloc_policy
 from repro.verify.runner import ScenarioResult, default_voltage_factory, run_scenario
 from repro.verify.scenario import ScenarioConfig, sample_scenario
 from repro.verify.shrink import shrink_config
@@ -35,9 +36,10 @@ REPORT_VERSION = 1
 def blas_identity() -> dict:
     """Which arithmetic the bit-identity checks ran on, for the report
     header: the BLAS NumPy was built against (``np.show_config``), the
-    ``rows_matmul`` kernel's library (or why there is none) and the verdict
+    ``rows_matmul`` kernel's library (or why there is none), the verdict
     its probe reaches at GPT-2's four layer-matrix shapes (seeded stand-in
-    weights, dropped at once)."""
+    weights, dropped at once) and the malloc policy in effect (one glibc
+    arena, or why not)."""
     numpy_blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     config = gpt2_config()
     f, ffn = config.hidden_size, config.ffn_dim
@@ -45,6 +47,7 @@ def blas_identity() -> dict:
     return {
         "numpy_blas": f"{numpy_blas.get('name')} {numpy_blas.get('version')}",
         "kernel": kernel_library(),
+        "allocator": malloc_policy(),
         "rows_matmul": {
             f"{depth}x{width}": rows_matmul_probe(
                 rng.standard_normal((depth, width), dtype=np.float32)
@@ -109,7 +112,10 @@ class VerifyReport:
         """Short human-readable campaign summary for the CLI."""
         lines = []
         if self.blas:
-            lines.append(f"blas: {self.blas['numpy_blas']}; kernel: {self.blas['kernel']}")
+            lines.append(
+                f"blas: {self.blas['numpy_blas']}; kernel: {self.blas['kernel']}; "
+                f"allocator: {self.blas['allocator']}"
+            )
             lines += [
                 f"  rows_matmul {shape}: {verdict}"
                 for shape, verdict in self.blas["rows_matmul"].items()

@@ -62,10 +62,10 @@ class TestCostModel:
     def test_request_cost_counts_the_sequencer_forwards(self):
         """A request's price is its lone passes — the prefill and one decode
         forward per later token, the last token committed without one, as
-        ``decode_step_totals`` lists them with one token fewer — and is
-        exactly the virtual time an engine serving it alone takes."""
+        ``decode_step_totals`` lists them — and is exactly the virtual time
+        an engine serving it alone takes."""
         prompt_len, max_new = 5, 4
-        totals = decode_step_totals(prompt_len, max_new - 1, CONFIG.max_positions)
+        totals = decode_step_totals(prompt_len, max_new, CONFIG.max_positions)
         assert totals == [5, 6, 7, 8]
         expected = lone((prompt_len, 0, False)) + sum(lone((1, t - 1, False)) for t in totals[1:])
         assert request_seconds(CONFIG, prompt_len, max_new) == pytest.approx(expected)

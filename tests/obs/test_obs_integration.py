@@ -129,10 +129,11 @@ class TestTracedDecodeLayers:
             generate_distributed(system, prompt, max_new_tokens=3, attention=attention)
         for rank, prefill_rows in enumerate([5, 2]):
             spans = [s for s in tracer.filter(name="decode.layers") if s.device == rank]
-            assert [s.args["rows"] for s in spans] == [prefill_rows, 1, 1, 1]
-            assert [s.args["added"] for s in spans] == [7, 1, 1, 1]
+            # one step per kept token: the prefill, then the steps after two appends
+            assert [s.args["rows"] for s in spans] == [prefill_rows, 1, 1]
+            assert [s.args["added"] for s in spans] == [7, 1, 1]
             # a split step gathers K/V in either mode; token steps keep the mode's exchange
-            assert [s.args["exchange"] for s in spans] == ["kv"] + [exchange] * 3
+            assert [s.args["exchange"] for s in spans] == ["kv"] + [exchange] * 2
             assert all(s.track == f"rank {rank}" and s.cat == "systems" for s in spans)
 
     def test_run_decode_spans_every_rank_only_traced(self, gpt2):
@@ -147,5 +148,5 @@ class TestTracedDecodeLayers:
             run_decode(system, prompt, max_new_tokens=3, attention="distributed")
         spans = tracer.filter(name="decode.layers")
         assert sorted((s.device, s.args["rows"]) for s in spans) == sorted(
-            [(0, 5), (1, 2)] + [(rank, 1) for rank in (0, 1) for _ in range(3)]
+            [(0, 5), (1, 2)] + [(rank, 1) for rank in (0, 1) for _ in range(2)]
         )

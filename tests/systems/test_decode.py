@@ -123,10 +123,11 @@ class TestSessionDriven:
     def test_bytes_sent_at_k2_are_the_one_shot_runs(self, gpt2, prompt, runtime, attention):
         """The ranks' summed ``CommStats.bytes_sent``, returned by the
         session's ``close``, equals what the one-shot SPMD run these ranks
-        replaced sent, recorded at commit 8a2aac2."""
+        replaced sent (recorded at commit 8a2aac2) less that run's last
+        step, whose token was discarded: one forward per kept token."""
         expected = {
-            ("threaded", "gathered"): 29376, ("threaded", "distributed"): 7872,
-            ("process", "gathered"): 32970, ("process", "distributed"): 10098,
+            ("threaded", "gathered"): 23200, ("threaded", "distributed"): 7200,
+            ("process", "gathered"): 26192, ("process", "distributed"): 9052,
         }[runtime, attention]
         ids, stats = generate_distributed(
             _system(gpt2, 2), prompt, max_new_tokens=5, runtime=runtime, attention=attention
@@ -309,6 +310,7 @@ class TestDistributedAttention:
         system = _system(gpt2, 4, "float16")
         result = run_decode(system, prompt, max_new_tokens=4, attention="distributed")
         prefix = result.meta["final_logits_prefix"]
+        assert prefix == len(result.output) - 1  # the step that produced the last token
         reference = gpt2.forward(result.output[:prefix])
         assert decode_logits_close(result.meta["final_logits"], reference, "float16")
 
@@ -424,8 +426,10 @@ class TestWireBytesAtGpt2Width:
 
     Shapes only — no weights: ``run_decode``'s meta sums the lists the one
     ``decode_timeline`` returns (``assert_one_timeline``), and these values
-    were recorded from ``run_decode`` at commit ad2b87d.  Any drift is a
-    shard-geometry, head-sharding, stats-packing or greedy-loop change.
+    were recorded from ``run_decode`` at commit ad2b87d, less the last step
+    whose token was discarded then (one step per kept token).  Any drift
+    is a shard-geometry, head-sharding, stats-packing or greedy-loop
+    change.
     """
 
     def wire_bytes(self, prompt_len, new_tokens, attention):
@@ -437,41 +441,41 @@ class TestWireBytesAtGpt2Width:
 
     def test_short_prompt_gathered_totals(self):
         layer_bytes, head_bytes = self.wire_bytes(8, 8, "gathered")
-        assert sum(layer_bytes) == 442368  # kv_gather_bytes_per_device
-        assert sum(head_bytes) == 3216  # head_bytes_per_device
+        assert sum(layer_bytes) == 344064  # kv_gather_bytes_per_device
+        assert sum(head_bytes) == 3200  # head_bytes_per_device
 
     def test_long_context_per_step_profiles(self):
         gathered, gathered_head = self.wire_bytes(96, 6, "gathered")
         combine, combine_head = self.wire_bytes(96, 6, "distributed")
-        assert gathered == [552960, 565248, 577536, 589824, 602112, 614400, 626688]
+        assert gathered == [552960, 565248, 577536, 589824, 602112, 614400]
         # the 96-row prefill is span-partitioned in either mode: the same K/V
         # gather (was a 608256-byte stats gather), then flat stats steps
-        assert combine == [552960] + [6336] * 6
-        assert sum(combine) == 590976  # kv_gather 552960 + combine 38016
-        assert sum(combine_head) == sum(gathered_head) == 3184  # was 112: + the (1, F) row
+        assert combine == [552960] + [6336] * 5
+        assert sum(combine) == 584640  # kv_gather 552960 + combine 31680
+        assert sum(combine_head) == sum(gathered_head) == 3168  # was 96: + the (1, F) row
 
     def test_short_prompt_distributed_prefill_moves_no_layer_bytes(self):
         # the 8-token prompt sits inside rank 0's span: rank 0 runs every row
         layer_bytes, head_bytes = self.wire_bytes(8, 8, "distributed")
-        assert layer_bytes == [0] + [6336] * 8
-        assert sum(head_bytes) == 3216
+        assert layer_bytes == [0] + [6336] * 7
+        assert sum(head_bytes) == 3200
 
 
 class TestStepTotals:
     def test_plain_run(self):
-        # mirrors generate_cached: the loop steps once more after the final
-        # append (that last next_id is never used), hence four totals
-        assert decode_step_totals(7, 3, 64) == [7, 8, 9, 10]
+        # mirrors generate_cached: one forward per kept token — the prefill
+        # and the steps after the first two appends, none after the last
+        assert decode_step_totals(7, 3, 64) == [7, 8, 9]
 
     def test_zero_new_tokens(self):
-        assert decode_step_totals(7, 0, 64) == [7]
+        assert decode_step_totals(7, 0, 64) == []
 
     def test_cap_skips_final_step(self):
         # prompt 6, cap 8: append to 7 (step), append to 8 (>= cap, no step)
         assert decode_step_totals(6, 4, 8) == [6, 7]
 
     def test_prompt_at_cap(self):
-        assert decode_step_totals(8, 4, 8) == [8]
+        assert decode_step_totals(8, 4, 8) == []
 
 
 class TestSpans:

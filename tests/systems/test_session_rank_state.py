@@ -105,8 +105,8 @@ def test_process_session_rank_state_flat_over_a_thousand_steps(model, monkeypatc
     collective (≈ 4 KB each, five collectives per step here).  The channel
     count is the exact check; the RSS bound only has to separate the leak
     from the allocator settling, which can take well over a thousand steps."""
-    requests, new_tokens, length = 48, 20, 12
-    steps = requests * (new_tokens + 1)
+    requests, new_tokens, length = 48, 21, 12
+    steps = requests * new_tokens  # one step per kept token
     warm_up = steps // 2
     # a channel kept per collective grew ≈ 22 KB per step per rank at K = 2;
     # with the channels dropped, the allocator still settles at ≈ 0.5 KB per

@@ -6,6 +6,7 @@ import pytest
 
 from repro.bench.cli import main
 from repro.tensor.blas import kernel_library
+from repro.tensor.workspace import malloc_policy
 from repro.verify import run_verification
 
 
@@ -48,13 +49,17 @@ class TestVerifyReport:
 
     def test_header_names_numpys_blas_and_the_kernel(self, report):
         """NumPy's BLAS, the ``rows_matmul`` kernel's library (or why there
-        is none) and the probe's verdict at GPT-2's four layer shapes."""
+        is none), the probe's verdict at GPT-2's four layer shapes and the
+        malloc policy in effect."""
         blas = json.loads(report.to_json())["blas"]
-        assert blas == report.blas and set(blas) == {"numpy_blas", "kernel", "rows_matmul"}
+        assert blas == report.blas
+        assert set(blas) == {"numpy_blas", "kernel", "allocator", "rows_matmul"}
         assert blas["kernel"] == kernel_library()
+        assert blas["allocator"] == malloc_policy()
         assert list(blas["rows_matmul"]) == ["768x2304", "768x768", "768x3072", "3072x768"]
         assert report.summary().splitlines()[0] == (
-            f"blas: {blas['numpy_blas']}; kernel: {blas['kernel']}"
+            f"blas: {blas['numpy_blas']}; kernel: {blas['kernel']}; "
+            f"allocator: {blas['allocator']}"
         )
 
 
