@@ -18,9 +18,10 @@ Design points (INTERNALS §16 has the full story):
   step with inserts and evictions.
 - **Prompt rows only.**  Entries hold prefill rows, never decode rows: the
   engine truncates a slot to its prompt length before retaining it.  Batch
-  (t >= 2) GEMM rows are bit-stable across batch shapes, single-row decode
-  GEMV rows are not — so only prefill rows are safely reusable if outputs
-  must stay bit-identical to ``generate_cached``.
+  (t >= 2) GEMM rows are bit-stable across batch shapes; decode and verify
+  rows are single rows in GEMV order, which no prefill of the same ids
+  reproduces — so only prefill rows are safely reusable if outputs must
+  stay bit-identical to ``generate_cached``.
 - **Capped matches.**  :meth:`match` never returns more than ``limit``
   tokens (the engine passes ``len(prompt) - 2``), so the suffix re-prefill
   is always a multi-row GEMM — same bit-stability argument.

@@ -35,16 +35,17 @@ roll back* — over a small backend that says where a forward runs:
 Both expose one forward entry point, ``forward_rows``.
 
 :class:`GPT2CachedSequencer` (slot caches, no proposer: every draft is
-empty, so a step is ``generate_cached``'s single-position GEMV forward
-op-for-op), ``speculative.SpeculativeSequencer`` (slot caches + a proposer)
-and :class:`VoltageDecodeSequencer` (session) only construct it.  That is
+empty, so every verify is of one row — ``generate_cached``'s
+single-position forward), ``speculative.SpeculativeSequencer`` (slot caches
++ a proposer) and :class:`VoltageDecodeSequencer` (session) only construct
+it.  That is
 what makes the engine's soak guarantee provable for all of them at once:
 interleaving, preemption and restart permute *which* step runs next, never
 what a step computes.
 
 **One forward per engine iteration** (INTERNALS §10).  On the slot-cache
 backend the first ``step`` of an iteration that needs model compute — a
-prefill, a single-position decode or a verify round — runs one
+prefill or a verify round of one or more rows — runs one
 ``forward_rows`` for itself *and* every staged state whose own step will
 need a forward too, and stashes their tokens; each of those steps then
 commits and consumes its tokens without touching the model.  The pass is
@@ -52,10 +53,12 @@ charged once, to the step that ran it: the cost hook prices its flights
 together, and a step served from the stash costs 0.0 — as under a wall
 clock, where the first step's measured time is the whole pass's.  Inside,
 :meth:`GPT2Model.logits_cached_rows` makes it one pass over the weights:
-multi-row flights packed into shared GEMMs, single positions as GEMV rows in
-the same lockstep, one blocked LM head.  Each flight's rows go through the
-kernels they would alone, so outputs are unchanged, and a pass of one
-flight *is* the plain step — there is no other forward path.
+prefills packed into shared GEMMs, every verify row a single row in the same
+lockstep — its products in the lone GEMV's order, its attention the lone
+decode step's — and one blocked LM head.  A prefill's rows go through the
+kernels they would alone and a verify row is ``generate_cached``'s decode
+step at its position, so outputs are unchanged, and a pass of one flight
+*is* the plain step — there is no other forward path.
 ``step`` stays the only call that runs model compute.
 
 A preempted request is simply re-``begin``-ed later: greedy decoding is
@@ -123,7 +126,7 @@ class _Forward(NamedTuple):
 
 #: What a backend's ``forward_rows`` takes per flight: ``(slot, new_ids,
 #: offset, all_positions)`` — greedy tokens for every new position (a
-#: verify) or only the last.
+#: verify, every forward after the prefill) or only the last (a prefill).
 _Row = tuple[KVSlot, list[int], int, bool]
 #: What the cost hook is handed per flight of a pass: ``(new_positions,
 #: cache_len_before, all_positions)``.
@@ -152,12 +155,12 @@ class _SlotCacheBackend:
         self, rows: Sequence[_Row], labels: dict[str, str]
     ) -> tuple[list[list[int]], int]:
         """The greedy tokens of every row from one pass over the weights
-        (:meth:`GPT2Model.argmax_cached_rows`: multi-row flights packed into
-        shared GEMMs, single positions as GEMV rows, one argmax-only LM
-        head) — each flight's layers the op sequence of ``generate_cached``'s
-        inner ``step`` it would run alone, each token the argmax of the
-        logits that step would compute (certified by the head's screen, or
-        those very logits) — and how many rows fell back to the logits."""
+        (:meth:`GPT2Model.argmax_cached_rows`: prefills packed into shared
+        GEMMs, every verify row a single row, one argmax-only LM head) — each
+        row's layers the op sequence of the ``generate_cached`` inner
+        ``step`` that computes it, each token the argmax of the logits that
+        step would compute (certified by the head's screen, or those very
+        logits) — and how many rows fell back to the logits."""
         tokens, fallbacks = self.model.argmax_cached_rows(
             [
                 (new_ids, offset, slot.caches, self.workspace, all_positions)
@@ -216,12 +219,14 @@ class _GreedySequencer:
     Prefill is one forward over the (un-cached part of the) prompt.  Every
     later step is one draft–verify round: (a) commit the pending token —
     one iteration of ``generate_cached``'s loop; (b) ask the proposer for
-    up to ``lookahead`` guesses; (c) verify pending+guesses in one batched
-    forward; (d) commit the longest argmax-matching guess prefix and roll
-    the rejected rows back.  Without a proposer every draft is empty and
-    (c) is a single-position forward, (d) a no-op — the plain token-step
-    decode.  The step returns one ``(done, cost)`` either way; it just may
-    commit several tokens.
+    up to ``lookahead`` guesses; (c) verify pending+guesses in one forward,
+    each row ``generate_cached``'s decode step at its position; (d) commit
+    the longest argmax-matching guess prefix and roll the rejected rows
+    back.  Without a proposer every draft is empty and (c) is one row, (d)
+    a no-op — the plain token-step decode, by the same code.  A request
+    that keeps no token finishes at its first step without a forward.  The
+    step returns one ``(done, cost)`` either way; it just may commit
+    several tokens.
 
     Every forward — prefill, single position or verify — goes through
     :meth:`_iteration_forward`, which on a backend with ``supports_rows``
@@ -236,10 +241,9 @@ class _GreedySequencer:
     #: prompt rows (``begin(..., cached_prefix=k)``).
     supports_prefix_cache = False
     #: A cached-prefix match leaves at least this many prompt positions to
-    #: re-prefill, keeping the suffix forward a multi-row batched GEMM —
-    #: batch rows are bit-stable across batch shapes, single GEMV rows are
-    #: not (INTERNALS §16), and bit-identity to ``generate_cached`` rides
-    #: on exactly that.
+    #: re-prefill, keeping the suffix forward a multi-row batched GEMM, as
+    #: the prompt's own prefill is — a single row would be a GEMV row, which
+    #: differs from the GEMM row in the last bit (INTERNALS §16).
     min_prefill_suffix = 2
     #: ``> 0`` opens every tenant-tagged request's prompt with that many
     #: tenant-keyed common tokens (the prefix-cache workload shape).
@@ -397,9 +401,10 @@ class _GreedySequencer:
 
     def cache_key(self, state: _DecodeState) -> tuple[int, ...] | None:
         """The token ids whose slot rows are safe to retain for the prefix
-        cache: *prompt* rows only — prefill rows come from multi-row GEMMs
-        (bit-stable across requests), decode rows from single-row GEMVs (not)
-        — and only when at least ``min_prefill_suffix`` of them exist."""
+        cache: *prompt* rows only — prefill rows come from multi-row GEMMs,
+        which a later request's prefill reproduces bit for bit; decode and
+        verify rows are single rows, which no prefill reproduces — and only
+        when at least ``min_prefill_suffix`` of them exist."""
         length = min(state.slot.length, state.prompt_len)
         if length < self.min_prefill_suffix:
             return None
@@ -425,10 +430,12 @@ class _GreedySequencer:
                     f"{state.slot.index} holds {state.slot.length} rows"
                 )
         if not state.prefilled:
-            state.next_id = forward.tokens[-1]
-            state.prefilled = True
-            if self.max_new_tokens == 0 or len(ids) >= max_positions:
+            if forward is None:
+                # a request that keeps no token: generate_cached runs no forward
                 self._finish(state)
+            else:
+                state.next_id = forward.tokens[-1]
+                state.prefilled = True
             return state.done, cost
         # commit the pending token — one iteration of generate_cached's loop
         ids.append(state.next_id)
@@ -438,15 +445,13 @@ class _GreedySequencer:
         if forward is None:
             self._finish(state)
             return True, cost
-        # with no guesses this was the exact one-position forward (same GEMV
-        # head) of generate_cached — op-identical to non-speculative decode
         draft, guesses = forward.draft, forward.tokens
         accepted = 0
         while accepted < len(draft) and guesses[accepted] == draft[accepted]:
             accepted += 1
-        if draft:
-            ids.extend(draft[:accepted])
-            state.emitted += accepted
+        ids.extend(draft[:accepted])
+        state.emitted += accepted
+        if accepted < len(draft):
             # roll back the rejected rows; rows for accepted tokens stay
             self.backend.rollback(state.slot, len(ids))
         state.next_id = guesses[accepted]
@@ -480,13 +485,12 @@ class _GreedySequencer:
         would forward after committing — or None when the commit finishes
         the request and no forward runs.  Asks the proposer, so once per
         round."""
-        ids = state.ids
+        ids, max_positions = state.ids, self.model.config.max_positions
         if not state.prefilled:
+            if self.max_new_tokens == 0 or len(ids) >= max_positions:
+                return None
             return _Forward(ids[state.cached_prefix:], state.cached_prefix, [])
-        if (
-            state.emitted + 1 >= self.max_new_tokens
-            or len(ids) + 1 >= self.model.config.max_positions
-        ):
+        if state.emitted + 1 >= self.max_new_tokens or len(ids) + 1 >= max_positions:
             return None
         draft = self._draft(state, ids + [state.next_id], state.emitted + 1)
         return _Forward([state.next_id] + draft, len(ids), draft)
@@ -509,17 +513,17 @@ class _GreedySequencer:
             )
         self._staged.clear()  # all settled: no later step this iteration re-plans them
         rows = [
-            (other.slot, plan.new_ids, plan.offset, bool(plan.draft))
+            (other.slot, plan.new_ids, plan.offset, other.prefilled)
             for other, plan in forwards.values()
         ]
-        lengths = [len(plan.new_ids) for _, plan in forwards.values()]
+        prefills = [len(new_ids) for _, new_ids, _, verify in rows if not verify]
         registry = get_registry()
         registry.counter("engine.cohort_forwards_total", **self._labels).inc()
         registry.histogram("engine.decode_cohort_rows", **self._labels).observe(len(rows))
         with current_tracer().span(
             "engine.decode_cohort", cat="engine", kind="compute", track="engine-wall",
-            rows=len(rows), positions=sum(lengths),
-            packed=len(packed_flights(self.model.config, lengths)),
+            rows=len(rows), positions=sum(len(new_ids) for _, new_ids, _, _ in rows),
+            packed=len(packed_flights(self.model.config, prefills)),
         ) as span:
             tokens, fallbacks = self.backend.forward_rows(rows, self._labels)
             span.set(fallbacks=fallbacks)

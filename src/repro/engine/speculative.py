@@ -5,26 +5,27 @@ The engine's base decode emits one token per forward, so serving throughput
 is bounded by sequential small-GEMM latency — the regime edge devices live
 in.  Speculative decoding breaks the sequential chain: a cheap *proposer*
 guesses the next ``k`` tokens, the target model scores the pending token
-plus all ``k`` guesses in **one** batched cached forward (an
-``all_positions`` flight of
-:meth:`~repro.models.gpt2.GPT2Model.argmax_cached_rows` — the residents'
-rounds of one engine iteration share the pass and its argmax-only head),
-and the longest prefix of guesses that matches the target's own greedy
-argmaxes is accepted.  Rejected positions are rolled back with
-``LayerKVCache.truncate`` — the same shrink-only rollback preemption
-already uses.
+plus all ``k`` guesses in **one** cached forward (an ``all_positions``
+flight of :meth:`~repro.models.gpt2.GPT2Model.argmax_cached_rows` — the
+residents' rounds of one engine iteration share the pass and its
+argmax-only head), and the longest prefix of guesses that matches the
+target's own greedy argmaxes is accepted.  Rejected positions are rolled
+back with ``LayerKVCache.truncate`` — the same shrink-only rollback
+preemption already uses.
 
-Why outputs stay bit-identical to ``generate_cached`` (proof sketch in
-INTERNALS §16): acceptance is *exact argmax match*, so every emitted token
-equals the target's greedy choice given the same committed ids; the argmax
-is computed from a batched forward rather than ``k`` sequential ones, which
-permutes BLAS reduction shapes but in practice never flips an argmax (the
-soak tests assert equality token-for-token against offline
-``generate_cached`` across interleaving, preemption and both proposers).
-A round that drafts nothing degenerates to the plain sequencer's single
-one-position forward — op-for-op identical, because it *is* the same
-``step`` body (``sequencer._GreedySequencer``): this module only supplies
-the proposers, the counters and the construction that switches drafting on.
+Why outputs stay bit-identical to ``generate_cached`` (INTERNALS §16):
+every row of a verify forward *is* ``generate_cached``'s decode step at its
+position — its weight products single rows summed in the lone GEMV's order
+(:func:`~repro.tensor.blas.rows_matmul`), its attention the lone step's over
+the cache that ends at its own position — so its K/V rows and logits are
+the bytes that step computes; and acceptance is *exact argmax match*, so
+every emitted token is the target's greedy choice given the same committed
+ids.  The soak tests assert tokens and K/V bytes against offline
+``generate_cached`` across interleaving, preemption and both proposers.  A
+round that drafts nothing is a one-row verify, the plain sequencer's step —
+it *is* the same ``step`` body (``sequencer._GreedySequencer``): this module
+only supplies the proposers, the counters and the construction that
+switches drafting on.
 
 The proposer is :class:`NgramProposer` — self-drafting: assume the
 sequence keeps following its own most recent repeated suffix.  Free (no
@@ -34,8 +35,9 @@ state, kept on ``_DecodeState.draft``) and ``propose(state, ids, k)``; what
 it proposes decides only *which* tokens are verified, never what the
 target accepts.
 
-Virtual time: a verify round is one flight of its pass, priced with its
-``1 + k`` rows like any other (``systems.decode.pass_seconds``).  A
+Virtual time: a verify round is one flight of its pass, priced as the row
+set it runs in — its ``1 + k`` single-position steps, one call per layer
+(``systems.decode.pass_seconds``).  A
 proposer's own compute is not priced; on the wall clock the n-gram
 proposer's is negligible (EXPERIMENTS "One cost model").
 """

@@ -58,16 +58,17 @@ class ReplicaTier:
 
 def request_seconds(config, prompt_len: int, max_new_tokens: int) -> float:
     """Virtual seconds of one request served alone on :data:`SERVE_DEVICE`:
-    the lone pass prices of its forwards.  Those are
-    ``decode_step_totals``', over the prompt clipped to the position
-    budget, as ``prompt_for`` clips it — or the prefill alone, which the
-    engine's sequencer runs even for a request that keeps no token."""
+    the lone pass prices of its forwards — ``decode_step_totals``', over the
+    prompt clipped to the position budget, as ``prompt_for`` clips it: the
+    prefill, then one single-position verify per later kept token (none for
+    a request that keeps no token)."""
     prompt_len = min(prompt_len, config.max_positions)
-    totals = decode_step_totals(prompt_len, max_new_tokens, config.max_positions) or [prompt_len]
-    news = [prompt_len] + [1] * (len(totals) - 1)
+    totals = decode_step_totals(prompt_len, max_new_tokens, config.max_positions)
     return sum(
-        pass_seconds(config, SERVE_DEVICE, [(new, total - new, False)])
-        for new, total in zip(news, totals)
+        pass_seconds(
+            config, SERVE_DEVICE, [(1, total - 1, True) if step else (prompt_len, 0, False)]
+        )
+        for step, total in enumerate(totals)
     )
 
 

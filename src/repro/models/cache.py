@@ -51,6 +51,7 @@ __all__ = [
     "SMALL_GEMM_MIN_DEPTH",
     "same_weight_kernels",
     "packed_flights",
+    "row_sets",
     "layer_forward_cached",
     "shard_kv_cache",
     "merge_kv_shards",
@@ -262,14 +263,15 @@ def attend_cached(
 
 
 def attend_segments(attends, lengths, q: np.ndarray, k_new: np.ndarray, v_new: np.ndarray):
-    """The ``attend`` hook of a *packed* row set: the new rows of several
-    flights stacked along the position axis, ``lengths[i]`` of them
-    belonging to flight ``i``.  Attention never crosses flights, so segment
-    ``i`` of ``q`` / ``k_new`` / ``v_new`` goes to ``attends[i]`` — that
-    flight's own hook over its own cache and offset, issuing the calls and
-    shapes it would issue alone (a segment is a basic slice of the stacked
-    projection, with the row stride the lone projection has) — and the
-    attended contexts are stacked back in order.
+    """The ``attend`` hook of a row set of several *segments*: the new rows
+    of several flights — or, one row each, of a verify flight — stacked
+    along the position axis, ``lengths[i]`` of them belonging to segment
+    ``i``.  Segment ``i`` of ``q`` / ``k_new`` / ``v_new`` goes, in order,
+    to ``attends[i]`` — its own hook over its own cache and offset, which
+    sees only what that cache holds (for a verify row: the rows before it),
+    issuing the calls and shapes it would issue alone (a segment is a basic
+    slice of the stacked projection, with the row stride the lone
+    projection has) — and the attended contexts are stacked back in order.
     """
     heads, _, head_dim = q.shape
     attended = np.empty((heads, sum(lengths), head_dim), dtype=q.dtype)
@@ -303,15 +305,16 @@ def layer_steps(layer: TransformerLayer, x_new: np.ndarray, attend):
     flights apart (:func:`attend_segments`).
 
     :func:`lockstep` is the driver (:func:`run_steps` for a lone
-    generator): it advances every row set of a pass — the packed multi-row
-    set, each single-position decode — to the same weight matrix and serves
+    generator): it advances every row set of a pass — the packed prefills,
+    each decode or verify flight — to the same weight matrix and serves
     their requests together, so the matrix is streamed from memory once per
-    pass, not once per flight.  Each flight's products are the BLAS calls
-    it would issue alone — the same ``np.matmul``, with more rows through
-    the same kernel for a packed member — or, for single rows sharing a
-    matrix, a kernel in the same summation order
-    (:func:`repro.tensor.blas.rows_matmul`), so sharing changes *when* and
-    *from which cache level* an op runs, never its result.
+    pass, not once per flight.  A prefill's products are the BLAS calls it
+    would issue alone — the same ``np.matmul``, with more rows through the
+    same kernel for a packed member — and the single rows sharing a matrix
+    (every row of a verify flight is one) go through a kernel in the lone
+    GEMV's summation order (:func:`repro.tensor.blas.rows_matmul`), so
+    sharing changes *when* and *from which cache level* an op runs, never
+    its result.
 
     No workspace view is live across a weight pause, so the flights of a
     pass may share one :class:`Workspace`.
@@ -332,15 +335,17 @@ def layer_steps(layer: TransformerLayer, x_new: np.ndarray, attend):
     return layer.ln2(out) if post else out
 
 
-def _serve(requests: dict) -> dict:
+def _serve(requests: dict, row_wise) -> dict:
     """One round of :func:`lockstep`: ``requests[i]`` is generator ``i``'s
     product request ``(weight, bias, x)`` or None (a bare pause);
     returns ``x @ weight + bias`` (or None) under the same keys.
 
-    Requests against the same matrix are served together: its single rows
-    by :func:`rows_matmul` (one stream of the matrix for all of them, each
-    bit-equal to its own ``np.matmul``), a multi-row set — and a single row
-    nobody shares the matrix with — by the literal ``np.matmul``.
+    Requests against the same matrix are served together.  Every single row
+    — each row of a ``row_wise`` generator's request, and every 1-row
+    request — goes through :func:`rows_matmul` (one stream of the matrix for
+    all of them, each bit-equal to its own ``np.matmul``); a multi-row
+    request of any other generator, and a single row nobody shares the
+    matrix with, is the literal ``np.matmul``.
     """
     products = dict.fromkeys(requests)
     by_weight: dict[int, list] = {}
@@ -349,11 +354,13 @@ def _serve(requests: dict) -> dict:
             by_weight.setdefault(id(request[0]), []).append(index)
     for members in by_weight.values():
         weight = requests[members[0]][0]
-        singles = [index for index in members if requests[index][2].shape[0] == 1]
-        if len(singles) >= 2:
-            products.update(
-                zip(singles, rows_matmul([requests[index][2] for index in singles], weight))
-            )
+        singles = [i for i in members if i in row_wise or requests[i][2].shape[0] == 1]
+        rows = [row[None] for index in singles for row in requests[index][2]]
+        if len(rows) >= 2:
+            row_products = iter(rows_matmul(rows, weight))
+            for index in singles:
+                mine = [next(row_products) for _ in requests[index][2]]
+                products[index] = mine[0] if len(mine) == 1 else np.concatenate(mine)
         for index in members:
             _, bias, x = requests[index]
             if products[index] is None:
@@ -363,11 +370,12 @@ def _serve(requests: dict) -> dict:
     return products
 
 
-def lockstep(rows) -> list:
+def lockstep(rows, row_wise=frozenset()) -> list:
     """Drive step generators round-robin — each advances one pause per turn,
     then the round's product requests are served together (:func:`_serve`)
     and each generator resumes with its own — and return their return
-    values in order."""
+    values in order.  The generators whose indices are in ``row_wise`` have
+    every row of every product served as a single row."""
     results = {}
     live = dict(enumerate(rows))
     products = dict.fromkeys(live)
@@ -379,7 +387,7 @@ def lockstep(rows) -> list:
             except StopIteration as stop:
                 results[index] = stop.value
                 del live[index]
-        products = _serve(requests)
+        products = _serve(requests, row_wise)
     return [results[index] for index in sorted(results)]
 
 
@@ -439,7 +447,7 @@ def same_weight_kernels(config, rows: int, all_rows: int) -> bool:
 
 
 def packed_flights(config, lengths: Sequence[int]) -> list[int]:
-    """Which of the flights of one pass — flight ``i`` bringing
+    """Which of the prefills of one pass — prefill ``i`` bringing
     ``lengths[i]`` new rows — run *packed*: their rows stacked into one
     ``(Σt, F)`` row set, so each weight matrix is one GEMM for all of them
     (their indices, in order; fewer than two means nobody shares).  Decided
@@ -451,7 +459,7 @@ def packed_flights(config, lengths: Sequence[int]) -> list[int]:
     products are GEMVs).  Members that would not are dropped — they run as
     their own row sets — and the smaller total is tried again.  At GPT-2
     width every ``t >= 2`` product is on the blocked side, so every
-    multi-row flight packs.
+    multi-row prefill packs.
     """
     members = [index for index, rows in enumerate(lengths) if rows >= 2]
     while True:
@@ -462,19 +470,37 @@ def packed_flights(config, lengths: Sequence[int]) -> list[int]:
         members = kept
 
 
-def layer_steps_cached(layer: TransformerLayer, x_new: np.ndarray, segments):
+def row_sets(config, flights: Sequence[tuple[int, bool]]) -> list[list[int]]:
+    """The row sets of one pass over ``flights`` — ``(new_rows, verify)``
+    each, in order — as lists of flight indices: the prefills
+    :func:`packed_flights` admits stacked into one set, then every other
+    flight alone.  A *verify* flight (an ``all_positions`` one) never packs:
+    each of its rows is a single row, one decode step
+    (:func:`layer_steps_cached`'s ``row_by_row``)."""
+    prefills = [index for index, (_, verify) in enumerate(flights) if not verify]
+    packed = [prefills[i] for i in packed_flights(config, [flights[i][0] for i in prefills])]
+    return [packed] * bool(packed) + [[i] for i in range(len(flights)) if i not in packed]
+
+
+def layer_steps_cached(layer: TransformerLayer, x_new: np.ndarray, segments, row_by_row=False):
     """:func:`layer_steps` over single-device caches — of one *row set*:
     ``x_new`` stacks the new rows of one or more flights and
     ``segments[i] = (rows, cache, workspace)`` says whose they are.  The
     layer's weight products run once over all the stacked rows; each
     flight's rows are appended to and attended against its own
-    :class:`LayerKVCache` with its own scratch (:func:`attend_segments`)."""
-    attends = [
-        partial(attend_cached, layer.attention, cache.append, cache.length, True, scratch)
-        for _, cache, scratch in segments
-    ]
-    attend = partial(attend_segments, attends, [rows for rows, _, _ in segments])
-    return layer_steps(layer, x_new, attend)
+    :class:`LayerKVCache` with its own scratch (:func:`attend_segments`).
+
+    With ``row_by_row`` each new row is attended as a decode step of its
+    own, as ``generate_cached``'s lone step attends it: appended, then
+    attended against the cache that ends at its own position."""
+    attends, lengths = [], []
+    for rows, cache, scratch in segments:
+        for start, length in [(row, 1) for row in range(rows)] if row_by_row else [(0, rows)]:
+            attends.append(partial(
+                attend_cached, layer.attention, cache.append, cache.length + start, True, scratch
+            ))
+            lengths.append(length)
+    return layer_steps(layer, x_new, partial(attend_segments, attends, lengths))
 
 
 def layer_forward_cached(

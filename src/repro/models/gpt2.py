@@ -16,7 +16,7 @@ from repro.models.cache import (
     LayerKVCache,
     layer_steps_cached,
     lockstep,
-    packed_flights,
+    row_sets,
 )
 from repro.models.config import TransformerConfig, gpt2_config
 from repro.models.embeddings import TextEmbeddings
@@ -285,15 +285,16 @@ class GPT2Model(TransformerModel):
         """Tied LM head on the last position: F × vocab."""
         return self.config.hidden_size * self.config.vocab_size
 
-    def _row_steps(self, flights: Sequence[CachedForward]):
+    def _row_steps(self, flights: Sequence[CachedForward], row_by_row: bool):
         """The KV-cached forward of one *row set* — the new rows of
         ``flights`` stacked into one ``(Σt, F)`` activation, so each weight
         matrix is one product for all of them while every flight attends
         against its own caches — as a step generator (pausing at every
         weight boundary of every layer, see
-        :func:`repro.models.cache.layer_steps_cached`); returns each
-        flight's hidden states before the final norm.  A set of one flight
-        is exactly that flight's lone forward."""
+        :func:`repro.models.cache.layer_steps_cached`, which also says what
+        ``row_by_row`` does); returns each flight's hidden states before the
+        final norm.  A set of one flight is exactly that flight's lone
+        forward."""
         lengths = [len(f.new_ids) for f in flights]
         ids = np.concatenate([np.asarray(f.new_ids, dtype=np.int64) for f in flights])
         positions = np.concatenate(
@@ -302,7 +303,7 @@ class GPT2Model(TransformerModel):
         x = self.embeddings.word(ids) + self.embeddings.position(positions)
         for index, layer in enumerate(self.layers):
             segments = [(rows, f.caches[index], f.workspace) for f, rows in zip(flights, lengths)]
-            x = yield from layer_steps_cached(layer, x, segments)
+            x = yield from layer_steps_cached(layer, x, segments, row_by_row)
         bounds = [0, *accumulate(lengths)]
         return [x[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
@@ -320,11 +321,13 @@ class GPT2Model(TransformerModel):
         :class:`~repro.models.cache.LayerKVCache`, e.g. an engine slot's):
         the pass of one flight of :meth:`logits_cached_rows`.
 
-        By default only the last position's logits come back (``(vocab,)``,
-        the greedy-decode head).  ``all_positions=True`` returns the full
-        ``(t, vocab)`` matrix — the multi-position *verify* forward of
-        speculative decoding, which needs the target's argmax at every
-        drafted position from one batched pass.
+        By default the ``t`` new ids are one prefill and only the last
+        position's logits come back (``(vocab,)``, the greedy-decode head).
+        ``all_positions=True`` makes the flight a *verify*: every new id is
+        the single-position step :meth:`generate_cached` would run at its
+        position, and the full ``(t, vocab)`` matrix comes back — the
+        target's logits at every drafted position of speculative decoding,
+        from one pass.
         """
         logits = self.logits_cached_rows([(new_ids, offset, caches, workspace, all_positions)])
         return logits if all_positions else logits[0]
@@ -336,18 +339,19 @@ class GPT2Model(TransformerModel):
         wanted positions' logits ``(Σ wanted, vocab)``, flight by flight
         (a flight's last new position, or all of them).
 
-        Flights are grouped into row sets.  Those :func:`packed_flights`
-        admits — multi-row flights: prefills, verify rounds — stack into
-        one set whose weight products are one GEMM per matrix for all of
-        them; every other flight (each single-position decode, whose
-        products must stay GEMVs) is a set of its own.  The sets advance in
-        lockstep, weight-major: every set multiplies against one weight
-        matrix (and each flight attends against its own caches) before any
-        moves to the next, then the shared blocked :meth:`lm_head` serves
-        every wanted row.  Each flight's rows go through exactly the
-        kernels they would alone, so its logits are ``np.array_equal`` to a
-        lone ``logits_cached(*rows[i])`` and its caches end up
-        byte-identical; one flight is that lone forward.
+        Flights are grouped into row sets (:func:`~repro.models.cache.row_sets`):
+        the prefills :func:`~repro.models.cache.packed_flights` admits stack
+        into one set whose weight products are one GEMM per matrix for all of
+        them; every other flight is a set of its own, a verify's rows each a
+        single row.  The sets advance in lockstep, weight-major: every set
+        multiplies against one weight matrix (and each flight attends
+        against its own caches) before any moves to the next, then the
+        shared blocked :meth:`lm_head` serves every wanted row.  A prefill's
+        rows go through exactly the kernels they would alone and a verify
+        row is the single-position step at its position, so a flight's
+        logits are ``np.array_equal`` to a lone ``logits_cached(*rows[i])``
+        and its caches end up byte-identical; one flight is that lone
+        forward.
         """
         return self.lm_head(self._wanted_rows([CachedForward(*row) for row in rows]))
 
@@ -364,14 +368,16 @@ class GPT2Model(TransformerModel):
     def _wanted_rows(self, flights: Sequence[CachedForward]) -> list[np.ndarray]:
         """Run the pass of ``flights`` (see :meth:`logits_cached_rows`) and
         return the final-normed hidden row of every wanted position."""
-        packed = packed_flights(self.config, [len(flight.new_ids) for flight in flights])
-        row_sets = [packed] * bool(packed) + [
-            [index] for index in range(len(flights)) if index not in packed
-        ]
+        sets = row_sets(self.config, [(len(f.new_ids), f.all_positions) for f in flights])
+        verify = [flights[row_set[0]].all_positions for row_set in sets]
         per_set = lockstep(
-            self._row_steps([flights[index] for index in row_set]) for row_set in row_sets
+            (
+                self._row_steps([flights[index] for index in row_set], row_by_row)
+                for row_set, row_by_row in zip(sets, verify)
+            ),
+            row_wise={index for index, row_by_row in enumerate(verify) if row_by_row},
         )
-        hidden = dict(zip(chain.from_iterable(row_sets), chain.from_iterable(per_set)))
+        hidden = dict(zip(chain.from_iterable(sets), chain.from_iterable(per_set)))
         return [
             self.ln_f(row)
             for index, flight in enumerate(flights)

@@ -116,7 +116,7 @@ from repro.models.cache import (
     LayerKVCache,
     attend_cached,
     layer_steps,
-    packed_flights,
+    row_sets,
     run_steps,
     same_weight_kernels,
     shard_kv_views,
@@ -582,27 +582,30 @@ def pass_seconds(
 
     ``flights`` are the pass's ``(new_positions, cache_len_before,
     all_positions)``, grouped into row sets as
-    ``GPT2Model.argmax_cached_rows`` runs them: the flights
-    ``models.cache.packed_flights`` admits share one row set, every other
-    flight is its own.  Each (layer, row set) pair is one call over its
-    flights' ``decode_layer_flops``, and the head one call over the
-    ``F·V`` products of every wanted row (all of a verify flight's, else
-    the last), so a call's ``overhead_seconds`` is paid once however many
-    flights share it.
+    ``GPT2Model.argmax_cached_rows`` runs them (``models.cache.row_sets``):
+    the prefills ``models.cache.packed_flights`` admits share one row set,
+    every other flight is its own.  Each (layer, row set) pair is one call
+    over its flights' ``decode_layer_flops`` — a prefill's rows against its
+    cache, a verify flight's each as the single-position step at its own
+    position — and the head one call over the ``F·V`` products of every
+    wanted row (all of a verify flight's, else the last), so a call's
+    ``overhead_seconds`` is paid once however many rows share it.
     """
-    lengths = [new for new, _, _ in flights]
-    packed = packed_flights(config, lengths)
-    row_sets = [packed] * bool(packed) + [[i] for i in range(len(flights)) if i not in packed]
     f = config.hidden_size
-    layer_seconds = sum(
-        device.compute_seconds(sum(
+
+    def flops(new: int, cached: int, verify: bool) -> int:
+        steps = [(1, cached + row) for row in range(new)] if verify else [(new, cached)]
+        return sum(
             decode_layer_flops(
-                cached + new, f, config.head_dim, config.num_heads, config.ffn_dim,
-                new_positions=new,
+                before + rows, f, config.head_dim, config.num_heads, config.ffn_dim,
+                new_positions=rows,
             )
-            for new, cached, _ in (flights[i] for i in row_set)
-        ))
-        for row_set in row_sets
+            for rows, before in steps
+        )
+
+    sets = row_sets(config, [(new, verify) for new, _, verify in flights])
+    layer_seconds = sum(
+        device.compute_seconds(sum(flops(*flights[i]) for i in row_set)) for row_set in sets
     )
     wanted = sum(new if all_positions else 1 for new, _, all_positions in flights)
     return config.num_layers * layer_seconds + device.compute_seconds(

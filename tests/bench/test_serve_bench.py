@@ -67,7 +67,7 @@ class TestCostModel:
         prompt_len, max_new = 5, 4
         totals = decode_step_totals(prompt_len, max_new, CONFIG.max_positions)
         assert totals == [5, 6, 7, 8]
-        expected = lone((prompt_len, 0, False)) + sum(lone((1, t - 1, False)) for t in totals[1:])
+        expected = lone((prompt_len, 0, False)) + sum(lone((1, t - 1, True)) for t in totals[1:])
         assert request_seconds(CONFIG, prompt_len, max_new) == pytest.approx(expected)
         model = serve._serve_model(quick=True)
         engine = InferenceEngine(
@@ -76,8 +76,16 @@ class TestCostModel:
         report = engine.run([Request(0.0, prompt_len, id=0)])
         assert report.makespan == pytest.approx(request_seconds(CONFIG, prompt_len, max_new))
 
-    def test_request_cost_with_zero_new_tokens_is_prefill_only(self):
-        assert request_seconds(CONFIG, 6, 0) == pytest.approx(lone((6, 0, False)))
+    def test_request_cost_with_no_kept_token_is_zero(self):
+        """No token to keep, no forward: neither ``max_new_tokens = 0`` nor a
+        prompt already at the position budget costs anything."""
+        assert request_seconds(CONFIG, 6, 0) == 0.0
+        assert request_seconds(CONFIG, CONFIG.max_positions + 5, 4) == 0.0
+        engine = InferenceEngine(
+            make_tier_sequencer(serve._serve_model(quick=True), max_new_tokens=0),
+            EngineConfig(num_slots=2),
+        )
+        assert engine.run([Request(0.0, 6, id=0)]).makespan == 0.0
 
 
 def speculative_section(

@@ -1,10 +1,13 @@
 """Shared fixtures for engine tests: a tiny GPT-2 plus sequencer factory."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.engine import EngineConfig, GPT2CachedSequencer, InferenceEngine
 from repro.models import GPT2Model, tiny_config
+from repro.models.cache import KVCache
 
 
 @pytest.fixture
@@ -30,8 +33,43 @@ def sequencer(gpt2):
     return GPT2CachedSequencer(gpt2, max_new_tokens=6, step_cost=constant_step_cost)
 
 
-def check_bit_identity(report, sequencer, requests):
-    """Every completed output must equal a fresh offline decode."""
+def record_finished_kv(sequencer) -> dict:
+    """Keep, per request id, the K/V bytes of every layer of the slot a
+    request of ``sequencer`` (a slot-cache construction) finishes in — read
+    as it finishes, before the engine recycles the slot."""
+    finished = {}
+    finish = sequencer._finish
+
+    def recording(state):
+        finished[state.request.id] = [
+            (layer.k.tobytes(), layer.v.tobytes()) for layer in state.slot.caches
+        ]
+        finish(state)
+
+    sequencer._finish = recording
+    return finished
+
+
+def generate_cached_kv(model, prompt, max_new_tokens):
+    """The K/V bytes of every layer of ``model.generate_cached``'s own cache
+    once it returns."""
+    caches = []
+    empty = KVCache.empty
+
+    def capturing(*args, **kwargs):
+        caches.append(empty(*args, **kwargs))
+        return caches[-1]
+
+    with mock.patch.object(KVCache, "empty", capturing):
+        model.generate_cached(prompt, max_new_tokens=max_new_tokens)
+    (cache,) = caches
+    return [(layer.k.tobytes(), layer.v.tobytes()) for layer in cache.layers]
+
+
+def check_bit_identity(report, sequencer, requests, finished_kv=None):
+    """Every completed output must equal a fresh offline decode — and, for
+    each request in ``finished_kv`` (its slot's K/V at finish,
+    :func:`record_finished_kv`), every K/V byte ``generate_cached``'s."""
     outputs = report.outputs()
     shed_ids = {s.request.id for s in report.shed}
     for request in requests:
@@ -41,15 +79,24 @@ def check_bit_identity(report, sequencer, requests):
             outputs[request.id], sequencer.offline_reference(request),
             err_msg=f"request {request.id} diverged from the offline decode",
         )
+        if finished_kv is not None and request.id in finished_kv:
+            reference = generate_cached_kv(
+                sequencer.model, sequencer.prompt_for(request), sequencer.max_new_tokens
+            )
+            assert finished_kv[request.id] == reference, (
+                f"request {request.id}: K/V differ from generate_cached's cache"
+            )
 
 
 def chaos_soak(sequencer, requests, **config):
     """The soak contract of every decode construction: run ``requests``
     through an engine (``config`` carries the slot count and the seeded
     chaos-preemption knobs); nothing may be shed or lost and every output
-    must be bit-identical to ``sequencer.offline_reference``."""
+    must be bit-identical to ``sequencer.offline_reference`` — and, for a
+    construction over slot caches, every K/V byte to ``generate_cached``'s."""
+    finished_kv = record_finished_kv(sequencer) if sequencer.num_layers else None
     report = InferenceEngine(sequencer, EngineConfig(**config)).run(requests)
     assert len(report.completed) == len(requests)
     assert report.shed == []
-    check_bit_identity(report, sequencer, requests)
+    check_bit_identity(report, sequencer, requests, finished_kv)
     return report

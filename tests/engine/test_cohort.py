@@ -349,7 +349,9 @@ class TestMixedIterations:
         assert rows.total == stats.forwards + len(requests)  # verifies + prefills
         assert rows.max == 3 and rows.count < rows.total
         spans = [span for span in tracer.spans if span.name == "engine.decode_cohort"]
-        assert max(span.args["packed"] for span in spans) == 3  # three verify rounds stacked
+        # verify rounds never pack — each of their rows is a decode step of its
+        # own — so only the staggered prefills, which arrive alone, are packed sets
+        assert max(span.args["packed"] for span in spans) == 1
 
     def test_a_proposer_that_never_proposes_joins_the_cohort(self, gpt2):
         class Never(NgramProposer):
@@ -404,6 +406,25 @@ class TestMixedIterations:
             check_bit_identity(report, sequencer, requests)
         rows = registry.histogram("engine.decode_cohort_rows")
         assert rows.count == report.steps_total - len(requests) and rows.max == 1  # all alone
+
+
+class TestNoTokenKept:
+    def test_a_request_that_keeps_no_token_runs_no_forward(self, gpt2):
+        """``max_new_tokens = 0``, and a prompt already at ``max_positions``:
+        ``generate_cached`` runs no forward for either, and neither does the
+        engine — the request finishes at its first step with the prompt."""
+        full = gpt2.config.max_positions
+        for max_new, prompt_len in ((0, 5), (4, full), (4, full + 3)):
+            registry = obs.MetricsRegistry()
+            sequencer = GPT2CachedSequencer(
+                gpt2, max_new_tokens=max_new, step_cost=position_cost
+            )
+            requests = [Request(arrival=0.0, n=prompt_len, id=i) for i in range(2)]
+            with obs.use_registry(registry):
+                report = InferenceEngine(sequencer, EngineConfig(num_slots=2)).run(requests)
+            check_bit_identity(report, sequencer, requests)
+            assert registry.counter("engine.cohort_forwards_total").value == 0
+            assert report.steps_total == len(requests) and report.makespan == 0.0
 
 
 class TestPassPrice:

@@ -1,12 +1,14 @@
 """Kernel bit-identity of the packed pass (INTERNALS §9/§10).
 
-``logits_cached_rows`` stacks the multi-row flights of one pass — prefills,
-prefix-cache suffixes, verify rounds — into one row set whose weight
-products are one GEMM per matrix, next to the single-position GEMV rows,
-and serves every wanted row from one blocked LM head.  Each flight must be
-*exactly* the forward it would run alone — same logits, same K/V rows —
+``logits_cached_rows`` stacks the prefills of one pass — prompts and
+prefix-cache suffixes — into one row set whose weight products are one GEMM
+per matrix, runs every row of a decode or verify flight as a single row
+(one GEMV-order product per matrix and its own decode-step attention), and
+serves every wanted row from one blocked LM head.  A prefill must be
+*exactly* the forward it would run alone, and a verify row exactly the lone
+single-position step at its position — same logits, same K/V rows —
 because the engine's bit-identity to ``generate_cached`` rides on it for
-every step, and the prefix cache re-serves those K/V rows to other requests.
+every step, and the prefix cache re-serves prompt K/V rows to other requests.
 """
 
 import json
@@ -19,7 +21,13 @@ import numpy as np
 import pytest
 
 import repro
-from repro.models.cache import SMALL_GEMM_FLOPS, KVCache, packed_flights, same_weight_kernels
+from repro.models.cache import (
+    SMALL_GEMM_FLOPS,
+    KVCache,
+    packed_flights,
+    row_sets,
+    same_weight_kernels,
+)
 from repro.models.config import tiny_config
 from repro.models.gpt2 import GPT2Model
 from repro.tensor.workspace import Workspace
@@ -59,11 +67,25 @@ def flights_for(model, specs, seed):
     return flights
 
 
+def lone_logits(model, flight) -> np.ndarray:
+    """What ``flight`` computes on its own: a prefill's lone forward, or —
+    for a verify flight — one lone single-position step per new id, each at
+    its own position, as ``generate_cached`` decodes."""
+    new_ids, offset, caches, workspace, *flags = flight
+    if not any(flags):
+        return np.atleast_2d(model.logits_cached(*flight))
+    return np.stack([
+        model.logits_cached([token], offset + row, caches, workspace)
+        for row, token in enumerate(new_ids)
+    ])
+
+
 def packed_equals_lone(model, specs, seed=0) -> dict:
-    """Run ``specs`` as one pass and flight by flight; what is equal."""
+    """Run ``specs`` as one pass and flight by flight (:func:`lone_logits`);
+    what is equal."""
     together, alone = flights_for(model, specs, seed), flights_for(model, specs, seed)
     logits = model.logits_cached_rows(together)
-    lone = [np.atleast_2d(model.logits_cached(*flight)) for flight in alone]
+    lone = [lone_logits(model, flight) for flight in alone]
     return {
         "shape": logits.shape == (sum(len(rows) for rows in lone), model.config.vocab_size),
         "logits": np.array_equal(logits, np.concatenate(lone)),
@@ -90,7 +112,7 @@ CANARY_CASES = {
     "blocked suffixes": ([(100, 70), (50, 80)], [0, 1]),
     "mixed with single positions": ([(20, 1), (0, 6), (33, 1), (10, 5)], [1, 3]),
     "verify rounds, a decode and a prefill": (
-        [(12, 5, True), (20, 5, True), (9, 1), (0, 4)], [0, 1, 3],
+        [(12, 5, True), (20, 5, True), (9, 1, True), (0, 4)], [3],
     ),
     "one flight is its own set": ([(8, 6)], [0]),
 }
@@ -100,14 +122,18 @@ class TestPackedRows:
     @pytest.mark.parametrize("name", CANARY_CASES)
     def test_packed_pass_equals_lone_forwards(self, canary, name):
         specs, packed = CANARY_CASES[name]
-        assert packed_flights(canary.config, [rows for _, rows, *_ in specs]) == packed
+        alone = [[index] for index in range(len(specs)) if index not in packed]
+        flights = [(rows, any(flags)) for _, rows, *flags in specs]
+        assert row_sets(canary.config, flights) == [packed] * bool(packed) + alone
         assert packed_equals_lone(canary, specs) == ALL_EQUAL
 
     def test_tiny_width_is_all_small_kernels(self):
         """F = 32: every product of a 64-position model is under the cutoff."""
         model = decoder(32, 100, ffn=64, max_positions=64)
         specs = [(0, 9), (5, 2), (30, 1), (0, 20), (11, 3, True)]
-        assert packed_flights(model.config, [rows for _, rows, *_ in specs]) == [0, 1, 3, 4]
+        assert row_sets(model.config, [(rows, any(flags)) for _, rows, *flags in specs]) == [
+            [0, 1, 3], [2], [4],
+        ]
         assert packed_equals_lone(model, specs) == ALL_EQUAL
 
     def test_verify_argmaxes_equal_the_lone_all_positions_forward(self, canary):
@@ -120,11 +146,15 @@ class TestPackedRows:
             lone = canary.logits_cached(new_ids, offset, caches, workspace, all_positions=True)
             assert np.array_equal(tokens[start:stop], np.argmax(lone, axis=-1))
 
-    def test_all_positions_rows_are_the_last_position_head(self, canary):
-        """A verify's logits come from the blocked GEMV head: its last row is
-        the row a last-position forward over the same ids returns."""
-        (every,), (last,) = flights_for(canary, [(6, 4, True)], 2), flights_for(canary, [(6, 4)], 2)
-        assert np.array_equal(canary.logits_cached(*every)[-1], canary.logits_cached(*last))
+    def test_all_positions_rows_are_lone_decode_steps(self, canary):
+        """A lone verify flight is ``generate_cached``'s decode steps: every
+        row's logits and K/V row are those of a single-position forward at
+        its position — not the rows a prefill over the same ids writes."""
+        (every,), (steps,) = flights_for(canary, [(6, 4, True)], 2), flights_for(canary, [(6, 4)], 2)
+        logits = canary.logits_cached(*every)
+        assert np.array_equal(logits, lone_logits(canary, (*steps, True)))
+        for a, b in zip(every[2], steps[2]):
+            assert a.k.tobytes() == b.k.tobytes() and a.v.tobytes() == b.v.tobytes()
 
     def test_flights_sharing_one_workspace(self, canary):
         shared = Workspace()
@@ -142,6 +172,12 @@ class TestPackingRule:
         assert packed_flights(canary.config, [1, 1, 1]) == []
         assert packed_flights(canary.config, [1, 4, 1]) == [1]
         assert packed_flights(canary.config, []) == []
+
+    def test_only_prefills_pack(self, canary):
+        """A verify flight is a row set of its own whatever its length."""
+        flights = [(5, True), (4, False), (1, True), (6, False), (2, True)]
+        assert row_sets(canary.config, flights) == [[1, 3], [0], [2], [4]]
+        assert row_sets(canary.config, [(3, True), (3, True)]) == [[0], [1]]
 
     def test_members_share_the_totals_side_of_every_cutoff(self, canary):
         config = canary.config
@@ -189,10 +225,20 @@ def _child(script: str, threads: int, timeout: int) -> dict:
 GPT2_CASES = {
     "prefill wave": [(0, 17), (0, 29), (0, 22), (0, 31)],
     "suffixes": [(96, 9), (96, 24), (96, 2)],
-    "verify + decode + prefill": [(20, 5, True), (31, 1), (26, 4, True), (0, 16), (40, 1)],
+    "verify + decode + prefill": [(20, 5, True), (31, 1, True), (26, 4, True), (0, 16), (40, 1)],
     # the saturated round: four single rows share every layer matrix
     # (``rows_matmul``'s C kernel) next to a packed set
     "decode cohort + prefills": [(31, 1), (40, 1), (12, 1), (0, 16), (7, 1), (0, 9)],
+}
+
+#: Verify flights of 2–5 rows among decodes and a prefill at F = 768: every
+#: verify row must be the lone single-position step at its position.
+GPT2_VERIFY_CASES = {
+    "four verify lengths": [(20, 2, True), (33, 3, True), (9, 4, True), (50, 5, True)],
+    "verifies, decodes, a prefill": [
+        (20, 5, True), (31, 1, True), (0, 12), (47, 2, True), (40, 1, True), (64, 3, True),
+    ],
+    "one verify beside a prefill wave": [(0, 17), (71, 4, True), (0, 29)],
 }
 
 
@@ -208,6 +254,19 @@ class TestGPT2Width:
                               for name, specs in GPT2_CASES.items()}))
         """, threads=1, timeout=600)
         assert equal == {name: ALL_EQUAL for name in GPT2_CASES}
+
+    def test_verify_rows_are_lone_decode_steps_on_one_blas_thread(self):
+        """Full vocabulary: each verify row's logits and K/V rows are those of
+        a lone single-position ``logits_cached`` step at its position."""
+        equal = _child("""
+            import json, sys
+            sys.path[:0] = sys.argv[1:]
+            from test_packed_rows import GPT2_VERIFY_CASES, decoder, packed_equals_lone
+            model = decoder(768, 50257, heads=12, max_positions=128)
+            print(json.dumps({name: packed_equals_lone(model, specs)
+                              for name, specs in GPT2_VERIFY_CASES.items()}))
+        """, threads=1, timeout=600)
+        assert equal == {name: ALL_EQUAL for name in GPT2_VERIFY_CASES}
 
     def test_layers_bit_equal_on_a_two_thread_pool(self):
         """A threaded pool may split the big head product where it likes
@@ -228,9 +287,11 @@ class TestGPT2Width:
     def test_sweep_of_ragged_tuples_and_offsets(self):
         """Several hundred random passes — 2–5 flights, ragged lengths from
         2 rows up, offsets over seeded prefixes, single positions and verify
-        rounds mixed in — each equal to its lone forwards in logits and K/V.
-        (A seven-block vocabulary with a tail: the sweep is about the layer
-        GEMMs; the full table is the fast test's.)"""
+        rounds of up to 5 rows mixed in — each prefill equal to its lone forward
+        and each verify row to the lone single-position step at its
+        position, in logits and K/V.  (A seven-block vocabulary with a tail:
+        the sweep is about the layer products; the full table is the fast
+        test's.)"""
         failed = _child("""
             import json, sys
             import numpy as np
