@@ -398,21 +398,15 @@ def run_steps(steps):
 
 
 #: OpenBLAS's small-matrix SGEMM cutoffs (``sgemm_small_kernel_permit``,
-#: SkylakeX) — the one home of these facts; the bit-equality rules
-#: (:func:`same_weight_kernels`, ``systems.decode._same_gemm_kernels``) and
-#: the screening head's block rule (``models.gpt2.head_screen_block``) read
-#: the same three names.  A product of at most ``SMALL_GEMM_FLOPS``
-#: ``M·N·K`` multiply-adds takes a small-matrix kernel, which reads its
-#: operands in place, instead of the blocked one, which first packs them.
-#: With a *transposed* operand (``Q·Kᵀ`` scores, a hidden row group against
-#: a panel of the tied table) it does so only up to ``SMALL_GEMM_CELLS``
-#: ``M·N`` output cells and from a depth ``K`` of ``SMALL_GEMM_MIN_DEPTH``.
-#: The trap the second rule guards: by the 100³ rule alone a 4-row block of
-#: the F = 768 head is 325 table rows — 1300 cells, so the *packed* kernel —
-#: and the screened head runs slower than the GEMV head it replaces (B = 4:
-#: 32–34 ms at 301–326 rows against 23 ms for the GEMVs, 16 ms at 300; the
-#: issue's prototype saw 51–55 against 61–66 tok/s on ``serve-saturated``);
-#: 1200 cells make the block 300 rows.
+#: SkylakeX) — the one home of these facts, read by the bit-equality rules
+#: (:func:`same_weight_kernels`, ``systems.decode._same_gemm_kernels``); the
+#: argmax head no longer does (its screen is a C walk of the table, not a
+#: BLAS product).  A product of at most ``SMALL_GEMM_FLOPS`` ``M·N·K``
+#: multiply-adds takes a small-matrix kernel, which reads its operands in
+#: place, instead of the blocked one, which first packs them.  With a
+#: *transposed* operand (``Q·Kᵀ`` scores) it does so only up to
+#: ``SMALL_GEMM_CELLS`` ``M·N`` output cells and from a depth ``K`` of
+#: ``SMALL_GEMM_MIN_DEPTH``.
 SMALL_GEMM_FLOPS = 100 * 100 * 100
 SMALL_GEMM_CELLS = 1200
 SMALL_GEMM_MIN_DEPTH = 32

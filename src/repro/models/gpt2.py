@@ -10,9 +10,6 @@ import numpy as np
 
 from repro.models.base import TransformerModel
 from repro.models.cache import (
-    SMALL_GEMM_CELLS,
-    SMALL_GEMM_FLOPS,
-    SMALL_GEMM_MIN_DEPTH,
     LayerKVCache,
     layer_steps_cached,
     lockstep,
@@ -22,28 +19,20 @@ from repro.models.config import TransformerConfig, gpt2_config
 from repro.models.embeddings import TextEmbeddings
 from repro.models.tokenizer import SimpleTokenizer
 from repro.obs.metrics import get_registry
+from repro.tensor.blas import screen_top2
 from repro.tensor.layers import LayerNorm
 from repro.tensor.workspace import Workspace
 
-__all__ = ["CachedForward", "GPT2Model", "greedy_loop", "head_screen_block"]
+__all__ = ["CachedForward", "GPT2Model", "greedy_loop"]
 
 #: Embedding-table bytes one LM-head block covers: ≈ 1 MiB, small enough to
 #: stay cache resident while every cohort row is multiplied against it
 #: (measured flat from 128 to 512 rows at F=768; 1024 rows loses a third).
 _LM_HEAD_BLOCK_BYTES = 1 << 20
-#: Hidden rows one screening product of :meth:`GPT2Model.head_argmax`
-#: carries; more rows meet each table block in groups of this many
-#: (measured at F = 768: 8-row groups of 150-row blocks serve 8–20 rows
-#: faster than 4-row groups of 300-row blocks, 30 against 38 ms at 16 rows).
-_SCREEN_GROUP_ROWS = 8
 #: float32 unit roundoff, and the largest ``‖h‖·‖e‖`` for which no partial
 #: sum of a float32 dot product can overflow (the error bound assumes none).
 _UNIT_ROUNDOFF = 2.0**-24
 _NO_OVERFLOW = 1e38
-#: float32 cells of screening logits kept at a time (128 KiB, one request of
-#: fixed size to the workspace): a chunk of table blocks is screened into
-#: them, reduced to each row's running top two, and overwritten by the next.
-_SCREEN_SCRATCH_CELLS = 1 << 15
 
 
 def greedy_loop(step, ids: list[int], max_new_tokens: int, max_positions: int) -> list[int]:
@@ -61,22 +50,6 @@ def greedy_loop(step, ids: list[int], max_new_tokens: int, max_positions: int) -
     for _ in range(new_tokens - 1):
         ids.append(step([ids[-1]], len(ids) - 1))
     return ids
-
-
-def head_screen_block(rows: int, width: int) -> int:
-    """Table rows per block of the screening head: the most for which the
-    ``(rows, width) @ (width, block)`` product — whose right operand reaches
-    BLAS transposed, a panel of the row-major table — still takes OpenBLAS's
-    small-matrix kernel, which reads the panel in place where the blocked
-    kernel first packs it (:data:`repro.models.cache.SMALL_GEMM_FLOPS` and
-    its two neighbours).  Below the minimum depth no transposed product
-    takes it and only the multiply-add rule sizes the block.  A speed rule
-    only: the screen is checked against an error bound, not bit-equal to
-    anything, so a BLAS with other cutoffs is slower, never wrong."""
-    cells = SMALL_GEMM_FLOPS // width
-    if width >= SMALL_GEMM_MIN_DEPTH:
-        cells = min(cells, SMALL_GEMM_CELLS)
-    return max(1, cells // rows)
 
 
 class CachedForward(NamedTuple):
@@ -187,17 +160,17 @@ class GPT2Model(TransformerModel):
                 np.matmul(row, panel, out=out[start - lo : stop - lo])
         return logits
 
-    def head_argmax(self, rows, workspace=None, labels=None) -> tuple[np.ndarray, int]:
+    def head_argmax(self, rows, labels=None) -> tuple[np.ndarray, int]:
         """``(np.argmax(self.lm_head(rows), axis=-1), fallbacks)`` — the
         greedy token of each of the ``B`` final-normed hidden rows of a pass
         — without the logits leaving the head (INTERNALS §9).
 
-        From two float32 rows up, *screening* logits come from one
-        ``(≤ 8, F) @ table[s:e].T`` product per table block
-        (:func:`head_screen_block`), so the table is streamed from memory
-        once for all rows and no row re-reads a block from L2.  Their
-        summation order is whatever the small GEMM kernel uses, so they are
-        not :meth:`lm_head`'s logits; but any float32 dot product over ``F``
+        From two float32 rows up, one walk of the table in C
+        (:func:`repro.tensor.blas.screen_top2`) yields each row's two
+        largest *screening* logits and the leader's lowest index, so the
+        table is streamed from memory once for all rows and no logit is
+        kept.  Their summation order is the walk's, so they are not
+        :meth:`lm_head`'s logits; but any float32 dot product over ``F``
         terms, in any order, fused or not, is within
         ``γ_F·‖h‖₂·‖e_j‖₂`` of the exact one (``γ_F = F·u / (1 − F·u)``,
         ``u = 2⁻²⁴``), hence a screening logit is within ``bound =
@@ -207,11 +180,11 @@ class GPT2Model(TransformerModel):
         logits is that index.  Every other row — an exact or near tie, a
         norm product large enough for a partial sum to overflow (which
         covers every non-finite input) — is recomputed by :meth:`lm_head`
-        itself; ``fallbacks`` counts them.  A lone row, and any row set that
-        is not float32 throughout, is ``lm_head``'s own op sequence.
+        itself; ``fallbacks`` counts them.  Without the walk (no kernel
+        library, or a table it cannot address; the reason is reported once)
+        every row is such a fallback.  A lone row, and any row set that is
+        not float32 throughout, is ``lm_head``'s own op sequence.
 
-        ``workspace`` backs the screening scratch — a fixed 128 KiB however
-        many rows (``_SCREEN_SCRATCH_CELLS``), never a ``(B, vocab)`` array;
         ``labels`` tag the two counters recorded here,
         ``models.head_rows_screened_total`` and
         ``models.head_argmax_fallbacks_total``.
@@ -219,45 +192,24 @@ class GPT2Model(TransformerModel):
         table = self.embeddings.word.weight.data
         if len(rows) < 2 or any(a.dtype != np.float32 for a in (table, *rows)):
             return np.argmax(self.lm_head(rows), axis=-1), 0
-        count, (vocab, width) = len(rows), table.shape
         hidden = np.stack(rows)
-        group = min(count, _SCREEN_GROUP_ROWS)
-        block = head_screen_block(group, width)
-        chunk = block * max(1, _SCREEN_SCRATCH_CELLS // (count * block))
-        cells = max(_SCREEN_SCRATCH_CELLS, count * chunk)
-        scratch = (workspace or Workspace()).take("head_screen", (cells,))
-        order = np.arange(count)
-        tokens = np.zeros(count, dtype=np.int64)
-        # the two largest screening logits of each row so far, ascending
-        top_two = np.full((2, count), -np.inf, dtype=np.float32)
-        for first in range(0, vocab, chunk):
-            last = min(first + chunk, vocab)
-            screen = scratch[: count * (last - first)].reshape(count, last - first)
-            for column in range(0, last - first, block):
-                panel = table[first + column : first + column + block].T
-                for lead in range(0, count, group):
-                    np.matmul(
-                        hidden[lead : lead + group],
-                        panel,
-                        out=screen[lead : lead + group, column : column + block],
-                    )
-            best = np.argmax(screen, axis=-1)
-            leaders = screen[order, best]
-            screen[order, best] = -np.inf
-            # strictly greater: of equal logits the lowest index stays, as in np.argmax
-            tokens = np.where(leaders > top_two[1], first + best, tokens)
-            top_two = np.sort(np.vstack([top_two, leaders, np.max(screen, axis=-1)]), axis=0)[-2:]
-        margin = top_two[1].astype(np.float64) - top_two[0]
-        # norms in float64 and rounded up; the last term covers products
-        # that underflow (each off by less than the smallest subnormal)
-        scale = np.linalg.norm(hidden.astype(np.float64), axis=-1) * self._table_row_norm(table)
-        gamma = width * _UNIT_ROUNDOFF / (1 - width * _UNIT_ROUNDOFF)
-        bound = 2 * gamma * scale * (1 + 1e-6) + width * float(np.finfo(np.float32).tiny)
-        uncertain = np.flatnonzero(~((scale < _NO_OVERFLOW) & (margin > 2 * bound)))
-        if uncertain.size:
-            tokens[uncertain] = np.argmax(self.lm_head([rows[i] for i in uncertain]), axis=-1)
+        walk = screen_top2(hidden, table)
+        if walk is None:
+            tokens, uncertain = np.argmax(self.lm_head(rows), axis=-1), np.arange(len(rows))
+        else:
+            best, second, tokens = walk
+            margin = best.astype(np.float64) - second
+            # norms in float64 and rounded up; the last term covers products
+            # that underflow (each off by less than the smallest subnormal)
+            width = table.shape[1]
+            scale = np.linalg.norm(hidden.astype(np.float64), axis=-1) * self._table_row_norm(table)
+            gamma = width * _UNIT_ROUNDOFF / (1 - width * _UNIT_ROUNDOFF)
+            bound = 2 * gamma * scale * (1 + 1e-6) + width * float(np.finfo(np.float32).tiny)
+            uncertain = np.flatnonzero(~((scale < _NO_OVERFLOW) & (margin > 2 * bound)))
+            if uncertain.size:
+                tokens[uncertain] = np.argmax(self.lm_head([rows[i] for i in uncertain]), axis=-1)
         registry, labels = get_registry(), labels or {}
-        registry.counter("models.head_rows_screened_total", **labels).inc(count)
+        registry.counter("models.head_rows_screened_total", **labels).inc(len(rows))
         registry.counter("models.head_argmax_fallbacks_total", **labels).inc(uncertain.size)
         return tokens, uncertain.size
 
@@ -360,10 +312,8 @@ class GPT2Model(TransformerModel):
         instead of :meth:`lm_head`: ``(greedy token of every wanted
         position, fallbacks)`` — ``np.argmax(logits_cached_rows(rows),
         axis=-1)`` with the same hidden states and K/V rows, but only the
-        argmax leaves the head.  Screening scratch is the first flight's
-        workspace's; ``labels`` tag the head's counters."""
-        flights = [CachedForward(*row) for row in rows]
-        return self.head_argmax(self._wanted_rows(flights), flights[0].workspace, labels)
+        argmax leaves the head; ``labels`` tag the head's counters."""
+        return self.head_argmax(self._wanted_rows([CachedForward(*row) for row in rows]), labels)
 
     def _wanted_rows(self, flights: Sequence[CachedForward]) -> list[np.ndarray]:
         """Run the pass of ``flights`` (see :meth:`logits_cached_rows`) and

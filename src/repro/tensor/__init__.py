@@ -9,9 +9,11 @@ provides just enough structure to express transformer models faithfully:
   (softmax, layer normalisation, GELU/ReLU, linear, embedding lookup);
 - :mod:`repro.tensor.init` — seeded weight initialisers;
 - :mod:`repro.tensor.layers` — `Linear`, `LayerNorm`, `Embedding` modules;
-- :mod:`repro.tensor.blas` — :func:`rows_matmul`, several single rows against
-  one weight matrix streamed once (a small C kernel in ``np.matmul``'s own
-  summation order, built at first use);
+- :mod:`repro.tensor.blas` — one small C library built at first use:
+  :func:`rows_matmul`, several single rows against one weight matrix
+  streamed once in ``np.matmul``'s own summation order, and
+  :func:`~repro.tensor.blas.screen_top2`, the argmax head's one walk of the
+  tied table;
 - :mod:`repro.tensor.workspace` — scratch buffers, and the process's malloc
   policy (one glibc arena), applied here on import: before any thread of
   the package exists, which a later call could not undo.

@@ -36,7 +36,8 @@ REPORT_VERSION = 1
 def blas_identity() -> dict:
     """Which arithmetic the bit-identity checks ran on, for the report
     header: the BLAS NumPy was built against (``np.show_config``), the
-    ``rows_matmul`` kernel's library (or why there is none), the verdict
+    kernel library's path (``rows_matmul`` and ``screen_top2``; or why
+    there is none), the verdict
     its probe reaches at GPT-2's four layer-matrix shapes (seeded stand-in
     weights, dropped at once) and the malloc policy in effect (one glibc
     arena, or why not)."""

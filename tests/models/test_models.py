@@ -195,12 +195,11 @@ def test_engine_footprint_is_near_what_its_requests_need():
     within twice what its traffic needs: K/V for each slot's largest
     request capacity, and scratch for the largest pass (the fused QKV rows
     of the 4 longest prompts packed, the longest prompt's scores and
-    attended context, the head screen's fixed 128 KiB).  Power-of-two slot
+    attended context; the argmax head keeps no scratch).  Power-of-two slot
     classes and the workspace's doubling growth each stay under 2x; slots
     sized to ``max_positions`` hold over 5x, and a workspace per slot
     multiplies the scratch."""
     from repro.engine import EngineConfig, GPT2CachedSequencer, InferenceEngine
-    from repro.models.gpt2 import _SCREEN_SCRATCH_CELLS
     from repro.serving.arrivals import Request
     from repro.systems.decode import decode_capacity
 
@@ -225,7 +224,7 @@ def test_engine_footprint_is_near_what_its_requests_need():
     kv_needed = sum(largest.values()) * model.num_layers * 2 * f * 4  # float32 K and V
     scratch_needed = 4 * (
         sum(sorted(lengths)[-slots:]) * 3 * f + longest * (config.num_heads * longest + f)
-    ) + 4 * _SCREEN_SCRATCH_CELLS
+    )
     kv_held = engine.pool.nbytes()
     held = kv_held + sequencer.backend.workspace.nbytes()
     assert kv_held < 2 * kv_needed, f"{kv_held} K/V bytes held for {kv_needed} needed"
