@@ -15,8 +15,6 @@ Inference with Transformer Models"* (Hu & Li, ICDCS 2024), including:
   Voltage (plus adaptive and fault-tolerant variants, and the naive
   fixed-order partition as an order policy), tensor parallelism,
   distributed decode;
-- :mod:`repro.compress` — int8 weight quantization, orthogonal to
-  distribution;
 - :mod:`repro.serving` — arrival processes and served-request statistics
   for request streams;
 - :mod:`repro.engine` / :mod:`repro.fleet` — the online engine (continuous

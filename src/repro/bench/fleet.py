@@ -1,11 +1,11 @@
 """Fleet bench (``repro.bench fleet``): router-policy sweep + autoscale demo.
 
-Replays a registered workload trace (default ``diurnal``) across the
-standard tier pool (full / int8, priced alike) once per router
-policy, every run autoscaled, and emits ``BENCH_fleet.json`` (schema
-``repro-bench-fleet/v1``): per-policy p50/p99 latency, shed and
-deadline-miss rates, the replica-count envelope, per-tier utilisation —
-plus sha256 digests of the routing decisions and the served token outputs.
+Replays a registered workload trace (default ``diurnal``) across a pool of
+replicas of one seeded model once per router policy, every run autoscaled,
+and emits ``BENCH_fleet.json`` (schema ``repro-bench-fleet/v1``):
+per-policy p50/p99 latency, shed and deadline-miss rates, the replica-count
+envelope — plus sha256 digests of the routing decisions and the served
+token outputs.
 ``--check`` requires the whole payload to equal the committed baseline.
 
 The acceptance demo (``autoscale`` block) contrasts a **fixed single
@@ -15,7 +15,7 @@ deadlines at the daily peak) while the autoscaled fleet holds admitted p99
 within the engine's overload bound (``slo + num_slots × worst_service``,
 see the serve bench) at a fraction of the shed rate.
 
-Determinism: virtual time everywhere, seeded tier weights, seeded traces,
+Determinism: virtual time everywhere, seeded weights, seeded traces,
 seeded routers — the payload contains no wall-clock fields, so two runs of
 the same (trace, seed, policy, mode) produce byte-identical JSON.
 """
@@ -36,14 +36,11 @@ from repro.fleet import (
     Fleet,
     FleetConfig,
     FleetReport,
-    REFERENCE_PROMPT_LEN,
     ROUTER_POLICIES,
-    build_tier_model,
     build_trace,
     make_router,
     make_tier_sequencer,
     request_seconds,
-    standard_tiers,
 )
 from repro.obs.metrics import MetricsRegistry, use_registry
 
@@ -59,6 +56,9 @@ SCHEMA = "repro-bench-fleet/v1"
 emit_report = partial(harness.emit_report, schema=SCHEMA)
 
 _MAX_NEW = 8
+#: Prompt length of the reference request whose lone price is the fleet's
+#: time base: the autoscaler's tick and cooldowns, the trace's rescaling.
+REFERENCE_PROMPT_LEN = 8
 _NUM_SLOTS = 2
 _FLEET_CONFIG = FleetConfig(num_slots=_NUM_SLOTS, max_queue=3 * _NUM_SLOTS, max_new_tokens=_MAX_NEW)
 
@@ -107,33 +107,26 @@ def _point(policy: str, report: FleetReport) -> dict:
         "mean_replicas": report.mean_replicas,
         "scale_ups": sum(1 for _, kind, _ in report.scale_events if kind == "up"),
         "scale_downs": sum(1 for _, kind, _ in report.scale_events if kind == "down"),
-        "tier_utilisation": report.tier_utilisation(),
         "routing_digest": _digest_routing(report),
         "outputs_digest": _digest_outputs(report),
     }
 
 
 class _FleetBench:
-    """The bench's standard fleet: the tiers, one seeded model per tier, the
-    reference service time, and the sizing and autoscaler tuning every run
-    shares."""
+    """The bench's standard fleet: one seeded model every replica serves,
+    the reference service time, and the sizing and autoscaler tuning every
+    run shares."""
 
     def __init__(self, quick: bool, seed: int):
+        from repro.models import GPT2Model
+
         self.seed = seed
         self.model_config = _fleet_model_config(quick)
-        self.tiers = standard_tiers()
-        self.models: dict = {}
-        self.tier_meta = []
-        for tier in self.tiers:
-            model, meta = build_tier_model(tier, self.model_config, weight_seed=seed)
-            self.models[tier.name] = model
-            self.tier_meta.append(meta)
+        self.model = GPT2Model(self.model_config, rng=np.random.default_rng(seed))
         self.service_s = request_seconds(self.model_config, REFERENCE_PROMPT_LEN, _MAX_NEW)
 
-    def _sequencer(self, tier):
-        return make_tier_sequencer(
-            self.models[tier.name], max_new_tokens=_MAX_NEW, prompt_seed=self.seed
-        )
+    def _sequencer(self):
+        return make_tier_sequencer(self.model, max_new_tokens=_MAX_NEW, prompt_seed=self.seed)
 
     def run(self, router, requests, autoscaled: bool) -> FleetReport:
         # thresholds in the trace's rescaled time base: the control loop ticks
@@ -153,9 +146,7 @@ class _FleetBench:
             else None
         )
         with use_registry(MetricsRegistry()):
-            fleet = Fleet(
-                self.tiers, self._sequencer, router, autoscaler=autoscaler, config=_FLEET_CONFIG
-            )
+            fleet = Fleet(self._sequencer, router, autoscaler=autoscaler, config=_FLEET_CONFIG)
             return fleet.run(requests)
 
 
@@ -223,7 +214,6 @@ def run_fleet_sweep(quick: bool = False, seed: int = 0, trace_ref: str = "diurna
             "max_new_tokens": _MAX_NEW,
             "mean_service_seconds": service_s,
             "slo_seconds": slo_s,
-            "tiers": bench.tier_meta,
             "seed": seed,
         },
         "sweep": sweep,
@@ -238,7 +228,7 @@ def run_single_fleet(
     policy: str = "least-loaded",
     autoscaled: bool = True,
 ):
-    """One fleet run under the bench's standard setup (tiers, sizing,
+    """One fleet run under the bench's standard setup (model, sizing,
     autoscaler tuning); returns ``(report, trace, service_s)``.  This is the
     entry the ablation figure uses to plot a control timeline."""
     bench = _FleetBench(quick, seed)

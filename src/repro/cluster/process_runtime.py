@@ -9,11 +9,11 @@ real OS process, every frame crosses a loopback TCP socket in the
 NumPy/BLAS compute is genuinely multi-core.
 
 It honours the exact same :class:`~repro.cluster.runtime.WorkerContext`
-contract (barrier, broadcast, all_gather/all_reduce, ring + async variants
-returning :class:`~repro.cluster.runtime.CollectiveHandle`): the subclass
-only overrides the frame-transport hooks (``_put_frame`` / ``_get_frame``)
-and the three slot-based collectives, which become wire collectives
-(ring all-gather, ring all-reduce, root-to-peer broadcast).  Everything
+contract (barrier, all_gather/all_reduce, ring + async variants returning
+:class:`~repro.cluster.runtime.CollectiveHandle`): the subclass only
+overrides the frame-transport hooks (``_put_frame`` / ``_get_frame``), the
+barrier and the two slot-based collectives, which become wire collectives
+(ring all-gather, ring all-reduce).  Everything
 above those hooks — ring step order, summation order, chunk streaming — is
 the *same code*, which is what makes thread-vs-process bit-identity a
 checkable property rather than a hope.
@@ -282,7 +282,7 @@ class ProcessWorkerContext(WorkerContext):
                         ),
                     ) from None
 
-    # -- collectives (wire versions of the slot-based trio) --------------------
+    # -- collectives (wire versions of the barrier and the slot-based pair) -----
 
     def barrier(self) -> None:
         """Centralised barrier: rank 0 gathers a token from every rank, then
@@ -333,37 +333,6 @@ class ProcessWorkerContext(WorkerContext):
         if array.ndim == 0:
             return self.all_reduce_async(array.reshape(1)).wait().reshape(())
         return self.all_reduce_async(array).wait()
-
-    def broadcast(self, array: np.ndarray | None = None, root: int = 0) -> np.ndarray:
-        """Root sends its frame to every peer; non-roots decode a private,
-        writable copy (``decode_frame`` guarantees writability)."""
-        from repro.cluster.wire import decode_frame, encode_frame
-
-        tag = self._collective_tag("broadcast")
-        with self._span("broadcast") as span:
-            if self.rank == root:
-                if array is None:
-                    raise ValueError("broadcast root must supply an array")
-                frame = encode_frame(
-                    array, kind=_RING_FRAME_KIND, sender=self.rank, sequence=0
-                )
-                sent = 0
-                for dst in range(self.world_size):
-                    if dst != root:
-                        sent += self._put_frame(dst, tag, frame)
-                self._add_stats(bytes_sent=sent, collective_calls=1)
-                span.set(nbytes=sent)
-                return array
-            data, nbytes = self._get_frame(
-                root, tag, self._timeout,
-                context=f"in broadcast, waiting on root rank {root}", last=True,
-            )
-            payload = decode_frame(data).payload
-            self._add_stats(
-                bytes_received=nbytes, collective_calls=1, bytes_copied=payload.nbytes
-            )
-            span.set(nbytes=nbytes)
-            return payload
 
 
 def _worker_main(

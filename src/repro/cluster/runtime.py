@@ -13,9 +13,9 @@ for reported numbers).
 
 Two families of collectives coexist:
 
-- the original **slot-and-barrier** collectives (``all_gather``,
-  ``all_reduce``, ``broadcast``), which exchange references through shared
-  slots and *account* ring-equivalent byte volumes;
+- the original **slot-and-barrier** collectives (``all_gather`` and
+  ``all_reduce``), which exchange references through shared slots and
+  *account* ring-equivalent byte volumes;
 - **ring** collectives (``ring_all_gather``, ``all_gather_async``,
   ``all_reduce_async``), which actually move framed chunks rank-to-rank over
   tagged channels in K-1 steps, so the byte counters measure *executed*
@@ -413,40 +413,6 @@ class WorkerContext:
             span.set(nbytes=sent)
         return out
 
-    def broadcast(self, array: np.ndarray | None, root: int = 0) -> np.ndarray:
-        """Root's array is delivered to every rank.
-
-        Non-root ranks receive a private *copy*: a real broadcast puts a
-        distinct buffer on every device, so an in-place mutation by one
-        rank must never be visible to the others.  (Returning the root's
-        array by reference was a shared-memory leak of the thread backend —
-        protocols that mutated their received tensor silently corrupted
-        every peer.)
-        """
-        shared = self._shared
-        with self._span("broadcast") as span:
-            if self.rank == root:
-                if array is None:
-                    raise ValueError("broadcast root must supply an array")
-                shared.slots[root] = array
-            shared.barrier.wait()
-            result = shared.slots[root]
-            if self.rank != root:
-                # still a private per-rank copy (the pool is per-rank), but
-                # written into a reused receive buffer
-                out = self._recv_buffer("broadcast", result.shape, result.dtype, (result,))
-                np.copyto(out, result)
-                self._add_stats(bytes_copied=out.nbytes)
-                result = out
-            shared.barrier.wait()
-            if self.rank == root:
-                self._add_stats(bytes_sent=result.nbytes * (self.world_size - 1))
-            else:
-                self._add_stats(bytes_received=result.nbytes)
-            self._add_stats(collective_calls=1)
-            span.set(nbytes=result.nbytes)
-        return result
-
     # -- ring collectives ------------------------------------------------------
     #
     # Unlike the slot-based collectives above, these actually move framed
@@ -469,8 +435,8 @@ class WorkerContext:
     # sockets the frame plus its envelope.
     #
     # Every channel is tagged and carries a fixed number of frames known to
-    # both ends (K-1 per ring hop, one per scatter slice, barrier token or
-    # broadcast), so the receiver passes ``last=True`` for the final one and
+    # both ends (K-1 per ring hop, one per scatter slice or barrier token),
+    # so the receiver passes ``last=True`` for the final one and
     # the channel is dropped once it is consumed: a resident rank keeps no
     # channel per collective it has ever run.  Nothing is sent on a tag after
     # its last frame, so the drop cannot race a sender.

@@ -11,7 +11,7 @@ sweeps router policies and demonstrates autoscaling end to end.
 """
 
 from repro.fleet.autoscaler import Autoscaler, AutoscalerConfig, AutoscalerSample
-from repro.fleet.fleet import REFERENCE_PROMPT_LEN, Fleet, FleetConfig, FleetReport, Replica
+from repro.fleet.fleet import Fleet, FleetConfig, FleetReport, Replica
 from repro.fleet.router import (
     ROUTER_POLICIES,
     LeastLoadedRouter,
@@ -24,11 +24,8 @@ from repro.fleet.router import (
 )
 from repro.fleet.tiers import (
     SERVE_DEVICE,
-    ReplicaTier,
-    build_tier_model,
     make_tier_sequencer,
     request_seconds,
-    standard_tiers,
 )
 from repro.fleet.traces import (
     Trace,
@@ -46,7 +43,6 @@ __all__ = [
     "Fleet",
     "FleetConfig",
     "FleetReport",
-    "REFERENCE_PROMPT_LEN",
     "Replica",
     "ROUTER_POLICIES",
     "Router",
@@ -56,11 +52,8 @@ __all__ = [
     "SessionAffinityRouter",
     "make_router",
     "replica_load",
-    "ReplicaTier",
     "SERVE_DEVICE",
     "request_seconds",
-    "standard_tiers",
-    "build_tier_model",
     "make_tier_sequencer",
     "Trace",
     "TraceSpec",

@@ -17,8 +17,8 @@ replica's labels, not through a private side channel:
   occupancy <= ``down_busy_fraction`` with empty queues is *idleness*.
 
 The autoscaler only *proposes* (``"up"`` / ``"down"`` / None); the fleet
-applies the decision (spawning from its tier cycle, retiring only an idle
-replica) and enforces the min/max replica bounds, which the proposal also
+applies the decision (spawning a replica of its one model, retiring only
+an idle replica) and enforces the min/max replica bounds, which the proposal also
 respects.  Every sample lands in :attr:`Autoscaler.history`, so a bench
 report can reconstruct the full control timeline.
 """

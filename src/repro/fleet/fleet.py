@@ -1,10 +1,11 @@
 """Fleet co-simulation: many engines, one router, one virtual timeline.
 
 Each replica is a full :class:`~repro.engine.InferenceEngine` with its own
-:class:`~repro.engine.clock.VirtualClock`, sequencer and tier; the fleet
-advances them together through the engine's incremental stream API
-(``open_stream`` / ``offer`` / ``pump(until)`` / ``close_stream``).  The
-run is a discrete-event loop over the *global* timeline:
+:class:`~repro.engine.clock.VirtualClock` and sequencer over one shared
+model; the fleet advances them together through the engine's incremental
+stream API (``open_stream`` / ``offer`` / ``pump(until)`` /
+``close_stream``).  The run is a discrete-event loop over the *global*
+timeline:
 
 1. pick the next event — the earliest unrouted arrival or the next
    autoscaler tick;
@@ -12,10 +13,10 @@ run is a discrete-event loop over the *global* timeline:
    their clocks; busy ones step token-by-token, possibly overshooting by
    part of one atomic step);
 3. on a tick, let the autoscaler read the replicas' gauges and propose a
-   decision; the fleet applies it — scaling up spawns the next tier in its
-   round-robin tier cycle with a clock born at the event time, scaling
-   down retires the **highest-index idle** replica (never mid-request, and
-   a busy fleet simply ignores a down proposal);
+   decision; the fleet applies it — scaling up spawns a replica with a
+   clock born at the event time, scaling down retires the **highest-index
+   idle** replica (never mid-request, and a busy fleet simply ignores a
+   down proposal);
 4. route every arrival at this event through the router and ``offer`` it
    to the chosen replica — it is admitted when that replica's clock next
    sweeps past its arrival time.
@@ -37,15 +38,12 @@ import numpy as np
 from repro.engine import EngineConfig, EngineReport, InferenceEngine, VirtualClock
 from repro.fleet.autoscaler import Autoscaler
 from repro.fleet.router import Router
-from repro.fleet.tiers import ReplicaTier, request_seconds
+from repro.fleet.tiers import request_seconds
 from repro.serving.arrivals import Request
 from repro.serving.stats import ServedRequest, ServingStats
 
-__all__ = ["FleetConfig", "Replica", "FleetReport", "Fleet", "REFERENCE_PROMPT_LEN"]
+__all__ = ["FleetConfig", "Replica", "FleetReport", "Fleet"]
 
-#: Prompt length of the reference request that prices a replica's service
-#: cost for the router's load estimate.
-REFERENCE_PROMPT_LEN = 8
 #: Replicas a run starts with, before the autoscaler's first tick.
 _INITIAL_REPLICAS = 1
 
@@ -75,10 +73,7 @@ class Replica:
     """One live engine plus the identity the router and autoscaler see."""
 
     index: int  # spawn order, unique for the whole run (never reused)
-    tier: ReplicaTier
     engine: InferenceEngine
-    service_cost: float  # virtual seconds of a lone reference request on its model
-    spawned_at: float
     retired_at: float | None = None
     report: EngineReport | None = None
     routed: int = 0
@@ -107,18 +102,13 @@ class Replica:
     def idle(self) -> bool:
         return self.engine.idle
 
-    @property
-    def lifetime(self) -> float:
-        end = self.retired_at if self.retired_at is not None else self.engine.clock.now()
-        return max(end - self.spawned_at, 0.0)
-
 
 @dataclass
 class FleetReport:
     """Merged outcome of one fleet run, with full per-replica provenance."""
 
     replicas: list[Replica]
-    routing: list[tuple[int, str, str]]  # (request id, replica name, tier name)
+    routing: list[tuple[int, str]]  # (request id, replica name)
     scale_events: list[tuple[float, str, str]]  # (time, "up"/"down", replica name)
     timeline: list[tuple[float, int]]  # (time, live replica count) at each change
     end_time: float = 0.0
@@ -178,23 +168,6 @@ class FleetReport:
         total += last_count * (self.end_time - last_t)
         return total / (self.end_time - self.timeline[0][0])
 
-    def tier_utilisation(self) -> dict[str, float]:
-        """Per tier: busy slot-seconds / available slot-seconds over each
-        replica's lifetime (spawn to retire)."""
-        busy: dict[str, float] = {}
-        available: dict[str, float] = {}
-        for replica in self.replicas:
-            name = replica.tier.name
-            if replica.report is not None:
-                busy[name] = busy.get(name, 0.0) + replica.report.slot_seconds
-            available[name] = (
-                available.get(name, 0.0) + replica.lifetime * replica.num_slots
-            )
-        return {
-            name: (busy.get(name, 0.0) / avail if avail > 0 else 0.0)
-            for name, avail in sorted(available.items())
-        }
-
     def summary(self) -> str:
         stats = self.stats()
         return (
@@ -207,24 +180,18 @@ class FleetReport:
 class Fleet:
     """Runs one request stream across an elastic pool of engine replicas.
 
-    ``sequencer_factory(tier)`` builds a fresh sequencer for each spawned
+    ``sequencer_factory()`` builds a fresh sequencer for each spawned
     replica (replicas must not share mutable decode state; sharing the
-    underlying model weights is fine and expected).  ``tiers`` is the spawn
-    cycle: replica *i* gets ``tiers[i % len(tiers)]``, so the two-tier pool
-    grows full → int8 → full → ...
+    underlying model weights is fine and expected).
     """
 
     def __init__(
         self,
-        tiers: list[ReplicaTier] | tuple[ReplicaTier, ...],
         sequencer_factory,
         router: Router,
         autoscaler: Autoscaler | None = None,
         config: FleetConfig | None = None,
     ):
-        if not tiers:
-            raise ValueError("fleet needs at least one tier")
-        self.tiers = tuple(tiers)
         self.sequencer_factory = sequencer_factory
         self.router = router
         self.autoscaler = autoscaler
@@ -238,25 +205,15 @@ class Fleet:
 
     def _spawn(self, now: float) -> Replica:
         index = len(self._all)
-        tier = self.tiers[index % len(self.tiers)]
-        sequencer = self.sequencer_factory(tier)
-        model_config = sequencer.model.config
+        sequencer = self.sequencer_factory()
         engine = InferenceEngine(
             sequencer,
-            config=self.config.engine_config(model_config),
+            config=self.config.engine_config(sequencer.model.config),
             clock=VirtualClock(start=now),
             labels={"replica": f"r{index}"},
         )
         engine.open_stream()
-        replica = Replica(
-            index=index,
-            tier=tier,
-            engine=engine,
-            service_cost=request_seconds(
-                model_config, REFERENCE_PROMPT_LEN, self.config.max_new_tokens
-            ),
-            spawned_at=now,
-        )
+        replica = Replica(index=index, engine=engine)
         self._all.append(replica)
         self.live.append(replica)
         self._timeline.append((now, len(self.live)))
@@ -296,7 +253,7 @@ class Fleet:
 
         scaler = self.autoscaler
         next_tick = start + scaler.interval if scaler is not None else None
-        routing: list[tuple[int, str, str]] = []
+        routing: list[tuple[int, str]] = []
         cursor = 0
 
         while True:
@@ -323,7 +280,7 @@ class Fleet:
                 replica = self.router.choose(request, self.live)
                 replica.engine.offer(request)
                 replica.routed += 1
-                routing.append((request.id, replica.name, replica.tier.name))
+                routing.append((request.id, replica.name))
                 cursor += 1
 
             if scaler is None and cursor >= len(arrivals):

@@ -6,10 +6,9 @@ request stream, which is what makes whole fleet runs replayable:
 
 - ``round-robin`` — cycle through the live set; the baseline that ignores
   load entirely.
-- ``least-loaded`` — minimise *priced* backlog: ``(queue_depth +
-  slots_in_use) × service_cost``, so a request on a replica with a cheaper
-  model counts for less than one on a dearer model.  Ties break on spawn
-  index.
+- ``least-loaded`` — minimise backlog: ``queue_depth + slots_in_use``
+  (every replica runs the same model, so one request is one unit of
+  work).  Ties break on spawn index.
 - ``power-of-two`` — sample two distinct replicas with a seeded RNG and
   take the less loaded (the classic two-choices result: near-least-loaded
   balance at O(1) state probes).  The sampled pair is kept on
@@ -21,7 +20,7 @@ request stream, which is what makes whole fleet runs replayable:
   hashed to the departed replica — no global reshuffle.
 
 Routers only need a tiny replica protocol: ``name``, ``index``,
-``queue_depth``, ``slots_in_use``, ``service_cost`` — satisfied by
+``queue_depth``, ``slots_in_use`` — satisfied by
 :class:`repro.fleet.fleet.Replica` and by plain test fakes.
 """
 
@@ -47,9 +46,9 @@ __all__ = [
 ROUTER_POLICIES = ("round-robin", "least-loaded", "power-of-two", "affinity")
 
 
-def replica_load(replica) -> float:
-    """Priced backlog: work items it holds x its model's service cost."""
-    return (replica.queue_depth + replica.slots_in_use) * replica.service_cost
+def replica_load(replica) -> int:
+    """Backlog: the requests it holds, queued or in a slot."""
+    return replica.queue_depth + replica.slots_in_use
 
 
 class Router:

@@ -8,7 +8,7 @@ to traces by ``"diurnal"`` or ``"diurnal@v1"``, CI gates pin their content
 by digest, and a new traffic shape is one registered builder away.
 
 Time base: traces are built in **normalised service units** — one unit is
-the mean request service time of the fleet's reference (full) tier, so a
+the service time of the fleet's reference request on its one model, so a
 rate of 1.0/unit offers exactly one replica's capacity.  The bench rescales
 a trace onto its engine's virtual-seconds axis with :meth:`Trace.rescaled`
 (arrivals and SLO budgets stretch together), which keeps every registered

@@ -80,8 +80,8 @@ class MultiHeadSelfAttention(Module):
     def fused_qkv(self) -> tuple[np.ndarray, np.ndarray | None]:
         """The fused ``(F, 3·H·F_H)`` weight (and bias), re-fused if stale.
 
-        Staleness means some consumer rebound ``weight.data`` to a fresh
-        array (:func:`~repro.compress.quantize_model_`, tests).  Re-fusing
+        Staleness means some consumer rebound ``weight.data`` (a public
+        attribute; today only tests do) to a fresh array.  Re-fusing
         also re-homes the parameters as views again, so later in-place edits
         keep the fused buffer coherent.
         """

@@ -48,6 +48,7 @@ __all__ = ["VoltageSystem", "voltage_timeline"]
 
 #: Supported activation wire encodings: name -> (bytes per element).
 WIRE_DTYPES = {"float32": 4, "float16": 2, "int8": 1}
+_INT8_MAX = 127
 
 
 def voltage_timeline(
@@ -213,12 +214,15 @@ class VoltageSystem(InferenceSystem):
         """Apply the configured lossy wire encoding to one partition."""
         if self.wire_dtype == "float32" or partition_output.size == 0:
             return partition_output
+        dtype = partition_output.dtype
         if self.wire_dtype == "float16":
-            return partition_output.astype(np.float16).astype(partition_output.dtype)
-        from repro.compress.quantize import dequantize_tensor, quantize_tensor
-
-        quantized = quantize_tensor(partition_output, per_channel=True)
-        return dequantize_tensor(quantized, dtype=str(partition_output.dtype))
+            return partition_output.astype(np.float16).astype(dtype)
+        # int8: symmetric, one scale per column (last axis), s = max|x| / 127
+        columns = tuple(range(partition_output.ndim - 1))
+        absmax = np.max(np.abs(partition_output), axis=columns)
+        scale = np.where(absmax > 0, absmax / _INT8_MAX, 1.0).astype(np.float32)
+        q = np.clip(np.round(partition_output / scale), -_INT8_MAX, _INT8_MAX).astype(np.int8)
+        return (q.astype(dtype) * scale).astype(dtype)
 
     def schedule(self, n: int) -> LayerSchedule:
         """The partition schedule a length-``n`` request runs under.

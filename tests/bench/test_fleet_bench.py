@@ -35,7 +35,6 @@ def sweep_point(**overrides):
         "mean_replicas": 2.5,
         "scale_ups": 3,
         "scale_downs": 2,
-        "tier_utilisation": {"full": 0.7},
         "routing_digest": "aaaa",
         "outputs_digest": "bbbb",
     }
@@ -148,9 +147,9 @@ class TestRegressionGate:
         errors = fleet_bench.check_regression(longer, "quick", baseline)
         assert errors == ["modes.quick.sweep: 2 items != baseline 1"]
         bare = payload()
-        del bare["sweep"][0]["tier_utilisation"]
+        del bare["sweep"][0]["mean_replicas"]
         errors = fleet_bench.check_regression(bare, "quick", baseline)
-        assert errors == ['modes.quick.sweep[0].tier_utilisation: missing (baseline {"full": 0.7})']
+        assert errors == ["modes.quick.sweep[0].mean_replicas: missing (baseline 2.5)"]
 
     def test_lost_demo_flags_fail(self, tmp_path):
         """Each claim fails on its own, even against a baseline that lost it too."""

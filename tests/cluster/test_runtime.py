@@ -101,59 +101,6 @@ class TestAllReduce:
             assert s.bytes_sent == int(2 * 3 / 4 * nbytes)
 
 
-class TestBroadcast:
-    def test_root_value_delivered(self):
-        runtime = ThreadedRuntime(3)
-
-        def worker(ctx):
-            payload = np.array([42.0]) if ctx.rank == 1 else None
-            return ctx.broadcast(payload, root=1)
-
-        results, _ = runtime.run(worker)
-        for out in results:
-            np.testing.assert_array_equal(out, [42.0])
-
-    def test_non_root_result_is_a_private_copy(self):
-        """Regression: broadcast used to hand every rank a reference to the
-        root's array, so one rank mutating its "own" result corrupted the
-        root's data and every peer's view of it."""
-        runtime = ThreadedRuntime(3)
-
-        def worker(ctx):
-            payload = np.array([1.0, 2.0]) if ctx.rank == 0 else None
-            received = ctx.broadcast(payload, root=0)
-            ctx.barrier()  # everyone holds the result before anyone mutates
-            if ctx.rank == 1:
-                received += 100.0  # in-place mutation on a non-root rank
-            ctx.barrier()
-            return received
-
-        results, _ = runtime.run(worker)
-        np.testing.assert_array_equal(results[0], [1.0, 2.0])  # root untouched
-        np.testing.assert_array_equal(results[1], [101.0, 102.0])
-        np.testing.assert_array_equal(results[2], [1.0, 2.0])  # peer untouched
-
-    def test_root_without_array_fails(self):
-        runtime = ThreadedRuntime(2)
-
-        def worker(ctx):
-            return ctx.broadcast(None, root=0)
-
-        with pytest.raises(RuntimeError_):
-            runtime.run(worker)
-
-    def test_accounting_split_by_role(self):
-        runtime = ThreadedRuntime(3)
-
-        def worker(ctx):
-            payload = np.zeros(10) if ctx.rank == 0 else None
-            return ctx.broadcast(payload, root=0)
-
-        _, stats = runtime.run(worker)
-        assert stats[0].bytes_sent == pytest.approx(2 * 80)
-        assert stats[1].bytes_received == pytest.approx(80)
-
-
 class TestErrorHandling:
     def test_worker_exception_propagates_with_rank(self):
         runtime = ThreadedRuntime(3)
@@ -231,29 +178,23 @@ class TestBufferReuse:
             assert s.buffers_reused == 2  # calls 3 and 4 recycled the pool
             assert s.bytes_copied == 4 * 8 * 4  # one output materialisation per call
 
-    def test_broadcast_copies_stay_private_with_pooling(self):
+    def test_gathered_copies_stay_private_with_pooling(self):
         runtime = ThreadedRuntime(3)
 
         def worker(ctx):
-            received = ctx.all_gather(np.zeros((1,), dtype=np.float32))  # sync only
-            del received
-            out = ctx.broadcast(
-                np.arange(4, dtype=np.float32) if ctx.rank == 0 else None, root=0
-            )
+            chunk = np.arange(4, dtype=np.float32) + 4 * ctx.rank
+            out = ctx.all_gather(chunk)
             out[0] = 100.0 + ctx.rank  # mutate own copy
             ctx.barrier()
-            again = ctx.broadcast(
-                np.arange(4, dtype=np.float32) if ctx.rank == 0 else None, root=0
-            )
+            again = ctx.all_gather(chunk)
             return float(again[0]), float(out[0])
 
         results, stats = runtime.run(worker)
         for rank, (fresh, mutated) in enumerate(results):
             assert fresh == 0.0  # nobody saw a peer's mutation
             assert mutated == 100.0 + rank  # first result survives the second call
-        for rank, s in enumerate(stats):
-            if rank != 0:
-                assert s.bytes_copied >= 2 * 4 * 4
+        for s in stats:
+            assert s.bytes_copied >= 2 * 12 * 4
 
     def test_aliasing_input_never_reused_as_output(self):
         """Gathering a view of a previous result must not hand back the same

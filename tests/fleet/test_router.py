@@ -1,6 +1,6 @@
 """Router policy unit tests over a plain fake replica protocol."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import pytest
 
@@ -21,7 +21,6 @@ class FakeReplica:
     index: int
     queue_depth: int = 0
     slots_in_use: int = 0
-    service_cost: float = 1.0
 
     @property
     def name(self) -> str:
@@ -60,15 +59,11 @@ def test_least_loaded_picks_the_emptier_replica():
     router = LeastLoadedRouter()
     replicas = fakes(5, 1, 3)
     assert router.choose(req(), replicas).index == 1
-
-
-def test_least_loaded_prices_backlog_by_tier_cost():
-    # 4 queued on a half-cost tier (priced 2.0) beats 3 queued at full cost
-    cheap = FakeReplica(index=0, queue_depth=4, service_cost=0.5)
-    pricey = FakeReplica(index=1, queue_depth=3, service_cost=1.0)
-    assert replica_load(cheap) == 2.0
-    assert replica_load(pricey) == 3.0
-    assert LeastLoadedRouter().choose(req(), [cheap, pricey]) is cheap
+    # a request in a slot counts as much as a queued one
+    busy = FakeReplica(index=0, queue_depth=1, slots_in_use=2)
+    queued = FakeReplica(index=1, queue_depth=2)
+    assert (replica_load(busy), replica_load(queued)) == (3, 2)
+    assert router.choose(req(), [busy, queued]) is queued
 
 
 def test_least_loaded_breaks_ties_by_spawn_index():

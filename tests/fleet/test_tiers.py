@@ -1,15 +1,8 @@
-"""Replica tier tests: quantized weights, the fitted serving price."""
+"""Serving price tests: a request's lone price, the sequencer's pass price."""
 
 import numpy as np
-import pytest
 
-from repro.fleet.tiers import (
-    SERVE_DEVICE,
-    ReplicaTier,
-    build_tier_model,
-    request_seconds,
-    standard_tiers,
-)
+from repro.fleet.tiers import SERVE_DEVICE, request_seconds
 from repro.models.config import gpt2_config
 
 CONFIG = gpt2_config().scaled(
@@ -18,35 +11,11 @@ CONFIG = gpt2_config().scaled(
 )
 
 
-def test_validation():
-    with pytest.raises(ValueError, match="name"):
-        ReplicaTier(name="")
-
-
 def test_request_cost_grows_with_prompt_and_generation():
     assert request_seconds(CONFIG, 16, 8) > request_seconds(CONFIG, 4, 8)
     assert request_seconds(CONFIG, 4, 16) > request_seconds(CONFIG, 4, 8)
     # a prompt past the position budget is clipped, as prompt_for clips it
     assert request_seconds(CONFIG, 40, 8) == request_seconds(CONFIG, 32, 8)
-
-
-def test_standard_tiers_shape():
-    full, int8 = standard_tiers()
-    assert (full.name, int8.name) == ("full", "int8")
-    assert int8.quantized and not full.quantized
-
-
-def test_build_tier_model_quantizes_only_the_int8_tier():
-    full, int8 = standard_tiers()
-    full_model, full_meta = build_tier_model(full, CONFIG, weight_seed=0)
-    int8_model, int8_meta = build_tier_model(int8, CONFIG, weight_seed=0)
-    assert not full_meta["quantized"] and int8_meta["quantized"]
-    assert int8_meta["compression_ratio"] > 2.0
-    # quantization actually perturbed the weights (same seed otherwise)
-    assert not np.array_equal(
-        full_model.layers[0].attention.query.weight.data,
-        int8_model.layers[0].attention.query.weight.data,
-    )
 
 
 def test_make_tier_sequencer_passes_shared_prefix_through():

@@ -20,7 +20,7 @@ class TestMixedCollectiveSequences:
         rank must see identical results at every step."""
         rng = np.random.default_rng(seed)
         k = int(rng.integers(2, 6))
-        ops = rng.choice(["gather", "reduce", "broadcast"], size=12)
+        ops = rng.choice(["gather", "reduce"], size=12)
         shapes = [(int(rng.integers(1, 5)), int(rng.integers(1, 8))) for _ in ops]
         runtime = ThreadedRuntime(k)
 
@@ -28,13 +28,7 @@ class TestMixedCollectiveSequences:
             digests = []
             for step, (op, shape) in enumerate(zip(ops, shapes)):
                 local = np.full(shape, ctx.rank + step * 10, dtype=np.float64)
-                if op == "gather":
-                    out = ctx.all_gather(local)
-                elif op == "reduce":
-                    out = ctx.all_reduce(local)
-                else:
-                    payload = local if ctx.rank == step % ctx.world_size else None
-                    out = ctx.broadcast(payload, root=step % ctx.world_size)
+                out = ctx.all_gather(local) if op == "gather" else ctx.all_reduce(local)
                 digests.append(float(out.sum()))
             return digests
 

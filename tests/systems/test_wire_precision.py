@@ -37,6 +37,42 @@ class TestWirePrecisionCorrectness:
             VoltageSystem(bert, cluster4, wire_dtype="float8")
 
 
+class TestInt8WireCodec:
+    """The int8 wire's round trip: symmetric, one scale per column."""
+
+    @pytest.fixture
+    def encode(self, bert, cluster4):
+        return VoltageSystem(bert, cluster4, wire_dtype="int8")._encode_for_wire
+
+    def test_within_half_a_step(self, encode, rng):
+        x = rng.normal(size=(32, 16)).astype(np.float32)
+        restored = encode(x)
+        assert restored.dtype == x.dtype and restored.shape == x.shape
+        step = np.max(np.abs(x), axis=0) / 127
+        assert np.all(np.abs(restored - x) <= step * (0.5 + 1e-4))
+        assert not np.array_equal(restored, x)
+
+    def test_loud_column_does_not_coarsen_the_others(self, encode, rng):
+        x = rng.normal(size=(32, 4)).astype(np.float32)
+        x[:, 0] *= 100.0  # a shared scale would be set by this column
+        error = np.abs(encode(x) - x)
+        quiet = np.s_[:, 1:]
+        own_step = np.max(np.abs(x[quiet]), axis=0) / 127
+        shared_step = float(np.max(np.abs(x))) / 127
+        assert np.all(error[quiet] <= own_step * (0.5 + 1e-4))
+        assert error[quiet].max() < shared_step / 4
+
+    def test_zero_stays_zero(self, encode, rng):
+        np.testing.assert_array_equal(encode(np.zeros((4, 4), np.float32)), 0.0)
+        x = rng.normal(size=(8, 4)).astype(np.float32)
+        x[:, 2] = 0.0
+        np.testing.assert_array_equal(encode(x)[:, 2], 0.0)
+
+    def test_symmetric(self, encode, rng):
+        x = rng.normal(size=(16, 16)).astype(np.float32)
+        np.testing.assert_array_equal(encode(-x), -encode(x))
+
+
 class TestThreadedWireEquivalence:
     """Regression: the worker loop used to skip ``_encode_for_wire`` entirely,
     so threaded `execute_distributed` silently exchanged full-precision activations and
