@@ -18,7 +18,7 @@ Substitutes the paper's six-VM Compute-Canada testbed (see DESIGN.md):
 
 from repro.cluster.device import PAPER_EDGE_DEVICE_GFLOPS, DeviceSpec, calibrate_matmul_gflops
 from repro.cluster.network import NetworkSpec
-from repro.cluster.process_runtime import ProcessRuntime, ProcessWorkerContext, resolve_runtime
+from repro.cluster.process_runtime import ProcessRuntime, resolve_runtime
 from repro.cluster.runtime import CommStats, ThreadedRuntime, WorkerContext
 from repro.cluster.dynamics import SpeedTrace, constant_trace, random_walk_trace, spike_trace
 from repro.cluster.simulator import ClusterSim
@@ -43,7 +43,6 @@ __all__ = [
     "NetworkSpec",
     "Phase",
     "ProcessRuntime",
-    "ProcessWorkerContext",
     "ThreadedRuntime",
     "WorkerContext",
     "calibrate_matmul_gflops",

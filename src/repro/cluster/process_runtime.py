@@ -8,14 +8,12 @@ real OS process, every frame crosses a loopback TCP socket in the
 :mod:`repro.cluster.wire` encoding, and each rank has its own interpreter —
 NumPy/BLAS compute is genuinely multi-core.
 
-It honours the exact same :class:`~repro.cluster.runtime.WorkerContext`
-contract (barrier, all_gather/all_reduce, ring + async variants returning
-:class:`~repro.cluster.runtime.CollectiveHandle`): the subclass only
-overrides the frame-transport hooks (``_put_frame`` / ``_get_frame``), the
-barrier and the two slot-based collectives, which become wire collectives
-(ring all-gather, ring all-reduce).  Everything
-above those hooks — ring step order, summation order, chunk streaming — is
-the *same code*, which is what makes thread-vs-process bit-identity a
+Each rank gets the same :class:`~repro.cluster.runtime.WorkerContext` as a
+thread does, over a socket transport in place of the thread queues: its
+``send`` encodes the array as a wire frame and writes it to the peer's
+socket, and the receive path is the threads' own.  Every collective above
+the transport — ring step order, summation order, chunk streaming — is the
+*same code*, which is what makes thread-vs-process bit-identity a
 checkable property rather than a hope.
 
 Bootstrap: the parent binds one loopback listener per rank *before* forking
@@ -33,9 +31,9 @@ Socket envelope (little-endian), wrapping every wire frame::
     6  .  tag key (ascii JSON)                — channel demultiplexing
     .  .  the repro.cluster.wire frame
 
-The tag key replicates the threaded runtime's tagged mailboxes: a per-peer
-reader thread demultiplexes incoming frames into per-(peer, tag) queues so an
-async collective's comm thread can never consume a frame meant for another
+The tag key names the channel: a per-peer reader thread decodes incoming
+frames into the per-(peer, tag) queues the receive path reads, so an async
+collective's comm thread can never consume a frame meant for another
 in-flight collective; a tag's queue is dropped once its last frame is
 consumed.  Byte counters include the envelope — they measure what actually
 traversed the socket.
@@ -46,7 +44,6 @@ from __future__ import annotations
 import json
 import multiprocessing
 import multiprocessing.connection
-import queue
 import socket
 import struct
 import threading
@@ -57,17 +54,18 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from repro.cluster.runtime import (
-    _RING_FRAME_KIND,
+    _POLL_INTERVAL,
     DEFAULT_TIMEOUT,
     CommStats,
     RuntimeError_,
     ThreadedRuntime,
     WorkerContext,
+    _Transport,
 )
+from repro.cluster.wire import decode_frame, encode_frame
 
 __all__ = [
     "ProcessRuntime",
-    "ProcessWorkerContext",
     "resolve_runtime",
     "envelope_overhead_bytes",
 ]
@@ -76,8 +74,6 @@ __all__ = [
 _ENVELOPE = struct.Struct("<IH")
 #: 4-byte hello sent by the dialling side of each mesh connection.
 _HELLO = struct.Struct("<I")
-#: Seconds between liveness checks while a receive or the parent collector waits.
-_POLL_INTERVAL = 0.25
 #: Extra grace the parent allows beyond ``timeout`` before declaring a child hung.
 _COLLECT_GRACE = 5.0
 #: The only start method whose children inherit the worker closure unpickled.
@@ -107,16 +103,15 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
     return bytes(buf)
 
 
-class _SocketTransport:
+class _SocketTransport(_Transport):
     """Full-mesh socket fabric for one rank: locked sends, demuxed receives."""
 
+    _key = staticmethod(_tag_key)
+
     def __init__(self, rank: int, world_size: int, socks: dict[int, socket.socket]):
-        self.rank = rank
-        self.world_size = world_size
+        super().__init__(rank, world_size)
         self._socks = socks
         self._send_locks = {peer: threading.Lock() for peer in socks}
-        self._queues: dict[tuple[int, str], queue.Queue] = {}
-        self._queues_lock = threading.Lock()
         self._closed = {peer: False for peer in socks}
         self._readers = [
             threading.Thread(
@@ -128,23 +123,13 @@ class _SocketTransport:
         for reader in self._readers:
             reader.start()
 
-    def queue_for(self, src: int, tagkey: str) -> queue.Queue:
-        with self._queues_lock:
-            key = (src, tagkey)
-            if key not in self._queues:
-                self._queues[key] = queue.Queue()
-            return self._queues[key]
-
-    def drop_queue(self, src: int, tagkey: str) -> None:
-        """Forget a tagged channel whose last frame has been consumed."""
-        with self._queues_lock:
-            self._queues.pop((src, tagkey), None)
-
     def peer_closed(self, src: int) -> bool:
         return self._closed.get(src, False)
 
-    def send(self, dst: int, tag, frame: bytes) -> int:
-        """Write one enveloped frame to ``dst``; return socket bytes written."""
+    def send(self, dst: int, tag, array: np.ndarray) -> int:
+        """Write ``array`` to ``dst`` as one enveloped frame; return socket
+        bytes written."""
+        frame = encode_frame(array, sender=self.rank)
         tag_bytes = _tag_key(tag).encode("ascii")
         envelope = _ENVELOPE.pack(len(tag_bytes) + len(frame), len(tag_bytes))
         try:
@@ -172,8 +157,8 @@ class _SocketTransport:
                 if body is None:
                     raise ConnectionError("socket closed between header and body")
                 tagkey = body[:tag_len].decode("ascii")
-                self.queue_for(peer, tagkey).put(
-                    (body[tag_len:], _ENVELOPE.size + body_len)
+                self._channel(peer, tagkey).put(
+                    (decode_frame(body[tag_len:]).payload, _ENVELOPE.size + body_len)
                 )
         except OSError:
             pass  # surfaced to receivers via the closed flag below
@@ -227,114 +212,6 @@ def _connect_mesh(
     return _SocketTransport(rank, k, socks)
 
 
-class ProcessWorkerContext(WorkerContext):
-    """:class:`WorkerContext` whose wire is a real socket mesh.
-
-    Overrides only the frame-transport hooks and the three slot-based
-    collectives (which have no shared memory to use here); the ring and
-    async collectives, frame encoding, stats locking, and buffer pooling are
-    inherited unchanged — that shared body is the conformance argument.
-    """
-
-    def __init__(self, rank: int, transport: _SocketTransport, timeout: float):
-        super().__init__(rank, shared=None, timeout=timeout)
-        self._transport = transport
-        self._barrier_sequence = 0
-
-    @property
-    def world_size(self) -> int:  # _shared is None here
-        return self._transport.world_size
-
-    # -- frame transport over sockets -----------------------------------------
-
-    def _put_frame(self, dst: int, tag, frame: bytes) -> int:
-        return self._transport.send(dst, tag, frame)
-
-    def _get_frame(
-        self, src: int, tag, timeout: float, context: str, last: bool
-    ) -> tuple[bytes, int]:
-        tagkey = _tag_key(tag)
-        q = self._transport.queue_for(src, tagkey)
-        deadline = time.monotonic() + timeout
-        while True:
-            remaining = deadline - time.monotonic()
-            # poll in short slices so a dead peer fails in ~_POLL_INTERVAL,
-            # not after the full protocol timeout
-            try:
-                frame = q.get(timeout=min(_POLL_INTERVAL, max(remaining, 0.01)))
-                if last:
-                    self._transport.drop_queue(src, tagkey)
-                return frame
-            except queue.Empty:
-                if self._transport.peer_closed(src) and q.empty():
-                    raise RuntimeError_(
-                        self.rank,
-                        ConnectionError(
-                            f"rank {self.rank} lost the connection to rank {src} "
-                            f"{context}"
-                        ),
-                    ) from None
-                if time.monotonic() >= deadline:
-                    raise RuntimeError_(
-                        self.rank,
-                        TimeoutError(
-                            f"rank {self.rank} timed out after {timeout}s {context}"
-                        ),
-                    ) from None
-
-    # -- collectives (wire versions of the barrier and the slot-based pair) -----
-
-    def barrier(self) -> None:
-        """Centralised barrier: rank 0 gathers a token from every rank, then
-        releases every rank.  2(K-1) tiny frames total; counted as real
-        socket bytes like everything else."""
-        from repro.cluster.wire import encode_frame
-
-        k = self.world_size
-        if k == 1:
-            return
-        self._barrier_sequence += 1
-        tag = ("barrier", self._barrier_sequence)
-        token = encode_frame(
-            np.empty(0, dtype=np.uint8),
-            kind=_RING_FRAME_KIND,
-            sender=self.rank,
-            sequence=self._barrier_sequence % 2**32,
-        )
-        if self.rank == 0:
-            for src in range(1, k):
-                _, nbytes = self._get_frame(
-                    src, tag, self._timeout,
-                    context=f"in barrier, waiting on rank {src}", last=True,
-                )
-                self._add_stats(bytes_received=nbytes)
-            for dst in range(1, k):
-                self._add_stats(bytes_sent=self._put_frame(dst, tag, token))
-        else:
-            self._add_stats(bytes_sent=self._put_frame(0, tag, token))
-            _, nbytes = self._get_frame(
-                0, tag, self._timeout, context="in barrier, waiting on rank 0 release",
-                last=True,
-            )
-            self._add_stats(bytes_received=nbytes)
-
-    def all_gather(self, array: np.ndarray, axis: int = 0) -> np.ndarray:
-        """Ring all-gather over the sockets — bit-identical to the threaded
-        slot collective (chunks concatenate in rank order either way)."""
-        return self.ring_all_gather(array, axis=axis)
-
-    def all_reduce(self, array: np.ndarray) -> np.ndarray:
-        """Ring all-reduce (reduce-scatter + all-gather) over the sockets.
-
-        Partials are summed in rank order per element — the same
-        deterministic order as the threaded accumulate — so results are
-        bit-identical across backends.
-        """
-        if array.ndim == 0:
-            return self.all_reduce_async(array.reshape(1)).wait().reshape(())
-        return self.all_reduce_async(array).wait()
-
-
 def _worker_main(
     rank: int,
     worker_fn: Callable[[WorkerContext], object],
@@ -362,7 +239,7 @@ def _worker_main(
     transport = None
     try:
         transport = _connect_mesh(rank, listeners[rank], ports, timeout)
-        ctx = ProcessWorkerContext(rank, transport, timeout)
+        ctx = WorkerContext(rank, transport, timeout)
         result = worker_fn(ctx)
         ctx._join_comm_threads()
         if ctx._comm_errors:

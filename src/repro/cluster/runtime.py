@@ -11,18 +11,24 @@ Workers are threads (NumPy releases the GIL inside BLAS, so this also gives
 genuine parallel speed-up for large partitions, though we never rely on that
 for reported numbers).
 
-Two families of collectives coexist:
+Every collective has one body, written over a per-rank transport with two
+operations — ``send(dst, tag, array)`` and ``recv(src, tag, last, timeout)``
+— and the same bodies run over the process runtime's sockets
+(:mod:`repro.cluster.process_runtime`):
 
-- the original **slot-and-barrier** collectives (``all_gather`` and
-  ``all_reduce``), which exchange references through shared slots and
-  *account* ring-equivalent byte volumes;
-- **ring** collectives (``ring_all_gather``, ``all_gather_async``,
-  ``all_reduce_async``), which actually move framed chunks rank-to-rank over
-  tagged channels in K-1 steps, so the byte counters measure *executed*
-  ring traffic (payload plus framing overhead).  The async variants return a
-  :class:`CollectiveHandle` backed by a per-rank communication thread and
-  stream chunks to the caller as they arrive — the mechanism the systems use
-  to overlap next-layer compute with the in-flight gather.
+- ``all_gather`` is a ring: K-1 steps, each forwarding the chunk a rank
+  last received to its right neighbour;
+- ``all_reduce`` is a reduce-scatter (each row slice summed by its owner,
+  in rank order) followed by the ring gather of the reduced slices;
+- ``barrier`` is a token exchange through rank 0;
+- ``all_gather_async`` / ``all_reduce_async`` run the same steps on a
+  per-rank communication thread and return a :class:`CollectiveHandle`
+  that streams chunks to the caller as they arrive — the mechanism the
+  systems use to overlap next-layer compute with the in-flight gather.
+
+The byte counters count what the transport moved: here a private copy of
+each array, counted as payload bytes; on sockets the frame plus its
+envelope.
 """
 
 from __future__ import annotations
@@ -30,8 +36,9 @@ from __future__ import annotations
 import math
 import queue
 import threading
+import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,11 +54,12 @@ __all__ = [
     "RuntimeError_",
 ]
 
-#: Wire frame kind stamped on every collective frame.
-_RING_FRAME_KIND = 1
-
 #: Default seconds a blocked receive waits before failing loudly.
 DEFAULT_TIMEOUT = 30.0
+#: Seconds between liveness checks while a receive waits.
+_POLL_INTERVAL = 0.25
+#: The barrier's token: an empty message.
+_TOKEN = np.empty(0, dtype=np.uint8)
 
 
 class RuntimeError_(RuntimeError):
@@ -63,39 +71,16 @@ class RuntimeError_(RuntimeError):
         self.cause = cause
 
 
-def _reduce_slice_bytes(array: np.ndarray, k: int) -> list[int]:
-    """Exact byte size of each rank's reduce-scatter slice of ``array``.
-
-    Mirrors :meth:`WorkerContext.all_reduce_async`'s ``divmod`` row split so
-    the emulated accounting of the blocking ``all_reduce`` equals the bytes
-    the executed ring actually moves — integers, even when ``k`` does not
-    divide the leading dimension.  0-d / zero-row arrays fall back to an
-    even byte split (the ring degenerates; only the total matters).
-    """
-    nbytes = int(array.nbytes)
-    if k <= 1:
-        return [nbytes]
-    if array.ndim == 0 or array.shape[0] == 0:
-        base, extra = divmod(nbytes, k)
-        return [base + (1 if j < extra else 0) for j in range(k)]
-    rows = array.shape[0]
-    row_bytes = nbytes // rows
-    base, extra = divmod(rows, k)
-    return [(base + (1 if j < extra else 0)) * row_bytes for j in range(k)]
-
-
 @dataclass
 class CommStats:
-    """Per-worker traffic counters (ring-equivalent volumes for collectives).
+    """Per-worker traffic counters.
 
-    Every byte counter is an exact integer: the process runtime measures the
-    integer bytes that really cross a socket, and the emulated ring volumes
-    must not drift from those by float rounding (uneven splits used to push
-    ``2(K-1)·nbytes/K`` floats in here).  ``bytes_copied`` counts local bytes
-    written into collective output buffers (the memory-traffic cost of
-    materialising results), and ``buffers_reused`` counts collective calls
-    that wrote into a pooled receive buffer instead of allocating a fresh
-    one.
+    Every byte counter is an exact integer summed from what the transport
+    moved: payload bytes on threads, frame plus envelope bytes on sockets.
+    ``bytes_copied`` counts local bytes written into collective output
+    buffers (the memory-traffic cost of materialising results), and
+    ``buffers_reused`` counts collective calls that wrote into a pooled
+    receive buffer instead of allocating a fresh one.
     """
 
     bytes_sent: int = 0
@@ -109,37 +94,97 @@ class CommStats:
         return self.bytes_sent + self.bytes_received
 
 
-@dataclass
-class _SharedState:
-    """State shared by all workers of one runtime invocation."""
+class _Transport:
+    """One rank's endpoint: ``send(dst, tag, array)`` and ``recv(src, tag, last, timeout)``.
 
-    world_size: int
-    barrier: threading.Barrier = None  # type: ignore[assignment]
-    slots: list = field(default_factory=list)
-    mailboxes: dict = field(default_factory=dict)
-    mailbox_lock: threading.Lock = field(default_factory=threading.Lock)
+    Arriving messages wait as ``(array, bytes counted)`` in one queue per
+    ``(src, tag)`` channel.  Every channel belongs to one collective and
+    carries a number of messages known to both ends (one per ring step,
+    scatter slice or barrier token), so the receiver marks the last one and
+    the channel is dropped once it is consumed: a resident rank keeps no
+    channel per collective it has ever run.  Nothing is sent on a tag after
+    its last message, so the drop cannot race a sender.
 
-    def __post_init__(self) -> None:
-        self.barrier = threading.Barrier(self.world_size)
-        self.slots = [None] * self.world_size
+    A subclass moves the messages (``send``) and says when a peer can send
+    no more (``peer_closed``, ``close``); the receive path is this one.
+    """
 
-    def mailbox(self, src: int, dst: int, tag) -> "queue.Queue":
-        """FIFO channel from ``src`` to ``dst``.
+    def __init__(self, rank: int, world_size: int):
+        self.rank = rank
+        self.world_size = world_size
+        self._queues: dict[tuple, queue.SimpleQueue] = {}
+        self._queues_lock = threading.Lock()
 
-        ``tag`` separates concurrent conversations: each collective gets its
-        own tagged channels so an async gather's comm thread can never
-        consume a frame meant for another in-flight collective.
+    @staticmethod
+    def _key(tag):
+        """The channel key ``tag`` travels under."""
+        return tag
+
+    def _channel(self, src: int, key) -> queue.SimpleQueue:
+        with self._queues_lock:
+            channel = self._queues.get((src, key))
+            if channel is None:
+                channel = self._queues[(src, key)] = queue.SimpleQueue()
+            return channel
+
+    def recv(self, src: int, tag, last: bool, timeout: float) -> tuple[np.ndarray, int]:
+        """The next array from ``src`` on ``tag`` and the bytes counted for it.
+
+        Waits in :data:`_POLL_INTERVAL` slices, so a peer that closed
+        without sending raises ``ConnectionError`` within one slice, and
+        raises ``TimeoutError`` once ``timeout`` seconds pass.  ``last``:
+        the channel's final message — drop the channel once it is consumed.
         """
-        with self.mailbox_lock:
-            key = (src, dst, tag)
-            if key not in self.mailboxes:
-                self.mailboxes[key] = queue.Queue()
-            return self.mailboxes[key]
+        key = self._key(tag)
+        channel = self._channel(src, key)
+        deadline = time.monotonic() + timeout
+        while True:
+            try:
+                message = channel.get(
+                    timeout=min(_POLL_INTERVAL, max(deadline - time.monotonic(), 0.01))
+                )
+            except queue.Empty:
+                if self.peer_closed(src) and channel.empty():
+                    raise ConnectionError(
+                        f"rank {self.rank} lost the connection to rank {src}"
+                    ) from None
+                if time.monotonic() >= deadline:
+                    raise TimeoutError(
+                        f"rank {self.rank} timed out after {timeout}s waiting on rank {src}"
+                    ) from None
+                continue
+            if last:
+                with self._queues_lock:
+                    self._queues.pop((src, key), None)
+            return message
 
-    def drop_mailbox(self, src: int, dst: int, tag) -> None:
-        """Forget a tagged channel whose last frame has been consumed."""
-        with self.mailbox_lock:
-            self.mailboxes.pop((src, dst, tag), None)
+
+class _ThreadTransport(_Transport):
+    """Queues between the threads of one process.
+
+    Each message is a private copy of the sent array — the sender may
+    overwrite its buffer as soon as ``send`` returns — counted as its
+    payload bytes.  A closed endpoint reads as closed from both sides, as
+    a closed socket mesh does.
+    """
+
+    def __init__(
+        self, rank: int, world_size: int, endpoints: list["_ThreadTransport"], closed: set[int]
+    ):
+        super().__init__(rank, world_size)
+        self._endpoints = endpoints  # every rank's endpoint, indexed by rank
+        self._closed = closed  # ranks whose endpoint has closed, shared
+
+    def send(self, dst: int, tag, array: np.ndarray) -> int:
+        message = np.array(array, copy=True)
+        self._endpoints[dst]._channel(self.rank, tag).put((message, message.nbytes))
+        return message.nbytes
+
+    def peer_closed(self, src: int) -> bool:
+        return src in self._closed or self.rank in self._closed
+
+    def close(self) -> None:
+        self._closed.add(self.rank)
 
 
 class CollectiveHandle:
@@ -256,14 +301,19 @@ class CollectiveHandle:
 
 
 class WorkerContext:
-    """The communication handle passed to each worker function."""
+    """The communication handle passed to each worker function.
 
-    def __init__(self, rank: int, shared: _SharedState, timeout: float = DEFAULT_TIMEOUT):
+    ``transport`` is the rank's endpoint (:class:`_Transport`); every
+    collective below is written once over its ``send`` / ``recv``.
+    """
+
+    def __init__(self, rank: int, transport: _Transport, timeout: float = DEFAULT_TIMEOUT):
         self.rank = rank
-        self._shared = shared
+        self._transport = transport
         self._timeout = timeout
         self.stats = CommStats()
         self._collective_sequence = 0
+        self._barrier_sequence = 0
         # counters are mutated by the main worker thread *and* by async comm
         # threads; a lock keeps the accounting exact
         self._stats_lock = threading.Lock()
@@ -325,15 +375,12 @@ class WorkerContext:
 
     @property
     def world_size(self) -> int:
-        return self._shared.world_size
+        return self._transport.world_size
 
     @property
     def timeout(self) -> float:
         """Seconds a blocked receive / handle wait allows before failing."""
         return self._timeout
-
-    def barrier(self) -> None:
-        self._shared.barrier.wait()
 
     def _span(self, name: str, kind: str = "comm"):
         """Wall-clock trace span on this rank's track (no-op if untraced)."""
@@ -341,199 +388,147 @@ class WorkerContext:
             name, cat="runtime", kind=kind, track=f"rank {self.rank}", device=self.rank
         )
 
+    # -- the wire ----------------------------------------------------------------
+
+    def _collective_tag(self, op: str) -> tuple:
+        """A channel tag all ranks agree on by SPMD program order.
+
+        Tags ride in every socket envelope, so their names and numbering
+        are part of the process runtime's exact byte counts.
+        """
+        self._collective_sequence += 1
+        return (op, self._collective_sequence)
+
+    def _send(self, dst: int, tag, array: np.ndarray) -> int:
+        sent = self._transport.send(dst, tag, array)
+        self._add_stats(bytes_sent=sent)
+        return sent
+
+    def _recv(self, src: int, tag, context: str, last: bool = True) -> np.ndarray:
+        try:
+            array, received = self._transport.recv(src, tag, last, self._timeout)
+        except (ConnectionError, TimeoutError) as exc:
+            raise RuntimeError_(self.rank, type(exc)(f"{exc} {context}")) from None
+        self._add_stats(bytes_received=received)
+        return array
+
+    def _ring_steps(self, array: np.ndarray, tag, op: str, on_chunk) -> int:
+        """Run the K-1 ring steps; call ``on_chunk(src, chunk)`` as chunks land.
+
+        Step ``s``: send the chunk currently held to rank ``(self+1) mod K``,
+        receive from ``(self-1) mod K`` the chunk originating at rank
+        ``(self-1-s) mod K``.  Sends never block, so send-then-recv cannot
+        deadlock; a missing peer surfaces as a loud per-step error.  Returns
+        the bytes sent.
+        """
+        k = self.world_size
+        on_chunk(self.rank, array)
+        right, left = (self.rank + 1) % k, (self.rank - 1) % k
+        current, sent = array, 0
+        for step in range(k - 1):
+            sent += self._send(right, tag, current)
+            src = (self.rank - 1 - step) % k
+            current = self._recv(
+                left, tag,
+                f"in {op} ring step {step + 1}/{k - 1} (chunk from rank {src})",
+                last=step == k - 2,
+            )
+            on_chunk(src, current)
+        return sent
+
+    def _reduce_plan(self, array: np.ndarray) -> tuple[list[tuple[int, int]], tuple]:
+        """Each rank's ``[start, stop)`` row slice of ``array`` (``divmod``
+        split, low ranks one row longer) and the collective's tag."""
+        k = self.world_size
+        base, extra = divmod(array.shape[0], k)
+        ranges, start = [], 0
+        for j in range(k):
+            width = base + (1 if j < extra else 0)
+            ranges.append((start, start + width))
+            start += width
+        return ranges, self._collective_tag("all_reduce_async")
+
+    def _reduce_scatter(self, array: np.ndarray, ranges, tag) -> tuple[np.ndarray, int]:
+        """Hand row slice ``j`` straight to rank ``j``; return this rank's
+        slice summed over the ranks **in rank order** (the deterministic
+        elementwise order every rank shares) and the bytes sent."""
+        k, sent = self.world_size, 0
+        for j in range(k):
+            if j != self.rank:
+                lo, hi = ranges[j]
+                sent += self._send(j, tag, array[lo:hi])
+        lo, hi = ranges[self.rank]
+        parts = [
+            array[lo:hi] if src == self.rank
+            else self._recv(src, tag, f"in all-reduce scatter (slice from rank {src})")
+            for src in range(k)
+        ]
+        acc = np.array(parts[0], copy=True)
+        if len({p.dtype for p in parts}) == 1:
+            for part in parts[1:]:
+                np.add(acc, part, out=acc)
+        else:  # mixed dtypes: promoting accumulate, same rank order
+            for part in parts[1:]:
+                acc = acc + part
+        return acc, sent
+
     # -- collectives ---------------------------------------------------------
 
-    def all_gather(self, array: np.ndarray, axis: int = 0) -> np.ndarray:
-        """Every rank contributes a chunk; every rank gets the concatenation.
+    def barrier(self) -> None:
+        """Rank 0 takes a token from every rank, then releases every rank."""
+        k = self.world_size
+        if k == 1:
+            return
+        self._barrier_sequence += 1
+        tag = ("barrier", self._barrier_sequence)
+        if self.rank == 0:
+            for src in range(1, k):
+                self._recv(src, tag, f"in barrier, waiting on rank {src}")
+            for dst in range(1, k):
+                self._send(dst, tag, _TOKEN)
+        else:
+            self._send(0, tag, _TOKEN)
+            self._recv(0, tag, "in barrier, waiting on rank 0 release")
 
-        Byte accounting follows the ring algorithm: each rank sends and
-        receives ``total - own`` bytes — ``(K-1)/K`` of the tensor for even
-        chunks, the paper's Voltage per-layer volume.
+    def all_gather(self, array: np.ndarray, axis: int = 0) -> np.ndarray:
+        """Every rank contributes a chunk; every rank gets the concatenation,
+        chunks in rank order (uneven sizes included).
+
+        A ring: each rank sends ``total − its right neighbour's chunk`` —
+        ``(K-1)/K`` of the tensor for even chunks, the paper's Voltage
+        per-layer volume.  The result lands in the rank's pooled
+        ``all_gather`` buffer.
         """
-        shared = self._shared
+        chunks: list[np.ndarray | None] = [None] * self.world_size
+        tag = self._collective_tag("ring_all_gather")
         with self._span("all_gather") as span:
-            shared.slots[self.rank] = array
-            shared.barrier.wait()
-            parts = list(shared.slots)
-            result = self._pooled_concatenate("all_gather", parts, axis)
-            shared.barrier.wait()  # nobody may overwrite slots until all have read
-            total = sum(p.nbytes for p in parts)
-            self._add_stats(
-                bytes_sent=total - array.nbytes,
-                bytes_received=total - array.nbytes,
-                collective_calls=1,
-                # both branches materialise the full result locally; the
-                # promoting fallback used to skip this counter
-                bytes_copied=result.nbytes,
-            )
-            span.set(nbytes=total - array.nbytes)
+            sent = self._ring_steps(array, tag, "all-gather", chunks.__setitem__)
+            result = self._pooled_concatenate("all_gather", chunks, axis)
+            self._add_stats(collective_calls=1, bytes_copied=result.nbytes)
+            span.set(nbytes=sent)
         return result
+
+    ring_all_gather = all_gather
 
     def all_reduce(self, array: np.ndarray) -> np.ndarray:
         """Element-wise sum across ranks, everyone receives the result.
 
-        Ring accounting: ``2(K-1)/K`` of the tensor per direction per rank —
-        two of these per layer is tensor parallelism's Section V-C volume.
+        Reduce-scatter then ring gather of the reduced slices: ``2(K-1)/K``
+        of the tensor per direction per rank — two of these per layer is
+        tensor parallelism's Section V-C volume.  Every rank sums each
+        element's partials in rank order, so all ranks agree bit for bit.
+        The result lands in the rank's pooled ``all_reduce`` buffer.
         """
-        shared = self._shared
-        with self._span("all_reduce") as span:
-            shared.slots[self.rank] = array
-            shared.barrier.wait()
-            arrays = list(shared.slots)
-            dtypes = {a.dtype for a in arrays}
-            if len(dtypes) == 1:
-                # accumulate into a pooled buffer, rank-0 first — the same
-                # deterministic summation order as the allocating path
-                out = self._recv_buffer("all_reduce", arrays[0].shape, arrays[0].dtype, arrays)
-                np.copyto(out, arrays[0])
-                for arr in arrays[1:]:
-                    np.add(out, arr, out=out)
-            else:  # mixed dtypes: keep the promoting accumulate semantics
-                out = np.array(arrays[0], copy=True)
-                for arr in arrays[1:]:
-                    out = out + arr
-            shared.barrier.wait()
-            k = self.world_size
-            if k > 1:
-                # exact executed-ring volume (reduce-scatter + all-gather of
-                # the divmod row slices), not the float 2(K-1)·nbytes/K
-                slices = _reduce_slice_bytes(array, k)
-                total = sum(slices)
-                sent = (total - slices[self.rank]) + (total - slices[(self.rank + 1) % k])
-                received = (k - 1) * slices[self.rank] + (total - slices[self.rank])
-            else:
-                sent = received = 0
-            self._add_stats(
-                bytes_sent=sent,
-                bytes_received=received,
-                collective_calls=1,
-                # counted on both branches (the fallback used to skip it)
-                bytes_copied=out.nbytes,
-            )
-            span.set(nbytes=sent)
-        return out
-
-    # -- ring collectives ------------------------------------------------------
-    #
-    # Unlike the slot-based collectives above, these actually move framed
-    # chunks rank-to-rank in K-1 steps over the tagged mailbox channels, so
-    # ``bytes_sent`` / ``bytes_received`` count executed wire traffic
-    # (payload + frame header per hop) rather than an emulated volume.
-
-    def _collective_tag(self, op: str) -> tuple:
-        """A channel tag all ranks agree on by SPMD program order."""
-        self._collective_sequence += 1
-        return (op, self._collective_sequence)
-
-    # -- frame transport hooks -------------------------------------------------
-    #
-    # Every byte that "crosses the wire" goes through these two methods.  The
-    # thread backend moves encoded frames through tagged in-process mailboxes;
-    # the process backend (repro.cluster.process_runtime) overrides them to
-    # move the same frames over loopback TCP sockets.  The returned byte
-    # counts are what lands in CommStats — for threads the frame length, for
-    # sockets the frame plus its envelope.
-    #
-    # Every channel is tagged and carries a fixed number of frames known to
-    # both ends (K-1 per ring hop, one per scatter slice or barrier token),
-    # so the receiver passes ``last=True`` for the final one and
-    # the channel is dropped once it is consumed: a resident rank keeps no
-    # channel per collective it has ever run.  Nothing is sent on a tag after
-    # its last frame, so the drop cannot race a sender.
-
-    def _put_frame(self, dst: int, tag, frame: bytes) -> int:
-        """Deliver one encoded frame to ``dst``; return bytes sent."""
-        self._shared.mailbox(self.rank, dst, tag).put(frame)
-        return len(frame)
-
-    def _get_frame(
-        self, src: int, tag, timeout: float, context: str, last: bool
-    ) -> tuple[bytes, int]:
-        """Take the next frame from ``src``; return (frame, bytes received).
-
-        ``last``: the channel's final frame — drop the channel once it is
-        consumed.  Raises :class:`RuntimeError_` wrapping a ``TimeoutError``
-        carrying ``context`` when nothing arrives within ``timeout`` seconds.
-        """
-        try:
-            data = self._shared.mailbox(src, self.rank, tag).get(timeout=timeout)
-        except queue.Empty:
-            raise RuntimeError_(
-                self.rank,
-                TimeoutError(
-                    f"rank {self.rank} timed out after {timeout}s {context}"
-                ),
-            ) from None
-        if last:
-            self._shared.drop_mailbox(src, self.rank, tag)
-        return data, len(data)
-
-    def _ring_send(self, dst: int, payload: np.ndarray, tag, step: int) -> None:
-        from repro.cluster.wire import encode_frame
-
-        frame = encode_frame(
-            payload, kind=_RING_FRAME_KIND, sender=self.rank, sequence=step
-        )
-        sent = self._put_frame(dst, tag, frame)
-        self._add_stats(bytes_sent=sent)
-
-    def _ring_recv(self, src: int, tag, context: str, last: bool) -> np.ndarray:
-        from repro.cluster.wire import decode_frame
-
-        data, received = self._get_frame(
-            src, tag, self._timeout,
-            context=f"in {context}, waiting on rank {src} (peer never sent, or died)",
-            last=last,
-        )
-        frame = decode_frame(data)
-        self._add_stats(bytes_received=received)
-        return frame.payload
-
-    def _ring_steps(self, array: np.ndarray, tag, op: str, on_chunk) -> None:
-        """Run the K-1 ring steps; call ``on_chunk(src, payload)`` as chunks land.
-
-        Step ``s``: send the chunk currently held to rank ``(self+1) mod K``,
-        receive from ``(self-1) mod K`` the chunk originating at rank
-        ``(self-1-s) mod K``.  Mailbox sends are buffered, so send-then-recv
-        cannot deadlock; a missing peer surfaces as a loud per-step timeout.
-        """
-        k = self.world_size
-        on_chunk(self.rank, array)
-        if k == 1:
-            return
-        right, left = (self.rank + 1) % k, (self.rank - 1) % k
-        current = array
-        for step in range(k - 1):
-            self._ring_send(right, current, tag, step)
-            src = (self.rank - 1 - step) % k
-            current = self._ring_recv(
-                left, tag,
-                context=f"{op} ring step {step + 1}/{k - 1} (chunk from rank {src})",
-                last=step == k - 2,
-            )
-            on_chunk(src, current)
-
-    def ring_all_gather(self, array: np.ndarray, axis: int = 0) -> np.ndarray:
-        """Blocking true ring all-gather over the framed wire path.
-
-        Bit-identical to :meth:`all_gather` (chunks are concatenated in rank
-        order either way, uneven sizes included) but every chunk really flows
-        around the ring, so the byte counters measure executed traffic.  The
-        result lands in the same pooled receive buffer as :meth:`all_gather`
-        (one op for the pool), so it stays valid until the second-next
-        blocking all-gather of either kind.
-        """
+        rows = array.reshape(1) if array.ndim == 0 else array
+        ranges, tag = self._reduce_plan(rows)
         chunks: list[np.ndarray | None] = [None] * self.world_size
-        tag = self._collective_tag("ring_all_gather")
-        with self._span("ring_all_gather") as span:
-            self._ring_steps(
-                array, tag, "ring all-gather",
-                lambda src, payload: chunks.__setitem__(src, payload),
-            )
-            result = self._pooled_concatenate("all_gather", chunks, axis)
+        with self._span("all_reduce") as span:
+            acc, sent = self._reduce_scatter(rows, ranges, (tag, "rs"))
+            sent += self._ring_steps(acc, (tag, "ag"), "all-reduce gather", chunks.__setitem__)
+            result = self._pooled_concatenate("all_reduce", chunks, 0)
             self._add_stats(collective_calls=1, bytes_copied=result.nbytes)
-            span.set(nbytes=sum(c.nbytes for c in chunks) - array.nbytes)
-        return result
+            span.set(nbytes=sent)
+        return result.reshape(array.shape)
 
     def all_gather_async(self, array: np.ndarray, axis: int = 0) -> CollectiveHandle:
         """Nonblocking ring all-gather; returns a :class:`CollectiveHandle`.
@@ -541,113 +536,60 @@ class WorkerContext:
         A per-rank comm thread drives the K-1 ring steps and delivers each
         chunk to the handle as it arrives, so the calling thread can run
         position-wise compute on already-arrived chunks while the rest of the
-        ring is still in flight.  ``handle.wait()`` is bit-identical to the
-        blocking collectives.
+        ring is still in flight.  ``handle.wait()`` is bit-identical to
+        :meth:`all_gather`.
         """
         tag = self._collective_tag("all_gather_async")
         handle = CollectiveHandle("all_gather_async", self, axis=axis)
         self._add_stats(collective_calls=1)
 
-        def pump() -> None:
-            try:
-                with current_tracer().span(
-                    "all_gather_async", cat="runtime", kind="comm",
-                    track=f"rank {self.rank} comm", device=self.rank,
-                ) as span:
-                    total = 0
-                    def deliver(src: int, payload: np.ndarray) -> None:
-                        nonlocal total
-                        total += payload.nbytes
-                        handle._deliver(src, payload)
-                    self._ring_steps(array, tag, "async all-gather", deliver)
-                    span.set(nbytes=total - array.nbytes)
-                handle._finish()
-            except BaseException as exc:  # noqa: BLE001 - surfaced via the handle
-                wrapped = exc if isinstance(exc, RuntimeError_) else RuntimeError_(self.rank, exc)
-                self._comm_errors.append(wrapped)
-                handle._fail(wrapped)
+        def steps(span) -> None:
+            span.set(nbytes=self._ring_steps(array, tag, "async all-gather", handle._deliver))
 
-        self._launch_comm_thread(pump, tag)
+        self._launch_comm_thread("all_gather_async", steps, handle, tag)
         return handle
 
     def all_reduce_async(self, array: np.ndarray) -> CollectiveHandle:
-        """Nonblocking ring all-reduce (reduce-scatter + ring all-gather).
+        """Nonblocking :meth:`all_reduce`: the same reduce-scatter and ring
+        gather on a comm thread; ``handle.wait()`` is bit-identical to it.
 
-        Rank ``j`` owns row slice ``j`` (``array_split`` boundaries): every
-        peer sends it that slice directly, the owner sums the K partials **in
-        rank order** (the same deterministic elementwise summation as the
-        blocking :meth:`all_reduce`, restricted to its rows), then the
-        reduced slices circle the ring.  Executed volume per rank and
-        direction is ``2(K-1)/K`` of the tensor — the Section V-C ring
-        figure — and ``handle.wait()`` is bit-identical to ``all_reduce``.
         ``handle.chunk(src)`` / ``handle.range_of(src)`` expose reduced row
         slices as they arrive, for streaming position-wise epilogues.
         """
         if array.ndim < 1:
             raise ValueError("all_reduce_async needs at least a 1-D array")
-        k = self.world_size
-        n = array.shape[0]
-        base, extra = divmod(n, k)
-        ranges, start = [], 0
-        for j in range(k):
-            width = base + (1 if j < extra else 0)
-            ranges.append((start, start + width))
-            start += width
+        ranges, tag = self._reduce_plan(array)
         handle = CollectiveHandle("all_reduce_async", self, axis=0, ranges=ranges)
-        tag = self._collective_tag("all_reduce_async")
-        scatter_tag, gather_tag = (tag, "rs"), (tag, "ag")
         self._add_stats(collective_calls=1)
+
+        def steps(span) -> None:
+            acc, sent = self._reduce_scatter(array, ranges, (tag, "rs"))
+            self._add_stats(bytes_copied=acc.nbytes)
+            sent += self._ring_steps(acc, (tag, "ag"), "async all-reduce gather", handle._deliver)
+            span.set(nbytes=sent)
+
+        self._launch_comm_thread("all_reduce_async", steps, handle, tag)
+        return handle
+
+    def _launch_comm_thread(
+        self, op: str, steps: Callable, handle: CollectiveHandle, tag
+    ) -> None:
+        """Run ``steps(span)`` inside a comm-track span on a comm thread (inline
+        without peers), finishing ``handle`` or failing it with the error."""
 
         def pump() -> None:
             try:
                 with current_tracer().span(
-                    "all_reduce_async", cat="runtime", kind="comm",
+                    op, cat="runtime", kind="comm",
                     track=f"rank {self.rank} comm", device=self.rank,
                 ) as span:
-                    # phase 1 — reduce-scatter: hand slice j straight to its owner
-                    for j in range(k):
-                        if j != self.rank:
-                            lo, hi = ranges[j]
-                            self._ring_send(j, array[lo:hi], scatter_tag, 0)
-                    lo, hi = ranges[self.rank]
-                    parts = [
-                        array[lo:hi] if src == self.rank else self._ring_recv(
-                            src, scatter_tag,
-                            context=f"async all-reduce scatter (slice from rank {src})",
-                            last=True,
-                        )
-                        for src in range(k)
-                    ]
-                    if len({p.dtype for p in parts}) == 1:
-                        acc = np.array(parts[0], copy=True)
-                        for part in parts[1:]:
-                            np.add(acc, part, out=acc)
-                    else:  # mixed dtypes: promoting accumulate, same rank order
-                        acc = np.array(parts[0], copy=True)
-                        for part in parts[1:]:
-                            acc = acc + part
-                    self._add_stats(bytes_copied=acc.nbytes)
-                    # phase 2 — ring all-gather of the reduced slices
-                    self._ring_steps(acc, gather_tag, "async all-reduce gather", handle._deliver)
-                    slices = _reduce_slice_bytes(array, k)
-                    total = sum(slices)
-                    ring = (
-                        (total - slices[self.rank])
-                        + (total - slices[(self.rank + 1) % k])
-                        if k > 1
-                        else 0
-                    )
-                    span.set(nbytes=ring)
+                    steps(span)
                 handle._finish()
             except BaseException as exc:  # noqa: BLE001 - surfaced via the handle
                 wrapped = exc if isinstance(exc, RuntimeError_) else RuntimeError_(self.rank, exc)
                 self._comm_errors.append(wrapped)
                 handle._fail(wrapped)
 
-        self._launch_comm_thread(pump, tag)
-        return handle
-
-    def _launch_comm_thread(self, pump: Callable[[], None], tag) -> None:
         if self.world_size == 1:
             pump()  # no peers: the collective completes inline
             return
@@ -670,9 +612,9 @@ class WorkerContext:
 class ThreadedRuntime:
     """Run one worker function per rank on real threads and collect results.
 
-    ``timeout`` bounds every blocking receive — each ring step of the
-    (a)sync collectives and ``CollectiveHandle`` waits — so a hung peer
-    fails loudly with rank/step context instead of stalling the whole run.
+    ``timeout`` bounds every blocking receive — each step of every
+    collective and ``CollectiveHandle`` waits — so a hung peer fails loudly
+    with rank/step context instead of stalling the whole run.
     """
 
     def __init__(self, world_size: int, timeout: float = DEFAULT_TIMEOUT):
@@ -689,20 +631,24 @@ class ThreadedRuntime:
         """Execute ``worker_fn(ctx)`` on every rank; returns (results, stats).
 
         If any worker raises, the first failure is re-raised as
-        :class:`RuntimeError_` after all threads have been joined (barriers
-        are aborted so surviving workers do not deadlock).  Comm threads of
-        async collectives — including un-waited handles — are joined before
+        :class:`RuntimeError_` after all threads have been joined.  A rank
+        closes its endpoint when it ends, so a peer blocked on a failed
+        rank raises within one poll slice.  Comm threads of async
+        collectives — including un-waited handles — are joined before
         returning; a comm-thread failure the worker never observed is
         re-raised here so ring errors cannot vanish silently.
         """
-        shared = _SharedState(world_size=self.world_size)
+        k = self.world_size
+        endpoints: list[_ThreadTransport] = []
+        closed: set[int] = set()
+        endpoints.extend(_ThreadTransport(rank, k, endpoints, closed) for rank in range(k))
         results: list[object] = [None] * self.world_size
         stats: list[CommStats] = [CommStats() for _ in range(self.world_size)]
         errors: list[RuntimeError_] = []
         error_lock = threading.Lock()
 
         def runner(rank: int) -> None:
-            ctx = WorkerContext(rank, shared, timeout=self.timeout)
+            ctx = WorkerContext(rank, endpoints[rank], timeout=self.timeout)
             try:
                 with current_tracer().span(
                     "worker", cat="runtime", kind="request",
@@ -717,7 +663,9 @@ class ThreadedRuntime:
                 wrapped = exc if isinstance(exc, RuntimeError_) else RuntimeError_(rank, exc)
                 with error_lock:
                     errors.append(wrapped)
-                shared.barrier.abort()
+            finally:
+                endpoints[rank].close()
+                ctx._join_comm_threads()  # a closed endpoint releases them within a slice
 
         threads = [
             threading.Thread(target=runner, args=(rank,), name=f"worker-{rank}")

@@ -76,7 +76,6 @@ class Replica:
     engine: InferenceEngine
     retired_at: float | None = None
     report: EngineReport | None = None
-    routed: int = 0
 
     @property
     def name(self) -> str:
@@ -279,7 +278,6 @@ class Fleet:
                 request = arrivals[cursor]
                 replica = self.router.choose(request, self.live)
                 replica.engine.offer(request)
-                replica.routed += 1
                 routing.append((request.id, replica.name))
                 cursor += 1
 

@@ -327,7 +327,7 @@ class VoltageSystem(InferenceSystem):
         """Run Algorithm 2 on real concurrent workers.
 
         ``runtime`` selects the backend: ``None``/``"threaded"`` runs one
-        thread per rank over in-process mailboxes, ``"process"`` runs one OS
+        thread per rank over in-process queues, ``"process"`` runs one OS
         process per rank over loopback TCP sockets
         (:class:`~repro.cluster.process_runtime.ProcessRuntime` — the
         paper's deployment shape), or pass an already-built runtime.  The

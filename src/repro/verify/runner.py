@@ -212,7 +212,7 @@ def run_scenario(
         voltage_overlap = bool(getattr(voltage, "overlap", False))
         if voltage_overlap:
             # the overlapped ring-streamed execution must not perturb a single
-            # bit relative to the blocking slot collectives
+            # bit relative to the blocking collectives
             blocking, _ = voltage.execute_distributed(raw, runtime="threaded", overlap=False)
             identical(
                 "voltage_overlap_vs_blocking_threaded", threaded, blocking,

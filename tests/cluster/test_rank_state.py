@@ -37,9 +37,8 @@ def pooled(ctx) -> dict:
 
 
 def open_channels(ctx) -> int:
-    """Channels the rank holds (threads: the shared mailboxes)."""
-    transport = getattr(ctx, "_transport", None)
-    return len(transport._queues) if transport is not None else len(ctx._shared.mailboxes)
+    """Channels the rank's transport holds (its inbound queues)."""
+    return len(ctx._transport._queues)
 
 
 @pytest.mark.parametrize("runtime", RUNTIMES)
@@ -100,8 +99,9 @@ def test_second_next_lifetime_holds_across_shapes(runtime):
 
 
 def test_slot_and_ring_gathers_share_one_pool_op():
-    """The threaded slot gather and the ring gather are one op for the pool:
-    a result of either kind survives the next blocking gather of either kind,
+    """``ring_all_gather`` is an alias of ``all_gather`` (the e2e encoder
+    probe calls it by that name), so the two are one op for the pool: a
+    result of either name survives the next blocking gather of either name,
     and the one after recycles its storage."""
 
     def worker(ctx):
@@ -153,14 +153,13 @@ def test_gathering_a_view_of_the_older_result_never_aliases(runtime):
 @pytest.mark.parametrize("runtime", RUNTIMES)
 @pytest.mark.parametrize("rounds", [1, 12])
 def test_collectives_return_channels_to_baseline(runtime, rounds):
-    """However many ring, async, slot/wire and barrier calls a rank
+    """However many blocking, async and barrier calls a rank
     runs, afterwards it holds no channel at all, and at most the comm thread
     launched last."""
 
     def worker(ctx):
         x = np.arange(12, dtype=np.float32).reshape(6, 2) + ctx.rank
         for _ in range(rounds):
-            ctx.ring_all_gather(x)
             ctx.all_gather_async(x).wait()
             ctx.all_reduce_async(x).wait()
             ctx.all_gather(x)
@@ -177,7 +176,7 @@ def test_collectives_return_channels_to_baseline(runtime, rounds):
 def test_channel_drops_survive_thread_switch_stress():
     """Six ranks on a two-core box, a forced thread switch every
     microsecond, and three collectives in flight per rank at once (an async
-    gather, a ring gather, an async reduce): every frame still arrives —
+    gather, a blocking gather, an async reduce): every message still arrives —
     a channel dropped while a peer could still send on it would lose one and
     time out — and every tagged channel is gone afterwards."""
     k = 6
@@ -188,7 +187,7 @@ def test_channel_drops_survive_thread_switch_stress():
             for step in range(60):
                 x = np.full((2, 3), float(10 * step + ctx.rank), dtype=np.float32)
                 pending = ctx.all_gather_async(x)
-                ring = ctx.ring_all_gather(x)
+                ring = ctx.all_gather(x)
                 reduced = ctx.all_reduce_async(x).wait()
                 gathered = pending.wait()
                 expected = np.concatenate(

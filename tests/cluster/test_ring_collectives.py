@@ -1,45 +1,63 @@
 """Tests for the true ring collectives and nonblocking CollectiveHandle path."""
 
+import time
+
 import numpy as np
 import pytest
 
+from repro.cluster.process_runtime import ProcessRuntime, envelope_overhead_bytes
 from repro.cluster.runtime import RuntimeError_, ThreadedRuntime
-from repro.cluster.wire import encode_frame
+from repro.cluster.wire import frame_overhead_bytes
 
 
 class TestRingAllGather:
     @pytest.mark.parametrize("world_size", [1, 2, 3, 4])
     @pytest.mark.parametrize("dtype", [np.float32, np.float16, np.int8])
     def test_bit_identical_to_slot_collective(self, world_size, dtype):
-        """Ring and slot all-gather must agree byte-for-byte, uneven chunks
-        included (rank r contributes r+1 rows)."""
+        """The ring all-gather returns what the retired slot collective did —
+        every rank's chunk concatenated in rank order — byte-for-byte,
+        uneven chunks included (rank r contributes r+1 rows)."""
         runtime = ThreadedRuntime(world_size)
 
-        def worker(ctx):
-            rng = np.random.default_rng(100 + ctx.rank)
-            chunk = (rng.normal(size=(ctx.rank + 1, 3)) * 10).astype(dtype)
-            ring = ctx.ring_all_gather(chunk)
-            slot = ctx.all_gather(chunk)
-            return ring, slot
+        def chunk_of(rank):
+            rng = np.random.default_rng(100 + rank)
+            return (rng.normal(size=(rank + 1, 3)) * 10).astype(dtype)
 
-        results, _ = runtime.run(worker)
-        for ring, slot in results:
-            assert ring.dtype == slot.dtype
-            np.testing.assert_array_equal(ring, slot)
+        results, _ = runtime.run(lambda ctx: ctx.all_gather(chunk_of(ctx.rank)))
+        expected = np.concatenate([chunk_of(rank) for rank in range(world_size)])
+        for gathered in results:
+            assert gathered.dtype == expected.dtype
+            np.testing.assert_array_equal(gathered, expected)
 
     def test_counts_executed_wire_traffic(self):
-        """Every chunk flows K-1 hops, so sent bytes are (K-1) framed chunks."""
+        """Every chunk flows K-1 hops, so sent bytes are (K-1) chunks — the
+        payload bytes the thread transport moved."""
         runtime = ThreadedRuntime(3)
         chunk = np.zeros((2, 4), dtype=np.float32)
-        frame_bytes = len(encode_frame(chunk, kind=1, sender=0, sequence=0))
 
         def worker(ctx):
-            return ctx.ring_all_gather(np.zeros((2, 4), dtype=np.float32))
+            return ctx.all_gather(np.zeros((2, 4), dtype=np.float32))
 
         _, stats = runtime.run(worker)
         for s in stats:
-            assert s.bytes_sent == 2 * frame_bytes
-            assert s.bytes_received == 2 * frame_bytes
+            assert s.bytes_sent == 2 * chunk.nbytes
+            assert s.bytes_received == 2 * chunk.nbytes
+            assert s.collective_calls == 1
+
+    def test_counts_socket_frames_on_processes(self):
+        """The same gather over sockets: every hop is one frame plus its
+        envelope."""
+        chunk = np.zeros((2, 4), dtype=np.float32)
+        hop = (
+            envelope_overhead_bytes(("ring_all_gather", 1))
+            + frame_overhead_bytes(chunk.ndim)
+            + chunk.nbytes
+        )
+
+        _, stats = ProcessRuntime(3, timeout=15).run(lambda ctx: ctx.all_gather(chunk))
+        for s in stats:
+            assert s.bytes_sent == 2 * hop
+            assert s.bytes_received == 2 * hop
             assert s.collective_calls == 1
 
 
@@ -110,19 +128,22 @@ class TestAllGatherAsync:
 
 class TestRingTimeout:
     def test_hung_ring_step_fails_loudly_with_context(self):
-        """A peer that never sends surfaces as a per-step timeout naming the
-        waiting rank and the ring step, not a silent stall."""
+        """A live peer that never sends surfaces as a per-step timeout naming
+        the waiting rank and the ring step, not a silent stall.  (A peer
+        that returns closes its endpoint and fails the receive at once.)"""
         runtime = ThreadedRuntime(2, timeout=0.2)
 
         def gatherer(ctx):
-            return ctx.ring_all_gather(np.ones((2, 2), dtype=np.float32))
+            return ctx.all_gather(np.ones((2, 2), dtype=np.float32))
 
         def deserter(ctx):
-            return None
+            time.sleep(0.6)  # alive past the receive timeout, never sends
 
         with pytest.raises(RuntimeError_) as excinfo:
             runtime.run(lambda ctx: [gatherer, deserter][ctx.rank](ctx))
         message = str(excinfo.value.cause)
+        assert isinstance(excinfo.value.cause, TimeoutError)
+        assert "timed out after 0.2s" in message
         assert "rank 0" in message
         assert "ring step 1/1" in message
         assert "rank 1" in message
@@ -182,22 +203,34 @@ class TestAllReduceAsync:
 
     def test_ring_volume_is_two_k_minus_one_over_k(self):
         """Per rank, executed payload volume is 2(K-1)S/K each direction
-        (reduce-scatter + all-gather), plus one frame header per hop."""
+        (reduce-scatter + all-gather): the thread transport counts payload."""
         k, rows, cols = 4, 8, 4
         runtime = ThreadedRuntime(k)
-        slice_array = np.zeros((rows // k, cols), dtype=np.float32)
-        overhead = len(encode_frame(slice_array, kind=1, sender=0, sequence=0)) - slice_array.nbytes
-        total_bytes = rows * cols * 4
-        payload = 2 * (k - 1) * total_bytes // k
-        hops = 2 * (k - 1)
+        payload = 2 * (k - 1) * rows * cols * 4 // k
 
         def worker(ctx):
             return ctx.all_reduce_async(np.zeros((rows, cols), dtype=np.float32)).wait()
 
         _, stats = runtime.run(worker)
         for s in stats:
-            assert s.bytes_sent == payload + hops * overhead
-            assert s.bytes_received == payload + hops * overhead
+            assert s.bytes_sent == payload
+            assert s.bytes_received == payload
+
+    def test_socket_volume_adds_a_frame_and_envelope_per_hop(self):
+        """The same reduction over sockets: the 2(K-1)S/K payload plus, on
+        each of the 2(K-1) hops, a frame header and an envelope (the scatter
+        and gather tags have equal length)."""
+        k, rows, cols = 4, 8, 4
+        payload = 2 * (k - 1) * rows * cols * 4 // k
+        overhead = frame_overhead_bytes(2) + envelope_overhead_bytes((("all_reduce_async", 1), "rs"))
+
+        def worker(ctx):
+            return ctx.all_reduce_async(np.zeros((rows, cols), dtype=np.float32)).wait()
+
+        _, stats = ProcessRuntime(k, timeout=15).run(worker)
+        for s in stats:
+            assert s.bytes_sent == payload + 2 * (k - 1) * overhead
+            assert s.bytes_received == payload + 2 * (k - 1) * overhead
 
 
 class TestMixedDtypeFallbackAccounting:

@@ -29,8 +29,8 @@ class TestAllGather:
         assert results[0].shape == (6, 2)
 
     def test_repeated_collectives_do_not_race(self):
-        """Back-to-back All-Gathers reuse the slot array; the double barrier
-        must prevent a fast rank from clobbering a slow rank's read."""
+        """Back-to-back All-Gathers: every message is a private copy, so a
+        fast rank's next call cannot clobber what a slow rank still reads."""
         runtime = ThreadedRuntime(4)
 
         def worker(ctx):
@@ -108,7 +108,7 @@ class TestErrorHandling:
         def worker(ctx):
             if ctx.rank == 2:
                 raise ValueError("boom")
-            ctx.barrier()  # would deadlock if the barrier were not aborted
+            ctx.barrier()  # released when rank 2's endpoint closes
             return ctx.rank
 
         with pytest.raises(RuntimeError_) as excinfo:

@@ -102,17 +102,38 @@ class TestValidation:
 
 class TestRuntimeIntegration:
     def test_ring_accounting_includes_framing(self):
+        """Over sockets every hop is one frame plus its envelope."""
+        from repro.cluster.process_runtime import ProcessRuntime, envelope_overhead_bytes
+
+        runtime = ProcessRuntime(2, timeout=15)
+        payload = np.zeros((5, 4), dtype=np.float32)
+
+        def worker(ctx):
+            return ctx.all_gather(payload + ctx.rank)
+
+        results, stats = runtime.run(worker)
+        np.testing.assert_array_equal(results[1], np.concatenate([payload, payload + 1]))
+        # K = 2: one ring hop, each rank sends its chunk as one frame
+        expected = (
+            envelope_overhead_bytes(("ring_all_gather", 1))
+            + frame_overhead_bytes(2)
+            + payload.nbytes
+        )
+        assert stats[0].bytes_sent == expected
+        assert stats[1].bytes_received == expected
+
+    def test_thread_accounting_counts_payload(self):
+        """Threads move a private copy of each array, no frame: a hop
+        counts its payload bytes."""
         from repro.cluster.runtime import ThreadedRuntime
 
         runtime = ThreadedRuntime(2)
         payload = np.zeros((5, 4), dtype=np.float32)
 
         def worker(ctx):
-            return ctx.ring_all_gather(payload + ctx.rank)
+            return ctx.all_gather(payload + ctx.rank)
 
         results, stats = runtime.run(worker)
         np.testing.assert_array_equal(results[1], np.concatenate([payload, payload + 1]))
-        # K = 2: one ring hop, each rank sends its chunk as one frame
-        expected = frame_overhead_bytes(2) + payload.nbytes
-        assert stats[0].bytes_sent == expected
-        assert stats[1].bytes_received == expected
+        assert stats[0].bytes_sent == payload.nbytes
+        assert stats[1].bytes_received == payload.nbytes

@@ -1,10 +1,10 @@
 """Stress tests: randomized concurrent collective sequences on real threads.
 
-The double-barrier slot protocol in :mod:`repro.cluster.runtime` must stay
-consistent under arbitrary interleavings of slot and ring collectives.
-These tests run seeded-random programs on real threads many times — racy
-bugs show up as cross-rank disagreement or deadlocks (caught by the receive
-timeout / barrier abort machinery).
+The tagged channels of :mod:`repro.cluster.runtime` must stay consistent
+under arbitrary interleavings of blocking and async collectives.  These
+tests run seeded-random programs on real threads many times — racy bugs
+show up as cross-rank disagreement, or as a receive that fails loudly with
+its rank and step instead of hanging.
 """
 
 import numpy as np
@@ -38,15 +38,15 @@ class TestMixedCollectiveSequences:
         assert all(s.collective_calls == len(ops) for s in stats)
 
     def test_interleaved_ring_and_slot_collectives(self):
-        """Framed ring gathers over the tagged mailboxes flowing alongside
-        the slot collectives must not corrupt either path."""
+        """Async gathers flowing alongside the blocking gathers on their own
+        tagged channels must not corrupt either path."""
         runtime = ThreadedRuntime(3)
 
         def worker(ctx):
             gathered = []
             for round_index in range(8):
-                ring = ctx.ring_all_gather(np.full((1, 1), float(round_index + ctx.rank)))
-                assert list(ring[:, 0]) == [float(round_index + r) for r in range(3)]
+                streamed = ctx.all_gather_async(np.full((1, 1), float(round_index + ctx.rank))).wait()
+                assert list(streamed[:, 0]) == [float(round_index + r) for r in range(3)]
                 gathered.append(ctx.all_gather(np.full((1, 2), ctx.rank, dtype=np.float32)))
             return np.concatenate(gathered).sum()
 
